@@ -3,8 +3,10 @@
 // Measures ns/op and heap allocations per message for the control-channel
 // hot path: nested-message encode (legacy per-sub-message encoders vs. the
 // arena/backpatch path), envelope decode (fresh vs. decode_into reuse),
-// frame + reassemble, the full encode->frame->reassemble->decode loop, and
-// ingest->apply through a standalone ShardCore over sim transports.
+// frame + reassemble, the full encode->frame->reassemble->decode loop,
+// ingest->apply through a standalone ShardCore over sim transports, and
+// RIB snapshot publish (one dirty agent) and 4-shard compose at 16, 1024 and
+// 8192 agents, whose allocation counts must not grow with the fleet.
 //
 // Allocations are counted by a global operator-new hook, so the numbers are
 // exact, deterministic, and independent of machine speed -- which is why
@@ -17,6 +19,7 @@
 // WireEncoder per sub-message, copied into the parent via field_message,
 // body vector + Envelope::encode) and is verified byte-identical to the
 // arena path before anything is timed.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -26,6 +29,7 @@
 #include <fstream>
 #include <map>
 #include <new>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -99,6 +103,10 @@ constexpr std::uint64_t kEncodeIters = 20'000;
 constexpr std::uint64_t kLoopIters = 20'000;
 constexpr std::uint64_t kWarmup = 200;
 constexpr std::uint64_t kIngestIters = 2'000;
+constexpr std::size_t kFleetSizes[] = {16, 1024, 8192};
+constexpr std::size_t kFleets = std::size(kFleetSizes);
+constexpr std::size_t kComposeShards = 4;
+constexpr std::uint64_t kPublishIters = 2'000;
 
 proto::StatsReply make_reply() {
   proto::StatsReply reply;
@@ -175,6 +183,29 @@ std::vector<std::uint8_t> legacy_encode(const proto::StatsReply& reply) {
   return envelope.encode();
 }
 
+// RIB agent as the updater leaves it after applying `reply`: one cell, 16
+// UEs in the tree and in the hot columns.
+void fill_agent(ctrl::AgentNode& agent, ctrl::AgentId id, const proto::StatsReply& reply) {
+  agent.id = id;
+  auto& cell = agent.cells[1];
+  cell.stats = reply.cell_reports.front();
+  for (const auto& report : reply.ue_reports) {
+    auto& ue = cell.ues[report.rnti];
+    ue.rnti = report.rnti;
+    ue.stats = report;
+    ue.cqi_avg.add(report.wb_cqi);
+    const std::size_t row = agent.hot.upsert(report.rnti);
+    agent.hot.wb_cqi[row] = report.wb_cqi;
+    agent.hot.rlc_queue_bytes[row] = report.rlc_queue_bytes;
+  }
+}
+
+/// The agent made dirty by publish `i`: spread over the fleet so successive
+/// publishes clone different chunks.
+ctrl::AgentId dirty_agent(std::uint64_t i, std::size_t agents) {
+  return 1 + static_cast<ctrl::AgentId>(i * 7919 % agents);
+}
+
 // --------------------------------------------------------------- results --
 
 struct Results {
@@ -192,6 +223,11 @@ struct Results {
   double ingest_ns = 0.0;
   double ingest_allocs = 0.0;
   std::size_t wire_bytes = 0;
+  // Per fleet size (kFleetSizes).
+  double publish_ns[kFleets] = {};
+  double publish_allocs[kFleets] = {};
+  double compose_ns[kFleets] = {};
+  double compose_allocs[kFleets] = {};
 };
 
 bool verify_byte_identity(const proto::StatsReply& reply) {
@@ -382,6 +418,66 @@ Results run_bench() {
         static_cast<double>(g_allocs.load() - allocs0) / static_cast<double>(kIngestIters);
   }
 
+  // ---- snapshot publish (1 dirty agent) and 4-shard compose ----
+  for (std::size_t f = 0; f < kFleets; ++f) {
+    const std::size_t agents = kFleetSizes[f];
+    // Dirty sets are built up front: a std::set insert would allocate.
+    std::vector<std::set<ctrl::AgentId>> dirty;
+    for (std::uint64_t i = 0; i < kWarmup + kPublishIters; ++i) {
+      dirty.push_back({dirty_agent(i, agents)});
+    }
+
+    // One shard holding the whole fleet.
+    {
+      ctrl::Rib rib;
+      for (ctrl::AgentId id = 1; id <= agents; ++id) fill_agent(rib.agent(id), id, reply);
+      ctrl::SnapshotStore store;
+      store.publish(rib, {}, /*structure_changed=*/true);
+      for (std::uint64_t i = 0; i < kWarmup; ++i) store.publish(rib, dirty[i], false);
+      const auto allocs0 = g_allocs.load();
+      auto t0 = Clock::now();
+      for (std::uint64_t i = kWarmup; i < kWarmup + kPublishIters; ++i) {
+        store.publish(rib, dirty[i], false);
+      }
+      auto t1 = Clock::now();
+      res.publish_ns[f] = ns_per_op(kPublishIters, t0, t1);
+      res.publish_allocs[f] =
+          static_cast<double>(g_allocs.load() - allocs0) / static_cast<double>(kPublishIters);
+    }
+
+    // The fleet spread over 4 shards by id, as the Coordinator's global ids
+    // interleave; each op follows a stats-only publish on one shard.
+    {
+      ctrl::Rib ribs[kComposeShards];
+      ctrl::SnapshotStore stores[kComposeShards];
+      std::vector<std::shared_ptr<const ctrl::RibSnapshot>> parts(kComposeShards);
+      for (ctrl::AgentId id = 1; id <= agents; ++id) {
+        fill_agent(ribs[id % kComposeShards].agent(id), id, reply);
+      }
+      for (std::size_t s = 0; s < kComposeShards; ++s) {
+        parts[s] = stores[s].publish(ribs[s], {}, /*structure_changed=*/true);
+      }
+      auto composite = ctrl::RibSnapshot::compose(parts);
+      std::uint64_t allocs = 0;
+      std::int64_t ns = 0;
+      for (std::uint64_t i = 0; i < kWarmup + kPublishIters; ++i) {
+        const std::size_t s = *dirty[i].begin() % kComposeShards;
+        parts[s] = stores[s].publish(ribs[s], dirty[i], false);
+        const auto allocs0 = g_allocs.load();
+        const auto t0 = Clock::now();
+        auto next = ctrl::RibSnapshot::compose(parts, composite.get());
+        const auto t1 = Clock::now();
+        if (i >= kWarmup) {
+          allocs += g_allocs.load() - allocs0;
+          ns += std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count();
+        }
+        composite = std::move(next);  // the old version is freed outside the timing
+      }
+      res.compose_ns[f] = static_cast<double>(ns) / static_cast<double>(kPublishIters);
+      res.compose_allocs[f] = static_cast<double>(allocs) / static_cast<double>(kPublishIters);
+    }
+  }
+
   return res;
 }
 
@@ -414,8 +510,23 @@ int check_against(const Results& res, const std::string& path) {
       {"decode_into_allocs_per_msg", res.decode_into_allocs},
       {"frame_reassemble_allocs_per_msg", res.frame_allocs},
       {"wire_loop_allocs_per_msg", res.loop_allocs},
+      {"publish_allocs_per_op", *std::max_element(res.publish_allocs, res.publish_allocs + kFleets)},
+      {"compose_allocs_per_op", *std::max_element(res.compose_allocs, res.compose_allocs + kFleets)},
   };
   int failures = 0;
+  // Publish and compose must cost the same allocations at every fleet size:
+  // a count that grows with the fleet is an O(agents) path come back.
+  for (std::size_t f = 1; f < kFleets; ++f) {
+    if (res.publish_allocs[f] != res.publish_allocs[0] ||
+        res.compose_allocs[f] != res.compose_allocs[0]) {
+      std::fprintf(stderr,
+                   "bench_wire --check: snapshot allocs/op differ across fleet sizes: "
+                   "publish %.4f at %zu agents vs %.4f at %zu, compose %.4f vs %.4f\n",
+                   res.publish_allocs[f], kFleetSizes[f], res.publish_allocs[0], kFleetSizes[0],
+                   res.compose_allocs[f], res.compose_allocs[0]);
+      ++failures;
+    }
+  }
   for (const auto& [key, limit] : baseline) {
     auto it = measured.find(key);
     if (it == measured.end()) {
@@ -466,7 +577,7 @@ int main(int argc, char** argv) {
       "field_message copies, owned body vector); arena = reused encoder with\n"
       "length-prefix backpatching. Outputs verified byte-identical.");
   std::printf("\nwire size: %zu bytes\n\n", res.wire_bytes);
-  std::printf("%-34s %10s %14s\n", "stage", "ns/op", "allocs/msg");
+  std::printf("%-34s %10s %14s\n", "stage", "ns/op", "allocs/op");
   std::printf("%-34s %10.1f %14s\n", "encode nested (legacy)", res.encode_legacy_ns, "-");
   std::printf("%-34s %10.1f %14.4f\n", "encode nested (arena)", res.encode_arena_ns,
               res.encode_arena_allocs);
@@ -479,7 +590,24 @@ int main(int argc, char** argv) {
               res.loop_allocs);
   std::printf("%-34s %10.1f %14.4f\n", "ingest -> apply (ShardCore)", res.ingest_ns,
               res.ingest_allocs);
+  for (std::size_t f = 0; f < kFleets; ++f) {
+    const std::string agents = std::to_string(kFleetSizes[f]) + " agents";
+    std::printf("%-34s %10.1f %14.4f\n", ("publish, 1 dirty, " + agents).c_str(),
+                res.publish_ns[f], res.publish_allocs[f]);
+    std::printf("%-34s %10.1f %14.4f\n", ("compose 4 shards, " + agents).c_str(),
+                res.compose_ns[f], res.compose_allocs[f]);
+  }
 
+  std::string fleet_json;
+  for (std::size_t f = 0; f < kFleets; ++f) {
+    char row[256];
+    std::snprintf(row, sizeof(row),
+                  "%s{\"agents\":%zu,\"publish_ns\":%.2f,\"publish_allocs_per_op\":%.4f,"
+                  "\"compose_ns\":%.2f,\"compose_allocs_per_op\":%.4f}",
+                  f == 0 ? "" : ",", kFleetSizes[f], res.publish_ns[f], res.publish_allocs[f],
+                  res.compose_ns[f], res.compose_allocs[f]);
+    fleet_json += row;
+  }
   char buffer[1024];
   std::snprintf(
       buffer, sizeof(buffer),
@@ -489,7 +617,7 @@ int main(int argc, char** argv) {
       "\"decode\":{\"fresh_ns\":%.2f,\"into_ns\":%.2f,\"into_allocs_per_msg\":%.4f},"
       "\"frame\":{\"ns\":%.2f,\"allocs_per_msg\":%.4f},"
       "\"wire_loop\":{\"ns\":%.2f,\"allocs_per_msg\":%.4f},"
-      "\"ingest_apply\":{\"ns\":%.2f,\"allocs_per_msg\":%.4f}}",
+      "\"ingest_apply\":{\"ns\":%.2f,\"allocs_per_msg\":%.4f},",
       res.wire_bytes, res.encode_legacy_ns, res.encode_arena_ns, res.encode_speedup,
       res.encode_arena_allocs, res.decode_fresh_ns, res.decode_into_ns, res.decode_into_allocs,
       res.frame_ns, res.frame_allocs, res.loop_ns, res.loop_allocs, res.ingest_ns,
@@ -497,8 +625,10 @@ int main(int argc, char** argv) {
   const std::string json =
       "{" +
       flexran::bench::json_header(
-          "wire_fastpath", "ues=16 rsrp=2 cells=1 encode_iters=20000 loop_iters=20000") +
-      buffer;
+          "wire_fastpath",
+          "ues=16 rsrp=2 cells=1 encode_iters=20000 loop_iters=20000 publish_iters=2000 "
+          "compose_shards=4") +
+      buffer + "\"publish_compose\":[" + fleet_json + "]}";
   std::ofstream out(json_path);
   out << json << "\n";
   std::printf("\n%s\nJSON written to %s\n", json.c_str(), json_path.c_str());

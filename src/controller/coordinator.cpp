@@ -1,6 +1,7 @@
 #include "controller/coordinator.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -107,6 +108,10 @@ void Coordinator::remove_agent(AgentId id) {
 }
 
 void Coordinator::run_cycle() {
+  // Frees the agent nodes that only the superseded composite still held:
+  // reclamation is core work at the top of the cycle, not a cost charged to
+  // whichever app reads the composite first.
+  retired_composite_.reset();
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     ShardState& state = shard_states_[i];
     if (!shard_active(i)) continue;
@@ -419,7 +424,8 @@ std::shared_ptr<const RibSnapshot> Coordinator::rib_snapshot() const {
   }
   if (!stale && versions != composed_versions_) stale = true;
   if (!stale) return composite_;
-  composite_ = RibSnapshot::compose(parts);
+  auto next = RibSnapshot::compose(parts, composite_.get());
+  retired_composite_ = std::exchange(composite_, std::move(next));
   composed_versions_ = std::move(versions);
   ++composites_built_;
   return composite_;

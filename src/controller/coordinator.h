@@ -316,6 +316,8 @@ class Coordinator final : public NorthboundApi {
   /// Rebuilt lazily when a shard's version moved; `const` because
   /// rib_snapshot() is (coordinator thread only, like ShardCore::rib()).
   mutable std::shared_ptr<const RibSnapshot> composite_;
+  /// The composite the last rebuild replaced, released by run_cycle().
+  mutable std::shared_ptr<const RibSnapshot> retired_composite_;
   mutable std::vector<std::uint64_t> composed_versions_;
   mutable std::uint64_t composites_built_ = 0;
 

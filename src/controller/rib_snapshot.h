@@ -7,16 +7,22 @@
 // slot of cycle N because the apps of cycle N hold snapshot N, not the
 // live tree. See docs/controller_concurrency.md.
 //
-// Snapshots share structure: an agent subtree that did not change between
-// versions is carried by the same shared_ptr, so publishing is O(dirty
-// agents), not O(RIB).
+// A snapshot is a dense slot table indexed by AgentId (ids are allocated
+// monotonically from 1), split into fixed-size copy-on-write chunks. A
+// publish shares every chunk that holds no changed agent with the previous
+// version, clones only the chunks that do, and deep-copies only the dirty
+// agents: its cost is one pointer copy per chunk plus O(dirty agents x
+// kChunkSlots), with a number of allocations independent of the fleet size.
+// An agent that did not change keeps the same AgentNode pointer.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "controller/overload.h"
@@ -26,10 +32,69 @@ namespace flexran::ctrl {
 
 class RibSnapshot {
  public:
-  using AgentMap = std::map<AgentId, std::shared_ptr<const AgentNode>>;
+  using AgentPtr = std::shared_ptr<const AgentNode>;
+
+  /// Slots per chunk of the id-indexed tables. A publish copies one
+  /// pointer per chunk and each chunk clone bumps one refcount per
+  /// occupied slot. On a 4-shard fleet of 4096 agents (each shard's table
+  /// spans every id, a quarter occupied) with ~16 dirty agents per shard
+  /// and cycle, that is 4096/K + 16*K/4 refcount touches per publish,
+  /// least at K = 32; 16 and 64 measured within noise of it.
+  static constexpr std::size_t kChunkSlots = 32;
+
+  /// One chunk of a slot table: `occupied` has bit i set when slot i holds
+  /// an entry. Immutable once published; shared between versions.
+  template <typename T>
+  struct Chunk {
+    std::uint64_t occupied = 0;
+    std::array<T, kChunkSlots> slots{};
+  };
+  template <typename T>
+  using ChunkTable = std::vector<std::shared_ptr<const Chunk<T>>>;
+
+  /// The snapshot's agents as `[id, node]` pairs in ascending id; `node` is
+  /// a reference to the owning slot's shared_ptr.
+  class AgentRange {
+   public:
+    class iterator {
+     public:
+      using value_type = std::pair<AgentId, const AgentPtr&>;
+
+      value_type operator*() const {
+        return {static_cast<AgentId>(id_), *snapshot_->slot(static_cast<AgentId>(id_))};
+      }
+      iterator& operator++() {
+        id_ = snapshot_->next_agent(id_ + 1);
+        return *this;
+      }
+      bool operator==(const iterator& other) const { return id_ == other.id_; }
+
+     private:
+      friend class AgentRange;
+      iterator(const RibSnapshot* snapshot, std::size_t id) : snapshot_(snapshot), id_(id) {}
+      const RibSnapshot* snapshot_;
+      std::size_t id_;
+    };
+
+    iterator begin() const { return {snapshot_, snapshot_->next_agent(0)}; }
+    iterator end() const { return {snapshot_, kNoAgent}; }
+    std::size_t size() const { return snapshot_->agent_count(); }
+
+   private:
+    friend class RibSnapshot;
+    explicit AgentRange(const RibSnapshot* snapshot) : snapshot_(snapshot) {}
+    const RibSnapshot* snapshot_;
+  };
 
   /// Monotonic publish counter; bumps only when content actually changed.
   std::uint64_t version() const { return version_; }
+
+  /// Identifies the agent *set*: it moves only when an agent is added or
+  /// removed, and stamps are unique process-wide, so two snapshots with the
+  /// same stamp hold the same ids (0: a fresh, empty snapshot). compose()
+  /// reuses its id->shard owner table while every shard's stamp is
+  /// unchanged.
+  std::uint64_t membership_version() const { return membership_; }
 
   /// Master overload state at publish time (docs/overload_protection.md).
   /// Apps read it here to back off their own signaling under pressure.
@@ -42,10 +107,11 @@ class RibSnapshot {
   /// subset and their state is whatever survived the crash.
   bool recovering() const { return recovering_; }
 
-  const AgentMap& agents() const { return agents_; }
+  AgentRange agents() const { return AgentRange(this); }
+  /// Null for id 0, absent and out-of-range ids.
   const AgentNode* find_agent(AgentId id) const;
   const UeNode* find_ue(AgentId id, lte::Rnti rnti) const;
-  std::size_t agent_count() const { return agents_.size(); }
+  std::size_t agent_count() const { return count_; }
   std::size_t ue_count() const;
 
   /// One-shot deep capture of a Rib (tests, tools, ad-hoc analytics). The
@@ -53,9 +119,13 @@ class RibSnapshot {
   /// subtrees that did not change between versions.
   static std::shared_ptr<const RibSnapshot> capture(const Rib& rib, std::uint64_t version = 1);
 
-  /// Composite of per-shard snapshots (docs/sharded_control.md): the union
-  /// of the shards' agent maps, sharing every agent subtree by pointer --
-  /// composition is O(agents) pointer copies, no tree is deep-copied.
+  /// Composite of per-shard snapshots (docs/sharded_control.md): it holds
+  /// the shard snapshots plus a chunked id->shard owner table, and resolves
+  /// every agent to the owning shard's own slot, so composite entries are
+  /// pointer-identical to the shards'. When `previous` (the last composite)
+  /// was built over shards with the same membership versions, its owner
+  /// table is reused and composition is O(shards) pointer copies; otherwise
+  /// the owner table is rebuilt from the shards' chunk occupancy masks.
   /// Version is the sum of the shard versions (each is monotonic, so the
   /// composite version is monotonic and moves whenever any shard moved).
   /// Overload is the worst shard state; recovering is true while *any*
@@ -63,15 +133,32 @@ class RibSnapshot {
   /// the conjunction of the per-shard barriers. Shards own disjoint agent
   /// sets by construction; a duplicate id keeps the first shard's node.
   static std::shared_ptr<const RibSnapshot> compose(
-      const std::vector<std::shared_ptr<const RibSnapshot>>& shards);
+      const std::vector<std::shared_ptr<const RibSnapshot>>& shards,
+      const RibSnapshot* previous = nullptr);
 
  private:
   friend class SnapshotStore;
+  friend struct SlotTableEditor;
+
+  /// The slot holding agent `id` (through the owner table for a
+  /// composite), or null when absent.
+  const AgentPtr* slot(AgentId id) const;
+  /// Smallest occupied id >= `from`, or kNoAgent when none.
+  static constexpr std::size_t kNoAgent = static_cast<std::size_t>(-1);
+  std::size_t next_agent(std::size_t from) const;
+  std::size_t chunk_count() const;
+  std::uint64_t occupancy(std::size_t chunk) const;
 
   std::uint64_t version_ = 0;
+  std::uint64_t membership_ = 0;
   OverloadState overload_state_ = OverloadState::normal;
   bool recovering_ = false;
-  AgentMap agents_;
+  std::size_t count_ = 0;
+  /// Shard snapshot: the agents themselves.
+  ChunkTable<AgentPtr> nodes_;
+  /// Composite: the shard snapshots and, per id, the index of its owner.
+  std::vector<std::shared_ptr<const RibSnapshot>> parts_;
+  std::shared_ptr<const ChunkTable<std::uint16_t>> owners_;
 };
 
 /// Single-writer publish point: the RIB Updater (coordinator thread) calls
@@ -85,11 +172,14 @@ class SnapshotStore {
  public:
   SnapshotStore();
 
-  /// Publishes the state of `rib`. Agent subtrees not in `dirty` are
-  /// shared with the previous snapshot; when nothing changed (empty dirty
-  /// set, same agent ids, `structure_changed` false, unchanged overload
-  /// and recovering state) the previous snapshot is re-published unchanged
-  /// and the version does not move.
+  /// Publishes the state of `rib`. Agents in `dirty` are deep-copied (or
+  /// dropped when no longer in `rib`); every other agent is shared with the
+  /// previous snapshot. `structure_changed` (agents added or removed), or
+  /// an agent count that still differs from `rib`'s after the dirty agents,
+  /// additionally reconciles the agent set against `rib`, which walks every
+  /// agent id. When nothing changed (empty dirty set, `structure_changed`
+  /// false, unchanged overload and recovering state) the previous snapshot
+  /// is re-published unchanged and the version does not move.
   std::shared_ptr<const RibSnapshot> publish(const Rib& rib, const std::set<AgentId>& dirty,
                                              bool structure_changed,
                                              OverloadState overload = OverloadState::normal,

@@ -229,9 +229,11 @@ App* ShardCore::add_app(std::unique_ptr<App> app) {
 // ------------------------------------------------------------- RIB updater
 
 std::size_t ShardCore::drain_pending(std::int64_t budget_us) {
-  // In real-time mode the updater may not overrun its slot. Message-apply
-  // cost is sub-microsecond; a conservative 4 updates/us proxy bounds the
-  // slot without a clock read per message.
+  // In real-time mode the updater slot admits at most 4 updates per
+  // microsecond of budget, without a clock read per message. That figure
+  // is an admission count, not a time bound: a 16-UE stats reply costs
+  // about 7.7 us to apply (bench_wire ingest->apply), so a full slot can
+  // overrun its budget many times over.
   std::size_t limit = pending_.size();
   if (budget_us > 0) {
     limit = std::min(limit, static_cast<std::size_t>(budget_us) * 4);

@@ -201,12 +201,12 @@ void InvariantMonitor::check_composite(std::int64_t cycle) {
     version_sum += part->version();
     union_count += part->agent_count();
     for (const auto& [id, node] : part->agents()) {
-      auto it = composite->agents().find(id);
-      if (it == composite->agents().end()) {
+      const ctrl::AgentNode* entry = composite->find_agent(id);
+      if (entry == nullptr) {
         report("composite_union", cycle,
                util::format("agent %u in shard %zu snapshot but missing from the composite", id,
                             i));
-      } else if (it->second.get() != node.get()) {
+      } else if (entry != node.get()) {
         report("composite_union", cycle,
                util::format("agent %u composite subtree differs from shard %zu's snapshot "
                             "(stale composite)",

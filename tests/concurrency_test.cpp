@@ -91,10 +91,111 @@ TEST(RibSnapshot, SharesUnchangedSubtreesAndSkipsNoopPublishes) {
   rib.agent(1).last_subframe = 100;
   auto v2 = store.publish(rib, {1}, false);
   EXPECT_EQ(v2->version(), 2u);
-  EXPECT_NE(v2->agents().at(1).get(), v1->agents().at(1).get());
-  EXPECT_EQ(v2->agents().at(2).get(), v1->agents().at(2).get());
-  EXPECT_EQ(v2->agents().at(3).get(), v1->agents().at(3).get());
+  EXPECT_NE(v2->find_agent(1), v1->find_agent(1));
+  EXPECT_EQ(v2->find_agent(2), v1->find_agent(2));
+  EXPECT_EQ(v2->find_agent(3), v1->find_agent(3));
   EXPECT_EQ(v2->find_agent(1)->last_subframe, 100);
+}
+
+// ------------------------------------------------------ slot table ---------
+
+/// Adds an empty agent node for every id (the slot table only cares about
+/// ids and node identity).
+void add_agents(Rib& rib, const std::vector<AgentId>& ids) {
+  for (AgentId id : ids) rib.agent(id).id = id;
+}
+
+std::vector<AgentId> ids_of(const RibSnapshot& snapshot) {
+  std::vector<AgentId> ids;
+  for (const auto& [id, node] : snapshot.agents()) {
+    EXPECT_EQ(node->id, id);
+    ids.push_back(id);
+  }
+  return ids;
+}
+
+TEST(RibSnapshot, OneDirtyAgentAmongThousandSharesTheOthers) {
+  Rib rib;
+  std::vector<AgentId> all;
+  for (AgentId id = 1; id <= 1000; ++id) all.push_back(id);
+  add_agents(rib, all);
+  SnapshotStore store;
+  auto v1 = store.publish(rib, {}, /*structure_changed=*/true);
+  ASSERT_EQ(v1->agent_count(), 1000u);
+
+  rib.agent(500).last_subframe = 7;
+  auto v2 = store.publish(rib, {500}, false);
+  EXPECT_EQ(v2->membership_version(), v1->membership_version()) << "stats-only publish";
+  EXPECT_NE(v2->find_agent(500), v1->find_agent(500));
+  EXPECT_EQ(v2->find_agent(500)->last_subframe, 7);
+  EXPECT_EQ(v1->find_agent(500)->last_subframe, 0);
+  for (AgentId id : all) {
+    if (id != 500) EXPECT_EQ(v2->find_agent(id), v1->find_agent(id)) << "agent " << id;
+  }
+
+  // Iteration is strictly ascending and visits every agent exactly once.
+  EXPECT_EQ(ids_of(*v2), all);
+  EXPECT_EQ(v2->agents().size(), 1000u);
+}
+
+TEST(RibSnapshot, AddRemoveAndReaddAcrossChunkBoundaries) {
+  constexpr AgentId kChunk = RibSnapshot::kChunkSlots;
+  const std::vector<AgentId> edges = {1, kChunk - 1, kChunk, 2 * kChunk - 1, 2 * kChunk};
+  constexpr AgentId kSparse = 100 * kChunk + 5;  // far past the table end
+  Rib rib;
+  add_agents(rib, edges);
+  SnapshotStore store;
+  auto v1 = store.publish(rib, {}, true);
+  EXPECT_EQ(ids_of(*v1), edges);
+
+  // Add: a sparse id grows the table without disturbing the others.
+  add_agents(rib, {kSparse});
+  auto v2 = store.publish(rib, {kSparse}, true);
+  EXPECT_NE(v2->membership_version(), v1->membership_version());
+  EXPECT_EQ(v2->agent_count(), edges.size() + 1);
+  EXPECT_NE(v2->find_agent(kSparse), nullptr);
+  for (AgentId id : edges) EXPECT_EQ(v2->find_agent(id), v1->find_agent(id));
+  EXPECT_EQ(v1->find_agent(kSparse), nullptr) << "old version keeps its agent set";
+
+  // Remove on both sides of each boundary, once through a structure change
+  // and once through the dirty set alone.
+  rib.remove_agent(kChunk - 1);
+  rib.remove_agent(kChunk);
+  auto v3 = store.publish(rib, {}, true);
+  rib.remove_agent(2 * kChunk);
+  rib.remove_agent(kSparse);
+  auto v4 = store.publish(rib, {2 * kChunk, kSparse}, false);
+  EXPECT_EQ(ids_of(*v3), (std::vector<AgentId>{1, 2 * kChunk - 1, 2 * kChunk, kSparse}));
+  EXPECT_EQ(ids_of(*v4), (std::vector<AgentId>{1, 2 * kChunk - 1}));
+  EXPECT_EQ(v4->agent_count(), 2u);
+  EXPECT_EQ(v4->find_agent(kChunk), nullptr);
+  EXPECT_EQ(v4->find_agent(kSparse), nullptr);
+  EXPECT_EQ(v4->find_agent(1), v1->find_agent(1));
+
+  // Re-add: fresh nodes in the emptied slots.
+  add_agents(rib, {kChunk, kSparse});
+  auto v5 = store.publish(rib, {kChunk, kSparse}, true);
+  EXPECT_EQ(ids_of(*v5), (std::vector<AgentId>{1, kChunk, 2 * kChunk - 1, kSparse}));
+  EXPECT_NE(v5->find_agent(kChunk), nullptr);
+  EXPECT_NE(v5->find_agent(kChunk), v1->find_agent(kChunk));
+  EXPECT_EQ(v5->agent_count(), 4u);
+  // Every held version still shows exactly what it published.
+  EXPECT_EQ(ids_of(*v1), edges);
+  EXPECT_EQ(v4->agent_count(), 2u);
+}
+
+TEST(RibSnapshot, FindAgentRejectsZeroAbsentAndOutOfRangeIds) {
+  Rib rib;
+  add_agents(rib, {1, 2, 40});
+  SnapshotStore store;
+  EXPECT_EQ(store.current()->find_agent(1), nullptr) << "empty version 0";
+  auto snapshot = store.publish(rib, {}, true);
+  EXPECT_EQ(snapshot->find_agent(0), nullptr);
+  EXPECT_EQ(snapshot->find_agent(3), nullptr);        // absent, inside the table
+  EXPECT_EQ(snapshot->find_agent(100000), nullptr);   // beyond the table
+  EXPECT_EQ(snapshot->find_agent(0xFFFFFFFFu), nullptr);
+  EXPECT_EQ(snapshot->find_ue(100000, 70), nullptr);
+  EXPECT_NE(snapshot->find_agent(40), nullptr);
 }
 
 TEST(RibSnapshot, CurrentIsConsistentUnderConcurrentPublish) {
@@ -126,11 +227,8 @@ TEST(RibSnapshot, CurrentIsConsistentUnderConcurrentPublish) {
 
 TEST(RibViewSnapshot, AnalyticsOverSnapshotMatchesLiveRib) {
   Rib rib = make_rib();
-  RibAnalytics live;
-  RibAnalytics snap;
-
-  live.sample(rib, 0);
-  snap.sample(*RibSnapshot::capture(rib), 0);
+  RibAnalytics analytics;
+  analytics.sample(*RibSnapshot::capture(rib), 0);
 
   for (AgentId id = 1; id <= 3; ++id) {
     for (lte::Rnti rnti = 70; rnti < 72; ++rnti) {
@@ -138,26 +236,32 @@ TEST(RibViewSnapshot, AnalyticsOverSnapshotMatchesLiveRib) {
     }
   }
   const sim::TimeUs t1 = sim::from_seconds(1.0);
-  live.sample(rib, t1);
-  snap.sample(*RibSnapshot::capture(rib), t1);
+  const auto view = RibSnapshot::capture(rib);
+  analytics.sample(*view, t1);
 
   for (AgentId id = 1; id <= 3; ++id) {
     for (lte::Rnti rnti = 70; rnti < 72; ++rnti) {
-      EXPECT_DOUBLE_EQ(snap.ue_dl_rate_mbps(id, rnti), live.ue_dl_rate_mbps(id, rnti));
-      EXPECT_GT(snap.ue_dl_rate_mbps(id, rnti), 0.0);
+      EXPECT_DOUBLE_EQ(analytics.ue_dl_rate_mbps(id, rnti), 1.0);  // 1 Mb over 1 s
     }
-    EXPECT_DOUBLE_EQ(snap.cell_utilization(id, id), live.cell_utilization(id, id));
+    EXPECT_DOUBLE_EQ(analytics.cell_utilization(id, id),
+                     cell_dl_utilization(rib.find_agent(id)->cells.at(id)));
   }
 
-  const auto live_summaries = summarize_ues(rib);
-  const auto snap_summaries = summarize_ues(*RibSnapshot::capture(rib));
-  ASSERT_EQ(snap_summaries.size(), live_summaries.size());
-  for (std::size_t i = 0; i < live_summaries.size(); ++i) {
-    EXPECT_EQ(snap_summaries[i].agent, live_summaries[i].agent);
-    EXPECT_EQ(snap_summaries[i].rnti, live_summaries[i].rnti);
-    EXPECT_EQ(snap_summaries[i].dl_bytes_delivered, live_summaries[i].dl_bytes_delivered);
+  // The flattened view lists the live RIB's UEs in (agent, rnti) order.
+  const auto summaries = summarize_ues(*view);
+  std::size_t row = 0;
+  for (const auto& [id, agent] : rib.agents()) {
+    for (const auto& [rnti, ue] : agent.cells.at(id).ues) {
+      ASSERT_LT(row, summaries.size());
+      EXPECT_EQ(summaries[row].agent, id);
+      EXPECT_EQ(summaries[row].rnti, rnti);
+      EXPECT_EQ(summaries[row].dl_bytes_delivered, ue.stats.dl_bytes_delivered);
+      ++row;
+    }
   }
-  EXPECT_EQ(least_loaded_agent(*RibSnapshot::capture(rib)), least_loaded_agent(rib));
+  EXPECT_EQ(summaries.size(), row);
+  // Equal load everywhere (2 active UEs per cell): the first agent wins.
+  EXPECT_EQ(least_loaded_agent(*view), std::optional<AgentId>(1));
 }
 
 // ------------------------------------------------------ batched commands ---

@@ -493,6 +493,93 @@ TEST(CompositeSnapshot, RemoveAgentInvalidatesTheCachedComposite) {
   EXPECT_EQ(coordinator.agent_count(), 1u);
 }
 
+/// Ids in iteration order; EXPECTs every composite entry to be the owning
+/// shard's own node.
+std::vector<ctrl::AgentId> composite_ids(const Coordinator& coordinator,
+                                         const ctrl::RibSnapshot& composite) {
+  std::vector<ctrl::AgentId> ids;
+  for (const auto& [id, node] : composite.agents()) {
+    const auto shard = coordinator.shard_of(id);
+    EXPECT_TRUE(shard.has_value()) << "agent " << id;
+    if (shard.has_value()) {
+      EXPECT_EQ(node.get(), coordinator.shard(*shard).rib_snapshot()->find_agent(id));
+    }
+    ids.push_back(id);
+  }
+  return ids;
+}
+
+TEST(CompositeSnapshot, StatsOnlyPublishSharesShardEntriesAndOwnerTable) {
+  ctrl::SnapshotStore stores[2];
+  ctrl::Rib ribs[2];
+  for (ctrl::AgentId id = 1; id <= 200; ++id) ribs[id % 2].agent(id).id = id;
+  std::vector<std::shared_ptr<const ctrl::RibSnapshot>> parts;
+  for (int s = 0; s < 2; ++s) parts.push_back(stores[s].publish(ribs[s], {}, true));
+  const auto first = ctrl::RibSnapshot::compose(parts);
+
+  ribs[0].agent(10).last_subframe = 5;
+  ribs[1].agent(11).last_subframe = 5;
+  for (int s = 0; s < 2; ++s) parts[s] = stores[s].publish(ribs[s], {10, 11}, false);
+  const auto second = ctrl::RibSnapshot::compose(parts, first.get());
+
+  EXPECT_EQ(second->version(), parts[0]->version() + parts[1]->version());
+  EXPECT_EQ(second->agent_count(), 200u);
+  EXPECT_EQ(second->membership_version(), first->membership_version())
+      << "no shard's agent set moved: the owner table is reused";
+  EXPECT_EQ(second->find_agent(10)->last_subframe, 5);
+  ctrl::AgentId expected = 1;
+  for (const auto& [id, node] : second->agents()) {
+    EXPECT_EQ(id, expected++);
+    EXPECT_EQ(node.get(), parts[id % 2]->find_agent(id)) << "agent " << id;
+  }
+  EXPECT_EQ(expected, 201u);
+  EXPECT_EQ(second->find_agent(0), nullptr);
+  EXPECT_EQ(second->find_agent(201), nullptr);
+  EXPECT_EQ(second->find_agent(1u << 20), nullptr);
+}
+
+TEST(CompositeSnapshot, DuplicateIdKeepsTheFirstShardsNode) {
+  ctrl::SnapshotStore stores[2];
+  ctrl::Rib ribs[2];
+  ribs[0].agent(5).id = 5;
+  ribs[1].agent(5).id = 5;
+  ribs[1].agent(6).id = 6;
+  std::vector<std::shared_ptr<const ctrl::RibSnapshot>> parts;
+  for (int s = 0; s < 2; ++s) parts.push_back(stores[s].publish(ribs[s], {}, true));
+  const auto composite = ctrl::RibSnapshot::compose(parts);
+  EXPECT_EQ(composite->agent_count(), 2u);
+  EXPECT_EQ(composite->find_agent(5), parts[0]->find_agent(5));
+  EXPECT_EQ(composite->find_agent(6), parts[1]->find_agent(6));
+}
+
+TEST(CompositeSnapshot, MembershipChangesListEveryAgentOnce) {
+  Testbed testbed(failover_config(/*warm_checkpoints=*/true), 3);
+  std::vector<ctrl::AgentId> all;
+  for (lte::EnbId id = 1; id <= 6; ++id) {
+    all.push_back(testbed.add_enb(spec(id, (id - 1) % 3)).agent_id);
+  }
+  testbed.run_seconds(0.3);
+  auto& coordinator = testbed.coordinator();
+  EXPECT_EQ(composite_ids(coordinator, *coordinator.rib_snapshot()), all);
+
+  // Agents move between shards one per cycle while shard 0 drains.
+  ASSERT_TRUE(coordinator.drain_shard(0).ok());
+  testbed.run_ttis(1);
+  ASSERT_EQ(coordinator.agents_drained(), 1u);
+  EXPECT_EQ(composite_ids(coordinator, *coordinator.rib_snapshot()), all) << "mid-drain";
+  testbed.run_ttis(3);
+  ASSERT_EQ(coordinator.shard_health(0), Coordinator::ShardHealth::drained);
+  EXPECT_EQ(composite_ids(coordinator, *coordinator.rib_snapshot()), all) << "drained";
+
+  // A failed shard's fleet shows up once, under its adopter.
+  coordinator.kill_shard(1);
+  const auto composite = coordinator.rib_snapshot();
+  EXPECT_EQ(composite_ids(coordinator, *composite), all) << "after failover";
+  EXPECT_EQ(composite->agent_count(), all.size());
+  testbed.run_seconds(0.5);
+  EXPECT_EQ(composite_ids(coordinator, *coordinator.rib_snapshot()), all) << "re-synced";
+}
+
 // ------------------------------------------- wrong-shard checkpoint gate --
 
 TEST(ShardedCheckpoints, WrongShardCheckpointIsRejectedOnRestore) {

@@ -46,9 +46,11 @@ else
 
   # Wire fast-path allocation gate (docs/wire_fastpath.md): bench_wire
   # counts heap allocations per message on the steady-state encode /
-  # decode / frame+reassemble paths via a counting operator-new hook.
+  # decode / frame+reassemble paths, and per RIB snapshot publish and
+  # compose at three fleet sizes, via a counting operator-new hook.
   # Counts are exact and machine-independent, so any regression above
-  # bench/wire_alloc_baseline.txt (currently all zeros) fails the gate.
+  # bench/wire_alloc_baseline.txt, or a snapshot count that grows with
+  # the fleet, fails the gate.
   echo "== bench_wire allocation gate"
   "${build_dir}/bench/bench_wire" --check="${repo_root}/bench/wire_alloc_baseline.txt" \
     "${build_dir}/BENCH_wire.json"
