@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
+#include "proto/messages.h"
 #include "scenario/config.h"
 #include "scenario/metrics.h"
 
@@ -230,6 +236,86 @@ TEST(ScenarioConfig, ObservabilityOffLeavesSummaryEmpty) {
   EXPECT_TRUE(summary.metrics_prometheus.empty());
   EXPECT_TRUE(summary.metrics_block.empty());
   EXPECT_EQ(format_summary(summary).find("metrics:"), std::string::npos);
+}
+
+// ------------------------------------------------------------------ goldens --
+//
+// Every checked-in scenario, run at seed 1, must reproduce its pinned
+// summary byte for byte. The goldens are the `flexran-sim` output with the
+// one wall-clock line removed (run from the repository root):
+//   flexran-sim --seed=1 scenarios/<name>.yaml | grep -v 'cycle us (mean/max)'
+//     > tests/golden/<name>.txt
+
+const std::filesystem::path kSourceDir = FLEXRAN_SOURCE_DIR;
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream file(path);
+  std::ostringstream buffer;
+  buffer << file.rdbuf();
+  return buffer.str();
+}
+
+ScenarioRunSummary run_checked_in(const std::string& name, bool observability) {
+  auto spec = parse_scenario(read_file(kSourceDir / "scenarios" / (name + ".yaml")));
+  EXPECT_TRUE(spec.ok()) << name;
+  if (!spec.ok()) return {};
+  spec->seed = 1;
+  spec->observability = spec->observability || observability;
+  // The decoder anomaly count is process-wide; start each run from zero so
+  // the export does not depend on what ran before in this process.
+  proto::decode_anomalies().bsr_overflow.store(0);
+  return run_scenario(*spec);
+}
+
+TEST(ScenarioGolden, EveryCheckedInScenarioMatchesItsSummary) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(kSourceDir / "scenarios")) {
+    if (entry.path().extension() == ".yaml") names.push_back(entry.path().stem().string());
+  }
+  std::sort(names.begin(), names.end());
+  ASSERT_EQ(names.size(), 9u);
+  for (const auto& name : names) {
+    SCOPED_TRACE(name);
+    std::istringstream lines(format_summary(run_checked_in(name, false)));
+    std::string stable;
+    for (std::string line; std::getline(lines, line);) {
+      if (line.find("cycle us (mean/max)") == std::string::npos) stable += line + "\n";
+    }
+    EXPECT_EQ(stable, read_file(kSourceDir / "tests" / "golden" / (name + ".txt")));
+  }
+}
+
+// The exported metric surface at seed 1: every series name, and every value
+// except the wall-clock series that differ between identical runs (written
+// as `*`). The goldens are `flexran-sim --seed=1 --metrics-prom=<file>`
+// output, sorted bytewise, with those values masked.
+bool wall_clock_series(const std::string& base) {
+  const auto starts = [&base](const char* prefix) { return base.rfind(prefix, 0) == 0; };
+  return base == "app_overruns" || base == "idle_fraction" ||
+         base == "snapshot_publish_us_mean" || base == "updater_overruns" ||
+         starts("app_wall_us_") || (starts("cycle_") && base.find("_us_") != std::string::npos);
+}
+
+std::string metric_snapshot(const std::string& prometheus_text) {
+  std::vector<std::string> series;
+  std::istringstream lines(prometheus_text);
+  for (std::string line; std::getline(lines, line);) {
+    const std::string name = line.substr(0, line.rfind(' '));
+    series.push_back(wall_clock_series(name.substr(0, name.find('{'))) ? name + " *" : line);
+  }
+  std::sort(series.begin(), series.end());
+  std::string out;
+  for (const auto& entry : series) out += entry + "\n";
+  return out;
+}
+
+TEST(ScenarioGolden, MetricExportMatchesItsSnapshot) {
+  for (const std::string name : {"chaos_metrics", "sharded_scale"}) {
+    SCOPED_TRACE(name);
+    const auto summary = run_checked_in(name, true);
+    EXPECT_EQ(metric_snapshot(summary.metrics_prometheus),
+              read_file(kSourceDir / "tests" / "golden" / ("metrics_" + name + ".txt")));
+  }
 }
 
 }  // namespace
