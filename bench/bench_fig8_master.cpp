@@ -66,14 +66,14 @@ MasterLoad run(int n_agents, double seconds) {
   load.core_us = tm.updater_time_us().mean();
   load.idle_fraction = tm.mean_idle_fraction();
   load.rib_kb = static_cast<double>(testbed.master().rib_bytes()) / 1024.0;
-  load.updates = testbed.master().updates_applied();
+  load.updates = testbed.master().stats().updates_applied;
   return load;
 }
 
 /// 0-agent case: the master alone, cycled manually.
 MasterLoad run_empty(double seconds) {
   sim::Simulator simulator;
-  ctrl::MasterController master(simulator, scenario::per_tti_master_config());
+  ctrl::ShardCore master(simulator, scenario::per_tti_master_config());
   master.add_app(std::make_unique<apps::RemoteSchedulerApp>());
   master.add_app(std::make_unique<apps::MonitoringApp>(100));
   sim::TtiTicker ticker(simulator);
@@ -391,7 +391,7 @@ ShardSweepResult run_shard_sweep(std::size_t shards, int n_agents, int cycles,
     const auto& core = coordinator.shard(s);
     ShardDetail detail;
     detail.agents = core.rib().agents().size();
-    detail.updates = core.updates_applied();
+    detail.updates = core.stats().updates_applied;
     detail.updater_us = core.task_manager().updater_time_us().mean();
     detail.app_slot_us = core.task_manager().apps_time_us().mean();
     result.per_shard.push_back(detail);

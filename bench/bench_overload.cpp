@@ -102,20 +102,20 @@ OverloadRun measure(int flood_regs) {
 
   const std::uint64_t tx_before = enb.agent_side->messages_sent();
   const std::uint64_t rx_before = enb.master_side->messages_received();
-  const std::uint64_t shed_before = testbed.master().ingest_shed();
-  const std::uint64_t coalesced_before = testbed.master().ingest_coalesced();
+  const std::uint64_t shed_before = testbed.master().stats().ingest_shed();
+  const std::uint64_t coalesced_before = testbed.master().stats().ingest_coalesced();
   probe.armed = true;
   testbed.run_seconds(kFloodS);
   probe.armed = false;
 
   run.offered_msgs_per_s = (enb.agent_side->messages_sent() - tx_before) / kFloodS;
   run.delivered_msgs_per_s = (enb.master_side->messages_received() - rx_before) / kFloodS;
-  run.ingest_shed = testbed.master().ingest_shed() - shed_before;
-  run.ingest_coalesced = testbed.master().ingest_coalesced() - coalesced_before;
+  run.ingest_shed = testbed.master().stats().ingest_shed() - shed_before;
+  run.ingest_coalesced = testbed.master().stats().ingest_coalesced() - coalesced_before;
   const double arrived = run.delivered_msgs_per_s * kFloodS;
   run.shed_ratio = arrived > 0 ? static_cast<double>(run.ingest_shed) / arrived : 0.0;
-  run.peak_queue_messages = testbed.master().pending_peak_messages();
-  run.peak_queue_bytes = testbed.master().pending_peak_bytes();
+  run.peak_queue_messages = testbed.master().stats().ingest_peak_messages;
+  run.peak_queue_bytes = testbed.master().stats().ingest_peak_bytes;
   run.staleness_mean_ttis =
       probe.samples > 0 ? probe.staleness_sum / static_cast<double>(probe.samples) : 0.0;
   run.staleness_max_ttis = probe.staleness_max;
@@ -132,7 +132,7 @@ OverloadRun measure(int flood_regs) {
   testbed.run_seconds(kRecoveryS);
   run.staleness_post_ttis =
       probe.samples > 0 ? probe.staleness_sum / static_cast<double>(probe.samples) : 0.0;
-  run.overload_transitions = testbed.master().overload_transitions();
+  run.overload_transitions = testbed.master().stats().overload_transitions;
   run.final_state = ctrl::to_string(testbed.master().overload_state());
   return run;
 }

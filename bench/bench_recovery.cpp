@@ -122,8 +122,8 @@ RecoveryRun measure(double partition_ms) {
     run.heal_to_resync_ms = static_cast<double>(probe.resynced_at - probe.heal_at) / 1000.0;
   }
   run.fallback_recovered = agent->fallback_recoveries() > 0;
-  run.requests_retried = testbed.master().requests_retried();
-  run.requests_failed = testbed.master().requests_failed();
+  run.requests_retried = testbed.master().stats().requests_retried;
+  run.requests_failed = testbed.master().stats().requests_failed;
   run.dl_mbps_pre = scenario::Metrics::mbps(bytes_warmup, kWarmupS);
   run.dl_mbps_outage =
       scenario::Metrics::mbps(bytes_outage - bytes_warmup, partition_ms / 1000.0);
@@ -200,9 +200,9 @@ MasterRestartRun measure_master_restart(int agents, bool warm) {
     run.time_to_ready_ms =
         static_cast<double>(testbed.master().last_recovery_duration()) / 1000.0;
   }
-  run.resyncs_paced = testbed.master().resyncs_paced();
-  run.commands_held = testbed.master().commands_held();
-  run.policies_repushed = testbed.master().policies_repushed();
+  run.resyncs_paced = testbed.master().stats().resyncs_paced;
+  run.commands_held = testbed.master().stats().commands_held;
+  run.policies_repushed = testbed.master().stats().policies_repushed;
   for (auto& enb : testbed.enbs()) {
     const auto* node = testbed.master().rib().find_agent(enb->agent_id);
     if (node != nullptr && node->state == ctrl::SessionState::up) ++run.agents_up;
@@ -268,14 +268,16 @@ ShardFailoverRun measure_shard_failover(int shards, bool warm) {
   run.shards = shards;
   run.agents = agents;
   run.warm = warm;
-  if (coordinator.last_failover_duration() > 0 && coordinator.failover_pending() == 0) {
-    run.failover_ms = sim::to_seconds(coordinator.last_failover_duration()) * 1e3;
+  const ctrl::FailoverStats failover = coordinator.failover_stats();
+  if (failover.failover_duration_us > 0 && failover.failover_pending == 0) {
+    run.failover_ms =
+        sim::to_seconds(static_cast<sim::TimeUs>(failover.failover_duration_us)) * 1e3;
   }
-  run.orphan_window_ms = sim::to_seconds(coordinator.last_orphan_window()) * 1e3;
-  run.adopted = coordinator.agents_adopted();
-  run.warm_adoptions = coordinator.warm_adoptions();
-  run.cold_adoptions = coordinator.cold_adoptions();
-  run.pending = coordinator.failover_pending();
+  run.orphan_window_ms = sim::to_seconds(static_cast<sim::TimeUs>(failover.orphan_window_us)) * 1e3;
+  run.adopted = failover.agents_adopted;
+  run.warm_adoptions = failover.warm_adoptions;
+  run.cold_adoptions = failover.cold_adoptions;
+  run.pending = failover.failover_pending;
   for (auto& enb : testbed.enbs()) {
     const auto* node = coordinator.find_agent(enb->agent_id);
     if (node != nullptr && node->state == ctrl::SessionState::up) ++run.agents_up;

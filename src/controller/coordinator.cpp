@@ -50,24 +50,16 @@ Coordinator::Coordinator(sim::Simulator& sim, CoordinatorConfig config)
 }
 
 void Coordinator::register_failover_probes() {
-  metrics_.register_probe("coordinator_shards_failed",
-                          [this] { return static_cast<double>(shards_failed_); });
-  metrics_.register_probe("coordinator_agents_adopted",
-                          [this] { return static_cast<double>(agents_adopted_); });
-  metrics_.register_probe("coordinator_warm_adoptions",
-                          [this] { return static_cast<double>(warm_adoptions_); });
-  metrics_.register_probe("coordinator_cold_adoptions",
-                          [this] { return static_cast<double>(cold_adoptions_); });
-  metrics_.register_probe("coordinator_agents_drained",
-                          [this] { return static_cast<double>(agents_drained_); });
-  metrics_.register_probe("coordinator_agents_orphaned",
-                          [this] { return static_cast<double>(agents_orphaned_); });
-  metrics_.register_probe("coordinator_failover_pending",
-                          [this] { return static_cast<double>(failover_pending_.size()); });
-  metrics_.register_probe("coordinator_orphan_window_us",
-                          [this] { return static_cast<double>(last_orphan_window_); });
-  metrics_.register_probe("coordinator_failover_duration_us",
-                          [this] { return static_cast<double>(last_failover_duration_); });
+  for (const auto& f : kFailoverStatFields) {
+    metrics_.register_probe(
+        f.name, [this, field = f.field] { return static_cast<double>(failover_stats().*field); });
+  }
+}
+
+FailoverStats Coordinator::failover_stats() const {
+  FailoverStats s = failover_;
+  s.failover_pending = failover_pending_.size();
+  return s;
 }
 
 AgentId Coordinator::add_agent(net::Transport& transport, std::uint64_t stable_key,
@@ -126,7 +118,7 @@ void Coordinator::run_cycle() {
     }
     // Cycle-stall watchdog: a shard whose task manager stops completing
     // cycles while it still owns agents is as dead as one that throws.
-    const std::int64_t cycles = shards_[i]->cycles_run();
+    const std::int64_t cycles = shards_[i]->task_manager().cycles_run();
     if (cycles != state.last_cycles) {
       state.last_cycles = cycles;
       state.stalled_for = 0;
@@ -242,8 +234,8 @@ void Coordinator::rehome_agent(AgentId id, std::size_t target,
   // carrying a strictly older incarnation than the last one they saw.
   adopter.bump_incarnation(floor_incarnation);
   adopter.adopt_agent(*record.transport, id, durable);
-  durable != nullptr ? ++warm_adoptions_ : ++cold_adoptions_;
-  ++agents_adopted_;
+  durable != nullptr ? ++failover_.warm_adoptions : ++failover_.cold_adoptions;
+  ++failover_.agents_adopted;
   record.shard = target;
   failover_pending_.insert(id);
   // The assignment and the composite view move together: the adopter
@@ -256,7 +248,7 @@ void Coordinator::fail_shard(std::size_t index, const char* reason) {
   ShardState& state = shard_states_[index];
   if (state.health == ShardHealth::failed) return;
   state.health = ShardHealth::failed;
-  ++shards_failed_;
+  ++failover_.shards_failed;
   if (draining_shard_ == index) {
     // A drain interrupted by death: the rest fails over like any orphan.
     drain_queue_.clear();
@@ -264,7 +256,7 @@ void Coordinator::fail_shard(std::size_t index, const char* reason) {
   }
   const sim::TimeUs suspected = state.suspect_since != 0 ? state.suspect_since : sim_.now();
   failover_started_at_ = suspected;
-  last_failover_duration_ = 0;
+  failover_.failover_duration_us = 0;
   ShardCore& dead = *shards_[index];
   // Join whatever app slot the dead core still has in flight so no worker
   // touches its batches mid-adoption. A throwing core may throw here too;
@@ -298,7 +290,7 @@ void Coordinator::fail_shard(std::size_t index, const char* reason) {
   for (const AgentId id : orphans) {
     const std::size_t target = rehome_target(assignment_.at(id).stable_key, index);
     if (target == kNoShard) {
-      ++agents_orphaned_;
+      ++failover_.agents_orphaned;
       continue;  // no survivor: the agent stays orphaned (last shard down)
     }
     auto durable_it = durable.find(id);
@@ -306,7 +298,7 @@ void Coordinator::fail_shard(std::size_t index, const char* reason) {
                  dead_incarnation);
     ++adopted;
   }
-  last_orphan_window_ = sim_.now() - suspected;
+  failover_.orphan_window_us = static_cast<std::uint64_t>(sim_.now() - suspected);
   composite_ = nullptr;
   FLEXRAN_LOG(warn, "coordinator") << "shard " << index << " failed (" << reason << "): "
                                    << adopted << "/" << orphans.size()
@@ -318,9 +310,9 @@ std::size_t Coordinator::kill_shard(std::size_t index) {
   if (shard_states_[index].suspect_since == 0) {
     shard_states_[index].suspect_since = sim_.now();
   }
-  const std::uint64_t before = agents_adopted_;
+  const std::uint64_t before = failover_.agents_adopted;
   fail_shard(index, "killed");
-  return static_cast<std::size_t>(agents_adopted_ - before);
+  return static_cast<std::size_t>(failover_.agents_adopted - before);
 }
 
 util::Status Coordinator::drain_shard(std::size_t index) {
@@ -373,10 +365,10 @@ void Coordinator::step_drain() {
     const bool warm = durable.epoch != 0 || !durable.name.empty();
     if (failover_pending_.empty()) {
       failover_started_at_ = sim_.now();
-      last_failover_duration_ = 0;
+      failover_.failover_duration_us = 0;
     }
     rehome_agent(id, target, warm ? &durable : nullptr, source.incarnation());
-    ++agents_drained_;
+    ++failover_.agents_drained;
     break;
   }
   if (drain_queue_.empty()) {
@@ -396,9 +388,9 @@ void Coordinator::poll_failover() {
     }
   }
   if (failover_pending_.empty()) {
-    last_failover_duration_ = sim_.now() - failover_started_at_;
+    failover_.failover_duration_us = static_cast<std::uint64_t>(sim_.now() - failover_started_at_);
     FLEXRAN_LOG(info, "coordinator") << "failover complete: adopted fleet back up in "
-                                     << last_failover_duration_ / 1000 << " ms";
+                                     << failover_.failover_duration_us / 1000 << " ms";
   }
 }
 
@@ -529,68 +521,10 @@ const obs::Histogram* Coordinator::control_latency(AgentId agent) const {
   return shard == nullptr ? nullptr : shard->control_latency(agent);
 }
 
-template <typename Fn>
-static std::uint64_t sum_over(const std::vector<std::unique_ptr<ShardCore>>& shards, Fn fn) {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards) total += fn(*shard);
+ShardStats Coordinator::stats() const {
+  ShardStats total;
+  for (const auto& shard : shards_) total += shard->stats();
   return total;
-}
-
-std::uint64_t Coordinator::updates_applied() const {
-  return sum_over(shards_, [](const ShardCore& s) { return s.updates_applied(); });
-}
-std::uint64_t Coordinator::requests_retried() const {
-  return sum_over(shards_, [](const ShardCore& s) { return s.requests_retried(); });
-}
-std::uint64_t Coordinator::requests_failed() const {
-  return sum_over(shards_, [](const ShardCore& s) { return s.requests_failed(); });
-}
-std::uint64_t Coordinator::fenced_updates() const {
-  return sum_over(shards_, [](const ShardCore& s) { return s.fenced_updates(); });
-}
-std::uint64_t Coordinator::policy_rollbacks() const {
-  return sum_over(shards_, [](const ShardCore& s) { return s.policy_rollbacks(); });
-}
-std::uint64_t Coordinator::policies_rejected() const {
-  return sum_over(shards_, [](const ShardCore& s) { return s.policies_rejected(); });
-}
-std::uint64_t Coordinator::overload_transitions() const {
-  return sum_over(shards_, [](const ShardCore& s) { return s.overload_transitions(); });
-}
-std::uint64_t Coordinator::ingest_shed() const {
-  return sum_over(shards_, [](const ShardCore& s) { return s.ingest_shed(); });
-}
-std::uint64_t Coordinator::ingest_coalesced() const {
-  return sum_over(shards_, [](const ShardCore& s) { return s.ingest_coalesced(); });
-}
-std::size_t Coordinator::pending_peak_messages() const {
-  return static_cast<std::size_t>(
-      sum_over(shards_, [](const ShardCore& s) { return s.pending_peak_messages(); }));
-}
-std::size_t Coordinator::pending_peak_bytes() const {
-  return static_cast<std::size_t>(
-      sum_over(shards_, [](const ShardCore& s) { return s.pending_peak_bytes(); }));
-}
-std::uint64_t Coordinator::updater_saturations() const {
-  return sum_over(shards_, [](const ShardCore& s) { return s.updater_saturations(); });
-}
-std::uint64_t Coordinator::throttle_renegotiations() const {
-  return sum_over(shards_, [](const ShardCore& s) { return s.throttle_renegotiations(); });
-}
-std::uint64_t Coordinator::master_restarts() const {
-  return sum_over(shards_, [](const ShardCore& s) { return s.master_restarts(); });
-}
-std::uint64_t Coordinator::resyncs_paced() const {
-  return sum_over(shards_, [](const ShardCore& s) { return s.resyncs_paced(); });
-}
-std::uint64_t Coordinator::commands_held() const {
-  return sum_over(shards_, [](const ShardCore& s) { return s.commands_held(); });
-}
-std::uint64_t Coordinator::checkpoints_saved() const {
-  return sum_over(shards_, [](const ShardCore& s) { return s.checkpoints_saved(); });
-}
-std::uint64_t Coordinator::policies_repushed() const {
-  return sum_over(shards_, [](const ShardCore& s) { return s.policies_repushed(); });
 }
 
 OverloadState Coordinator::overload_state() const {

@@ -45,6 +45,41 @@ struct CoordinatorConfig {
   std::int64_t shard_stall_cycles = 0;
 };
 
+/// Failover and drain outcomes (docs/sharded_control.md "Shard failover"),
+/// listed once in kFailoverStatFields. The Coordinator increments them in
+/// place; failover_stats() copies in `failover_pending`.
+struct FailoverStats {
+  std::uint64_t shards_failed = 0;
+  std::uint64_t agents_adopted = 0;
+  /// Adoptions seeded from the dead shard's checkpoint (delta re-sync)
+  /// versus from nothing (full config fetch).
+  std::uint64_t warm_adoptions = 0;
+  std::uint64_t cold_adoptions = 0;
+  std::uint64_t agents_drained = 0;
+  /// Orphans that could not be re-homed (no surviving shard).
+  std::uint64_t agents_orphaned = 0;
+  /// Adopted agents still waiting to complete their re-sync.
+  std::uint64_t failover_pending = 0;
+  /// Simulated time from first failure suspicion (stall onset, kill) to
+  /// the last orphan re-homed in the most recent failover.
+  std::uint64_t orphan_window_us = 0;
+  /// Simulated time from failover start to every adopted agent back `up`;
+  /// 0 = none completed yet (or adoption still in progress).
+  std::uint64_t failover_duration_us = 0;
+};
+
+inline constexpr StatField<FailoverStats> kFailoverStatFields[] = {
+    {"coordinator_shards_failed", &FailoverStats::shards_failed},
+    {"coordinator_agents_adopted", &FailoverStats::agents_adopted},
+    {"coordinator_warm_adoptions", &FailoverStats::warm_adoptions},
+    {"coordinator_cold_adoptions", &FailoverStats::cold_adoptions},
+    {"coordinator_agents_drained", &FailoverStats::agents_drained},
+    {"coordinator_agents_orphaned", &FailoverStats::agents_orphaned},
+    {"coordinator_failover_pending", &FailoverStats::failover_pending},
+    {"coordinator_orphan_window_us", &FailoverStats::orphan_window_us},
+    {"coordinator_failover_duration_us", &FailoverStats::failover_duration_us},
+};
+
 /// The upper tier. Implements NorthboundApi so network-wide (composite
 /// view) applications are plain `ctrl::App`s: they read the union snapshot
 /// and their commands are routed to the owning shard.
@@ -110,24 +145,8 @@ class Coordinator final : public NorthboundApi {
   /// another drain is already in progress.
   util::Status drain_shard(std::size_t index);
 
-  // ---- failover introspection ----
-  std::uint64_t shards_failed() const { return shards_failed_; }
-  std::uint64_t agents_adopted() const { return agents_adopted_; }
-  /// Adoptions seeded from the dead shard's checkpoint (delta re-sync)
-  /// versus from nothing (full config fetch).
-  std::uint64_t warm_adoptions() const { return warm_adoptions_; }
-  std::uint64_t cold_adoptions() const { return cold_adoptions_; }
-  std::uint64_t agents_drained() const { return agents_drained_; }
-  /// Orphans that could not be re-homed (no surviving shard).
-  std::size_t agents_orphaned() const { return agents_orphaned_; }
-  /// Simulated time from first failure suspicion (stall onset, kill) to
-  /// the last orphan re-homed in the most recent failover.
-  sim::TimeUs last_orphan_window() const { return last_orphan_window_; }
-  /// Simulated time from failover start to every adopted agent back `up`;
-  /// 0 = none completed yet (or adoption still in progress).
-  sim::TimeUs last_failover_duration() const { return last_failover_duration_; }
-  /// Adopted agents still waiting to complete their re-sync.
-  std::size_t failover_pending() const { return failover_pending_.size(); }
+  /// Failover and drain outcomes so far (kFailoverStatFields lists them).
+  FailoverStats failover_stats() const;
 
   // ---- topology --------------------------------------------------------------
   std::size_t shard_count() const { return shards_.size(); }
@@ -190,27 +209,15 @@ class Coordinator final : public NorthboundApi {
   const proto::SignalingAccountant& rx_accounting(AgentId agent) const;
   const obs::Histogram* control_latency(AgentId agent) const;
   std::int64_t cycles_run() const { return cycles_; }
-  std::uint64_t updates_applied() const;
-  std::uint64_t requests_retried() const;
-  std::uint64_t requests_failed() const;
-  std::uint64_t fenced_updates() const;
-  std::uint64_t policy_rollbacks() const;
-  std::uint64_t policies_rejected() const;
-  OverloadState overload_state() const;
-  std::uint64_t overload_transitions() const;
-  std::uint64_t ingest_shed() const;
-  std::uint64_t ingest_coalesced() const;
+  /// Every shard's ShardStats summed (kShardStatFields drives the fold).
+  ShardStats stats() const;
+  std::uint64_t updates_applied() const { return stats().updates_applied; }
+  std::uint64_t fenced_updates() const { return stats().fenced_updates; }
+  std::uint64_t ingest_shed() const { return stats().ingest_shed(); }
   /// Summed high-water marks: the process-wide bounded-memory footprint is
   /// the sum of the per-shard budgets.
-  std::size_t pending_peak_messages() const;
-  std::size_t pending_peak_bytes() const;
-  std::uint64_t updater_saturations() const;
-  std::uint64_t throttle_renegotiations() const;
-  std::uint64_t master_restarts() const;
-  std::uint64_t resyncs_paced() const;
-  std::uint64_t commands_held() const;
-  std::uint64_t checkpoints_saved() const;
-  std::uint64_t policies_repushed() const;
+  std::size_t pending_peak_messages() const { return stats().ingest_peak_messages; }
+  OverloadState overload_state() const;
   bool any_recovering() const;
   /// Longest last-recovery duration across shards.
   sim::TimeUs last_recovery_duration() const;
@@ -287,15 +294,8 @@ class Coordinator final : public NorthboundApi {
   std::int64_t cycles_ = 0;
 
   // ---- failover / drain state -------------------------------------------------
-  std::uint64_t shards_failed_ = 0;
-  std::uint64_t agents_adopted_ = 0;
-  std::uint64_t warm_adoptions_ = 0;
-  std::uint64_t cold_adoptions_ = 0;
-  std::uint64_t agents_drained_ = 0;
-  std::size_t agents_orphaned_ = 0;
+  FailoverStats failover_;
   sim::TimeUs failover_started_at_ = 0;
-  sim::TimeUs last_orphan_window_ = 0;
-  sim::TimeUs last_failover_duration_ = 0;
   /// Adopted agents whose re-sync has not completed yet.
   std::set<AgentId> failover_pending_;
   /// Planned migration: agents still queued to leave the draining shard

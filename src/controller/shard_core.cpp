@@ -13,6 +13,9 @@ namespace flexran::ctrl {
 
 namespace {
 
+/// Control-loop trace ring capacity (most recent cycles kept verbatim).
+constexpr std::size_t kTraceCycles = 4096;
+
 /// Reads just the request_id (field 1) of an encoded StatsReply body --
 /// the coalesce key -- without materializing the full reply.
 std::uint32_t peek_stats_request_id(const std::vector<std::uint8_t>& body) {
@@ -53,7 +56,7 @@ ShardCore::ShardCore(sim::Simulator& sim, MasterConfig config)
           },
           [this] { dispatch_events(); }),
       overload_monitor_(config_.overload),
-      trace_ring_(config_.obs.trace_cycles) {
+      trace_ring_(kTraceCycles) {
   if (config_.obs.registry != nullptr) registry_ = config_.obs.registry;
   pending_.set_budget(config_.overload.ingest);
   if (config_.obs.enabled) {
@@ -65,8 +68,7 @@ ShardCore::ShardCore(sim::Simulator& sim, MasterConfig config)
   task_manager_.set_command_hooks(BatchingNorthbound::Hooks{
       // Enqueue-time arbitration (worker threads; the arbiter is
       // thread-safe) so apps observe conflicts synchronously...
-      [this](AgentId agent, const proto::DlMacConfig& dl) -> util::Status {
-        if (!config_.conflict_resolution) return {};
+      [this](AgentId agent, const proto::DlMacConfig& dl) {
         return arbiter_.claim_dl(agent, dl);
       },
       // ...and the flush-time send skips the claim it already made.
@@ -97,7 +99,7 @@ AgentId ShardCore::add_agent(net::Transport& transport, AgentId explicit_id) {
   transport.set_receive_callback([this, id](std::span<const std::uint8_t> data) {
     auto envelope = proto::Envelope::decode(data);
     if (!envelope.ok()) {
-      ++rx_decode_errors_;
+      ++stats_.rx_decode_errors;
       FLEXRAN_LOG(error, "master") << "bad envelope from agent " << id << ": "
                                    << envelope.error().message;
       return;
@@ -160,10 +162,8 @@ void ShardCore::run_cycle() {
     throw std::runtime_error("injected shard cycle fault");
   }
   const std::int64_t cycle = task_manager_.cycles_run();
-  if (config_.conflict_resolution) {
-    for (const auto& [id, agent] : rib_.agents()) {
-      arbiter_.prune_before(id, agent.last_subframe);
-    }
+  for (const auto& [id, agent] : rib_.agents()) {
+    arbiter_.prune_before(id, agent.last_subframe);
   }
   if (config_.agent_timeout_us > 0) {
     for (auto& [id, link] : links_) {
@@ -244,12 +244,12 @@ std::size_t ShardCore::drain_pending(std::int64_t budget_us) {
     apply_update(*update);
     ++applied;
   }
-  updates_applied_ += applied;
+  stats_.updates_applied += applied;
   if (!pending_.empty() && applied == limit) {
     // The slot budget ran out with messages still queued: the updater is
     // saturated, a watchdog input even before anything is shed.
     updater_saturated_cycle_ = true;
-    ++updater_saturations_;
+    ++stats_.updater_saturations;
   }
   return applied;
 }
@@ -323,7 +323,7 @@ void ShardCore::renegotiate_reports() {
     // Untracked: renegotiation is advisory (the Envelope throttle hint is
     // the backstop), and a tracked retry storm is the last thing an
     // overloaded master needs.
-    if (send_to(agent, stretched).ok()) ++throttle_renegotiations_;
+    if (send_to(agent, stretched).ok()) ++stats_.throttle_renegotiations;
   }
 }
 
@@ -357,7 +357,7 @@ void ShardCore::apply_update(const PendingUpdate& update) {
   // current session is a straggler from before a restart and must not
   // mutate the RIB. Epoch 0 is the wildcard (pre-epoch senders).
   if (update.epoch != 0 && update.epoch < agent.epoch) {
-    ++fenced_updates_;
+    ++stats_.fenced_updates;
     return;
   }
   dirty_agents_.insert(update.agent);
@@ -606,7 +606,7 @@ void ShardCore::fail_agent_requests(AgentId id, const char* reason) {
       ++it;
       continue;
     }
-    ++requests_failed_;
+    ++stats_.requests_failed;
     FLEXRAN_LOG(warn, "master") << "request xid " << it->first << " ("
                                 << proto::to_string(it->second.type) << ") to agent " << id
                                 << " failed: " << reason;
@@ -618,7 +618,7 @@ void ShardCore::fail_agent_requests(AgentId id, const char* reason) {
 void ShardCore::complete_request(AgentId agent, std::uint32_t xid) {
   auto it = inflight_.find(xid);
   if (it == inflight_.end() || it->second.agent != agent) return;
-  ++requests_completed_;
+  ++stats_.requests_completed;
   inflight_.erase(it);
 }
 
@@ -626,7 +626,7 @@ void ShardCore::complete_stats_request(AgentId agent, std::uint32_t request_id) 
   for (auto it = inflight_.begin(); it != inflight_.end(); ++it) {
     if (it->second.agent == agent && it->second.type == proto::MessageType::stats_request &&
         it->second.request_id == request_id) {
-      ++requests_completed_;
+      ++stats_.requests_completed;
       inflight_.erase(it);
       return;
     }
@@ -642,7 +642,7 @@ void ShardCore::sweep_requests() {
     }
     if (request.attempts < config_.request_max_retries) {
       ++request.attempts;
-      ++requests_retried_;
+      ++stats_.requests_retried;
       request.timeout *= 2;  // back off: the link may be congested, not dead
       request.deadline = sim_.now() + request.timeout;
       auto link = links_.find(request.agent);
@@ -656,7 +656,7 @@ void ShardCore::sweep_requests() {
       }
       ++it;
     } else {
-      ++requests_failed_;
+      ++stats_.requests_failed;
       FLEXRAN_LOG(warn, "master") << "request xid " << it->first << " ("
                                   << proto::to_string(request.type) << ") to agent "
                                   << request.agent << " timed out after " << request.attempts
@@ -693,7 +693,7 @@ void ShardCore::note_policy_verdict(AgentId id, const proto::EventNotification& 
       if (state.history.size() > kPolicyHistoryCap) state.history.pop_back();
     }
   } else {
-    ++policies_rejected_;
+    ++stats_.policies_rejected;
     FLEXRAN_LOG(warn, "master") << "agent " << id << " rejected policy (xid " << event.xid
                                 << "): " << event.detail;
   }
@@ -717,7 +717,7 @@ void ShardCore::rollback_policy(AgentId id, const proto::EventNotification& even
                                 << event.implementation << " but no known-good policy recorded";
     return;
   }
-  ++policy_rollbacks_;
+  ++stats_.policy_rollbacks;
   FLEXRAN_LOG(warn, "master") << "agent " << id << " quarantined " << event.implementation
                               << "; rolling back to last-known-good policy";
   (void)send_policy(id, state.history.front());
@@ -733,7 +733,7 @@ std::string ShardCore::last_known_good_policy(AgentId agent) const {
 
 void ShardCore::restart() {
   task_manager_.quiesce();
-  ++master_restarts_;
+  ++stats_.master_restarts;
   // Everything volatile dies with the old incarnation -- exactly what a
   // real master process loses in a crash. The transport registry survives:
   // a restarted master re-accepts its connections, and here the agents'
@@ -800,7 +800,7 @@ void ShardCore::request_resync(AgentId id) {
   refill_resync_tokens();
   if (resync_tokens_ >= 1.0 && resync_queue_.empty()) {
     resync_tokens_ -= 1.0;
-    ++resyncs_admitted_;
+    ++stats_.resyncs_admitted;
     resync_agent(id);
     return;
   }
@@ -809,7 +809,7 @@ void ShardCore::request_resync(AgentId id) {
   // master drives the re-sync itself once a token frees up.
   if (resync_waiting_.insert(id).second) {
     resync_queue_.push_back(id);
-    ++resyncs_paced_;
+    ++stats_.resyncs_paced;
     // Deliver the hint promptly rather than waiting for scheduled traffic.
     proto::EchoRequest echo;
     echo.timestamp_us = sim_.now();
@@ -843,7 +843,7 @@ void ShardCore::admit_resyncs() {
     // -issued config fetches can answer.
     rib_.agent(id).last_heard = sim_.now();
     resync_tokens_ -= 1.0;
-    ++resyncs_admitted_;
+    ++stats_.resyncs_admitted;
     resync_agent(id);
   }
 }
@@ -863,7 +863,7 @@ void ShardCore::mark_resynced(AgentId id) {
     // The session is serviceable again: re-own the delegated control state
     // by re-pushing the last-known-good policy from the checkpoint.
     if (auto pit = policies_.find(id); pit != policies_.end() && !pit->second.history.empty()) {
-      if (send_policy(id, pit->second.history.front()).ok()) ++policies_repushed_;
+      if (send_policy(id, pit->second.history.front()).ok()) ++stats_.policies_repushed;
     }
   }
   if (!recovery_expected_.empty() &&
@@ -890,7 +890,7 @@ void ShardCore::load_checkpoint() {
   if (!bytes.ok()) return;  // nothing saved yet: cold start
   auto checkpoint = proto::MasterCheckpoint::decode(*bytes);
   if (!checkpoint.ok()) {
-    ++checkpoints_rejected_;
+    ++stats_.checkpoints_rejected;
     FLEXRAN_LOG(error, "master") << "checkpoint rejected: " << checkpoint.error().message;
     return;
   }
@@ -899,7 +899,7 @@ void ShardCore::load_checkpoint() {
   // master's) agent set -- the ids would collide with agents the other
   // shards still own.
   if (checkpoint->shard != config_.shard) {
-    ++checkpoints_rejected_;
+    ++stats_.checkpoints_rejected;
     FLEXRAN_LOG(error, "master") << "checkpoint rejected: written by shard "
                                  << checkpoint->shard << ", this core is shard "
                                  << config_.shard;
@@ -937,10 +937,10 @@ util::Status ShardCore::save_checkpoint() {
   last_checkpoint_at_ = sim_.now();
   auto status = sink->save(build_checkpoint().encode());
   if (status.ok()) {
-    ++checkpoints_saved_;
+    ++stats_.checkpoints_saved;
     checkpoint_backoff_us_ = 0;
   } else {
-    ++checkpoint_write_failures_;
+    ++stats_.checkpoint_write_failures;
     // Exponential backoff from 10 ms, capped at the checkpoint period. The
     // failed attempt is harmless on disk: the sink's tmp+rename protocol
     // means load() still returns the last complete checkpoint.
@@ -1110,7 +1110,7 @@ util::Status ShardCore::send_to(AgentId agent, const M& message, bool track) {
     // would be scheduling against a half-rebuilt world view.
     const auto* node = rib_.find_agent(agent);
     if (node == nullptr || node->state != SessionState::up) {
-      ++commands_held_;
+      ++stats_.commands_held;
       return util::Error::conflict("recovering: agent not re-synced");
     }
   }
@@ -1119,7 +1119,7 @@ util::Status ShardCore::send_to(AgentId agent, const M& message, bool track) {
     // code today, but if the gate is ever weakened this records the
     // command that escaped and the InvariantMonitor flags the increase.
     const auto* node = rib_.find_agent(agent);
-    if (node == nullptr || node->state != SessionState::up) ++commands_sent_unresynced_;
+    if (node == nullptr || node->state != SessionState::up) ++stats_.commands_sent_unresynced;
   }
   // Reused per-shard scratch encoder (sends happen on the coordinator
   // thread only): body and envelope are written in one pass via length
@@ -1157,10 +1157,10 @@ std::int64_t ShardCore::agent_subframe(AgentId agent) const {
 
 util::Status ShardCore::send_dl_mac_config(AgentId agent,
                                                   const proto::DlMacConfig& config) {
-  if (config_.conflict_resolution) {
-    auto claimed = arbiter_.claim_dl(agent, config);
-    if (!claimed.ok()) return claimed;
-  }
+  // Reject DL MAC configs whose PRBs overlap a decision another app
+  // already issued for the same (agent, subframe) -- paper Sec. 7.3.
+  auto claimed = arbiter_.claim_dl(agent, config);
+  if (!claimed.ok()) return claimed;
   return send_to(agent, config);
 }
 
@@ -1175,7 +1175,7 @@ util::Status ShardCore::send_handover(AgentId agent,
   // A handover sourced from a recovering shard would be decided against a
   // half-rebuilt RIB; apps honor the snapshot readiness guard, so any
   // increase here is an invariant violation, not a metric.
-  if (status.ok() && recovering_) ++handovers_while_recovering_;
+  if (status.ok() && recovering_) ++stats_.handovers_while_recovering;
   return status;
 }
 
@@ -1283,80 +1283,74 @@ std::string ShardCore::probe_name(
   return obs::labeled(std::move(name), labels);
 }
 
+ShardStats ShardCore::stats() const {
+  ShardStats s = stats_;
+  s.ingest_peak_messages = pending_.peak_messages();
+  s.ingest_peak_bytes = pending_.peak_bytes();
+  s.ingest_budget_overflows = pending_.budget_overflows();
+  for (const net::TrafficClass cls : kAllClasses) {
+    s.ingest[static_cast<std::size_t>(cls)] = pending_.counters(cls);
+  }
+  s.overload_transitions = overload_monitor_.transitions();
+  s.cycles_run = static_cast<std::uint64_t>(task_manager_.cycles_run());
+  s.commands_flushed = task_manager_.commands_flushed();
+  s.app_overruns = task_manager_.app_overruns();
+  s.updater_overruns = task_manager_.updater_overruns();
+  s.inflight_requests = inflight_.size();
+  s.resyncs_waiting = resync_queue_.size();
+  s.snapshot_version = snapshot_version();
+  return s;
+}
+
+std::uint64_t ShardStats::ingest_shed() const {
+  std::uint64_t total = 0;
+  for (const auto& c : ingest) total += c.shed;
+  return total;
+}
+
+std::uint64_t ShardStats::ingest_coalesced() const {
+  std::uint64_t total = 0;
+  for (const auto& c : ingest) total += c.coalesced;
+  return total;
+}
+
+ShardStats& ShardStats::operator+=(const ShardStats& other) {
+  for (const auto& f : kShardStatFields) this->*f.field += other.*f.field;
+  for (std::size_t i = 0; i < ingest.size(); ++i) {
+    for (const auto& f : kIngestClassFields) ingest[i].*f.field += other.ingest[i].*f.field;
+  }
+  return *this;
+}
+
 void ShardCore::register_obs_probes() {
   auto& m = *registry_;
-  // Ingest queue feeding the RIB Updater (bounded class-aware queue).
+  // Every counter, from the one table that declares it.
+  for (const auto& f : kShardStatFields) {
+    if (f.name == nullptr) continue;
+    m.register_probe(probe_name(f.name),
+                     [this, field = f.field] { return static_cast<double>(stats().*field); });
+  }
+  for (const net::TrafficClass cls : kAllClasses) {
+    for (const auto& f : kIngestClassFields) {
+      m.register_probe(probe_name(f.name, {{"class", net::to_string(cls)}}),
+                       [this, cls, field = f.field] {
+                         return static_cast<double>(pending_.counters(cls).*field);
+                       });
+    }
+  }
+  // Values that are not counters: ingest queue depth, overload state,
+  // throttle multiplier, the recovery gauge and stage-time means.
   m.register_probe(probe_name("ingest_depth_messages"),
                    [this] { return static_cast<double>(pending_.size()); });
   m.register_probe(probe_name("ingest_depth_bytes"),
                    [this] { return static_cast<double>(pending_.bytes()); });
-  m.register_probe(probe_name("ingest_peak_messages"),
-                   [this] { return static_cast<double>(pending_.peak_messages()); });
-  m.register_probe(probe_name("ingest_peak_bytes"),
-                   [this] { return static_cast<double>(pending_.peak_bytes()); });
-  m.register_probe(probe_name("ingest_budget_overflows"),
-                   [this] { return static_cast<double>(pending_.budget_overflows()); });
-  for (const net::TrafficClass cls : kAllClasses) {
-    const std::string label = net::to_string(cls);
-    m.register_probe(probe_name("ingest_enqueued", {{"class", label}}),
-                     [this, cls] { return static_cast<double>(pending_.counters(cls).enqueued); });
-    m.register_probe(probe_name("ingest_shed", {{"class", label}}),
-                     [this, cls] { return static_cast<double>(pending_.counters(cls).shed); });
-    m.register_probe(probe_name("ingest_shed_bytes", {{"class", label}}), [this, cls] {
-      return static_cast<double>(pending_.counters(cls).shed_bytes);
-    });
-    m.register_probe(probe_name("ingest_coalesced", {{"class", label}}), [this, cls] {
-      return static_cast<double>(pending_.counters(cls).coalesced);
-    });
-  }
-  // RIB updater + request table + session lifecycle.
-  m.register_probe(probe_name("updates_applied"), [this] { return static_cast<double>(updates_applied_); });
-  m.register_probe(probe_name("fenced_updates"), [this] { return static_cast<double>(fenced_updates_); });
-  m.register_probe(probe_name("rx_decode_errors"),
-                   [this] { return static_cast<double>(rx_decode_errors_); });
-  // Process-wide decoder anomaly counter (docs/wire_fastpath.md): fields the
-  // decoder recognised but had to drop rather than store, e.g. trailing BSR
-  // entries beyond the fixed LCG count. Exported per shard for convenience;
-  // every shard reports the same process-wide value.
-  m.register_probe(probe_name("proto_decode_anomalies"), [] {
-    return static_cast<double>(
-        proto::decode_anomalies().bsr_overflow.load(std::memory_order_relaxed));
-  });
-  m.register_probe(probe_name("inflight_requests"),
-                   [this] { return static_cast<double>(inflight_.size()); });
-  m.register_probe(probe_name("requests_completed"),
-                   [this] { return static_cast<double>(requests_completed_); });
-  m.register_probe(probe_name("requests_retried"),
-                   [this] { return static_cast<double>(requests_retried_); });
-  m.register_probe(probe_name("requests_failed"), [this] { return static_cast<double>(requests_failed_); });
-  m.register_probe(probe_name("policy_rollbacks"),
-                   [this] { return static_cast<double>(policy_rollbacks_); });
-  m.register_probe(probe_name("policies_rejected"),
-                   [this] { return static_cast<double>(policies_rejected_); });
-  // Overload watchdog (docs/overload_protection.md).
   m.register_probe(probe_name("overload_state"), [this] {
     return static_cast<double>(static_cast<int>(overload_monitor_.state()));
   });
-  m.register_probe(probe_name("overload_transitions"),
-                   [this] { return static_cast<double>(overload_monitor_.transitions()); });
-  m.register_probe(probe_name("updater_saturations"),
-                   [this] { return static_cast<double>(updater_saturations_); });
   m.register_probe(probe_name("throttle_multiplier"),
                    [this] { return static_cast<double>(throttle_multiplier_); });
-  m.register_probe(probe_name("throttle_renegotiations"),
-                   [this] { return static_cast<double>(throttle_renegotiations_); });
-  // Task manager / control loop (Fig. 8 series + cycle-trace stages).
-  m.register_probe(probe_name("cycles_run"),
-                   [this] { return static_cast<double>(task_manager_.cycles_run()); });
-  m.register_probe(probe_name("commands_flushed"),
-                   [this] { return static_cast<double>(task_manager_.commands_flushed()); });
-  m.register_probe(probe_name("app_overruns"),
-                   [this] { return static_cast<double>(task_manager_.app_overruns()); });
-  m.register_probe(probe_name("updater_overruns"),
-                   [this] { return static_cast<double>(task_manager_.updater_overruns()); });
+  m.register_probe(probe_name("recovering"), [this] { return recovering_ ? 1.0 : 0.0; });
   m.register_probe(probe_name("idle_fraction"), [this] { return task_manager_.mean_idle_fraction(); });
-  m.register_probe(probe_name("snapshot_version"),
-                   [this] { return static_cast<double>(snapshot_version()); });
   m.register_probe(probe_name("snapshot_publish_us_mean"),
                    [this] { return snapshot_publish_time_.mean(); });
   m.register_probe(probe_name("cycle_updater_us_mean"), [this] { return trace_ring_.updater_us().mean(); });
@@ -1366,25 +1360,16 @@ void ShardCore::register_obs_probes() {
   m.register_probe(probe_name("cycle_apps_us_max"), [this] { return trace_ring_.apps_us().max(); });
   m.register_probe(probe_name("cycle_flush_us_mean"), [this] { return trace_ring_.flush_us().mean(); });
   m.register_probe(probe_name("cycle_flush_us_max"), [this] { return trace_ring_.flush_us().max(); });
-  // Crash recovery (docs/fault_tolerance.md "Master restart"): the
-  // recovering gauge, pacing counters and the time-to-resync histogram
-  // (1ms .. ~16s, doubling -- re-syncs span wire RTTs to paced backlogs).
-  m.register_probe(probe_name("recovering"), [this] { return recovering_ ? 1.0 : 0.0; });
-  m.register_probe(probe_name("master_restarts"),
-                   [this] { return static_cast<double>(master_restarts_); });
-  m.register_probe(probe_name("resyncs_paced"), [this] { return static_cast<double>(resyncs_paced_); });
-  m.register_probe(probe_name("resyncs_admitted"),
-                   [this] { return static_cast<double>(resyncs_admitted_); });
-  m.register_probe(probe_name("resyncs_waiting"),
-                   [this] { return static_cast<double>(resync_queue_.size()); });
-  m.register_probe(probe_name("commands_held_recovering"),
-                   [this] { return static_cast<double>(commands_held_); });
-  m.register_probe(probe_name("checkpoints_saved"),
-                   [this] { return static_cast<double>(checkpoints_saved_); });
-  m.register_probe(probe_name("checkpoint_write_failures"),
-                   [this] { return static_cast<double>(checkpoint_write_failures_); });
-  m.register_probe(probe_name("policies_repushed"),
-                   [this] { return static_cast<double>(policies_repushed_); });
+  // Process-wide decoder anomaly counter (docs/wire_fastpath.md): fields the
+  // decoder recognised but had to drop rather than store, e.g. trailing BSR
+  // entries beyond the fixed LCG count. Registered without a shard label:
+  // every shard registers the same name, so one series remains.
+  m.register_probe("proto_decode_anomalies", [] {
+    return static_cast<double>(
+        proto::decode_anomalies().bsr_overflow.load(std::memory_order_relaxed));
+  });
+  // Time-to-resync histogram (1ms .. ~16s, doubling -- re-syncs span wire
+  // RTTs to paced backlogs).
   resync_duration_ = &m.histogram(probe_name("resync_duration_us"), obs::exponential_bounds(1000.0, 2.0, 14));
 }
 
@@ -1423,27 +1408,22 @@ void ShardCore::register_agent_probes(AgentId id) {
 }
 
 void ShardCore::register_app_probes(const std::string& name) {
-  auto& m = *registry_;
-  auto stat_probe = [this, name](auto select) {
-    return [this, name, select]() -> double {
-      for (const auto& stat : task_manager_.app_stats()) {
-        if (stat.name == name) return select(stat);
-      }
-      return 0.0;
-    };
+  using Stat = TaskManager::AppStat;
+  constexpr std::pair<const char*, double (*)(const Stat&)> kAppSeries[] = {
+      {"app_runs", [](const Stat& s) { return static_cast<double>(s.runs); }},
+      {"app_wall_us_mean", [](const Stat& s) { return s.mean_wall_us; }},
+      {"app_wall_us_max", [](const Stat& s) { return s.max_wall_us; }},
+      {"app_overruns", [](const Stat& s) { return static_cast<double>(s.overruns); }},
   };
-  m.register_probe(probe_name("app_runs", {{"app", name}}),
-                   stat_probe([](const TaskManager::AppStat& s) {
-                     return static_cast<double>(s.runs);
-                   }));
-  m.register_probe(probe_name("app_wall_us_mean", {{"app", name}}),
-                   stat_probe([](const TaskManager::AppStat& s) { return s.mean_wall_us; }));
-  m.register_probe(probe_name("app_wall_us_max", {{"app", name}}),
-                   stat_probe([](const TaskManager::AppStat& s) { return s.max_wall_us; }));
-  m.register_probe(probe_name("app_overruns", {{"app", name}}),
-                   stat_probe([](const TaskManager::AppStat& s) {
-                     return static_cast<double>(s.overruns);
-                   }));
+  for (const auto& series : kAppSeries) {
+    registry_->register_probe(probe_name(series.first, {{"app", name}}),
+                              [this, name, select = series.second]() -> double {
+                                for (const auto& stat : task_manager_.app_stats()) {
+                                  if (stat.name == name) return select(stat);
+                                }
+                                return 0.0;
+                              });
+  }
 }
 
 }  // namespace flexran::ctrl

@@ -10,20 +10,19 @@
 // per-shard core: instantiable N times in one process, each instance owning
 // a disjoint agent set, with a thin Coordinator (coordinator.h) assigning
 // agents, aggregating snapshots and routing commands. A standalone instance
-// (shard index unset) is the classic single master; `MasterController` in
-// master.h aliases it for source compatibility.
+// (shard index unset) is the classic single master.
 #pragma once
 
+#include <array>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
-
-#include <set>
 
 #include "controller/app.h"
 #include "controller/arbiter.h"
@@ -32,6 +31,7 @@
 #include "controller/rib.h"
 #include "controller/rib_snapshot.h"
 #include "controller/task_manager.h"
+#include "net/flow_control.h"
 #include "net/transport.h"
 #include "obs/metrics.h"
 #include "proto/checkpoint.h"
@@ -49,8 +49,6 @@ namespace flexran::ctrl {
 /// `0/0 = off` convention).
 struct ObsConfig {
   bool enabled = false;
-  /// Control-loop trace ring capacity (most recent cycles kept verbatim).
-  std::size_t trace_cycles = 4096;
   /// External registry to register instruments and probes in (nullptr = use
   /// the core's own). The Coordinator points every shard at one shared
   /// registry so a single export surface covers the whole process; the
@@ -105,9 +103,6 @@ struct MasterConfig {
   /// Send an echo request every this many cycles for RTT estimation
   /// (0 = never).
   std::int64_t echo_period_cycles = 1000;
-  /// Reject DL MAC configs whose PRBs overlap a decision another app
-  /// already issued for the same (agent, subframe) -- paper Sec. 7.3.
-  bool conflict_resolution = true;
   /// Mark an agent stale when nothing has been heard from it for this long
   /// (0 = never). Stale agents are skipped by well-behaved apps.
   sim::TimeUs agent_timeout_us = 0;
@@ -133,6 +128,145 @@ struct MasterConfig {
   /// Master crash recovery (docs/fault_tolerance.md "Master restart").
   /// Off = seed-identical.
   RecoveryConfig recovery;
+};
+
+/// One row of a stats table: a counter's metric identity and where it lives.
+/// Each table is the single list of its struct's counters. The metric probes
+/// and the fleet sums walk it; the scenario summary and the invariant
+/// monitor read the struct it describes.
+template <typename Stats>
+struct StatField {
+  /// Exported series name; nullptr = summed but not exported (invariant
+  /// tripwires and restore-time rejections).
+  const char* name;
+  std::uint64_t Stats::*field;
+};
+
+/// One shard's counters (paper Sec. 4.3.3: the master reports its own RIB
+/// Updater and Task Manager statistics; docs/observability.md "What the
+/// master registers"). The shard increments the counters it owns in place;
+/// ShardCore::stats() copies in the rest from the component that owns them.
+struct ShardStats {
+  // ---- owned: RIB updater, request table, session lifecycle --------------
+  std::uint64_t updates_applied = 0;
+  /// Queued/arriving updates dropped because they carried an older session
+  /// epoch than the agent's current one.
+  std::uint64_t fenced_updates = 0;
+  /// Messages whose envelope failed to decode (e.g. corrupted in flight).
+  std::uint64_t rx_decode_errors = 0;
+  std::uint64_t requests_completed = 0;
+  std::uint64_t requests_retried = 0;
+  /// Requests that exhausted their retries or died with a session.
+  std::uint64_t requests_failed = 0;
+  // ---- owned: delegated-control containment (docs/delegation_safety.md) --
+  /// Policies re-sent (rolled back to last-known-good) after an agent
+  /// quarantined a VSF implementation.
+  std::uint64_t policy_rollbacks = 0;
+  /// Policies an agent reported rejected (two-phase apply failed).
+  std::uint64_t policies_rejected = 0;
+  // ---- owned: overload protection (docs/overload_protection.md) ----------
+  /// Cycles where the updater hit its slot budget with messages queued.
+  std::uint64_t updater_saturations = 0;
+  /// Stats requests re-sent to renegotiate report periods.
+  std::uint64_t throttle_renegotiations = 0;
+  // ---- owned: crash recovery (docs/fault_tolerance.md "Master restart") --
+  std::uint64_t master_restarts = 0;
+  /// Re-syncs deferred by the admission gate / later admitted from the
+  /// deferral queue.
+  std::uint64_t resyncs_paced = 0;
+  std::uint64_t resyncs_admitted = 0;
+  /// Commands refused at the wire because their target had not re-synced
+  /// with this incarnation yet.
+  std::uint64_t commands_held = 0;
+  std::uint64_t checkpoints_saved = 0;
+  /// Checkpoint saves the sink refused (disk error, injected fault). Each
+  /// failure schedules a backoff retry well inside the checkpoint period;
+  /// the last good checkpoint is never clobbered (the sink's tmp+rename
+  /// fails atomically).
+  std::uint64_t checkpoint_write_failures = 0;
+  /// Checkpoints refused at restore time (wrong shard stamp or a payload
+  /// that fails decoding).
+  std::uint64_t checkpoints_rejected = 0;
+  /// Last-known-good policies re-pushed as re-syncs completed.
+  std::uint64_t policies_repushed = 0;
+  /// Invariant tripwires (src/verify/invariants.h). Commands that actually
+  /// reached the wire toward an agent that had not re-synced with this
+  /// incarnation while the readiness barrier was up: the gate in send_to
+  /// makes this impossible by construction, so weakening the gate trips
+  /// the monitor instead of silently shipping stale state. Handovers sent
+  /// while recovering: apps honor the snapshot readiness guard, so this
+  /// stays 0.
+  std::uint64_t commands_sent_unresynced = 0;
+  std::uint64_t handovers_while_recovering = 0;
+  // ---- copied in: ingest queue (ClassedQueue) ---------------------------
+  /// High-water marks (bounded by the configured budget).
+  std::uint64_t ingest_peak_messages = 0;
+  std::uint64_t ingest_peak_bytes = 0;
+  /// Unsheddable messages admitted past the budget (should stay 0).
+  std::uint64_t ingest_budget_overflows = 0;
+  /// Per-class admission accounting, indexed by net::TrafficClass.
+  std::array<net::ClassCounters, net::kNumTrafficClasses> ingest{};
+  // ---- copied in: overload watchdog, task manager, core tables -----------
+  std::uint64_t overload_transitions = 0;
+  std::uint64_t cycles_run = 0;
+  /// Commands that reached the wire through batch flushes.
+  std::uint64_t commands_flushed = 0;
+  std::uint64_t app_overruns = 0;
+  std::uint64_t updater_overruns = 0;
+  /// Requests currently awaiting a reply (xid-keyed table).
+  std::uint64_t inflight_requests = 0;
+  /// Agents currently parked in the re-sync deferral queue.
+  std::uint64_t resyncs_waiting = 0;
+  /// Version of the latest published snapshot.
+  std::uint64_t snapshot_version = 0;
+
+  /// Ingest totals over every traffic class.
+  std::uint64_t ingest_shed() const;
+  std::uint64_t ingest_coalesced() const;
+  /// Field-wise sum over both tables below (the Coordinator's fleet fold).
+  ShardStats& operator+=(const ShardStats& other);
+};
+
+inline constexpr StatField<ShardStats> kShardStatFields[] = {
+    {"updates_applied", &ShardStats::updates_applied},
+    {"fenced_updates", &ShardStats::fenced_updates},
+    {"rx_decode_errors", &ShardStats::rx_decode_errors},
+    {"requests_completed", &ShardStats::requests_completed},
+    {"requests_retried", &ShardStats::requests_retried},
+    {"requests_failed", &ShardStats::requests_failed},
+    {"policy_rollbacks", &ShardStats::policy_rollbacks},
+    {"policies_rejected", &ShardStats::policies_rejected},
+    {"updater_saturations", &ShardStats::updater_saturations},
+    {"throttle_renegotiations", &ShardStats::throttle_renegotiations},
+    {"master_restarts", &ShardStats::master_restarts},
+    {"resyncs_paced", &ShardStats::resyncs_paced},
+    {"resyncs_admitted", &ShardStats::resyncs_admitted},
+    {"commands_held_recovering", &ShardStats::commands_held},
+    {"checkpoints_saved", &ShardStats::checkpoints_saved},
+    {"checkpoint_write_failures", &ShardStats::checkpoint_write_failures},
+    {nullptr, &ShardStats::checkpoints_rejected},
+    {"policies_repushed", &ShardStats::policies_repushed},
+    {nullptr, &ShardStats::commands_sent_unresynced},
+    {nullptr, &ShardStats::handovers_while_recovering},
+    {"ingest_peak_messages", &ShardStats::ingest_peak_messages},
+    {"ingest_peak_bytes", &ShardStats::ingest_peak_bytes},
+    {"ingest_budget_overflows", &ShardStats::ingest_budget_overflows},
+    {"overload_transitions", &ShardStats::overload_transitions},
+    {"cycles_run", &ShardStats::cycles_run},
+    {"commands_flushed", &ShardStats::commands_flushed},
+    {"app_overruns", &ShardStats::app_overruns},
+    {"updater_overruns", &ShardStats::updater_overruns},
+    {"inflight_requests", &ShardStats::inflight_requests},
+    {"resyncs_waiting", &ShardStats::resyncs_waiting},
+    {"snapshot_version", &ShardStats::snapshot_version},
+};
+
+/// ShardStats::ingest, per class; exported with a `class` label.
+inline constexpr StatField<net::ClassCounters> kIngestClassFields[] = {
+    {"ingest_enqueued", &net::ClassCounters::enqueued},
+    {"ingest_shed", &net::ClassCounters::shed},
+    {"ingest_shed_bytes", &net::ClassCounters::shed_bytes},
+    {"ingest_coalesced", &net::ClassCounters::coalesced},
 };
 
 class ShardCore final : public NorthboundApi {
@@ -208,10 +342,6 @@ class ShardCore final : public NorthboundApi {
   /// places (or a removed one at all) while the shard idles between
   /// cycles. Coordinator-thread only, like run_cycle().
   void publish_now() { publish_snapshot(); }
-  /// Checkpoints refused at restore time (wrong shard stamp or a payload
-  /// that fails decoding).
-  std::uint64_t checkpoints_rejected() const { return checkpoints_rejected_; }
-
   /// Joins the in-flight application slot (if any) and flushes its command
   /// batches. With a pipelined task manager (workers > 0) a cycle's
   /// commands reach the wire one cycle later; call this before asserting
@@ -255,33 +385,22 @@ class ShardCore final : public NorthboundApi {
   const Rib& rib() const { return rib_; }
   const TaskManager& task_manager() const { return task_manager_; }
   const ConflictArbiter& arbiter() const { return arbiter_; }
-  /// Version of the latest published snapshot.
+  /// Every counter of this shard (kShardStatFields lists them). Coordinator
+  /// thread only, like run_cycle().
+  ShardStats stats() const;
   std::uint64_t snapshot_version() const { return snapshots_.current()->version(); }
   /// Wall time of each snapshot publish (Fig. 8 companion series).
   const util::RunningStats& snapshot_publish_us() const { return snapshot_publish_time_; }
-  /// Commands that reached the wire through batch flushes.
-  std::uint64_t commands_flushed() const { return task_manager_.commands_flushed(); }
   /// Master -> agent signaling (Fig. 7b).
   const proto::SignalingAccountant& tx_accounting(AgentId agent) const;
   /// Agent -> master signaling as received (Fig. 7a).
   const proto::SignalingAccountant& rx_accounting(AgentId agent) const;
+  /// Ingest-queue occupancy (the InvariantMonitor checks it against
+  /// ingest_budget() every coordinator cycle).
   std::size_t pending_updates() const { return pending_.size(); }
-  std::uint64_t updates_applied() const { return updates_applied_; }
+  std::size_t pending_bytes() const { return pending_.bytes(); }
   std::size_t rib_bytes() const { return rib_.approx_bytes(); }
-  std::int64_t cycles_run() const { return task_manager_.cycles_run(); }
-
-  // ---- fault-tolerance introspection ----------------------------------------
-  /// Requests currently awaiting a reply (xid-keyed table).
-  std::size_t inflight_requests() const { return inflight_.size(); }
-  std::uint64_t requests_completed() const { return requests_completed_; }
-  std::uint64_t requests_retried() const { return requests_retried_; }
-  /// Requests that exhausted their retries or died with a session.
-  std::uint64_t requests_failed() const { return requests_failed_; }
-  /// Queued/arriving updates dropped because they carried an older session
-  /// epoch than the agent's current one.
-  std::uint64_t fenced_updates() const { return fenced_updates_; }
-  /// Messages whose envelope failed to decode (e.g. corrupted in flight).
-  std::uint64_t rx_decode_errors() const { return rx_decode_errors_; }
+  std::uint64_t rx_decode_errors() const { return stats_.rx_decode_errors; }
 
   // ---- crash recovery (docs/fault_tolerance.md "Master restart") -------------
   /// Current master incarnation (0 while recovery is disabled).
@@ -289,24 +408,6 @@ class ShardCore final : public NorthboundApi {
   /// True while the readiness barrier is up: the RIB is still being
   /// rebuilt from agent re-syncs after a restart.
   bool recovering() const { return recovering_; }
-  std::uint64_t master_restarts() const { return master_restarts_; }
-  /// Re-syncs deferred by the admission gate / later admitted from the
-  /// deferral queue.
-  std::uint64_t resyncs_paced() const { return resyncs_paced_; }
-  std::uint64_t resyncs_admitted() const { return resyncs_admitted_; }
-  /// Agents currently parked in the deferral queue.
-  std::size_t resyncs_waiting() const { return resync_queue_.size(); }
-  /// Commands refused at the wire because their target had not re-synced
-  /// with this incarnation yet.
-  std::uint64_t commands_held() const { return commands_held_; }
-  std::uint64_t checkpoints_saved() const { return checkpoints_saved_; }
-  /// Checkpoint saves the sink refused (disk error, injected fault). Each
-  /// failure schedules a backoff retry well inside the checkpoint period;
-  /// the last good checkpoint is never clobbered (the sink's tmp+rename
-  /// fails atomically).
-  std::uint64_t checkpoint_write_failures() const { return checkpoint_write_failures_; }
-  /// Last-known-good policies re-pushed as re-syncs completed.
-  std::uint64_t policies_repushed() const { return policies_repushed_; }
   /// A checkpoint was loaded at construction or the last restart().
   bool checkpoint_loaded() const { return checkpoint_loaded_; }
   /// Agents that completed their re-sync since the last restart.
@@ -318,50 +419,16 @@ class ShardCore final : public NorthboundApi {
   }
 
   // ---- delegated-control containment (docs/delegation_safety.md) ------------
-  /// Policies re-sent (rolled back to last-known-good) after an agent
-  /// quarantined a VSF implementation.
-  std::uint64_t policy_rollbacks() const { return policy_rollbacks_; }
-  /// Policies an agent reported rejected (two-phase apply failed).
-  std::uint64_t policies_rejected() const { return policies_rejected_; }
   /// Newest applied policy for the agent not implicated in a quarantine
   /// ("" = none recorded).
   std::string last_known_good_policy(AgentId agent) const;
 
   // ---- overload protection (docs/overload_protection.md) ---------------------
   OverloadState overload_state() const { return overload_monitor_.state(); }
-  std::uint64_t overload_transitions() const { return overload_monitor_.transitions(); }
-  /// Ingest-queue high-water marks (bounded by the configured budget).
-  std::size_t pending_peak_messages() const { return pending_.peak_messages(); }
-  std::size_t pending_peak_bytes() const { return pending_.peak_bytes(); }
-  std::size_t pending_bytes() const { return pending_.bytes(); }
-  /// Per-class ingest accounting (admitted / shed / coalesced).
-  const net::ClassCounters& ingest_counters(net::TrafficClass cls) const {
-    return pending_.counters(cls);
-  }
-  std::uint64_t ingest_shed() const { return pending_.total_shed(); }
-  std::uint64_t ingest_coalesced() const { return pending_.total_coalesced(); }
-  /// Unsheddable messages admitted past the budget (should stay 0).
-  std::uint64_t ingest_budget_overflows() const { return pending_.budget_overflows(); }
-  /// Cycles where the updater hit its slot budget with messages queued.
-  std::uint64_t updater_saturations() const { return updater_saturations_; }
   /// Current report-period multiplier (1 = no throttling).
   std::uint32_t throttle_multiplier() const { return throttle_multiplier_; }
-  /// Stats requests re-sent to renegotiate report periods.
-  std::uint64_t throttle_renegotiations() const { return throttle_renegotiations_; }
-
-  // ---- invariant inputs (src/verify/invariants.h) -----------------------------
-  /// The configured ingest budget: the InvariantMonitor checks queue
-  /// occupancy against it every coordinator cycle.
+  /// The configured ingest budget.
   const net::QueueBudget& ingest_budget() const { return config_.overload.ingest; }
-  /// Commands that actually reached the wire toward an agent that had not
-  /// re-synced with this incarnation while the readiness barrier was up.
-  /// The gate in send_to makes this impossible by construction; this is a
-  /// deliberately separate tripwire at the delivery point, so weakening
-  /// the gate trips the monitor instead of silently shipping stale state.
-  std::uint64_t commands_sent_unresynced() const { return commands_sent_unresynced_; }
-  /// Handover commands sent while this shard was still recovering. Apps
-  /// honor the snapshot readiness guard, so this stays 0.
-  std::uint64_t handovers_while_recovering() const { return handovers_while_recovering_; }
 
   // ---- observability (docs/observability.md) ---------------------------------
   bool obs_enabled() const { return config_.obs.enabled; }
@@ -549,20 +616,12 @@ class ShardCore final : public NorthboundApi {
   /// on the owning coordinator thread, so one arena per shard suffices and
   /// steady-state sends stop allocating.
   proto::WireEncoder send_enc_;
-  std::uint64_t updates_applied_ = 0;
-  std::uint64_t requests_completed_ = 0;
-  std::uint64_t requests_retried_ = 0;
-  std::uint64_t requests_failed_ = 0;
-  std::uint64_t fenced_updates_ = 0;
-  std::uint64_t rx_decode_errors_ = 0;
-  std::uint64_t policy_rollbacks_ = 0;
-  std::uint64_t policies_rejected_ = 0;
+  /// Counters this shard owns, incremented in place (stats() adds the rest).
+  ShardStats stats_;
   std::uint64_t last_shed_total_ = 0;
   CycleFault cycle_fault_ = CycleFault::none;
   bool updater_saturated_cycle_ = false;
-  std::uint64_t updater_saturations_ = 0;
   std::uint32_t throttle_multiplier_ = 1;
-  std::uint64_t throttle_renegotiations_ = 0;
   /// Cycles of continued shedding while critical, toward the next
   /// multiplier doubling.
   std::size_t critical_shedding_cycles_ = 0;
@@ -597,16 +656,6 @@ class ShardCore final : public NorthboundApi {
   /// failure, capped at the checkpoint period; reset on success.
   sim::TimeUs checkpoint_backoff_us_ = 0;
   bool checkpoint_loaded_ = false;
-  std::uint64_t master_restarts_ = 0;
-  std::uint64_t resyncs_paced_ = 0;
-  std::uint64_t resyncs_admitted_ = 0;
-  std::uint64_t commands_held_ = 0;
-  std::uint64_t commands_sent_unresynced_ = 0;
-  std::uint64_t handovers_while_recovering_ = 0;
-  std::uint64_t checkpoints_saved_ = 0;
-  std::uint64_t checkpoint_write_failures_ = 0;
-  std::uint64_t checkpoints_rejected_ = 0;
-  std::uint64_t policies_repushed_ = 0;
   /// Time-to-resync histogram (registry-owned); non-null only while
   /// observability is enabled.
   obs::Histogram* resync_duration_ = nullptr;

@@ -517,29 +517,26 @@ ScenarioRunSummary run_scenario(const ScenarioSpec& spec) {
         spec.duration_s);
     summary.ues.push_back(result);
   }
-  summary.master_cycles = testbed.coordinator().cycles_run();
-  summary.rib_updates = testbed.coordinator().updates_applied();
+  const auto& coordinator = testbed.coordinator();
+  summary.master_cycles = coordinator.cycles_run();
+  summary.fleet = coordinator.stats();
   std::uint64_t up_bytes = 0;
   std::uint64_t down_bytes = 0;
   for (auto& enb : testbed.enbs()) {
     up_bytes += enb->agent->tx_accounting().total_bytes();
-    down_bytes += testbed.coordinator().tx_accounting(enb->agent_id).total_bytes();
+    down_bytes += coordinator.tx_accounting(enb->agent_id).total_bytes();
   }
   summary.uplink_signaling_mbps = Metrics::mbps(up_bytes, spec.duration_s);
   summary.downlink_signaling_mbps = Metrics::mbps(down_bytes, spec.duration_s);
   summary.faults_injected = injector.faults_injected();
-  summary.requests_retried = testbed.coordinator().requests_retried();
-  summary.requests_failed = testbed.coordinator().requests_failed();
-  summary.fenced_updates = testbed.coordinator().fenced_updates();
   for (auto& enb : testbed.enbs()) {
     ++summary.agents_total;
-    const auto* node = testbed.coordinator().find_agent(enb->agent_id);
+    const auto* node = coordinator.find_agent(enb->agent_id);
     if (node != nullptr) {
       summary.agent_reconnects += node->reconnects;
       if (node->state == ctrl::SessionState::up) ++summary.agents_up;
     }
   }
-  summary.policy_rollbacks = testbed.coordinator().policy_rollbacks();
   for (auto& enb : testbed.enbs()) {
     const auto& guard = enb->agent->vsf_guard();
     summary.vsf_failures += guard.vsf_failures();
@@ -555,21 +552,9 @@ ScenarioRunSummary run_scenario(const ScenarioSpec& spec) {
       ++summary.agents_on_valid_policy;
     }
   }
-  summary.overload_state = testbed.coordinator().overload_state();
-  summary.overload_transitions = testbed.coordinator().overload_transitions();
-  summary.ingest_shed = testbed.coordinator().ingest_shed();
-  summary.ingest_coalesced = testbed.coordinator().ingest_coalesced();
-  summary.ingest_peak_messages = testbed.coordinator().pending_peak_messages();
-  summary.ingest_peak_bytes = testbed.coordinator().pending_peak_bytes();
-  summary.throttle_renegotiations = testbed.coordinator().throttle_renegotiations();
-  summary.updater_saturations = testbed.coordinator().updater_saturations();
-  summary.master_restarts = testbed.coordinator().master_restarts();
-  summary.resyncs_paced = testbed.coordinator().resyncs_paced();
-  summary.commands_held = testbed.coordinator().commands_held();
-  summary.checkpoints_saved = testbed.coordinator().checkpoints_saved();
-  summary.policies_repushed = testbed.coordinator().policies_repushed();
-  summary.recovering_at_end = testbed.coordinator().any_recovering();
-  summary.time_to_ready_ms = sim::to_seconds(testbed.coordinator().last_recovery_duration()) * 1e3;
+  summary.overload_state = coordinator.overload_state();
+  summary.recovering_at_end = coordinator.any_recovering();
+  summary.time_to_ready_ms = sim::to_seconds(coordinator.last_recovery_duration()) * 1e3;
   for (auto& enb : testbed.enbs()) {
     summary.fenced_incarnation_messages += enb->agent->fenced_incarnation_messages();
   }
@@ -585,31 +570,16 @@ ScenarioRunSummary run_scenario(const ScenarioSpec& spec) {
     link.downlink_shed = enb->master_side->frames_shed();
     summary.links.push_back(link);
   }
-  summary.shards = testbed.coordinator().shard_count();
+  summary.shards = coordinator.shard_count();
   if (summary.shards > 1) {
     for (std::size_t i = 0; i < summary.shards; ++i) {
-      const auto& core = testbed.coordinator().shard(i);
-      ScenarioRunSummary::ShardSummary shard;
-      shard.agents = core.rib().agents().size();
-      shard.rib_updates = core.updates_applied();
-      shard.ingest_shed = core.ingest_shed();
-      shard.master_restarts = core.master_restarts();
-      shard.overload_state = core.overload_state();
-      shard.recovering = core.recovering();
-      shard.health = testbed.coordinator().shard_health(i);
-      summary.shard_summaries.push_back(shard);
+      const auto& core = coordinator.shard(i);
+      summary.shard_summaries.push_back({core.rib().agents().size(), core.stats(),
+                                         core.overload_state(), core.recovering(),
+                                         coordinator.shard_health(i)});
     }
   }
-  const auto& coordinator = testbed.coordinator();
-  summary.shards_failed = coordinator.shards_failed();
-  summary.agents_adopted = coordinator.agents_adopted();
-  summary.warm_adoptions = coordinator.warm_adoptions();
-  summary.cold_adoptions = coordinator.cold_adoptions();
-  summary.agents_drained = coordinator.agents_drained();
-  summary.agents_orphaned = coordinator.agents_orphaned();
-  summary.failover_pending = coordinator.failover_pending();
-  summary.orphan_window_ms = sim::to_seconds(coordinator.last_orphan_window()) * 1e3;
-  summary.failover_duration_ms = sim::to_seconds(coordinator.last_failover_duration()) * 1e3;
+  summary.failover = coordinator.failover_stats();
   if (monitor != nullptr) {
     summary.invariant_checks = monitor->checks_run();
     summary.invariant_violations = monitor->violations_total();
@@ -619,6 +589,7 @@ ScenarioRunSummary run_scenario(const ScenarioSpec& spec) {
 }
 
 std::string format_summary(const ScenarioRunSummary& summary) {
+  const ctrl::ShardStats& fleet = summary.fleet;
   std::string out = util::format("%-6s %-8s %-10s %6s %12s %12s\n", "enb", "rnti", "state",
                                  "CQI", "DL (Mb/s)", "UL (Mb/s)");
   for (const auto& ue : summary.ues) {
@@ -629,68 +600,71 @@ std::string format_summary(const ScenarioRunSummary& summary) {
       "\nmaster: %lld cycles, %llu RIB updates; signaling up %.3f Mb/s / down %.3f Mb/s "
       "over %.1f s\n",
       static_cast<long long>(summary.master_cycles),
-      static_cast<unsigned long long>(summary.rib_updates), summary.uplink_signaling_mbps,
+      static_cast<unsigned long long>(fleet.updates_applied), summary.uplink_signaling_mbps,
       summary.downlink_signaling_mbps, summary.duration_s);
   if (summary.faults_injected > 0) {
     out += util::format(
         "chaos: %llu faults, %u agent reconnects, %llu retries, %llu failed requests, "
         "%llu fenced updates; %d/%d agents re-synced\n",
         static_cast<unsigned long long>(summary.faults_injected), summary.agent_reconnects,
-        static_cast<unsigned long long>(summary.requests_retried),
-        static_cast<unsigned long long>(summary.requests_failed),
-        static_cast<unsigned long long>(summary.fenced_updates), summary.agents_up,
+        static_cast<unsigned long long>(fleet.requests_retried),
+        static_cast<unsigned long long>(fleet.requests_failed),
+        static_cast<unsigned long long>(fleet.fenced_updates), summary.agents_up,
         summary.agents_total);
   }
-  if (summary.vsf_failures > 0 || summary.vsf_quarantines > 0 || summary.policy_rollbacks > 0) {
+  if (summary.vsf_failures > 0 || summary.vsf_quarantines > 0 || fleet.policy_rollbacks > 0) {
     out += util::format(
         "containment: %llu VSF failures, %llu quarantines, %llu fallback decisions, "
         "%llu rollbacks, %llu unscheduled TTIs; %d/%d agents on valid policy\n",
         static_cast<unsigned long long>(summary.vsf_failures),
         static_cast<unsigned long long>(summary.vsf_quarantines),
         static_cast<unsigned long long>(summary.vsf_fallback_decisions),
-        static_cast<unsigned long long>(summary.policy_rollbacks),
+        static_cast<unsigned long long>(fleet.policy_rollbacks),
         static_cast<unsigned long long>(summary.unscheduled_slots),
         summary.agents_on_valid_policy, summary.agents_total);
   }
-  if (summary.overload_transitions > 0 || summary.ingest_shed > 0 ||
-      summary.ingest_coalesced > 0) {
+  if (fleet.overload_transitions > 0 || fleet.ingest_shed() > 0 || fleet.ingest_coalesced() > 0) {
     out += util::format(
         "overload: state=%s, %llu transitions; ingest shed %llu / coalesced %llu, "
         "peak queue %llu msgs / %llu bytes; %llu throttle renegotiations, "
         "%llu saturated updater cycles\n",
         ctrl::to_string(summary.overload_state),
-        static_cast<unsigned long long>(summary.overload_transitions),
-        static_cast<unsigned long long>(summary.ingest_shed),
-        static_cast<unsigned long long>(summary.ingest_coalesced),
-        static_cast<unsigned long long>(summary.ingest_peak_messages),
-        static_cast<unsigned long long>(summary.ingest_peak_bytes),
-        static_cast<unsigned long long>(summary.throttle_renegotiations),
-        static_cast<unsigned long long>(summary.updater_saturations));
+        static_cast<unsigned long long>(fleet.overload_transitions),
+        static_cast<unsigned long long>(fleet.ingest_shed()),
+        static_cast<unsigned long long>(fleet.ingest_coalesced()),
+        static_cast<unsigned long long>(fleet.ingest_peak_messages),
+        static_cast<unsigned long long>(fleet.ingest_peak_bytes),
+        static_cast<unsigned long long>(fleet.throttle_renegotiations),
+        static_cast<unsigned long long>(fleet.updater_saturations));
   }
-  if (summary.master_restarts > 0) {
+  if (fleet.master_restarts > 0) {
     out += util::format(
         "recovery: %llu master restarts, ready in %.1f ms (%s); %llu paced re-syncs, "
         "%llu commands held, %llu incarnation-fenced messages, %llu checkpoints, "
         "%llu policies re-pushed\n",
-        static_cast<unsigned long long>(summary.master_restarts), summary.time_to_ready_ms,
+        static_cast<unsigned long long>(fleet.master_restarts), summary.time_to_ready_ms,
         summary.recovering_at_end ? "STILL RECOVERING" : "recovered",
-        static_cast<unsigned long long>(summary.resyncs_paced),
-        static_cast<unsigned long long>(summary.commands_held),
+        static_cast<unsigned long long>(fleet.resyncs_paced),
+        static_cast<unsigned long long>(fleet.commands_held),
         static_cast<unsigned long long>(summary.fenced_incarnation_messages),
-        static_cast<unsigned long long>(summary.checkpoints_saved),
-        static_cast<unsigned long long>(summary.policies_repushed));
+        static_cast<unsigned long long>(fleet.checkpoints_saved),
+        static_cast<unsigned long long>(fleet.policies_repushed));
   }
-  if (summary.shards_failed > 0 || summary.agents_drained > 0) {
+  const ctrl::FailoverStats& failover = summary.failover;
+  if (failover.shards_failed > 0 || failover.agents_drained > 0) {
     out += util::format(
         "failover: %llu shards failed, %llu adopted (%llu warm / %llu cold), "
-        "%llu drained, %zu orphaned, %zu still pending; orphan window %.1f ms, "
+        "%llu drained, %llu orphaned, %llu still pending; orphan window %.1f ms, "
         "adopted up in %.1f ms\n",
-        static_cast<unsigned long long>(summary.shards_failed),
-        static_cast<unsigned long long>(summary.agents_adopted),
-        static_cast<unsigned long long>(summary.warm_adoptions),
-        static_cast<unsigned long long>(summary.cold_adoptions),
-        static_cast<unsigned long long>(summary.agents_drained), summary.agents_orphaned,
-        summary.failover_pending, summary.orphan_window_ms, summary.failover_duration_ms);
+        static_cast<unsigned long long>(failover.shards_failed),
+        static_cast<unsigned long long>(failover.agents_adopted),
+        static_cast<unsigned long long>(failover.warm_adoptions),
+        static_cast<unsigned long long>(failover.cold_adoptions),
+        static_cast<unsigned long long>(failover.agents_drained),
+        static_cast<unsigned long long>(failover.agents_orphaned),
+        static_cast<unsigned long long>(failover.failover_pending),
+        sim::to_seconds(static_cast<sim::TimeUs>(failover.orphan_window_us)) * 1e3,
+        sim::to_seconds(static_cast<sim::TimeUs>(failover.failover_duration_us)) * 1e3);
   }
   if (summary.invariant_checks > 0) {
     out += util::format("invariants: %llu checks, %llu violations%s\n",
@@ -706,9 +680,9 @@ std::string format_summary(const ScenarioRunSummary& summary) {
     const bool alive = shard.health == ctrl::Coordinator::ShardHealth::alive;
     out += util::format(
         "shard %zu: %zu agents, %llu RIB updates, %llu shed, %llu restarts, state=%s%s%s\n", i,
-        shard.agents, static_cast<unsigned long long>(shard.rib_updates),
-        static_cast<unsigned long long>(shard.ingest_shed),
-        static_cast<unsigned long long>(shard.master_restarts),
+        shard.agents, static_cast<unsigned long long>(shard.stats.updates_applied),
+        static_cast<unsigned long long>(shard.stats.ingest_shed()),
+        static_cast<unsigned long long>(shard.stats.master_restarts),
         ctrl::to_string(shard.overload_state), shard.recovering ? " (RECOVERING)" : "",
         alive ? "" : util::format(" [%s]", ctrl::to_string(shard.health)).c_str());
   }

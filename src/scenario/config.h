@@ -157,16 +157,14 @@ struct ScenarioRunSummary {
   std::vector<UeRunResult> ues;
   double duration_s = 0.0;
   std::int64_t master_cycles = 0;
-  std::uint64_t rib_updates = 0;
+  /// Every master counter, summed over the shards (ctrl::kShardStatFields).
+  ctrl::ShardStats fleet;
   /// Aggregate agent->master / master->agent signaling, Mb/s.
   double uplink_signaling_mbps = 0.0;
   double downlink_signaling_mbps = 0.0;
   // ---- fault-tolerance outcome (non-zero only for chaos scenarios) ----------
   std::uint64_t faults_injected = 0;
   std::uint32_t agent_reconnects = 0;
-  std::uint64_t requests_retried = 0;
-  std::uint64_t requests_failed = 0;
-  std::uint64_t fenced_updates = 0;
   /// Agents whose session is fully re-synced (state up) at the end.
   int agents_up = 0;
   int agents_total = 0;
@@ -177,31 +175,16 @@ struct ScenarioRunSummary {
   /// TTIs where neither the active VSF nor the fallback produced a valid
   /// decision. The containment invariant is that this stays 0.
   std::uint64_t unscheduled_slots = 0;
-  std::uint64_t policy_rollbacks = 0;
   /// Agents whose active DL scheduler is a non-quarantined implementation
   /// at the end of the run (should equal agents_total).
   int agents_on_valid_policy = 0;
   // ---- overload protection outcome (docs/overload_protection.md) ------------
   /// Master overload state at the end of the run (should be normal again
-  /// once a flood clears) and how often the state machine moved.
+  /// once a flood clears).
   ctrl::OverloadState overload_state = ctrl::OverloadState::normal;
-  std::uint64_t overload_transitions = 0;
-  /// Bounded-ingest accounting: messages shed / coalesced at admission,
-  /// and the peak queue footprint (the "bounded memory" invariant).
-  std::uint64_t ingest_shed = 0;
-  std::uint64_t ingest_coalesced = 0;
-  std::uint64_t ingest_peak_messages = 0;
-  std::uint64_t ingest_peak_bytes = 0;
-  std::uint64_t throttle_renegotiations = 0;
-  std::uint64_t updater_saturations = 0;
   // ---- master crash recovery outcome (docs/fault_tolerance.md) --------------
-  std::uint64_t master_restarts = 0;
-  std::uint64_t resyncs_paced = 0;
-  std::uint64_t commands_held = 0;
   /// Agent-side fence: messages from a stale master incarnation dropped.
   std::uint64_t fenced_incarnation_messages = 0;
-  std::uint64_t checkpoints_saved = 0;
-  std::uint64_t policies_repushed = 0;
   /// True when the run ended with recovery still in progress (bad).
   bool recovering_at_end = false;
   /// Crash-to-readiness-barrier time of the last recovery, ms (0 = none).
@@ -225,27 +208,16 @@ struct ScenarioRunSummary {
   std::size_t shards = 1;
   struct ShardSummary {
     std::size_t agents = 0;
-    std::uint64_t rib_updates = 0;
-    std::uint64_t ingest_shed = 0;
-    std::uint64_t master_restarts = 0;
+    ctrl::ShardStats stats;
     ctrl::OverloadState overload_state = ctrl::OverloadState::normal;
     bool recovering = false;
     ctrl::Coordinator::ShardHealth health = ctrl::Coordinator::ShardHealth::alive;
   };
   std::vector<ShardSummary> shard_summaries;
   // ---- shard failover outcome (docs/sharded_control.md "Shard failover") ----
-  std::uint64_t shards_failed = 0;
-  std::uint64_t agents_adopted = 0;
-  std::uint64_t warm_adoptions = 0;
-  std::uint64_t cold_adoptions = 0;
-  std::uint64_t agents_drained = 0;
-  /// Orphans no survivor could adopt (should stay 0 in every scenario).
-  std::size_t agents_orphaned = 0;
-  /// Adopted agents whose re-sync was still pending at the end (bad).
-  std::size_t failover_pending = 0;
-  /// Failure suspicion to last orphan re-homed / to every adoptee up, ms.
-  double orphan_window_ms = 0.0;
-  double failover_duration_ms = 0.0;
+  /// `agents_orphaned` and `failover_pending` should end at 0 in every
+  /// scenario.
+  ctrl::FailoverStats failover;
   // ---- runtime verification (docs/chaos_fuzzing.md) -------------------------
   /// Invariant checks the monitor ran (0 = monitor off) and violations it
   /// recorded; the first few violation details ride along for the CLI.

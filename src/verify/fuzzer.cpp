@@ -217,14 +217,16 @@ RunVerdict run_fuzz_spec(const scenario::ScenarioSpec& spec) {
     verdict.violated = true;
     verdict.reasons.push_back("a shard was still recovering at end");
   }
-  if (summary.agents_orphaned > 0) {
+  if (summary.failover.agents_orphaned > 0) {
     verdict.violated = true;
-    verdict.reasons.push_back(util::format("%zu agents orphaned", summary.agents_orphaned));
+    verdict.reasons.push_back(util::format(
+        "%llu agents orphaned", static_cast<unsigned long long>(summary.failover.agents_orphaned)));
   }
-  if (summary.failover_pending > 0) {
+  if (summary.failover.failover_pending > 0) {
     verdict.violated = true;
     verdict.reasons.push_back(
-        util::format("%zu adoptions still pending", summary.failover_pending));
+        util::format("%llu adoptions still pending",
+                     static_cast<unsigned long long>(summary.failover.failover_pending)));
   }
   return verdict;
 }

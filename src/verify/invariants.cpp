@@ -40,7 +40,7 @@ InvariantMonitor::InvariantMonitor(ctrl::Coordinator& coordinator, Mode mode)
   shards_.resize(coordinator.shard_count());
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     shards_[i].incarnation = coordinator.shard(i).incarnation();
-    shards_[i].version = coordinator.shard(i).snapshot_version();
+    shards_[i].stats = coordinator.shard(i).stats();
   }
 }
 
@@ -58,12 +58,17 @@ void InvariantMonitor::check_now() { check_cycle(coordinator_->cycles_run()); }
 void InvariantMonitor::check_cycle(std::int64_t cycle) {
   if (mode_ == Mode::off) return;
   ++checks_run_;
+  std::vector<ctrl::ShardStats> now;
+  for (std::size_t i = 0; i < coordinator_->shard_count(); ++i) {
+    now.push_back(coordinator_->shard(i).stats());
+  }
   record_digest(cycle);
   check_ownership(cycle);
-  check_monotonicity(cycle);
+  check_monotonicity(cycle, now);
   check_composite(cycle);
-  check_shard_counters(cycle);
+  check_shard_counters(cycle, now);
   check_quarantine_probes(cycle);
+  for (std::size_t i = 0; i < shards_.size(); ++i) shards_[i].stats = now[i];
 }
 
 // I1: every agent is owned by exactly one active shard. The assignment map
@@ -127,7 +132,8 @@ void InvariantMonitor::check_ownership(std::int64_t cycle) {
 // store is retained). Per-agent epochs only move forward within one
 // ownership span -- adoption or a master restart legitimately starts a new
 // span, so the baseline re-arms when the (shard, restarts) pair moves.
-void InvariantMonitor::check_monotonicity(std::int64_t cycle) {
+void InvariantMonitor::check_monotonicity(std::int64_t cycle,
+                                          const std::vector<ctrl::ShardStats>& now) {
   for (std::size_t i = 0; i < coordinator_->shard_count(); ++i) {
     const auto& core = coordinator_->shard(i);
     ShardBaseline& base = shards_[i];
@@ -139,14 +145,11 @@ void InvariantMonitor::check_monotonicity(std::int64_t cycle) {
     } else {
       base.incarnation = incarnation;
     }
-    const std::uint64_t version = core.snapshot_version();
-    if (version < base.version) {
+    if (now[i].snapshot_version < base.stats.snapshot_version) {
       report("version_monotonic", cycle,
              util::format("shard %zu snapshot version went %llu -> %llu", i,
-                          static_cast<unsigned long long>(base.version),
-                          static_cast<unsigned long long>(version)));
-    } else {
-      base.version = version;
+                          static_cast<unsigned long long>(base.stats.snapshot_version),
+                          static_cast<unsigned long long>(now[i].snapshot_version)));
     }
   }
 
@@ -158,7 +161,7 @@ void InvariantMonitor::check_monotonicity(std::int64_t cycle) {
     const auto& core = coordinator_->shard(shard);
     const ctrl::AgentNode* node = core.rib().find_agent(id);
     if (node == nullptr) continue;  // check_ownership already flagged it
-    const std::uint64_t restarts = core.master_restarts();
+    const std::uint64_t restarts = now[shard].master_restarts;
     auto [it, inserted] = agents_.try_emplace(id, AgentBaseline{shard, restarts, node->epoch});
     if (inserted) continue;
     AgentBaseline& base = it->second;
@@ -227,29 +230,28 @@ void InvariantMonitor::check_composite(std::int64_t cycle) {
   }
 }
 
-// I4 + I5: tripwire counters exposed by ShardCore. These are cumulative,
-// so the invariant is "never increases"; occupancy is re-checked directly
-// against the configured budget every cycle.
-void InvariantMonitor::check_shard_counters(std::int64_t cycle) {
+// I4 + I5: tripwire counters in ShardStats. These are cumulative, so the
+// invariant is "never increases"; occupancy is re-checked directly against
+// the configured budget every cycle.
+void InvariantMonitor::check_shard_counters(std::int64_t cycle,
+                                            const std::vector<ctrl::ShardStats>& now) {
   for (std::size_t i = 0; i < coordinator_->shard_count(); ++i) {
     const auto& core = coordinator_->shard(i);
-    ShardBaseline& base = shards_[i];
-    if (core.commands_sent_unresynced() > base.commands_sent_unresynced) {
+    const ctrl::ShardStats& prev = shards_[i].stats;
+    if (now[i].commands_sent_unresynced > prev.commands_sent_unresynced) {
       report("command_gating", cycle,
              util::format("shard %zu delivered %llu command(s) to non-re-synced agents while "
                           "recovering",
                           i,
-                          static_cast<unsigned long long>(core.commands_sent_unresynced() -
-                                                          base.commands_sent_unresynced)));
+                          static_cast<unsigned long long>(now[i].commands_sent_unresynced -
+                                                          prev.commands_sent_unresynced)));
     }
-    base.commands_sent_unresynced = core.commands_sent_unresynced();
-    if (core.handovers_while_recovering() > base.handovers_while_recovering) {
+    if (now[i].handovers_while_recovering > prev.handovers_while_recovering) {
       report("recovering_handover", cycle,
              util::format("shard %zu sourced %llu handover(s) while recovering", i,
-                          static_cast<unsigned long long>(core.handovers_while_recovering() -
-                                                          base.handovers_while_recovering)));
+                          static_cast<unsigned long long>(now[i].handovers_while_recovering -
+                                                          prev.handovers_while_recovering)));
     }
-    base.handovers_while_recovering = core.handovers_while_recovering();
 
     const net::QueueBudget& budget = core.ingest_budget();
     if (budget.enabled()) {
@@ -264,13 +266,12 @@ void InvariantMonitor::check_shard_counters(std::int64_t cycle) {
                             core.pending_bytes(), budget.max_bytes));
       }
     }
-    if (core.ingest_budget_overflows() > base.budget_overflows) {
+    if (now[i].ingest_budget_overflows > prev.ingest_budget_overflows) {
       report("queue_budget", cycle,
              util::format("shard %zu admitted %llu unsheddable message(s) past the budget", i,
-                          static_cast<unsigned long long>(core.ingest_budget_overflows() -
-                                                          base.budget_overflows)));
+                          static_cast<unsigned long long>(now[i].ingest_budget_overflows -
+                                                          prev.ingest_budget_overflows)));
     }
-    base.budget_overflows = core.ingest_budget_overflows();
   }
 }
 

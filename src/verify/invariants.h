@@ -86,12 +86,10 @@ class InvariantMonitor {
     std::uint64_t shard_restarts = 0;
     std::uint32_t epoch = 0;
   };
+  /// Each shard's state as of the previous check.
   struct ShardBaseline {
     std::uint32_t incarnation = 0;
-    std::uint64_t version = 0;
-    std::uint64_t commands_sent_unresynced = 0;
-    std::uint64_t handovers_while_recovering = 0;
-    std::uint64_t budget_overflows = 0;
+    ctrl::ShardStats stats;
   };
   struct QuarantineProbe {
     std::string label;
@@ -101,9 +99,9 @@ class InvariantMonitor {
 
   void check_cycle(std::int64_t cycle);
   void check_ownership(std::int64_t cycle);
-  void check_monotonicity(std::int64_t cycle);
+  void check_monotonicity(std::int64_t cycle, const std::vector<ctrl::ShardStats>& now);
   void check_composite(std::int64_t cycle);
-  void check_shard_counters(std::int64_t cycle);
+  void check_shard_counters(std::int64_t cycle, const std::vector<ctrl::ShardStats>& now);
   void check_quarantine_probes(std::int64_t cycle);
   void report(const char* invariant, std::int64_t cycle, std::string detail);
   void record_digest(std::int64_t cycle);

@@ -571,9 +571,9 @@ TEST(AgentEndToEnd, MasterSurvivesGarbageFromAgent) {
   testbed.run_ttis(50);
 
   // The RIB keeps updating normally afterwards.
-  const auto updates_before = testbed.master().updates_applied();
+  const auto updates_before = testbed.master().stats().updates_applied;
   testbed.run_ttis(50);
-  EXPECT_GT(testbed.master().updates_applied(), updates_before);
+  EXPECT_GT(testbed.master().stats().updates_applied, updates_before);
 }
 
 TEST(AgentEndToEnd, SignalingAccountingSeparatesCategories) {

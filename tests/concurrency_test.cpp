@@ -11,7 +11,7 @@
 
 #include "apps/monitoring.h"
 #include "apps/remote_scheduler.h"
-#include "controller/master.h"
+#include "controller/shard_core.h"
 #include "controller/rib_snapshot.h"
 #include "controller/rib_view.h"
 #include "controller/task_manager.h"
@@ -603,7 +603,7 @@ TEST(PipelinedMaster, EndToEndParallelCyclesServeTraffic) {
   testbed.master().quiesce();
 
   EXPECT_GT(scheduler->decisions_sent(), 100u);
-  EXPECT_GT(testbed.master().commands_flushed(), 100u);
+  EXPECT_GT(testbed.master().stats().commands_flushed, 100u);
   EXPECT_GT(testbed.master().snapshot_version(), 100u);
   EXPECT_GT(testbed.master().snapshot_publish_us().count(), 400u);
   EXPECT_GE(monitoring->snapshots_taken(), 1);

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "controller/master.h"
+#include "controller/shard_core.h"
 #include "controller/rib.h"
 #include "controller/task_manager.h"
 #include "scenario/testbed.h"
@@ -327,7 +327,8 @@ TEST(Observability, CycleTracesRecordEveryStageInline) {
   testbed.run_ttis(100);
 
   const auto& traces = testbed.master().cycle_traces();
-  EXPECT_EQ(traces.recorded(), static_cast<std::uint64_t>(testbed.master().cycles_run()));
+  EXPECT_EQ(traces.recorded(),
+            static_cast<std::uint64_t>(testbed.master().task_manager().cycles_run()));
   EXPECT_EQ(traces.updater_us().count(), traces.recorded());
   const auto kept = traces.snapshot();
   ASSERT_FALSE(kept.empty());
@@ -362,7 +363,8 @@ TEST(Observability, CycleTracesRecordWithPipelinedWorkers) {
   // In pipelined mode a cycle's trace completes when its app slot is
   // joined, so the final cycle may still be pending -- everything else
   // must be there.
-  EXPECT_GE(traces.recorded() + 1, static_cast<std::uint64_t>(testbed.master().cycles_run()));
+  EXPECT_GE(traces.recorded() + 1,
+            static_cast<std::uint64_t>(testbed.master().task_manager().cycles_run()));
   EXPECT_GT(traces.recorded(), 90u);
   std::uint64_t total_updates = 0;
   for (const auto& trace : traces.snapshot()) total_updates += trace.updates_applied;
@@ -385,7 +387,7 @@ TEST(Observability, RegistryExportsMigratedCounters) {
   EXPECT_NE(json.find("signaling_rx_bytes{agent=1,category=stats}"), std::string::npos);
   EXPECT_NE(json.find("\"overload_state\":"), std::string::npos);
   // Probes track the live values, not a snapshot from registration time.
-  const auto updates = testbed.master().updates_applied();
+  const auto updates = testbed.master().stats().updates_applied;
   EXPECT_NE(json.find("\"updates_applied\":" + std::to_string(updates)),
             std::string::npos)
       << json;

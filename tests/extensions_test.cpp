@@ -712,7 +712,7 @@ TEST(NonRealTime, CoarseCycleMasterStillManagesAgents) {
   ctrl::MasterConfig config = scenario::per_tti_master_config(10);
   config.task_manager.real_time = false;
   config.task_manager.cycle_us = 10'000;
-  ctrl::MasterController master(simulator, config);
+  ctrl::ShardCore master(simulator, config);
 
   lte::EnbConfig enb_config;
   enb_config.enb_id = 1;
@@ -741,7 +741,7 @@ TEST(NonRealTime, CoarseCycleMasterStillManagesAgents) {
   const auto* ue_node = master.rib().find_ue(1, rnti);
   ASSERT_NE(ue_node, nullptr);
   EXPECT_EQ(ue_node->stats.wb_cqi, 11);
-  EXPECT_EQ(master.cycles_run(), 100);
+  EXPECT_EQ(master.task_manager().cycles_run(), 100);
 }
 
 }  // namespace

@@ -124,10 +124,10 @@ TEST(SessionLifecycle, StaleEpochUpdatesAreFencedFromRib) {
   // A straggler from the pre-restart session: old epoch, absurd subframe.
   const std::int64_t sentinel = 77'777'777;
   ASSERT_TRUE(enb.agent_side->send(make_stale_stats_reply(/*epoch=*/1, sentinel)).ok());
-  const auto fenced_before = testbed.master().fenced_updates();
+  const auto fenced_before = testbed.master().stats().fenced_updates;
   testbed.run_ttis(20);
 
-  EXPECT_EQ(testbed.master().fenced_updates(), fenced_before + 1);
+  EXPECT_EQ(testbed.master().stats().fenced_updates, fenced_before + 1);
   const auto* node = testbed.master().rib().find_agent(enb.agent_id);
   ASSERT_NE(node, nullptr);
   EXPECT_LT(node->last_subframe, sentinel);
@@ -300,7 +300,7 @@ TEST(RequestTracking, TimedOutRequestIsRetriedAndCompletes) {
   auto& enb = testbed.add_enb(basic_spec());
   testbed.add_ue(0, fixed_ue(12));
   testbed.run_ttis(50);
-  ASSERT_EQ(testbed.master().requests_retried(), 0u);
+  ASSERT_EQ(testbed.master().stats().requests_retried, 0u);
 
   // Partition long enough to go down, then corrupt the first re-sync
   // requests after the heal: their replies never come and the timeout /
@@ -311,9 +311,9 @@ TEST(RequestTracking, TimedOutRequestIsRetriedAndCompletes) {
   enb.set_control_down(false);
   testbed.run_ttis(200);
 
-  EXPECT_GE(testbed.master().requests_retried(), 1u);
-  EXPECT_EQ(testbed.master().requests_failed(), 0u);
-  EXPECT_EQ(testbed.master().inflight_requests(), 0u);
+  EXPECT_GE(testbed.master().stats().requests_retried, 1u);
+  EXPECT_EQ(testbed.master().stats().requests_failed, 0u);
+  EXPECT_EQ(testbed.master().stats().inflight_requests, 0u);
   const auto* node = testbed.master().rib().find_agent(enb.agent_id);
   ASSERT_NE(node, nullptr);
   EXPECT_EQ(node->state, SessionState::up);
@@ -335,12 +335,12 @@ TEST(RequestTracking, ExhaustedRetriesSurfaceRequestTimeoutEvent) {
   request.mode = proto::ReportMode::one_off;
   request.flags = proto::stats_flags::kAll;
   ASSERT_TRUE(testbed.master().request_stats(enb.agent_id, request).ok());
-  EXPECT_EQ(testbed.master().inflight_requests(), 1u);
+  EXPECT_EQ(testbed.master().stats().inflight_requests, 1u);
 
   testbed.run_ttis(100);
-  EXPECT_EQ(testbed.master().inflight_requests(), 0u);
-  EXPECT_EQ(testbed.master().requests_retried(), 2u);
-  EXPECT_EQ(testbed.master().requests_failed(), 1u);
+  EXPECT_EQ(testbed.master().stats().inflight_requests, 0u);
+  EXPECT_EQ(testbed.master().stats().requests_retried, 2u);
+  EXPECT_EQ(testbed.master().stats().requests_failed, 1u);
   ASSERT_EQ(recorder->timed_out_xids.size(), 1u);
   EXPECT_NE(recorder->timed_out_xids[0], 0u);
   enb.set_control_down(false);
@@ -383,7 +383,7 @@ TEST(RequestTracking, RetriesKeepOriginalSignalingCategory) {
   ASSERT_GT(first_bytes, 0u);
 
   testbed.run_ttis(100);
-  EXPECT_EQ(testbed.master().requests_retried(), 2u);
+  EXPECT_EQ(testbed.master().stats().requests_retried, 2u);
   // All retries accounted in the stats bucket (not re-derived into another
   // category), each with the identical wire + frame-header size.
   EXPECT_EQ(tx.messages(proto::MessageCategory::stats), 3u);
@@ -400,7 +400,7 @@ TEST(RequestTracking, RemoveAgentPurgesQueuesAndInflight) {
   sim::Simulator sim;
   ctrl::MasterConfig config = scenario::per_tti_master_config();
   config.request_timeout_us = sim::from_ms(50);
-  ctrl::MasterController master(sim, config);
+  ctrl::ShardCore master(sim, config);
   auto* recorder =
       static_cast<LifecycleRecorder*>(master.add_app(std::make_unique<LifecycleRecorder>()));
   auto link_a = net::make_sim_transport_pair(sim);
@@ -420,15 +420,15 @@ TEST(RequestTracking, RemoveAgentPurgesQueuesAndInflight) {
   request.flags = proto::stats_flags::kAll;
   ASSERT_TRUE(master.request_stats(first, request).ok());
   ASSERT_TRUE(master.request_stats(second, request).ok());
-  EXPECT_EQ(master.inflight_requests(), 2u);
+  EXPECT_EQ(master.stats().inflight_requests, 2u);
 
   // The transport dies: the agent's session ends. Its in-flight request
   // fails and its queued updates are purged, but the AGENT_DISCONNECTED
   // event is now sitting in the event queue.
   link_a.a->inject_disconnect(util::Error::transport_failure("peer reset"));
   EXPECT_EQ(master.pending_updates(), 1u);
-  EXPECT_EQ(master.inflight_requests(), 1u);
-  const auto failed = master.requests_failed();
+  EXPECT_EQ(master.stats().inflight_requests, 1u);
+  const auto failed = master.stats().requests_failed;
   EXPECT_EQ(failed, 1u);
 
   // More state accumulates for the doomed agent before the removal.
@@ -436,13 +436,13 @@ TEST(RequestTracking, RemoveAgentPurgesQueuesAndInflight) {
   sim.run();
   ASSERT_TRUE(master.request_stats(first, request).ok());
   EXPECT_EQ(master.pending_updates(), 2u);
-  EXPECT_EQ(master.inflight_requests(), 2u);
+  EXPECT_EQ(master.stats().inflight_requests, 2u);
 
   master.remove_agent(first);
   EXPECT_EQ(master.pending_updates(), 1u);    // only the other agent's update
-  EXPECT_EQ(master.inflight_requests(), 1u);  // only the other agent's request
+  EXPECT_EQ(master.stats().inflight_requests, 1u);  // only the other agent's request
   // Administrative removal drops the request without reporting a failure.
-  EXPECT_EQ(master.requests_failed(), failed);
+  EXPECT_EQ(master.stats().requests_failed, failed);
 
   master.run_cycle();
   // The queued lifecycle event was purged with the agent: apps never see
@@ -548,7 +548,7 @@ TEST(Chaos, ScriptedFaultsEndFullyRecovered) {
   auto& crashed = testbed.enb(1);
   ASSERT_EQ(crashed.agent->session_epoch(), 2u);
   const std::int64_t sentinel = 88'888'888;
-  const auto fenced_before = testbed.master().fenced_updates();
+  const auto fenced_before = testbed.master().stats().fenced_updates;
   ASSERT_TRUE(crashed.agent_side->send(make_stale_stats_reply(/*epoch=*/1, sentinel)).ok());
 
   const std::uint64_t bytes_a_before =
@@ -568,13 +568,13 @@ TEST(Chaos, ScriptedFaultsEndFullyRecovered) {
   }
 
   // 2. No pre-restart-epoch message mutated the RIB.
-  EXPECT_EQ(testbed.master().fenced_updates(), fenced_before + 1);
+  EXPECT_EQ(testbed.master().stats().fenced_updates, fenced_before + 1);
   EXPECT_LT(testbed.master().rib().find_agent(crashed.agent_id)->last_subframe, sentinel);
 
   // 3. Every timed-out request was retried to completion or reported
   //    failed; nothing is left dangling.
-  EXPECT_EQ(testbed.master().inflight_requests(), 0u);
-  EXPECT_EQ(recorder->timed_out_xids.size(), testbed.master().requests_failed());
+  EXPECT_EQ(testbed.master().stats().inflight_requests, 0u);
+  EXPECT_EQ(recorder->timed_out_xids.size(), testbed.master().stats().requests_failed);
 
   // 4. Lifecycle events reached the apps.
   EXPECT_GE(recorder->reconnected.size(), 1u);
@@ -676,7 +676,7 @@ TEST(MasterRecovery, SessionStateMachineWalksTheTable) {
   const bool a_waiting = state_of(enb_a) == SessionState::resyncing;
   const bool b_waiting = state_of(enb_b) == SessionState::resyncing;
   EXPECT_TRUE(a_waiting || b_waiting) << "one re-sync should be deferred";
-  EXPECT_GE(testbed.master().resyncs_paced(), 1u);
+  EXPECT_GE(testbed.master().stats().resyncs_paced, 1u);
 
   testbed.run_ttis(500);
   EXPECT_EQ(state_of(enb_a), SessionState::up);
@@ -763,18 +763,18 @@ TEST(MasterRecovery, ColdRestartRebuildsAndHoldsCommands) {
   testbed.run_ttis(100);
 
   testbed.master().restart();
-  EXPECT_EQ(testbed.master().master_restarts(), 1u);
+  EXPECT_EQ(testbed.master().stats().master_restarts, 1u);
   EXPECT_TRUE(testbed.master().recovering());
   EXPECT_FALSE(testbed.master().checkpoint_loaded());
 
   // A command against a not-yet-re-synced agent is held, not delivered.
-  const auto held_before = testbed.master().commands_held();
+  const auto held_before = testbed.master().stats().commands_held;
   proto::DlMacConfig decision;
   decision.cell_id = 1;
   decision.target_subframe = 1;
   auto status = testbed.master().send_dl_mac_config(enb_a.agent_id, decision);
   EXPECT_FALSE(status.ok());
-  EXPECT_EQ(testbed.master().commands_held(), held_before + 1);
+  EXPECT_EQ(testbed.master().stats().commands_held, held_before + 1);
 
   testbed.run_ttis(500);
   EXPECT_FALSE(testbed.master().recovering());
@@ -808,7 +808,7 @@ TEST(MasterRecovery, WarmRestartLoadsCheckpointAndRepushesPolicies) {
                     .ok());
   }
   testbed.run_ttis(200);  // policies applied + at least one checkpoint after
-  ASSERT_GT(testbed.master().checkpoints_saved(), 0u);
+  ASSERT_GT(testbed.master().stats().checkpoints_saved, 0u);
   ASSERT_TRUE(sink->has_checkpoint());
 
   testbed.master().restart();
@@ -825,7 +825,7 @@ TEST(MasterRecovery, WarmRestartLoadsCheckpointAndRepushesPolicies) {
   testbed.run_ttis(400);
   EXPECT_FALSE(testbed.master().recovering());
   EXPECT_EQ(testbed.master().agents_resynced(), 2u);
-  EXPECT_EQ(testbed.master().policies_repushed(), 2u);
+  EXPECT_EQ(testbed.master().stats().policies_repushed, 2u);
   for (auto* enb : {&enb_a, &enb_b}) {
     const auto* node = testbed.master().rib().find_agent(enb->agent_id);
     EXPECT_EQ(node->state, SessionState::up);
@@ -875,16 +875,16 @@ TEST(MasterRecovery, CheckpointWriteFailuresRetryWithBackoff) {
   sink->fail_next_saves(2);
   testbed.run_ttis(400);
 
-  EXPECT_EQ(testbed.master().checkpoint_write_failures(), 2u);
+  EXPECT_EQ(testbed.master().stats().checkpoint_write_failures, 2u);
   EXPECT_EQ(sink->saves_failed(), 2u);
   // Both failures were retried inside the run: a good checkpoint exists
   // and regular-period checkpointing resumed after the recovery.
   ASSERT_TRUE(sink->has_checkpoint());
-  EXPECT_GT(testbed.master().checkpoints_saved(), 0u);
+  EXPECT_GT(testbed.master().stats().checkpoints_saved, 0u);
   // 400 ttis / 100 ms period = ~4 regular slots; the 10-20 ms backoff
   // retries squeeze the two failed attempts in without eating a slot.
-  EXPECT_GE(testbed.master().checkpoints_saved() +
-                testbed.master().checkpoint_write_failures(),
+  EXPECT_GE(testbed.master().stats().checkpoints_saved +
+                testbed.master().stats().checkpoint_write_failures,
             4u);
 }
 

@@ -166,8 +166,8 @@ TEST(Integration, ThreeAgentsSixteenUesRunStably) {
       EXPECT_TRUE(testbed.enb(e).data_plane->ue(rnti)->connected());
     }
   }
-  EXPECT_GT(testbed.master().cycles_run(), 490);
-  EXPECT_GT(testbed.master().updates_applied(), 1000u);
+  EXPECT_GT(testbed.master().task_manager().cycles_run(), 490);
+  EXPECT_GT(testbed.master().stats().updates_applied, 1000u);
   // The updater keeps up: at most one tick's worth of messages in flight.
   EXPECT_LT(testbed.master().pending_updates(), 20u);
 }
@@ -203,7 +203,7 @@ TEST(Integration, IdenticalSeedsProduceIdenticalRuns) {
       out.push_back(testbed.metrics().total_bytes(1, rnti, lte::Direction::downlink));
     }
     out.push_back(enb.agent->tx_accounting().total_bytes());
-    out.push_back(testbed.master().updates_applied());
+    out.push_back(testbed.master().stats().updates_applied);
     return out;
   };
   EXPECT_EQ(run_once(), run_once());

@@ -227,8 +227,8 @@ TEST(OverloadEndToEnd, DisabledBudgetIsInert) {
   testbed.run_ttis(500);
   // Seed behavior: everything is admitted and applied, nothing shed or
   // throttled, no state machine movement.
-  EXPECT_EQ(testbed.master().ingest_shed(), 0u);
-  EXPECT_EQ(testbed.master().overload_transitions(), 0u);
+  EXPECT_EQ(testbed.master().stats().ingest_shed(), 0u);
+  EXPECT_EQ(testbed.master().stats().overload_transitions, 0u);
   EXPECT_EQ(testbed.master().overload_state(), OverloadState::normal);
   EXPECT_EQ(testbed.master().throttle_multiplier(), 1u);
   EXPECT_EQ(enb.agent->reports().throttle(), 1u);
@@ -247,21 +247,25 @@ TEST(OverloadEndToEnd, FloodShedsOnlyStatsAndStaysBounded) {
   testbed.run_ttis(1000);
 
   auto& master = testbed.master();
+  const ctrl::ShardStats stats = master.stats();
+  const auto shed = [&stats](TrafficClass cls) {
+    return stats.ingest[static_cast<std::size_t>(cls)].shed;
+  };
   // Statistics gave way...
-  EXPECT_GT(master.ingest_shed(), 0u);
-  EXPECT_GT(master.ingest_counters(TrafficClass::stats).shed, 0u);
+  EXPECT_GT(stats.ingest_shed(), 0u);
+  EXPECT_GT(shed(TrafficClass::stats), 0u);
   // ...but the protected classes never did, and nothing overflowed the
   // budget.
-  EXPECT_EQ(master.ingest_counters(TrafficClass::session).shed, 0u);
-  EXPECT_EQ(master.ingest_counters(TrafficClass::command).shed, 0u);
-  EXPECT_EQ(master.ingest_counters(TrafficClass::config).shed, 0u);
-  EXPECT_EQ(master.ingest_budget_overflows(), 0u);
+  EXPECT_EQ(shed(TrafficClass::session), 0u);
+  EXPECT_EQ(shed(TrafficClass::command), 0u);
+  EXPECT_EQ(shed(TrafficClass::config), 0u);
+  EXPECT_EQ(stats.ingest_budget_overflows, 0u);
   // Queue memory bounded by the configured budget.
-  EXPECT_LE(master.pending_peak_messages(), 24u);
-  EXPECT_LE(master.pending_peak_bytes(), 16384u);
+  EXPECT_LE(stats.ingest_peak_messages, 24u);
+  EXPECT_LE(stats.ingest_peak_bytes, 16384u);
   // The watchdog reacted and the throttle engaged; the agent picked the
   // multiplier up from the envelope hint.
-  EXPECT_GT(master.overload_transitions(), 0u);
+  EXPECT_GT(stats.overload_transitions, 0u);
   EXPECT_EQ(master.overload_state(), OverloadState::critical);
   EXPECT_GT(master.throttle_multiplier(), 1u);
   EXPECT_EQ(enb.agent->reports().throttle(), master.throttle_multiplier());
@@ -278,7 +282,7 @@ TEST(OverloadEndToEnd, RecoversAfterFloodClears) {
 
   flood_reports(enb, 60);
   testbed.run_ttis(800);
-  ASSERT_GT(testbed.master().overload_transitions(), 0u);
+  ASSERT_GT(testbed.master().stats().overload_transitions, 0u);
 
   clear_flood(enb, 60);
   // recovery_cycles=100 per level plus window aging: well within 2 s.
@@ -317,7 +321,7 @@ TEST(OverloadEndToEnd, ReportFloodFaultInjectsAndCancels) {
   // remain.
   EXPECT_LT(enb.agent->reports().active_registrations(), 50u);
   EXPECT_EQ(injector.faults_injected(), 1u);
-  EXPECT_GT(testbed.master().ingest_shed(), 0u);
+  EXPECT_GT(testbed.master().stats().ingest_shed(), 0u);
 }
 
 }  // namespace

@@ -121,7 +121,7 @@ TEST(ScenarioConfig, RunsLocalSchedulingScenario) {
   EXPECT_GT(summary.ues[0].dl_mbps, 15.0);           // full buffer at CQI 15
   EXPECT_NEAR(summary.ues[1].dl_mbps, 2.0, 0.4);     // CBR delivered
   EXPECT_EQ(summary.master_cycles, 1500);
-  EXPECT_GT(summary.rib_updates, 1000u);
+  EXPECT_GT(summary.fleet.updates_applied, 1000u);
   EXPECT_GT(summary.uplink_signaling_mbps, 0.1);
 
   const auto text = format_summary(summary);

@@ -221,22 +221,22 @@ TEST(ShardIsolation, OneShardCrashLeavesOtherShardsRunning) {
   crash.duration_s = 0.3;
   injector.schedule(crash);
 
-  const auto shard1_cycles_before = coordinator.shard(1).cycles_run();
-  const auto shard1_updates_before = coordinator.shard(1).updates_applied();
+  const auto shard1_cycles_before = coordinator.shard(1).task_manager().cycles_run();
+  const auto shard1_updates_before = coordinator.shard(1).stats().updates_applied;
   testbed.run_seconds(0.5);  // t = 1.0s: inside + just past the dead window
 
   // The crashed shard restarted; its peer never stopped cycling or
   // applying RIB updates, and its agent never left `up`.
-  EXPECT_EQ(coordinator.shard(0).master_restarts(), 1u);
-  EXPECT_EQ(coordinator.shard(1).master_restarts(), 0u);
-  EXPECT_GT(coordinator.shard(1).cycles_run(), shard1_cycles_before + 400);
-  EXPECT_GT(coordinator.shard(1).updates_applied(), shard1_updates_before);
+  EXPECT_EQ(coordinator.shard(0).stats().master_restarts, 1u);
+  EXPECT_EQ(coordinator.shard(1).stats().master_restarts, 0u);
+  EXPECT_GT(coordinator.shard(1).task_manager().cycles_run(), shard1_cycles_before + 400);
+  EXPECT_GT(coordinator.shard(1).stats().updates_applied, shard1_updates_before);
   EXPECT_EQ(coordinator.shard(1).rib().find_agent(enb1.agent_id)->state, SessionState::up);
 
   testbed.run_seconds(1.0);  // let shard 0's fleet re-sync
   EXPECT_FALSE(coordinator.any_recovering());
   EXPECT_EQ(coordinator.shard(0).rib().find_agent(enb0.agent_id)->state, SessionState::up);
-  EXPECT_EQ(coordinator.master_restarts(), 1u);
+  EXPECT_EQ(coordinator.stats().master_restarts, 1u);
 }
 
 // ------------------------------------------------------------- checkpoints --
@@ -307,18 +307,18 @@ TEST(ShardFailover, KillShardWarmAdoptionResumesService) {
 
   auto& coordinator = testbed.coordinator();
   ASSERT_EQ(coordinator.shard(0).rib().find_agent(enb0.agent_id)->state, SessionState::up);
-  ASSERT_GT(coordinator.shard(0).checkpoints_saved(), 0u);
+  ASSERT_GT(coordinator.shard(0).stats().checkpoints_saved, 0u);
 
   const auto adopted = coordinator.kill_shard(0);
   EXPECT_EQ(adopted, 2u);
   EXPECT_EQ(coordinator.shard_health(0), Coordinator::ShardHealth::failed);
-  EXPECT_EQ(coordinator.shards_failed(), 1u);
-  EXPECT_EQ(coordinator.agents_adopted(), 2u);
+  EXPECT_EQ(coordinator.failover_stats().shards_failed, 1u);
+  EXPECT_EQ(coordinator.failover_stats().agents_adopted, 2u);
   // The dead shard's checkpoint covered both agents: every adoption is a
   // warm handoff seeding the adopter for a delta re-sync.
-  EXPECT_EQ(coordinator.warm_adoptions(), 2u);
-  EXPECT_EQ(coordinator.cold_adoptions(), 0u);
-  EXPECT_EQ(coordinator.agents_orphaned(), 0u);
+  EXPECT_EQ(coordinator.failover_stats().warm_adoptions, 2u);
+  EXPECT_EQ(coordinator.failover_stats().cold_adoptions, 0u);
+  EXPECT_EQ(coordinator.failover_stats().agents_orphaned, 0u);
   EXPECT_EQ(coordinator.shard_of(enb0.agent_id), 1u);
   EXPECT_EQ(coordinator.shard_of(enb1.agent_id), 1u);
   // Assignment and composite move atomically: the adoptees are visible
@@ -335,10 +335,10 @@ TEST(ShardFailover, KillShardWarmAdoptionResumesService) {
   EXPECT_EQ(survivor.rib().find_agent(enb2.agent_id)->state, SessionState::up);
   // Blast radius: adoption is not a restart -- the survivor's own agents
   // never flapped and its restart counter never moved.
-  EXPECT_EQ(survivor.master_restarts(), 0u);
+  EXPECT_EQ(survivor.stats().master_restarts, 0u);
   EXPECT_FALSE(coordinator.any_recovering());
-  EXPECT_EQ(coordinator.failover_pending(), 0u);
-  EXPECT_GT(coordinator.last_failover_duration(), 0);
+  EXPECT_EQ(coordinator.failover_stats().failover_pending, 0u);
+  EXPECT_GT(coordinator.failover_stats().failover_duration_us, 0);
 
   // Commands flow to the adoptees through the normal routed surface.
   proto::DrxConfig drx;
@@ -348,7 +348,7 @@ TEST(ShardFailover, KillShardWarmAdoptionResumesService) {
 
   // Killing an already-failed shard is a no-op.
   EXPECT_EQ(coordinator.kill_shard(0), 0u);
-  EXPECT_EQ(coordinator.shards_failed(), 1u);
+  EXPECT_EQ(coordinator.failover_stats().shards_failed, 1u);
 }
 
 TEST(ShardFailover, ColdAdoptionWithoutCheckpointStillRecovers) {
@@ -360,14 +360,14 @@ TEST(ShardFailover, ColdAdoptionWithoutCheckpointStillRecovers) {
   auto& coordinator = testbed.coordinator();
   EXPECT_EQ(coordinator.kill_shard(0), 1u);
   // No checkpoint sink: the adoption is cold -- full config re-fetch.
-  EXPECT_EQ(coordinator.cold_adoptions(), 1u);
-  EXPECT_EQ(coordinator.warm_adoptions(), 0u);
+  EXPECT_EQ(coordinator.failover_stats().cold_adoptions, 1u);
+  EXPECT_EQ(coordinator.failover_stats().warm_adoptions, 0u);
 
   testbed.run_seconds(1.5);
   EXPECT_EQ(coordinator.shard(1).rib().find_agent(enb0.agent_id)->state, SessionState::up);
   EXPECT_EQ(coordinator.shard(1).rib().find_agent(enb1.agent_id)->state, SessionState::up);
-  EXPECT_EQ(coordinator.shard(1).master_restarts(), 0u);
-  EXPECT_EQ(coordinator.failover_pending(), 0u);
+  EXPECT_EQ(coordinator.shard(1).stats().master_restarts, 0u);
+  EXPECT_EQ(coordinator.failover_stats().failover_pending, 0u);
 }
 
 TEST(ShardFailover, ThrowingShardIsFailedAndItsFleetAdopted) {
@@ -384,7 +384,7 @@ TEST(ShardFailover, ThrowingShardIsFailedAndItsFleetAdopted) {
 
   testbed.run_seconds(1.5);
   EXPECT_EQ(coordinator.shard(1).rib().find_agent(enb0.agent_id)->state, SessionState::up);
-  EXPECT_EQ(coordinator.shard(1).master_restarts(), 0u);
+  EXPECT_EQ(coordinator.shard(1).stats().master_restarts, 0u);
 }
 
 TEST(ShardFailover, StallWatchdogFailsASilentShard) {
@@ -402,7 +402,7 @@ TEST(ShardFailover, StallWatchdogFailsASilentShard) {
   EXPECT_EQ(coordinator.shard_health(0), Coordinator::ShardHealth::failed);
   EXPECT_EQ(coordinator.shard_of(enb0.agent_id), 1u);
   // The orphan window is measured from stall onset, not from the verdict.
-  EXPECT_GT(coordinator.last_orphan_window(), 0);
+  EXPECT_GT(coordinator.failover_stats().orphan_window_us, 0);
 
   testbed.run_seconds(1.5);
   EXPECT_EQ(coordinator.shard(1).rib().find_agent(enb0.agent_id)->state, SessionState::up);
@@ -437,22 +437,22 @@ TEST(ShardDrain, PacedMigrationEndsDrained) {
   EXPECT_FALSE(coordinator.drain_shard(1).ok());
 
   testbed.run_ttis(1);
-  EXPECT_EQ(coordinator.agents_drained(), 1u) << "one agent per coordinator cycle";
+  EXPECT_EQ(coordinator.failover_stats().agents_drained, 1u) << "one agent per coordinator cycle";
   testbed.run_ttis(3);
-  EXPECT_EQ(coordinator.agents_drained(), 2u);
+  EXPECT_EQ(coordinator.failover_stats().agents_drained, 2u);
   EXPECT_EQ(coordinator.shard_health(0), Coordinator::ShardHealth::drained);
   EXPECT_EQ(coordinator.shard_of(enb0.agent_id), 1u);
   EXPECT_EQ(coordinator.shard_of(enb1.agent_id), 1u);
   // A live export accompanied every move: planned migration is always warm.
-  EXPECT_EQ(coordinator.warm_adoptions(), 2u);
-  EXPECT_EQ(coordinator.shards_failed(), 0u);
+  EXPECT_EQ(coordinator.failover_stats().warm_adoptions, 2u);
+  EXPECT_EQ(coordinator.failover_stats().shards_failed, 0u);
 
   testbed.run_seconds(1.5);
   EXPECT_EQ(coordinator.shard(1).rib().find_agent(enb0.agent_id)->state, SessionState::up);
   EXPECT_EQ(coordinator.shard(1).rib().find_agent(enb1.agent_id)->state, SessionState::up);
   EXPECT_EQ(coordinator.shard(1).rib().find_agent(enb2.agent_id)->state, SessionState::up);
-  EXPECT_EQ(coordinator.shard(1).master_restarts(), 0u);
-  EXPECT_EQ(coordinator.failover_pending(), 0u);
+  EXPECT_EQ(coordinator.shard(1).stats().master_restarts, 0u);
+  EXPECT_EQ(coordinator.failover_stats().failover_pending, 0u);
 
   // A drained shard cannot be drained again (and is skipped by placement).
   EXPECT_FALSE(coordinator.drain_shard(0).ok());
@@ -565,7 +565,7 @@ TEST(CompositeSnapshot, MembershipChangesListEveryAgentOnce) {
   // Agents move between shards one per cycle while shard 0 drains.
   ASSERT_TRUE(coordinator.drain_shard(0).ok());
   testbed.run_ttis(1);
-  ASSERT_EQ(coordinator.agents_drained(), 1u);
+  ASSERT_EQ(coordinator.failover_stats().agents_drained, 1u);
   EXPECT_EQ(composite_ids(coordinator, *coordinator.rib_snapshot()), all) << "mid-drain";
   testbed.run_ttis(3);
   ASSERT_EQ(coordinator.shard_health(0), Coordinator::ShardHealth::drained);
@@ -603,12 +603,12 @@ TEST(ShardedCheckpoints, WrongShardCheckpointIsRejectedOnRestore) {
   ASSERT_TRUE(coordinator.shard(0).save_checkpoint().ok());
 
   coordinator.shard(1).restart();
-  EXPECT_EQ(coordinator.shard(1).checkpoints_rejected(), 1u);
+  EXPECT_EQ(coordinator.shard(1).stats().checkpoints_rejected, 1u);
   EXPECT_FALSE(coordinator.shard(1).checkpoint_loaded());
 
   // The shard that wrote it restores it fine.
   coordinator.shard(0).restart();
-  EXPECT_EQ(coordinator.shard(0).checkpoints_rejected(), 0u);
+  EXPECT_EQ(coordinator.shard(0).stats().checkpoints_rejected, 0u);
   EXPECT_TRUE(coordinator.shard(0).checkpoint_loaded());
 }
 
@@ -641,6 +641,61 @@ TEST(ShardedObs, SharedRegistryKeepsPerShardMetricIdentities) {
   EXPECT_EQ(single_text.find("cycles_run{"), std::string::npos);
 }
 
+// The decoder anomaly count is process-wide, so it is one series however
+// many shards register it -- summing it over `shard` must not multiply it.
+TEST(ShardedObs, ProcessWideDecodeAnomaliesExportOnce) {
+  auto config = scenario::per_tti_master_config();
+  config.obs.enabled = true;
+  Testbed testbed(config, 2);
+  testbed.add_enb(spec(1, 0));
+  testbed.add_enb(spec(2, 1));
+  testbed.run_ttis(10);
+
+  const auto text = testbed.coordinator().metrics().prometheus_text();
+  std::size_t series = 0;
+  for (auto at = text.find("proto_decode_anomalies"); at != std::string::npos;
+       at = text.find("proto_decode_anomalies", at + 1)) {
+    ++series;
+  }
+  EXPECT_EQ(series, 1u);
+  EXPECT_NE(text.find("proto_decode_anomalies "), std::string::npos);
+}
+
+// One table drives both the per-shard probes and the fleet fold: every
+// exported counter reads its shard's ShardStats field, and the
+// Coordinator's sum matches field by field.
+TEST(ShardedObs, StatsTableDrivesProbesAndFleetSums) {
+  auto config = scenario::per_tti_master_config();
+  config.obs.enabled = true;
+  Testbed testbed(config, 2);
+  testbed.add_enb(spec(1, 0));
+  testbed.add_enb(spec(2, 1));
+  testbed.add_enb(spec(3, 1));
+  testbed.run_ttis(200);
+
+  auto& coordinator = testbed.coordinator();
+  const auto text = coordinator.metrics().prometheus_text();
+  const ctrl::ShardStats fleet = coordinator.stats();
+  const ctrl::ShardStats per_shard[] = {coordinator.shard(0).stats(),
+                                        coordinator.shard(1).stats()};
+  EXPECT_GT(fleet.updates_applied, per_shard[0].updates_applied);
+  for (const auto& f : ctrl::kShardStatFields) {
+    EXPECT_EQ(fleet.*f.field, per_shard[0].*f.field + per_shard[1].*f.field);
+    if (f.name == nullptr) continue;
+    for (int shard = 0; shard < 2; ++shard) {
+      const std::string line = std::string(f.name) + "{shard=\"" + std::to_string(shard) +
+                               "\"} " + std::to_string(per_shard[shard].*f.field) + "\n";
+      EXPECT_NE(text.find(line), std::string::npos) << line;
+    }
+  }
+  for (std::size_t cls = 0; cls < net::kNumTrafficClasses; ++cls) {
+    for (const auto& f : ctrl::kIngestClassFields) {
+      EXPECT_EQ(fleet.ingest[cls].*f.field,
+                per_shard[0].ingest[cls].*f.field + per_shard[1].ingest[cls].*f.field);
+    }
+  }
+}
+
 // ----------------------------------------- failover edge cases (monitored) --
 
 // Renders the monitor's findings so a regression fails with the actual
@@ -667,15 +722,15 @@ TEST(ShardFailover, KillDuringActiveDrainAdoptsTheRest) {
   auto& coordinator = testbed.coordinator();
   ASSERT_TRUE(coordinator.drain_shard(0).ok());
   testbed.run_ttis(1);
-  ASSERT_EQ(coordinator.agents_drained(), 1u);  // mid-drain: one moved, one queued
+  ASSERT_EQ(coordinator.failover_stats().agents_drained, 1u);  // mid-drain: one moved, one queued
 
   coordinator.kill_shard(0);
   EXPECT_EQ(coordinator.shard_health(0), Coordinator::ShardHealth::failed);
   // The queued remainder went through adoption, not the drain (every
   // re-home -- drained or failed-over -- counts in agents_adopted).
-  EXPECT_EQ(coordinator.agents_drained(), 1u);
-  EXPECT_EQ(coordinator.agents_adopted(), 2u);
-  EXPECT_EQ(coordinator.agents_orphaned(), 0u);
+  EXPECT_EQ(coordinator.failover_stats().agents_drained, 1u);
+  EXPECT_EQ(coordinator.failover_stats().agents_adopted, 2u);
+  EXPECT_EQ(coordinator.failover_stats().agents_orphaned, 0u);
   EXPECT_EQ(coordinator.shard_of(enb0.agent_id), 1u);
   EXPECT_EQ(coordinator.shard_of(enb1.agent_id), 1u);
 
@@ -684,7 +739,7 @@ TEST(ShardFailover, KillDuringActiveDrainAdoptsTheRest) {
   EXPECT_EQ(survivor.rib().find_agent(enb0.agent_id)->state, SessionState::up);
   EXPECT_EQ(survivor.rib().find_agent(enb1.agent_id)->state, SessionState::up);
   EXPECT_EQ(survivor.rib().find_agent(enb2.agent_id)->state, SessionState::up);
-  EXPECT_EQ(coordinator.failover_pending(), 0u);
+  EXPECT_EQ(coordinator.failover_stats().failover_pending, 0u);
   // After the abandoned drain, a fresh drain elsewhere is legal again.
   EXPECT_FALSE(coordinator.drain_shard(0).ok());  // dead shards stay refused
   EXPECT_EQ(monitor.violations_total(), 0u) << violations_text(monitor);
@@ -716,7 +771,7 @@ TEST(ShardFailover, KillWhileVictimStillRecovering) {
   EXPECT_EQ(coordinator.shard(1).rib().find_agent(enb0.agent_id)->state, SessionState::up);
   EXPECT_EQ(coordinator.shard(1).rib().find_agent(enb1.agent_id)->state, SessionState::up);
   EXPECT_FALSE(coordinator.any_recovering());
-  EXPECT_EQ(coordinator.failover_pending(), 0u);
+  EXPECT_EQ(coordinator.failover_stats().failover_pending, 0u);
   EXPECT_EQ(monitor.violations_total(), 0u) << violations_text(monitor);
 }
 
@@ -735,8 +790,8 @@ TEST(ShardFailover, BackToBackKillsLeaveOneSurvivor) {
   auto& coordinator = testbed.coordinator();
   coordinator.kill_shard(0);
   coordinator.kill_shard(1);
-  EXPECT_EQ(coordinator.shards_failed(), 2u);
-  EXPECT_EQ(coordinator.agents_orphaned(), 0u);
+  EXPECT_EQ(coordinator.failover_stats().shards_failed, 2u);
+  EXPECT_EQ(coordinator.failover_stats().agents_orphaned, 0u);
   EXPECT_EQ(coordinator.shard_of(enb0.agent_id), 2u);
   EXPECT_EQ(coordinator.shard_of(enb1.agent_id), 2u);
   EXPECT_EQ(coordinator.shard_of(enb2.agent_id), 2u);
@@ -746,8 +801,8 @@ TEST(ShardFailover, BackToBackKillsLeaveOneSurvivor) {
   EXPECT_EQ(survivor.rib().find_agent(enb0.agent_id)->state, SessionState::up);
   EXPECT_EQ(survivor.rib().find_agent(enb1.agent_id)->state, SessionState::up);
   EXPECT_EQ(survivor.rib().find_agent(enb2.agent_id)->state, SessionState::up);
-  EXPECT_EQ(survivor.master_restarts(), 0u);
-  EXPECT_EQ(coordinator.failover_pending(), 0u);
+  EXPECT_EQ(survivor.stats().master_restarts, 0u);
+  EXPECT_EQ(coordinator.failover_stats().failover_pending, 0u);
   EXPECT_EQ(monitor.violations_total(), 0u) << violations_text(monitor);
 }
 

@@ -394,7 +394,7 @@ TEST(PolicyAtomicity, RejectedRemotePolicyReportsVerdictToMaster) {
 
   EXPECT_EQ(enb.agent->policies_rejected(), 1u);
   EXPECT_EQ(enb.agent->policies_applied(), 0u);
-  EXPECT_EQ(testbed.master().policies_rejected(), 1u);
+  EXPECT_EQ(testbed.master().stats().policies_rejected, 1u);
   // Nothing entered the last-known-good history.
   EXPECT_EQ(testbed.master().last_known_good_policy(enb.agent_id), "");
 }
@@ -420,7 +420,7 @@ TEST(MasterRollback, QuarantineRollsBackToLastKnownGood) {
   testbed.run_ttis(60);
   testbed.master().quiesce();
 
-  EXPECT_EQ(testbed.master().policy_rollbacks(), 1u);
+  EXPECT_EQ(testbed.master().stats().policy_rollbacks, 1u);
   // The faulty policy was purged from history; the survivor is the good one.
   EXPECT_EQ(testbed.master().last_known_good_policy(enb.agent_id), kGoodPolicy);
   // The rolled-back policy reached the agent and applied.
@@ -452,7 +452,7 @@ TEST(MasterRollback, RemoteSchedulerDemotesOnQuarantineAndRecovers) {
   // degradation path the latency fallback uses.
   EXPECT_EQ(remote->demotions(), 1u);
   EXPECT_FALSE(remote->is_demoted(enb.agent_id));
-  EXPECT_EQ(testbed.master().policy_rollbacks(), 1u);
+  EXPECT_EQ(testbed.master().stats().policy_rollbacks, 1u);
 }
 
 // ---------------------------------------------------- scenario integration --
@@ -483,7 +483,7 @@ TEST(ScenarioIntegration, VsfFaultKindsParseAndRunContained) {
   const auto summary = scenario::run_scenario(*spec);
   EXPECT_EQ(summary.vsf_quarantines, 2u);
   EXPECT_GE(summary.vsf_failures, 6u);
-  EXPECT_GE(summary.policy_rollbacks, 1u);
+  EXPECT_GE(summary.fleet.policy_rollbacks, 1u);
   EXPECT_EQ(summary.unscheduled_slots, 0u);
   EXPECT_EQ(summary.agents_on_valid_policy, summary.agents_total);
 }

@@ -188,8 +188,8 @@ int main(int argc, char** argv) {
     };
     if (summary.agents_up != summary.agents_total) violation("not every agent ended up");
     if (summary.recovering_at_end) violation("a shard was still recovering at the end");
-    if (summary.agents_orphaned > 0) violation("orphaned agents were never adopted");
-    if (summary.failover_pending > 0) violation("adopted agents never finished re-sync");
+    if (summary.failover.agents_orphaned > 0) violation("orphaned agents were never adopted");
+    if (summary.failover.failover_pending > 0) violation("adopted agents never finished re-sync");
     if (summary.invariant_violations > 0) violation("runtime invariants were violated");
     if (bad > 0) return 1;
     std::printf("check: ok (%d/%d agents up)\n", summary.agents_up, summary.agents_total);
