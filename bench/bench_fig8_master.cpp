@@ -144,13 +144,7 @@ class StallApp final : public ctrl::App {
     const auto snapshot = api.rib_snapshot();
     const auto* agent = snapshot->find_agent(agent_);
     if (agent != nullptr) {
-      for (const auto& [cell_id, cell] : agent->cells) {
-        (void)cell_id;
-        for (const auto& [rnti, ue] : cell.ues) {
-          (void)rnti;
-          checksum_ += ue.stats.wb_cqi;
-        }
-      }
+      for (const auto& ue : agent->ues) checksum_ += ue.stats.wb_cqi;
     }
     std::this_thread::sleep_for(std::chrono::microseconds(stall_us_));
     (void)api.send_policy(agent_, "sweep");
@@ -173,10 +167,7 @@ class SweepMonitorApp final : public ctrl::App {
     const auto snapshot = api.rib_snapshot();
     for (const auto& [id, agent] : snapshot->agents()) {
       (void)id;
-      for (const auto& [cell_id, cell] : agent->cells) {
-        (void)cell_id;
-        ues_seen_ += cell.ues.size();
-      }
+      ues_seen_ += agent->ues.size();
     }
   }
 
@@ -201,11 +192,10 @@ SweepResult run_sweep(int workers, int n_agents, int cycles, std::int64_t stall_
     auto& agent = rib.agent(id);
     agent.id = id;
     agent.enb_id = id;
-    auto& cell = agent.cells[id];
-    cell.config.bandwidth_mhz = 10.0;
+    agent.cell(id).config.bandwidth_mhz = 10.0;
     for (lte::Rnti rnti = 70; rnti < 86; ++rnti) {  // 16 UEs per agent
-      auto& ue = cell.ues[rnti];
-      ue.rnti = rnti;
+      auto& ue = agent.ues[agent.upsert_ue(rnti)];
+      ue.cell = id;
       ue.stats.wb_cqi = 10;
     }
   }
@@ -227,13 +217,7 @@ SweepResult run_sweep(int workers, int n_agents, int cycles, std::int64_t stall_
       [&](std::int64_t) {
         for (ctrl::AgentId id = 1; id <= static_cast<ctrl::AgentId>(n_agents); ++id) {
           auto& agent = rib.agent(id);
-          for (auto& [cell_id, cell] : agent.cells) {
-            (void)cell_id;
-            for (auto& [rnti, ue] : cell.ues) {
-              (void)rnti;
-              ue.stats.dl_bytes_delivered += 1500;
-            }
-          }
+          for (auto& ue : agent.ues) ue.stats.dl_bytes_delivered += 1500;
         }
         const auto start = std::chrono::steady_clock::now();
         store.publish(rib, all_dirty, /*structure_changed=*/store.current()->version() == 0);
@@ -288,10 +272,7 @@ class ShardAnalyticsApp final : public ctrl::App {
     const auto snapshot = api.rib_snapshot();
     for (const auto& [id, agent] : snapshot->agents()) {
       (void)id;
-      for (const auto& [cell_id, cell] : agent->cells) {
-        (void)cell_id;
-        checksum_ += cell.ues.size();
-      }
+      checksum_ += agent->ues.size();
     }
     std::this_thread::sleep_for(std::chrono::microseconds(stall_us_));
   }

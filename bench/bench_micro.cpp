@@ -97,14 +97,15 @@ BENCHMARK(BM_VsfSwap);
 void BM_RibUpdateSingleWriter(benchmark::State& state) {
   ctrl::Rib rib;
   auto& agent = rib.agent(1);
-  agent.cells[1] = ctrl::CellNode{};
+  agent.cell(1);
   const auto reply = make_stats_reply(16);
   for (auto _ : state) {
     for (const auto& report : reply.ue_reports) {
-      auto& ue = agent.cells[1].ues[report.rnti];
-      ue.rnti = report.rnti;
+      const std::size_t row = agent.upsert_ue(report.rnti);
+      auto& ue = agent.ues[row];
       ue.stats = report;
       ue.cqi_avg.add(report.wb_cqi);
+      agent.hot.write(row, report);
     }
     benchmark::ClobberMemory();
   }
@@ -117,16 +118,17 @@ void BM_RibUpdateMutexPerUe(benchmark::State& state) {
   // every UE update takes a lock even when uncontended.
   ctrl::Rib rib;
   auto& agent = rib.agent(1);
-  agent.cells[1] = ctrl::CellNode{};
+  agent.cell(1);
   std::mutex mutex;
   const auto reply = make_stats_reply(16);
   for (auto _ : state) {
     for (const auto& report : reply.ue_reports) {
       std::scoped_lock lock(mutex);
-      auto& ue = agent.cells[1].ues[report.rnti];
-      ue.rnti = report.rnti;
+      const std::size_t row = agent.upsert_ue(report.rnti);
+      auto& ue = agent.ues[row];
       ue.stats = report;
       ue.cqi_avg.add(report.wb_cqi);
+      agent.hot.write(row, report);
     }
     benchmark::ClobberMemory();
   }
@@ -207,11 +209,10 @@ void BM_RibSummarize(benchmark::State& state) {
   ctrl::Rib rib;
   for (ctrl::AgentId agent_id = 1; agent_id <= 3; ++agent_id) {
     auto& agent = rib.agent(agent_id);
-    auto& cell = agent.cells[agent_id];
-    cell.config.cell_id = agent_id;
+    agent.cell(agent_id).config.cell_id = agent_id;
     for (int i = 0; i < 16; ++i) {
-      auto& ue = cell.ues[static_cast<lte::Rnti>(70 + i)];
-      ue.rnti = static_cast<lte::Rnti>(70 + i);
+      auto& ue = agent.ues[agent.upsert_ue(static_cast<lte::Rnti>(70 + i))];
+      ue.cell = agent_id;
       ue.stats.wb_cqi = 10;
       ue.stats.rsrp = {{1, -80.0}, {2, -85.0}, {3, -90.0}};
     }

@@ -6,7 +6,9 @@
 // frame + reassemble, the full encode->frame->reassemble->decode loop,
 // ingest->apply through a standalone ShardCore over sim transports, and
 // RIB snapshot publish (one dirty agent) and 4-shard compose at 16, 1024 and
-// 8192 agents, whose allocation counts must not grow with the fleet.
+// 8192 agents, whose allocation counts must not grow with the fleet. Publish
+// and ingest->apply are also run for 16- and 64-UE agents without RSRP
+// lists, whose allocation counts must not grow with the UEs an agent serves.
 //
 // Allocations are counted by a global operator-new hook, so the numbers are
 // exact, deterministic, and independent of machine speed -- which is why
@@ -31,6 +33,8 @@
 #include <new>
 #include <set>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -107,12 +111,15 @@ constexpr std::size_t kFleetSizes[] = {16, 1024, 8192};
 constexpr std::size_t kFleets = std::size(kFleetSizes);
 constexpr std::size_t kComposeShards = 4;
 constexpr std::uint64_t kPublishIters = 2'000;
+/// UEs per agent of the no-RSRP runs, where every UE row is fixed-size.
+constexpr std::size_t kUeCounts[] = {16, 64};
+constexpr std::size_t kUeShapes = std::size(kUeCounts);
 
-proto::StatsReply make_reply() {
+proto::StatsReply make_reply(std::size_t ues = kUes, std::size_t rsrp_per_ue = kRsrpPerUe) {
   proto::StatsReply reply;
   reply.request_id = 1;
   reply.subframe = 123456;
-  for (std::size_t i = 0; i < kUes; ++i) {
+  for (std::size_t i = 0; i < ues; ++i) {
     proto::UeStatsReport ue;
     ue.rnti = static_cast<lte::Rnti>(70 + i);
     ue.bsr_bytes = {0, 1500, 0, static_cast<std::uint32_t>(200 * i)};
@@ -122,7 +129,7 @@ proto::StatsReply make_reply() {
     ue.dl_bytes_delivered = 100'000 + 3 * i;
     ue.ul_bytes_received = 40'000 + i;
     ue.ul_buffer_bytes = static_cast<std::uint32_t>(300 * i);
-    for (std::size_t m = 0; m < kRsrpPerUe; ++m) {
+    for (std::size_t m = 0; m < rsrp_per_ue; ++m) {
       ue.rsrp.push_back({static_cast<lte::CellId>(1 + m), -90.0 - static_cast<double>(i)});
     }
     reply.ue_reports.push_back(std::move(ue));
@@ -131,7 +138,7 @@ proto::StatsReply make_reply() {
   cell.cell_id = 1;
   cell.dl_prbs_in_use = 42;
   cell.ul_prbs_in_use = 11;
-  cell.active_ues = kUes;
+  cell.active_ues = static_cast<std::uint32_t>(ues);
   reply.cell_reports.push_back(cell);
   return reply;
 }
@@ -183,20 +190,19 @@ std::vector<std::uint8_t> legacy_encode(const proto::StatsReply& reply) {
   return envelope.encode();
 }
 
-// RIB agent as the updater leaves it after applying `reply`: one cell, 16
-// UEs in the tree and in the hot columns.
+// RIB agent as the updater leaves it after applying `reply`: one cell and
+// one UE row (with its hot-column row) per report.
 void fill_agent(ctrl::AgentNode& agent, ctrl::AgentId id, const proto::StatsReply& reply) {
   agent.id = id;
-  auto& cell = agent.cells[1];
+  auto& cell = agent.cell(1);
   cell.stats = reply.cell_reports.front();
   for (const auto& report : reply.ue_reports) {
-    auto& ue = cell.ues[report.rnti];
-    ue.rnti = report.rnti;
+    const std::size_t row = agent.upsert_ue(report.rnti);
+    auto& ue = agent.ues[row];
+    ue.cell = cell.id;
     ue.stats = report;
     ue.cqi_avg.add(report.wb_cqi);
-    const std::size_t row = agent.hot.upsert(report.rnti);
-    agent.hot.wb_cqi[row] = report.wb_cqi;
-    agent.hot.rlc_queue_bytes[row] = report.rlc_queue_bytes;
+    agent.hot.write(row, report);
   }
 }
 
@@ -204,6 +210,67 @@ void fill_agent(ctrl::AgentNode& agent, ctrl::AgentId id, const proto::StatsRepl
 /// publishes clone different chunks.
 ctrl::AgentId dirty_agent(std::uint64_t i, std::size_t agents) {
   return 1 + static_cast<ctrl::AgentId>(i * 7919 % agents);
+}
+
+/// Dirty sets for every publish of a run, built up front: a std::set insert
+/// would allocate inside the measured loop.
+std::vector<std::set<ctrl::AgentId>> dirty_sets(std::size_t agents) {
+  std::vector<std::set<ctrl::AgentId>> dirty;
+  for (std::uint64_t i = 0; i < kWarmup + kPublishIters; ++i) {
+    dirty.push_back({dirty_agent(i, agents)});
+  }
+  return dirty;
+}
+
+/// ns and allocations per message from a stats reply arriving at a
+/// standalone ShardCore to its snapshot being published.
+std::pair<double, double> measure_ingest(const std::vector<std::uint8_t>& wire) {
+  sim::Simulator sim;
+  ctrl::MasterConfig config;
+  config.auto_configure = false;
+  config.echo_period_cycles = 0;
+  ctrl::ShardCore core(sim, config);
+  auto pair = net::make_sim_transport_pair(sim);
+  core.add_agent(*pair.a);
+
+  proto::Hello hello;
+  hello.enb_id = 1;
+  hello.name = "bench";
+  (void)pair.b->send(net::TrafficClass::session, proto::pack(hello, 1));
+  sim.run();
+  core.run_cycle();
+
+  const auto send_one = [&] {
+    (void)pair.b->send(net::TrafficClass::stats, wire);
+    sim.run();
+    core.run_cycle();
+  };
+  for (std::uint64_t i = 0; i < kWarmup; ++i) send_one();
+  const auto allocs0 = g_allocs.load();
+  auto t0 = Clock::now();
+  for (std::uint64_t i = 0; i < kIngestIters; ++i) send_one();
+  auto t1 = Clock::now();
+  return {ns_per_op(kIngestIters, t0, t1),
+          static_cast<double>(g_allocs.load() - allocs0) / static_cast<double>(kIngestIters)};
+}
+
+/// ns and allocations per publish of one dirty agent, in a one-shard RIB of
+/// `agents` agents that each applied `reply`.
+std::pair<double, double> measure_publish(std::size_t agents, const proto::StatsReply& reply) {
+  const auto dirty = dirty_sets(agents);
+  ctrl::Rib rib;
+  for (ctrl::AgentId id = 1; id <= agents; ++id) fill_agent(rib.agent(id), id, reply);
+  ctrl::SnapshotStore store;
+  store.publish(rib, {}, /*structure_changed=*/true);
+  for (std::uint64_t i = 0; i < kWarmup; ++i) store.publish(rib, dirty[i], false);
+  const auto allocs0 = g_allocs.load();
+  auto t0 = Clock::now();
+  for (std::uint64_t i = kWarmup; i < kWarmup + kPublishIters; ++i) {
+    store.publish(rib, dirty[i], false);
+  }
+  auto t1 = Clock::now();
+  return {ns_per_op(kPublishIters, t0, t1),
+          static_cast<double>(g_allocs.load() - allocs0) / static_cast<double>(kPublishIters)};
 }
 
 // --------------------------------------------------------------- results --
@@ -222,6 +289,9 @@ struct Results {
   double loop_allocs = 0.0;
   double ingest_ns = 0.0;
   double ingest_allocs = 0.0;
+  // Per UE count (kUeCounts), no RSRP.
+  double ue_ingest_allocs[kUeShapes] = {};
+  double ue_publish_allocs[kUeShapes] = {};
   std::size_t wire_bytes = 0;
   // Per fleet size (kFleetSizes).
   double publish_ns[kFleets] = {};
@@ -387,63 +457,13 @@ Results run_bench() {
   }
 
   // ---- ingest -> apply through a standalone ShardCore ----
-  {
-    sim::Simulator sim;
-    ctrl::MasterConfig config;
-    config.auto_configure = false;
-    config.echo_period_cycles = 0;
-    ctrl::ShardCore core(sim, config);
-    auto pair = net::make_sim_transport_pair(sim);
-    core.add_agent(*pair.a);
-
-    proto::Hello hello;
-    hello.enb_id = 1;
-    hello.name = "bench";
-    (void)pair.b->send(net::TrafficClass::session, proto::pack(hello, 1));
-    sim.run();
-    core.run_cycle();
-
-    const auto send_one = [&] {
-      (void)pair.b->send(net::TrafficClass::stats, wire);
-      sim.run();
-      core.run_cycle();
-    };
-    for (std::uint64_t i = 0; i < kWarmup; ++i) send_one();
-    const auto allocs0 = g_allocs.load();
-    auto t0 = Clock::now();
-    for (std::uint64_t i = 0; i < kIngestIters; ++i) send_one();
-    auto t1 = Clock::now();
-    res.ingest_ns = ns_per_op(kIngestIters, t0, t1);
-    res.ingest_allocs =
-        static_cast<double>(g_allocs.load() - allocs0) / static_cast<double>(kIngestIters);
-  }
+  std::tie(res.ingest_ns, res.ingest_allocs) = measure_ingest(wire);
 
   // ---- snapshot publish (1 dirty agent) and 4-shard compose ----
   for (std::size_t f = 0; f < kFleets; ++f) {
     const std::size_t agents = kFleetSizes[f];
-    // Dirty sets are built up front: a std::set insert would allocate.
-    std::vector<std::set<ctrl::AgentId>> dirty;
-    for (std::uint64_t i = 0; i < kWarmup + kPublishIters; ++i) {
-      dirty.push_back({dirty_agent(i, agents)});
-    }
-
-    // One shard holding the whole fleet.
-    {
-      ctrl::Rib rib;
-      for (ctrl::AgentId id = 1; id <= agents; ++id) fill_agent(rib.agent(id), id, reply);
-      ctrl::SnapshotStore store;
-      store.publish(rib, {}, /*structure_changed=*/true);
-      for (std::uint64_t i = 0; i < kWarmup; ++i) store.publish(rib, dirty[i], false);
-      const auto allocs0 = g_allocs.load();
-      auto t0 = Clock::now();
-      for (std::uint64_t i = kWarmup; i < kWarmup + kPublishIters; ++i) {
-        store.publish(rib, dirty[i], false);
-      }
-      auto t1 = Clock::now();
-      res.publish_ns[f] = ns_per_op(kPublishIters, t0, t1);
-      res.publish_allocs[f] =
-          static_cast<double>(g_allocs.load() - allocs0) / static_cast<double>(kPublishIters);
-    }
+    std::tie(res.publish_ns[f], res.publish_allocs[f]) = measure_publish(agents, reply);
+    const auto dirty = dirty_sets(agents);
 
     // The fleet spread over 4 shards by id, as the Coordinator's global ids
     // interleave; each op follows a stats-only publish on one shard.
@@ -478,6 +498,13 @@ Results run_bench() {
     }
   }
 
+  // ---- the same with 16- and 64-UE agents and no RSRP lists ----
+  for (std::size_t u = 0; u < kUeShapes; ++u) {
+    const proto::StatsReply shaped = make_reply(kUeCounts[u], 0);
+    res.ue_ingest_allocs[u] = measure_ingest(proto::pack(shaped, kXid)).second;
+    res.ue_publish_allocs[u] = measure_publish(kFleetSizes[0], shaped).second;
+  }
+
   return res;
 }
 
@@ -510,6 +537,7 @@ int check_against(const Results& res, const std::string& path) {
       {"decode_into_allocs_per_msg", res.decode_into_allocs},
       {"frame_reassemble_allocs_per_msg", res.frame_allocs},
       {"wire_loop_allocs_per_msg", res.loop_allocs},
+      {"ingest_apply_allocs_per_msg", res.ingest_allocs},
       {"publish_allocs_per_op", *std::max_element(res.publish_allocs, res.publish_allocs + kFleets)},
       {"compose_allocs_per_op", *std::max_element(res.compose_allocs, res.compose_allocs + kFleets)},
   };
@@ -526,6 +554,17 @@ int check_against(const Results& res, const std::string& path) {
                    res.compose_allocs[f], res.compose_allocs[0]);
       ++failures;
     }
+  }
+  // Nor may they grow with the UEs of the dirty agent: a count that does is
+  // a per-UE container in the agent node (or the apply path) come back.
+  if (res.ue_publish_allocs[1] != res.ue_publish_allocs[0] ||
+      res.ue_ingest_allocs[1] != res.ue_ingest_allocs[0]) {
+    std::fprintf(stderr,
+                 "bench_wire --check: allocs differ between %zu- and %zu-UE agents (no RSRP): "
+                 "publish %.4f vs %.4f, ingest->apply %.4f vs %.4f\n",
+                 kUeCounts[0], kUeCounts[1], res.ue_publish_allocs[0], res.ue_publish_allocs[1],
+                 res.ue_ingest_allocs[0], res.ue_ingest_allocs[1]);
+    ++failures;
   }
   for (const auto& [key, limit] : baseline) {
     auto it = measured.find(key);
@@ -597,6 +636,13 @@ int main(int argc, char** argv) {
     std::printf("%-34s %10.1f %14.4f\n", ("compose 4 shards, " + agents).c_str(),
                 res.compose_ns[f], res.compose_allocs[f]);
   }
+  for (std::size_t u = 0; u < kUeShapes; ++u) {
+    const std::string ues = std::to_string(kUeCounts[u]) + " UEs, no RSRP";
+    std::printf("%-34s %10s %14.4f\n", ("ingest -> apply, " + ues).c_str(), "-",
+                res.ue_ingest_allocs[u]);
+    std::printf("%-34s %10s %14.4f\n", ("publish, 1 dirty, " + ues).c_str(), "-",
+                res.ue_publish_allocs[u]);
+  }
 
   std::string fleet_json;
   for (std::size_t f = 0; f < kFleets; ++f) {
@@ -607,6 +653,16 @@ int main(int argc, char** argv) {
                   f == 0 ? "" : ",", kFleetSizes[f], res.publish_ns[f], res.publish_allocs[f],
                   res.compose_ns[f], res.compose_allocs[f]);
     fleet_json += row;
+  }
+  std::string ue_json;
+  for (std::size_t u = 0; u < kUeShapes; ++u) {
+    char row[160];
+    std::snprintf(row, sizeof(row),
+                  "%s{\"ues\":%zu,\"rsrp\":0,\"ingest_allocs_per_msg\":%.4f,"
+                  "\"publish_allocs_per_op\":%.4f}",
+                  u == 0 ? "" : ",", kUeCounts[u], res.ue_ingest_allocs[u],
+                  res.ue_publish_allocs[u]);
+    ue_json += row;
   }
   char buffer[1024];
   std::snprintf(
@@ -628,7 +684,7 @@ int main(int argc, char** argv) {
           "wire_fastpath",
           "ues=16 rsrp=2 cells=1 encode_iters=20000 loop_iters=20000 publish_iters=2000 "
           "compose_shards=4") +
-      buffer + "\"publish_compose\":[" + fleet_json + "]}";
+      buffer + "\"publish_compose\":[" + fleet_json + "],\"ue_scaling\":[" + ue_json + "]}";
   std::ofstream out(json_path);
   out << json << "\n";
   std::printf("\n%s\nJSON written to %s\n", json.c_str(), json_path.c_str());

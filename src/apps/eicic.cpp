@@ -134,13 +134,9 @@ std::uint64_t EicicCoordinatorApp::estimated_backlog(const ctrl::RibSnapshot& ri
   if (agent == nullptr) return 0;
   std::uint64_t reported = 0;
   bool pending_retx = false;
-  for (const auto& [cell_id, cell] : agent->cells) {
-    (void)cell_id;
-    for (const auto& [rnti, ue] : cell.ues) {
-      (void)rnti;
-      reported += std::max<std::uint64_t>(ue.stats.rlc_queue_bytes, ue.stats.total_bsr());
-      pending_retx |= ue.stats.pending_harq > 0;
-    }
+  for (const auto& ue : agent->ues) {
+    reported += std::max<std::uint64_t>(ue.stats.rlc_queue_bytes, ue.stats.total_bsr());
+    pending_retx |= ue.stats.pending_harq > 0;
   }
   // Retire grants the latest report already reflects; subtract the rest.
   auto& grants = recent_grants_[small];
@@ -162,29 +158,26 @@ proto::DlMacConfig EicicCoordinatorApp::build_rr_decision(const ctrl::AgentNode&
   decision.target_subframe = target;
   int prbs = 50;
   if (!agent.cells.empty()) {
-    decision.cell_id = agent.cells.begin()->first;
-    prbs = agent.cells.begin()->second.config.dl_prbs();
+    decision.cell_id = agent.cells.front().id;
+    prbs = agent.cells.front().config.dl_prbs();
   }
   std::vector<agent::PrbDemand> wants;
   std::uint64_t cap_left = backlog_cap;
-  for (const auto& [cell_id, cell] : agent.cells) {
-    (void)cell_id;
-    for (const auto& [rnti, ue] : cell.ues) {
-      const bool has_data = ue.stats.rlc_queue_bytes > 0 || ue.stats.total_bsr() > 0;
-      if (!has_data && ue.stats.pending_harq == 0) continue;
-      const int cqi =
-          std::max<int>(use_protected_cqi ? ue.stats.wb_cqi_protected : ue.stats.wb_cqi, 1);
-      const int mcs = lte::cqi_to_mcs(cqi);
-      agent::PrbDemand demand;
-      demand.rnti = rnti;
-      demand.mcs = mcs;
-      const auto queue_bytes = std::min<std::uint64_t>(
-          std::max(ue.stats.rlc_queue_bytes, ue.stats.total_bsr()), cap_left);
-      cap_left -= queue_bytes;
-      const auto bits = static_cast<std::int64_t>(static_cast<double>(queue_bytes) * 8.8);
-      demand.prbs_wanted = ue.stats.pending_harq > 0 ? prbs : agent::prbs_needed(bits, mcs);
-      if (demand.prbs_wanted > 0) wants.push_back(demand);
-    }
+  for (const auto& ue : agent.ues) {
+    const bool has_data = ue.stats.rlc_queue_bytes > 0 || ue.stats.total_bsr() > 0;
+    if (!has_data && ue.stats.pending_harq == 0) continue;
+    const int cqi =
+        std::max<int>(use_protected_cqi ? ue.stats.wb_cqi_protected : ue.stats.wb_cqi, 1);
+    const int mcs = lte::cqi_to_mcs(cqi);
+    agent::PrbDemand demand;
+    demand.rnti = ue.rnti;
+    demand.mcs = mcs;
+    const auto queue_bytes = std::min<std::uint64_t>(
+        std::max(ue.stats.rlc_queue_bytes, ue.stats.total_bsr()), cap_left);
+    cap_left -= queue_bytes;
+    const auto bits = static_cast<std::int64_t>(static_cast<double>(queue_bytes) * 8.8);
+    demand.prbs_wanted = ue.stats.pending_harq > 0 ? prbs : agent::prbs_needed(bits, mcs);
+    if (demand.prbs_wanted > 0) wants.push_back(demand);
   }
   if (wants.empty()) return decision;
   auto& rot = rotation_[agent.id];

@@ -22,7 +22,7 @@ void LsaControllerApp::apply(ctrl::NorthboundApi& api, bool active) {
     const auto* agent = rib->find_agent(agent_id);
     proto::CarrierRestriction restriction;
     restriction.cell_id =
-        agent != nullptr && !agent->cells.empty() ? agent->cells.begin()->first : 0;
+        agent != nullptr && !agent->cells.empty() ? agent->cells.front().id : 0;
     restriction.max_dl_prbs =
         active ? static_cast<std::uint16_t>(config_.restricted_prbs) : 0;
     if (api.send_carrier_restriction(agent_id, restriction).ok()) ++restrictions_sent_;

@@ -35,19 +35,17 @@ void MecDashApp::on_cycle(std::int64_t cycle, ctrl::NorthboundApi& api) {
   const auto rib = api.rib_snapshot();
   const auto* agent = rib->find_agent(config_.agent);
   if (agent == nullptr) return;
-  for (const auto& [cell_id, cell] : agent->cells) {
-    (void)cell_id;
-    const double share_divisor =
-        config_.load_aware ? std::max<double>(1.0, cell.stats.active_ues) : 1.0;
-    for (const auto& [rnti, ue] : cell.ues) {
-      if (!ue.cqi_avg.seeded()) continue;
-      const double mbps =
-          sustainable_bitrate_mbps(config_.table, ue.cqi_avg.value()) / share_divisor;
-      auto it = last_pushed_.find(rnti);
-      if (it != last_pushed_.end() && it->second == mbps) continue;  // no change
-      last_pushed_[rnti] = mbps;
-      if (push_) push_(rnti, mbps);
-    }
+  for (const auto& ue : agent->ues) {
+    if (!ue.cqi_avg.seeded()) continue;
+    const ctrl::CellNode* cell = agent->find_cell(ue.cell);
+    const double active_ues = cell != nullptr ? cell->stats.active_ues : 0.0;
+    const double share_divisor = config_.load_aware ? std::max(1.0, active_ues) : 1.0;
+    const double mbps =
+        sustainable_bitrate_mbps(config_.table, ue.cqi_avg.value()) / share_divisor;
+    auto it = last_pushed_.find(ue.rnti);
+    if (it != last_pushed_.end() && it->second == mbps) continue;  // no change
+    last_pushed_[ue.rnti] = mbps;
+    if (push_) push_(ue.rnti, mbps);
   }
 }
 

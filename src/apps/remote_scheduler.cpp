@@ -78,28 +78,25 @@ proto::DlMacConfig RemoteSchedulerApp::build_decision(const ctrl::AgentNode& age
 
   int prbs = 50;
   if (!agent.cells.empty()) {
-    decision.cell_id = agent.cells.begin()->first;
-    prbs = agent.cells.begin()->second.config.dl_prbs();
+    decision.cell_id = agent.cells.front().id;
+    prbs = agent.cells.front().config.dl_prbs();
   }
 
   std::vector<agent::PrbDemand> wants;
-  for (const auto& [cell_id, cell] : agent.cells) {
-    (void)cell_id;
-    for (const auto& [rnti, ue] : cell.ues) {
-      const bool has_data = ue.stats.rlc_queue_bytes > 0 || ue.stats.total_bsr() > 0;
-      const bool has_retx = ue.stats.pending_harq > 0;
-      if (!has_data && !has_retx) continue;
-      const int cqi = std::max<int>(ue.stats.wb_cqi, 1);
-      const int mcs = lte::cqi_to_mcs(cqi);
-      agent::PrbDemand demand;
-      demand.rnti = rnti;
-      demand.mcs = mcs;
-      const auto bits = static_cast<std::int64_t>(
-          static_cast<double>(std::max(ue.stats.rlc_queue_bytes, ue.stats.total_bsr())) * 8.0 *
-          1.1);
-      demand.prbs_wanted = has_retx ? prbs : agent::prbs_needed(bits, mcs);
-      wants.push_back(demand);
-    }
+  for (const auto& ue : agent.ues) {
+    const bool has_data = ue.stats.rlc_queue_bytes > 0 || ue.stats.total_bsr() > 0;
+    const bool has_retx = ue.stats.pending_harq > 0;
+    if (!has_data && !has_retx) continue;
+    const int cqi = std::max<int>(ue.stats.wb_cqi, 1);
+    const int mcs = lte::cqi_to_mcs(cqi);
+    agent::PrbDemand demand;
+    demand.rnti = ue.rnti;
+    demand.mcs = mcs;
+    const auto bits = static_cast<std::int64_t>(
+        static_cast<double>(std::max(ue.stats.rlc_queue_bytes, ue.stats.total_bsr())) * 8.0 *
+        1.1);
+    demand.prbs_wanted = has_retx ? prbs : agent::prbs_needed(bits, mcs);
+    wants.push_back(demand);
   }
   if (wants.empty()) return decision;
 
@@ -118,24 +115,21 @@ proto::UlMacConfig RemoteSchedulerApp::build_ul_decision(const ctrl::AgentNode& 
   decision.target_subframe = target_subframe;
   int prbs = 50;
   if (!agent.cells.empty()) {
-    decision.cell_id = agent.cells.begin()->first;
-    prbs = agent.cells.begin()->second.config.ul_prbs();
+    decision.cell_id = agent.cells.front().id;
+    prbs = agent.cells.front().config.ul_prbs();
   }
   std::vector<agent::PrbDemand> wants;
-  for (const auto& [cell_id, cell] : agent.cells) {
-    (void)cell_id;
-    for (const auto& [rnti, ue] : cell.ues) {
-      if (ue.stats.ul_buffer_bytes == 0) continue;
-      // UL link adaptation: conservative fixed operating point (the master
-      // does not see per-UE UL CQI; real deployments use SRS measurements).
-      const int mcs = lte::cqi_to_mcs(8);
-      agent::PrbDemand demand;
-      demand.rnti = rnti;
-      demand.mcs = mcs;
-      demand.prbs_wanted = agent::prbs_needed(
-          static_cast<std::int64_t>(ue.stats.ul_buffer_bytes) * 9, mcs);
-      wants.push_back(demand);
-    }
+  for (const auto& ue : agent.ues) {
+    if (ue.stats.ul_buffer_bytes == 0) continue;
+    // UL link adaptation: conservative fixed operating point (the master
+    // does not see per-UE UL CQI; real deployments use SRS measurements).
+    const int mcs = lte::cqi_to_mcs(8);
+    agent::PrbDemand demand;
+    demand.rnti = ue.rnti;
+    demand.mcs = mcs;
+    demand.prbs_wanted =
+        agent::prbs_needed(static_cast<std::int64_t>(ue.stats.ul_buffer_bytes) * 9, mcs);
+    wants.push_back(demand);
   }
   if (wants.empty()) return decision;
   decision.dcis =

@@ -1,5 +1,8 @@
 #include "controller/rib.h"
 
+#include <algorithm>
+#include <utility>
+
 namespace flexran::ctrl {
 
 const char* to_string(SessionState state) {
@@ -12,59 +15,101 @@ const char* to_string(SessionState state) {
   return "?";
 }
 
-std::size_t UeHotColumns::upsert(lte::Rnti r) {
-  auto [it, inserted] = index_.try_emplace(r, rnti.size());
-  if (inserted) {
-    rnti.push_back(r);
-    wb_cqi.push_back(0);
-    bsr_total_bytes.push_back(0);
-    rlc_queue_bytes.push_back(0);
-    dl_bytes_delivered.push_back(0);
-    cqi_avg.push_back(0.0);
-  }
-  return it->second;
+namespace {
+
+template <typename T>
+auto at(std::vector<T>& column, std::size_t row) {
+  return column.begin() + static_cast<std::ptrdiff_t>(row);
 }
 
-void UeHotColumns::erase(lte::Rnti r) {
-  auto it = index_.find(r);
-  if (it == index_.end()) return;
-  const std::size_t row = it->second;
-  const std::size_t last = rnti.size() - 1;
-  if (row != last) {
-    rnti[row] = rnti[last];
-    wb_cqi[row] = wb_cqi[last];
-    bsr_total_bytes[row] = bsr_total_bytes[last];
-    rlc_queue_bytes[row] = rlc_queue_bytes[last];
-    dl_bytes_delivered[row] = dl_bytes_delivered[last];
-    cqi_avg[row] = cqi_avg[last];
-    index_[rnti[row]] = row;
-  }
-  rnti.pop_back();
-  wb_cqi.pop_back();
-  bsr_total_bytes.pop_back();
-  rlc_queue_bytes.pop_back();
-  dl_bytes_delivered.pop_back();
-  cqi_avg.pop_back();
-  index_.erase(it);
+/// Row of `rnti` in the sorted `rows`, or where it would be inserted.
+std::size_t lower_row(const std::vector<lte::Rnti>& rows, lte::Rnti rnti) {
+  return static_cast<std::size_t>(std::lower_bound(rows.begin(), rows.end(), rnti) - rows.begin());
 }
 
-void UeHotColumns::clear() {
-  rnti.clear();
-  wb_cqi.clear();
-  bsr_total_bytes.clear();
-  rlc_queue_bytes.clear();
-  dl_bytes_delivered.clear();
-  cqi_avg.clear();
-  index_.clear();
+bool holds(const std::vector<lte::Rnti>& rows, std::size_t row, lte::Rnti rnti) {
+  return row < rows.size() && rows[row] == rnti;
+}
+
+template <typename Cells>
+auto cell_position(Cells& cells, lte::CellId id) {
+  return std::lower_bound(cells.begin(), cells.end(), id,
+                          [](const CellNode& cell, lte::CellId key) { return cell.id < key; });
+}
+
+}  // namespace
+
+void UeHotColumns::insert(std::size_t row, lte::Rnti r) {
+  rnti.insert(at(rnti, row), r);
+  wb_cqi.insert(at(wb_cqi, row), 0);
+  rlc_queue_bytes.insert(at(rlc_queue_bytes, row), 0);
+  dl_bytes_delivered.insert(at(dl_bytes_delivered, row), 0);
+}
+
+void UeHotColumns::erase(std::size_t row) {
+  rnti.erase(at(rnti, row));
+  wb_cqi.erase(at(wb_cqi, row));
+  rlc_queue_bytes.erase(at(rlc_queue_bytes, row));
+  dl_bytes_delivered.erase(at(dl_bytes_delivered, row));
+}
+
+void UeHotColumns::write(std::size_t row, const proto::UeStatsReport& report) {
+  wb_cqi[row] = report.wb_cqi;
+  rlc_queue_bytes[row] = report.rlc_queue_bytes;
+  dl_bytes_delivered[row] = report.dl_bytes_delivered;
 }
 
 std::size_t UeHotColumns::approx_bytes() const {
   return rnti.capacity() * sizeof(lte::Rnti) + wb_cqi.capacity() +
-         bsr_total_bytes.capacity() * sizeof(std::uint32_t) +
          rlc_queue_bytes.capacity() * sizeof(std::uint32_t) +
-         dl_bytes_delivered.capacity() * sizeof(std::uint64_t) +
-         cqi_avg.capacity() * sizeof(double) +
-         index_.size() * (sizeof(std::pair<lte::Rnti, std::size_t>) + 48 /* map node */);
+         dl_bytes_delivered.capacity() * sizeof(std::uint64_t);
+}
+
+const CellNode* AgentNode::find_cell(lte::CellId id) const {
+  auto it = cell_position(cells, id);
+  return it != cells.end() && it->id == id ? &*it : nullptr;
+}
+
+CellNode& AgentNode::cell(lte::CellId id) {
+  auto it = cell_position(cells, id);
+  if (it == cells.end() || it->id != id) {
+    it = cells.insert(it, CellNode{});
+    it->id = id;
+  }
+  return *it;
+}
+
+const UeNode* AgentNode::find_ue(lte::Rnti rnti) const {
+  const std::size_t row = lower_row(hot.rnti, rnti);
+  return holds(hot.rnti, row, rnti) ? &ues[row] : nullptr;
+}
+
+UeNode* AgentNode::find_ue(lte::Rnti rnti) {
+  return const_cast<UeNode*>(std::as_const(*this).find_ue(rnti));
+}
+
+std::size_t AgentNode::upsert_ue(lte::Rnti rnti) {
+  const std::size_t row = lower_row(hot.rnti, rnti);
+  if (!holds(hot.rnti, row, rnti)) {
+    ues.insert(at(ues, row), UeNode{})->rnti = rnti;
+    hot.insert(row, rnti);
+  }
+  return row;
+}
+
+void AgentNode::erase_ue(lte::Rnti rnti) {
+  const std::size_t row = lower_row(hot.rnti, rnti);
+  if (!holds(hot.rnti, row, rnti)) return;
+  ues.erase(at(ues, row));
+  hot.erase(row);
+}
+
+std::size_t AgentNode::approx_bytes() const {
+  std::size_t bytes = sizeof(AgentNode) + name.capacity() + hot.approx_bytes() +
+                      cells.capacity() * sizeof(CellNode) + ues.capacity() * sizeof(UeNode);
+  for (const auto& cap : capabilities) bytes += sizeof(std::string) + cap.capacity();
+  for (const auto& ue : ues) bytes += ue.stats.rsrp.capacity() * sizeof(proto::RsrpMeasurement);
+  return bytes;
 }
 
 const AgentNode* Rib::find_agent(AgentId id) const {
@@ -74,34 +119,14 @@ const AgentNode* Rib::find_agent(AgentId id) const {
 
 const UeNode* Rib::find_ue(AgentId id, lte::Rnti rnti) const {
   const AgentNode* agent = find_agent(id);
-  if (agent == nullptr) return nullptr;
-  for (const auto& [cell_id, cell] : agent->cells) {
-    (void)cell_id;
-    auto it = cell.ues.find(rnti);
-    if (it != cell.ues.end()) return &it->second;
-  }
-  return nullptr;
-}
-
-UeNode* Rib::mutable_ue(AgentId id, lte::Rnti rnti) {
-  auto agent_it = agents_.find(id);
-  if (agent_it == agents_.end()) return nullptr;
-  for (auto& [cell_id, cell] : agent_it->second.cells) {
-    (void)cell_id;
-    auto it = cell.ues.find(rnti);
-    if (it != cell.ues.end()) return &it->second;
-  }
-  return nullptr;
+  return agent == nullptr ? nullptr : agent->find_ue(rnti);
 }
 
 std::size_t Rib::ue_count() const {
   std::size_t count = 0;
   for (const auto& [id, agent] : agents_) {
     (void)id;
-    for (const auto& [cell_id, cell] : agent.cells) {
-      (void)cell_id;
-      count += cell.ues.size();
-    }
+    count += agent.ues.size();
   }
   return count;
 }
@@ -110,13 +135,7 @@ std::size_t Rib::approx_bytes() const {
   std::size_t bytes = sizeof(*this);
   for (const auto& [id, agent] : agents_) {
     (void)id;
-    bytes += sizeof(AgentNode) + agent.name.size() + agent.hot.approx_bytes();
-    for (const auto& cap : agent.capabilities) bytes += cap.size() + sizeof(std::string);
-    for (const auto& [cell_id, cell] : agent.cells) {
-      (void)cell_id;
-      bytes += sizeof(CellNode);
-      bytes += cell.ues.size() * (sizeof(UeNode) + 48 /* map node overhead */);
-    }
+    bytes += agent.approx_bytes();
   }
   return bytes;
 }

@@ -1,12 +1,19 @@
 // RAN Information Base (paper Sec. 4.3.3): all statistics and configuration
 // of the underlying network entities, structured as a forest -- roots are
-// agents, second level the cells of each agent, leaves the UEs of each
-// (primary) cell. Kept entirely in memory. Only the RIB Updater writes it
-// (single-writer discipline); applications read through const access.
-// As in the paper's implementation, no high-level abstraction is layered on
-// top: raw reports are exposed to the northbound API.
+// agents, second level the cells of each agent, leaves the UEs. Kept
+// entirely in memory. Only the RIB Updater writes it (single-writer
+// discipline); applications read through const access. As in the paper's
+// implementation, no high-level abstraction is layered on top: raw reports
+// are exposed to the northbound API.
+//
+// Each agent is stored flat: its cells in one id-sorted vector, its UEs in
+// one RNTI-sorted row vector (each row names its serving cell), and the
+// per-UE hot statistics as columns row-aligned with the UE rows. Copying an
+// agent, as every snapshot publish does for a changed one, is a fixed
+// handful of allocations however many UEs it serves.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -32,6 +39,10 @@ const char* to_string(SessionState state);
 
 struct UeNode {
   lte::Rnti rnti = lte::kInvalidRnti;
+  /// Serving cell, as the UE's configuration or attach event names it. A
+  /// UE first seen in a stats report takes the agent's first known cell
+  /// (0 when none is known yet) until one of those arrives.
+  lte::CellId cell = 0;
   lte::UeConfig config;
   proto::UeStatsReport stats;
   sim::TimeUs last_update = 0;
@@ -40,39 +51,30 @@ struct UeNode {
 };
 
 struct CellNode {
+  lte::CellId id = 0;
   lte::CellConfig config;
   proto::CellStatsReport stats;
   sim::TimeUs last_update = 0;
-  std::map<lte::Rnti, UeNode> ues;
 };
 
-/// Flat structure-of-arrays mirror of the per-UE hot statistics
-/// (docs/wire_fastpath.md). The RIB updater writes one row per stats report;
-/// periodic apps (monitoring, MEC throughput estimation) scan contiguous
-/// columns instead of chasing two levels of map nodes. Rows are unordered:
-/// erase() swap-removes, so indices are only stable between mutations.
-/// The tree (CellNode::ues) stays the source of truth for config and
-/// cold fields; these columns carry only what per-cycle scans touch.
-class UeHotColumns {
- public:
+/// Structure-of-arrays copy of the per-UE hot statistics
+/// (docs/wire_fastpath.md), row-aligned with AgentNode::ues: row i is the
+/// UE ues[i], so `rnti` is sorted and doubles as the row index. The RIB
+/// updater writes one row per stats report; periodic apps (monitoring,
+/// fleet views) scan contiguous columns instead of whole UE rows.
+struct UeHotColumns {
   std::vector<lte::Rnti> rnti;
   std::vector<std::uint8_t> wb_cqi;
-  std::vector<std::uint32_t> bsr_total_bytes;
   std::vector<std::uint32_t> rlc_queue_bytes;
   std::vector<std::uint64_t> dl_bytes_delivered;
-  std::vector<double> cqi_avg;  ///< smoothed CQI; 0 until the EWMA is seeded
 
   std::size_t size() const { return rnti.size(); }
   bool empty() const { return rnti.empty(); }
-  /// Row index for `r`, appending a zeroed row on first sight.
-  std::size_t upsert(lte::Rnti r);
-  /// Swap-removes the row for `r` (no-op when absent).
-  void erase(lte::Rnti r);
-  void clear();
+  /// Inserts a zeroed row for `r` at `row`.
+  void insert(std::size_t row, lte::Rnti r);
+  void erase(std::size_t row);
+  void write(std::size_t row, const proto::UeStatsReport& report);
   std::size_t approx_bytes() const;
-
- private:
-  std::map<lte::Rnti, std::size_t> index_;
 };
 
 struct AgentNode {
@@ -80,9 +82,27 @@ struct AgentNode {
   lte::EnbId enb_id = 0;
   std::string name;
   std::vector<std::string> capabilities;
-  std::map<lte::CellId, CellNode> cells;
-  /// SoA hot-stat columns over all UEs of this agent (every cell).
+  /// Cells in ascending id.
+  std::vector<CellNode> cells;
+  /// UEs of every cell, one row per RNTI in ascending RNTI.
+  std::vector<UeNode> ues;
+  /// Hot statistics of `ues`, row for row.
   UeHotColumns hot;
+
+  /// Null when absent.
+  const CellNode* find_cell(lte::CellId id) const;
+  /// The cell `id`, inserted in id order on first sight.
+  CellNode& cell(lte::CellId id);
+  /// Null when absent.
+  const UeNode* find_ue(lte::Rnti rnti) const;
+  UeNode* find_ue(lte::Rnti rnti);
+  /// Row index of `rnti` in `ues` and `hot`, inserting an empty row on
+  /// first sight (which moves the rows after it).
+  std::size_t upsert_ue(lte::Rnti rnti);
+  /// Removes the row of `rnti` (no-op when absent).
+  void erase_ue(lte::Rnti rnti);
+  /// Approximate heap and inline size of this node (Fig. 8 memory series).
+  std::size_t approx_bytes() const;
 
   /// Latest subframe the agent reported (sync ticks / stats replies) and
   /// when it arrived -- the master's view of agent time, which trails real
@@ -114,7 +134,6 @@ class Rib {
   AgentNode& agent(AgentId id) { return agents_[id]; }
   const AgentNode* find_agent(AgentId id) const;
   const UeNode* find_ue(AgentId id, lte::Rnti rnti) const;
-  UeNode* mutable_ue(AgentId id, lte::Rnti rnti);
   void remove_agent(AgentId id) { agents_.erase(id); }
 
   const std::map<AgentId, AgentNode>& agents() const { return agents_; }

@@ -134,23 +134,14 @@ const AgentNode* RibSnapshot::find_agent(AgentId id) const {
 
 const UeNode* RibSnapshot::find_ue(AgentId id, lte::Rnti rnti) const {
   const AgentNode* agent = find_agent(id);
-  if (agent == nullptr) return nullptr;
-  for (const auto& [cell_id, cell] : agent->cells) {
-    (void)cell_id;
-    auto it = cell.ues.find(rnti);
-    if (it != cell.ues.end()) return &it->second;
-  }
-  return nullptr;
+  return agent == nullptr ? nullptr : agent->find_ue(rnti);
 }
 
 std::size_t RibSnapshot::ue_count() const {
   std::size_t count = 0;
   for (const auto& [id, agent] : agents()) {
     (void)id;
-    for (const auto& [cell_id, cell] : agent->cells) {
-      (void)cell_id;
-      count += cell.ues.size();
-    }
+    count += agent->ues.size();
   }
   return count;
 }

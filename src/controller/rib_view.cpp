@@ -6,10 +6,7 @@ namespace {
 
 std::uint32_t agent_load(const AgentNode& agent) {
   std::uint32_t load = 0;
-  for (const auto& [cell_id, cell] : agent.cells) {
-    (void)cell_id;
-    load += cell.stats.active_ues;
-  }
+  for (const auto& cell : agent.cells) load += cell.stats.active_ues;
   return load;
 }
 
@@ -18,25 +15,23 @@ std::uint32_t agent_load(const AgentNode& agent) {
 std::vector<UeSummary> summarize_ues(const RibSnapshot& snapshot) {
   std::vector<UeSummary> out;
   for (const auto& [agent_id, agent] : snapshot.agents()) {
-    for (const auto& [cell_id, cell] : agent->cells) {
-      for (const auto& [rnti, ue] : cell.ues) {
-        UeSummary summary;
-        summary.agent = agent_id;
-        summary.cell = cell_id;
-        summary.rnti = rnti;
-        summary.cqi = ue.stats.wb_cqi;
-        summary.cqi_avg = ue.cqi_avg.seeded() ? ue.cqi_avg.value() : 0.0;
-        summary.queue_bytes = ue.stats.rlc_queue_bytes;
-        summary.dl_bytes_delivered = ue.stats.dl_bytes_delivered;
-        for (const auto& measurement : ue.stats.rsrp) {
-          if (measurement.cell_id == cell_id) continue;
-          if (measurement.rsrp_dbm > summary.best_neighbor_rsrp_dbm) {
-            summary.best_neighbor_rsrp_dbm = measurement.rsrp_dbm;
-            summary.best_neighbor = measurement.cell_id;
-          }
+    for (const auto& ue : agent->ues) {
+      UeSummary summary;
+      summary.agent = agent_id;
+      summary.cell = ue.cell;
+      summary.rnti = ue.rnti;
+      summary.cqi = ue.stats.wb_cqi;
+      summary.cqi_avg = ue.cqi_avg.seeded() ? ue.cqi_avg.value() : 0.0;
+      summary.queue_bytes = ue.stats.rlc_queue_bytes;
+      summary.dl_bytes_delivered = ue.stats.dl_bytes_delivered;
+      for (const auto& measurement : ue.stats.rsrp) {
+        if (measurement.cell_id == ue.cell) continue;
+        if (measurement.rsrp_dbm > summary.best_neighbor_rsrp_dbm) {
+          summary.best_neighbor_rsrp_dbm = measurement.rsrp_dbm;
+          summary.best_neighbor = measurement.cell_id;
         }
-        out.push_back(summary);
       }
+      out.push_back(summary);
     }
   }
   return out;
@@ -64,16 +59,16 @@ std::optional<AgentId> least_loaded_agent(const RibSnapshot& snapshot) {
 void RibAnalytics::sample(const RibSnapshot& snapshot, sim::TimeUs now) {
   const double dt_s = samples_ > 0 ? sim::to_seconds(now - last_sample_) : 0.0;
   for (const auto& [agent_id, agent] : snapshot.agents()) {
-    for (const auto& [cell_id, cell] : agent->cells) {
-      cell_state_[{agent_id, cell_id}].utilization.add(cell_dl_utilization(cell));
-      for (const auto& [rnti, ue] : cell.ues) {
-        auto& state = ue_state_[{agent_id, rnti}];
-        if (dt_s > 0.0) {
-          const auto delta = ue.stats.dl_bytes_delivered - state.last_bytes;
-          state.rate_mbps.add(static_cast<double>(delta) * 8.0 / dt_s / 1e6);
-        }
-        state.last_bytes = ue.stats.dl_bytes_delivered;
+    for (const auto& cell : agent->cells) {
+      cell_state_[{agent_id, cell.id}].utilization.add(cell_dl_utilization(cell));
+    }
+    for (const auto& ue : agent->ues) {
+      auto& state = ue_state_[{agent_id, ue.rnti}];
+      if (dt_s > 0.0) {
+        const auto delta = ue.stats.dl_bytes_delivered - state.last_bytes;
+        state.rate_mbps.add(static_cast<double>(delta) * 8.0 / dt_s / 1e6);
       }
+      state.last_bytes = ue.stats.dl_bytes_delivered;
     }
   }
   last_sample_ = now;

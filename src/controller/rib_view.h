@@ -28,7 +28,7 @@ struct UeSummary {
   double best_neighbor_rsrp_dbm = -200.0;
 };
 
-/// Flattens the agent->cell->UE forest into summaries. A one-off view of a
+/// One summary per UE row, in agent then RNTI order. A one-off view of a
 /// live Rib goes through RibSnapshot::capture().
 std::vector<UeSummary> summarize_ues(const RibSnapshot& snapshot);
 

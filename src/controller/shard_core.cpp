@@ -232,8 +232,9 @@ std::size_t ShardCore::drain_pending(std::int64_t budget_us) {
   // In real-time mode the updater slot admits at most 4 updates per
   // microsecond of budget, without a clock read per message. That figure
   // is an admission count, not a time bound: a 16-UE stats reply costs
-  // about 7.7 us to apply (bench_wire ingest->apply), so a full slot can
-  // overrun its budget many times over.
+  // 6-11 us from arrival to published snapshot (bench_wire ingest->apply,
+  // varying with host load), so a full slot can overrun its budget many
+  // times over.
   std::size_t limit = pending_.size();
   if (budget_us > 0) {
     limit = std::min(limit, static_cast<std::size_t>(budget_us) * 4);
@@ -402,7 +403,7 @@ void ShardCore::apply_update(const PendingUpdate& update) {
       if (!reply.ok()) break;
       agent.enb_id = reply->enb_id;
       for (const auto& cell : reply->cells) {
-        agent.cells[cell.cell_id].config = cell.to_cell_config();
+        agent.cell(cell.cell_id).config = cell.to_cell_config();
       }
       // The config reply is the last leg of the re-sync handshake.
       if (agent.state == SessionState::resyncing) {
@@ -416,50 +417,40 @@ void ShardCore::apply_update(const PendingUpdate& update) {
       if (!reply.ok()) break;
       for (const auto& ue_msg : reply->ues) {
         const auto config = ue_msg.to_ue_config();
-        auto& cell = agent.cells[config.primary_cell];
-        auto& ue = cell.ues[config.rnti];
-        ue.rnti = config.rnti;
+        agent.cell(config.primary_cell);  // a cell a UE names gets a node, configured or not
+        UeNode& ue = agent.ues[agent.upsert_ue(config.rnti)];
+        ue.cell = config.primary_cell;
         ue.config = config;
         ue.last_update = sim_.now();
-        agent.hot.upsert(config.rnti);
       }
       break;
     }
     case MessageType::lc_config_reply:
       break;  // logical channel maps are not tracked beyond UE existence
     case MessageType::stats_reply: {
-      auto reply = proto::unpack<proto::StatsReply>(envelope);
-      if (!reply.ok()) break;
+      if (!proto::StatsReply::decode_body_into(envelope.body, stats_reply_).ok()) break;
+      const proto::StatsReply& reply = stats_reply_;
       // Stats replies do not echo the request xid; the first report
       // completes the tracked request via its request_id.
-      complete_stats_request(update.agent, reply->request_id);
-      if (reply->subframe > agent.last_subframe) {
-        agent.last_subframe = reply->subframe;
+      complete_stats_request(update.agent, reply.request_id);
+      if (reply.subframe > agent.last_subframe) {
+        agent.last_subframe = reply.subframe;
         agent.last_subframe_at = sim_.now();
       }
-      for (const auto& report : reply->ue_reports) {
-        UeNode* ue = rib_.mutable_ue(update.agent, report.rnti);
-        if (ue == nullptr) {
-          // First sighting: attach under the agent's first cell.
-          if (agent.cells.empty()) agent.cells[0] = CellNode{};
-          auto& cell = agent.cells.begin()->second;
-          ue = &cell.ues[report.rnti];
-          ue->rnti = report.rnti;
-        }
-        ue->stats = report;
-        ue->last_update = sim_.now();
-        if (report.wb_cqi > 0) ue->cqi_avg.add(report.wb_cqi);
-        // Mirror the hot fields into the agent's SoA columns: one dense row
-        // write here buys apps contiguous scans on every cycle.
-        const std::size_t row = agent.hot.upsert(report.rnti);
-        agent.hot.wb_cqi[row] = report.wb_cqi;
-        agent.hot.bsr_total_bytes[row] = report.total_bsr();
-        agent.hot.rlc_queue_bytes[row] = report.rlc_queue_bytes;
-        agent.hot.dl_bytes_delivered[row] = report.dl_bytes_delivered;
-        agent.hot.cqi_avg[row] = ue->cqi_avg.seeded() ? ue->cqi_avg.value() : 0.0;
+      for (const auto& report : reply.ue_reports) {
+        const std::size_t rows = agent.ues.size();
+        const std::size_t row = agent.upsert_ue(report.rnti);
+        UeNode& ue = agent.ues[row];
+        // First sighting: serve it from the agent's first known cell until
+        // its configuration or attach event names the cell.
+        if (agent.ues.size() != rows && !agent.cells.empty()) ue.cell = agent.cells.front().id;
+        ue.stats = report;
+        ue.last_update = sim_.now();
+        if (report.wb_cqi > 0) ue.cqi_avg.add(report.wb_cqi);
+        agent.hot.write(row, report);
       }
-      for (const auto& cell_report : reply->cell_reports) {
-        auto& cell = agent.cells[cell_report.cell_id];
+      for (const auto& cell_report : reply.cell_reports) {
+        auto& cell = agent.cell(cell_report.cell_id);
         cell.stats = cell_report;
         cell.last_update = sim_.now();
       }
@@ -476,18 +467,13 @@ void ShardCore::apply_update(const PendingUpdate& update) {
         break;  // sync ticks are not app events
       }
       if (event->event == proto::EventType::ue_detach && event->rnti != lte::kInvalidRnti) {
-        for (auto& [cell_id, cell] : agent.cells) {
-          (void)cell_id;
-          cell.ues.erase(event->rnti);
-        }
-        agent.hot.erase(event->rnti);
+        agent.erase_ue(event->rnti);
       }
       if (event->event == proto::EventType::ue_attach && event->rnti != lte::kInvalidRnti) {
-        auto& cell = agent.cells[event->cell_id];
-        auto& ue = cell.ues[event->rnti];
-        ue.rnti = event->rnti;
+        agent.cell(event->cell_id);
+        UeNode& ue = agent.ues[agent.upsert_ue(event->rnti)];
+        ue.cell = event->cell_id;
         ue.last_update = sim_.now();
-        agent.hot.upsert(event->rnti);
       }
       if (event->event == proto::EventType::policy_applied ||
           event->event == proto::EventType::policy_rejected) {
@@ -987,8 +973,7 @@ proto::CheckpointAgent ShardCore::export_agent(AgentId id) const {
   saved.capabilities = agent->capabilities;
   saved.epoch = agent->epoch;
   saved.config.enb_id = agent->enb_id;
-  for (const auto& [cell_id, cell] : agent->cells) {
-    (void)cell_id;
+  for (const auto& cell : agent->cells) {
     saved.config.cells.push_back(proto::CellConfigMsg::from(cell.config));
   }
   for (const auto& [key, report] : original_reports_) {
@@ -1010,7 +995,7 @@ void ShardCore::import_durable(const proto::CheckpointAgent& saved) {
   node.epoch = saved.epoch;
   if (node.state != SessionState::down) node.state = SessionState::down;
   for (const auto& cell : saved.config.cells) {
-    node.cells[cell.cell_id].config = cell.to_cell_config();
+    node.cell(cell.cell_id).config = cell.to_cell_config();
   }
   for (const auto& report : saved.reports) {
     original_reports_[{id, report.request_id}] = report;

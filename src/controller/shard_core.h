@@ -583,9 +583,12 @@ class ShardCore final : public NorthboundApi {
   MasterConfig config_;
   Rib rib_;
   SnapshotStore snapshots_;
-  /// Agents whose subtree changed since the last publish (their nodes are
-  /// deep-copied into the next snapshot; everything else is shared).
+  /// Agents whose node changed since the last publish (their nodes are
+  /// copied into the next snapshot; everything else is shared).
   std::set<AgentId> dirty_agents_;
+  /// Stats replies decode into this one message, so after the first reply
+  /// of a given shape the decode reuses its vectors instead of allocating.
+  proto::StatsReply stats_reply_;
   /// An agent was added or removed since the last publish.
   bool rib_structure_changed_ = false;
   util::RunningStats snapshot_publish_time_;

@@ -369,8 +369,8 @@ TEST(AgentEndToEnd, HelloAndAutoConfigurationPopulateRib) {
   EXPECT_EQ(agent_node->enb_id, 7u);
   EXPECT_EQ(agent_node->name, "enb-7");
   ASSERT_FALSE(agent_node->capabilities.empty());
-  ASSERT_TRUE(agent_node->cells.contains(7));
-  EXPECT_DOUBLE_EQ(agent_node->cells.at(7).config.bandwidth_mhz, 10.0);
+  ASSERT_NE(agent_node->find_cell(7), nullptr);
+  EXPECT_DOUBLE_EQ(agent_node->find_cell(7)->config.bandwidth_mhz, 10.0);
 }
 
 TEST(AgentEndToEnd, LocalSchedulerAttachesAndServesUes) {

@@ -30,13 +30,13 @@ Rib make_rib() {
     AgentNode& agent = rib.agent(id);
     agent.id = id;
     agent.enb_id = id;
-    auto& cell = agent.cells[id];
+    auto& cell = agent.cell(id);
     cell.config.bandwidth_mhz = 10.0;  // 50 PRBs
     cell.stats.dl_prbs_in_use = 10 * static_cast<int>(id);
     cell.stats.active_ues = 2;
     for (lte::Rnti rnti = 70; rnti < 72; ++rnti) {
-      auto& ue = cell.ues[rnti];
-      ue.rnti = rnti;
+      auto& ue = agent.ues[agent.upsert_ue(rnti)];
+      ue.cell = id;
       ue.stats.wb_cqi = 9;
       ue.stats.dl_bytes_delivered = 1000 * id;
       ue.cqi_avg.add(9.0);
@@ -53,9 +53,9 @@ TEST(RibSnapshot, BitStableWhileUpdaterMutates) {
   ASSERT_EQ(v1->agent_count(), 3u);
 
   // The updater keeps mutating the live tree...
-  rib.agent(1).cells[1].ues[70].stats.wb_cqi = 2;
-  rib.agent(1).cells[1].ues[70].stats.dl_bytes_delivered = 999999;
-  rib.agent(2).cells[2].ues.erase(70);
+  rib.agent(1).find_ue(70)->stats.wb_cqi = 2;
+  rib.agent(1).find_ue(70)->stats.dl_bytes_delivered = 999999;
+  rib.agent(2).erase_ue(70);
   rib.remove_agent(3);
   rib.agent(1).last_subframe = 4242;
 
@@ -232,7 +232,7 @@ TEST(RibViewSnapshot, AnalyticsOverSnapshotMatchesLiveRib) {
 
   for (AgentId id = 1; id <= 3; ++id) {
     for (lte::Rnti rnti = 70; rnti < 72; ++rnti) {
-      rib.agent(id).cells[id].ues[rnti].stats.dl_bytes_delivered += 125000;  // 1 Mb
+      rib.agent(id).find_ue(rnti)->stats.dl_bytes_delivered += 125000;  // 1 Mb
     }
   }
   const sim::TimeUs t1 = sim::from_seconds(1.0);
@@ -244,17 +244,17 @@ TEST(RibViewSnapshot, AnalyticsOverSnapshotMatchesLiveRib) {
       EXPECT_DOUBLE_EQ(analytics.ue_dl_rate_mbps(id, rnti), 1.0);  // 1 Mb over 1 s
     }
     EXPECT_DOUBLE_EQ(analytics.cell_utilization(id, id),
-                     cell_dl_utilization(rib.find_agent(id)->cells.at(id)));
+                     cell_dl_utilization(*rib.find_agent(id)->find_cell(id)));
   }
 
   // The flattened view lists the live RIB's UEs in (agent, rnti) order.
   const auto summaries = summarize_ues(*view);
   std::size_t row = 0;
   for (const auto& [id, agent] : rib.agents()) {
-    for (const auto& [rnti, ue] : agent.cells.at(id).ues) {
+    for (const auto& ue : agent.ues) {
       ASSERT_LT(row, summaries.size());
       EXPECT_EQ(summaries[row].agent, id);
-      EXPECT_EQ(summaries[row].rnti, rnti);
+      EXPECT_EQ(summaries[row].rnti, ue.rnti);
       EXPECT_EQ(summaries[row].dl_bytes_delivered, ue.stats.dl_bytes_delivered);
       ++row;
     }

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
-#include "controller/shard_core.h"
 #include "controller/rib.h"
+#include "controller/rib_view.h"
+#include "controller/shard_core.h"
 #include "controller/task_manager.h"
+#include "net/sim_transport.h"
 #include "scenario/testbed.h"
 
 namespace flexran::ctrl {
@@ -33,9 +35,8 @@ TEST(Rib, ForestStructureAndLookups) {
   Rib rib;
   AgentNode& agent = rib.agent(1);
   agent.enb_id = 10;
-  auto& cell = agent.cells[100];
-  auto& ue = cell.ues[70];
-  ue.rnti = 70;
+  agent.cell(100);
+  agent.ues[agent.upsert_ue(70)].cell = 100;
 
   EXPECT_NE(rib.find_agent(1), nullptr);
   EXPECT_EQ(rib.find_agent(2), nullptr);
@@ -45,19 +46,38 @@ TEST(Rib, ForestStructureAndLookups) {
   EXPECT_EQ(rib.ue_count(), 1u);
   EXPECT_EQ(rib.agent_count(), 1u);
 
-  UeNode* mutable_ue = rib.mutable_ue(1, 70);
+  UeNode* mutable_ue = rib.agent(1).find_ue(70);
   ASSERT_NE(mutable_ue, nullptr);
   mutable_ue->stats.wb_cqi = 9;
   EXPECT_EQ(rib.find_ue(1, 70)->stats.wb_cqi, 9);
+}
+
+TEST(Rib, UeAndCellRowsStaySorted) {
+  AgentNode agent;
+  for (const lte::Rnti rnti : {72, 70, 71}) agent.upsert_ue(rnti);
+  agent.cell(5);
+  agent.cell(2);
+  ASSERT_EQ(agent.ues.size(), 3u);
+  EXPECT_EQ(agent.ues[0].rnti, 70);
+  EXPECT_EQ(agent.ues[2].rnti, 72);
+  EXPECT_EQ(agent.upsert_ue(71), 1u);  // existing row, nothing inserted
+  EXPECT_EQ(agent.ues.size(), 3u);
+  ASSERT_EQ(agent.cells.size(), 2u);
+  EXPECT_EQ(agent.cells[0].id, 2);
+  EXPECT_EQ(agent.find_cell(5), &agent.cells[1]);
+  EXPECT_EQ(agent.find_cell(3), nullptr);
+  agent.erase_ue(71);
+  agent.erase_ue(99);  // absent: no-op
+  ASSERT_EQ(agent.hot.size(), 2u);
+  EXPECT_EQ(agent.hot.rnti[1], 72);
+  EXPECT_EQ(agent.find_ue(71), nullptr);
 }
 
 TEST(Rib, ApproxBytesGrowsWithContent) {
   Rib rib;
   const auto empty = rib.approx_bytes();
   AgentNode& agent = rib.agent(1);
-  for (lte::Rnti rnti = 1; rnti <= 16; ++rnti) {
-    agent.cells[1].ues[rnti].rnti = rnti;
-  }
+  for (lte::Rnti rnti = 1; rnti <= 16; ++rnti) agent.upsert_ue(rnti);
   EXPECT_GT(rib.approx_bytes(), empty + 16 * sizeof(UeNode));
 }
 
@@ -260,7 +280,7 @@ TEST(MasterEndToEnd, RxAccountingSeesStatsDominance) {
 
 TEST(MasterEndToEnd, HotColumnsMirrorUeStats) {
   // The SoA hot-stat columns (docs/wire_fastpath.md) must stay in lockstep
-  // with the per-UE tree: populated by stats ingest, row removed on detach.
+  // with the UE rows: populated by stats ingest, row removed on detach.
   Testbed testbed(scenario::per_tti_master_config());
   auto& enb = testbed.add_enb(spec(1));
   testbed.add_enb(spec(2));
@@ -275,7 +295,6 @@ TEST(MasterEndToEnd, HotColumnsMirrorUeStats) {
   const auto* ue = testbed.master().rib().find_ue(enb.agent_id, rnti);
   ASSERT_NE(ue, nullptr);
   EXPECT_EQ(agent->hot.rlc_queue_bytes[0], ue->stats.rlc_queue_bytes);
-  EXPECT_NEAR(agent->hot.cqi_avg[0], ue->cqi_avg.value(), 1e-9);
 
   proto::HandoverCommand command;
   command.rnti = rnti;
@@ -303,6 +322,115 @@ TEST(MasterEndToEnd, RibTracksDetachOnHandoverEvent) {
   testbed.run_ttis(10);
   EXPECT_EQ(testbed.enb(0).data_plane->ue_count(), 0u);
   EXPECT_EQ(testbed.master().rib().find_ue(enb.agent_id, rnti), nullptr);
+}
+
+/// One agent wired to a bare ShardCore over a sim link: the test plays the
+/// agent and sends raw protocol messages; each send is applied and published.
+struct RawAgentLink {
+  static MasterConfig config() {
+    MasterConfig c;
+    c.auto_configure = false;
+    c.echo_period_cycles = 0;
+    return c;
+  }
+
+  sim::Simulator sim;
+  ShardCore core{sim, config()};
+  net::SimTransportPair pair = net::make_sim_transport_pair(sim);
+  AgentId id = core.add_agent(*pair.a);
+
+  RawAgentLink() {
+    proto::Hello hello;
+    hello.enb_id = 1;
+    hello.name = "raw";
+    send(hello);
+  }
+  template <typename M>
+  void send(const M& message) {
+    (void)pair.b->send(net::TrafficClass::session, proto::pack(message));
+    sim.run();
+    core.run_cycle();
+  }
+  void send_ue_event(proto::EventType type, lte::Rnti rnti, lte::CellId cell) {
+    proto::EventNotification event;
+    event.event = type;
+    event.rnti = rnti;
+    event.cell_id = cell;
+    send(event);
+  }
+  const AgentNode& node() const { return *core.rib().find_agent(id); }
+};
+
+proto::UeStatsReport ue_report(lte::Rnti rnti, std::uint8_t cqi, std::uint32_t queue_bytes) {
+  proto::UeStatsReport report;
+  report.rnti = rnti;
+  report.wb_cqi = cqi;
+  report.rlc_queue_bytes = queue_bytes;
+  return report;
+}
+
+TEST(MasterEndToEnd, UeReportedBeforeItsConfigIsStoredOnce) {
+  // After a cold master restart or a re-homing, stats can reach the RIB
+  // before the configuration that names the UE's cell.
+  RawAgentLink link;
+  proto::StatsReply stats;
+  stats.ue_reports.push_back(ue_report(70, 9, 1200));
+  proto::CellStatsReport cell_report;
+  cell_report.cell_id = 5;
+  stats.cell_reports.push_back(cell_report);
+  link.send(stats);
+
+  proto::EnbConfigReply enb;
+  enb.enb_id = 1;
+  enb.cells.push_back(proto::CellConfigMsg{.cell_id = 5});
+  link.send(enb);
+  proto::UeConfigReply ues;
+  ues.ues.push_back(proto::UeConfigMsg{.rnti = 70, .primary_cell = 5});
+  link.send(ues);
+
+  EXPECT_EQ(link.core.rib().ue_count(), 1u);
+  EXPECT_EQ(link.node().cells.size(), 1u);
+  const auto summaries = summarize_ues(*link.core.rib_snapshot());
+  ASSERT_EQ(summaries.size(), 1u);
+  EXPECT_EQ(summaries[0].cell, 5);
+  EXPECT_EQ(summaries[0].cqi, 9);
+  EXPECT_EQ(summaries[0].queue_bytes, 1200u);
+}
+
+TEST(MasterEndToEnd, HotColumnsStayRowAlignedThroughDetachAndReattach) {
+  RawAgentLink link;
+  const auto expect_aligned = [&](std::size_t rows) {
+    const AgentNode& node = link.node();
+    ASSERT_EQ(node.ues.size(), rows);
+    ASSERT_EQ(node.hot.size(), rows);
+    for (std::size_t i = 0; i < rows; ++i) {
+      EXPECT_EQ(node.hot.rnti[i], node.ues[i].rnti) << "row " << i;
+      EXPECT_EQ(node.hot.wb_cqi[i], node.ues[i].stats.wb_cqi) << "row " << i;
+      EXPECT_EQ(node.hot.rlc_queue_bytes[i], node.ues[i].stats.rlc_queue_bytes) << "row " << i;
+      if (i > 0) {
+        EXPECT_LT(node.ues[i - 1].rnti, node.ues[i].rnti);
+      }
+    }
+  };
+  for (const lte::Rnti rnti : {70, 71, 72}) {
+    link.send_ue_event(proto::EventType::ue_attach, rnti, 1);
+  }
+  proto::StatsReply stats;
+  stats.ue_reports = {ue_report(70, 7, 100), ue_report(71, 8, 200), ue_report(72, 9, 300)};
+  link.send(stats);
+  expect_aligned(3);
+
+  link.send_ue_event(proto::EventType::ue_detach, 71, 1);
+  expect_aligned(2);
+  EXPECT_EQ(link.node().find_ue(71), nullptr);
+
+  link.send_ue_event(proto::EventType::ue_attach, 71, 1);
+  expect_aligned(3);
+  stats.ue_reports = {ue_report(71, 12, 4096)};
+  link.send(stats);
+  expect_aligned(3);
+  EXPECT_EQ(link.node().hot.wb_cqi[1], 12);
+  EXPECT_EQ(link.node().find_ue(72)->stats.rlc_queue_bytes, 300u);
 }
 
 // ---------------------------------------------------------- observability --

@@ -133,19 +133,20 @@ TEST(ConflictArbiter, EndToEndSecondSchedulerAppIsBlocked) {
 TEST(RibView, SummariesAndLoadHelpers) {
   ctrl::Rib rib;
   auto& agent1 = rib.agent(1);
-  agent1.cells[1].config.cell_id = 1;
-  agent1.cells[1].config.bandwidth_mhz = 10.0;
-  agent1.cells[1].stats.dl_prbs_in_use = 25;
-  agent1.cells[1].stats.active_ues = 3;
-  auto& ue = agent1.cells[1].ues[70];
-  ue.rnti = 70;
+  auto& cell1 = agent1.cell(1);
+  cell1.config.cell_id = 1;
+  cell1.config.bandwidth_mhz = 10.0;
+  cell1.stats.dl_prbs_in_use = 25;
+  cell1.stats.active_ues = 3;
+  auto& ue = agent1.ues[agent1.upsert_ue(70)];
+  ue.cell = 1;
   ue.stats.wb_cqi = 11;
   ue.stats.rlc_queue_bytes = 5000;
   ue.stats.rsrp = {{1, -80.0}, {2, -75.0}, {3, -90.0}};
   ue.cqi_avg.add(11);
 
   auto& agent2 = rib.agent(2);
-  agent2.cells[2].stats.active_ues = 1;
+  agent2.cell(2).stats.active_ues = 1;
 
   const auto view = ctrl::RibSnapshot::capture(rib);
   const auto summaries = ctrl::summarize_ues(*view);
@@ -157,7 +158,7 @@ TEST(RibView, SummariesAndLoadHelpers) {
   EXPECT_EQ(*summaries[0].best_neighbor, 2u);  // -75 beats -90
   EXPECT_DOUBLE_EQ(summaries[0].best_neighbor_rsrp_dbm, -75.0);
 
-  EXPECT_DOUBLE_EQ(ctrl::cell_dl_utilization(agent1.cells[1]), 0.5);
+  EXPECT_DOUBLE_EQ(ctrl::cell_dl_utilization(cell1), 0.5);
   ASSERT_TRUE(ctrl::least_loaded_agent(*view).has_value());
   EXPECT_EQ(*ctrl::least_loaded_agent(*view), 2u);
 }
@@ -165,9 +166,9 @@ TEST(RibView, SummariesAndLoadHelpers) {
 TEST(RibView, AnalyticsDerivesRates) {
   ctrl::Rib rib;
   auto& agent = rib.agent(1);
-  agent.cells[1].config.cell_id = 1;
-  auto& ue = agent.cells[1].ues[70];
-  ue.rnti = 70;
+  agent.cell(1).config.cell_id = 1;
+  auto& ue = agent.ues[agent.upsert_ue(70)];
+  ue.cell = 1;
 
   ctrl::RibAnalytics analytics;
   ue.stats.dl_bytes_delivered = 0;
