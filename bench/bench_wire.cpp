@@ -1,9 +1,9 @@
 // Wire fast-path benchmark and allocation gate (docs/wire_fastpath.md).
 //
 // Measures ns/op and heap allocations per message for the control-channel
-// hot path: nested-message encode (legacy per-sub-message encoders vs. the
-// arena/backpatch path), envelope decode (fresh vs. decode_into reuse),
-// frame + reassemble, the full encode->frame->reassemble->decode loop,
+// hot path: nested-message encode (reused encoder, length-prefix
+// backpatching), envelope + body decode into reused structs, frame +
+// reassemble, the full encode->frame->reassemble->decode loop,
 // ingest->apply through a standalone ShardCore over sim transports, and
 // RIB snapshot publish (one dirty agent) and 4-shard compose at 16, 1024 and
 // 8192 agents, whose allocation counts must not grow with the fleet. Publish
@@ -17,14 +17,11 @@
 //   bench_wire --check=bench/wire_alloc_baseline.txt   # exit 1 on regression
 //   bench_wire [BENCH_wire.json]                       # report + JSON
 //
-// The legacy encode baseline replicates the pre-change encoding (a fresh
-// WireEncoder per sub-message, copied into the parent via field_message,
-// body vector + Envelope::encode) and is verified byte-identical to the
-// arena path before anything is timed.
+// Both modes exit 1 when the decoded reply differs, field by field, from
+// the reply that was encoded: a fast but wrong decoder cannot pass.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -143,53 +140,6 @@ proto::StatsReply make_reply(std::size_t ues = kUes, std::size_t rsrp_per_ue = k
   return reply;
 }
 
-// Pre-change nested encode, kept verbatim as the in-bench baseline: one
-// fresh WireEncoder per sub-message, copied into its parent via
-// field_message, then an owned body vector copied into Envelope::encode.
-// Field order matches src/proto/messages.cpp so output stays byte-identical.
-void legacy_encode_ue_report(proto::WireEncoder& parent, int field,
-                             const proto::UeStatsReport& r) {
-  proto::WireEncoder enc;
-  enc.field_varint(1, r.rnti);
-  for (auto bsr : r.bsr_bytes) enc.field_varint(2, bsr);
-  enc.field_svarint(3, r.phr_db);
-  enc.field_varint(4, r.wb_cqi);
-  enc.field_varint(5, r.rlc_queue_bytes);
-  if (r.pending_harq != 0) enc.field_varint(6, r.pending_harq);
-  if (r.dl_bytes_delivered != 0) enc.field_varint(7, r.dl_bytes_delivered);
-  if (r.ul_bytes_received != 0) enc.field_varint(8, r.ul_bytes_received);
-  if (r.wb_cqi_protected != 0) enc.field_varint(9, r.wb_cqi_protected);
-  if (r.ul_buffer_bytes != 0) enc.field_varint(11, r.ul_buffer_bytes);
-  for (const auto& m : r.rsrp) {
-    proto::WireEncoder sub;
-    sub.field_varint(1, m.cell_id);
-    sub.field_svarint(2, std::llround(m.rsrp_dbm * 100.0));
-    enc.field_message(10, sub);
-  }
-  parent.field_message(field, enc);
-}
-
-std::vector<std::uint8_t> legacy_encode(const proto::StatsReply& reply) {
-  proto::WireEncoder body;
-  body.field_varint(1, reply.request_id);
-  body.field_svarint(2, reply.subframe);
-  for (const auto& r : reply.ue_reports) legacy_encode_ue_report(body, 3, r);
-  for (const auto& c : reply.cell_reports) {
-    proto::WireEncoder enc;
-    enc.field_varint(1, c.cell_id);
-    enc.field_double(2, c.noise_interference_dbm);
-    enc.field_varint(3, c.dl_prbs_in_use);
-    enc.field_varint(4, c.ul_prbs_in_use);
-    enc.field_varint(5, c.active_ues);
-    body.field_message(4, enc);
-  }
-  proto::Envelope envelope;
-  envelope.type = proto::MessageType::stats_reply;
-  envelope.xid = kXid;
-  envelope.body = body.take();
-  return envelope.encode();
-}
-
 // RIB agent as the updater leaves it after applying `reply`: one cell and
 // one UE row (with its hot-column row) per report.
 void fill_agent(ctrl::AgentNode& agent, ctrl::AgentId id, const proto::StatsReply& reply) {
@@ -276,11 +226,9 @@ std::pair<double, double> measure_publish(std::size_t agents, const proto::Stats
 // --------------------------------------------------------------- results --
 
 struct Results {
-  double encode_legacy_ns = 0.0;
+  bool decode_matches = false;
   double encode_arena_ns = 0.0;
-  double encode_speedup = 0.0;
   double encode_arena_allocs = 0.0;
-  double decode_fresh_ns = 0.0;
   double decode_into_ns = 0.0;
   double decode_into_allocs = 0.0;
   double frame_ns = 0.0;
@@ -300,24 +248,46 @@ struct Results {
   double compose_allocs[kFleets] = {};
 };
 
-bool verify_byte_identity(const proto::StatsReply& reply) {
-  const auto legacy = legacy_encode(reply);
-  proto::WireEncoder enc;
-  proto::Envelope header;
-  header.xid = kXid;
-  proto::encode_envelope(enc, header, reply);
-  const auto arena = enc.bytes();
-  if (legacy.size() != arena.size() ||
-      !std::equal(legacy.begin(), legacy.end(), arena.begin())) {
-    std::fprintf(stderr, "FATAL: arena encode is not byte-identical to the legacy path "
-                         "(%zu vs %zu bytes)\n", arena.size(), legacy.size());
+/// True when `decoded` carries every field of `sent`; otherwise names the
+/// first difference on stderr.
+bool same_reply(const proto::StatsReply& sent, const proto::StatsReply& decoded) {
+  const auto differs = [](const char* what, std::size_t index) {
+    std::fprintf(stderr, "bench_wire: decoded reply differs from the encoded one: %s (#%zu)\n",
+                 what, index);
     return false;
+  };
+  if (decoded.request_id != sent.request_id) return differs("request_id", 0);
+  if (decoded.subframe != sent.subframe) return differs("subframe", 0);
+  if (decoded.ue_reports.size() != sent.ue_reports.size()) return differs("ue_reports", 0);
+  if (decoded.cell_reports.size() != sent.cell_reports.size()) return differs("cell_reports", 0);
+  for (std::size_t i = 0; i < sent.ue_reports.size(); ++i) {
+    const auto& a = sent.ue_reports[i];
+    const auto& b = decoded.ue_reports[i];
+    if (a.rnti != b.rnti) return differs("ue rnti", i);
+    if (a.bsr_bytes != b.bsr_bytes) return differs("ue bsr_bytes", i);
+    if (a.phr_db != b.phr_db) return differs("ue phr_db", i);
+    if (a.wb_cqi != b.wb_cqi) return differs("ue wb_cqi", i);
+    if (a.wb_cqi_protected != b.wb_cqi_protected) return differs("ue wb_cqi_protected", i);
+    if (a.rlc_queue_bytes != b.rlc_queue_bytes) return differs("ue rlc_queue_bytes", i);
+    if (a.pending_harq != b.pending_harq) return differs("ue pending_harq", i);
+    if (a.dl_bytes_delivered != b.dl_bytes_delivered) return differs("ue dl_bytes_delivered", i);
+    if (a.ul_bytes_received != b.ul_bytes_received) return differs("ue ul_bytes_received", i);
+    if (a.ul_buffer_bytes != b.ul_buffer_bytes) return differs("ue ul_buffer_bytes", i);
+    if (a.rsrp.size() != b.rsrp.size()) return differs("ue rsrp", i);
+    for (std::size_t m = 0; m < a.rsrp.size(); ++m) {
+      if (a.rsrp[m].cell_id != b.rsrp[m].cell_id || a.rsrp[m].rsrp_dbm != b.rsrp[m].rsrp_dbm) {
+        return differs("ue rsrp entry", i);
+      }
+    }
   }
-  const auto packed = proto::pack(reply, kXid);
-  if (packed.size() != legacy.size() ||
-      !std::equal(packed.begin(), packed.end(), legacy.begin())) {
-    std::fprintf(stderr, "FATAL: pack() diverged from the legacy encoding\n");
-    return false;
+  for (std::size_t i = 0; i < sent.cell_reports.size(); ++i) {
+    const auto& a = sent.cell_reports[i];
+    const auto& b = decoded.cell_reports[i];
+    if (a.cell_id != b.cell_id || a.noise_interference_dbm != b.noise_interference_dbm ||
+        a.dl_prbs_in_use != b.dl_prbs_in_use || a.ul_prbs_in_use != b.ul_prbs_in_use ||
+        a.active_ues != b.active_ues) {
+      return differs("cell report", i);
+    }
   }
   return true;
 }
@@ -326,15 +296,7 @@ Results run_bench() {
   Results res;
   const proto::StatsReply reply = make_reply();
 
-  // ---- nested-message encode: legacy vs arena ----
-  {
-    volatile std::size_t sink = 0;
-    auto t0 = Clock::now();
-    for (std::uint64_t i = 0; i < kEncodeIters; ++i) sink = legacy_encode(reply).size();
-    auto t1 = Clock::now();
-    res.encode_legacy_ns = ns_per_op(kEncodeIters, t0, t1);
-    (void)sink;
-  }
+  // ---- nested-message encode into a reused encoder ----
   {
     proto::WireEncoder enc;
     proto::Envelope header;
@@ -358,23 +320,10 @@ Results run_bench() {
     res.wire_bytes = enc.size();
     (void)sink;
   }
-  res.encode_speedup = res.encode_legacy_ns / res.encode_arena_ns;
 
-  const auto wire = legacy_encode(reply);
+  const auto wire = proto::pack(reply, kXid);
 
-  // ---- decode: fresh structs vs decode_into reuse ----
-  {
-    volatile std::uint32_t sink = 0;
-    auto t0 = Clock::now();
-    for (std::uint64_t i = 0; i < kLoopIters; ++i) {
-      auto envelope = proto::Envelope::decode(wire);
-      auto decoded = proto::StatsReply::decode_body(envelope->body);
-      sink = decoded->request_id;
-    }
-    auto t1 = Clock::now();
-    res.decode_fresh_ns = ns_per_op(kLoopIters, t0, t1);
-    (void)sink;
-  }
+  // ---- decode into a reused envelope and reply ----
   {
     proto::Envelope envelope;
     proto::StatsReply decoded;
@@ -394,6 +343,7 @@ Results run_bench() {
     res.decode_into_ns = ns_per_op(kLoopIters, t0, t1);
     res.decode_into_allocs =
         static_cast<double>(g_allocs.load() - allocs0) / static_cast<double>(kLoopIters);
+    res.decode_matches = same_reply(reply, decoded);
     (void)sink;
   }
 
@@ -602,26 +552,20 @@ int main(int argc, char** argv) {
     }
   }
 
-  const proto::StatsReply reply = make_reply();
-  if (!verify_byte_identity(reply)) return 1;
-
   const Results res = run_bench();
+  if (!res.decode_matches) return 1;
 
   if (!check_path.empty()) return check_against(res, check_path);
 
   flexran::bench::print_header("Wire fast path: ns/op and allocations per message");
   flexran::bench::print_note(
       "StatsReply with 16 UE reports (2 RSRP entries each) + 1 cell report.\n"
-      "Legacy = pre-change nested encode (fresh encoder per sub-message,\n"
-      "field_message copies, owned body vector); arena = reused encoder with\n"
-      "length-prefix backpatching. Outputs verified byte-identical.");
+      "Encode: reused encoder with length-prefix backpatching. Decode: into a\n"
+      "reused envelope and reply, checked field by field against the input.");
   std::printf("\nwire size: %zu bytes\n\n", res.wire_bytes);
   std::printf("%-34s %10s %14s\n", "stage", "ns/op", "allocs/op");
-  std::printf("%-34s %10.1f %14s\n", "encode nested (legacy)", res.encode_legacy_ns, "-");
   std::printf("%-34s %10.1f %14.4f\n", "encode nested (arena)", res.encode_arena_ns,
               res.encode_arena_allocs);
-  std::printf("%-34s %9.2fx %14s\n", "encode speedup", res.encode_speedup, "-");
-  std::printf("%-34s %10.1f %14s\n", "decode (fresh structs)", res.decode_fresh_ns, "-");
   std::printf("%-34s %10.1f %14.4f\n", "decode (decode_into reuse)", res.decode_into_ns,
               res.decode_into_allocs);
   std::printf("%-34s %10.1f %14.4f\n", "frame + reassemble", res.frame_ns, res.frame_allocs);
@@ -668,14 +612,13 @@ int main(int argc, char** argv) {
   std::snprintf(
       buffer, sizeof(buffer),
       ",\"wire_bytes\":%zu,"
-      "\"encode\":{\"legacy_ns\":%.2f,\"arena_ns\":%.2f,\"speedup\":%.3f,"
-      "\"arena_allocs_per_msg\":%.4f},"
-      "\"decode\":{\"fresh_ns\":%.2f,\"into_ns\":%.2f,\"into_allocs_per_msg\":%.4f},"
+      "\"encode\":{\"arena_ns\":%.2f,\"arena_allocs_per_msg\":%.4f},"
+      "\"decode\":{\"into_ns\":%.2f,\"into_allocs_per_msg\":%.4f},"
       "\"frame\":{\"ns\":%.2f,\"allocs_per_msg\":%.4f},"
       "\"wire_loop\":{\"ns\":%.2f,\"allocs_per_msg\":%.4f},"
       "\"ingest_apply\":{\"ns\":%.2f,\"allocs_per_msg\":%.4f},",
-      res.wire_bytes, res.encode_legacy_ns, res.encode_arena_ns, res.encode_speedup,
-      res.encode_arena_allocs, res.decode_fresh_ns, res.decode_into_ns, res.decode_into_allocs,
+      res.wire_bytes, res.encode_arena_ns, res.encode_arena_allocs, res.decode_into_ns,
+      res.decode_into_allocs,
       res.frame_ns, res.frame_allocs, res.loop_ns, res.loop_allocs, res.ingest_ns,
       res.ingest_allocs);
   const std::string json =

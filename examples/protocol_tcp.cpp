@@ -17,7 +17,7 @@ namespace {
 void print_message(const char* who, const proto::Envelope& envelope, std::size_t wire_bytes) {
   std::printf("%-8s %-22s xid=%-4u %4zu bytes on the wire  [%s]\n", who,
               proto::to_string(envelope.type), envelope.xid, wire_bytes,
-              proto::to_string(proto::categorize(envelope.type, envelope.body)));
+              proto::to_string(proto::classify(envelope.type, envelope.body).category));
 }
 
 }  // namespace

@@ -308,7 +308,7 @@ void Agent::handle_message(std::span<const std::uint8_t> data) {
   // Mirror of the master's per-link rx accounting (same frame-header-bytes
   // convention), so both ends of the Fig. 7 breakdown reconcile. Recorded
   // before epoch fencing, like the master records before its queue.
-  rx_accounting_.record(proto::categorize(envelope.type, envelope.body),
+  rx_accounting_.record(proto::classify(envelope.type, envelope.body).category,
                         data.size() + net::kFrameHeaderBytes);
   if (envelope.ts_us != 0) pending_ts_echo_us_ = envelope.ts_us;
   // Master incarnation fencing (the mirror image of the session-epoch fence

@@ -16,22 +16,6 @@ namespace {
 /// Control-loop trace ring capacity (most recent cycles kept verbatim).
 constexpr std::size_t kTraceCycles = 4096;
 
-/// Reads just the request_id (field 1) of an encoded StatsReply body --
-/// the coalesce key -- without materializing the full reply.
-std::uint32_t peek_stats_request_id(const std::vector<std::uint8_t>& body) {
-  proto::WireDecoder dec(body);
-  while (!dec.done()) {
-    auto header = dec.next_field();
-    if (!header.ok()) return 0;
-    if (header->field == 1 && header->type == proto::WireType::varint) {
-      auto value = dec.read_varint();
-      return value.ok() ? static_cast<std::uint32_t>(*value) : 0;
-    }
-    if (!dec.skip(header->type).ok()) return 0;
-  }
-  return 0;
-}
-
 /// Packs (agent, kind, request_id) into one coalesce key. Kinds: 1 =
 /// periodic StatsReply (per request_id), 2 = subframe tick (one per
 /// agent; each tick supersedes the previous).
@@ -104,21 +88,22 @@ AgentId ShardCore::add_agent(net::Transport& transport, AgentId explicit_id) {
                                    << envelope.error().message;
       return;
     }
+    // One shallow pass over the body routes the message; the full decode
+    // waits for apply, so a reply superseded in the queue is never decoded.
+    const proto::RxClass rx = proto::classify(envelope->type, envelope->body);
     auto link_it = links_.find(id);
     if (link_it != links_.end()) {
-      link_it->second.rx.record(proto::categorize(envelope->type, envelope->body),
-                                data.size() + net::kFrameHeaderBytes);
+      link_it->second.rx.record(rx.category, data.size() + net::kFrameHeaderBytes);
     }
-    const net::TrafficClass cls = proto::traffic_class(envelope->type, envelope->body);
     std::uint64_t key = 0;
     if (envelope->type == proto::MessageType::stats_reply) {
       // A superseded periodic reply coalesces per (agent, request_id);
       // ticks coalesce per agent (each one supersedes the previous).
-      key = ingest_key(id, 1, peek_stats_request_id(envelope->body));
-    } else if (cls == net::TrafficClass::sync) {
+      key = ingest_key(id, 1, rx.request_id);
+    } else if (rx.traffic_class == net::TrafficClass::sync) {
       key = ingest_key(id, 2, 0);
     }
-    pending_.push(cls, data.size() + net::kFrameHeaderBytes, key,
+    pending_.push(rx.traffic_class, data.size() + net::kFrameHeaderBytes, key,
                   PendingUpdate{id, envelope->epoch, std::move(*envelope)});
   });
   transport.set_disconnect_callback(
@@ -232,7 +217,7 @@ std::size_t ShardCore::drain_pending(std::int64_t budget_us) {
   // In real-time mode the updater slot admits at most 4 updates per
   // microsecond of budget, without a clock read per message. That figure
   // is an admission count, not a time bound: a 16-UE stats reply costs
-  // 6-11 us from arrival to published snapshot (bench_wire ingest->apply,
+  // 3-7 us from arrival to published snapshot (bench_wire ingest->apply,
   // varying with host load), so a full slot can overrun its budget many
   // times over.
   std::size_t limit = pending_.size();
@@ -384,15 +369,24 @@ void ShardCore::apply_update(const PendingUpdate& update) {
   }
   if (envelope.xid != 0) complete_request(update.agent, envelope.xid);
 
+  // A body that fails to decode inside a well-formed envelope is dropped
+  // and counted with the envelopes that failed at receive.
   switch (envelope.type) {
     case MessageType::hello: {
       auto hello = proto::unpack<proto::Hello>(envelope);
-      if (hello.ok()) on_agent_hello(update.agent, *hello);
+      if (!hello.ok()) {
+        ++stats_.rx_decode_errors;
+        break;
+      }
+      on_agent_hello(update.agent, *hello);
       break;
     }
     case MessageType::echo_reply: {
       auto reply = proto::unpack<proto::EchoReply>(envelope);
-      if (!reply.ok()) break;
+      if (!reply.ok()) {
+        ++stats_.rx_decode_errors;
+        break;
+      }
       const double rtt = static_cast<double>(sim_.now() - reply->echoed_timestamp_us);
       agent.rtt_estimate_us =
           agent.rtt_estimate_us == 0.0 ? rtt : 0.8 * agent.rtt_estimate_us + 0.2 * rtt;
@@ -400,7 +394,10 @@ void ShardCore::apply_update(const PendingUpdate& update) {
     }
     case MessageType::enb_config_reply: {
       auto reply = proto::unpack<proto::EnbConfigReply>(envelope);
-      if (!reply.ok()) break;
+      if (!reply.ok()) {
+        ++stats_.rx_decode_errors;
+        break;
+      }
       agent.enb_id = reply->enb_id;
       for (const auto& cell : reply->cells) {
         agent.cell(cell.cell_id).config = cell.to_cell_config();
@@ -414,7 +411,10 @@ void ShardCore::apply_update(const PendingUpdate& update) {
     }
     case MessageType::ue_config_reply: {
       auto reply = proto::unpack<proto::UeConfigReply>(envelope);
-      if (!reply.ok()) break;
+      if (!reply.ok()) {
+        ++stats_.rx_decode_errors;
+        break;
+      }
       for (const auto& ue_msg : reply->ues) {
         const auto config = ue_msg.to_ue_config();
         agent.cell(config.primary_cell);  // a cell a UE names gets a node, configured or not
@@ -428,7 +428,10 @@ void ShardCore::apply_update(const PendingUpdate& update) {
     case MessageType::lc_config_reply:
       break;  // logical channel maps are not tracked beyond UE existence
     case MessageType::stats_reply: {
-      if (!proto::StatsReply::decode_body_into(envelope.body, stats_reply_).ok()) break;
+      if (!proto::StatsReply::decode_body_into(envelope.body, stats_reply_).ok()) {
+        ++stats_.rx_decode_errors;
+        break;
+      }
       const proto::StatsReply& reply = stats_reply_;
       // Stats replies do not echo the request xid; the first report
       // completes the tracked request via its request_id.
@@ -458,7 +461,10 @@ void ShardCore::apply_update(const PendingUpdate& update) {
     }
     case MessageType::event_notification: {
       auto event = proto::unpack<proto::EventNotification>(envelope);
-      if (!event.ok()) break;
+      if (!event.ok()) {
+        ++stats_.rx_decode_errors;
+        break;
+      }
       if (event->event == proto::EventType::subframe_tick) {
         if (event->subframe > agent.last_subframe) {
           agent.last_subframe = event->subframe;

@@ -152,7 +152,9 @@ struct ShardStats {
   /// Queued/arriving updates dropped because they carried an older session
   /// epoch than the agent's current one.
   std::uint64_t fenced_updates = 0;
-  /// Messages whose envelope failed to decode (e.g. corrupted in flight).
+  /// Messages whose envelope failed to decode at receive (e.g. corrupted in
+  /// flight), plus well-formed envelopes whose body failed to decode at
+  /// apply.
   std::uint64_t rx_decode_errors = 0;
   std::uint64_t requests_completed = 0;
   std::uint64_t requests_retried = 0;

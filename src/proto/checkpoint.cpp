@@ -6,114 +6,51 @@ namespace {
 
 using util::Error;
 using util::Result;
-using util::Status;
 
-/// Local copy of the messages.cpp decode-loop helper (that one lives in an
-/// anonymous namespace): iterates fields, dispatching to `handler`, which
-/// returns false for unknown fields (skipped, forward-compatible).
-template <typename Handler>
-Status decode_fields(std::span<const std::uint8_t> data, Handler&& handler) {
-  WireDecoder dec(data);
-  while (!dec.done()) {
-    auto header = dec.next_field();
-    if (!header.ok()) return header.error();
-    auto handled = handler(dec, *header);
-    if (!handled.ok()) return handled.error();
-    if (!*handled) {
-      auto skipped = dec.skip(header->type);
-      if (!skipped.ok()) return skipped;
-    }
-  }
-  return {};
-}
-
-Result<std::uint64_t> expect_varint(WireDecoder& dec, const WireDecoder::FieldHeader& header) {
-  if (header.type != WireType::varint) return Error::decode_failure("expected varint");
-  return dec.read_varint();
-}
-
-Result<std::string> expect_string(WireDecoder& dec, const WireDecoder::FieldHeader& header) {
-  if (header.type != WireType::length_delimited) return Error::decode_failure("expected bytes");
-  return dec.read_string();
-}
-
-Result<std::span<const std::uint8_t>> expect_bytes(WireDecoder& dec,
-                                                   const WireDecoder::FieldHeader& header) {
-  if (header.type != WireType::length_delimited) return Error::decode_failure("expected bytes");
-  return dec.read_bytes();
-}
-
-#define ASSIGN_VARINT(target, cast_type)                   \
-  do {                                                     \
-    auto v_ = expect_varint(dec, header);                  \
-    if (!v_.ok()) return Result<bool>(v_.error());         \
-    (target) = static_cast<cast_type>(*v_);                \
-  } while (0)
-
-WireEncoder encode_agent(const CheckpointAgent& agent) {
-  WireEncoder enc;
+void encode_agent(WireEncoder& enc, int field, const CheckpointAgent& agent) {
+  const auto mark = enc.begin_message(field);
   enc.field_varint(1, agent.id);
   enc.field_string(2, agent.name);
   for (const auto& cap : agent.capabilities) enc.field_string(3, cap);
   if (agent.epoch != 0) enc.field_varint(4, agent.epoch);
-  WireEncoder config;
-  agent.config.encode_body(config);
-  enc.field_message(5, config);
+  const auto config = enc.begin_message(5);
+  agent.config.encode_body(enc);
+  enc.end_message(config);
   for (const auto& report : agent.reports) {
-    WireEncoder sub;
-    report.encode_body(sub);
-    enc.field_message(6, sub);
+    const auto sub = enc.begin_message(6);
+    report.encode_body(enc);
+    enc.end_message(sub);
   }
   for (const auto& policy : agent.policy_history) enc.field_string(7, policy);
-  return enc;
+  enc.end_message(mark);
 }
 
 Result<CheckpointAgent> decode_agent(std::span<const std::uint8_t> data) {
   CheckpointAgent out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_VARINT(out.id, std::uint32_t); return true;
-      case 2: {
-        auto s = expect_string(dec, header);
-        if (!s.ok()) return Result<bool>(s.error());
-        out.name = std::move(*s);
-        return true;
-      }
-      case 3: {
-        auto s = expect_string(dec, header);
-        if (!s.ok()) return Result<bool>(s.error());
-        out.capabilities.push_back(std::move(*s));
-        return true;
-      }
-      case 4: ASSIGN_VARINT(out.epoch, std::uint32_t); return true;
+  WireDecoder dec(data);
+  while (dec.next()) {
+    switch (dec.field()) {
+      case 1: dec.read(out.id); break;
+      case 2: dec.read(out.name); break;
+      case 3: dec.read(out.capabilities.emplace_back()); break;
+      case 4: dec.read(out.epoch); break;
       case 5: {
-        auto bytes = expect_bytes(dec, header);
-        if (!bytes.ok()) return Result<bool>(bytes.error());
-        auto config = EnbConfigReply::decode_body(*bytes);
-        if (!config.ok()) return Result<bool>(config.error());
+        auto config = EnbConfigReply::decode_body(dec.bytes());
+        if (!config.ok()) return config.error();
         out.config = std::move(*config);
-        return true;
+        break;
       }
       case 6: {
-        auto bytes = expect_bytes(dec, header);
-        if (!bytes.ok()) return Result<bool>(bytes.error());
-        auto report = StatsRequest::decode_body(*bytes);
-        if (!report.ok()) return Result<bool>(report.error());
+        auto report = StatsRequest::decode_body(dec.bytes());
+        if (!report.ok()) return report.error();
         out.reports.push_back(std::move(*report));
-        return true;
+        break;
       }
-      case 7: {
-        auto s = expect_string(dec, header);
-        if (!s.ok()) return Result<bool>(s.error());
-        out.policy_history.push_back(std::move(*s));
-        return true;
-      }
-      default: return false;
+      case 7: dec.read(out.policy_history.emplace_back()); break;
+      default: dec.skip();
     }
-  });
-  if (!status.ok()) return status.error();
-  return out;
+  }
+  return dec.finish(std::move(out));
 }
 
 }  // namespace
@@ -123,7 +60,7 @@ std::vector<std::uint8_t> MasterCheckpoint::encode() const {
   enc.field_varint(1, version);
   if (incarnation != 0) enc.field_varint(2, incarnation);
   if (saved_at_us != 0) enc.field_varint(3, saved_at_us);
-  for (const auto& agent : agents) enc.field_message(4, encode_agent(agent));
+  for (const auto& agent : agents) encode_agent(enc, 4, agent);
   // Shard identity rides as `shard + 1` so the standalone default (-1)
   // stays off the wire and old checkpoints decode to it.
   if (shard >= 0) enc.field_varint(5, static_cast<std::uint64_t>(shard) + 1);
@@ -134,40 +71,32 @@ std::vector<std::uint8_t> MasterCheckpoint::encode() const {
 Result<MasterCheckpoint> MasterCheckpoint::decode(std::span<const std::uint8_t> data) {
   MasterCheckpoint out;
   bool saw_version = false;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: {
-        ASSIGN_VARINT(out.version, std::uint32_t);
+  WireDecoder dec(data);
+  while (dec.next()) {
+    switch (dec.field()) {
+      case 1:
+        dec.read(out.version);
         saw_version = true;
-        return true;
-      }
-      case 2: ASSIGN_VARINT(out.incarnation, std::uint32_t); return true;
-      case 3: ASSIGN_VARINT(out.saved_at_us, std::uint64_t); return true;
+        break;
+      case 2: dec.read(out.incarnation); break;
+      case 3: dec.read(out.saved_at_us); break;
       case 4: {
-        auto bytes = expect_bytes(dec, header);
-        if (!bytes.ok()) return Result<bool>(bytes.error());
-        auto agent = decode_agent(*bytes);
-        if (!agent.ok()) return Result<bool>(agent.error());
+        auto agent = decode_agent(dec.bytes());
+        if (!agent.ok()) return agent.error();
         out.agents.push_back(std::move(*agent));
-        return true;
+        break;
       }
-      case 5: {
-        std::uint64_t stamped = 0;
-        ASSIGN_VARINT(stamped, std::uint64_t);
-        if (stamped != 0) out.shard = static_cast<int>(stamped - 1);
-        return true;
-      }
-      case 6: {
-        std::uint32_t id = 0;
-        ASSIGN_VARINT(id, std::uint32_t);
-        out.agent_ids.push_back(id);
-        return true;
-      }
-      default: return false;
+      case 5:
+        // Shard identity rides as `shard + 1` (see encode()).
+        if (const std::uint64_t stamped = dec.varint(); stamped != 0) {
+          out.shard = static_cast<int>(stamped - 1);
+        }
+        break;
+      case 6: dec.read(out.agent_ids.emplace_back()); break;
+      default: dec.skip();
     }
-  });
-  if (!status.ok()) return status.error();
+  }
+  if (!dec.ok()) return dec.status().error();
   if (!saw_version) return Error::decode_failure("checkpoint missing version");
   if (out.version != kVersion) {
     return Error::unsupported("checkpoint version " + std::to_string(out.version) +

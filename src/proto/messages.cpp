@@ -4,67 +4,9 @@
 
 namespace flexran::proto {
 
-namespace {
-
 using util::Error;
 using util::Result;
 using util::Status;
-
-/// Shared decode-loop helper: iterates fields, dispatching to `handler`
-/// (returns false if the field is unknown, in which case it is skipped).
-template <typename Handler>
-Status decode_fields(std::span<const std::uint8_t> data, Handler&& handler) {
-  WireDecoder dec(data);
-  while (!dec.done()) {
-    auto header = dec.next_field();
-    if (!header.ok()) return header.error();
-    auto handled = handler(dec, *header);
-    if (!handled.ok()) return handled.error();
-    if (!*handled) {
-      auto skipped = dec.skip(header->type);
-      if (!skipped.ok()) return skipped;
-    }
-  }
-  return {};
-}
-
-Result<std::uint64_t> expect_varint(WireDecoder& dec, const WireDecoder::FieldHeader& header) {
-  if (header.type != WireType::varint) return Error::decode_failure("expected varint");
-  return dec.read_varint();
-}
-
-Result<std::string> expect_string(WireDecoder& dec, const WireDecoder::FieldHeader& header) {
-  if (header.type != WireType::length_delimited) return Error::decode_failure("expected bytes");
-  return dec.read_string();
-}
-
-Result<std::span<const std::uint8_t>> expect_bytes(WireDecoder& dec,
-                                                   const WireDecoder::FieldHeader& header) {
-  if (header.type != WireType::length_delimited) return Error::decode_failure("expected bytes");
-  return dec.read_bytes();
-}
-
-Result<double> expect_double(WireDecoder& dec, const WireDecoder::FieldHeader& header) {
-  if (header.type != WireType::fixed64) return Error::decode_failure("expected fixed64");
-  return dec.read_double();
-}
-
-// Sugar: assign-or-propagate for the common varint case.
-#define ASSIGN_VARINT(target, cast_type)                   \
-  do {                                                     \
-    auto v_ = expect_varint(dec, header);                  \
-    if (!v_.ok()) return Result<bool>(v_.error());         \
-    (target) = static_cast<cast_type>(*v_);                \
-  } while (0)
-
-#define ASSIGN_SVARINT(target)                              \
-  do {                                                      \
-    auto v_ = expect_varint(dec, header);                   \
-    if (!v_.ok()) return Result<bool>(v_.error());          \
-    (target) = zigzag_decode(*v_);                          \
-  } while (0)
-
-}  // namespace
 
 const char* to_string(MessageType type) {
   switch (type) {
@@ -178,33 +120,31 @@ Status Envelope::decode_into(std::span<const std::uint8_t> data, Envelope& out) 
   out.retry_after_ms = 0;
   out.body.clear();
   bool saw_type = false;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_VARINT(out.version, std::uint8_t); return true;
-      case 2: {
-        ASSIGN_VARINT(out.type, MessageType);
+  WireDecoder dec(data);
+  while (dec.next()) {
+    switch (dec.field()) {
+      case 1: dec.read(out.version); break;
+      case 2:
+        dec.read(out.type);
         saw_type = true;
-        return true;
-      }
-      case 3: ASSIGN_VARINT(out.xid, std::uint32_t); return true;
+        break;
+      case 3: dec.read(out.xid); break;
       case 4: {
-        auto bytes = expect_bytes(dec, header);
-        if (!bytes.ok()) return Result<bool>(bytes.error());
-        out.body.assign(bytes->begin(), bytes->end());
-        return true;
+        const auto body = dec.bytes();
+        out.body.assign(body.begin(), body.end());
+        break;
       }
-      case 5: ASSIGN_VARINT(out.epoch, std::uint32_t); return true;
-      case 6: ASSIGN_VARINT(out.queue_status, std::uint8_t); return true;
-      case 7: ASSIGN_VARINT(out.throttle_hint, std::uint32_t); return true;
-      case 8: ASSIGN_VARINT(out.ts_us, std::uint64_t); return true;
-      case 9: ASSIGN_VARINT(out.ts_echo_us, std::uint64_t); return true;
-      case 10: ASSIGN_VARINT(out.master_epoch, std::uint32_t); return true;
-      case 11: ASSIGN_VARINT(out.retry_after_ms, std::uint32_t); return true;
-      default: return false;
+      case 5: dec.read(out.epoch); break;
+      case 6: dec.read(out.queue_status); break;
+      case 7: dec.read(out.throttle_hint); break;
+      case 8: dec.read(out.ts_us); break;
+      case 9: dec.read(out.ts_echo_us); break;
+      case 10: dec.read(out.master_epoch); break;
+      case 11: dec.read(out.retry_after_ms); break;
+      default: dec.skip();
     }
-  });
-  if (!status.ok()) return status;
+  }
+  if (!dec.ok()) return dec.status();
   if (!saw_type) return Error::decode_failure("envelope missing type");
   return {};
 }
@@ -221,29 +161,18 @@ void Hello::encode_body(WireEncoder& enc) const {
 
 Result<Hello> Hello::decode_body(std::span<const std::uint8_t> data) {
   Hello out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_VARINT(out.enb_id, lte::EnbId); return true;
-      case 2: {
-        auto s = expect_string(dec, header);
-        if (!s.ok()) return Result<bool>(s.error());
-        out.name = std::move(*s);
-        return true;
-      }
-      case 3: ASSIGN_VARINT(out.n_cells, std::uint32_t); return true;
-      case 4: {
-        auto s = expect_string(dec, header);
-        if (!s.ok()) return Result<bool>(s.error());
-        out.capabilities.push_back(std::move(*s));
-        return true;
-      }
-      case 5: ASSIGN_VARINT(out.epoch, std::uint32_t); return true;
-      default: return false;
+  WireDecoder dec(data);
+  while (dec.next()) {
+    switch (dec.field()) {
+      case 1: dec.read(out.enb_id); break;
+      case 2: dec.read(out.name); break;
+      case 3: dec.read(out.n_cells); break;
+      case 4: dec.read(out.capabilities.emplace_back()); break;
+      case 5: dec.read(out.epoch); break;
+      default: dec.skip();
     }
-  });
-  if (!status.ok()) return status.error();
-  return out;
+  }
+  return dec.finish(std::move(out));
 }
 
 // --------------------------------------------------------------------- Echo
@@ -255,16 +184,15 @@ void EchoRequest::encode_body(WireEncoder& enc) const {
 
 Result<EchoRequest> EchoRequest::decode_body(std::span<const std::uint8_t> data) {
   EchoRequest out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_SVARINT(out.subframe); return true;
-      case 2: ASSIGN_SVARINT(out.timestamp_us); return true;
-      default: return false;
+  WireDecoder dec(data);
+  while (dec.next()) {
+    switch (dec.field()) {
+      case 1: out.subframe = dec.svarint(); break;
+      case 2: out.timestamp_us = dec.svarint(); break;
+      default: dec.skip();
     }
-  });
-  if (!status.ok()) return status.error();
-  return out;
+  }
+  return dec.finish(std::move(out));
 }
 
 void EchoReply::encode_body(WireEncoder& enc) const {
@@ -274,16 +202,15 @@ void EchoReply::encode_body(WireEncoder& enc) const {
 
 Result<EchoReply> EchoReply::decode_body(std::span<const std::uint8_t> data) {
   EchoReply out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_SVARINT(out.subframe); return true;
-      case 2: ASSIGN_SVARINT(out.echoed_timestamp_us); return true;
-      default: return false;
+  WireDecoder dec(data);
+  while (dec.next()) {
+    switch (dec.field()) {
+      case 1: out.subframe = dec.svarint(); break;
+      case 2: out.echoed_timestamp_us = dec.svarint(); break;
+      default: dec.skip();
     }
-  });
-  if (!status.ok()) return status.error();
-  return out;
+  }
+  return dec.finish(std::move(out));
 }
 
 // ------------------------------------------------------------- cell configs
@@ -328,28 +255,19 @@ void encode_cell_config(WireEncoder& enc, int field, const CellConfigMsg& cell) 
   enc.end_message(mark);
 }
 
-Result<CellConfigMsg> decode_cell_config(std::span<const std::uint8_t> data) {
-  CellConfigMsg out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_VARINT(out.cell_id, lte::CellId); return true;
-      case 2: {
-        auto v = expect_double(dec, header);
-        if (!v.ok()) return Result<bool>(v.error());
-        out.bandwidth_mhz = *v;
-        return true;
-      }
-      case 3: ASSIGN_VARINT(out.duplex, std::uint8_t); return true;
-      case 4: ASSIGN_VARINT(out.tx_mode, std::uint8_t); return true;
-      case 5: ASSIGN_VARINT(out.antenna_ports, std::uint8_t); return true;
-      case 6: ASSIGN_VARINT(out.band, std::uint16_t); return true;
-      case 7: ASSIGN_VARINT(out.pci, std::uint16_t); return true;
-      default: return false;
+void decode_cell_config(WireDecoder& dec, CellConfigMsg& out) {
+  while (dec.next()) {
+    switch (dec.field()) {
+      case 1: dec.read(out.cell_id); break;
+      case 2: dec.read(out.bandwidth_mhz); break;
+      case 3: dec.read(out.duplex); break;
+      case 4: dec.read(out.tx_mode); break;
+      case 5: dec.read(out.antenna_ports); break;
+      case 6: dec.read(out.band); break;
+      case 7: dec.read(out.pci); break;
+      default: dec.skip();
     }
-  });
-  if (!status.ok()) return status.error();
-  return out;
+  }
 }
 
 }  // namespace
@@ -361,23 +279,15 @@ void EnbConfigReply::encode_body(WireEncoder& enc) const {
 
 Result<EnbConfigReply> EnbConfigReply::decode_body(std::span<const std::uint8_t> data) {
   EnbConfigReply out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_VARINT(out.enb_id, lte::EnbId); return true;
-      case 2: {
-        auto bytes = expect_bytes(dec, header);
-        if (!bytes.ok()) return Result<bool>(bytes.error());
-        auto cell = decode_cell_config(*bytes);
-        if (!cell.ok()) return Result<bool>(cell.error());
-        out.cells.push_back(std::move(*cell));
-        return true;
-      }
-      default: return false;
+  WireDecoder dec(data);
+  while (dec.next()) {
+    switch (dec.field()) {
+      case 1: dec.read(out.enb_id); break;
+      case 2: dec.message(out.cells.emplace_back(), decode_cell_config); break;
+      default: dec.skip();
     }
-  });
-  if (!status.ok()) return status.error();
-  return out;
+  }
+  return dec.finish(std::move(out));
 }
 
 // --------------------------------------------------------------- UE configs
@@ -414,21 +324,28 @@ void encode_ue_config(WireEncoder& enc, int field, const UeConfigMsg& ue) {
   enc.end_message(mark);
 }
 
-Result<UeConfigMsg> decode_ue_config(std::span<const std::uint8_t> data) {
-  UeConfigMsg out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_VARINT(out.rnti, lte::Rnti); return true;
-      case 2: ASSIGN_VARINT(out.primary_cell, lte::CellId); return true;
-      case 3: ASSIGN_VARINT(out.tx_mode, std::uint8_t); return true;
-      case 4: ASSIGN_VARINT(out.ue_category, std::uint8_t); return true;
-      case 5: ASSIGN_VARINT(out.carrier_aggregation, bool); return true;
-      default: return false;
+void decode_ue_config(WireDecoder& dec, UeConfigMsg& out) {
+  while (dec.next()) {
+    switch (dec.field()) {
+      case 1: dec.read(out.rnti); break;
+      case 2: dec.read(out.primary_cell); break;
+      case 3: dec.read(out.tx_mode); break;
+      case 4: dec.read(out.ue_category); break;
+      case 5: dec.read(out.carrier_aggregation); break;
+      default: dec.skip();
     }
-  });
-  if (!status.ok()) return status.error();
-  return out;
+  }
+}
+
+void decode_lc_config(WireDecoder& dec, LcConfigMsg& out) {
+  while (dec.next()) {
+    switch (dec.field()) {
+      case 1: dec.read(out.rnti); break;
+      case 2: dec.read(out.lcid); break;
+      case 3: dec.read(out.lc_group); break;
+      default: dec.skip();
+    }
+  }
 }
 
 }  // namespace
@@ -439,18 +356,15 @@ void UeConfigReply::encode_body(WireEncoder& enc) const {
 
 Result<UeConfigReply> UeConfigReply::decode_body(std::span<const std::uint8_t> data) {
   UeConfigReply out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    if (header.field != 1) return false;
-    auto bytes = expect_bytes(dec, header);
-    if (!bytes.ok()) return Result<bool>(bytes.error());
-    auto ue = decode_ue_config(*bytes);
-    if (!ue.ok()) return Result<bool>(ue.error());
-    out.ues.push_back(std::move(*ue));
-    return true;
-  });
-  if (!status.ok()) return status.error();
-  return out;
+  WireDecoder dec(data);
+  while (dec.next()) {
+    if (dec.field() == 1) {
+      dec.message(out.ues.emplace_back(), decode_ue_config);
+    } else {
+      dec.skip();
+    }
+  }
+  return dec.finish(std::move(out));
 }
 
 // --------------------------------------------------------------- LC configs
@@ -467,30 +381,15 @@ void LcConfigReply::encode_body(WireEncoder& enc) const {
 
 Result<LcConfigReply> LcConfigReply::decode_body(std::span<const std::uint8_t> data) {
   LcConfigReply out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    if (header.field != 1) return false;
-    auto bytes = expect_bytes(dec, header);
-    if (!bytes.ok()) return Result<bool>(bytes.error());
-    LcConfigMsg lc;
-    auto sub_status =
-        decode_fields(*bytes, [&](WireDecoder& sub_dec,
-                                  const WireDecoder::FieldHeader& sub_header) -> Result<bool> {
-          auto& dec = sub_dec;
-          const auto& header = sub_header;
-          switch (header.field) {
-            case 1: ASSIGN_VARINT(lc.rnti, lte::Rnti); return true;
-            case 2: ASSIGN_VARINT(lc.lcid, lte::Lcid); return true;
-            case 3: ASSIGN_VARINT(lc.lc_group, std::uint8_t); return true;
-            default: return false;
-          }
-        });
-    if (!sub_status.ok()) return Result<bool>(sub_status.error());
-    out.channels.push_back(lc);
-    return true;
-  });
-  if (!status.ok()) return status.error();
-  return out;
+  WireDecoder dec(data);
+  while (dec.next()) {
+    if (dec.field() == 1) {
+      dec.message(out.channels.emplace_back(), decode_lc_config);
+    } else {
+      dec.skip();
+    }
+  }
+  return dec.finish(std::move(out));
 }
 
 // -------------------------------------------------------------------- stats
@@ -505,24 +404,18 @@ void StatsRequest::encode_body(WireEncoder& enc) const {
 
 Result<StatsRequest> StatsRequest::decode_body(std::span<const std::uint8_t> data) {
   StatsRequest out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_VARINT(out.request_id, std::uint32_t); return true;
-      case 2: ASSIGN_VARINT(out.mode, ReportMode); return true;
-      case 3: ASSIGN_VARINT(out.periodicity_ttis, std::uint32_t); return true;
-      case 4: ASSIGN_VARINT(out.flags, std::uint32_t); return true;
-      case 5: {
-        auto v = expect_varint(dec, header);
-        if (!v.ok()) return Result<bool>(v.error());
-        out.ues.push_back(static_cast<lte::Rnti>(*v));
-        return true;
-      }
-      default: return false;
+  WireDecoder dec(data);
+  while (dec.next()) {
+    switch (dec.field()) {
+      case 1: dec.read(out.request_id); break;
+      case 2: dec.read(out.mode); break;
+      case 3: dec.read(out.periodicity_ttis); break;
+      case 4: dec.read(out.flags); break;
+      case 5: dec.read(out.ues.emplace_back()); break;
+      default: dec.skip();
     }
-  });
-  if (!status.ok()) return status.error();
-  return out;
+  }
+  return dec.finish(std::move(out));
 }
 
 namespace {
@@ -564,67 +457,47 @@ void reset_ue_report(UeStatsReport& out) {
   out.rsrp.clear();
 }
 
-Status decode_ue_report_into(std::span<const std::uint8_t> data, UeStatsReport& out) {
+void decode_rsrp(WireDecoder& dec, RsrpMeasurement& out) {
+  while (dec.next()) {
+    switch (dec.field()) {
+      case 1: dec.read(out.cell_id); break;
+      case 2: out.rsrp_dbm = static_cast<double>(dec.svarint()) / 100.0; break;
+      default: dec.skip();
+    }
+  }
+}
+
+void decode_ue_report(WireDecoder& dec, UeStatsReport& out) {
   reset_ue_report(out);
   std::size_t bsr_index = 0;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_VARINT(out.rnti, lte::Rnti); return true;
+  while (dec.next()) {
+    switch (dec.field()) {
+      case 1: dec.read(out.rnti); break;
       case 2: {
-        auto v = expect_varint(dec, header);
-        if (!v.ok()) return Result<bool>(v.error());
+        const auto bsr = static_cast<std::uint32_t>(dec.varint());
+        if (!dec.ok()) break;
         if (bsr_index < out.bsr_bytes.size()) {
-          out.bsr_bytes[bsr_index++] = static_cast<std::uint32_t>(*v);
+          out.bsr_bytes[bsr_index++] = bsr;
         } else {
           // Keep the message but make the information loss visible: a peer
           // with more LC groups than we model is an anomaly worth counting,
           // not a decode failure (forward compatibility keeps the session up).
           decode_anomalies().bsr_overflow.fetch_add(1, std::memory_order_relaxed);
         }
-        return true;
+        break;
       }
-      case 3: {
-        auto v = expect_varint(dec, header);
-        if (!v.ok()) return Result<bool>(v.error());
-        out.phr_db = static_cast<std::int32_t>(zigzag_decode(*v));
-        return true;
-      }
-      case 4: ASSIGN_VARINT(out.wb_cqi, std::uint8_t); return true;
-      case 5: ASSIGN_VARINT(out.rlc_queue_bytes, std::uint32_t); return true;
-      case 6: ASSIGN_VARINT(out.pending_harq, std::uint32_t); return true;
-      case 7: ASSIGN_VARINT(out.dl_bytes_delivered, std::uint64_t); return true;
-      case 8: ASSIGN_VARINT(out.ul_bytes_received, std::uint64_t); return true;
-      case 9: ASSIGN_VARINT(out.wb_cqi_protected, std::uint8_t); return true;
-      case 11: ASSIGN_VARINT(out.ul_buffer_bytes, std::uint32_t); return true;
-      case 10: {
-        auto bytes = expect_bytes(dec, header);
-        if (!bytes.ok()) return Result<bool>(bytes.error());
-        RsrpMeasurement measurement;
-        auto sub_status = decode_fields(
-            *bytes, [&](WireDecoder& sub_dec,
-                        const WireDecoder::FieldHeader& sub_header) -> Result<bool> {
-              auto& dec = sub_dec;
-              const auto& header = sub_header;
-              switch (header.field) {
-                case 1: ASSIGN_VARINT(measurement.cell_id, lte::CellId); return true;
-                case 2: {
-                  auto v = expect_varint(dec, header);
-                  if (!v.ok()) return Result<bool>(v.error());
-                  measurement.rsrp_dbm = static_cast<double>(zigzag_decode(*v)) / 100.0;
-                  return true;
-                }
-                default: return false;
-              }
-            });
-        if (!sub_status.ok()) return Result<bool>(sub_status.error());
-        out.rsrp.push_back(measurement);
-        return true;
-      }
-      default: return false;
+      case 3: out.phr_db = static_cast<std::int32_t>(dec.svarint()); break;
+      case 4: dec.read(out.wb_cqi); break;
+      case 5: dec.read(out.rlc_queue_bytes); break;
+      case 6: dec.read(out.pending_harq); break;
+      case 7: dec.read(out.dl_bytes_delivered); break;
+      case 8: dec.read(out.ul_bytes_received); break;
+      case 9: dec.read(out.wb_cqi_protected); break;
+      case 10: dec.message(out.rsrp.emplace_back(), decode_rsrp); break;
+      case 11: dec.read(out.ul_buffer_bytes); break;
+      default: dec.skip();
     }
-  });
-  return status;
+  }
 }
 
 void encode_cell_report(WireEncoder& enc, int field, const CellStatsReport& report) {
@@ -637,26 +510,18 @@ void encode_cell_report(WireEncoder& enc, int field, const CellStatsReport& repo
   enc.end_message(mark);
 }
 
-Result<CellStatsReport> decode_cell_report(std::span<const std::uint8_t> data) {
-  CellStatsReport out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_VARINT(out.cell_id, lte::CellId); return true;
-      case 2: {
-        auto v = expect_double(dec, header);
-        if (!v.ok()) return Result<bool>(v.error());
-        out.noise_interference_dbm = *v;
-        return true;
-      }
-      case 3: ASSIGN_VARINT(out.dl_prbs_in_use, std::uint32_t); return true;
-      case 4: ASSIGN_VARINT(out.ul_prbs_in_use, std::uint32_t); return true;
-      case 5: ASSIGN_VARINT(out.active_ues, std::uint32_t); return true;
-      default: return false;
+void decode_cell_report(WireDecoder& dec, CellStatsReport& out) {
+  out = CellStatsReport{};
+  while (dec.next()) {
+    switch (dec.field()) {
+      case 1: dec.read(out.cell_id); break;
+      case 2: dec.read(out.noise_interference_dbm); break;
+      case 3: dec.read(out.dl_prbs_in_use); break;
+      case 4: dec.read(out.ul_prbs_in_use); break;
+      case 5: dec.read(out.active_ues); break;
+      default: dec.skip();
     }
-  });
-  if (!status.ok()) return status.error();
-  return out;
+  }
 }
 
 }  // namespace
@@ -683,33 +548,23 @@ Status StatsReply::decode_body_into(std::span<const std::uint8_t> data, StatsRep
   // at the end. A same-shape reply touches no allocator at all.
   std::size_t n_ue = 0;
   std::size_t n_cell = 0;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_VARINT(out.request_id, std::uint32_t); return true;
-      case 2: ASSIGN_SVARINT(out.subframe); return true;
-      case 3: {
-        auto bytes = expect_bytes(dec, header);
-        if (!bytes.ok()) return Result<bool>(bytes.error());
+  WireDecoder dec(data);
+  while (dec.next()) {
+    switch (dec.field()) {
+      case 1: dec.read(out.request_id); break;
+      case 2: out.subframe = dec.svarint(); break;
+      case 3:
         if (n_ue == out.ue_reports.size()) out.ue_reports.emplace_back();
-        auto report = decode_ue_report_into(*bytes, out.ue_reports[n_ue]);
-        if (!report.ok()) return Result<bool>(report.error());
-        ++n_ue;
-        return true;
-      }
-      case 4: {
-        auto bytes = expect_bytes(dec, header);
-        if (!bytes.ok()) return Result<bool>(bytes.error());
-        auto report = decode_cell_report(*bytes);
-        if (!report.ok()) return Result<bool>(report.error());
+        dec.message(out.ue_reports[n_ue++], decode_ue_report);
+        break;
+      case 4:
         if (n_cell == out.cell_reports.size()) out.cell_reports.emplace_back();
-        out.cell_reports[n_cell++] = *report;
-        return true;
-      }
-      default: return false;
+        dec.message(out.cell_reports[n_cell++], decode_cell_report);
+        break;
+      default: dec.skip();
     }
-  });
-  if (!status.ok()) return status;
+  }
+  if (!dec.ok()) return dec.status();
   out.ue_reports.resize(n_ue);
   out.cell_reports.resize(n_cell);
   return {};
@@ -731,26 +586,22 @@ void encode_dl_dci(WireEncoder& enc, int field, const lte::DlDci& dci) {
   enc.end_message(mark);
 }
 
-Result<lte::DlDci> decode_dl_dci(std::span<const std::uint8_t> data) {
-  lte::DlDci out;
+void decode_dl_dci(WireDecoder& dec, lte::DlDci& out) {
   std::uint64_t w0 = 0;
   std::uint64_t w1 = 0;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_VARINT(out.rnti, lte::Rnti); return true;
-      case 2: ASSIGN_VARINT(w0, std::uint64_t); return true;
-      case 3: ASSIGN_VARINT(w1, std::uint64_t); return true;
-      case 4: ASSIGN_VARINT(out.mcs, int); return true;
-      case 5: ASSIGN_VARINT(out.harq_pid, std::uint8_t); return true;
-      case 6: ASSIGN_VARINT(out.new_data, bool); return true;
-      case 7: ASSIGN_VARINT(out.carrier, std::uint8_t); return true;
-      default: return false;
+  while (dec.next()) {
+    switch (dec.field()) {
+      case 1: dec.read(out.rnti); break;
+      case 2: w0 = dec.varint(); break;
+      case 3: w1 = dec.varint(); break;
+      case 4: dec.read(out.mcs); break;
+      case 5: dec.read(out.harq_pid); break;
+      case 6: dec.read(out.new_data); break;
+      case 7: dec.read(out.carrier); break;
+      default: dec.skip();
     }
-  });
-  if (!status.ok()) return status.error();
+  }
   out.rbs = lte::RbAllocation::from_words(w0, w1);
-  return out;
 }
 
 void encode_ul_dci(WireEncoder& enc, int field, const lte::UlDci& dci) {
@@ -762,23 +613,19 @@ void encode_ul_dci(WireEncoder& enc, int field, const lte::UlDci& dci) {
   enc.end_message(mark);
 }
 
-Result<lte::UlDci> decode_ul_dci(std::span<const std::uint8_t> data) {
-  lte::UlDci out;
+void decode_ul_dci(WireDecoder& dec, lte::UlDci& out) {
   std::uint64_t w0 = 0;
   std::uint64_t w1 = 0;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_VARINT(out.rnti, lte::Rnti); return true;
-      case 2: ASSIGN_VARINT(w0, std::uint64_t); return true;
-      case 3: ASSIGN_VARINT(w1, std::uint64_t); return true;
-      case 4: ASSIGN_VARINT(out.mcs, int); return true;
-      default: return false;
+  while (dec.next()) {
+    switch (dec.field()) {
+      case 1: dec.read(out.rnti); break;
+      case 2: w0 = dec.varint(); break;
+      case 3: w1 = dec.varint(); break;
+      case 4: dec.read(out.mcs); break;
+      default: dec.skip();
     }
-  });
-  if (!status.ok()) return status.error();
+  }
   out.rbs = lte::RbAllocation::from_words(w0, w1);
-  return out;
 }
 
 }  // namespace
@@ -791,24 +638,16 @@ void DlMacConfig::encode_body(WireEncoder& enc) const {
 
 Result<DlMacConfig> DlMacConfig::decode_body(std::span<const std::uint8_t> data) {
   DlMacConfig out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_VARINT(out.cell_id, lte::CellId); return true;
-      case 2: ASSIGN_SVARINT(out.target_subframe); return true;
-      case 3: {
-        auto bytes = expect_bytes(dec, header);
-        if (!bytes.ok()) return Result<bool>(bytes.error());
-        auto dci = decode_dl_dci(*bytes);
-        if (!dci.ok()) return Result<bool>(dci.error());
-        out.dcis.push_back(std::move(*dci));
-        return true;
-      }
-      default: return false;
+  WireDecoder dec(data);
+  while (dec.next()) {
+    switch (dec.field()) {
+      case 1: dec.read(out.cell_id); break;
+      case 2: out.target_subframe = dec.svarint(); break;
+      case 3: dec.message(out.dcis.emplace_back(), decode_dl_dci); break;
+      default: dec.skip();
     }
-  });
-  if (!status.ok()) return status.error();
-  return out;
+  }
+  return dec.finish(std::move(out));
 }
 
 void UlMacConfig::encode_body(WireEncoder& enc) const {
@@ -819,24 +658,16 @@ void UlMacConfig::encode_body(WireEncoder& enc) const {
 
 Result<UlMacConfig> UlMacConfig::decode_body(std::span<const std::uint8_t> data) {
   UlMacConfig out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_VARINT(out.cell_id, lte::CellId); return true;
-      case 2: ASSIGN_SVARINT(out.target_subframe); return true;
-      case 3: {
-        auto bytes = expect_bytes(dec, header);
-        if (!bytes.ok()) return Result<bool>(bytes.error());
-        auto dci = decode_ul_dci(*bytes);
-        if (!dci.ok()) return Result<bool>(dci.error());
-        out.dcis.push_back(std::move(*dci));
-        return true;
-      }
-      default: return false;
+  WireDecoder dec(data);
+  while (dec.next()) {
+    switch (dec.field()) {
+      case 1: dec.read(out.cell_id); break;
+      case 2: out.target_subframe = dec.svarint(); break;
+      case 3: dec.message(out.dcis.emplace_back(), decode_ul_dci); break;
+      default: dec.skip();
     }
-  });
-  if (!status.ok()) return status.error();
-  return out;
+  }
+  return dec.finish(std::move(out));
 }
 
 void HandoverCommand::encode_body(WireEncoder& enc) const {
@@ -847,17 +678,16 @@ void HandoverCommand::encode_body(WireEncoder& enc) const {
 
 Result<HandoverCommand> HandoverCommand::decode_body(std::span<const std::uint8_t> data) {
   HandoverCommand out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_VARINT(out.rnti, lte::Rnti); return true;
-      case 2: ASSIGN_VARINT(out.source_cell, lte::CellId); return true;
-      case 3: ASSIGN_VARINT(out.target_cell, lte::CellId); return true;
-      default: return false;
+  WireDecoder dec(data);
+  while (dec.next()) {
+    switch (dec.field()) {
+      case 1: dec.read(out.rnti); break;
+      case 2: dec.read(out.source_cell); break;
+      case 3: dec.read(out.target_cell); break;
+      default: dec.skip();
     }
-  });
-  if (!status.ok()) return status.error();
-  return out;
+  }
+  return dec.finish(std::move(out));
 }
 
 void AbsConfig::encode_body(WireEncoder& enc) const {
@@ -868,22 +698,16 @@ void AbsConfig::encode_body(WireEncoder& enc) const {
 
 Result<AbsConfig> AbsConfig::decode_body(std::span<const std::uint8_t> data) {
   AbsConfig out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_VARINT(out.cell_id, lte::CellId); return true;
-      case 2: {
-        auto v = expect_varint(dec, header);
-        if (!v.ok()) return Result<bool>(v.error());
-        out.pattern = lte::AbsPattern::from_bits(*v);
-        return true;
-      }
-      case 3: ASSIGN_VARINT(out.mute_during_abs, bool); return true;
-      default: return false;
+  WireDecoder dec(data);
+  while (dec.next()) {
+    switch (dec.field()) {
+      case 1: dec.read(out.cell_id); break;
+      case 2: out.pattern = lte::AbsPattern::from_bits(dec.varint()); break;
+      case 3: dec.read(out.mute_during_abs); break;
+      default: dec.skip();
     }
-  });
-  if (!status.ok()) return status.error();
-  return out;
+  }
+  return dec.finish(std::move(out));
 }
 
 void CarrierRestriction::encode_body(WireEncoder& enc) const {
@@ -893,16 +717,15 @@ void CarrierRestriction::encode_body(WireEncoder& enc) const {
 
 Result<CarrierRestriction> CarrierRestriction::decode_body(std::span<const std::uint8_t> data) {
   CarrierRestriction out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_VARINT(out.cell_id, lte::CellId); return true;
-      case 2: ASSIGN_VARINT(out.max_dl_prbs, std::uint16_t); return true;
-      default: return false;
+  WireDecoder dec(data);
+  while (dec.next()) {
+    switch (dec.field()) {
+      case 1: dec.read(out.cell_id); break;
+      case 2: dec.read(out.max_dl_prbs); break;
+      default: dec.skip();
     }
-  });
-  if (!status.ok()) return status.error();
-  return out;
+  }
+  return dec.finish(std::move(out));
 }
 
 void DrxConfig::encode_body(WireEncoder& enc) const {
@@ -913,17 +736,16 @@ void DrxConfig::encode_body(WireEncoder& enc) const {
 
 Result<DrxConfig> DrxConfig::decode_body(std::span<const std::uint8_t> data) {
   DrxConfig out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_VARINT(out.rnti, lte::Rnti); return true;
-      case 2: ASSIGN_VARINT(out.cycle_ttis, std::uint16_t); return true;
-      case 3: ASSIGN_VARINT(out.on_duration_ttis, std::uint16_t); return true;
-      default: return false;
+  WireDecoder dec(data);
+  while (dec.next()) {
+    switch (dec.field()) {
+      case 1: dec.read(out.rnti); break;
+      case 2: dec.read(out.cycle_ttis); break;
+      case 3: dec.read(out.on_duration_ttis); break;
+      default: dec.skip();
     }
-  });
-  if (!status.ok()) return status.error();
-  return out;
+  }
+  return dec.finish(std::move(out));
 }
 
 void ScellCommand::encode_body(WireEncoder& enc) const {
@@ -933,16 +755,15 @@ void ScellCommand::encode_body(WireEncoder& enc) const {
 
 Result<ScellCommand> ScellCommand::decode_body(std::span<const std::uint8_t> data) {
   ScellCommand out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_VARINT(out.rnti, lte::Rnti); return true;
-      case 2: ASSIGN_VARINT(out.activate, bool); return true;
-      default: return false;
+  WireDecoder dec(data);
+  while (dec.next()) {
+    switch (dec.field()) {
+      case 1: dec.read(out.rnti); break;
+      case 2: dec.read(out.activate); break;
+      default: dec.skip();
     }
-  });
-  if (!status.ok()) return status.error();
-  return out;
+  }
+  return dec.finish(std::move(out));
 }
 
 // ------------------------------------------------------------------- events
@@ -966,34 +787,25 @@ void EventNotification::encode_body(WireEncoder& enc) const {
 
 Result<EventNotification> EventNotification::decode_body(std::span<const std::uint8_t> data) {
   EventNotification out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: ASSIGN_VARINT(out.event, EventType); return true;
-      case 2: ASSIGN_SVARINT(out.subframe); return true;
-      case 3: ASSIGN_VARINT(out.rnti, lte::Rnti); return true;
-      case 4: ASSIGN_VARINT(out.cell_id, lte::CellId); return true;
-      case 5: ASSIGN_VARINT(out.xid, std::uint32_t); return true;
-      case 6:
-      case 7:
-      case 8:
-      case 11: {
-        auto s = expect_string(dec, header);
-        if (!s.ok()) return Result<bool>(s.error());
-        (header.field == 6    ? out.module
-         : header.field == 7  ? out.vsf
-         : header.field == 8  ? out.implementation
-                              : out.detail) = std::move(*s);
-        return true;
-      }
-      case 9: ASSIGN_VARINT(out.failure_kind, VsfFailureKind); return true;
-      case 10: ASSIGN_VARINT(out.failure_count, std::uint32_t); return true;
-      case 12: ASSIGN_VARINT(out.overload_state, std::uint8_t); return true;
-      default: return false;
+  WireDecoder dec(data);
+  while (dec.next()) {
+    switch (dec.field()) {
+      case 1: dec.read(out.event); break;
+      case 2: out.subframe = dec.svarint(); break;
+      case 3: dec.read(out.rnti); break;
+      case 4: dec.read(out.cell_id); break;
+      case 5: dec.read(out.xid); break;
+      case 6: dec.read(out.module); break;
+      case 7: dec.read(out.vsf); break;
+      case 8: dec.read(out.implementation); break;
+      case 9: dec.read(out.failure_kind); break;
+      case 10: dec.read(out.failure_count); break;
+      case 11: dec.read(out.detail); break;
+      case 12: dec.read(out.overload_state); break;
+      default: dec.skip();
     }
-  });
-  if (!status.ok()) return status.error();
-  return out;
+  }
+  return dec.finish(std::move(out));
 }
 
 void EventSubscription::encode_body(WireEncoder& enc) const {
@@ -1003,21 +815,15 @@ void EventSubscription::encode_body(WireEncoder& enc) const {
 
 Result<EventSubscription> EventSubscription::decode_body(std::span<const std::uint8_t> data) {
   EventSubscription out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1: {
-        auto v = expect_varint(dec, header);
-        if (!v.ok()) return Result<bool>(v.error());
-        out.events.push_back(static_cast<EventType>(*v));
-        return true;
-      }
-      case 2: ASSIGN_VARINT(out.enable, bool); return true;
-      default: return false;
+  WireDecoder dec(data);
+  while (dec.next()) {
+    switch (dec.field()) {
+      case 1: dec.read(out.events.emplace_back()); break;
+      case 2: dec.read(out.enable); break;
+      default: dec.skip();
     }
-  });
-  if (!status.ok()) return status.error();
-  return out;
+  }
+  return dec.finish(std::move(out));
 }
 
 // --------------------------------------------------------------- delegation
@@ -1032,30 +838,22 @@ void ControlDelegation::encode_body(WireEncoder& enc) const {
 
 Result<ControlDelegation> ControlDelegation::decode_body(std::span<const std::uint8_t> data) {
   ControlDelegation out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    switch (header.field) {
-      case 1:
-      case 2:
-      case 3: {
-        auto s = expect_string(dec, header);
-        if (!s.ok()) return Result<bool>(s.error());
-        (header.field == 1 ? out.module : header.field == 2 ? out.vsf : out.implementation) =
-            std::move(*s);
-        return true;
-      }
-      case 4: ASSIGN_VARINT(out.version, std::uint32_t); return true;
+  WireDecoder dec(data);
+  while (dec.next()) {
+    switch (dec.field()) {
+      case 1: dec.read(out.module); break;
+      case 2: dec.read(out.vsf); break;
+      case 3: dec.read(out.implementation); break;
+      case 4: dec.read(out.version); break;
       case 5: {
-        auto bytes = expect_bytes(dec, header);
-        if (!bytes.ok()) return Result<bool>(bytes.error());
-        out.blob.assign(bytes->begin(), bytes->end());
-        return true;
+        const auto blob = dec.bytes();
+        out.blob.assign(blob.begin(), blob.end());
+        break;
       }
-      default: return false;
+      default: dec.skip();
     }
-  });
-  if (!status.ok()) return status.error();
-  return out;
+  }
+  return dec.finish(std::move(out));
 }
 
 void PolicyReconfiguration::encode_body(WireEncoder& enc) const { enc.field_string(1, yaml); }
@@ -1063,16 +861,15 @@ void PolicyReconfiguration::encode_body(WireEncoder& enc) const { enc.field_stri
 Result<PolicyReconfiguration> PolicyReconfiguration::decode_body(
     std::span<const std::uint8_t> data) {
   PolicyReconfiguration out;
-  auto status = decode_fields(data, [&](WireDecoder& dec,
-                                        const WireDecoder::FieldHeader& header) -> Result<bool> {
-    if (header.field != 1) return false;
-    auto s = expect_string(dec, header);
-    if (!s.ok()) return Result<bool>(s.error());
-    out.yaml = std::move(*s);
-    return true;
-  });
-  if (!status.ok()) return status.error();
-  return out;
+  WireDecoder dec(data);
+  while (dec.next()) {
+    if (dec.field() == 1) {
+      dec.read(out.yaml);
+    } else {
+      dec.skip();
+    }
+  }
+  return dec.finish(std::move(out));
 }
 
 // ------------------------------------------------------------------ helpers
@@ -1103,15 +900,6 @@ MessageCategory categorize(MessageType type) {
   }
 }
 
-MessageCategory categorize(MessageType type, const std::vector<std::uint8_t>& body) {
-  if (type == MessageType::event_notification) {
-    auto event = EventNotification::decode_body(body);
-    if (event.ok() && event->event == EventType::subframe_tick) return MessageCategory::sync;
-    return MessageCategory::agent_management;
-  }
-  return categorize(type);
-}
-
 net::TrafficClass traffic_class(MessageType type) {
   switch (type) {
     case MessageType::hello:
@@ -1139,13 +927,35 @@ net::TrafficClass traffic_class(MessageType type) {
   }
 }
 
-net::TrafficClass traffic_class(MessageType type, const std::vector<std::uint8_t>& body) {
-  if (type == MessageType::event_notification) {
-    auto event = EventNotification::decode_body(body);
-    if (event.ok() && event->event == EventType::subframe_tick) return net::TrafficClass::sync;
-    return net::TrafficClass::event;
+RxClass classify(MessageType type, std::span<const std::uint8_t> body) {
+  RxClass out{categorize(type), traffic_class(type), 0};
+  if (type != MessageType::event_notification && type != MessageType::stats_reply) return out;
+  // Both bodies lead with field 1: the event type, or the request_id. Read
+  // up to it and no further.
+  WireDecoder dec(body);
+  bool found = false;
+  std::uint64_t field1 = 0;
+  while (dec.next()) {
+    if (dec.field() == 1) {
+      field1 = dec.varint();
+      found = dec.ok();
+      break;
+    }
+    dec.skip();
   }
-  return traffic_class(type);
+  if (type == MessageType::stats_reply) {
+    out.request_id = found ? static_cast<std::uint32_t>(field1) : 0;
+    return out;
+  }
+  // An absent event field is the default, a subframe tick; an undecodable
+  // one is not a tick.
+  const bool tick = found ? static_cast<EventType>(field1) == EventType::subframe_tick
+                          : dec.ok();
+  if (tick) {
+    out.category = MessageCategory::sync;
+    out.traffic_class = net::TrafficClass::sync;
+  }
+  return out;
 }
 
 DlMacConfig to_dl_mac_config(const lte::SchedulingDecision& decision) {

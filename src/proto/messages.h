@@ -557,26 +557,35 @@ struct DecodeAnomalies {
 
 DecodeAnomalies& decode_anomalies();
 
-/// Category for Fig. 7 signaling accounting. Event notifications split by
-/// event type: subframe ticks are `sync`, everything else `agent_management`.
-MessageCategory categorize(MessageType type, const std::vector<std::uint8_t>& body);
-
-/// Traffic class for the overload-protection layer (net::TrafficClass,
-/// docs/overload_protection.md). Session and command/config traffic maps
-/// to unsheddable classes; event notifications split by event type:
-/// subframe ticks are `sync` (coalescible, superseded every TTI),
-/// everything else is `event`.
-net::TrafficClass traffic_class(MessageType type, const std::vector<std::uint8_t>& body);
-
-/// Body-independent variants, for callers that only have the type. For
+/// Category for Fig. 7 signaling accounting and traffic class for the
+/// overload-protection layer (net::TrafficClass,
+/// docs/overload_protection.md), by message type alone. Session and
+/// command/config traffic maps to unsheddable classes. For
 /// event_notification these return the non-tick answer (agent_management /
-/// event); use the typed overloads below when the message is in hand.
+/// event); use classify() or the typed overloads below when the body or the
+/// message is in hand.
 MessageCategory categorize(MessageType type);
 net::TrafficClass traffic_class(MessageType type);
 
-/// Typed variants: same answers as the (type, body) overloads without the
-/// body re-decode those need for event notifications. Send paths that hold
-/// the message struct use these on the zero-allocation path.
+/// What a receive path needs before the body is decoded: the accounting
+/// category, the traffic class and, for a stats reply, the request_id the
+/// ingest queue coalesces on.
+struct RxClass {
+  MessageCategory category = MessageCategory::agent_management;
+  net::TrafficClass traffic_class = net::TrafficClass::config;
+  std::uint32_t request_id = 0;
+};
+
+/// One shallow pass over `body`, reading up to its field 1 and no further.
+/// Event notifications split by event type: subframe ticks are `sync` in
+/// both (coalescible, superseded every TTI), everything else is
+/// agent_management / event. A body that breaks before its field 1 reads as
+/// a non-tick event or as request_id 0, one that breaks after it by its
+/// field 1; either way the full decode at apply rejects it.
+RxClass classify(MessageType type, std::span<const std::uint8_t> body);
+
+/// Typed variants: the same answers as classify() without a pass over the
+/// body. Send paths that hold the message struct use these.
 template <typename M>
 MessageCategory categorize(const M&) {
   return categorize(M::kType);

@@ -4,22 +4,6 @@
 
 namespace flexran::proto {
 
-std::uint64_t zigzag_encode(std::int64_t value) {
-  return (static_cast<std::uint64_t>(value) << 1) ^ static_cast<std::uint64_t>(value >> 63);
-}
-
-std::int64_t zigzag_decode(std::uint64_t value) {
-  return static_cast<std::int64_t>(value >> 1) ^ -static_cast<std::int64_t>(value & 1);
-}
-
-void WireEncoder::varint(std::uint64_t value) {
-  while (value >= 0x80) {
-    buffer_.write_u8(static_cast<std::uint8_t>(value) | 0x80);
-    value >>= 7;
-  }
-  buffer_.write_u8(static_cast<std::uint8_t>(value));
-}
-
 std::size_t varint_size(std::uint64_t value) {
   std::size_t size = 1;
   while (value >= 0x80) {
@@ -29,8 +13,14 @@ std::size_t varint_size(std::uint64_t value) {
   return size;
 }
 
-void WireEncoder::tag(int field, WireType type) {
-  varint(static_cast<std::uint64_t>(field) << 3 | static_cast<std::uint64_t>(type));
+// ------------------------------------------------------------------ encoder
+
+void WireEncoder::varint_slow(std::uint64_t value) {
+  while (value >= 0x80) {
+    buffer_.write_u8(static_cast<std::uint8_t>(value) | 0x80);
+    value >>= 7;
+  }
+  buffer_.write_u8(static_cast<std::uint8_t>(value));
 }
 
 std::size_t WireEncoder::begin_message(int field) {
@@ -57,11 +47,6 @@ void WireEncoder::end_message(std::size_t mark) {
   *prefix = static_cast<std::uint8_t>(value);
 }
 
-void WireEncoder::field_varint(int field, std::uint64_t value) {
-  tag(field, WireType::varint);
-  varint(value);
-}
-
 void WireEncoder::field_double(int field, double value) {
   tag(field, WireType::fixed64);
   std::uint64_t bits = 0;
@@ -86,90 +71,92 @@ void WireEncoder::field_string(int field, std::string_view text) {
   buffer_.write_string(text);
 }
 
-util::Result<WireDecoder::FieldHeader> WireDecoder::next_field() {
-  auto raw = read_varint();
-  if (!raw.ok()) return raw.error();
-  const auto type_bits = static_cast<std::uint8_t>(*raw & 0x7);
-  if (type_bits != 0 && type_bits != 1 && type_bits != 2 && type_bits != 5) {
-    return util::Error::decode_failure("unsupported wire type");
+// ------------------------------------------------------------------ decoder
+
+const char* to_string(DecodeError error) {
+  switch (error) {
+    case DecodeError::none: return "ok";
+    case DecodeError::truncated: return "truncated";
+    case DecodeError::varint_too_long: return "varint too long";
+    case DecodeError::bad_wire_type: return "unsupported wire type";
+    case DecodeError::bad_field_number: return "invalid field number";
+    case DecodeError::wrong_wire_type: return "wrong wire type";
   }
-  FieldHeader header;
-  header.field = static_cast<int>(*raw >> 3);
-  header.type = static_cast<WireType>(type_bits);
-  if (header.field <= 0) return util::Error::decode_failure("invalid field number");
-  return header;
+  return "?";
 }
 
-util::Result<std::uint64_t> WireDecoder::read_varint() {
+void WireDecoder::fail(DecodeError error) {
+  if (error_ != DecodeError::none) return;
+  error_ = error;
+  error_field_ = field_;
+  pos_ = end_;
+}
+
+std::uint64_t WireDecoder::varint_slow() {
+  // Unrolled while a full 10-byte varint fits; the byte-at-a-time loop
+  // below handles the message tail and every malformed case.
+  if (end_ - pos_ >= 10) {
+    const std::uint8_t* p = pos_;
+    std::uint64_t value = 0;
+    for (int shift = 0; shift < 64; shift += 7) {
+      const std::uint8_t byte = *p++;
+      value |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+      if (byte < 0x80) {
+        pos_ = p;
+        return value;
+      }
+    }
+  }
   std::uint64_t value = 0;
-  int shift = 0;
-  while (pos_ < data_.size()) {
-    const std::uint8_t byte = data_[pos_++];
-    if (shift >= 64) return util::Error::decode_failure("varint too long");
+  for (int shift = 0; pos_ < end_; shift += 7) {
+    if (shift >= 64) {
+      fail(DecodeError::varint_too_long);
+      return 0;
+    }
+    const std::uint8_t byte = *pos_++;
     value |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
     if ((byte & 0x80) == 0) return value;
-    shift += 7;
   }
-  return util::Error::decode_failure("varint past end");
+  fail(DecodeError::truncated);
+  return 0;
 }
 
-util::Result<double> WireDecoder::read_double() {
-  if (data_.size() - pos_ < 8) return util::Error::decode_failure("fixed64 past end");
+void WireDecoder::read(std::string& target) {
+  const auto payload = bytes();
+  target.assign(payload.begin(), payload.end());
+}
+
+void WireDecoder::read(double& target) {
+  if (!expect(WireType::fixed64)) return;
+  if (end_ - pos_ < 8) {
+    fail(DecodeError::truncated);
+    return;
+  }
   std::uint64_t bits = 0;
-  for (int i = 0; i < 8; ++i) bits |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
+  for (int i = 0; i < 8; ++i) bits |= static_cast<std::uint64_t>(pos_[i]) << (8 * i);
   pos_ += 8;
-  double value = 0;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
+  std::memcpy(&target, &bits, sizeof(target));
 }
 
-util::Result<std::uint32_t> WireDecoder::read_fixed32() {
-  if (data_.size() - pos_ < 4) return util::Error::decode_failure("fixed32 past end");
-  std::uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) value |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
-  pos_ += 4;
-  return value;
-}
-
-util::Result<std::span<const std::uint8_t>> WireDecoder::read_bytes() {
-  auto length = read_varint();
-  if (!length.ok()) return length.error();
-  if (data_.size() - pos_ < *length) return util::Error::decode_failure("bytes past end");
-  auto out = data_.subspan(pos_, *length);
-  pos_ += *length;
-  return out;
-}
-
-util::Result<std::string> WireDecoder::read_string() {
-  auto bytes = read_bytes();
-  if (!bytes.ok()) return bytes.error();
-  return std::string(bytes->begin(), bytes->end());
-}
-
-util::Status WireDecoder::skip(WireType type) {
-  switch (type) {
-    case WireType::varint: {
-      auto v = read_varint();
-      if (!v.ok()) return v.error();
-      return {};
-    }
-    case WireType::fixed64: {
-      auto v = read_double();
-      if (!v.ok()) return v.error();
-      return {};
-    }
-    case WireType::fixed32: {
-      auto v = read_fixed32();
-      if (!v.ok()) return v.error();
-      return {};
-    }
-    case WireType::length_delimited: {
-      auto v = read_bytes();
-      if (!v.ok()) return v.error();
-      return {};
-    }
+void WireDecoder::skip() {
+  std::ptrdiff_t width = 0;
+  switch (type_) {
+    case WireType::varint: (void)varint_raw(); return;
+    case WireType::length_delimited: (void)bytes(); return;
+    case WireType::fixed64: width = 8; break;
+    case WireType::fixed32: width = 4; break;
   }
-  return util::Error::decode_failure("unknown wire type");
+  if (end_ - pos_ < width) {
+    fail(DecodeError::truncated);
+  } else {
+    pos_ += width;
+  }
+}
+
+util::Status WireDecoder::status() const {
+  if (ok()) return {};
+  return util::Error::decode_failure("field " + std::to_string(error_field_) + ": " +
+                                     to_string(error_));
 }
 
 }  // namespace flexran::proto

@@ -433,6 +433,43 @@ TEST(MasterEndToEnd, HotColumnsStayRowAlignedThroughDetachAndReattach) {
   EXPECT_EQ(link.node().find_ue(72)->stats.rlc_queue_bytes, 300u);
 }
 
+TEST(MasterEndToEnd, UndecodableBodyIsCountedAndDropped) {
+  // A well-formed envelope whose StatsReply body is cut short: apply drops
+  // it whole, counts it with the undecodable envelopes, and keeps the
+  // session up.
+  RawAgentLink link;
+  proto::StatsReply stats;
+  stats.ue_reports = {ue_report(70, 7, 100), ue_report(71, 8, 200)};
+  link.send(stats);
+  const auto errors = link.core.rx_decode_errors();
+
+  // The first report (a new RNTI) is whole; the second runs past the end.
+  proto::StatsReply next;
+  next.ue_reports = {ue_report(72, 9, 300), ue_report(70, 15, 999)};
+  proto::WireEncoder body;
+  next.encode_body(body);
+  proto::Envelope envelope;
+  envelope.type = proto::MessageType::stats_reply;
+  envelope.body.assign(body.bytes().begin(), body.bytes().end() - 3);
+  ASSERT_TRUE(link.pair.b->send(net::TrafficClass::stats, envelope.encode()).ok());
+  link.sim.run();
+  link.core.run_cycle();
+
+  EXPECT_EQ(link.core.rx_decode_errors(), errors + 1);
+  const AgentNode& node = link.node();
+  ASSERT_EQ(node.ues.size(), 2u);
+  EXPECT_EQ(node.ues[0].rnti, 70);
+  EXPECT_EQ(node.ues[0].stats.wb_cqi, 7);
+  EXPECT_EQ(node.ues[0].stats.rlc_queue_bytes, 100u);
+  EXPECT_EQ(node.ues[1].rnti, 71);
+  EXPECT_EQ(node.ues[1].stats.wb_cqi, 8);
+  EXPECT_EQ(node.state, SessionState::up);
+
+  link.send(next);
+  EXPECT_EQ(link.core.rx_decode_errors(), errors + 1);
+  EXPECT_EQ(link.node().ues.size(), 3u);
+}
+
 // ---------------------------------------------------------- observability --
 
 TEST(Observability, DisabledByDefaultHasNoInstrumentsOrTraces) {

@@ -295,7 +295,7 @@ TEST(Lsa, CarrierRestrictionMessageRoundTrip) {
           .value();
   EXPECT_EQ(decoded.cell_id, 3u);
   EXPECT_EQ(decoded.max_dl_prbs, 30);
-  EXPECT_EQ(proto::categorize(proto::MessageType::carrier_restriction, {}),
+  EXPECT_EQ(proto::categorize(proto::MessageType::carrier_restriction),
             proto::MessageCategory::commands);
 }
 

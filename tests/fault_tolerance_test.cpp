@@ -349,7 +349,7 @@ TEST(RequestTracking, ExhaustedRetriesSurfaceRequestTimeoutEvent) {
 TEST(RequestTracking, RetriesKeepOriginalSignalingCategory) {
   // Regression for the retry-path accounting bug: sweep_requests used to
   // re-categorize the stored wire image with an EMPTY body
-  // (`categorize(request.type, {})`), which both mis-buckets
+  // (the category of `request.type` with an empty body), which both mis-buckets
   // body-dependent message types (see Accounting.CategorizeIsBodyDependent
   // ForEvents in proto_test) and re-derives the traffic class the resend
   // uses. The category and class are now stored with the pending request

@@ -20,11 +20,12 @@ TEST(Wire, VarintRoundTrip) {
   enc.varint(300);
   enc.varint(0xffffffffffffffffull);
   WireDecoder dec(enc.bytes());
-  EXPECT_EQ(dec.read_varint().value(), 0u);
-  EXPECT_EQ(dec.read_varint().value(), 127u);
-  EXPECT_EQ(dec.read_varint().value(), 128u);
-  EXPECT_EQ(dec.read_varint().value(), 300u);
-  EXPECT_EQ(dec.read_varint().value(), 0xffffffffffffffffull);
+  EXPECT_EQ(dec.varint_raw(), 0u);
+  EXPECT_EQ(dec.varint_raw(), 127u);
+  EXPECT_EQ(dec.varint_raw(), 128u);
+  EXPECT_EQ(dec.varint_raw(), 300u);
+  EXPECT_EQ(dec.varint_raw(), 0xffffffffffffffffull);
+  EXPECT_TRUE(dec.ok());
   EXPECT_TRUE(dec.done());
 }
 
@@ -60,22 +61,30 @@ TEST(Wire, FieldsWithMixedTypesRoundTrip) {
   enc.field_fixed32(4, 0xdeadbeef);
 
   WireDecoder dec(enc.bytes());
-  auto h1 = dec.next_field().value();
-  EXPECT_EQ(h1.field, 1);
-  EXPECT_EQ(h1.type, WireType::varint);
-  EXPECT_EQ(dec.read_varint().value(), 42u);
+  ASSERT_TRUE(dec.next());
+  EXPECT_EQ(dec.field(), 1);
+  EXPECT_EQ(dec.type(), WireType::varint);
+  EXPECT_EQ(dec.varint(), 42u);
 
-  auto h2 = dec.next_field().value();
-  EXPECT_EQ(h2.type, WireType::fixed64);
-  EXPECT_DOUBLE_EQ(dec.read_double().value(), 3.5);
+  ASSERT_TRUE(dec.next());
+  EXPECT_EQ(dec.type(), WireType::fixed64);
+  double number = 0;
+  dec.read(number);
+  EXPECT_DOUBLE_EQ(number, 3.5);
 
-  auto h3 = dec.next_field().value();
-  EXPECT_EQ(h3.type, WireType::length_delimited);
-  EXPECT_EQ(dec.read_string().value(), "hello");
+  ASSERT_TRUE(dec.next());
+  EXPECT_EQ(dec.type(), WireType::length_delimited);
+  std::string text;
+  dec.read(text);
+  EXPECT_EQ(text, "hello");
 
-  auto h4 = dec.next_field().value();
-  EXPECT_EQ(h4.type, WireType::fixed32);
-  EXPECT_EQ(dec.read_fixed32().value(), 0xdeadbeefu);
+  // No message carries a fixed32 field; the decoder only has to step over one.
+  ASSERT_TRUE(dec.next());
+  EXPECT_EQ(dec.field(), 4);
+  EXPECT_EQ(dec.type(), WireType::fixed32);
+  dec.skip();
+  EXPECT_FALSE(dec.next());
+  EXPECT_TRUE(dec.ok());
   EXPECT_TRUE(dec.done());
 }
 
@@ -88,14 +97,14 @@ TEST(Wire, SkipUnknownFields) {
 
   WireDecoder dec(enc.bytes());
   std::uint64_t found = 0;
-  while (!dec.done()) {
-    auto header = dec.next_field().value();
-    if (header.field == 1) {
-      found = dec.read_varint().value();
+  while (dec.next()) {
+    if (dec.field() == 1) {
+      found = dec.varint();
     } else {
-      ASSERT_TRUE(dec.skip(header.type).ok());
+      dec.skip();
     }
   }
+  EXPECT_TRUE(dec.ok());
   EXPECT_EQ(found, 7u);
 }
 
@@ -105,15 +114,21 @@ TEST(Wire, TruncatedInputFails) {
   auto bytes = enc.take();
   bytes.resize(bytes.size() - 3);  // cut into the string
   WireDecoder dec(bytes);
-  auto header = dec.next_field();
-  ASSERT_TRUE(header.ok());
-  EXPECT_FALSE(dec.read_string().ok());
+  ASSERT_TRUE(dec.next());
+  std::string text;
+  dec.read(text);
+  EXPECT_FALSE(dec.ok());
+  EXPECT_EQ(dec.error(), DecodeError::truncated);
+  EXPECT_EQ(dec.error_field(), 1);
+  EXPECT_FALSE(dec.next());
 }
 
 TEST(Wire, MalformedVarintFails) {
   std::vector<std::uint8_t> bad(11, 0x80);  // never terminates
   WireDecoder dec(bad);
-  EXPECT_FALSE(dec.read_varint().ok());
+  (void)dec.varint_raw();
+  EXPECT_EQ(dec.error(), DecodeError::varint_too_long);
+  EXPECT_FALSE(dec.status().ok());
 }
 
 // --------------------------------------------------------------- envelope --
@@ -383,43 +398,44 @@ TEST(Categories, SubframeTickIsSync) {
   tick.event = EventType::subframe_tick;
   tick.subframe = 1;
   auto envelope = Envelope::decode(pack(tick)).value();
-  EXPECT_EQ(categorize(envelope.type, envelope.body), MessageCategory::sync);
+  EXPECT_EQ(classify(envelope.type, envelope.body).category, MessageCategory::sync);
 
   EventNotification attach;
   attach.event = EventType::ue_attach;
   attach.rnti = 1;
   auto envelope2 = Envelope::decode(pack(attach)).value();
-  EXPECT_EQ(categorize(envelope2.type, envelope2.body), MessageCategory::agent_management);
+  EXPECT_EQ(classify(envelope2.type, envelope2.body).category,
+            MessageCategory::agent_management);
 }
 
 TEST(Categories, ByMessageType) {
-  EXPECT_EQ(categorize(MessageType::stats_reply, {}), MessageCategory::stats);
-  EXPECT_EQ(categorize(MessageType::dl_mac_config, {}), MessageCategory::commands);
-  EXPECT_EQ(categorize(MessageType::control_delegation, {}), MessageCategory::delegation);
-  EXPECT_EQ(categorize(MessageType::hello, {}), MessageCategory::agent_management);
-  EXPECT_EQ(categorize(MessageType::echo_reply, {}), MessageCategory::agent_management);
+  EXPECT_EQ(categorize(MessageType::stats_reply), MessageCategory::stats);
+  EXPECT_EQ(categorize(MessageType::dl_mac_config), MessageCategory::commands);
+  EXPECT_EQ(categorize(MessageType::control_delegation), MessageCategory::delegation);
+  EXPECT_EQ(categorize(MessageType::hello), MessageCategory::agent_management);
+  EXPECT_EQ(categorize(MessageType::echo_reply), MessageCategory::agent_management);
 }
 
 TEST(TrafficClasses, ByMessageType) {
   using net::TrafficClass;
-  EXPECT_EQ(traffic_class(MessageType::hello, {}), TrafficClass::session);
-  EXPECT_EQ(traffic_class(MessageType::echo_reply, {}), TrafficClass::session);
-  EXPECT_EQ(traffic_class(MessageType::dl_mac_config, {}), TrafficClass::command);
-  EXPECT_EQ(traffic_class(MessageType::policy_reconfiguration, {}), TrafficClass::command);
-  EXPECT_EQ(traffic_class(MessageType::stats_request, {}), TrafficClass::config);
-  EXPECT_EQ(traffic_class(MessageType::enb_config_reply, {}), TrafficClass::config);
-  EXPECT_EQ(traffic_class(MessageType::stats_reply, {}), TrafficClass::stats);
+  EXPECT_EQ(traffic_class(MessageType::hello), TrafficClass::session);
+  EXPECT_EQ(traffic_class(MessageType::echo_reply), TrafficClass::session);
+  EXPECT_EQ(traffic_class(MessageType::dl_mac_config), TrafficClass::command);
+  EXPECT_EQ(traffic_class(MessageType::policy_reconfiguration), TrafficClass::command);
+  EXPECT_EQ(traffic_class(MessageType::stats_request), TrafficClass::config);
+  EXPECT_EQ(traffic_class(MessageType::enb_config_reply), TrafficClass::config);
+  EXPECT_EQ(traffic_class(MessageType::stats_reply), TrafficClass::stats);
 
   EventNotification tick;
   tick.event = EventType::subframe_tick;
   auto tick_env = Envelope::decode(pack(tick)).value();
-  EXPECT_EQ(traffic_class(tick_env.type, tick_env.body), TrafficClass::sync);
+  EXPECT_EQ(classify(tick_env.type, tick_env.body).traffic_class, TrafficClass::sync);
 
   EventNotification attach;
   attach.event = EventType::ue_attach;
   attach.rnti = 9;
   auto attach_env = Envelope::decode(pack(attach)).value();
-  EXPECT_EQ(traffic_class(attach_env.type, attach_env.body), TrafficClass::event);
+  EXPECT_EQ(classify(attach_env.type, attach_env.body).traffic_class, TrafficClass::event);
 
   // Only event triggers, sync ticks and stats are sheddable.
   EXPECT_FALSE(net::sheddable(TrafficClass::session));
@@ -549,7 +565,7 @@ TEST(Accounting, FrameHeaderConvention) {
   // the control link (the Fig. 7 reconciliation invariant).
   const auto wire = pack(EchoRequest{.subframe = 1, .timestamp_us = 2});
   SignalingAccountant accountant;
-  accountant.record(categorize(MessageType::echo_request, wire),
+  accountant.record(categorize(MessageType::echo_request),
                     wire.size() + net::kFrameHeaderBytes);
   EXPECT_EQ(accountant.total_bytes(), wire.size() + net::kFrameHeaderBytes);
 }
@@ -558,16 +574,15 @@ TEST(Accounting, CategorizeIsBodyDependentForEvents) {
   // The retry-path bug this PR fixes: re-categorizing a request with an
   // EMPTY body instead of its real body gives the wrong bucket for
   // body-dependent types. A ue_attach notification is agent management,
-  // but `categorize(type, {})` sees a default-constructed body (whose
-  // event decodes as subframe_tick) and mis-buckets it as sync. Retries
-  // must reuse the category computed from the real body at enqueue time.
+  // but classifying an empty body (whose event field is absent and so
+  // defaults to subframe_tick) mis-buckets it as sync. Retries must reuse
+  // the category computed from the real body at enqueue time.
   EventNotification attach;
   attach.event = EventType::ue_attach;
   attach.rnti = 4;
   auto envelope = Envelope::decode(pack(attach)).value();
-  EXPECT_EQ(categorize(envelope.type, envelope.body), MessageCategory::agent_management);
-  EXPECT_EQ(categorize(envelope.type, {}), MessageCategory::sync);
-  EXPECT_NE(categorize(envelope.type, envelope.body), categorize(envelope.type, {}));
+  EXPECT_EQ(classify(envelope.type, envelope.body).category, MessageCategory::agent_management);
+  EXPECT_EQ(classify(envelope.type, {}).category, MessageCategory::sync);
 }
 
 // ------------------------------------------- wire fast path (zero-alloc) --
@@ -673,55 +688,35 @@ TEST(WireFastPath, ReusedEncoderMatchesFreshAcrossAllMessageTypes) {
   expect_reused_encoder_identical(PolicyReconfiguration{.yaml = "mac: {}"});
 }
 
-TEST(WireFastPath, BackpatchMatchesFieldMessageAcrossLengthBoundary) {
+TEST(WireFastPath, BackpatchWritesMinimalLengthPrefixAcrossBoundary) {
   // Nested payloads around the 1-byte/2-byte length-prefix boundary (127 /
-  // 128) and well past it: begin/end_message must emit exactly what the
-  // legacy two-encoder field_message path emits, including the widened
-  // minimal varint prefix.
-  for (std::size_t payload_len : {0u, 1u, 126u, 127u, 128u, 129u, 300u, 16383u, 16384u}) {
-    const std::vector<std::uint8_t> payload(payload_len, 0x5a);
-    WireEncoder legacy;
-    WireEncoder sub;
-    for (auto b : payload) sub.field_varint(1, b);
-    legacy.field_message(7, sub);
-
+  // 128) and the 2-byte/3-byte one (16383 / 16384): begin/end_message must
+  // widen the placeholder to exactly the minimal varint of the length.
+  struct Case {
+    std::size_t entries;  // 2-byte field_varint entries in the payload
+    std::vector<std::uint8_t> prefix;
+  };
+  const Case cases[] = {
+      {0, {0x00}},        {1, {0x02}},        {63, {0x7e}},
+      {64, {0x80, 0x01}}, {65, {0x82, 0x01}}, {8191, {0xfe, 0x7f}},
+      {8192, {0x80, 0x80, 0x01}},
+  };
+  for (const auto& c : cases) {
     WireEncoder arena;
     const auto mark = arena.begin_message(7);
-    for (auto b : payload) arena.field_varint(1, b);
+    for (std::size_t i = 0; i < c.entries; ++i) arena.field_varint(1, 0x5a);
     arena.end_message(mark);
 
-    ASSERT_EQ(arena.size(), legacy.size()) << "payload_len=" << payload_len;
+    std::vector<std::uint8_t> expected{0x3a};  // field 7, length-delimited
+    expected.insert(expected.end(), c.prefix.begin(), c.prefix.end());
+    for (std::size_t i = 0; i < c.entries; ++i) {
+      expected.push_back(0x08);
+      expected.push_back(0x5a);
+    }
     const auto a = arena.bytes();
-    const auto l = legacy.bytes();
-    EXPECT_TRUE(std::equal(a.begin(), a.end(), l.begin())) << "payload_len=" << payload_len;
+    ASSERT_EQ(a.size(), expected.size()) << "entries=" << c.entries;
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), expected.begin())) << "entries=" << c.entries;
   }
-}
-
-TEST(WireFastPath, DeeplyNestedBackpatchIsByteIdenticalToLegacy) {
-  // Two levels of nesting with a large inner payload, like a StatsReply
-  // carrying RSRP sub-messages: inner end_message runs before the outer.
-  WireEncoder legacy;
-  {
-    WireEncoder inner;
-    for (int i = 0; i < 100; ++i) inner.field_varint(1, 200 + i);
-    WireEncoder outer;
-    outer.field_varint(1, 70);
-    outer.field_message(10, inner);
-    legacy.field_message(3, outer);
-  }
-  WireEncoder arena;
-  {
-    const auto outer = arena.begin_message(3);
-    arena.field_varint(1, 70);
-    const auto inner = arena.begin_message(10);
-    for (int i = 0; i < 100; ++i) arena.field_varint(1, 200 + i);
-    arena.end_message(inner);
-    arena.end_message(outer);
-  }
-  ASSERT_EQ(arena.size(), legacy.size());
-  const auto a = arena.bytes();
-  const auto l = legacy.bytes();
-  EXPECT_TRUE(std::equal(a.begin(), a.end(), l.begin()));
 }
 
 TEST(WireFastPath, DecodeIntoMatchesFreshDecode) {
@@ -782,7 +777,7 @@ TEST(WireFastPath, TrailingBsrEntriesAreCountedNotDropped) {
   WireEncoder reply_body;
   reply_body.field_varint(1, 8);   // request_id
   reply_body.field_svarint(2, 1);  // subframe
-  reply_body.field_message(3, body);
+  reply_body.field_bytes(3, body.bytes());
 
   const auto before = decode_anomalies().bsr_overflow.load();
   auto decoded = StatsReply::decode_body(reply_body.bytes());
@@ -795,6 +790,247 @@ TEST(WireFastPath, TrailingBsrEntriesAreCountedNotDropped) {
   }
   EXPECT_EQ(ue.wb_cqi, 9);
   EXPECT_EQ(decode_anomalies().bsr_overflow.load(), before + 3);
+}
+
+
+// ------------------------------------------------- checked-in byte vectors --
+// Encoded by the codec as it stood before the sticky-error decoder, and
+// pinned here: each must decode, and re-encoding the decoded message must
+// give the same bytes back.
+
+constexpr std::uint8_t kEnvelopeBytes[] = {
+    0x08, 0x01, 0x10, 0x02, 0x18, 0xac, 0x02, 0x22, 0x05, 0x08, 0x09, 0x10,
+    0xc6, 0x01, 0x28, 0x07, 0x30, 0x02, 0x38, 0x04, 0x40, 0xcb, 0x89, 0xec,
+    0x8f, 0xf7, 0x23, 0x48, 0xc0, 0xdf, 0xb5, 0x8f, 0xf7, 0x23, 0x50, 0x03,
+    0x58, 0xfa, 0x01,
+};
+
+constexpr std::uint8_t kStatsReplyBody[] = {
+    0x08, 0x09, 0x10, 0x80, 0x80, 0x19, 0x1a, 0x2c, 0x08, 0x46, 0x10, 0x00,
+    0x10, 0xdc, 0x0b, 0x10, 0x00, 0x10, 0x00, 0x18, 0x22, 0x20, 0x01, 0x28,
+    0x80, 0x20, 0x38, 0xa0, 0x8d, 0x06, 0x40, 0xc0, 0xb8, 0x02, 0x48, 0x0c,
+    0x52, 0x06, 0x08, 0x01, 0x10, 0x81, 0x8d, 0x01, 0x52, 0x06, 0x08, 0x02,
+    0x10, 0xcb, 0x9e, 0x01, 0x1a, 0x30, 0x08, 0x47, 0x10, 0x0a, 0x10, 0xdc,
+    0x0b, 0x10, 0x00, 0x10, 0xc8, 0x01, 0x18, 0x1c, 0x20, 0x02, 0x28, 0x91,
+    0x20, 0x30, 0x01, 0x38, 0xa3, 0x8d, 0x06, 0x40, 0xc1, 0xb8, 0x02, 0x58,
+    0xac, 0x02, 0x52, 0x06, 0x08, 0x01, 0x10, 0xc9, 0x8e, 0x01, 0x52, 0x06,
+    0x08, 0x02, 0x10, 0xe1, 0x9f, 0x01, 0x1a, 0x30, 0x08, 0x48, 0x10, 0x14,
+    0x10, 0xdc, 0x0b, 0x10, 0x00, 0x10, 0x90, 0x03, 0x18, 0x16, 0x20, 0x03,
+    0x28, 0xa2, 0x20, 0x30, 0x02, 0x38, 0xa6, 0x8d, 0x06, 0x40, 0xc2, 0xb8,
+    0x02, 0x58, 0xd8, 0x04, 0x52, 0x06, 0x08, 0x01, 0x10, 0x91, 0x90, 0x01,
+    0x52, 0x06, 0x08, 0x02, 0x10, 0xf7, 0xa0, 0x01, 0x1a, 0x32, 0x08, 0x49,
+    0x10, 0x1e, 0x10, 0xdc, 0x0b, 0x10, 0x00, 0x10, 0xd8, 0x04, 0x18, 0x10,
+    0x20, 0x04, 0x28, 0xb3, 0x20, 0x30, 0x03, 0x38, 0xa9, 0x8d, 0x06, 0x40,
+    0xc3, 0xb8, 0x02, 0x48, 0x0c, 0x58, 0x84, 0x07, 0x52, 0x06, 0x08, 0x01,
+    0x10, 0xd9, 0x91, 0x01, 0x52, 0x06, 0x08, 0x02, 0x10, 0x8d, 0xa2, 0x01,
+    0x1a, 0x2e, 0x08, 0x4a, 0x10, 0x28, 0x10, 0xdc, 0x0b, 0x10, 0x00, 0x10,
+    0xa0, 0x06, 0x18, 0x0a, 0x20, 0x05, 0x28, 0xc4, 0x20, 0x38, 0xac, 0x8d,
+    0x06, 0x40, 0xc4, 0xb8, 0x02, 0x58, 0xb0, 0x09, 0x52, 0x06, 0x08, 0x01,
+    0x10, 0xa1, 0x93, 0x01, 0x52, 0x06, 0x08, 0x02, 0x10, 0xa3, 0xa3, 0x01,
+    0x1a, 0x30, 0x08, 0x4b, 0x10, 0x32, 0x10, 0xdc, 0x0b, 0x10, 0x00, 0x10,
+    0xe8, 0x07, 0x18, 0x04, 0x20, 0x06, 0x28, 0xd5, 0x20, 0x30, 0x01, 0x38,
+    0xaf, 0x8d, 0x06, 0x40, 0xc5, 0xb8, 0x02, 0x58, 0xdc, 0x0b, 0x52, 0x06,
+    0x08, 0x01, 0x10, 0xe9, 0x94, 0x01, 0x52, 0x06, 0x08, 0x02, 0x10, 0xb9,
+    0xa4, 0x01, 0x1a, 0x32, 0x08, 0x4c, 0x10, 0x3c, 0x10, 0xdc, 0x0b, 0x10,
+    0x00, 0x10, 0xb0, 0x09, 0x18, 0x01, 0x20, 0x07, 0x28, 0xe6, 0x20, 0x30,
+    0x02, 0x38, 0xb2, 0x8d, 0x06, 0x40, 0xc6, 0xb8, 0x02, 0x48, 0x0c, 0x58,
+    0x88, 0x0e, 0x52, 0x06, 0x08, 0x01, 0x10, 0xb1, 0x96, 0x01, 0x52, 0x06,
+    0x08, 0x02, 0x10, 0xcf, 0xa5, 0x01, 0x1a, 0x30, 0x08, 0x4d, 0x10, 0x46,
+    0x10, 0xdc, 0x0b, 0x10, 0x00, 0x10, 0xf8, 0x0a, 0x18, 0x07, 0x20, 0x08,
+    0x28, 0xf7, 0x20, 0x30, 0x03, 0x38, 0xb5, 0x8d, 0x06, 0x40, 0xc7, 0xb8,
+    0x02, 0x58, 0xb4, 0x10, 0x52, 0x06, 0x08, 0x01, 0x10, 0xf9, 0x97, 0x01,
+    0x52, 0x06, 0x08, 0x02, 0x10, 0xe5, 0xa6, 0x01, 0x1a, 0x2e, 0x08, 0x4e,
+    0x10, 0x50, 0x10, 0xdc, 0x0b, 0x10, 0x00, 0x10, 0xc0, 0x0c, 0x18, 0x0d,
+    0x20, 0x09, 0x28, 0x88, 0x21, 0x38, 0xb8, 0x8d, 0x06, 0x40, 0xc8, 0xb8,
+    0x02, 0x58, 0xe0, 0x12, 0x52, 0x06, 0x08, 0x01, 0x10, 0xc1, 0x99, 0x01,
+    0x52, 0x06, 0x08, 0x02, 0x10, 0xfb, 0xa7, 0x01, 0x1a, 0x32, 0x08, 0x4f,
+    0x10, 0x5a, 0x10, 0xdc, 0x0b, 0x10, 0x00, 0x10, 0x88, 0x0e, 0x18, 0x13,
+    0x20, 0x0a, 0x28, 0x99, 0x21, 0x30, 0x01, 0x38, 0xbb, 0x8d, 0x06, 0x40,
+    0xc9, 0xb8, 0x02, 0x48, 0x0c, 0x58, 0x8c, 0x15, 0x52, 0x06, 0x08, 0x01,
+    0x10, 0x89, 0x9b, 0x01, 0x52, 0x06, 0x08, 0x02, 0x10, 0x91, 0xa9, 0x01,
+    0x1a, 0x30, 0x08, 0x50, 0x10, 0x64, 0x10, 0xdc, 0x0b, 0x10, 0x00, 0x10,
+    0xd0, 0x0f, 0x18, 0x19, 0x20, 0x0b, 0x28, 0xaa, 0x21, 0x30, 0x02, 0x38,
+    0xbe, 0x8d, 0x06, 0x40, 0xca, 0xb8, 0x02, 0x58, 0xb8, 0x17, 0x52, 0x06,
+    0x08, 0x01, 0x10, 0xd1, 0x9c, 0x01, 0x52, 0x06, 0x08, 0x02, 0x10, 0xa7,
+    0xaa, 0x01, 0x1a, 0x30, 0x08, 0x51, 0x10, 0x6e, 0x10, 0xdc, 0x0b, 0x10,
+    0x00, 0x10, 0x98, 0x11, 0x18, 0x1f, 0x20, 0x0c, 0x28, 0xbb, 0x21, 0x30,
+    0x03, 0x38, 0xc1, 0x8d, 0x06, 0x40, 0xcb, 0xb8, 0x02, 0x58, 0xe4, 0x19,
+    0x52, 0x06, 0x08, 0x01, 0x10, 0x99, 0x9e, 0x01, 0x52, 0x06, 0x08, 0x02,
+    0x10, 0xbd, 0xab, 0x01, 0x1a, 0x30, 0x08, 0x52, 0x10, 0x78, 0x10, 0xdc,
+    0x0b, 0x10, 0x00, 0x10, 0xe0, 0x12, 0x18, 0x25, 0x20, 0x0d, 0x28, 0xcc,
+    0x21, 0x38, 0xc4, 0x8d, 0x06, 0x40, 0xcc, 0xb8, 0x02, 0x48, 0x0c, 0x58,
+    0x90, 0x1c, 0x52, 0x06, 0x08, 0x01, 0x10, 0xe1, 0x9f, 0x01, 0x52, 0x06,
+    0x08, 0x02, 0x10, 0xd3, 0xac, 0x01, 0x1a, 0x31, 0x08, 0x53, 0x10, 0x82,
+    0x01, 0x10, 0xdc, 0x0b, 0x10, 0x00, 0x10, 0xa8, 0x14, 0x18, 0x2b, 0x20,
+    0x0e, 0x28, 0xdd, 0x21, 0x30, 0x01, 0x38, 0xc7, 0x8d, 0x06, 0x40, 0xcd,
+    0xb8, 0x02, 0x58, 0xbc, 0x1e, 0x52, 0x06, 0x08, 0x01, 0x10, 0xa9, 0xa1,
+    0x01, 0x52, 0x06, 0x08, 0x02, 0x10, 0xe9, 0xad, 0x01, 0x1a, 0x31, 0x08,
+    0x54, 0x10, 0x8c, 0x01, 0x10, 0xdc, 0x0b, 0x10, 0x00, 0x10, 0xf0, 0x15,
+    0x18, 0x31, 0x20, 0x0f, 0x28, 0xee, 0x21, 0x30, 0x02, 0x38, 0xca, 0x8d,
+    0x06, 0x40, 0xce, 0xb8, 0x02, 0x58, 0xe8, 0x20, 0x52, 0x06, 0x08, 0x01,
+    0x10, 0xf1, 0xa2, 0x01, 0x52, 0x06, 0x08, 0x02, 0x10, 0xff, 0xae, 0x01,
+    0x1a, 0xe3, 0x01, 0x08, 0x55, 0x10, 0x96, 0x01, 0x10, 0xdc, 0x0b, 0x10,
+    0x00, 0x10, 0xb8, 0x17, 0x18, 0x37, 0x20, 0x01, 0x28, 0xff, 0x21, 0x30,
+    0x03, 0x38, 0xcd, 0x8d, 0x06, 0x40, 0xcf, 0xb8, 0x02, 0x48, 0x0c, 0x58,
+    0x94, 0x23, 0x52, 0x06, 0x08, 0x01, 0x10, 0xb9, 0xa4, 0x01, 0x52, 0x06,
+    0x08, 0x02, 0x10, 0x95, 0xb0, 0x01, 0x52, 0x06, 0x08, 0x03, 0x10, 0xef,
+    0xab, 0x01, 0x52, 0x06, 0x08, 0x04, 0x10, 0xb7, 0xad, 0x01, 0x52, 0x06,
+    0x08, 0x05, 0x10, 0xff, 0xae, 0x01, 0x52, 0x06, 0x08, 0x06, 0x10, 0xc7,
+    0xb0, 0x01, 0x52, 0x06, 0x08, 0x07, 0x10, 0x8f, 0xb2, 0x01, 0x52, 0x06,
+    0x08, 0x08, 0x10, 0xd7, 0xb3, 0x01, 0x52, 0x06, 0x08, 0x09, 0x10, 0x9f,
+    0xb5, 0x01, 0x52, 0x06, 0x08, 0x0a, 0x10, 0xe7, 0xb6, 0x01, 0x52, 0x06,
+    0x08, 0x0b, 0x10, 0xaf, 0xb8, 0x01, 0x52, 0x06, 0x08, 0x0c, 0x10, 0xf7,
+    0xb9, 0x01, 0x52, 0x06, 0x08, 0x0d, 0x10, 0xbf, 0xbb, 0x01, 0x52, 0x06,
+    0x08, 0x0e, 0x10, 0x87, 0xbd, 0x01, 0x52, 0x06, 0x08, 0x0f, 0x10, 0xcf,
+    0xbe, 0x01, 0x52, 0x06, 0x08, 0x10, 0x10, 0x97, 0xc0, 0x01, 0x52, 0x06,
+    0x08, 0x11, 0x10, 0xdf, 0xc1, 0x01, 0x52, 0x06, 0x08, 0x12, 0x10, 0xa7,
+    0xc3, 0x01, 0x52, 0x06, 0x08, 0x13, 0x10, 0xef, 0xc4, 0x01, 0x52, 0x06,
+    0x08, 0x14, 0x10, 0xb7, 0xc6, 0x01, 0x52, 0x06, 0x08, 0x15, 0x10, 0xff,
+    0xc7, 0x01, 0x52, 0x06, 0x08, 0x16, 0x10, 0xc7, 0xc9, 0x01, 0x52, 0x06,
+    0x08, 0x17, 0x10, 0x8f, 0xcb, 0x01, 0x52, 0x06, 0x08, 0x18, 0x10, 0xd7,
+    0xcc, 0x01, 0x22, 0x11, 0x08, 0x01, 0x11, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x20, 0x58, 0xc0, 0x18, 0x2a, 0x20, 0x0b, 0x28, 0x10,
+};
+
+constexpr std::uint8_t kDlMacConfigBody[] = {
+    0x08, 0x01, 0x10, 0x88, 0x80, 0x19, 0x1a, 0x0c, 0x08, 0x46, 0x10, 0xff,
+    0xff, 0x3f, 0x20, 0x0a, 0x28, 0x00, 0x30, 0x01, 0x1a, 0x11, 0x08, 0x47,
+    0x10, 0x80, 0x80, 0xc0, 0xff, 0xff, 0xff, 0xff, 0x01, 0x20, 0x0f, 0x28,
+    0x01, 0x30, 0x00, 0x1a, 0x19, 0x08, 0x48, 0x10, 0x80, 0x80, 0x80, 0x80,
+    0x80, 0xe0, 0xff, 0xff, 0xff, 0x01, 0x18, 0xff, 0xff, 0x03, 0x20, 0x14,
+    0x28, 0x02, 0x30, 0x01, 0x38, 0x01,
+};
+
+constexpr std::uint8_t kEventNotificationBody[] = {
+    0x08, 0x09, 0x10, 0x82, 0x80, 0x19, 0x18, 0x47, 0x20, 0x01, 0x28, 0x0c,
+    0x32, 0x03, 0x6d, 0x61, 0x63, 0x3a, 0x0f, 0x64, 0x6c, 0x5f, 0x75, 0x65,
+    0x5f, 0x73, 0x63, 0x68, 0x65, 0x64, 0x75, 0x6c, 0x65, 0x72, 0x42, 0x06,
+    0x72, 0x65, 0x6d, 0x6f, 0x74, 0x65, 0x48, 0x02, 0x50, 0x02, 0x5a, 0x08,
+    0x64, 0x65, 0x61, 0x64, 0x6c, 0x69, 0x6e, 0x65, 0x60, 0x01,
+};
+
+template <std::size_t N>
+std::vector<std::uint8_t> bytes_of(const std::uint8_t (&array)[N]) {
+  return {array, array + N};
+}
+
+template <typename M>
+std::vector<std::uint8_t> encode_body(const M& message) {
+  WireEncoder enc;
+  message.encode_body(enc);
+  return enc.take();
+}
+
+TEST(WireVectors, EnvelopeDecodesAndReencodes) {
+  const auto wire = bytes_of(kEnvelopeBytes);
+  auto envelope = Envelope::decode(wire);
+  ASSERT_TRUE(envelope.ok()) << envelope.error().message;
+  EXPECT_EQ(envelope->type, MessageType::echo_request);
+  EXPECT_EQ(envelope->xid, 300u);
+  EXPECT_EQ(envelope->epoch, 7u);
+  EXPECT_EQ(envelope->queue_status, 2);
+  EXPECT_EQ(envelope->throttle_hint, 4u);
+  EXPECT_EQ(envelope->ts_us, 1234567890123ull);
+  EXPECT_EQ(envelope->ts_echo_us, 1234567000000ull);
+  EXPECT_EQ(envelope->master_epoch, 3u);
+  EXPECT_EQ(envelope->retry_after_ms, 250u);
+  auto echo = unpack<EchoRequest>(*envelope);
+  ASSERT_TRUE(echo.ok());
+  EXPECT_EQ(echo->subframe, -5);
+  EXPECT_EQ(echo->timestamp_us, 99);
+  EXPECT_EQ(envelope->encode(), wire);
+}
+
+TEST(WireVectors, StatsReplyDecodesAndReencodes) {
+  // 16 UE reports nesting RSRP sub-messages, plus a cell report. The last
+  // report lists 24 cells, so its own length prefix is two bytes wide.
+  const auto body = bytes_of(kStatsReplyBody);
+  auto reply = StatsReply::decode_body(body);
+  ASSERT_TRUE(reply.ok()) << reply.error().message;
+  EXPECT_EQ(reply->request_id, 9u);
+  EXPECT_EQ(reply->subframe, 204800);
+  ASSERT_EQ(reply->ue_reports.size(), 16u);
+  const auto& last = reply->ue_reports.back();
+  EXPECT_EQ(last.rnti, 85);
+  EXPECT_EQ(last.bsr_bytes, (std::array<std::uint32_t, lte::kNumLcGroups>{150, 1500, 0, 3000}));
+  EXPECT_EQ(last.phr_db, -28);
+  EXPECT_EQ(last.pending_harq, 3u);
+  ASSERT_EQ(last.rsrp.size(), 24u);
+  EXPECT_DOUBLE_EQ(last.rsrp[0].rsrp_dbm, -105.25);
+  EXPECT_DOUBLE_EQ(last.rsrp[1].rsrp_dbm, -112.75);
+  EXPECT_EQ(last.rsrp[23].cell_id, 24);
+  EXPECT_DOUBLE_EQ(last.rsrp[23].rsrp_dbm, -131.0);
+  ASSERT_EQ(reply->cell_reports.size(), 1u);
+  EXPECT_DOUBLE_EQ(reply->cell_reports[0].noise_interference_dbm, -96.5);
+  EXPECT_EQ(reply->cell_reports[0].active_ues, 16u);
+  EXPECT_EQ(encode_body(*reply), body);
+
+  // The reusing decoder lands on the same message.
+  StatsReply reused;
+  ASSERT_TRUE(StatsReply::decode_body_into(body, reused).ok());
+  EXPECT_EQ(encode_body(reused), body);
+}
+
+TEST(WireVectors, DlMacConfigDecodesAndReencodes) {
+  const auto body = bytes_of(kDlMacConfigBody);
+  auto config = DlMacConfig::decode_body(body);
+  ASSERT_TRUE(config.ok()) << config.error().message;
+  EXPECT_EQ(config->cell_id, 1u);
+  EXPECT_EQ(config->target_subframe, 204804);
+  ASSERT_EQ(config->dcis.size(), 3u);
+  EXPECT_EQ(config->dcis[2].rnti, 72);
+  EXPECT_EQ(config->dcis[2].mcs, 20);
+  EXPECT_EQ(config->dcis[2].carrier, 1);
+  EXPECT_FALSE(config->dcis[1].new_data);
+  EXPECT_EQ(encode_body(*config), body);
+}
+
+TEST(WireVectors, EventNotificationDecodesAndReencodes) {
+  const auto body = bytes_of(kEventNotificationBody);
+  auto event = EventNotification::decode_body(body);
+  ASSERT_TRUE(event.ok()) << event.error().message;
+  EXPECT_EQ(event->event, EventType::vsf_failure);
+  EXPECT_EQ(event->subframe, 204801);
+  EXPECT_EQ(event->vsf, "dl_ue_scheduler");
+  EXPECT_EQ(event->failure_kind, VsfFailureKind::overrun);
+  EXPECT_EQ(event->detail, "deadline");
+  EXPECT_EQ(event->overload_state, 1);
+  EXPECT_EQ(encode_body(*event), body);
+  EXPECT_EQ(classify(MessageType::event_notification, body).category,
+            MessageCategory::agent_management);
+}
+
+TEST(WireVectors, FirstErrorIsReportedWithItsFieldNumber) {
+  // Field 2 (subframe, a varint) arrives length-delimited, and the body
+  // then ends inside a varint. The decode must stop at the first error.
+  const std::vector<std::uint8_t> body{0x08, 0x09,        // request_id = 9
+                                       0x12, 0x01, 0x00,  // field 2, wrong wire type
+                                       0x28, 0x80};       // field 5, truncated varint
+  auto reply = StatsReply::decode_body(body);
+  ASSERT_FALSE(reply.ok());
+  EXPECT_EQ(reply.error().code, util::Error::Code::decode_failure);
+  EXPECT_EQ(reply.error().message, "field 2: wrong wire type");
+
+  // The decoder keeps the same first error as the reads go on.
+  WireDecoder dec(body);
+  ASSERT_TRUE(dec.next());
+  EXPECT_EQ(dec.varint(), 9u);
+  ASSERT_TRUE(dec.next());
+  EXPECT_EQ(dec.varint(), 0u);
+  EXPECT_FALSE(dec.next());
+  (void)dec.varint_raw();
+  EXPECT_EQ(dec.error(), DecodeError::wrong_wire_type);
+  EXPECT_EQ(dec.error_field(), 2);
+
+  // Without the first error, the second is the one reported; inside a
+  // nested message the field is the innermost one.
+  auto truncated = StatsReply::decode_body(std::vector<std::uint8_t>{0x08, 0x09, 0x28, 0x80});
+  ASSERT_FALSE(truncated.ok());
+  EXPECT_EQ(truncated.error().message, "field 5: truncated");
+  const std::vector<std::uint8_t> nested{0x1a, 0x02, 0x20, 0x80};  // UE report, wb_cqi cut
+  auto inner = StatsReply::decode_body(nested);
+  ASSERT_FALSE(inner.ok());
+  EXPECT_EQ(inner.error().message, "field 4: truncated");
 }
 
 }  // namespace
