@@ -9,6 +9,11 @@
 // 8192 agents, whose allocation counts must not grow with the fleet. Publish
 // and ingest->apply are also run for 16- and 64-UE agents without RSRP
 // lists, whose allocation counts must not grow with the UEs an agent serves.
+// On the command path: a 16-DCI DlMacConfig encoded into a reused encoder
+// and decoded into a reused message, and one agent subframe (remote DL
+// scheduling of 16 UEs, per-TTI stats and subframe ticks) over a counting
+// transport that copies nothing, with a periodic and with a triggered
+// stats registration.
 //
 // Allocations are counted by a global operator-new hook, so the numbers are
 // exact, deterministic, and independent of machine speed -- which is why
@@ -17,8 +22,8 @@
 //   bench_wire --check=bench/wire_alloc_baseline.txt   # exit 1 on regression
 //   bench_wire [BENCH_wire.json]                       # report + JSON
 //
-// Both modes exit 1 when the decoded reply differs, field by field, from
-// the reply that was encoded: a fast but wrong decoder cannot pass.
+// Both modes exit 1 when the decoded reply or DCI list differs, field by
+// field, from what was encoded: a fast but wrong decoder cannot pass.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -34,6 +39,7 @@
 #include <utility>
 #include <vector>
 
+#include "agent/agent.h"
 #include "bench/bench_common.h"
 #include "controller/shard_core.h"
 #include "net/framing.h"
@@ -223,10 +229,199 @@ std::pair<double, double> measure_publish(std::size_t agents, const proto::Stats
           static_cast<double>(g_allocs.load() - allocs0) / static_cast<double>(kPublishIters)};
 }
 
+// ------------------------------------------------------ command path --
+
+constexpr std::size_t kDcis = 16;
+constexpr int kPrbsPerDci = 6;
+constexpr std::uint64_t kCommandIters = 20'000;
+constexpr std::int64_t kAgentWarmupTtis = 300;
+constexpr std::int64_t kAgentTtis = 2'000;
+
+/// 16 DCIs of 6 PRBs each, packed from PRB 0: DCI 10 straddles the 64-bit
+/// word boundary and DCIs 11-15 live in word 1.
+proto::DlMacConfig make_dl_config(std::int64_t target_subframe) {
+  proto::DlMacConfig config;
+  config.cell_id = 1;
+  config.target_subframe = target_subframe;
+  for (std::size_t i = 0; i < kDcis; ++i) {
+    lte::DlDci dci;
+    dci.rnti = static_cast<lte::Rnti>(70 + i);
+    dci.rbs.set_range(static_cast<int>(i) * kPrbsPerDci, kPrbsPerDci);
+    dci.mcs = static_cast<int>(4 + i);
+    dci.harq_pid = static_cast<std::uint8_t>(i % 8);
+    dci.new_data = i % 3 != 0;
+    config.dcis.push_back(dci);
+  }
+  return config;
+}
+
+/// True when `decoded` carries every DCI field of `sent`; otherwise names
+/// the first difference on stderr.
+bool same_dl_config(const proto::DlMacConfig& sent, const proto::DlMacConfig& decoded) {
+  const auto differs = [](const char* what, std::size_t index) {
+    std::fprintf(stderr, "bench_wire: decoded DCIs differ from the encoded ones: %s (#%zu)\n",
+                 what, index);
+    return false;
+  };
+  if (decoded.cell_id != sent.cell_id) return differs("cell_id", 0);
+  if (decoded.target_subframe != sent.target_subframe) return differs("target_subframe", 0);
+  if (decoded.dcis.size() != sent.dcis.size()) return differs("dcis", 0);
+  for (std::size_t i = 0; i < sent.dcis.size(); ++i) {
+    const auto& a = sent.dcis[i];
+    const auto& b = decoded.dcis[i];
+    if (a.rnti != b.rnti) return differs("rnti", i);
+    if (!(a.rbs == b.rbs)) return differs("rb bitmap", i);
+    if (a.mcs != b.mcs) return differs("mcs", i);
+    if (a.harq_pid != b.harq_pid) return differs("harq_pid", i);
+    if (a.new_data != b.new_data) return differs("new_data", i);
+    if (a.carrier != b.carrier) return differs("carrier", i);
+  }
+  return true;
+}
+
+/// Counts what the agent sends and keeps none of it, so the agent stage
+/// counts the agent's allocations rather than a link's copies. deliver()
+/// plays the master's side of the channel.
+class CountingTransport final : public net::Transport {
+ public:
+  util::Status send(std::span<const std::uint8_t> message) override {
+    ++messages_;
+    bytes_ += message.size();
+    return {};
+  }
+  void set_receive_callback(ReceiveFn fn) override { receive_ = std::move(fn); }
+  std::uint64_t messages_sent() const override { return messages_; }
+  std::uint64_t bytes_sent() const override { return bytes_; }
+  void deliver(std::span<const std::uint8_t> message) { receive_(message); }
+
+ private:
+  ReceiveFn receive_;
+  std::uint64_t messages_ = 0;
+  std::uint64_t bytes_ = 0;
+};
+
+/// Forwards the data plane's callbacks to the agent and counts the
+/// allocations and time of each on_subframe_start.
+class CountingListener final : public stack::EnodebDataPlane::Listener {
+ public:
+  explicit CountingListener(agent::Agent& agent) : agent_(&agent) {}
+  void on_subframe_start(std::int64_t subframe) override {
+    const auto allocs0 = g_allocs.load();
+    const auto t0 = Clock::now();
+    agent_->on_subframe_start(subframe);
+    ns += std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0).count();
+    allocs += g_allocs.load() - allocs0;
+  }
+  void on_rach(lte::Rnti rnti, std::int64_t sf) override { agent_->on_rach(rnti, sf); }
+  void on_ue_attached(lte::Rnti rnti, std::int64_t sf) override {
+    agent_->on_ue_attached(rnti, sf);
+  }
+  void on_ue_detached(lte::Rnti rnti, std::int64_t sf) override {
+    agent_->on_ue_detached(rnti, sf);
+  }
+  void on_scheduling_request(lte::Rnti rnti, std::int64_t sf) override {
+    agent_->on_scheduling_request(rnti, sf);
+  }
+
+  std::int64_t ns = 0;
+  std::uint64_t allocs = 0;
+
+ private:
+  agent::Agent* agent_;
+};
+
+struct AgentStage {
+  double subframe_ns = 0.0;
+  double subframe_allocs = 0.0;
+  /// Allocations per DlMacConfig received, decoded and queued by the agent.
+  double command_rx_allocs = 0.0;
+  double sends_per_subframe = 0.0;
+  /// Every command reached the data plane and none of its grants bounced.
+  bool commands_applied = false;
+};
+
+/// One 20 MHz eNodeB with 16 full-buffer UEs under remote DL scheduling,
+/// the way the master drives it per TTI: a 16-DCI DlMacConfig for each
+/// subframe, per-TTI stats of `mode` with every flag, and subframe ticks.
+AgentStage measure_agent_subframe(proto::ReportMode mode) {
+  sim::Simulator sim;
+  lte::EnbConfig enb;
+  enb.enb_id = 1;
+  enb.cells[0].cell_id = 1;
+  enb.cells[0].bandwidth_mhz = 20.0;  // 100 PRBs: the 16 DCIs use both bitmap words
+  stack::EnodebDataPlane dp(sim, enb);
+  agent::AgentConfig config;
+  config.dl_scheduler = "remote";
+  agent::Agent agent(sim, dp, config);
+  CountingListener listener(agent);
+  dp.set_listener(&listener);
+  CountingTransport transport;
+  agent.connect(transport);
+
+  std::vector<lte::Rnti> rntis;
+  for (std::size_t i = 0; i < kDcis; ++i) {
+    rntis.push_back(dp.add_ue(bench::fixed_cqi_ue(7 + static_cast<int>(i % 8))));
+  }
+  proto::StatsRequest stats;
+  stats.request_id = 1;
+  stats.mode = mode;
+  stats.periodicity_ttis = 1;
+  stats.flags = proto::stats_flags::kAll;
+  proto::EventSubscription ticks;
+  ticks.events = {proto::EventType::subframe_tick};
+  transport.deliver(proto::pack(stats, 1));
+  transport.deliver(proto::pack(ticks, 2));
+
+  proto::WireEncoder enc;
+  proto::Envelope header;
+  proto::DlMacConfig command = make_dl_config(0);
+  for (std::size_t i = 0; i < kDcis; ++i) command.dcis[i].rnti = rntis[i];
+  std::uint64_t rx_allocs = 0;
+  const auto tti = [&](std::int64_t subframe, bool measured) {
+    for (const lte::Rnti rnti : rntis) {
+      const auto* ue = dp.ue(rnti);
+      while (ue != nullptr && ue->dl_queue.total_bytes() < 60'000) {
+        dp.enqueue_dl(rnti, lte::kDefaultDrb, 1500);
+      }
+    }
+    command.target_subframe = subframe;
+    header.xid = static_cast<std::uint32_t>(subframe);
+    enc.clear();
+    proto::encode_envelope(enc, header, command);
+    const auto allocs0 = g_allocs.load();
+    transport.deliver(enc.bytes());
+    if (measured) rx_allocs += g_allocs.load() - allocs0;
+    dp.subframe_begin(subframe);
+    dp.subframe_end(subframe);
+  };
+
+  std::int64_t subframe = 0;
+  for (; subframe < kAgentWarmupTtis; ++subframe) tti(subframe, false);
+  listener.ns = 0;
+  listener.allocs = 0;
+  const auto sent0 = transport.messages_sent();
+  const auto applied0 = agent.remote_decisions_applied();
+  const auto rejected0 = dp.grants_rejected();
+  for (std::int64_t i = 0; i < kAgentTtis; ++i, ++subframe) tti(subframe, true);
+
+  AgentStage stage;
+  const auto ttis = static_cast<double>(kAgentTtis);
+  stage.subframe_ns = static_cast<double>(listener.ns) / ttis;
+  stage.subframe_allocs = static_cast<double>(listener.allocs) / ttis;
+  stage.command_rx_allocs = static_cast<double>(rx_allocs) / ttis;
+  stage.sends_per_subframe = static_cast<double>(transport.messages_sent() - sent0) / ttis;
+  stage.commands_applied =
+      agent.remote_decisions_applied() - applied0 == static_cast<std::uint64_t>(kAgentTtis) &&
+      dp.grants_rejected() == rejected0;
+  dp.set_listener(nullptr);
+  return stage;
+}
+
 // --------------------------------------------------------------- results --
 
 struct Results {
   bool decode_matches = false;
+  bool dl_decode_matches = false;
   double encode_arena_ns = 0.0;
   double encode_arena_allocs = 0.0;
   double decode_into_ns = 0.0;
@@ -246,6 +441,14 @@ struct Results {
   double publish_allocs[kFleets] = {};
   double compose_ns[kFleets] = {};
   double compose_allocs[kFleets] = {};
+  // 16-DCI DlMacConfig.
+  std::size_t dl_wire_bytes = 0;
+  double dl_encode_ns = 0.0;
+  double dl_encode_allocs = 0.0;
+  double dl_decode_ns = 0.0;
+  double dl_decode_allocs = 0.0;
+  AgentStage agent_periodic;
+  AgentStage agent_triggered;
 };
 
 /// True when `decoded` carries every field of `sent`; otherwise names the
@@ -455,6 +658,56 @@ Results run_bench() {
     res.ue_publish_allocs[u] = measure_publish(kFleetSizes[0], shaped).second;
   }
 
+  // ---- 16-DCI DlMacConfig: encode into a reused encoder, decode into a
+  // reused envelope and message ----
+  {
+    const proto::DlMacConfig command = make_dl_config(123460);
+    proto::WireEncoder enc;
+    proto::Envelope header;
+    header.xid = kXid;
+    for (std::uint64_t i = 0; i < kWarmup; ++i) {
+      enc.clear();
+      proto::encode_envelope(enc, header, command);
+    }
+    auto allocs0 = g_allocs.load();
+    auto t0 = Clock::now();
+    for (std::uint64_t i = 0; i < kCommandIters; ++i) {
+      enc.clear();
+      proto::encode_envelope(enc, header, command);
+    }
+    auto t1 = Clock::now();
+    res.dl_encode_ns = ns_per_op(kCommandIters, t0, t1);
+    res.dl_encode_allocs =
+        static_cast<double>(g_allocs.load() - allocs0) / static_cast<double>(kCommandIters);
+    res.dl_wire_bytes = enc.size();
+
+    const auto command_wire = proto::pack(command, kXid);
+    proto::Envelope envelope;
+    proto::DlMacConfig decoded;
+    volatile std::size_t sink = 0;
+    for (std::uint64_t i = 0; i < kWarmup; ++i) {
+      (void)proto::Envelope::decode_into(command_wire, envelope);
+      (void)proto::DlMacConfig::decode_body_into(envelope.body, decoded);
+    }
+    allocs0 = g_allocs.load();
+    t0 = Clock::now();
+    for (std::uint64_t i = 0; i < kCommandIters; ++i) {
+      (void)proto::Envelope::decode_into(command_wire, envelope);
+      (void)proto::DlMacConfig::decode_body_into(envelope.body, decoded);
+      sink = decoded.dcis.size();
+    }
+    t1 = Clock::now();
+    res.dl_decode_ns = ns_per_op(kCommandIters, t0, t1);
+    res.dl_decode_allocs =
+        static_cast<double>(g_allocs.load() - allocs0) / static_cast<double>(kCommandIters);
+    res.dl_decode_matches = same_dl_config(command, decoded);
+    (void)sink;
+  }
+
+  // ---- one agent subframe under remote scheduling ----
+  res.agent_periodic = measure_agent_subframe(proto::ReportMode::periodic);
+  res.agent_triggered = measure_agent_subframe(proto::ReportMode::triggered);
+
   return res;
 }
 
@@ -490,6 +743,12 @@ int check_against(const Results& res, const std::string& path) {
       {"ingest_apply_allocs_per_msg", res.ingest_allocs},
       {"publish_allocs_per_op", *std::max_element(res.publish_allocs, res.publish_allocs + kFleets)},
       {"compose_allocs_per_op", *std::max_element(res.compose_allocs, res.compose_allocs + kFleets)},
+      {"dl_command_encode_allocs_per_msg", res.dl_encode_allocs},
+      {"dl_command_decode_allocs_per_msg", res.dl_decode_allocs},
+      {"agent_command_rx_allocs_per_msg",
+       std::max(res.agent_periodic.command_rx_allocs, res.agent_triggered.command_rx_allocs)},
+      {"agent_subframe_allocs_periodic", res.agent_periodic.subframe_allocs},
+      {"agent_subframe_allocs_triggered", res.agent_triggered.subframe_allocs},
   };
   int failures = 0;
   // Publish and compose must cost the same allocations at every fleet size:
@@ -553,7 +812,15 @@ int main(int argc, char** argv) {
   }
 
   const Results res = run_bench();
-  if (!res.decode_matches) return 1;
+  if (!res.decode_matches || !res.dl_decode_matches) return 1;
+  for (const AgentStage* stage : {&res.agent_periodic, &res.agent_triggered}) {
+    // An agent that dropped the master's decisions would allocate nothing
+    // for the wrong reason.
+    if (!stage->commands_applied) {
+      std::fprintf(stderr, "bench_wire: the agent stage did not apply every DL grant\n");
+      return 1;
+    }
+  }
 
   if (!check_path.empty()) return check_against(res, check_path);
 
@@ -587,6 +854,17 @@ int main(int argc, char** argv) {
     std::printf("%-34s %10s %14.4f\n", ("publish, 1 dirty, " + ues).c_str(), "-",
                 res.ue_publish_allocs[u]);
   }
+  std::printf("%-34s %10.1f %14.4f\n", "DL command encode (16 DCIs)", res.dl_encode_ns,
+              res.dl_encode_allocs);
+  std::printf("%-34s %10.1f %14.4f\n", "DL command decode_into (16 DCIs)", res.dl_decode_ns,
+              res.dl_decode_allocs);
+  for (const auto& [name, stage] :
+       {std::pair{"periodic", &res.agent_periodic}, std::pair{"triggered", &res.agent_triggered}}) {
+    std::printf("%-34s %10s %14.4f\n", (std::string("agent command rx, ") + name).c_str(), "-",
+                stage->command_rx_allocs);
+    std::printf("%-34s %10.1f %14.4f\n", (std::string("agent subframe, ") + name).c_str(),
+                stage->subframe_ns, stage->subframe_allocs);
+  }
 
   std::string fleet_json;
   for (std::size_t f = 0; f < kFleets; ++f) {
@@ -608,6 +886,24 @@ int main(int argc, char** argv) {
                   res.ue_publish_allocs[u]);
     ue_json += row;
   }
+  std::string agent_json;
+  for (const auto& [name, stage] :
+       {std::pair{"periodic", &res.agent_periodic}, std::pair{"triggered", &res.agent_triggered}}) {
+    char row[256];
+    std::snprintf(row, sizeof(row),
+                  "%s\"%s\":{\"subframe_ns\":%.2f,\"subframe_allocs\":%.4f,"
+                  "\"command_rx_allocs_per_msg\":%.4f,\"sends_per_subframe\":%.4f}",
+                  agent_json.empty() ? "" : ",", name, stage->subframe_ns,
+                  stage->subframe_allocs, stage->command_rx_allocs, stage->sends_per_subframe);
+    agent_json += row;
+  }
+  char command_json[256];
+  std::snprintf(command_json, sizeof(command_json),
+                "\"dl_command\":{\"dcis\":%zu,\"wire_bytes\":%zu,\"encode_ns\":%.2f,"
+                "\"encode_allocs_per_msg\":%.4f,\"decode_into_ns\":%.2f,"
+                "\"decode_into_allocs_per_msg\":%.4f},",
+                kDcis, res.dl_wire_bytes, res.dl_encode_ns, res.dl_encode_allocs,
+                res.dl_decode_ns, res.dl_decode_allocs);
   char buffer[1024];
   std::snprintf(
       buffer, sizeof(buffer),
@@ -626,8 +922,9 @@ int main(int argc, char** argv) {
       flexran::bench::json_header(
           "wire_fastpath",
           "ues=16 rsrp=2 cells=1 encode_iters=20000 loop_iters=20000 publish_iters=2000 "
-          "compose_shards=4") +
-      buffer + "\"publish_compose\":[" + fleet_json + "],\"ue_scaling\":[" + ue_json + "]}";
+          "compose_shards=4 dcis=16 command_iters=20000 agent_ttis=2000") +
+      buffer + command_json + "\"agent_subframe\":{" + agent_json +
+      "},\"publish_compose\":[" + fleet_json + "],\"ue_scaling\":[" + ue_json + "]}";
   std::ofstream out(json_path);
   out << json << "\n";
   std::printf("\n%s\nJSON written to %s\n", json.c_str(), json_path.c_str());

@@ -77,7 +77,7 @@ void Agent::disconnect() {
   // Session-scoped state dies with the session; the master's re-sync on the
   // next hello reinstalls subscriptions and stats registrations, and queued
   // schedule-ahead decisions from the old session must not be applied.
-  dl_decision_queue_.clear();
+  for (auto& slot : decision_queue_) slot.queued = false;
   subscribed_events_.clear();
   reports_.clear();
 }
@@ -157,12 +157,24 @@ void Agent::send_message(const M& message, std::uint32_t xid) {
 
 // ------------------------------------------------------------- TTI driving
 
-std::optional<lte::SchedulingDecision> Agent::take_dl_decision(std::int64_t subframe) {
-  auto it = dl_decision_queue_.find(subframe);
-  if (it == dl_decision_queue_.end()) return std::nullopt;
-  lte::SchedulingDecision decision = std::move(it->second);
-  dl_decision_queue_.erase(it);
-  ++remote_decisions_applied_;
+std::size_t Agent::queued_decisions() const {
+  return static_cast<std::size_t>(std::count_if(
+      decision_queue_.begin(), decision_queue_.end(),
+      [](const QueuedDecision& slot) { return slot.queued; }));
+}
+
+lte::SchedulingDecision& Agent::queue_slot(std::int64_t subframe) {
+  QueuedDecision* free_slot = nullptr;
+  for (auto& slot : decision_queue_) {
+    if (slot.queued && slot.decision.subframe == subframe) return slot.decision;
+    if (!slot.queued && free_slot == nullptr) free_slot = &slot;
+  }
+  if (free_slot == nullptr) free_slot = &decision_queue_.emplace_back();
+  free_slot->queued = true;
+  lte::SchedulingDecision& decision = free_slot->decision;
+  decision.subframe = subframe;
+  decision.dl.clear();
+  decision.ul.clear();
   return decision;
 }
 
@@ -170,8 +182,8 @@ void Agent::on_subframe_start(std::int64_t subframe) {
   // Delegation resilience: under pure remote control, a silent master means
   // nothing gets scheduled at all; after the configured outage the agent
   // re-links the fallback VSF and keeps serving UEs autonomously.
-  if (config_.remote_fallback_ttis > 0 &&
-      mac_.active_implementation(MacControlModule::kDlSchedulerSlot) == "remote" &&
+  if (config_.remote_fallback_ttis > 0 && mac_.dl_scheduler() != nullptr &&
+      mac_.dl_scheduler()->remote() &&
       subframe - last_master_contact_subframe_ > config_.remote_fallback_ttis) {
     auto status =
         mac_.set_behavior(MacControlModule::kDlSchedulerSlot, config_.fallback_scheduler);
@@ -195,25 +207,27 @@ void Agent::on_subframe_start(std::int64_t subframe) {
   }
 
   // Drop decisions whose deadline passed before they could be applied.
-  while (!dl_decision_queue_.empty() && dl_decision_queue_.begin()->first < subframe) {
-    dl_decision_queue_.erase(dl_decision_queue_.begin());
-    ++missed_deadline_decisions_;
+  for (auto& slot : decision_queue_) {
+    if (slot.queued && slot.decision.subframe < subframe) {
+      slot.queued = false;
+      ++missed_deadline_decisions_;
+    }
   }
 
   // Run the active scheduling VSFs through the CMI, guarded: delegated
   // code that throws, overruns its budget or emits an invalid allocation
   // never reaches the MAC -- the guard substitutes the built-in local
   // default within this same TTI (docs/delegation_safety.md).
-  lte::SchedulingDecision combined;
+  lte::SchedulingDecision& combined = combined_;
   combined.cell_id = api_.cell_id();
   combined.subframe = subframe;
   {
-    auto decision = guard_.run_dl(mac_, config_.fallback_scheduler, api_, subframe);
-    combined.dl = std::move(decision.dl);
+    const auto decision = guard_.run_dl(mac_, config_.fallback_scheduler, api_, subframe);
+    combined.dl.assign(decision.dl.begin(), decision.dl.end());
   }
   {
-    auto decision = guard_.run_ul(mac_, config_.ul_fallback_scheduler, api_, subframe);
-    combined.ul = std::move(decision.ul);
+    const auto decision = guard_.run_ul(mac_, config_.ul_fallback_scheduler, api_, subframe);
+    combined.ul.assign(decision.ul.begin(), decision.ul.end());
   }
   // Merge any master-pushed decision targeting this subframe. When the
   // active VSF is the remote stub this IS the schedule; under delegated
@@ -221,9 +235,13 @@ void Agent::on_subframe_start(std::int64_t subframe) {
   // the almost-blank subframes of the optimized-eICIC use case while the
   // local VSF handles normal subframes). Overlapping grants are rejected by
   // the data plane, local decisions taking precedence.
-  if (auto pushed = take_dl_decision(subframe); pushed.has_value()) {
-    combined.dl.insert(combined.dl.end(), pushed->dl.begin(), pushed->dl.end());
-    combined.ul.insert(combined.ul.end(), pushed->ul.begin(), pushed->ul.end());
+  for (auto& slot : decision_queue_) {
+    if (!slot.queued || slot.decision.subframe != subframe) continue;
+    combined.dl.insert(combined.dl.end(), slot.decision.dl.begin(), slot.decision.dl.end());
+    combined.ul.insert(combined.ul.end(), slot.decision.ul.begin(), slot.decision.ul.end());
+    slot.queued = false;
+    ++remote_decisions_applied_;
+    break;
   }
   if (!combined.empty()) {
     auto status = api_.apply_scheduling_decision(combined);
@@ -247,8 +265,12 @@ void Agent::on_subframe_start(std::int64_t subframe) {
     send_message(tick);
   }
 
-  // Statistics reports due this TTI.
-  for (auto& reply : reports_.collect(subframe)) send_message(reply);
+  // Statistics reports due this TTI. A disconnect clears the registrations
+  // that own the replies, so stop at one.
+  for (const proto::StatsReply* reply : reports_.collect(subframe)) {
+    if (!connected()) break;
+    send_message(*reply);
+  }
 }
 
 // ------------------------------------------------------------------ events
@@ -422,34 +444,28 @@ void Agent::handle_envelope(const proto::Envelope& envelope) {
       break;
     }
     case MessageType::dl_mac_config: {
-      auto config = proto::unpack<proto::DlMacConfig>(envelope);
-      if (!config.ok()) break;
-      if (config->target_subframe < api_.current_subframe()) {
+      proto::DlMacConfig& config = rx_dl_config_;
+      if (!proto::DlMacConfig::decode_body_into(envelope.body, config).ok()) break;
+      if (config.target_subframe < api_.current_subframe()) {
         ++missed_deadline_decisions_;  // arrived after its deadline
         break;
       }
-      lte::SchedulingDecision decision;
-      decision.cell_id = config->cell_id;
-      decision.subframe = config->target_subframe;
-      decision.dl = std::move(config->dcis);
       // Merge with any queued UL decision for the same subframe.
-      auto& slot = dl_decision_queue_[config->target_subframe];
-      slot.cell_id = decision.cell_id;
-      slot.subframe = decision.subframe;
-      slot.dl = std::move(decision.dl);
+      auto& slot = queue_slot(config.target_subframe);
+      slot.cell_id = config.cell_id;
+      slot.dl.assign(config.dcis.begin(), config.dcis.end());
       break;
     }
     case MessageType::ul_mac_config: {
-      auto config = proto::unpack<proto::UlMacConfig>(envelope);
-      if (!config.ok()) break;
-      if (config->target_subframe < api_.current_subframe()) {
+      proto::UlMacConfig& config = rx_ul_config_;
+      if (!proto::UlMacConfig::decode_body_into(envelope.body, config).ok()) break;
+      if (config.target_subframe < api_.current_subframe()) {
         ++missed_deadline_decisions_;
         break;
       }
-      auto& slot = dl_decision_queue_[config->target_subframe];
-      slot.cell_id = config->cell_id;
-      slot.subframe = config->target_subframe;
-      slot.ul = std::move(config->dcis);
+      auto& slot = queue_slot(config.target_subframe);
+      slot.cell_id = config.cell_id;
+      slot.ul.assign(config.dcis.begin(), config.dcis.end());
       break;
     }
     case MessageType::handover_command: {

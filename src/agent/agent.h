@@ -7,7 +7,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -176,7 +175,7 @@ class Agent final : public stack::EnodebDataPlane::Listener {
   /// The per-agent jittered view of a backoff delay (exposed so tests can
   /// assert that distinct agents spread out without replaying the clock).
   sim::TimeUs jittered_backoff(sim::TimeUs backoff) const;
-  std::size_t queued_decisions() const { return dl_decision_queue_.size(); }
+  std::size_t queued_decisions() const;
   /// Policy reconfigurations accepted / rejected by the two-phase apply.
   std::uint64_t policies_applied() const { return policies_applied_; }
   std::uint64_t policies_rejected() const { return policies_rejected_; }
@@ -191,7 +190,9 @@ class Agent final : public stack::EnodebDataPlane::Listener {
   template <typename M>
   void send_message(const M& message, std::uint32_t xid = 0);
 
-  std::optional<lte::SchedulingDecision> take_dl_decision(std::int64_t subframe);
+  /// The queued decision for `subframe`, taking a free slot (cleared) when
+  /// none is queued yet.
+  lte::SchedulingDecision& queue_slot(std::int64_t subframe);
   void execute_handover(lte::Rnti rnti, lte::CellId target);
   /// Guard failure hook: turns a verdict into a vsf_failure /
   /// vsf_quarantined triggered event for the master.
@@ -209,8 +210,19 @@ class Agent final : public stack::EnodebDataPlane::Listener {
 
   net::Transport* transport_ = nullptr;  // not owned
 
-  /// Schedule-ahead buffer: master decisions keyed by target subframe.
-  std::map<std::int64_t, lte::SchedulingDecision> dl_decision_queue_;
+  /// Schedule-ahead buffer: master decisions by target subframe. Slots are
+  /// reused, not freed, so a steady schedule-ahead horizon (a handful of
+  /// subframes) stops allocating once every slot's DCI vectors are warm.
+  struct QueuedDecision {
+    bool queued = false;
+    lte::SchedulingDecision decision;
+  };
+  std::vector<QueuedDecision> decision_queue_;
+  /// This subframe's local plus pushed decision, rebuilt in place.
+  lte::SchedulingDecision combined_;
+  /// Reused decode targets for master-pushed DL / UL MAC configs.
+  proto::DlMacConfig rx_dl_config_;
+  proto::UlMacConfig rx_ul_config_;
   std::set<proto::EventType> subscribed_events_;
 
   proto::SignalingAccountant tx_accounting_;

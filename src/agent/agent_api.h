@@ -10,6 +10,7 @@
 // surface as a thin C++ facade over the data plane.
 #pragma once
 
+#include <map>
 #include <vector>
 
 #include "stack/enodeb.h"
@@ -29,11 +30,20 @@ class AgentApi {
 
   // ---- Statistics (Table 1: "Statistics") ----------------------------------
   proto::UeStatsReport ue_stats(lte::Rnti rnti) const { return data_plane_->ue_stats(rnti); }
+  /// ue_stats() into a reused report (its RSRP list keeps its capacity).
+  void ue_stats(lte::Rnti rnti, proto::UeStatsReport& out) const {
+    data_plane_->ue_stats(rnti, out);
+  }
   proto::CellStatsReport cell_stats() const { return data_plane_->cell_stats(); }
-  std::vector<lte::Rnti> ue_rntis() const { return data_plane_->ue_rntis(); }
+  /// Every UE context by RNTI, for per-TTI walks that must not allocate.
+  const std::map<lte::Rnti, stack::UeContext>& ues() const { return data_plane_->ues(); }
   /// MAC-layer view for scheduling decisions (queue sizes, CQI, HARQ state).
   std::vector<stack::SchedUeInfo> scheduler_view() const {
     return data_plane_->scheduler_view();
+  }
+  /// scheduler_view() into a reused vector.
+  void scheduler_view(std::vector<stack::SchedUeInfo>& out) const {
+    data_plane_->scheduler_view(out);
   }
   /// Raw UE context (measurement data for RRC control, e.g. per-cell RSRP).
   const stack::UeContext* ue(lte::Rnti rnti) const { return data_plane_->ue(rnti); }

@@ -72,9 +72,10 @@ util::Status ControlModule::validate_parameter(const std::string& slot_name,
   return target->validate_parameter(key, value);
 }
 
-std::string ControlModule::active_implementation(const std::string& slot_name) const {
+const std::string& ControlModule::active_implementation(std::string_view slot_name) const {
+  static const std::string kNone;
   const Slot* s = slot(slot_name);
-  return s == nullptr ? "" : s->impl_name;
+  return s == nullptr ? kNone : s->impl_name;
 }
 
 // ------------------------------------------------------------------- MAC --

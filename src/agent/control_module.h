@@ -47,14 +47,14 @@ class ControlModule {
                                   std::string_view key, const util::YamlNode& value) const;
 
   /// Name of the active implementation for a slot ("" = slot empty).
-  std::string active_implementation(const std::string& slot) const;
+  const std::string& active_implementation(std::string_view slot) const;
   /// Active instance for a slot (nullptr = slot empty / unknown). Used by
   /// VsfGuard, which needs the untyped instance for health accounting.
-  Vsf* active_vsf(const std::string& slot) const {
+  Vsf* active_vsf(std::string_view slot) const {
     const Slot* s = this->slot(slot);
     return s == nullptr ? nullptr : s->vsf;
   }
-  bool has_slot(const std::string& slot) const { return slots_.contains(slot); }
+  bool has_slot(std::string_view slot) const { return slots_.contains(slot); }
 
  protected:
   struct Slot {
@@ -69,7 +69,7 @@ class ControlModule {
   /// Hook so subclasses can refresh typed pointers after a swap.
   virtual void on_behavior_changed(const std::string& slot, Vsf* vsf) = 0;
 
-  const Slot* slot(const std::string& name) const {
+  const Slot* slot(std::string_view name) const {
     auto it = slots_.find(name);
     return it == slots_.end() ? nullptr : &it->second;
   }
@@ -77,7 +77,7 @@ class ControlModule {
  private:
   std::string name_;
   VsfCache* cache_;
-  std::map<std::string, Slot> slots_;
+  std::map<std::string, Slot, std::less<>> slots_;
 };
 
 /// MAC/RLC control module: downlink + uplink UE scheduling slots.

@@ -1,8 +1,48 @@
 #include "agent/reports.h"
 
-#include <functional>
+#include <bit>
+#include <cmath>
 
 namespace flexran::agent {
+
+namespace {
+
+void mix(std::uint64_t& hash, std::uint64_t value) {
+  // splitmix64 finalizer on the value, combined order-dependently.
+  value += 0x9e3779b97f4a7c15ull;
+  value = (value ^ (value >> 30)) * 0xbf58476d1ce4e5b9ull;
+  value = (value ^ (value >> 27)) * 0x94d049bb133111ebull;
+  value ^= value >> 31;
+  hash = (hash ^ value) * 0x100000001b3ull;
+}
+
+/// Copies the statistics `flags` select from the data plane into `out`;
+/// unselected fields keep their defaults (the wire then omits them).
+void fill_ue_report(const AgentApi& api, lte::Rnti rnti, std::uint32_t flags,
+                    proto::UeStatsReport& out) {
+  static const proto::UeStatsReport kDefaults;
+  api.ue_stats(rnti, out);
+  if ((flags & proto::stats_flags::kBsr) == 0) {
+    out.bsr_bytes = kDefaults.bsr_bytes;
+    out.ul_buffer_bytes = kDefaults.ul_buffer_bytes;
+  }
+  if ((flags & proto::stats_flags::kCqi) == 0) {
+    out.wb_cqi = kDefaults.wb_cqi;
+    out.wb_cqi_protected = kDefaults.wb_cqi_protected;
+  }
+  if ((flags & proto::stats_flags::kPhr) == 0) out.phr_db = kDefaults.phr_db;
+  if ((flags & proto::stats_flags::kRlcQueue) == 0) {
+    out.rlc_queue_bytes = kDefaults.rlc_queue_bytes;
+  }
+  if ((flags & proto::stats_flags::kHarq) == 0) out.pending_harq = kDefaults.pending_harq;
+  if ((flags & proto::stats_flags::kMacCounters) == 0) {
+    out.dl_bytes_delivered = kDefaults.dl_bytes_delivered;
+    out.ul_bytes_received = kDefaults.ul_bytes_received;
+  }
+  if ((flags & proto::stats_flags::kRsrp) == 0) out.rsrp.clear();
+}
+
+}  // namespace
 
 void ReportsManager::register_request(const proto::StatsRequest& request,
                                       std::int64_t current_subframe) {
@@ -10,97 +50,85 @@ void ReportsManager::register_request(const proto::StatsRequest& request,
     registrations_.erase(request.request_id);
     return;
   }
-  Registration registration;
+  auto [it, inserted] = registrations_.try_emplace(request.request_id);
+  Registration& registration = it->second;
   registration.request = request;
-  auto existing = registrations_.find(request.request_id);
-  if (existing != registrations_.end()) {
+  if (inserted) {
+    registration.next_due = current_subframe;  // first report is immediate
+  } else {
     // Replacement (e.g. the master renegotiating the period under
     // overload): schedule from now at the NEW period -- inheriting the
     // old next_due would fire on the stale cadence once, and an
-    // immediate report would amplify the very load being shed.
+    // immediate report would amplify the very load being shed. The
+    // triggered-report fingerprint carries over.
     registration.next_due =
         current_subframe + std::max<std::int64_t>(1, effective_period(request));
-    registration.last_fingerprint = existing->second.last_fingerprint;
-    registration.fired_once = existing->second.fired_once;
-  } else {
-    registration.next_due = current_subframe;  // first report is immediate
   }
-  registrations_[request.request_id] = std::move(registration);
 }
 
-std::vector<proto::StatsReply> ReportsManager::collect(std::int64_t subframe) {
-  std::vector<proto::StatsReply> due;
+std::span<const proto::StatsReply* const> ReportsManager::collect(std::int64_t subframe) {
+  due_.clear();
+  retired_.clear();
   for (auto it = registrations_.begin(); it != registrations_.end();) {
     Registration& registration = it->second;
-    bool erase = false;
     switch (registration.request.mode) {
-      case proto::ReportMode::one_off:
+      case proto::ReportMode::one_off: {
+        auto next = std::next(it);
         if (!registration.fired_once) {
-          due.push_back(build_reply(registration, subframe));
+          build_reply(registration, subframe);
           registration.fired_once = true;
+          due_.push_back(&registration.reply);
         }
-        erase = true;
-        break;
+        retired_.push_back(registrations_.extract(it));
+        it = next;
+        continue;
+      }
       case proto::ReportMode::periodic:
         if (subframe >= registration.next_due) {
-          due.push_back(build_reply(registration, subframe));
+          build_reply(registration, subframe);
           registration.next_due = subframe + effective_period(registration.request);
+          due_.push_back(&registration.reply);
         }
         break;
       case proto::ReportMode::triggered: {
-        auto reply = build_reply(registration, subframe);
-        const std::size_t print = fingerprint(reply);
+        build_reply(registration, subframe);
+        const std::uint64_t print = fingerprint(registration.reply);
         if (!registration.fired_once || print != registration.last_fingerprint) {
           registration.last_fingerprint = print;
           registration.fired_once = true;
-          due.push_back(std::move(reply));
+          due_.push_back(&registration.reply);
         }
         break;
       }
     }
-    it = erase ? registrations_.erase(it) : std::next(it);
+    ++it;
   }
-  return due;
+  return due_;
 }
 
-proto::StatsReply ReportsManager::build_reply(const Registration& registration,
-                                              std::int64_t subframe) const {
+void ReportsManager::build_reply(Registration& registration, std::int64_t subframe) {
   const auto& request = registration.request;
-  proto::StatsReply reply;
+  proto::StatsReply& reply = registration.reply;
   reply.request_id = request.request_id;
   reply.subframe = subframe;
 
-  std::vector<lte::Rnti> scope = request.ues.empty() ? api_->ue_rntis() : request.ues;
+  std::size_t n = 0;
+  const auto add = [&](lte::Rnti rnti) {
+    if (n == reply.ue_reports.size()) reply.ue_reports.emplace_back();
+    fill_ue_report(*api_, rnti, request.flags, reply.ue_reports[n++]);
+  };
   if ((request.flags & proto::stats_flags::kAllUeFlags) != 0) {
-    for (const auto rnti : scope) {
-      auto full = api_->ue_stats(rnti);
-      proto::UeStatsReport filtered;
-      filtered.rnti = full.rnti;
-      if (request.flags & proto::stats_flags::kBsr) {
-        filtered.bsr_bytes = full.bsr_bytes;
-        filtered.ul_buffer_bytes = full.ul_buffer_bytes;
-      }
-      if (request.flags & proto::stats_flags::kCqi) {
-        filtered.wb_cqi = full.wb_cqi;
-        filtered.wb_cqi_protected = full.wb_cqi_protected;
-      }
-      if (request.flags & proto::stats_flags::kPhr) filtered.phr_db = full.phr_db;
-      if (request.flags & proto::stats_flags::kRlcQueue) {
-        filtered.rlc_queue_bytes = full.rlc_queue_bytes;
-      }
-      if (request.flags & proto::stats_flags::kHarq) filtered.pending_harq = full.pending_harq;
-      if (request.flags & proto::stats_flags::kMacCounters) {
-        filtered.dl_bytes_delivered = full.dl_bytes_delivered;
-        filtered.ul_bytes_received = full.ul_bytes_received;
-      }
-      if (request.flags & proto::stats_flags::kRsrp) filtered.rsrp = full.rsrp;
-      reply.ue_reports.push_back(filtered);
+    if (request.ues.empty()) {
+      for (const auto& [rnti, ue] : api_->ues()) add(rnti);
+    } else {
+      for (const auto rnti : request.ues) add(rnti);
     }
   }
+  reply.ue_reports.resize(n);
+  reply.cell_reports.clear();
   if (request.flags & proto::stats_flags::kCellLoad) {
     reply.cell_reports.push_back(api_->cell_stats());
   }
-  return reply;
 }
 
 std::int64_t ReportsManager::effective_period(const proto::StatsRequest& request) const {
@@ -108,15 +136,37 @@ std::int64_t ReportsManager::effective_period(const proto::StatsRequest& request
          static_cast<std::int64_t>(throttle_);
 }
 
-std::size_t ReportsManager::fingerprint(const proto::StatsReply& reply) {
-  // Hash the encoded body minus the subframe (which always changes).
-  proto::StatsReply stripped = reply;
-  stripped.subframe = 0;
-  proto::WireEncoder enc;
-  stripped.encode_body(enc);
-  const auto bytes = enc.bytes();
-  return std::hash<std::string_view>{}(
-      std::string_view(reinterpret_cast<const char*>(bytes.data()), bytes.size()));
+std::uint64_t ReportsManager::fingerprint(const proto::StatsReply& reply) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  mix(hash, reply.request_id);
+  mix(hash, reply.ue_reports.size());
+  for (const auto& ue : reply.ue_reports) {
+    mix(hash, ue.rnti);
+    for (const auto bsr : ue.bsr_bytes) mix(hash, bsr);
+    mix(hash, static_cast<std::uint64_t>(ue.phr_db));
+    mix(hash, ue.wb_cqi);
+    mix(hash, ue.wb_cqi_protected);
+    mix(hash, ue.rlc_queue_bytes);
+    mix(hash, ue.pending_harq);
+    mix(hash, ue.dl_bytes_delivered);
+    mix(hash, ue.ul_bytes_received);
+    mix(hash, ue.ul_buffer_bytes);
+    mix(hash, ue.rsrp.size());
+    for (const auto& measurement : ue.rsrp) {
+      mix(hash, measurement.cell_id);
+      // The wire carries centi-dB; finer changes are invisible to the master.
+      mix(hash, static_cast<std::uint64_t>(std::llround(measurement.rsrp_dbm * 100.0)));
+    }
+  }
+  mix(hash, reply.cell_reports.size());
+  for (const auto& cell : reply.cell_reports) {
+    mix(hash, cell.cell_id);
+    mix(hash, std::bit_cast<std::uint64_t>(cell.noise_interference_dbm));
+    mix(hash, cell.dl_prbs_in_use);
+    mix(hash, cell.ul_prbs_in_use);
+    mix(hash, cell.active_ues);
+  }
+  return hash;
 }
 
 }  // namespace flexran::agent

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "agent/agent_api.h"
@@ -24,11 +25,18 @@ class ReportsManager {
   void cancel_request(std::uint32_t request_id) { registrations_.erase(request_id); }
   /// Drops every registration -- session-scoped state cleared when the
   /// control channel is torn down; the master reinstalls on re-sync.
-  void clear() { registrations_.clear(); }
+  void clear() {
+    registrations_.clear();
+    retired_.clear();
+    due_.clear();
+  }
   std::size_t active_registrations() const { return registrations_.size(); }
 
-  /// Returns the replies due at `subframe` (runs once per TTI).
-  std::vector<proto::StatsReply> collect(std::int64_t subframe);
+  /// Returns the replies due at `subframe` (runs once per TTI). The
+  /// replies belong to their registrations and are rebuilt in place, so
+  /// steady-state collection touches no allocator; they stay valid until
+  /// the next collect() or clear().
+  std::span<const proto::StatsReply* const> collect(std::int64_t subframe);
 
   /// Overload-throttle multiplier applied to every periodic report period
   /// (docs/overload_protection.md). Carried as a hint in master
@@ -41,16 +49,26 @@ class ReportsManager {
   struct Registration {
     proto::StatsRequest request;
     std::int64_t next_due = 0;
-    std::size_t last_fingerprint = 0;
+    std::uint64_t last_fingerprint = 0;
     bool fired_once = false;
+    /// Warm reply, rebuilt in place; its vectors keep their capacity.
+    proto::StatsReply reply;
   };
+  using Registrations = std::map<std::uint32_t, Registration>;
 
-  proto::StatsReply build_reply(const Registration& registration, std::int64_t subframe) const;
+  void build_reply(Registration& registration, std::int64_t subframe);
   std::int64_t effective_period(const proto::StatsRequest& request) const;
-  static std::size_t fingerprint(const proto::StatsReply& reply);
+  /// Hash of every reply field the wire carries except the subframe (which
+  /// always changes), at wire precision.
+  static std::uint64_t fingerprint(const proto::StatsReply& reply);
 
   AgentApi* api_;
-  std::map<std::uint32_t, Registration> registrations_;
+  Registrations registrations_;
+  /// The last collect()'s due replies.
+  std::vector<const proto::StatsReply*> due_;
+  /// One-off registrations fired by the last collect(), detached from the
+  /// map but kept alive so their replies can still be sent.
+  std::vector<Registrations::node_type> retired_;
   std::uint32_t throttle_ = 1;
 };
 

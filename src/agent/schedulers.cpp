@@ -88,9 +88,9 @@ lte::SchedulingDecision RoundRobinDlVsf::schedule_dl(AgentApi& api, std::int64_t
   if (api.muted_in(subframe)) return decision;
 
   const bool protected_sf = api.is_abs(subframe);
-  auto view = api.scheduler_view();
+  api.scheduler_view(view_);
   std::vector<PrbDemand> wants;
-  for (const auto& info : view) {
+  for (const auto& info : view_) {
     if (info.dl_queue_bytes == 0 && info.pending_dl_retx == 0) continue;
     const int cqi = effective_cqi(info, protected_sf);
     const int mcs = lte::cqi_to_mcs(cqi);
@@ -245,9 +245,9 @@ lte::SchedulingDecision RoundRobinUlVsf::schedule_ul(AgentApi& api, std::int64_t
   decision.cell_id = api.cell_id();
   decision.subframe = subframe;
 
-  auto view = api.scheduler_view();
+  api.scheduler_view(view_);
   std::vector<PrbDemand> wants;
-  for (const auto& info : view) {
+  for (const auto& info : view_) {
     if (!info.connected || info.ul_buffer_bytes == 0) continue;
     const int mcs = lte::cqi_to_mcs(std::max(info.ul_cqi, 1));
     PrbDemand demand;
@@ -275,10 +275,9 @@ lte::SchedulingDecision RemoteStubUlVsf::schedule_ul(AgentApi& api, std::int64_t
 // -------------------------------------------------------------------- A3 --
 
 std::optional<HandoverDecision> A3HandoverVsf::evaluate(AgentApi& api, std::int64_t /*subframe*/) {
-  for (const auto rnti : api.ue_rntis()) {
-    const auto* ue = api.ue(rnti);
-    if (ue == nullptr || !ue->connected() || !ue->radio_profile.has_value()) continue;
-    const auto& profile = *ue->radio_profile;
+  for (const auto& [rnti, ue] : api.ues()) {
+    if (!ue.connected() || !ue.radio_profile.has_value()) continue;
+    const auto& profile = *ue.radio_profile;
     const auto serving_it = profile.rx_power_dbm.find(profile.serving_cell);
     if (serving_it == profile.rx_power_dbm.end()) continue;
 

@@ -63,6 +63,7 @@ class RoundRobinDlVsf final : public DlSchedulerVsf {
 
  private:
   std::size_t rotation_ = 0;
+  std::vector<stack::SchedUeInfo> view_;  // reused every TTI
 };
 
 /// Proportional fair: UEs ranked by instantaneous-rate / average-rate; the
@@ -100,6 +101,7 @@ class CaRoundRobinDlVsf final : public DlSchedulerVsf {
 class RemoteStubDlVsf final : public DlSchedulerVsf {
  public:
   lte::SchedulingDecision schedule_dl(AgentApi& api, std::int64_t subframe) override;
+  bool remote() const override { return true; }
 };
 
 // ------------------------------------------------------------ UL VSF ------
@@ -110,6 +112,7 @@ class RoundRobinUlVsf final : public UlSchedulerVsf {
 
  private:
   std::size_t rotation_ = 0;
+  std::vector<stack::SchedUeInfo> view_;  // reused every TTI
 };
 
 /// Remote stub for the uplink slot: local UL scheduling inactive, the

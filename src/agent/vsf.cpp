@@ -40,60 +40,68 @@ bool VsfFactory::has(std::string_view module, std::string_view vsf,
   return factories_.contains(vsf_key(module, vsf, implementation));
 }
 
+VsfCache::Entry* VsfCache::find(std::string_view module, std::string_view vsf,
+                                 std::string_view implementation) {
+  auto it = cache_.find(KeyView{module, vsf, implementation});
+  return it == cache_.end() ? nullptr : &it->second;
+}
+
+const VsfCache::Entry* VsfCache::find(std::string_view module, std::string_view vsf,
+                                       std::string_view implementation) const {
+  auto it = cache_.find(KeyView{module, vsf, implementation});
+  return it == cache_.end() ? nullptr : &it->second;
+}
+
 util::Status VsfCache::store(const std::string& module, const std::string& vsf,
                              const std::string& implementation) {
-  const auto key = vsf_key(module, vsf, implementation);
-  auto it = cache_.find(key);
-  if (it != cache_.end() && !it->second.quarantined) return {};  // already pushed
+  const Entry* existing = find(module, vsf, implementation);
+  if (existing != nullptr && !existing->quarantined) return {};  // already pushed
   // New push, or a fresh updation of a quarantined implementation: either
   // way instantiate from the factory and start with a clean health record.
   auto instance = VsfFactory::instance().create(module, vsf, implementation);
   if (!instance.ok()) return instance.error();
-  cache_[key] = Entry{std::move(instance.value()), 0, false};
+  cache_[Key{module, vsf, implementation}] = Entry{std::move(instance.value()), 0, false};
   return {};
 }
 
 void VsfCache::store_instance(const std::string& module, const std::string& vsf,
                               const std::string& implementation,
                               std::unique_ptr<Vsf> instance) {
-  cache_[vsf_key(module, vsf, implementation)] = Entry{std::move(instance), 0, false};
+  cache_[Key{module, vsf, implementation}] = Entry{std::move(instance), 0, false};
 }
 
 Vsf* VsfCache::get(std::string_view module, std::string_view vsf,
                    std::string_view implementation) const {
-  auto it = cache_.find(vsf_key(module, vsf, implementation));
-  return it == cache_.end() ? nullptr : it->second.instance.get();
+  const Entry* entry = find(module, vsf, implementation);
+  return entry == nullptr ? nullptr : entry->instance.get();
 }
 
 std::uint32_t VsfCache::record_failure(std::string_view module, std::string_view vsf,
                                        std::string_view implementation) {
-  auto it = cache_.find(vsf_key(module, vsf, implementation));
-  if (it == cache_.end()) return 0;
-  return ++it->second.consecutive_failures;
+  Entry* entry = find(module, vsf, implementation);
+  return entry == nullptr ? 0 : ++entry->consecutive_failures;
 }
 
 void VsfCache::record_success(std::string_view module, std::string_view vsf,
                               std::string_view implementation) {
-  auto it = cache_.find(vsf_key(module, vsf, implementation));
-  if (it != cache_.end()) it->second.consecutive_failures = 0;
+  if (Entry* entry = find(module, vsf, implementation)) entry->consecutive_failures = 0;
 }
 
 void VsfCache::quarantine(std::string_view module, std::string_view vsf,
                           std::string_view implementation) {
-  auto it = cache_.find(vsf_key(module, vsf, implementation));
-  if (it != cache_.end()) it->second.quarantined = true;
+  if (Entry* entry = find(module, vsf, implementation)) entry->quarantined = true;
 }
 
 bool VsfCache::is_quarantined(std::string_view module, std::string_view vsf,
                               std::string_view implementation) const {
-  auto it = cache_.find(vsf_key(module, vsf, implementation));
-  return it != cache_.end() && it->second.quarantined;
+  const Entry* entry = find(module, vsf, implementation);
+  return entry != nullptr && entry->quarantined;
 }
 
 std::uint32_t VsfCache::consecutive_failures(std::string_view module, std::string_view vsf,
                                              std::string_view implementation) const {
-  auto it = cache_.find(vsf_key(module, vsf, implementation));
-  return it == cache_.end() ? 0 : it->second.consecutive_failures;
+  const Entry* entry = find(module, vsf, implementation);
+  return entry == nullptr ? 0 : entry->consecutive_failures;
 }
 
 std::size_t VsfCache::quarantined_count() const {

@@ -17,6 +17,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <tuple>
 
 #include "agent/agent_api.h"
 #include "lte/allocation.h"
@@ -62,6 +63,9 @@ class Vsf {
 class DlSchedulerVsf : public Vsf {
  public:
   virtual lte::SchedulingDecision schedule_dl(AgentApi& api, std::int64_t subframe) = 0;
+  /// True for the remote stub: the master makes this slot's decisions, so
+  /// the agent's master-silence fallback applies.
+  virtual bool remote() const { return false; }
 };
 
 /// MAC CMI slot: UE uplink scheduling.
@@ -153,7 +157,27 @@ class VsfCache {
     std::uint32_t consecutive_failures = 0;
     bool quarantined = false;
   };
-  std::map<std::string, Entry, std::less<>> cache_;  // "module/vsf/impl"
+  /// (module, vsf, implementation). Lookups compare string views, so the
+  /// guard's per-TTI health checks build no key string.
+  using Key = std::tuple<std::string, std::string, std::string>;
+  using KeyView = std::tuple<std::string_view, std::string_view, std::string_view>;
+  struct KeyLess {
+    using is_transparent = void;
+    static KeyView view(const Key& key) {
+      return {std::get<0>(key), std::get<1>(key), std::get<2>(key)};
+    }
+    static const KeyView& view(const KeyView& key) { return key; }
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
+      return view(a) < view(b);
+    }
+  };
+
+  Entry* find(std::string_view module, std::string_view vsf, std::string_view implementation);
+  const Entry* find(std::string_view module, std::string_view vsf,
+                    std::string_view implementation) const;
+
+  std::map<Key, Entry, KeyLess> cache_;
 };
 
 /// Canonical cache/registry key.

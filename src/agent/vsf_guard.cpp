@@ -1,8 +1,6 @@
 #include "agent/vsf_guard.h"
 
-#include <algorithm>
 #include <chrono>
-#include <set>
 
 namespace flexran::agent {
 
@@ -16,8 +14,8 @@ std::int64_t elapsed_us(std::chrono::steady_clock::time_point start) {
 
 }  // namespace
 
-VsfGuard::InvokeOutcome VsfGuard::invoke_checked(const Vsf& vsf,
-                                                 const std::function<void()>& body) {
+template <typename Body>
+VsfGuard::InvokeOutcome VsfGuard::invoke_checked(const Vsf& vsf, Body&& body) {
   const std::int64_t declared = vsf.declared_cost_us();
   if (declared > config_.budget_us) {
     return {proto::VsfFailureKind::overrun,
@@ -44,9 +42,6 @@ util::Status VsfGuard::validate_decision(const lte::SchedulingDecision& decision
                                          const AgentApi& api) {
   if (decision.empty()) return {};  // fast path: nothing scheduled, nothing to pay
   ++validations_run_;
-
-  const auto rnti_list = api.ue_rntis();
-  const std::set<lte::Rnti> known(rnti_list.begin(), rnti_list.end());
 
   lte::RbAllocation used_dl[2];
   for (const auto& dci : decision.dl) {
@@ -76,7 +71,7 @@ util::Status VsfGuard::validate_decision(const lte::SchedulingDecision& decision
     if (dci.mcs < 0 || dci.mcs > lte::kMaxMcs) {
       return util::Error::invalid_argument("DL MCS out of range: " + std::to_string(dci.mcs));
     }
-    if (!known.contains(dci.rnti)) {
+    if (api.ue(dci.rnti) == nullptr) {
       return util::Error::invalid_argument("DL grant for unknown RNTI " +
                                            std::to_string(dci.rnti));
     }
@@ -102,7 +97,7 @@ util::Status VsfGuard::validate_decision(const lte::SchedulingDecision& decision
     if (dci.mcs < 0 || dci.mcs > lte::kMaxMcs) {
       return util::Error::invalid_argument("UL MCS out of range: " + std::to_string(dci.mcs));
     }
-    if (!known.contains(dci.rnti)) {
+    if (api.ue(dci.rnti) == nullptr) {
       return util::Error::invalid_argument("UL grant for unknown RNTI " +
                                            std::to_string(dci.rnti));
     }
@@ -110,13 +105,13 @@ util::Status VsfGuard::validate_decision(const lte::SchedulingDecision& decision
   return {};
 }
 
-void VsfGuard::note_failure(ControlModule& module, const std::string& slot,
+void VsfGuard::note_failure(ControlModule& module, std::string_view slot,
                             const std::string& impl, const std::string& fallback_impl,
                             const InvokeOutcome& outcome, std::int64_t subframe) {
   ++vsf_failures_;
   VsfFailureRecord record;
   record.module = module.name();
-  record.slot = slot;
+  record.slot = std::string(slot);
   record.implementation = impl;
   record.kind = outcome.kind;
   record.subframe = subframe;
@@ -133,40 +128,42 @@ void VsfGuard::note_failure(ControlModule& module, const std::string& slot,
     // itself unusable the slot keeps its pointer and every TTI keeps
     // falling back explicitly.
     if (impl != fallback_impl) {
-      (void)module.set_behavior(slot, fallback_impl);
+      (void)module.set_behavior(record.slot, fallback_impl);
     }
   }
   if (hook_) hook_(record);
 }
 
-lte::SchedulingDecision VsfGuard::run_mac_slot(
-    MacControlModule& mac, const std::string& slot, const std::string& fallback_impl,
-    AgentApi& api, std::int64_t subframe,
-    const std::function<lte::SchedulingDecision(Vsf&)>& invoke) {
+lte::SchedulingDecision VsfGuard::run_mac_slot(MacControlModule& mac, std::string_view slot,
+                                               const std::string& fallback_impl, AgentApi& api,
+                                               std::int64_t subframe, Schedule schedule) {
   lte::SchedulingDecision decision;
   decision.cell_id = api.cell_id();
   decision.subframe = subframe;
 
   Vsf* active = mac.active_vsf(slot);
   if (active == nullptr) return decision;
-  const std::string impl = mac.active_implementation(slot);
-  if (impl != fallback_impl && cache_->is_quarantined(mac.name(), slot, impl)) {
+  const std::string& active_impl = mac.active_implementation(slot);
+  if (active_impl != fallback_impl && cache_->is_quarantined(mac.name(), slot, active_impl)) {
     ++quarantined_invocations_;
   }
 
-  auto outcome = invoke_checked(*active, [&] { decision = invoke(*active); });
+  auto outcome =
+      invoke_checked(*active, [&] { decision = schedule(*active, api, subframe); });
   if (!outcome.failed()) {
     auto valid = validate_decision(decision, api);
     if (!valid.ok()) outcome = {proto::VsfFailureKind::invalid_decision, valid.error().message};
   }
   if (!outcome.failed()) {
-    cache_->record_success(mac.name(), slot, impl);
+    cache_->record_success(mac.name(), slot, active_impl);
     return decision;
   }
 
   // Failure: account for it, then produce a safe decision from the local
-  // default within the same TTI.
+  // default within the same TTI. The name is copied first: a quarantine
+  // relinks the slot, which rewrites the active name.
   const auto fallback_start = std::chrono::steady_clock::now();
+  const std::string impl = active_impl;
   note_failure(mac, slot, impl, fallback_impl, outcome, subframe);
 
   decision = {};
@@ -179,7 +176,8 @@ lte::SchedulingDecision VsfGuard::run_mac_slot(
     ++unscheduled_slots_;
     return decision;
   }
-  auto fb_outcome = invoke_checked(*fallback, [&] { decision = invoke(*fallback); });
+  auto fb_outcome =
+      invoke_checked(*fallback, [&] { decision = schedule(*fallback, api, subframe); });
   if (!fb_outcome.failed()) {
     auto valid = validate_decision(decision, api);
     if (!valid.ok()) fb_outcome = {proto::VsfFailureKind::invalid_decision, valid.error().message};
@@ -200,16 +198,16 @@ lte::SchedulingDecision VsfGuard::run_mac_slot(
 lte::SchedulingDecision VsfGuard::run_dl(MacControlModule& mac, const std::string& fallback_impl,
                                          AgentApi& api, std::int64_t subframe) {
   return run_mac_slot(mac, MacControlModule::kDlSchedulerSlot, fallback_impl, api, subframe,
-                      [&](Vsf& vsf) -> lte::SchedulingDecision {
-                        return dynamic_cast<DlSchedulerVsf&>(vsf).schedule_dl(api, subframe);
+                      [](Vsf& vsf, AgentApi& a, std::int64_t sf) {
+                        return dynamic_cast<DlSchedulerVsf&>(vsf).schedule_dl(a, sf);
                       });
 }
 
 lte::SchedulingDecision VsfGuard::run_ul(MacControlModule& mac, const std::string& fallback_impl,
                                          AgentApi& api, std::int64_t subframe) {
   return run_mac_slot(mac, MacControlModule::kUlSchedulerSlot, fallback_impl, api, subframe,
-                      [&](Vsf& vsf) -> lte::SchedulingDecision {
-                        return dynamic_cast<UlSchedulerVsf&>(vsf).schedule_ul(api, subframe);
+                      [](Vsf& vsf, AgentApi& a, std::int64_t sf) {
+                        return dynamic_cast<UlSchedulerVsf&>(vsf).schedule_ul(a, sf);
                       });
 }
 
@@ -218,9 +216,9 @@ std::optional<HandoverDecision> VsfGuard::run_handover(RrcControlModule& rrc,
                                                        AgentApi& api, std::int64_t subframe) {
   HandoverPolicyVsf* active = rrc.handover_policy();
   if (active == nullptr) return std::nullopt;
-  const std::string slot = RrcControlModule::kHandoverPolicySlot;
-  const std::string impl = rrc.active_implementation(slot);
-  if (impl != fallback_impl && cache_->is_quarantined(rrc.name(), slot, impl)) {
+  constexpr std::string_view slot = RrcControlModule::kHandoverPolicySlot;
+  const std::string& active_impl = rrc.active_implementation(slot);
+  if (active_impl != fallback_impl && cache_->is_quarantined(rrc.name(), slot, active_impl)) {
     ++quarantined_invocations_;
   }
 
@@ -229,10 +227,7 @@ std::optional<HandoverDecision> VsfGuard::run_handover(RrcControlModule& rrc,
   if (!outcome.failed() && decision.has_value()) {
     // Light-weight validation: the target must be another cell and the UE
     // must be known to the MAC.
-    const auto rntis = api.ue_rntis();
-    const bool known =
-        std::find(rntis.begin(), rntis.end(), decision->rnti) != rntis.end();
-    if (!known) {
+    if (api.ue(decision->rnti) == nullptr) {
       outcome = {proto::VsfFailureKind::invalid_decision,
                  "handover for unknown RNTI " + std::to_string(decision->rnti)};
     } else if (decision->target_cell == api.cell_id()) {
@@ -240,11 +235,12 @@ std::optional<HandoverDecision> VsfGuard::run_handover(RrcControlModule& rrc,
     }
   }
   if (!outcome.failed()) {
-    cache_->record_success(rrc.name(), slot, impl);
+    cache_->record_success(rrc.name(), slot, active_impl);
     return decision;
   }
 
   const auto fallback_start = std::chrono::steady_clock::now();
+  const std::string impl = active_impl;  // a quarantine relink rewrites it
   note_failure(rrc, slot, impl, fallback_impl, outcome, subframe);
   decision.reset();
   Vsf* fallback = cache_->get(rrc.name(), slot, fallback_impl);

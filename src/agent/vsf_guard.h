@@ -24,6 +24,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "agent/control_module.h"
 #include "agent/vsf.h"
@@ -109,18 +110,21 @@ class VsfGuard {
     bool failed() const { return kind != proto::VsfFailureKind::none; }
   };
 
+  /// One MAC slot's scheduling call on a VSF of that slot.
+  using Schedule = lte::SchedulingDecision (*)(Vsf&, AgentApi&, std::int64_t subframe);
+
   /// Budget check + exception containment around one VSF invocation.
-  InvokeOutcome invoke_checked(const Vsf& vsf, const std::function<void()>& body);
+  template <typename Body>
+  InvokeOutcome invoke_checked(const Vsf& vsf, Body&& body);
   /// Failure bookkeeping: per-impl counters, quarantine + slot relink to
   /// the fallback, hook dispatch.
-  void note_failure(ControlModule& module, const std::string& slot, const std::string& impl,
+  void note_failure(ControlModule& module, std::string_view slot, const std::string& impl,
                     const std::string& fallback_impl, const InvokeOutcome& outcome,
                     std::int64_t subframe);
 
-  lte::SchedulingDecision run_mac_slot(
-      MacControlModule& mac, const std::string& slot, const std::string& fallback_impl,
-      AgentApi& api, std::int64_t subframe,
-      const std::function<lte::SchedulingDecision(Vsf&)>& invoke);
+  lte::SchedulingDecision run_mac_slot(MacControlModule& mac, std::string_view slot,
+                                       const std::string& fallback_impl, AgentApi& api,
+                                       std::int64_t subframe, Schedule schedule);
 
   VsfGuardConfig config_;
   VsfCache* cache_;  // not owned

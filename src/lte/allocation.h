@@ -3,8 +3,12 @@
 // VSF or pushed by the master controller -- is a list of DCIs for one TTI.
 #pragma once
 
-#include <bitset>
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "lte/tables.h"
@@ -13,55 +17,87 @@
 namespace flexran::lte {
 
 /// Bitmap over the PRBs of a carrier (allocation type 0 with 1-PRB
-/// granularity, which is what the simulated MAC applies).
+/// granularity, which is what the simulated MAC applies). Held as the two
+/// 64-bit words of its wire form, so every operation is a few word ops;
+/// bits at and above kMaxPrbs are always zero.
 class RbAllocation {
  public:
   RbAllocation() = default;
 
-  void set(int prb) { bits_.set(static_cast<std::size_t>(prb)); }
-  void set_range(int first, int count) {
-    for (int i = 0; i < count; ++i) bits_.set(static_cast<std::size_t>(first + i));
+  /// Throws std::out_of_range for a PRB outside [0, kMaxPrbs): a delegated
+  /// VSF writing past the band is caught where it writes.
+  void set(int prb) {
+    check(prb, "RbAllocation::set");
+    words_[static_cast<std::size_t>(prb / 64)] |= bit(prb);
   }
-  bool test(int prb) const { return bits_.test(static_cast<std::size_t>(prb)); }
-  int count() const { return static_cast<int>(bits_.count()); }
-  bool empty() const { return bits_.none(); }
-  void clear() { bits_.reset(); }
+  /// Sets [first, first + count). Throws std::out_of_range at the first PRB
+  /// outside the band, after setting the in-band PRBs before it.
+  void set_range(int first, int count) {
+    if (count <= 0) return;
+    check(first, "RbAllocation::set_range");
+    const bool past_band = count > kMaxPrbs - first;
+    const int end = past_band ? kMaxPrbs : first + count;
+    for (int word = first / 64; word * 64 < end; ++word) {
+      const int base = word * 64;
+      words_[static_cast<std::size_t>(word)] |=
+          span_mask(std::max(first, base) - base, std::min(end, base + 64) - base);
+    }
+    if (past_band) check(kMaxPrbs, "RbAllocation::set_range");
+  }
+  bool test(int prb) const {
+    check(prb, "RbAllocation::test");
+    return (words_[static_cast<std::size_t>(prb / 64)] & bit(prb)) != 0;
+  }
+  int count() const { return std::popcount(words_[0]) + std::popcount(words_[1]); }
+  bool empty() const { return (words_[0] | words_[1]) == 0; }
+  void clear() { words_ = {}; }
 
-  bool overlaps(const RbAllocation& other) const { return (bits_ & other.bits_).any(); }
+  bool overlaps(const RbAllocation& other) const {
+    return ((words_[0] & other.words_[0]) | (words_[1] & other.words_[1])) != 0;
+  }
   /// Highest allocated PRB index, -1 when empty.
   int highest_set() const {
-    for (int prb = kMaxPrbs - 1; prb >= 0; --prb) {
-      if (bits_.test(static_cast<std::size_t>(prb))) return prb;
-    }
+    if (words_[1] != 0) return 127 - std::countl_zero(words_[1]);
+    if (words_[0] != 0) return 63 - std::countl_zero(words_[0]);
     return -1;
   }
   RbAllocation& merge(const RbAllocation& other) {
-    bits_ |= other.bits_;
+    words_[0] |= other.words_[0];
+    words_[1] |= other.words_[1];
     return *this;
   }
 
-  /// Compact wire form: two 64-bit words covering up to 100 PRBs.
-  std::uint64_t word(int index) const {
-    std::uint64_t out = 0;
-    for (int bit = 0; bit < 64; ++bit) {
-      const int prb = index * 64 + bit;
-      if (prb < kMaxPrbs && bits_.test(static_cast<std::size_t>(prb))) out |= 1ull << bit;
-    }
-    return out;
-  }
+  /// Compact wire form: two 64-bit words covering up to 100 PRBs
+  /// (`index` 0 or 1).
+  std::uint64_t word(int index) const { return words_[static_cast<std::size_t>(index)]; }
+  /// Inverse of word(); bits at and above kMaxPrbs are dropped.
   static RbAllocation from_words(std::uint64_t w0, std::uint64_t w1) {
     RbAllocation alloc;
-    for (int prb = 0; prb < kMaxPrbs; ++prb) {
-      const std::uint64_t word = prb < 64 ? w0 : w1;
-      if ((word >> (prb % 64)) & 1ull) alloc.set(prb);
-    }
+    alloc.words_ = {w0, w1 & kWord1Mask};
     return alloc;
   }
 
-  bool operator==(const RbAllocation& other) const { return bits_ == other.bits_; }
+  bool operator==(const RbAllocation& other) const = default;
 
  private:
-  std::bitset<kMaxPrbs> bits_;
+  static_assert(kMaxPrbs > 64 && kMaxPrbs <= 128, "two words cover the band");
+  static constexpr std::uint64_t kWord1Mask = (1ull << (kMaxPrbs - 64)) - 1;
+
+  static void check(int prb, const char* where) {
+    if (prb < 0 || prb >= kMaxPrbs) out_of_band(prb, where);
+  }
+  [[noreturn]] static void out_of_band(int prb, const char* where) {
+    throw std::out_of_range(std::string(where) + ": PRB " + std::to_string(prb) +
+                            " outside [0, " + std::to_string(kMaxPrbs) + ")");
+  }
+  static std::uint64_t bit(int prb) { return 1ull << (prb % 64); }
+  /// Bits [lo, hi) of one word, 0 <= lo < hi <= 64.
+  static std::uint64_t span_mask(int lo, int hi) {
+    const std::uint64_t upto_hi = hi == 64 ? ~0ull : (1ull << hi) - 1;
+    return upto_hi & ~((1ull << lo) - 1);
+  }
+
+  std::array<std::uint64_t, 2> words_{};
 };
 
 /// A downlink scheduling grant for one UE in one TTI.

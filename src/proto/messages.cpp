@@ -442,21 +442,6 @@ void encode_ue_report(WireEncoder& enc, int field, const UeStatsReport& report) 
   enc.end_message(mark);
 }
 
-/// Resets a report to struct defaults without releasing rsrp capacity.
-void reset_ue_report(UeStatsReport& out) {
-  out.rnti = lte::kInvalidRnti;
-  out.bsr_bytes.fill(0);
-  out.phr_db = 20;
-  out.wb_cqi = 0;
-  out.wb_cqi_protected = 0;
-  out.rlc_queue_bytes = 0;
-  out.pending_harq = 0;
-  out.dl_bytes_delivered = 0;
-  out.ul_bytes_received = 0;
-  out.ul_buffer_bytes = 0;
-  out.rsrp.clear();
-}
-
 void decode_rsrp(WireDecoder& dec, RsrpMeasurement& out) {
   while (dec.next()) {
     switch (dec.field()) {
@@ -468,7 +453,7 @@ void decode_rsrp(WireDecoder& dec, RsrpMeasurement& out) {
 }
 
 void decode_ue_report(WireDecoder& dec, UeStatsReport& out) {
-  reset_ue_report(out);
+  out.reset();
   std::size_t bsr_index = 0;
   while (dec.next()) {
     switch (dec.field()) {
@@ -570,6 +555,13 @@ Status StatsReply::decode_body_into(std::span<const std::uint8_t> data, StatsRep
   return {};
 }
 
+void UeStatsReport::reset() {
+  auto kept = std::move(rsrp);
+  *this = UeStatsReport{};
+  rsrp = std::move(kept);
+  rsrp.clear();
+}
+
 // ----------------------------------------------------------------- commands
 
 namespace {
@@ -638,16 +630,31 @@ void DlMacConfig::encode_body(WireEncoder& enc) const {
 
 Result<DlMacConfig> DlMacConfig::decode_body(std::span<const std::uint8_t> data) {
   DlMacConfig out;
+  auto status = decode_body_into(data, out);
+  if (!status.ok()) return status.error();
+  return out;
+}
+
+Status DlMacConfig::decode_body_into(std::span<const std::uint8_t> data, DlMacConfig& out) {
+  out.cell_id = 0;
+  out.target_subframe = 0;
+  std::size_t n = 0;
   WireDecoder dec(data);
   while (dec.next()) {
     switch (dec.field()) {
       case 1: dec.read(out.cell_id); break;
       case 2: out.target_subframe = dec.svarint(); break;
-      case 3: dec.message(out.dcis.emplace_back(), decode_dl_dci); break;
+      case 3:
+        if (n == out.dcis.size()) out.dcis.emplace_back();
+        out.dcis[n] = lte::DlDci{};
+        dec.message(out.dcis[n++], decode_dl_dci);
+        break;
       default: dec.skip();
     }
   }
-  return dec.finish(std::move(out));
+  if (!dec.ok()) return dec.status();
+  out.dcis.resize(n);
+  return {};
 }
 
 void UlMacConfig::encode_body(WireEncoder& enc) const {
@@ -658,16 +665,31 @@ void UlMacConfig::encode_body(WireEncoder& enc) const {
 
 Result<UlMacConfig> UlMacConfig::decode_body(std::span<const std::uint8_t> data) {
   UlMacConfig out;
+  auto status = decode_body_into(data, out);
+  if (!status.ok()) return status.error();
+  return out;
+}
+
+Status UlMacConfig::decode_body_into(std::span<const std::uint8_t> data, UlMacConfig& out) {
+  out.cell_id = 0;
+  out.target_subframe = 0;
+  std::size_t n = 0;
   WireDecoder dec(data);
   while (dec.next()) {
     switch (dec.field()) {
       case 1: dec.read(out.cell_id); break;
       case 2: out.target_subframe = dec.svarint(); break;
-      case 3: dec.message(out.dcis.emplace_back(), decode_ul_dci); break;
+      case 3:
+        if (n == out.dcis.size()) out.dcis.emplace_back();
+        out.dcis[n] = lte::UlDci{};
+        dec.message(out.dcis[n++], decode_ul_dci);
+        break;
       default: dec.skip();
     }
   }
-  return dec.finish(std::move(out));
+  if (!dec.ok()) return dec.status();
+  out.dcis.resize(n);
+  return {};
 }
 
 void HandoverCommand::encode_body(WireEncoder& enc) const {

@@ -308,6 +308,8 @@ struct UeStatsReport {
     for (auto b : bsr_bytes) total += b;
     return total;
   }
+  /// Resets every field to its default, keeping the RSRP list's capacity.
+  void reset();
 };
 
 struct CellStatsReport {
@@ -343,6 +345,10 @@ struct DlMacConfig {
 
   void encode_body(WireEncoder& enc) const;
   static util::Result<DlMacConfig> decode_body(std::span<const std::uint8_t> data);
+  /// Allocation-free variant of decode_body(), the StatsReply idiom: decodes
+  /// over `out`'s DCI slots, so a warm `out` with as many DCIs touches no
+  /// allocator.
+  static util::Status decode_body_into(std::span<const std::uint8_t> data, DlMacConfig& out);
 };
 
 struct UlMacConfig {
@@ -353,6 +359,10 @@ struct UlMacConfig {
 
   void encode_body(WireEncoder& enc) const;
   static util::Result<UlMacConfig> decode_body(std::span<const std::uint8_t> data);
+  /// Allocation-free variant of decode_body(), the StatsReply idiom: decodes
+  /// over `out`'s DCI slots, so a warm `out` with as many DCIs touches no
+  /// allocator.
+  static util::Status decode_body_into(std::span<const std::uint8_t> data, UlMacConfig& out);
 };
 
 struct HandoverCommand {

@@ -276,7 +276,8 @@ util::Status EnodebDataPlane::apply_dl(const lte::SchedulingDecision& decision) 
       continue;
     }
     const int max_prbs = carrier_prbs[dci.carrier];
-    if (max_prbs == 0 || dci.rbs.empty() || dci.rbs.count() > max_prbs ||
+    const int n_prb = dci.rbs.count();
+    if (max_prbs == 0 || n_prb == 0 || n_prb > max_prbs ||
         dci.rbs.highest_set() >= max_prbs || dci.rbs.overlaps(used[dci.carrier])) {
       ++grants_rejected_;
       continue;
@@ -297,7 +298,7 @@ util::Status EnodebDataPlane::apply_dl(const lte::SchedulingDecision& decision) 
         harq.start(flight.harq_pid, 0, flight.mcs, flight.n_prb, current_subframe_);
         in_flight_.push_back(flight);
         used[dci.carrier].merge(dci.rbs);
-        dl_prbs_last_tti_ += static_cast<std::uint64_t>(dci.rbs.count());
+        dl_prbs_last_tti_ += static_cast<std::uint64_t>(n_prb);
         pcell_transmitted |= dci.carrier == 0;
         continue;
       }
@@ -322,13 +323,13 @@ util::Status EnodebDataPlane::apply_dl(const lte::SchedulingDecision& decision) 
     flight.harq_pid = *free_pid;
     flight.app_bytes = drained;
     flight.mcs = dci.mcs;
-    flight.n_prb = dci.rbs.count();
+    flight.n_prb = n_prb;
     flight.tx_subframe = current_subframe_;
     harq.start(*free_pid, static_cast<std::int64_t>(drained) * 8, dci.mcs, flight.n_prb,
                current_subframe_);
     in_flight_.push_back(flight);
     used[dci.carrier].merge(dci.rbs);
-    dl_prbs_last_tti_ += static_cast<std::uint64_t>(dci.rbs.count());
+    dl_prbs_last_tti_ += static_cast<std::uint64_t>(n_prb);
     pcell_transmitted |= dci.carrier == 0;
   }
 
@@ -361,7 +362,8 @@ util::Status EnodebDataPlane::apply_ul(const lte::SchedulingDecision& decision) 
       ++grants_rejected_;
       continue;
     }
-    if (dci.rbs.empty() || dci.rbs.count() > max_prbs || dci.rbs.overlaps(used)) {
+    const int n_prb = dci.rbs.count();
+    if (n_prb == 0 || n_prb > max_prbs || dci.rbs.overlaps(used)) {
       ++grants_rejected_;
       continue;
     }
@@ -381,12 +383,12 @@ util::Status EnodebDataPlane::apply_ul(const lte::SchedulingDecision& decision) 
     flight.direction = lte::Direction::uplink;
     flight.app_bytes = take;
     flight.mcs = dci.mcs;
-    flight.n_prb = dci.rbs.count();
+    flight.n_prb = n_prb;
     flight.tx_subframe = current_subframe_;
     flight.actual_cqi = ue.ul_cqi;
     in_flight_.push_back(flight);
     used.merge(dci.rbs);
-    ul_prbs_last_tti_ += static_cast<std::uint64_t>(dci.rbs.count());
+    ul_prbs_last_tti_ += static_cast<std::uint64_t>(n_prb);
   }
   return {};
 }
@@ -427,6 +429,12 @@ const UeContext* EnodebDataPlane::ue(lte::Rnti rnti) const {
 
 std::vector<SchedUeInfo> EnodebDataPlane::scheduler_view() const {
   std::vector<SchedUeInfo> out;
+  scheduler_view(out);
+  return out;
+}
+
+void EnodebDataPlane::scheduler_view(std::vector<SchedUeInfo>& out) const {
+  out.clear();
   out.reserve(ues_.size());
   for (const auto& [rnti, ue] : ues_) {
     SchedUeInfo info;
@@ -449,13 +457,18 @@ std::vector<SchedUeInfo> EnodebDataPlane::scheduler_view() const {
       out.push_back(info);
     }
   }
-  return out;
 }
 
 proto::UeStatsReport EnodebDataPlane::ue_stats(lte::Rnti rnti) const {
   proto::UeStatsReport report;
+  ue_stats(rnti, report);
+  return report;
+}
+
+void EnodebDataPlane::ue_stats(lte::Rnti rnti, proto::UeStatsReport& report) const {
+  report.reset();
   auto it = ues_.find(rnti);
-  if (it == ues_.end()) return report;
+  if (it == ues_.end()) return;
   const UeContext& ue = it->second;
   report.rnti = rnti;
   for (int lcg = 0; lcg < lte::kNumLcGroups; ++lcg) {
@@ -475,7 +488,6 @@ proto::UeStatsReport EnodebDataPlane::ue_stats(lte::Rnti rnti) const {
       report.rsrp.push_back({cell, power_dbm});
     }
   }
-  return report;
 }
 
 proto::CellStatsReport EnodebDataPlane::cell_stats() const {

@@ -120,11 +120,16 @@ class EnodebDataPlane {
 
   std::vector<lte::Rnti> ue_rntis() const;
   const UeContext* ue(lte::Rnti rnti) const;
+  const std::map<lte::Rnti, UeContext>& ues() const { return ues_; }
   std::size_t ue_count() const { return ues_.size(); }
 
   /// Scheduler-facing snapshot of all UEs (the Agent API "statistics" read).
   std::vector<SchedUeInfo> scheduler_view() const;
+  /// The same snapshot written over `out`, reusing its capacity.
+  void scheduler_view(std::vector<SchedUeInfo>& out) const;
   proto::UeStatsReport ue_stats(lte::Rnti rnti) const;
+  /// ue_stats() written over `out`, reusing its RSRP list's capacity.
+  void ue_stats(lte::Rnti rnti, proto::UeStatsReport& out) const;
   proto::CellStatsReport cell_stats() const;
 
   // ---- Traffic plumbing (EPC / UE applications) ---------------------------

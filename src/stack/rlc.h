@@ -8,6 +8,9 @@
 // byte-granular, as RLC AM effectively provides), and PDCP/RLC/MAC header
 // overhead is charged at dequeue time via kL2OverheadFactor, calibrated so
 // 27.7 Mb/s of PHY TBS carries ~25.5 Mb/s of application bytes (Fig. 6b).
+// Consecutive packets of one size are stored as one (size, count) run, so
+// a backlogged constant-bit-rate bearer costs O(1) memory however long it
+// waits.
 #pragma once
 
 #include <cstdint>
@@ -33,8 +36,10 @@ class RlcQueue {
 
   /// Drains up to `tb_bits` of transport block capacity across logical
   /// channels in priority order (lowest LCID first, so SRBs preempt DRBs).
-  /// Returns application bytes removed.
-  std::uint32_t dequeue(std::int64_t tb_bits);
+  /// Each packet (or segment) taken charges its own truncated L2 bit cost
+  /// against `tb_bits`. Returns application bytes removed; `tb_bits_left`,
+  /// when given, receives the bits left over.
+  std::uint32_t dequeue(std::int64_t tb_bits, std::int64_t* tb_bits_left = nullptr);
 
   /// Drains from a single logical channel only.
   std::uint32_t dequeue_lcid(lte::Lcid lcid, std::int64_t tb_bits);
@@ -51,10 +56,22 @@ class RlcQueue {
   }
 
  private:
+  /// `count` consecutive packets of `size` bytes each.
+  struct Run {
+    std::uint32_t size = 0;
+    std::uint32_t count = 0;
+  };
   struct Channel {
-    std::deque<std::uint32_t> packets;  // per-packet byte counts
+    /// Bytes left of a packet already partly drained (0 = none); it goes
+    /// out before the runs.
+    std::uint32_t head = 0;
+    std::deque<Run> runs;  // whole packets, in arrival order
     std::uint32_t bytes = 0;
   };
+
+  /// Drains up to `budget` application bytes from one channel, packet by
+  /// packet. With `tb_bits` set, each packet taken subtracts its L2 cost.
+  std::uint32_t drain(Channel& channel, std::uint32_t budget, std::int64_t* tb_bits);
 
   std::map<lte::Lcid, Channel> channels_;
   std::uint32_t total_bytes_ = 0;

@@ -180,15 +180,15 @@ TEST_F(ReportsFixture, TriggeredDetectsChangesPerFlagClass) {
   enb_.enqueue_ul(rnti_, 700);
   auto due = reports_.collect(3);
   ASSERT_EQ(due.size(), 1u);
-  EXPECT_EQ(due[0].request_id, 21u);
+  EXPECT_EQ(due[0]->request_id, 21u);
 
   // A DL enqueue moves both views: rlc_queue_bytes directly, and bsr_bytes
   // because the BSR is computed from the DL queue per LC group.
   enb_.enqueue_dl(rnti_, lte::kDefaultDrb, 500);
   due = reports_.collect(4);
   ASSERT_EQ(due.size(), 2u);
-  EXPECT_EQ(due[0].request_id, 20u);
-  EXPECT_EQ(due[1].request_id, 21u);
+  EXPECT_EQ(due[0]->request_id, 20u);
+  EXPECT_EQ(due[1]->request_id, 21u);
 
   // CQI sampling (kCqi) and cell load (kCellLoad) classes. The queue
   // registrations are cancelled first: running a real TTI below drains the
@@ -208,7 +208,7 @@ TEST_F(ReportsFixture, TriggeredDetectsChangesPerFlagClass) {
   enb_.subframe_begin(6);                     // samples CQI 0 -> 10
   due = reports_.collect(6);
   ASSERT_EQ(due.size(), 1u);
-  EXPECT_EQ(due[0].request_id, 22u);
+  EXPECT_EQ(due[0]->request_id, 22u);
 
   // Remaining per-UE classes (PHR, HARQ, MAC counters, RSRP): a scope
   // change -- a new UE joining -- must register as a content change. The
@@ -267,8 +267,8 @@ TEST_F(ReportsFixture, UeScopedRequestReportsOnlyListedUes) {
   reports_.register_request(request, 0);
   auto due = reports_.collect(1);
   ASSERT_EQ(due.size(), 1u);
-  ASSERT_EQ(due[0].ue_reports.size(), 1u);
-  EXPECT_EQ(due[0].ue_reports[0].rnti, rnti_);
+  ASSERT_EQ(due[0]->ue_reports.size(), 1u);
+  EXPECT_EQ(due[0]->ue_reports[0].rnti, rnti_);
 }
 
 TEST_F(ReportsFixture, PeriodicReplacementReschedulesFromNow) {
@@ -350,10 +350,10 @@ TEST_F(ReportsFixture, FlagsFilterReportContents) {
   reports_.register_request(request, 1);
   auto due = reports_.collect(1);
   ASSERT_EQ(due.size(), 1u);
-  ASSERT_EQ(due[0].ue_reports.size(), 1u);
-  EXPECT_EQ(due[0].ue_reports[0].wb_cqi, 10);
-  EXPECT_EQ(due[0].ue_reports[0].rlc_queue_bytes, 0u);  // filtered out
-  EXPECT_TRUE(due[0].cell_reports.empty());
+  ASSERT_EQ(due[0]->ue_reports.size(), 1u);
+  EXPECT_EQ(due[0]->ue_reports[0].wb_cqi, 10);
+  EXPECT_EQ(due[0]->ue_reports[0].rlc_queue_bytes, 0u);  // filtered out
+  EXPECT_TRUE(due[0]->cell_reports.empty());
 }
 
 // --------------------------------------------------- end-to-end via testbed --

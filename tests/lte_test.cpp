@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bitset>
+#include <random>
+#include <stdexcept>
+
 #include "lte/abs.h"
 #include "lte/allocation.h"
 #include "lte/harq.h"
@@ -124,6 +129,111 @@ TEST(RbAllocation, WireWordsRoundTrip) {
   const auto restored = RbAllocation::from_words(alloc.word(0), alloc.word(1));
   EXPECT_EQ(restored, alloc);
   EXPECT_EQ(restored.count(), 4);
+}
+
+TEST(RbAllocation, OutOfBandPrbsThrow) {
+  RbAllocation alloc;
+  EXPECT_THROW(alloc.set(-1), std::out_of_range);
+  EXPECT_THROW(alloc.set(kMaxPrbs), std::out_of_range);
+  EXPECT_THROW((void)alloc.test(kMaxPrbs), std::out_of_range);
+  EXPECT_TRUE(alloc.empty());
+  // The in-band part of a range is set before the throw, as a PRB-by-PRB
+  // loop would leave it.
+  EXPECT_THROW(alloc.set_range(95, 10), std::out_of_range);
+  EXPECT_EQ(alloc.count(), 5);
+  EXPECT_TRUE(alloc.test(95));
+  EXPECT_TRUE(alloc.test(99));
+  EXPECT_EQ(alloc.highest_set(), 99);
+}
+
+TEST(RbAllocation, FromWordsDropsBitsPastTheBand) {
+  // Word 1 covers PRBs 64..99: its bits 36..63 are not PRBs.
+  const auto alloc = RbAllocation::from_words(0, ~0ull);
+  EXPECT_EQ(alloc.count(), kMaxPrbs - 64);
+  EXPECT_EQ(alloc.word(1), (1ull << (kMaxPrbs - 64)) - 1);
+  EXPECT_EQ(alloc.highest_set(), kMaxPrbs - 1);
+  EXPECT_EQ(alloc, RbAllocation::from_words(0, alloc.word(1)));
+}
+
+/// Random set / set_range / merge / from_words sequences, checked after
+/// every step against a std::bitset oracle of the same PRBs.
+TEST(RbAllocation, MatchesBitsetOracle) {
+  using Oracle = std::bitset<kMaxPrbs>;
+  std::mt19937_64 rng(20240617);
+  const auto prb = [&] { return static_cast<int>(rng() % kMaxPrbs); };
+  const auto words_of = [](const Oracle& bits) {
+    std::array<std::uint64_t, 2> words{};
+    for (int p = 0; p < kMaxPrbs; ++p) {
+      if (bits.test(static_cast<std::size_t>(p))) words[p / 64] |= 1ull << (p % 64);
+    }
+    return words;
+  };
+  const auto expect_same = [&](const RbAllocation& alloc, const Oracle& bits) {
+    for (int p = 0; p < kMaxPrbs; ++p) {
+      ASSERT_EQ(alloc.test(p), bits.test(static_cast<std::size_t>(p))) << "PRB " << p;
+    }
+    ASSERT_EQ(alloc.count(), static_cast<int>(bits.count()));
+    ASSERT_EQ(alloc.empty(), bits.none());
+    int highest = -1;
+    for (int p = kMaxPrbs - 1; p >= 0 && highest < 0; --p) {
+      if (bits.test(static_cast<std::size_t>(p))) highest = p;
+    }
+    ASSERT_EQ(alloc.highest_set(), highest);
+    const auto words = words_of(bits);
+    ASSERT_EQ(alloc.word(0), words[0]);
+    ASSERT_EQ(alloc.word(1), words[1]);
+  };
+
+  for (int trial = 0; trial < 200; ++trial) {
+    RbAllocation a;
+    RbAllocation b;
+    Oracle oa;
+    Oracle ob;
+    for (int step = 0; step < 20; ++step) {
+      switch (rng() % 4) {
+        case 0: {
+          const int p = prb();
+          a.set(p);
+          oa.set(static_cast<std::size_t>(p));
+          break;
+        }
+        case 1: {
+          // Ranges that may run past the band: the in-band part is set,
+          // then the range throws.
+          const int first = prb();
+          const int count = static_cast<int>(rng() % 40);
+          const bool past_band = first + count > kMaxPrbs;
+          if (past_band) {
+            EXPECT_THROW(b.set_range(first, count), std::out_of_range);
+          } else {
+            b.set_range(first, count);
+          }
+          for (int p = first; p < std::min(first + count, kMaxPrbs); ++p) {
+            ob.set(static_cast<std::size_t>(p));
+          }
+          break;
+        }
+        case 2: {
+          const std::uint64_t w0 = rng() & rng();
+          const std::uint64_t w1 = rng() & rng();
+          a = RbAllocation::from_words(w0, w1);
+          oa.reset();
+          for (int p = 0; p < kMaxPrbs; ++p) {
+            if (((p < 64 ? w0 : w1) >> (p % 64)) & 1ull) oa.set(static_cast<std::size_t>(p));
+          }
+          break;
+        }
+        case 3:
+          a.merge(b);
+          oa |= ob;
+          break;
+      }
+      expect_same(a, oa);
+      expect_same(b, ob);
+      ASSERT_EQ(a.overlaps(b), (oa & ob).any());
+      ASSERT_EQ(a == b, oa == ob);
+    }
+  }
 }
 
 TEST(DlDci, TbsUsesAllocationSize) {

@@ -2,6 +2,10 @@
 // hold across the whole parameter space, not just hand-picked examples.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <map>
+
 #include "agent/schedulers.h"
 #include "proto/messages.h"
 #include "stack/enodeb.h"
@@ -158,6 +162,107 @@ TEST_P(RlcProperty, BitsNeededIsSufficient) {
   const auto total = queue.total_bytes();
   EXPECT_EQ(queue.dequeue(queue.bits_needed()), total);
   EXPECT_TRUE(queue.empty());
+}
+
+/// Reference model for RlcQueue: one deque entry per packet, drained
+/// packet by packet with the same per-packet L2 charge.
+class PerPacketRlcQueue {
+ public:
+  void enqueue(lte::Lcid lcid, std::uint32_t bytes) {
+    if (bytes == 0) return;
+    channels_[lcid].push_back(bytes);
+  }
+  std::uint32_t dequeue(std::int64_t tb_bits, std::int64_t* tb_bits_left) {
+    std::uint32_t drained = 0;
+    for (auto& [lcid, packets] : channels_) {
+      (void)lcid;
+      if (tb_bits <= 0) break;
+      if (packets.empty()) continue;
+      auto budget = static_cast<std::uint32_t>(static_cast<double>(tb_bits) /
+                                               (8.0 * stack::kL2OverheadFactor));
+      while (budget > 0 && !packets.empty()) {
+        std::uint32_t& head = packets.front();
+        const std::uint32_t take = std::min(head, budget);
+        head -= take;
+        budget -= take;
+        drained += take;
+        tb_bits -= static_cast<std::int64_t>(static_cast<double>(take) * 8.0 *
+                                             stack::kL2OverheadFactor);
+        if (head == 0) packets.pop_front();
+      }
+    }
+    *tb_bits_left = tb_bits;
+    return drained;
+  }
+  std::uint32_t dequeue_lcid(lte::Lcid lcid, std::int64_t tb_bits) {
+    auto& packets = channels_[lcid];
+    auto budget = static_cast<std::uint32_t>(static_cast<double>(tb_bits) /
+                                             (8.0 * stack::kL2OverheadFactor));
+    std::uint32_t drained = 0;
+    while (budget > 0 && !packets.empty()) {
+      const std::uint32_t take = std::min(packets.front(), budget);
+      packets.front() -= take;
+      budget -= take;
+      drained += take;
+      if (packets.front() == 0) packets.pop_front();
+    }
+    return drained;
+  }
+  std::uint32_t bytes_for_lcid(lte::Lcid lcid) const {
+    auto it = channels_.find(lcid);
+    if (it == channels_.end()) return 0;
+    std::uint32_t bytes = 0;
+    for (const auto packet : it->second) bytes += packet;
+    return bytes;
+  }
+
+ private:
+  std::map<lte::Lcid, std::deque<std::uint32_t>> channels_;
+};
+
+TEST_P(RlcProperty, MatchesPerPacketReference) {
+  // Few distinct packet sizes, so runs form and split; budgets that end
+  // inside packets, span several runs, and cross logical channels.
+  util::Rng rng(GetParam() * 31);
+  const std::uint32_t sizes[] = {1, 187, 1400, 1500, 9000};
+  stack::RlcQueue queue;
+  PerPacketRlcQueue reference;
+  for (int step = 0; step < 3000; ++step) {
+    const auto lcid = static_cast<lte::Lcid>(rng.uniform_int(0, 4));
+    const double action = rng.uniform();
+    if (action < 0.55) {
+      const std::uint32_t bytes = sizes[rng.uniform_int(0, 4)];
+      const int burst = static_cast<int>(rng.uniform_int(1, 6));
+      for (int i = 0; i < burst; ++i) {
+        queue.enqueue(lcid, bytes);
+        reference.enqueue(lcid, bytes);
+      }
+    } else if (action < 0.9) {
+      const std::int64_t tb_bits = rng.uniform_int(0, 120'000);
+      std::int64_t left = 0;
+      std::int64_t reference_left = 0;
+      ASSERT_EQ(queue.dequeue(tb_bits, &left), reference.dequeue(tb_bits, &reference_left))
+          << "step " << step;
+      ASSERT_EQ(left, reference_left) << "step " << step;
+    } else {
+      const std::int64_t tb_bits = rng.uniform_int(0, 40'000);
+      ASSERT_EQ(queue.dequeue_lcid(lcid, tb_bits), reference.dequeue_lcid(lcid, tb_bits))
+          << "step " << step;
+    }
+    std::uint32_t total = 0;
+    for (lte::Lcid id = 0; id <= 4; ++id) {
+      ASSERT_EQ(queue.bytes_for_lcid(id), reference.bytes_for_lcid(id)) << "lcid " << int(id);
+      total += reference.bytes_for_lcid(id);
+    }
+    ASSERT_EQ(queue.total_bytes(), total);
+    for (int lcg = 0; lcg < lte::kNumLcGroups; ++lcg) {
+      std::uint32_t expected = 0;
+      for (lte::Lcid id = 0; id <= 4; ++id) {
+        if (stack::default_lc_group(id) == lcg) expected += reference.bytes_for_lcid(id);
+      }
+      ASSERT_EQ(queue.bytes_for_lc_group(lcg), expected) << "lcg " << lcg;
+    }
+  }
 }
 
 // ------------------------------------------------------ scheduler invariants --

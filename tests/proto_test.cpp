@@ -901,6 +901,20 @@ constexpr std::uint8_t kDlMacConfigBody[] = {
     0x28, 0x02, 0x30, 0x01, 0x38, 0x01,
 };
 
+/// One DCI each whose PRBs straddle the word boundary: DL PRBs 60..71,
+/// UL PRBs 40..47, 64 and 99 (the last PRB of the band).
+constexpr std::uint8_t kDlDciBothWordsBody[] = {
+    0x08, 0x02, 0x10, 0xd0, 0x0f, 0x1a, 0x16, 0x08, 0x46, 0x10, 0x80, 0x80,
+    0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0xf0, 0x01, 0x18, 0xff, 0x01, 0x20,
+    0x10, 0x28, 0x03, 0x30, 0x01,
+};
+
+constexpr std::uint8_t kUlDciBothWordsBody[] = {
+    0x08, 0x02, 0x10, 0xd0, 0x0f, 0x1a, 0x13, 0x08, 0x47, 0x10, 0x80, 0x80,
+    0x80, 0x80, 0x80, 0xe0, 0x3f, 0x18, 0x81, 0x80, 0x80, 0x80, 0x80, 0x01,
+    0x20, 0x0a,
+};
+
 constexpr std::uint8_t kEventNotificationBody[] = {
     0x08, 0x09, 0x10, 0x82, 0x80, 0x19, 0x18, 0x47, 0x20, 0x01, 0x28, 0x0c,
     0x32, 0x03, 0x6d, 0x61, 0x63, 0x3a, 0x0f, 0x64, 0x6c, 0x5f, 0x75, 0x65,
@@ -983,6 +997,67 @@ TEST(WireVectors, DlMacConfigDecodesAndReencodes) {
   EXPECT_EQ(config->dcis[2].carrier, 1);
   EXPECT_FALSE(config->dcis[1].new_data);
   EXPECT_EQ(encode_body(*config), body);
+}
+
+TEST(WireVectors, DciBitmapsSpanBothWords) {
+  const auto dl_body = bytes_of(kDlDciBothWordsBody);
+  auto dl = DlMacConfig::decode_body(dl_body);
+  ASSERT_TRUE(dl.ok()) << dl.error().message;
+  EXPECT_EQ(dl->cell_id, 2u);
+  EXPECT_EQ(dl->target_subframe, 1000);
+  ASSERT_EQ(dl->dcis.size(), 1u);
+  const auto& dl_dci = dl->dcis[0];
+  EXPECT_EQ(dl_dci.rnti, 70);
+  EXPECT_EQ(dl_dci.rbs.count(), 12);
+  for (int prb = 60; prb < 72; ++prb) EXPECT_TRUE(dl_dci.rbs.test(prb)) << prb;
+  EXPECT_FALSE(dl_dci.rbs.test(59));
+  EXPECT_EQ(dl_dci.rbs.highest_set(), 71);
+  EXPECT_EQ(dl_dci.mcs, 16);
+  EXPECT_EQ(dl_dci.harq_pid, 3);
+  EXPECT_TRUE(dl_dci.new_data);
+  EXPECT_EQ(dl_dci.carrier, 0);
+  EXPECT_EQ(encode_body(*dl), dl_body);
+
+  const auto ul_body = bytes_of(kUlDciBothWordsBody);
+  auto ul = UlMacConfig::decode_body(ul_body);
+  ASSERT_TRUE(ul.ok()) << ul.error().message;
+  ASSERT_EQ(ul->dcis.size(), 1u);
+  const auto& ul_dci = ul->dcis[0];
+  EXPECT_EQ(ul_dci.rnti, 71);
+  EXPECT_EQ(ul_dci.rbs.count(), 10);
+  EXPECT_TRUE(ul_dci.rbs.test(40));
+  EXPECT_TRUE(ul_dci.rbs.test(47));
+  EXPECT_TRUE(ul_dci.rbs.test(64));
+  EXPECT_TRUE(ul_dci.rbs.test(99));
+  EXPECT_EQ(ul_dci.rbs.highest_set(), 99);
+  EXPECT_EQ(ul_dci.mcs, 10);
+  EXPECT_EQ(encode_body(*ul), ul_body);
+}
+
+TEST(WireVectors, MacConfigDecodeIntoResetsReusedDcis) {
+  // Decode a three-DCI config (one SCell grant, one with word 1 set), then
+  // a one-DCI config into the same message: the reused DCI slot must not
+  // keep fields the second message omits.
+  DlMacConfig dl;
+  ASSERT_TRUE(DlMacConfig::decode_body_into(bytes_of(kDlMacConfigBody), dl).ok());
+  ASSERT_EQ(dl.dcis.size(), 3u);
+  dl.dcis[0].carrier = 1;
+  ASSERT_TRUE(DlMacConfig::decode_body_into(bytes_of(kDlDciBothWordsBody), dl).ok());
+  ASSERT_EQ(dl.dcis.size(), 1u);
+  EXPECT_EQ(dl.dcis[0].carrier, 0);
+  EXPECT_EQ(encode_body(dl), bytes_of(kDlDciBothWordsBody));
+
+  UlMacConfig ul;
+  ASSERT_TRUE(UlMacConfig::decode_body_into(bytes_of(kUlDciBothWordsBody), ul).ok());
+  ul.dcis[0].rbs.set(0);
+  ASSERT_TRUE(UlMacConfig::decode_body_into(bytes_of(kUlDciBothWordsBody), ul).ok());
+  EXPECT_FALSE(ul.dcis[0].rbs.test(0));
+  EXPECT_EQ(encode_body(ul), bytes_of(kUlDciBothWordsBody));
+
+  // A truncated body fails and says so, like decode_body().
+  auto truncated = bytes_of(kDlDciBothWordsBody);
+  truncated.pop_back();
+  EXPECT_FALSE(DlMacConfig::decode_body_into(truncated, dl).ok());
 }
 
 TEST(WireVectors, EventNotificationDecodesAndReencodes) {
