@@ -1,12 +1,10 @@
 // Observability overhead (docs/observability.md): measures what the
 // unified metrics layer costs, in two parts.
 //
-// 1. Instrument micro-costs: ns/op for a raw uint64 increment (the
-//    baseline every migrated counter used to pay) vs Counter::inc,
-//    Gauge::set and Histogram::observe, plus the cost of a full registry
-//    export. The layer's contract is that migrated counters pay NOTHING
-//    new (they are read by pull probes at export time only); the atomic
-//    instruments exist for genuinely concurrent call sites.
+// 1. Instrument micro-costs: ns/op for a raw uint64 increment (what every
+//    counter pays: owners count in place and their collectors read the
+//    counters at export time only) vs Histogram::observe, plus the cost
+//    of a full registry export.
 //
 // 2. Control-loop latency breakdown: a testbed run with tracing enabled,
 //    reporting where a control cycle's wall time goes (updater / events /
@@ -15,6 +13,7 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "obs/metrics.h"
@@ -33,8 +32,6 @@ double ns_per_op(std::uint64_t ops, Clock::time_point start, Clock::time_point e
 
 struct MicroCosts {
   double raw_inc_ns = 0.0;
-  double counter_inc_ns = 0.0;
-  double gauge_set_ns = 0.0;
   double histogram_observe_ns = 0.0;
   double registry_export_us = 0.0;
 };
@@ -49,21 +46,7 @@ MicroCosts measure_micro() {
   auto t1 = Clock::now();
   costs.raw_inc_ns = ns_per_op(kOps, t0, t1);
 
-  obs::MetricsRegistry registry;
-  obs::Counter& counter = registry.counter("bench_counter");
-  t0 = Clock::now();
-  for (std::uint64_t i = 0; i < kOps; ++i) counter.inc();
-  t1 = Clock::now();
-  costs.counter_inc_ns = ns_per_op(kOps, t0, t1);
-
-  obs::Gauge& gauge = registry.gauge("bench_gauge");
-  t0 = Clock::now();
-  for (std::uint64_t i = 0; i < kOps; ++i) gauge.set(static_cast<double>(i));
-  t1 = Clock::now();
-  costs.gauge_set_ns = ns_per_op(kOps, t0, t1);
-
-  obs::Histogram& histogram =
-      registry.histogram("bench_hist", obs::exponential_bounds(1.0, 2.0, 16));
+  obs::Histogram histogram(obs::exponential_bounds(1.0, 2.0, 16));
   t0 = Clock::now();
   for (std::uint64_t i = 0; i < kOps; ++i) {
     histogram.observe(static_cast<double>(i & 0xFFFF));
@@ -71,12 +54,16 @@ MicroCosts measure_micro() {
   t1 = Clock::now();
   costs.histogram_observe_ns = ns_per_op(kOps, t0, t1);
 
-  // A registry the size of a real run: ~200 probes like the scenario layer
-  // registers, exported once.
-  for (int i = 0; i < 200; ++i) {
-    registry.register_probe("bench_probe_" + std::to_string(i),
-                            [i] { return static_cast<double>(i); });
-  }
+  // A registry the size of a real run: one collector writing 200 series,
+  // like the scenario layer's, exported once per iteration.
+  std::vector<std::string> names;
+  for (int i = 0; i < 200; ++i) names.push_back("bench_series_" + std::to_string(i));
+  obs::MetricsRegistry registry;
+  auto collector = registry.add_collector([&names](obs::Sink& out) {
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      out.value(names[i], {}, static_cast<double>(i));
+    }
+  });
   constexpr int kExports = 200;
   t0 = Clock::now();
   std::size_t bytes = 0;
@@ -145,16 +132,13 @@ int main() {
 
   bench::print_header("Observability overhead: instrument micro-costs");
   bench::print_note(
-      "Migrated counters pay nothing (pull probes read them at export time\n"
-      "only); the atomic instruments below are for genuinely concurrent\n"
-      "call sites. Baseline is a plain uint64 increment.");
+      "Counters pay a plain uint64 increment (collectors read them at\n"
+      "export time only); histograms pay an observe.");
   const MicroCosts micro = measure_micro();
   std::printf("\n%-26s %10s\n", "operation", "ns/op");
   std::printf("%-26s %10.2f\n", "raw uint64 ++", micro.raw_inc_ns);
-  std::printf("%-26s %10.2f\n", "Counter::inc", micro.counter_inc_ns);
-  std::printf("%-26s %10.2f\n", "Gauge::set", micro.gauge_set_ns);
   std::printf("%-26s %10.2f\n", "Histogram::observe", micro.histogram_observe_ns);
-  std::printf("%-26s %10.2f us (200-probe registry json())\n", "registry export",
+  std::printf("%-26s %10.2f us (200-series registry json())\n", "registry export",
               micro.registry_export_us);
 
   bench::print_header("Control-loop latency breakdown (tracing + timestamp echo)");
@@ -176,13 +160,13 @@ int main() {
   char buffer[1024];
   std::snprintf(
       buffer, sizeof(buffer),
-      ",\"micro_ns_per_op\":{\"raw_inc\":%.3f,\"counter_inc\":%.3f,\"gauge_set\":%.3f,"
+      ",\"micro_ns_per_op\":{\"raw_inc\":%.3f,"
       "\"histogram_observe\":%.3f,\"registry_export_us\":%.3f},"
       "\"breakdown\":{\"cycles\":%llu,\"series\":%zu,\"updater_us_mean\":%.3f,"
       "\"event_us_mean\":%.3f,\"apps_us_mean\":%.3f,\"flush_us_mean\":%.3f,"
       "\"latency_samples\":%llu,\"latency_p50_us\":%.1f,\"latency_p95_us\":%.1f,"
       "\"latency_p99_us\":%.1f}}",
-      micro.raw_inc_ns, micro.counter_inc_ns, micro.gauge_set_ns, micro.histogram_observe_ns,
+      micro.raw_inc_ns, micro.histogram_observe_ns,
       micro.registry_export_us, static_cast<unsigned long long>(breakdown.cycles),
       breakdown.series, breakdown.updater_us_mean, breakdown.event_us_mean,
       breakdown.apps_us_mean, breakdown.flush_us_mean,

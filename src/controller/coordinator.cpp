@@ -46,14 +46,15 @@ Coordinator::Coordinator(sim::Simulator& sim, CoordinatorConfig config)
     shards_.push_back(std::make_unique<ShardCore>(sim_, std::move(shard_config)));
   }
   shard_states_.resize(count);
-  if (count > 1 && config_.shard.obs.enabled) register_failover_probes();
+  if (count > 1 && config_.shard.obs.enabled) {
+    collector_ = metrics_.add_collector([this](obs::Sink& out) { collect(out); });
+  }
 }
 
-void Coordinator::register_failover_probes() {
-  for (const auto& f : kFailoverStatFields) {
-    metrics_.register_probe(
-        f.name, [this, field = f.field] { return static_cast<double>(failover_stats().*field); });
-  }
+void Coordinator::collect(obs::Sink& out) const {
+  const FailoverStats s = failover_stats();
+  for (const auto& f : kFailoverStatFields) out.value(f.name, {}, static_cast<double>(s.*f.field));
+  ShardCore::collect_process_wide(out);
 }
 
 FailoverStats Coordinator::failover_stats() const {

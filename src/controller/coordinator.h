@@ -278,7 +278,9 @@ class Coordinator final : public NorthboundApi {
   /// Tracks adopted agents until their re-sync completes (failover
   /// duration metric).
   void poll_failover();
-  void register_failover_probes();
+  /// Writes the failover table and the process-wide series (shards > 1
+  /// with obs on; a single shard's own collector covers the latter).
+  void collect(obs::Sink& out) const;
 
   sim::Simulator& sim_;
   CoordinatorConfig config_;
@@ -322,6 +324,9 @@ class Coordinator final : public NorthboundApi {
   mutable std::uint64_t composites_built_ = 0;
 
   proto::SignalingAccountant empty_accounting_;
+  /// Last member: unregisters collect() before anything it reads is torn
+  /// down.
+  obs::MetricsRegistry::Registration collector_;
 };
 
 const char* to_string(Coordinator::ShardHealth health);

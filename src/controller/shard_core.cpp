@@ -43,10 +43,7 @@ ShardCore::ShardCore(sim::Simulator& sim, MasterConfig config)
       trace_ring_(kTraceCycles) {
   if (config_.obs.registry != nullptr) registry_ = config_.obs.registry;
   pending_.set_budget(config_.overload.ingest);
-  if (config_.obs.enabled) {
-    task_manager_.set_trace_sink(&trace_ring_);
-    register_obs_probes();
-  }
+  if (config_.obs.enabled) task_manager_.set_trace_sink(&trace_ring_);
   task_manager_.set_snapshot_source([this] { return snapshots_.current(); },
                                     [this] { return sim_.now(); });
   task_manager_.set_command_hooks(BatchingNorthbound::Hooks{
@@ -70,6 +67,12 @@ ShardCore::ShardCore(sim::Simulator& sim, MasterConfig config)
     recovering_ = true;
     recovery_started_at_ = sim_.now();
   }
+  if (config_.obs.enabled) {
+    std::vector<std::pair<std::string, std::string>> labels;
+    if (config_.shard >= 0) labels.emplace_back("shard", std::to_string(config_.shard));
+    collector_ = registry_->add_collector([this](obs::Sink& out) { collect(out); },
+                                          std::move(labels));
+  }
 }
 
 ShardCore::~ShardCore() { task_manager_.shutdown(); }
@@ -77,7 +80,13 @@ ShardCore::~ShardCore() { task_manager_.shutdown(); }
 AgentId ShardCore::add_agent(net::Transport& transport, AgentId explicit_id) {
   const AgentId id = explicit_id != 0 ? explicit_id : next_agent_id_++;
   if (explicit_id != 0 && explicit_id >= next_agent_id_) next_agent_id_ = explicit_id + 1;
-  links_[id].transport = &transport;
+  AgentLink& link = links_[id];
+  link.transport = &transport;
+  if (config_.obs.enabled && link.latency == nullptr) {
+    // End-to-end control latency, fed by the Envelope timestamp echo in
+    // apply_update. Buckets 250us .. ~512ms (doubling).
+    link.latency = std::make_unique<obs::Histogram>(obs::exponential_bounds(250.0, 2.0, 12));
+  }
   // The frame span is only valid for the callback: Envelope::decode copies
   // the body into the owned envelope the ingest queue keeps.
   transport.set_receive_callback([this, id](std::span<const std::uint8_t> data) {
@@ -111,7 +120,6 @@ AgentId ShardCore::add_agent(net::Transport& transport, AgentId explicit_id) {
   rib_.agent(id).id = id;
   dirty_agents_.insert(id);
   rib_structure_changed_ = true;
-  if (config_.obs.enabled) register_agent_probes(id);
   return id;
 }
 
@@ -207,7 +215,6 @@ App* ShardCore::add_app(std::unique_ptr<App> app) {
   App* raw = app.get();
   apps_.push_back(std::move(app));
   task_manager_.add_app(raw, *this);
-  if (config_.obs.enabled) register_app_probes(std::string(raw->name()));
   return raw;
 }
 
@@ -842,9 +849,7 @@ void ShardCore::admit_resyncs() {
 
 void ShardCore::mark_resynced(AgentId id) {
   if (auto it = resync_started_at_.find(id); it != resync_started_at_.end()) {
-    if (resync_duration_ != nullptr) {
-      resync_duration_->observe(static_cast<double>(sim_.now() - it->second));
-    }
+    resync_duration_.observe(static_cast<double>(sim_.now() - it->second));
     resync_started_at_.erase(it);
   }
   // Whatever warm state sped up this re-sync is consumed: a later re-sync
@@ -1251,7 +1256,7 @@ const proto::SignalingAccountant& ShardCore::rx_accounting(AgentId agent) const 
   return it == links_.end() ? empty_accounting_ : it->second.rx;
 }
 
-// --------------------------------------------- observability registration
+// ------------------------------------------------------------ observability
 
 namespace {
 constexpr proto::MessageCategory kAllCategories[] = {
@@ -1265,13 +1270,7 @@ constexpr net::TrafficClass kAllClasses[] = {
 
 const obs::Histogram* ShardCore::control_latency(AgentId agent) const {
   auto it = links_.find(agent);
-  return it == links_.end() ? nullptr : it->second.latency;
-}
-
-std::string ShardCore::probe_name(
-    std::string name, std::vector<std::pair<std::string, std::string>> labels) const {
-  if (config_.shard >= 0) labels.emplace_back("shard", std::to_string(config_.shard));
-  return obs::labeled(std::move(name), labels);
+  return it == links_.end() ? nullptr : it->second.latency.get();
 }
 
 ShardStats ShardCore::stats() const {
@@ -1313,108 +1312,70 @@ ShardStats& ShardStats::operator+=(const ShardStats& other) {
   return *this;
 }
 
-void ShardCore::register_obs_probes() {
-  auto& m = *registry_;
+void ShardCore::collect(obs::Sink& out) const {
   // Every counter, from the one table that declares it.
+  const ShardStats s = stats();
   for (const auto& f : kShardStatFields) {
-    if (f.name == nullptr) continue;
-    m.register_probe(probe_name(f.name),
-                     [this, field = f.field] { return static_cast<double>(stats().*field); });
+    if (f.name != nullptr) out.value(f.name, {}, static_cast<double>(s.*f.field));
   }
   for (const net::TrafficClass cls : kAllClasses) {
     for (const auto& f : kIngestClassFields) {
-      m.register_probe(probe_name(f.name, {{"class", net::to_string(cls)}}),
-                       [this, cls, field = f.field] {
-                         return static_cast<double>(pending_.counters(cls).*field);
-                       });
+      out.value(f.name, {{"class", net::to_string(cls)}},
+                static_cast<double>(s.ingest[static_cast<std::size_t>(cls)].*f.field));
     }
   }
   // Values that are not counters: ingest queue depth, overload state,
   // throttle multiplier, the recovery gauge and stage-time means.
-  m.register_probe(probe_name("ingest_depth_messages"),
-                   [this] { return static_cast<double>(pending_.size()); });
-  m.register_probe(probe_name("ingest_depth_bytes"),
-                   [this] { return static_cast<double>(pending_.bytes()); });
-  m.register_probe(probe_name("overload_state"), [this] {
-    return static_cast<double>(static_cast<int>(overload_monitor_.state()));
-  });
-  m.register_probe(probe_name("throttle_multiplier"),
-                   [this] { return static_cast<double>(throttle_multiplier_); });
-  m.register_probe(probe_name("recovering"), [this] { return recovering_ ? 1.0 : 0.0; });
-  m.register_probe(probe_name("idle_fraction"), [this] { return task_manager_.mean_idle_fraction(); });
-  m.register_probe(probe_name("snapshot_publish_us_mean"),
-                   [this] { return snapshot_publish_time_.mean(); });
-  m.register_probe(probe_name("cycle_updater_us_mean"), [this] { return trace_ring_.updater_us().mean(); });
-  m.register_probe(probe_name("cycle_updater_us_max"), [this] { return trace_ring_.updater_us().max(); });
-  m.register_probe(probe_name("cycle_event_us_mean"), [this] { return trace_ring_.event_us().mean(); });
-  m.register_probe(probe_name("cycle_apps_us_mean"), [this] { return trace_ring_.apps_us().mean(); });
-  m.register_probe(probe_name("cycle_apps_us_max"), [this] { return trace_ring_.apps_us().max(); });
-  m.register_probe(probe_name("cycle_flush_us_mean"), [this] { return trace_ring_.flush_us().mean(); });
-  m.register_probe(probe_name("cycle_flush_us_max"), [this] { return trace_ring_.flush_us().max(); });
-  // Process-wide decoder anomaly counter (docs/wire_fastpath.md): fields the
-  // decoder recognised but had to drop rather than store, e.g. trailing BSR
-  // entries beyond the fixed LCG count. Registered without a shard label:
-  // every shard registers the same name, so one series remains.
-  m.register_probe("proto_decode_anomalies", [] {
-    return static_cast<double>(
-        proto::decode_anomalies().bsr_overflow.load(std::memory_order_relaxed));
-  });
-  // Time-to-resync histogram (1ms .. ~16s, doubling -- re-syncs span wire
-  // RTTs to paced backlogs).
-  resync_duration_ = &m.histogram(probe_name("resync_duration_us"), obs::exponential_bounds(1000.0, 2.0, 14));
+  out.value("ingest_depth_messages", {}, static_cast<double>(pending_.size()));
+  out.value("ingest_depth_bytes", {}, static_cast<double>(pending_.bytes()));
+  out.value("overload_state", {},
+            static_cast<double>(static_cast<int>(overload_monitor_.state())));
+  out.value("throttle_multiplier", {}, static_cast<double>(throttle_multiplier_));
+  out.value("recovering", {}, recovering_ ? 1.0 : 0.0);
+  out.value("idle_fraction", {}, task_manager_.mean_idle_fraction());
+  out.value("snapshot_publish_us_mean", {}, snapshot_publish_time_.mean());
+  out.value("cycle_updater_us_mean", {}, trace_ring_.updater_us().mean());
+  out.value("cycle_updater_us_max", {}, trace_ring_.updater_us().max());
+  out.value("cycle_event_us_mean", {}, trace_ring_.event_us().mean());
+  out.value("cycle_apps_us_mean", {}, trace_ring_.apps_us().mean());
+  out.value("cycle_apps_us_max", {}, trace_ring_.apps_us().max());
+  out.value("cycle_flush_us_mean", {}, trace_ring_.flush_us().mean());
+  out.value("cycle_flush_us_max", {}, trace_ring_.flush_us().max());
+  out.histogram("resync_duration_us", {}, resync_duration_);
+  if (config_.shard < 0) collect_process_wide(out);
+  for (const auto& stat : task_manager_.app_stats()) {
+    out.value("app_runs", {{"app", stat.name}}, static_cast<double>(stat.runs));
+    out.value("app_wall_us_mean", {{"app", stat.name}}, stat.mean_wall_us);
+    out.value("app_wall_us_max", {{"app", stat.name}}, stat.max_wall_us);
+    out.value("app_overruns", {{"app", stat.name}}, static_cast<double>(stat.overruns));
+  }
+  // Per-agent series, for exactly the agents this core holds: a migrated
+  // agent's series leave with it.
+  for (const auto& [id, link] : links_) {
+    const std::string agent = std::to_string(id);
+    for (const proto::MessageCategory category : kAllCategories) {
+      const char* cat = proto::to_string(category);
+      out.value("signaling_tx_bytes", {{"agent", agent}, {"category", cat}},
+                static_cast<double>(link.tx.bytes(category)));
+      out.value("signaling_tx_messages", {{"agent", agent}, {"category", cat}},
+                static_cast<double>(link.tx.messages(category)));
+      out.value("signaling_rx_bytes", {{"agent", agent}, {"category", cat}},
+                static_cast<double>(link.rx.bytes(category)));
+      out.value("signaling_rx_messages", {{"agent", agent}, {"category", cat}},
+                static_cast<double>(link.rx.messages(category)));
+    }
+    if (link.latency != nullptr) {
+      out.histogram("control_latency_us", {{"agent", agent}}, *link.latency);
+    }
+  }
 }
 
-void ShardCore::register_agent_probes(AgentId id) {
-  auto& m = *registry_;
-  const std::string agent_label = std::to_string(id);
-  for (const proto::MessageCategory category : kAllCategories) {
-    const std::string cat_label = proto::to_string(category);
-    m.register_probe(
-        probe_name("signaling_tx_bytes", {{"agent", agent_label}, {"category", cat_label}}),
-        [this, id, category] {
-          return static_cast<double>(tx_accounting(id).bytes(category));
-        });
-    m.register_probe(
-        probe_name("signaling_tx_messages",
-                     {{"agent", agent_label}, {"category", cat_label}}),
-        [this, id, category] {
-          return static_cast<double>(tx_accounting(id).messages(category));
-        });
-    m.register_probe(
-        probe_name("signaling_rx_bytes", {{"agent", agent_label}, {"category", cat_label}}),
-        [this, id, category] {
-          return static_cast<double>(rx_accounting(id).bytes(category));
-        });
-    m.register_probe(
-        probe_name("signaling_rx_messages",
-                     {{"agent", agent_label}, {"category", cat_label}}),
-        [this, id, category] {
-          return static_cast<double>(rx_accounting(id).messages(category));
-        });
-  }
-  // End-to-end control-latency histogram, fed by the Envelope timestamp
-  // echo in apply_update. Buckets 250us .. ~512ms (doubling).
-  links_[id].latency = &m.histogram(probe_name("control_latency_us", {{"agent", agent_label}}),
-                                    obs::exponential_bounds(250.0, 2.0, 12));
-}
-
-void ShardCore::register_app_probes(const std::string& name) {
-  using Stat = TaskManager::AppStat;
-  constexpr std::pair<const char*, double (*)(const Stat&)> kAppSeries[] = {
-      {"app_runs", [](const Stat& s) { return static_cast<double>(s.runs); }},
-      {"app_wall_us_mean", [](const Stat& s) { return s.mean_wall_us; }},
-      {"app_wall_us_max", [](const Stat& s) { return s.max_wall_us; }},
-      {"app_overruns", [](const Stat& s) { return static_cast<double>(s.overruns); }},
-  };
-  for (const auto& series : kAppSeries) {
-    registry_->register_probe(probe_name(series.first, {{"app", name}}),
-                              [this, name, select = series.second]() -> double {
-                                for (const auto& stat : task_manager_.app_stats()) {
-                                  if (stat.name == name) return select(stat);
-                                }
-                                return 0.0;
-                              });
-  }
+void ShardCore::collect_process_wide(obs::Sink& out) {
+  // Fields the decoder recognised but had to drop rather than store, e.g.
+  // trailing BSR entries beyond the fixed LCG count (docs/wire_fastpath.md).
+  out.value("proto_decode_anomalies", {},
+            static_cast<double>(
+                proto::decode_anomalies().bsr_overflow.load(std::memory_order_relaxed)));
 }
 
 }  // namespace flexran::ctrl

@@ -44,12 +44,12 @@ namespace flexran::ctrl {
 
 /// Unified observability layer (docs/observability.md). Off by default:
 /// with `enabled == false` the master neither stamps envelopes, records
-/// latency, traces cycles nor registers probes -- behavior and wire
+/// latency, traces cycles nor registers its collector -- behavior and wire
 /// traffic are identical to a build without the layer (the repo's
 /// `0/0 = off` convention).
 struct ObsConfig {
   bool enabled = false;
-  /// External registry to register instruments and probes in (nullptr = use
+  /// External registry to register the core's collector in (nullptr = use
   /// the core's own). The Coordinator points every shard at one shared
   /// registry so a single export surface covers the whole process; the
   /// `shard` label (MasterConfig::shard) keeps identities unique. The
@@ -91,8 +91,8 @@ struct RecoveryConfig {
 struct MasterConfig {
   TaskManagerConfig task_manager;
   /// Shard index under a Coordinator (-1 = standalone master). When set,
-  /// every metric and probe this core registers carries a `shard` label so
-  /// multiple cores can share one MetricsRegistry without name collisions.
+  /// every series this core exports carries a `shard` label so multiple
+  /// cores can share one MetricsRegistry without name collisions.
   int shard = -1;
   /// On hello: automatically fetch eNodeB/UE/LC configuration.
   bool auto_configure = true;
@@ -131,9 +131,9 @@ struct MasterConfig {
 };
 
 /// One row of a stats table: a counter's metric identity and where it lives.
-/// Each table is the single list of its struct's counters. The metric probes
-/// and the fleet sums walk it; the scenario summary and the invariant
-/// monitor read the struct it describes.
+/// Each table is the single list of its struct's counters. The metric
+/// collectors and the fleet sums walk it; the scenario summary and the
+/// invariant monitor read the struct it describes.
 template <typename Stats>
 struct StatField {
   /// Exported series name; nullptr = summed but not exported (invariant
@@ -437,11 +437,14 @@ class ShardCore final : public NorthboundApi {
   /// Shard index under a Coordinator (-1 = standalone master).
   int shard() const { return config_.shard; }
   /// The unified metrics registry: the core's own, or the shared external
-  /// one from ObsConfig::registry. Master-owned instruments and probes are
-  /// registered only while `obs.enabled`; external components (scenario
-  /// layer, benches) may register theirs at any time.
+  /// one from ObsConfig::registry. The core's collector is registered only
+  /// while `obs.enabled`; external components (scenario layer, benches)
+  /// may add theirs at any time.
   obs::MetricsRegistry& metrics() { return *registry_; }
   const obs::MetricsRegistry& metrics() const { return *registry_; }
+  /// Writes the process-wide series (decoder anomalies). Exactly one
+  /// collector calls it: a standalone core's, or the Coordinator's.
+  static void collect_process_wide(obs::Sink& out);
   /// Per-cycle control-loop traces (empty unless `obs.enabled`).
   const obs::TraceRing& cycle_traces() const { return trace_ring_; }
   /// End-to-end control latency (send -> agent -> echo -> RIB apply) for
@@ -453,9 +456,9 @@ class ShardCore final : public NorthboundApi {
     net::Transport* transport = nullptr;  // not owned
     proto::SignalingAccountant tx;
     proto::SignalingAccountant rx;
-    /// End-to-end control-latency histogram (registry-owned); non-null only
-    /// while observability is enabled.
-    obs::Histogram* latency = nullptr;
+    /// End-to-end control-latency histogram; non-null only while
+    /// observability is enabled.
+    std::unique_ptr<obs::Histogram> latency;
   };
 
   struct PendingUpdate {
@@ -501,21 +504,10 @@ class ShardCore final : public NorthboundApi {
   template <typename M>
   util::Status send_to(AgentId agent, const M& message, bool track = false);
 
-  /// Metric/probe identity for this core: `name` with `labels`, plus a
-  /// `shard` label when this core runs under a Coordinator (shard >= 0) so
-  /// N cores sharing one registry stay distinguishable. With no labels and
-  /// no shard index this is `name` verbatim (seed-identical identities).
-  std::string probe_name(std::string name,
-                         std::vector<std::pair<std::string, std::string>> labels = {}) const;
-
-  /// Registers the master-level pull probes (ingest queue, task manager,
-  /// overload, request table, cycle-trace stage stats). obs.enabled only.
-  void register_obs_probes();
-  /// Registers one agent's probes: signaling tx/rx per category and the
-  /// end-to-end control-latency histogram. obs.enabled only.
-  void register_agent_probes(AgentId id);
-  /// Registers one app's wall-time probes. obs.enabled only.
-  void register_app_probes(const std::string& name);
+  /// The core's collector: the stats tables, the gauges and stage means,
+  /// per-app wall stats, and per-agent signaling and control latency for
+  /// the agents this core holds right now.
+  void collect(obs::Sink& out) const;
 
   /// RIB updater slot body: drains pending updates (bounded by budget in
   /// real-time mode via an update-count proxy).
@@ -661,9 +653,9 @@ class ShardCore final : public NorthboundApi {
   /// failure, capped at the checkpoint period; reset on success.
   sim::TimeUs checkpoint_backoff_us_ = 0;
   bool checkpoint_loaded_ = false;
-  /// Time-to-resync histogram (registry-owned); non-null only while
-  /// observability is enabled.
-  obs::Histogram* resync_duration_ = nullptr;
+  /// Time-to-resync histogram (1ms .. ~16s, doubling -- re-syncs span wire
+  /// RTTs to paced backlogs).
+  obs::Histogram resync_duration_{obs::exponential_bounds(1000.0, 2.0, 14)};
 
   // ---- observability ---------------------------------------------------------
   /// The core's own registry; `registry_` points here unless ObsConfig
@@ -671,6 +663,9 @@ class ShardCore final : public NorthboundApi {
   obs::MetricsRegistry metrics_;
   obs::MetricsRegistry* registry_ = &metrics_;
   obs::TraceRing trace_ring_;
+  /// Last member: unregisters collect() before anything it reads is torn
+  /// down.
+  obs::MetricsRegistry::Registration collector_;
 };
 
 }  // namespace flexran::ctrl

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -20,50 +21,43 @@ void atomic_add_double(std::atomic<std::uint64_t>& bits, double delta) {
   }
 }
 
-std::string format_number(double v) {
-  if (std::isfinite(v) && v == std::floor(v) && std::abs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    return buf;
-  }
+void append_number(std::string& out, double v) {
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-/// `name{k=v,...}` -> `name{k="v",...}` (Prometheus exposition quoting).
-std::string prometheus_name(const std::string& name) {
-  const auto brace = name.find('{');
-  if (brace == std::string::npos) return name;
-  std::string out = name.substr(0, brace + 1);
-  std::size_t i = brace + 1;
-  while (i < name.size() && name[i] != '}') {
-    const auto eq = name.find('=', i);
-    auto end = name.find(',', i);
-    if (end == std::string::npos || end > name.find('}', i)) end = name.find('}', i);
-    if (eq == std::string::npos || eq > end) break;
-    out.append(name, i, eq - i + 1);
-    out.push_back('"');
-    out.append(name, eq + 1, end - eq - 1);
-    out.push_back('"');
-    if (name[end] == ',') out.push_back(',');
-    i = end + 1;
+  if (std::isfinite(v) && v == std::floor(v) && std::abs(v) < 1e15) {
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(v)).ptr);
+    return;
   }
-  out.push_back('}');
-  return out;
+  out.append(buf, static_cast<std::size_t>(std::snprintf(buf, sizeof(buf), "%.6g", v)));
 }
 
-/// Same quoting, with an extra label appended inside the block (for
-/// histogram quantile lines).
-std::string prometheus_name_with(const std::string& name, const std::string& extra) {
-  const auto brace = name.find('{');
-  if (brace == std::string::npos) return name + "{" + extra + "}";
-  std::string quoted = prometheus_name(name);
-  quoted.insert(quoted.size() - 1, "," + extra);
-  return quoted;
+/// Appends `name` + `suffix`, then a label block holding `labels`, `more`
+/// and the pre-rendered `extra` (no block when all three are empty).
+void append_identity(std::string& out, std::string_view name, std::string_view suffix,
+                     std::initializer_list<Label> labels, std::span<const Label> more,
+                     std::string_view extra, bool quote) {
+  out += name;
+  out += suffix;
+  char separator = '{';
+  const auto append = [&](const Label& label) {
+    out.push_back(separator);
+    separator = ',';
+    out += label.first;
+    out.push_back('=');
+    if (quote) out.push_back('"');
+    out += label.second;
+    if (quote) out.push_back('"');
+  };
+  for (const Label& label : labels) append(label);
+  for (const Label& label : more) append(label);
+  if (!extra.empty()) {
+    out.push_back(separator);
+    separator = ',';
+    out += extra;
+  }
+  if (separator == ',') out.push_back('}');
 }
 
-void append_json_string(std::string& out, const std::string& s) {
+void append_json_string(std::string& out, std::string_view s) {
   out.push_back('"');
   for (char c : s) {
     if (c == '"' || c == '\\') out.push_back('\\');
@@ -73,14 +67,6 @@ void append_json_string(std::string& out, const std::string& s) {
 }
 
 }  // namespace
-
-void Gauge::set(double v) {
-  bits_.store(std::bit_cast<std::uint64_t>(v), std::memory_order_relaxed);
-}
-
-double Gauge::value() const {
-  return std::bit_cast<double>(bits_.load(std::memory_order_relaxed));
-}
 
 Histogram::Histogram(std::vector<double> upper_bounds) : bounds_(std::move(upper_bounds)) {
   if (bounds_.empty()) bounds_.push_back(1.0);
@@ -143,141 +129,123 @@ std::vector<double> exponential_bounds(double start, double factor, std::size_t 
   return bounds;
 }
 
-std::string labeled(std::string name,
-                    std::initializer_list<std::pair<const char*, std::string>> labels) {
-  if (labels.size() == 0) return name;
-  name.push_back('{');
-  bool first = true;
-  for (const auto& [key, value] : labels) {
-    if (!first) name.push_back(',');
-    first = false;
-    name += key;
-    name.push_back('=');
-    name += value;
+std::string labeled(std::string_view name, std::initializer_list<Label> labels) {
+  std::string out;
+  append_identity(out, name, {}, labels, {}, {}, false);
+  return out;
+}
+
+void Sink::line(std::string_view name, std::string_view suffix,
+                std::initializer_list<Label> labels, std::string_view extra, double v) {
+  append_identity(out_, name, suffix, labels, collector_labels_, extra, true);
+  out_.push_back(' ');
+  append_number(out_, v);
+  out_.push_back('\n');
+}
+
+void Sink::json_key(std::string_view name, std::initializer_list<Label> labels) {
+  std::string key;
+  append_identity(key, name, {}, labels, collector_labels_, {}, false);
+  if (out_.size() > 1) out_.push_back(',');
+  append_json_string(out_, key);
+  out_.push_back(':');
+}
+
+void Sink::value(std::string_view name, std::initializer_list<Label> labels, double v) {
+  ++series_;
+  if (format_ == Format::prometheus) line(name, {}, labels, {}, v);
+  if (format_ != Format::json) return;
+  json_key(name, labels);
+  append_number(out_, v);
+}
+
+void Sink::histogram(std::string_view name, std::initializer_list<Label> labels,
+                     const Histogram& h) {
+  ++series_;
+  if (format_ == Format::json) {
+    json_key(name, labels);
+    const std::pair<std::string_view, double> members[] = {
+        {"{\"count\":", static_cast<double>(h.count())},
+        {",\"sum\":", h.sum()},
+        {",\"p50\":", h.p50()},
+        {",\"p95\":", h.p95()},
+        {",\"p99\":", h.p99()}};
+    for (const auto& [prefix, v] : members) {
+      out_ += prefix;
+      append_number(out_, v);
+    }
+    out_.push_back('}');
   }
-  name.push_back('}');
-  return name;
+  if (format_ != Format::prometheus) return;
+  line(name, "_count", labels, {}, static_cast<double>(h.count()));
+  line(name, "_sum", labels, {}, h.sum());
+  line(name, {}, labels, "quantile=\"0.5\"", h.p50());
+  line(name, {}, labels, "quantile=\"0.95\"", h.p95());
+  line(name, {}, labels, "quantile=\"0.99\"", h.p99());
 }
 
-std::string labeled(std::string name,
-                    const std::vector<std::pair<std::string, std::string>>& labels) {
-  if (labels.empty()) return name;
-  name.push_back('{');
-  bool first = true;
-  for (const auto& [key, value] : labels) {
-    if (!first) name.push_back(',');
-    first = false;
-    name += key;
-    name.push_back('=');
-    name += value;
+MetricsRegistry::Registration::Registration(Registration&& other) noexcept
+    : registry_(std::exchange(other.registry_, nullptr)), id_(other.id_) {}
+
+MetricsRegistry::Registration& MetricsRegistry::Registration::operator=(
+    Registration&& other) noexcept {
+  if (this != &other) {
+    if (registry_ != nullptr) registry_->remove(id_);
+    registry_ = std::exchange(other.registry_, nullptr);
+    id_ = other.id_;
   }
-  name.push_back('}');
-  return name;
+  return *this;
 }
 
-Counter& MetricsRegistry::counter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = counters_[name];
-  if (slot == nullptr) slot = std::make_unique<Counter>();
-  return *slot;
+MetricsRegistry::Registration::~Registration() {
+  if (registry_ != nullptr) registry_->remove(id_);
 }
 
-Gauge& MetricsRegistry::gauge(const std::string& name) {
+MetricsRegistry::Registration MetricsRegistry::add_collector(
+    Collector collector, std::vector<std::pair<std::string, std::string>> labels) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = gauges_[name];
-  if (slot == nullptr) slot = std::make_unique<Gauge>();
-  return *slot;
+  const std::uint64_t id = next_id_++;
+  collectors_.push_back({id, std::move(collector), std::move(labels)});
+  return Registration(this, id);
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<double> upper_bounds) {
+void MetricsRegistry::remove(std::uint64_t id) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = histograms_[name];
-  if (slot == nullptr) slot = std::make_unique<Histogram>(std::move(upper_bounds));
-  return *slot;
+  std::erase_if(collectors_, [id](const Entry& entry) { return entry.id == id; });
 }
 
-void MetricsRegistry::register_probe(const std::string& name, std::function<double()> fn) {
+std::size_t MetricsRegistry::export_to(Sink& sink) const {
   std::lock_guard<std::mutex> lock(mu_);
-  probes_[name] = std::move(fn);
-}
-
-const Counter* MetricsRegistry::find_counter(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = counters_.find(name);
-  return it == counters_.end() ? nullptr : it->second.get();
-}
-
-const Gauge* MetricsRegistry::find_gauge(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = gauges_.find(name);
-  return it == gauges_.end() ? nullptr : it->second.get();
-}
-
-const Histogram* MetricsRegistry::find_histogram(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = histograms_.find(name);
-  return it == histograms_.end() ? nullptr : it->second.get();
+  std::vector<Label> labels;
+  for (const Entry& entry : collectors_) {
+    labels.assign(entry.labels.begin(), entry.labels.end());
+    sink.collector_labels_ = labels;
+    entry.collect(sink);
+  }
+  return sink.series_;
 }
 
 std::size_t MetricsRegistry::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counters_.size() + gauges_.size() + histograms_.size() + probes_.size();
+  std::string unused;
+  Sink sink(Sink::Format::count, unused);
+  return export_to(sink);
 }
 
 std::string MetricsRegistry::prometheus_text() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::string out;
-  for (const auto& [name, counter] : counters_) {
-    out += prometheus_name(name) + " " + format_number(static_cast<double>(counter->value())) +
-           "\n";
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    out += prometheus_name(name) + " " + format_number(gauge->value()) + "\n";
-  }
-  for (const auto& [name, probe] : probes_) {
-    out += prometheus_name(name) + " " + format_number(probe()) + "\n";
-  }
-  for (const auto& [name, histogram] : histograms_) {
-    out += prometheus_name(name + "_count") + " " +
-           format_number(static_cast<double>(histogram->count())) + "\n";
-    out += prometheus_name(name + "_sum") + " " + format_number(histogram->sum()) + "\n";
-    for (const auto& [q, label] :
-         {std::pair<double, const char*>{0.5, "quantile=\"0.5\""},
-          std::pair<double, const char*>{0.95, "quantile=\"0.95\""},
-          std::pair<double, const char*>{0.99, "quantile=\"0.99\""}}) {
-      out += prometheus_name_with(name, label) + " " + format_number(histogram->quantile(q)) +
-             "\n";
-    }
-  }
+  Sink sink(Sink::Format::prometheus, out);
+  export_to(sink);
   return out;
 }
 
 std::string MetricsRegistry::json(std::int64_t t_us) const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::string out = "{";
-  bool first = true;
-  auto append = [&](const std::string& name, const std::string& value) {
-    if (!first) out.push_back(',');
-    first = false;
-    append_json_string(out, name);
-    out.push_back(':');
-    out += value;
-  };
-  if (t_us >= 0) append("t_us", format_number(static_cast<double>(t_us)));
-  for (const auto& [name, counter] : counters_) {
-    append(name, format_number(static_cast<double>(counter->value())));
+  if (t_us >= 0) {
+    out += "\"t_us\":";
+    append_number(out, static_cast<double>(t_us));
   }
-  for (const auto& [name, gauge] : gauges_) append(name, format_number(gauge->value()));
-  for (const auto& [name, probe] : probes_) append(name, format_number(probe()));
-  for (const auto& [name, histogram] : histograms_) {
-    std::string value = "{\"count\":" + format_number(static_cast<double>(histogram->count())) +
-                        ",\"sum\":" + format_number(histogram->sum()) +
-                        ",\"p50\":" + format_number(histogram->p50()) +
-                        ",\"p95\":" + format_number(histogram->p95()) +
-                        ",\"p99\":" + format_number(histogram->p99()) + "}";
-    append(name, value);
-  }
+  Sink sink(Sink::Format::json, out);
+  export_to(sink);
   out.push_back('}');
   return out;
 }

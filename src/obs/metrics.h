@@ -1,19 +1,17 @@
 // Unified observability layer (docs/observability.md): a process-wide
-// metrics registry of named counters, gauges and fixed-bucket latency
-// histograms. Instruments are registered once (under a mutex) and then
-// sampled lock-free on the hot path: Counter::inc / Gauge::set /
-// Histogram::observe are a relaxed atomic op each, safe from any thread.
+// metrics registry of collectors, plus the fixed-bucket latency histogram
+// their owners keep.
 //
-// The registry also supports pull-model "probes" -- callbacks evaluated
-// only at export time -- which is how the pre-existing ad-hoc counters
-// (SignalingAccountant buckets, ClassedQueue shed/coalesce counters,
-// TaskManager wall stats, OverloadMonitor state, SimTransport link
-// counters) are migrated without adding a single instruction to their
-// hot paths. Export formats: a Prometheus-style text snapshot and a JSON
-// object (one flat map keyed by instrument name).
+// A collector is one callback per owner (a master shard, the Coordinator,
+// the scenario testbed) that writes every series the owner currently
+// holds into a Sink when the registry exports. Nothing is registered per
+// agent, link or app: a series exists exactly while its owner holds the
+// state behind it, and the counting hot paths gain no instruction. Export
+// formats: a Prometheus-style text snapshot and a JSON object (one flat
+// map keyed by series identity).
 //
-// Instrument names follow Prometheus conventions with an optional label
-// block appended as `name{key=value,...}` (values unquoted internally;
+// A series identity is a name plus an optional label block,
+// `name{key=value,...}` (values unquoted in the JSON keys;
 // prometheus_text() adds the quoting).
 #pragma once
 
@@ -22,34 +20,15 @@
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace flexran::obs {
-
-/// Monotonic counter; relaxed atomic increment on the hot path.
-class Counter {
- public:
-  void inc(std::uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
-  std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::uint64_t> value_{0};
-};
-
-/// Last-value gauge (a double, stored bit-cast so set/read stay lock-free).
-class Gauge {
- public:
-  void set(double v);
-  double value() const;
-
- private:
-  std::atomic<std::uint64_t> bits_{0};  // bit pattern of 0.0 is 0
-};
 
 /// Fixed-bucket latency histogram. Bucket `i` counts samples in
 /// (bounds[i-1], bounds[i]]; one implicit overflow bucket catches samples
@@ -88,51 +67,98 @@ class Histogram {
 /// the usual latency-bucket layout (e.g. 10us .. ~10ms for factor 2).
 std::vector<double> exponential_bounds(double start, double factor, std::size_t count);
 
-/// Renders `name{k=v,...}` (no quotes; empty label list = bare name).
-std::string labeled(std::string name,
-                    std::initializer_list<std::pair<const char*, std::string>> labels);
-/// Same, for label sets composed at runtime (e.g. a conditional `shard`
-/// label appended to a per-agent set).
-std::string labeled(std::string name,
-                    const std::vector<std::pair<std::string, std::string>>& labels);
+/// One label of a series identity; both strings are borrowed for the call.
+using Label = std::pair<std::string_view, std::string_view>;
 
-/// Named-instrument registry. Registration (counter/gauge/histogram/
-/// register_probe) takes a mutex and is expected at setup time; returned
-/// references stay valid for the registry's lifetime, so hot paths hold a
-/// pointer and never re-look-up. Export walks every instrument and
-/// evaluates every probe under the mutex.
+/// Renders `name{k=v,...}` (no quotes; empty label list = bare name): the
+/// identity a series is keyed by in the JSON export.
+std::string labeled(std::string_view name, std::initializer_list<Label> labels);
+
+/// What a collector writes its series into at export time. Each value() or
+/// histogram() call is one series. The registry appends the collector's
+/// own labels (e.g. `shard`) after the ones given here.
+class Sink {
+ public:
+  /// One counter or gauge.
+  void value(std::string_view name, std::initializer_list<Label> labels, double v);
+  /// One histogram: Prometheus `_count`, `_sum` and quantile lines, or a
+  /// nested JSON object.
+  void histogram(std::string_view name, std::initializer_list<Label> labels,
+                 const Histogram& h);
+
+ private:
+  friend class MetricsRegistry;
+  enum class Format { count, prometheus, json };
+  Sink(Format format, std::string& out) : format_(format), out_(out) {}
+
+  /// One Prometheus line: `name` + `suffix`, the label block (the call's
+  /// labels, the collector's, then `extra` already rendered) and `v`.
+  void line(std::string_view name, std::string_view suffix, std::initializer_list<Label> labels,
+            std::string_view extra, double v);
+  /// Starts a JSON member keyed by the series identity.
+  void json_key(std::string_view name, std::initializer_list<Label> labels);
+
+  Format format_;
+  std::string& out_;
+  std::span<const Label> collector_labels_;
+  std::size_t series_ = 0;
+};
+
+/// Writes all of one owner's series.
+using Collector = std::function<void(Sink&)>;
+
+/// The process's collectors and the two renderers. Registration and export
+/// take a mutex; an export runs every collector under it, so a collector
+/// must not register or export itself.
 class MetricsRegistry {
  public:
-  Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
-  /// Get-or-create; `upper_bounds` is used only on first creation.
-  Histogram& histogram(const std::string& name, std::vector<double> upper_bounds);
+  /// Keeps a collector registered; destroying (or reassigning) it
+  /// unregisters the collector. An owner holds it as its last member, so
+  /// no export can reach the owner once its destruction has begun.
+  class Registration {
+   public:
+    Registration() = default;
+    Registration(Registration&& other) noexcept;
+    Registration& operator=(Registration&& other) noexcept;
+    ~Registration();
 
-  /// Pull-model gauge: `fn` runs at export time. Registering an existing
-  /// name replaces the probe.
-  void register_probe(const std::string& name, std::function<double()> fn);
+   private:
+    friend class MetricsRegistry;
+    Registration(MetricsRegistry* registry, std::uint64_t id) : registry_(registry), id_(id) {}
+    MetricsRegistry* registry_ = nullptr;
+    std::uint64_t id_ = 0;
+  };
 
-  const Counter* find_counter(const std::string& name) const;
-  const Gauge* find_gauge(const std::string& name) const;
-  const Histogram* find_histogram(const std::string& name) const;
+  /// `labels` are appended to every series the collector writes. The
+  /// registry must outlive the returned handle.
+  [[nodiscard]] Registration add_collector(
+      Collector collector, std::vector<std::pair<std::string, std::string>> labels = {});
 
-  /// Instruments + probes registered.
+  /// Series exported right now (a histogram counts as one).
   std::size_t size() const;
 
-  /// Prometheus text exposition: one `name{labels} value` line per counter,
-  /// gauge and probe; histograms expand to `_count`, `_sum` and quantile
-  /// lines.
+  /// Prometheus text exposition: one `name{labels} value` line per series;
+  /// a histogram expands to `name_count{labels}`, `name_sum{labels}` and
+  /// `name{labels,quantile="q"}` lines.
   std::string prometheus_text() const;
   /// One flat JSON object; histograms render as nested objects with count,
   /// sum, p50/p95/p99. `t_us >= 0` adds a "t_us" timestamp member.
   std::string json(std::int64_t t_us = -1) const;
 
  private:
+  struct Entry {
+    std::uint64_t id = 0;
+    Collector collect;
+    std::vector<std::pair<std::string, std::string>> labels;
+  };
+
+  /// Runs every collector into `sink`; returns the series written.
+  std::size_t export_to(Sink& sink) const;
+  void remove(std::uint64_t id);
+
   mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-  std::map<std::string, std::function<double()>> probes_;
+  std::vector<Entry> collectors_;
+  std::uint64_t next_id_ = 1;
 };
 
 }  // namespace flexran::obs

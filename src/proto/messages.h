@@ -558,7 +558,7 @@ struct PolicyReconfiguration {
 /// Process-wide counters for wire data that decoded without error but lost
 /// information on the way: the decoder keeps the message rather than reject
 /// it, and counts the loss here so it is visible instead of silent. Surfaced
-/// through the master's accounting probes (docs/observability.md).
+/// through the master's metrics collector (docs/observability.md).
 struct DecodeAnomalies {
   /// UeStatsReport carried more bsr_bytes entries (field 2) than the fixed
   /// kNumLcGroups array holds; the extras were dropped.

@@ -479,11 +479,12 @@ ScenarioRunSummary run_scenario(const ScenarioSpec& spec) {
 
   ScenarioRunSummary summary;
   summary.observability = spec.observability;
+  obs::MetricsRegistry::Registration testbed_collector;
   if (spec.observability) {
-    // All eNodeBs exist now; bridge their agent/link counters into the
-    // master's registry and collect a JSON dump every metrics period. The
-    // probes (and the on_tti export) only run while the testbed is alive.
-    register_testbed_probes(testbed);
+    // Bridge the agent/link counters into the master's registry and collect
+    // a JSON dump every metrics period. The collector unregisters when this
+    // function returns, before the testbed is torn down.
+    testbed_collector = add_testbed_collector(testbed);
     const auto period_ttis =
         std::max<std::int64_t>(1, static_cast<std::int64_t>(spec.metrics_period_s * 1000.0));
     testbed.on_tti([&testbed, &summary, period_ttis](std::int64_t tti) {
@@ -558,18 +559,7 @@ ScenarioRunSummary run_scenario(const ScenarioSpec& spec) {
   for (auto& enb : testbed.enbs()) {
     summary.fenced_incarnation_messages += enb->agent->fenced_incarnation_messages();
   }
-  for (auto& enb : testbed.enbs()) {
-    ScenarioRunSummary::LinkStats link;
-    link.uplink_tx = enb->agent_side->messages_sent();
-    link.uplink_rx = enb->master_side->messages_received();
-    link.uplink_dropped = enb->agent_side->frames_dropped();
-    link.uplink_shed = enb->agent_side->frames_shed();
-    link.downlink_tx = enb->master_side->messages_sent();
-    link.downlink_rx = enb->agent_side->messages_received();
-    link.downlink_dropped = enb->master_side->frames_dropped();
-    link.downlink_shed = enb->master_side->frames_shed();
-    summary.links.push_back(link);
-  }
+  for (auto& enb : testbed.enbs()) summary.links.push_back({enb->uplink(), enb->downlink()});
   summary.shards = coordinator.shard_count();
   if (summary.shards > 1) {
     for (std::size_t i = 0; i < summary.shards; ++i) {
@@ -691,14 +681,14 @@ std::string format_summary(const ScenarioRunSummary& summary) {
     out += util::format(
         "link %zu: up tx %llu rx %llu dropped %llu shed %llu | "
         "down tx %llu rx %llu dropped %llu shed %llu\n",
-        i, static_cast<unsigned long long>(link.uplink_tx),
-        static_cast<unsigned long long>(link.uplink_rx),
-        static_cast<unsigned long long>(link.uplink_dropped),
-        static_cast<unsigned long long>(link.uplink_shed),
-        static_cast<unsigned long long>(link.downlink_tx),
-        static_cast<unsigned long long>(link.downlink_rx),
-        static_cast<unsigned long long>(link.downlink_dropped),
-        static_cast<unsigned long long>(link.downlink_shed));
+        i, static_cast<unsigned long long>(link.uplink.tx),
+        static_cast<unsigned long long>(link.uplink.rx),
+        static_cast<unsigned long long>(link.uplink.dropped),
+        static_cast<unsigned long long>(link.uplink.shed),
+        static_cast<unsigned long long>(link.downlink.tx),
+        static_cast<unsigned long long>(link.downlink.rx),
+        static_cast<unsigned long long>(link.downlink.dropped),
+        static_cast<unsigned long long>(link.downlink.shed));
   }
   if (!summary.metrics_block.empty()) out += summary.metrics_block;
   return out;

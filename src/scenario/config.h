@@ -99,7 +99,7 @@ struct ScenarioSpec {
   long long ingest_max_messages = 0;
   long long ingest_max_bytes = 0;
   // ---- observability (docs/observability.md) --------------------------------
-  /// Enable the unified metrics layer: master registry + probes, cycle
+  /// Enable the unified metrics layer: master registry + collectors, cycle
   /// tracing, Envelope timestamp echo, periodic JSON dumps. Off (default)
   /// is seed-identical.
   bool observability = false;
@@ -192,14 +192,8 @@ struct ScenarioRunSummary {
   /// Per-eNodeB control-link frame counters (same order as the spec's
   /// enbs), uplink = agent -> master.
   struct LinkStats {
-    std::uint64_t uplink_tx = 0;
-    std::uint64_t uplink_rx = 0;
-    std::uint64_t uplink_dropped = 0;
-    std::uint64_t uplink_shed = 0;
-    std::uint64_t downlink_tx = 0;
-    std::uint64_t downlink_rx = 0;
-    std::uint64_t downlink_dropped = 0;
-    std::uint64_t downlink_shed = 0;
+    LinkCounters uplink;
+    LinkCounters downlink;
   };
   std::vector<LinkStats> links;
   // ---- two-tier control plane (docs/sharded_control.md) ---------------------

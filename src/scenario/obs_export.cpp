@@ -1,6 +1,7 @@
 #include "scenario/obs_export.h"
 
-#include "obs/metrics.h"
+#include <tuple>
+
 #include "util/strings.h"
 
 namespace flexran::scenario {
@@ -15,81 +16,62 @@ constexpr net::TrafficClass kAllClasses[] = {
     net::TrafficClass::session, net::TrafficClass::command, net::TrafficClass::config,
     net::TrafficClass::event,   net::TrafficClass::sync,    net::TrafficClass::stats};
 
-}  // namespace
-
-void register_testbed_probes(Testbed& testbed) {
-  // The coordinator's registry: shard 0's own on a single-shard testbed,
-  // the shared process-wide one when sharded. Agent/link probes are keyed
-  // by agent id and link index, which are globally unique either way.
-  auto& m = testbed.coordinator().metrics();
+void collect_testbed(Testbed& testbed, obs::Sink& out) {
   for (std::size_t i = 0; i < testbed.enbs().size(); ++i) {
-    Testbed::Enb* enb = testbed.enbs()[i].get();
-    const std::string agent_label = std::to_string(enb->agent_id);
-    const std::string link_label = std::to_string(i);
-
+    const Testbed::Enb& enb = *testbed.enbs()[i];
+    const agent::Agent& agent = *enb.agent;
+    const std::string id = std::to_string(enb.agent_id);
     // Agent-side signaling accountants -- the far end of the master's
-    // signaling_{tx,rx} probes; equality across the pair is the rx-parity
+    // signaling_{tx,rx} series; equality across the pair is the rx-parity
     // invariant the accounting tests assert.
     for (const proto::MessageCategory category : kAllCategories) {
-      const std::string cat_label = proto::to_string(category);
-      m.register_probe(obs::labeled("agent_signaling_tx_bytes",
-                                    {{"agent", agent_label}, {"category", cat_label}}),
-                       [enb, category] {
-                         return static_cast<double>(enb->agent->tx_accounting().bytes(category));
-                       });
-      m.register_probe(obs::labeled("agent_signaling_rx_bytes",
-                                    {{"agent", agent_label}, {"category", cat_label}}),
-                       [enb, category] {
-                         return static_cast<double>(enb->agent->rx_accounting().bytes(category));
-                       });
+      const char* cat = proto::to_string(category);
+      out.value("agent_signaling_tx_bytes", {{"agent", id}, {"category", cat}},
+                static_cast<double>(agent.tx_accounting().bytes(category)));
+      out.value("agent_signaling_rx_bytes", {{"agent", id}, {"category", cat}},
+                static_cast<double>(agent.rx_accounting().bytes(category)));
     }
-    m.register_probe(obs::labeled("agent_messages_received", {{"agent", agent_label}}),
-                     [enb] { return static_cast<double>(enb->agent->messages_received()); });
-    m.register_probe(obs::labeled("agent_fenced_messages", {{"agent", agent_label}}),
-                     [enb] { return static_cast<double>(enb->agent->fenced_messages()); });
-    m.register_probe(obs::labeled("agent_reconnect_attempts", {{"agent", agent_label}}),
-                     [enb] { return static_cast<double>(enb->agent->reconnect_attempts()); });
-    m.register_probe(obs::labeled("agent_missed_deadlines", {{"agent", agent_label}}), [enb] {
-      return static_cast<double>(enb->agent->missed_deadline_decisions());
-    });
-    m.register_probe(obs::labeled("agent_queued_decisions", {{"agent", agent_label}}),
-                     [enb] { return static_cast<double>(enb->agent->queued_decisions()); });
+    out.value("agent_messages_received", {{"agent", id}},
+              static_cast<double>(agent.messages_received()));
+    out.value("agent_fenced_messages", {{"agent", id}},
+              static_cast<double>(agent.fenced_messages()));
+    out.value("agent_reconnect_attempts", {{"agent", id}},
+              static_cast<double>(agent.reconnect_attempts()));
+    out.value("agent_missed_deadlines", {{"agent", id}},
+              static_cast<double>(agent.missed_deadline_decisions()));
+    out.value("agent_queued_decisions", {{"agent", id}},
+              static_cast<double>(agent.queued_decisions()));
 
     // Control-link frame counters (SimTransport), uplink = agent -> master.
-    struct Direction {
-      const char* name;
-      net::SimTransport* tx_end;
-      net::SimTransport* rx_end;
-    };
-    for (const auto& dir : {Direction{"up", enb->agent_side, enb->master_side},
-                            Direction{"down", enb->master_side, enb->agent_side}}) {
-      const std::string dir_label = dir.name;
-      net::SimTransport* tx_end = dir.tx_end;
-      net::SimTransport* rx_end = dir.rx_end;
-      m.register_probe(
-          obs::labeled("link_frames_tx", {{"link", link_label}, {"dir", dir_label}}),
-          [tx_end] { return static_cast<double>(tx_end->messages_sent()); });
-      m.register_probe(
-          obs::labeled("link_frames_rx", {{"link", link_label}, {"dir", dir_label}}),
-          [rx_end] { return static_cast<double>(rx_end->messages_received()); });
-      m.register_probe(
-          obs::labeled("link_frames_dropped", {{"link", link_label}, {"dir", dir_label}}),
-          [tx_end] { return static_cast<double>(tx_end->frames_dropped()); });
-      m.register_probe(
-          obs::labeled("link_frames_shed", {{"link", link_label}, {"dir", dir_label}}),
-          [tx_end] { return static_cast<double>(tx_end->frames_shed()); });
-      m.register_probe(
-          obs::labeled("link_frames_corrupted", {{"link", link_label}, {"dir", dir_label}}),
-          [tx_end] { return static_cast<double>(tx_end->frames_corrupted()); });
+    const std::string link = std::to_string(i);
+    for (const auto& [dir, frames, tx_end] :
+         {std::tuple{"up", enb.uplink(), enb.agent_side},
+          std::tuple{"down", enb.downlink(), enb.master_side}}) {
+      out.value("link_frames_tx", {{"link", link}, {"dir", dir}}, static_cast<double>(frames.tx));
+      out.value("link_frames_rx", {{"link", link}, {"dir", dir}}, static_cast<double>(frames.rx));
+      out.value("link_frames_dropped", {{"link", link}, {"dir", dir}},
+                static_cast<double>(frames.dropped));
+      out.value("link_frames_shed", {{"link", link}, {"dir", dir}},
+                static_cast<double>(frames.shed));
+      out.value("link_frames_corrupted", {{"link", link}, {"dir", dir}},
+                static_cast<double>(frames.corrupted));
       for (const net::TrafficClass cls : kAllClasses) {
-        m.register_probe(
-            obs::labeled("link_frames_shed_class", {{"link", link_label},
-                                                    {"dir", dir_label},
-                                                    {"class", net::to_string(cls)}}),
-            [tx_end, cls] { return static_cast<double>(tx_end->frames_shed(cls)); });
+        out.value("link_frames_shed_class",
+                  {{"link", link}, {"dir", dir}, {"class", net::to_string(cls)}},
+                  static_cast<double>(tx_end->frames_shed(cls)));
       }
     }
   }
+}
+
+}  // namespace
+
+obs::MetricsRegistry::Registration add_testbed_collector(Testbed& testbed) {
+  // The coordinator's registry: shard 0's own on a single-shard testbed,
+  // the shared process-wide one when sharded. Agent ids and link indices
+  // are globally unique either way.
+  return testbed.coordinator().metrics().add_collector(
+      [&testbed](obs::Sink& out) { collect_testbed(testbed, out); });
 }
 
 std::string format_metrics_block(Testbed& testbed) {

@@ -20,7 +20,16 @@ ctrl::CoordinatorConfig coordinator_config(ctrl::MasterConfig master_config,
   }
   return config;
 }
+
+LinkCounters read_link(const net::SimTransport& tx_end, const net::SimTransport& rx_end) {
+  return {tx_end.messages_sent(), rx_end.messages_received(), tx_end.frames_dropped(),
+          tx_end.frames_shed(), tx_end.frames_corrupted()};
+}
 }  // namespace
+
+LinkCounters Testbed::Enb::uplink() const { return read_link(*agent_side, *master_side); }
+
+LinkCounters Testbed::Enb::downlink() const { return read_link(*master_side, *agent_side); }
 
 Testbed::Testbed(ctrl::MasterConfig master_config, std::size_t shards)
     : ticker_(sim_), coordinator_(sim_, coordinator_config(std::move(master_config), shards)) {}

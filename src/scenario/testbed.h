@@ -47,6 +47,17 @@ struct EnbSpec {
   std::optional<std::size_t> shard;
 };
 
+/// One direction of a control link's frame counters: frames the sending
+/// end put on the wire, dropped, shed or corrupted, and frames the far end
+/// took in.
+struct LinkCounters {
+  std::uint64_t tx = 0;
+  std::uint64_t rx = 0;
+  std::uint64_t dropped = 0;
+  std::uint64_t shed = 0;
+  std::uint64_t corrupted = 0;
+};
+
 class Testbed {
  public:
   struct Enb {
@@ -74,6 +85,9 @@ class Testbed {
     /// Restarts a crashed agent: reconnects through the reconnect provider
     /// (new session epoch), backing off while the channel is partitioned.
     void restart_agent() { agent->schedule_reconnect(); }
+    /// Control-link frame counters: uplink = agent -> master.
+    LinkCounters uplink() const;
+    LinkCounters downlink() const;
   };
 
   /// `shards` > 1 builds a two-tier control plane (docs/sharded_control.md):

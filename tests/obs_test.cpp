@@ -3,6 +3,7 @@
 #include <atomic>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -12,23 +13,6 @@ namespace flexran::obs {
 namespace {
 
 // ---------------------------------------------------------- instruments --
-
-TEST(CounterTest, StartsAtZeroAndAccumulates) {
-  Counter c;
-  EXPECT_EQ(c.value(), 0u);
-  c.inc();
-  c.inc(41);
-  EXPECT_EQ(c.value(), 42u);
-}
-
-TEST(GaugeTest, SetReadRoundTrip) {
-  Gauge g;
-  EXPECT_EQ(g.value(), 0.0);
-  g.set(3.25);
-  EXPECT_EQ(g.value(), 3.25);
-  g.set(-1e9);
-  EXPECT_EQ(g.value(), -1e9);
-}
 
 TEST(HistogramTest, BucketEdgesAreInclusiveUpper) {
   // Bucket i counts samples in (bounds[i-1], bounds[i]]; the boundary
@@ -102,82 +86,108 @@ TEST(LabeledTest, RendersLabelBlock) {
 
 // ------------------------------------------------------------- registry --
 
-TEST(RegistryTest, GetOrCreateReturnsSameInstrument) {
+TEST(RegistryTest, SizeCountsInstrumentsAndProbes) {
+  // size() counts the series the collectors export right now; a histogram
+  // is one series however many lines it renders.
   MetricsRegistry registry;
-  Counter& a = registry.counter("c");
-  Counter& b = registry.counter("c");
-  EXPECT_EQ(&a, &b);
-  a.inc();
-  EXPECT_EQ(registry.find_counter("c")->value(), 1u);
-
-  Histogram& h1 = registry.histogram("h", {1.0, 2.0});
-  Histogram& h2 = registry.histogram("h", {9.0});  // bounds ignored on reuse
-  EXPECT_EQ(&h1, &h2);
-  ASSERT_EQ(h2.bounds().size(), 2u);
-
-  EXPECT_EQ(registry.find_counter("missing"), nullptr);
-  EXPECT_EQ(registry.find_gauge("missing"), nullptr);
-  EXPECT_EQ(registry.find_histogram("missing"), nullptr);
+  Histogram histogram({1.0});
+  auto first = registry.add_collector([&histogram](Sink& out) {
+    out.value("a", {}, 1.0);
+    out.value("b", {{"k", "v"}}, 2.0);
+    out.histogram("c", {}, histogram);
+  });
+  EXPECT_EQ(registry.size(), 3u);
+  {
+    auto second = registry.add_collector([](Sink& out) { out.value("d", {}, 4.0); });
+    EXPECT_EQ(registry.size(), 4u);
+  }
+  EXPECT_EQ(registry.size(), 3u);
 }
 
-TEST(RegistryTest, SizeCountsInstrumentsAndProbes) {
+TEST(RegistryTest, RegistrationUnregistersOnDestructionOnly) {
   MetricsRegistry registry;
-  registry.counter("a");
-  registry.gauge("b");
-  registry.histogram("c", {1.0});
-  registry.register_probe("d", [] { return 4.0; });
-  registry.register_probe("d", [] { return 5.0; });  // replace, not add
-  EXPECT_EQ(registry.size(), 4u);
+  MetricsRegistry::Registration kept;
+  {
+    auto moved = registry.add_collector([](Sink& out) { out.value("x", {}, 1.0); });
+    kept = std::move(moved);  // the moved-from handle unregisters nothing
+  }
+  EXPECT_EQ(registry.size(), 1u);
+  kept = registry.add_collector([](Sink& out) { out.value("y", {}, 2.0); });
+  EXPECT_EQ(registry.prometheus_text(), "y 2\n");  // reassigning dropped "x"
+  kept = {};
+  EXPECT_EQ(registry.size(), 0u);
 }
 
 TEST(RegistryTest, PrometheusTextFormat) {
   MetricsRegistry registry;
-  registry.counter(labeled("requests_total", {{"agent", "1"}})).inc(3);
-  registry.gauge("load").set(0.5);
-  registry.register_probe("probe_val", [] { return 7.0; });
-  auto& h = registry.histogram("lat_us", {10.0, 100.0});
-  h.observe(5.0);
-  h.observe(50.0);
+  Histogram latency({10.0, 100.0});
+  latency.observe(5.0);
+  latency.observe(50.0);
+  Histogram agent_latency({10.0});
+  agent_latency.observe(4.0);
+  auto plain = registry.add_collector([&](Sink& out) {
+    out.value("requests_total", {{"agent", "1"}}, 3.0);
+    out.value("load", {}, 0.5);
+    out.histogram("lat_us", {}, latency);
+    out.histogram("agent_lat_us", {{"agent", "1"}}, agent_latency);
+  });
+  auto sharded = registry.add_collector(
+      [](Sink& out) { out.value("applied", {{"agent", "2"}}, 7.0); }, {{"shard", "1"}});
 
   const std::string text = registry.prometheus_text();
-  EXPECT_NE(text.find("requests_total{agent=\"1\"} 3"), std::string::npos) << text;
-  EXPECT_NE(text.find("load 0.5"), std::string::npos) << text;
-  EXPECT_NE(text.find("probe_val 7"), std::string::npos) << text;
-  EXPECT_NE(text.find("lat_us_count 2"), std::string::npos) << text;
-  EXPECT_NE(text.find("lat_us_sum 55"), std::string::npos) << text;
-  EXPECT_NE(text.find("quantile=\"0.5\""), std::string::npos) << text;
-  EXPECT_NE(text.find("quantile=\"0.99\""), std::string::npos) << text;
+  EXPECT_NE(text.find("requests_total{agent=\"1\"} 3\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("load 0.5\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("lat_us_count 2\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("lat_us_sum 55\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("lat_us{quantile=\"0.5\"}"), std::string::npos) << text;
+  EXPECT_NE(text.find("lat_us{quantile=\"0.99\"}"), std::string::npos) << text;
+  // A labeled histogram: the suffix goes on the name, before the labels.
+  EXPECT_NE(text.find("agent_lat_us_count{agent=\"1\"} 1\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("agent_lat_us_sum{agent=\"1\"} 4\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("agent_lat_us{agent=\"1\",quantile=\"0.95\"}"), std::string::npos)
+      << text;
+  // The collector's own labels follow the series' labels.
+  EXPECT_NE(text.find("applied{agent=\"2\",shard=\"1\"} 7\n"), std::string::npos) << text;
 }
 
 TEST(RegistryTest, JsonFormat) {
   MetricsRegistry registry;
-  registry.counter("c").inc(2);
-  registry.gauge("g").set(1.5);
-  registry.register_probe("p", [] { return 9.0; });
-  registry.histogram("h", {10.0}).observe(4.0);
+  Histogram histogram({10.0});
+  histogram.observe(4.0);
+  auto handle = registry.add_collector([&histogram](Sink& out) {
+    out.value("c", {}, 2.0);
+    out.value("g", {{"k", "v"}}, 1.5);
+    out.histogram("h", {}, histogram);
+  });
+  auto sharded =
+      registry.add_collector([](Sink& out) { out.value("p", {}, 9.0); }, {{"shard", "0"}});
 
   const std::string json = registry.json(/*t_us=*/1234);
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
-  EXPECT_NE(json.find("\"t_us\":1234"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"t_us\":1234,"), std::string::npos) << json;
   EXPECT_NE(json.find("\"c\":2"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"g\":1.5"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"p\":9"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"g{k=v}\":1.5"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"p{shard=0}\":9"), std::string::npos) << json;
   EXPECT_NE(json.find("\"h\":{\"count\":1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"p50\":"), std::string::npos) << json;
 
   // No timestamp member unless requested.
   EXPECT_EQ(registry.json().find("t_us"), std::string::npos);
+  EXPECT_EQ(registry.json().rfind("{\"c\":2,", 0), 0u);
+  EXPECT_EQ(MetricsRegistry().json(), "{}");
 }
 
 TEST(RegistryTest, ProbesEvaluatedAtExportTime) {
+  // Collectors are pull-model: they run on every export and never at
+  // registration.
   MetricsRegistry registry;
   int calls = 0;
-  registry.register_probe("live", [&calls] { return static_cast<double>(++calls); });
-  EXPECT_EQ(calls, 0);  // registration alone never runs the probe
-  (void)registry.json();
-  EXPECT_EQ(calls, 1);
-  (void)registry.prometheus_text();
+  auto handle = registry.add_collector(
+      [&calls](Sink& out) { out.value("live", {}, static_cast<double>(++calls)); });
+  EXPECT_EQ(calls, 0);
+  EXPECT_EQ(registry.json(), "{\"live\":1}");
+  EXPECT_EQ(registry.prometheus_text(), "live 2\n");
   EXPECT_EQ(calls, 2);
 }
 
@@ -211,11 +221,16 @@ TEST(TraceRingTest, EmptyRing) {
 // ---------------------------------------------------------- concurrency --
 
 TEST(ConcurrencyTest, CountersAndHistogramsUnderContention) {
-  // Exercised under TSan by tools/check.sh thread: concurrent inc/observe
-  // must be race-free, and no increment may be lost.
+  // Exercised under TSan by tools/check.sh thread: concurrent increments
+  // and observes must be race-free against a concurrent export, and no
+  // increment may be lost.
   MetricsRegistry registry;
-  Counter& counter = registry.counter("contended");
-  Histogram& histogram = registry.histogram("contended_lat", exponential_bounds(1.0, 2.0, 10));
+  std::atomic<std::uint64_t> counter{0};
+  Histogram histogram(exponential_bounds(1.0, 2.0, 10));
+  auto handle = registry.add_collector([&counter, &histogram](Sink& out) {
+    out.value("contended", {}, static_cast<double>(counter.load(std::memory_order_relaxed)));
+    out.histogram("contended_lat", {}, histogram);
+  });
   constexpr int kThreads = 4;
   constexpr int kOpsPerThread = 10'000;
   std::vector<std::thread> threads;
@@ -223,12 +238,11 @@ TEST(ConcurrencyTest, CountersAndHistogramsUnderContention) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&counter, &histogram, t] {
       for (int i = 0; i < kOpsPerThread; ++i) {
-        counter.inc();
+        counter.fetch_add(1, std::memory_order_relaxed);
         histogram.observe(static_cast<double>((t * 37 + i) % 600));
       }
     });
   }
-  // Concurrent reader: exports while writers are live must be safe.
   std::atomic<bool> stop{false};
   std::thread reader([&registry, &stop] {
     while (!stop.load(std::memory_order_relaxed)) (void)registry.json();
@@ -237,7 +251,7 @@ TEST(ConcurrencyTest, CountersAndHistogramsUnderContention) {
   stop.store(true, std::memory_order_relaxed);
   reader.join();
 
-  EXPECT_EQ(counter.value(), static_cast<std::uint64_t>(kThreads) * kOpsPerThread);
+  EXPECT_EQ(counter.load(), static_cast<std::uint64_t>(kThreads) * kOpsPerThread);
   EXPECT_EQ(histogram.count(), static_cast<std::uint64_t>(kThreads) * kOpsPerThread);
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "proto/messages.h"
@@ -267,12 +268,17 @@ ScenarioRunSummary run_checked_in(const std::string& name, bool observability) {
   return run_scenario(*spec);
 }
 
-TEST(ScenarioGolden, EveryCheckedInScenarioMatchesItsSummary) {
+std::vector<std::string> checked_in_scenarios() {
   std::vector<std::string> names;
   for (const auto& entry : std::filesystem::directory_iterator(kSourceDir / "scenarios")) {
     if (entry.path().extension() == ".yaml") names.push_back(entry.path().stem().string());
   }
   std::sort(names.begin(), names.end());
+  return names;
+}
+
+TEST(ScenarioGolden, EveryCheckedInScenarioMatchesItsSummary) {
+  const auto names = checked_in_scenarios();
   ASSERT_EQ(names.size(), 9u);
   for (const auto& name : names) {
     SCOPED_TRACE(name);
@@ -315,6 +321,21 @@ TEST(ScenarioGolden, MetricExportMatchesItsSnapshot) {
     const auto summary = run_checked_in(name, true);
     EXPECT_EQ(metric_snapshot(summary.metrics_prometheus),
               read_file(kSourceDir / "tests" / "golden" / ("metrics_" + name + ".txt")));
+  }
+}
+
+// Every series identity (`name{labels}`) is exported once: a histogram's
+// `_count` and `_sum` lines carry their own names, and no two owners write
+// the same series.
+TEST(ScenarioGolden, EverySeriesIdentityIsExportedOnce) {
+  for (const auto& name : checked_in_scenarios()) {
+    SCOPED_TRACE(name);
+    const auto summary = run_checked_in(name, true);
+    std::map<std::string, int> seen;
+    std::istringstream lines(summary.metrics_prometheus);
+    for (std::string line; std::getline(lines, line);) ++seen[line.substr(0, line.rfind(' '))];
+    EXPECT_GT(seen.size(), 100u);
+    for (const auto& [identity, count] : seen) EXPECT_EQ(count, 1) << identity;
   }
 }
 

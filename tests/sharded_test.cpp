@@ -5,8 +5,10 @@
 // one shard's crash leaves the other shards' control loops running.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 
 #include "apps/mobility_manager.h"
@@ -622,7 +624,7 @@ TEST(ShardedObs, SharedRegistryKeepsPerShardMetricIdentities) {
   testbed.add_enb(spec(2, 1));
   testbed.run_ttis(50);
 
-  // One registry for the whole process; every shard's probes carry its
+  // One registry for the whole process; every shard's series carry its
   // `shard` label, so identities never collide.
   const auto text = testbed.coordinator().metrics().prometheus_text();
   EXPECT_NE(text.find("cycles_run{shard=\"0\"}"), std::string::npos);
@@ -661,7 +663,7 @@ TEST(ShardedObs, ProcessWideDecodeAnomaliesExportOnce) {
   EXPECT_NE(text.find("proto_decode_anomalies "), std::string::npos);
 }
 
-// One table drives both the per-shard probes and the fleet fold: every
+// One table drives both the per-shard series and the fleet fold: every
 // exported counter reads its shard's ShardStats field, and the
 // Coordinator's sum matches field by field.
 TEST(ShardedObs, StatsTableDrivesProbesAndFleetSums) {
@@ -694,6 +696,94 @@ TEST(ShardedObs, StatsTableDrivesProbesAndFleetSums) {
                 per_shard[0].ingest[cls].*f.field + per_shard[1].ingest[cls].*f.field);
     }
   }
+}
+
+// Per-agent series follow the agent: each shard's collector writes only the
+// agents it holds, so a migrated agent's series leave the old shard and
+// start over under the adopter's `shard` label.
+std::map<std::string, double> scrape(const Coordinator& coordinator) {
+  std::map<std::string, double> series;
+  std::istringstream lines(coordinator.metrics().prometheus_text());
+  for (std::string line; std::getline(lines, line);) {
+    const auto space = line.rfind(' ');
+    series[line.substr(0, space)] = std::stod(line.substr(space + 1));
+  }
+  return series;
+}
+
+std::string label(const std::string& identity, const std::string& key) {
+  const auto at = identity.find(key + "=\"");
+  if (at == std::string::npos) return "";
+  const auto begin = at + key.size() + 2;
+  return identity.substr(begin, identity.find('"', begin) - begin);
+}
+
+bool per_agent_counter(const std::string& identity) {
+  return identity.rfind("signaling_", 0) == 0 ||
+         identity.rfind("control_latency_us_count{", 0) == 0 ||
+         identity.rfind("control_latency_us_sum{", 0) == 0;
+}
+
+void expect_series_follow_agents(const Coordinator& coordinator,
+                                 const std::map<std::string, double>& before,
+                                 const std::map<std::string, double>& after,
+                                 std::size_t emptied) {
+  std::map<std::string, std::set<std::string>> shards_per_agent;
+  for (const auto& [identity, value] : after) {
+    const std::string agent = label(identity, "agent");
+    if (agent.empty()) continue;
+    const std::string shard = label(identity, "shard");
+    EXPECT_NE(shard, std::to_string(emptied)) << identity;
+    if (identity.rfind("signaling_", 0) == 0 || identity.rfind("control_latency_us", 0) == 0) {
+      shards_per_agent[agent].insert(shard);
+      const auto owner = coordinator.shard_of(static_cast<ctrl::AgentId>(std::stoul(agent)));
+      ASSERT_TRUE(owner.has_value()) << identity;
+      EXPECT_EQ(shard, std::to_string(*owner)) << identity;
+    }
+  }
+  EXPECT_EQ(shards_per_agent.size(), coordinator.agent_count());
+  for (const auto& [agent, shards] : shards_per_agent) {
+    EXPECT_EQ(shards.size(), 1u) << "agent " << agent;
+  }
+  for (const auto& [identity, value] : before) {
+    const auto it = after.find(identity);
+    if (it == after.end() || !per_agent_counter(identity)) continue;
+    EXPECT_GE(it->second, value) << identity;
+  }
+}
+
+TEST(ShardedObs, AgentSeriesLeaveADrainedShard) {
+  auto config = failover_config(/*warm_checkpoints=*/true);
+  config.obs.enabled = true;
+  Testbed testbed(config, 2);
+  testbed.add_enb(spec(1, 0));
+  testbed.add_enb(spec(2, 0));
+  testbed.add_enb(spec(3, 1));
+  testbed.run_seconds(0.5);
+
+  auto& coordinator = testbed.coordinator();
+  const auto before = scrape(coordinator);
+  ASSERT_TRUE(coordinator.drain_shard(0).ok());
+  testbed.run_ttis(4);
+  ASSERT_EQ(coordinator.shard_health(0), Coordinator::ShardHealth::drained);
+  testbed.run_ttis(300);
+  expect_series_follow_agents(coordinator, before, scrape(coordinator), 0);
+}
+
+TEST(ShardedObs, AgentSeriesLeaveAKilledShard) {
+  auto config = failover_config(/*warm_checkpoints=*/true);
+  config.obs.enabled = true;
+  Testbed testbed(config, 2);
+  testbed.add_enb(spec(1, 0));
+  testbed.add_enb(spec(2, 0));
+  testbed.add_enb(spec(3, 1));
+  testbed.run_seconds(0.5);
+
+  auto& coordinator = testbed.coordinator();
+  const auto before = scrape(coordinator);
+  ASSERT_EQ(coordinator.kill_shard(0), 2u);
+  testbed.run_ttis(300);
+  expect_series_follow_agents(coordinator, before, scrape(coordinator), 0);
 }
 
 // ----------------------------------------- failover edge cases (monitored) --
