@@ -31,6 +31,12 @@ using namespace flexran;
 
 namespace {
 
+/// The application slot as Fig. 8 reports it: event dispatch, the apps and
+/// the command flush, from the Task Manager's stage table.
+double app_slot_us(const ctrl::CycleStages& stages) {
+  return stages.event.mean() + stages.apps.mean() + stages.flush.mean();
+}
+
 struct MasterLoad {
   double apps_us = 0.0;
   double core_us = 0.0;
@@ -62,8 +68,8 @@ MasterLoad run(int n_agents, double seconds) {
 
   MasterLoad load;
   const auto& tm = testbed.master().task_manager();
-  load.apps_us = tm.apps_time_us().mean();
-  load.core_us = tm.updater_time_us().mean();
+  load.apps_us = app_slot_us(tm.stages());
+  load.core_us = tm.stages().updater.mean();
   load.idle_fraction = tm.mean_idle_fraction();
   load.rib_kb = static_cast<double>(testbed.master().rib_bytes()) / 1024.0;
   load.updates = testbed.master().stats().updates_applied;
@@ -82,8 +88,8 @@ MasterLoad run_empty(double seconds) {
   simulator.run_until(sim::from_seconds(seconds));
 
   MasterLoad load;
-  load.apps_us = master.task_manager().apps_time_us().mean();
-  load.core_us = master.task_manager().updater_time_us().mean();
+  load.apps_us = app_slot_us(master.task_manager().stages());
+  load.core_us = master.task_manager().stages().updater.mean();
   load.idle_fraction = master.task_manager().mean_idle_fraction();
   load.rib_kb = static_cast<double>(master.rib_bytes()) / 1024.0;
   return load;
@@ -201,7 +207,6 @@ SweepResult run_sweep(int workers, int n_agents, int cycles, std::int64_t stall_
   }
 
   ctrl::SnapshotStore store;
-  util::RunningStats publish_us;
   std::set<ctrl::AgentId> all_dirty;
   for (ctrl::AgentId id = 1; id <= static_cast<ctrl::AgentId>(n_agents); ++id) {
     all_dirty.insert(id);
@@ -219,12 +224,9 @@ SweepResult run_sweep(int workers, int n_agents, int cycles, std::int64_t stall_
           auto& agent = rib.agent(id);
           for (auto& ue : agent.ues) ue.stats.dl_bytes_delivered += 1500;
         }
-        const auto start = std::chrono::steady_clock::now();
+      },
+      [&] {
         store.publish(rib, all_dirty, /*structure_changed=*/store.current()->version() == 0);
-        publish_us.add(std::chrono::duration<double, std::micro>(
-                           std::chrono::steady_clock::now() - start)
-                           .count());
-        return static_cast<std::size_t>(n_agents);
       },
       nullptr);
   tm.set_snapshot_source([&] { return store.current(); }, [] { return sim::TimeUs{0}; });
@@ -248,9 +250,9 @@ SweepResult run_sweep(int workers, int n_agents, int cycles, std::int64_t stall_
   result.agents = n_agents;
   result.cycles_per_sec = cycles / (wall_us / 1e6);
   result.mean_cycle_us = wall_us / cycles;
-  result.mean_updater_us = tm.updater_time_us().mean();
-  result.mean_app_slot_us = tm.apps_time_us().mean();
-  result.mean_publish_us = publish_us.mean();
+  result.mean_updater_us = tm.stages().updater.mean();
+  result.mean_app_slot_us = app_slot_us(tm.stages());
+  result.mean_publish_us = tm.stages().publish.mean();
   result.commands = tm.commands_flushed();
   return result;
 }
@@ -373,8 +375,8 @@ ShardSweepResult run_shard_sweep(std::size_t shards, int n_agents, int cycles,
     ShardDetail detail;
     detail.agents = core.rib().agents().size();
     detail.updates = core.stats().updates_applied;
-    detail.updater_us = core.task_manager().updater_time_us().mean();
-    detail.app_slot_us = core.task_manager().apps_time_us().mean();
+    detail.updater_us = core.task_manager().stages().updater.mean();
+    detail.app_slot_us = app_slot_us(core.task_manager().stages());
     result.per_shard.push_back(detail);
   }
   return result;
@@ -476,8 +478,16 @@ int main(int argc, char** argv) {
 
   const char* json_path = argc > 1 ? argv[1] : "BENCH_fig8_workers.json";
   std::ofstream json(json_path);
-  json << "{\n  \"bench\": \"fig8_worker_sweep\",\n"
-       << "  \"host_cores\": " << std::thread::hardware_concurrency() << ",\n"
+  json << "{\n  "
+       << bench::json_header(
+              "fig8_worker_sweep",
+              "cycles=" + std::to_string(kCycles) + " stall_us=" + std::to_string(kStallUs) +
+                  " agents=2,4,8 workers=0,1,2,4,8 shard_agents=" +
+                  std::to_string(kShardAgents) + " shard_cycles=" +
+                  std::to_string(kShardCycles) + " shard_apps=" + std::to_string(kShardApps) +
+                  " shard_stall_us=" + std::to_string(kShardStallUs) +
+                  " report_period=" + std::to_string(kReportPeriod) + " shards=1,2,4,8")
+       << ",\n  \"host_cores\": " << std::thread::hardware_concurrency() << ",\n"
        << "  \"cycles\": " << kCycles << ",\n  \"stall_us\": " << kStallUs << ",\n"
        << "  \"note\": \"per-agent priority-1 apps each stall stall_us on a simulated "
           "external service call per cycle; speedup = overlap of those stalls across "

@@ -6,9 +6,9 @@
 //    counters at export time only) vs Histogram::observe, plus the cost
 //    of a full registry export.
 //
-// 2. Control-loop latency breakdown: a testbed run with tracing enabled,
+// 2. Control-loop latency breakdown: a testbed run with obs enabled,
 //    reporting where a control cycle's wall time goes (updater / events /
-//    apps / flush) and the end-to-end control latency quantiles measured
+//    apps / flush, from the Task Manager's stage table) and the end-to-end control latency quantiles measured
 //    by the Envelope timestamp echo. Emits BENCH_latency_breakdown.json.
 #include <chrono>
 #include <cstdio>
@@ -108,12 +108,12 @@ Breakdown measure_breakdown() {
   testbed.run_seconds(kDurationS);
 
   Breakdown breakdown;
-  const auto& traces = testbed.master().cycle_traces();
-  breakdown.cycles = traces.recorded();
-  breakdown.updater_us_mean = traces.updater_us().mean();
-  breakdown.event_us_mean = traces.event_us().mean();
-  breakdown.apps_us_mean = traces.apps_us().mean();
-  breakdown.flush_us_mean = traces.flush_us().mean();
+  const auto& stages = testbed.master().task_manager().stages();
+  breakdown.cycles = stages.updater.count();
+  breakdown.updater_us_mean = stages.updater.mean();
+  breakdown.event_us_mean = stages.event.mean();
+  breakdown.apps_us_mean = stages.apps.mean();
+  breakdown.flush_us_mean = stages.flush.mean();
   breakdown.series = testbed.master().metrics().size();
   const auto* latency = testbed.master().control_latency(enb.agent_id);
   if (latency != nullptr) {
@@ -141,11 +141,11 @@ int main() {
   std::printf("%-26s %10.2f us (200-series registry json())\n", "registry export",
               micro.registry_export_us);
 
-  bench::print_header("Control-loop latency breakdown (tracing + timestamp echo)");
+  bench::print_header("Control-loop latency breakdown (stage timing + timestamp echo)");
   bench::print_note(
       "One eNodeB, 2 ms control delay each way, stats every 2 TTIs, echo\n"
-      "every 100 cycles, 4 s run. Stage means from the cycle trace ring;\n"
-      "end-to-end latency from the Envelope timestamp echo.");
+      "every 100 cycles, 4 s run. Stage means from the Task Manager's\n"
+      "stage table; end-to-end latency from the Envelope timestamp echo.");
   const Breakdown breakdown = measure_breakdown();
   std::printf("\ncycles traced: %llu, registry series: %zu\n",
               static_cast<unsigned long long>(breakdown.cycles), breakdown.series);

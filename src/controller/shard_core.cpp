@@ -1,7 +1,6 @@
 #include "controller/shard_core.h"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <stdexcept>
 #include <type_traits>
@@ -12,9 +11,6 @@
 namespace flexran::ctrl {
 
 namespace {
-
-/// Control-loop trace ring capacity (most recent cycles kept verbatim).
-constexpr std::size_t kTraceCycles = 4096;
 
 /// Packs (agent, kind, request_id) into one coalesce key. Kinds: 1 =
 /// periodic StatsReply (per request_id), 2 = subframe tick (one per
@@ -31,19 +27,16 @@ ShardCore::ShardCore(sim::Simulator& sim, MasterConfig config)
       task_manager_(
           config_.task_manager,
           [this](std::int64_t budget_us) {
-            // The updater slot ends by publishing the cycle's snapshot --
-            // the version the applications dispatched this cycle will read.
-            const std::size_t applied = drain_pending(budget_us);
+            drain_pending(budget_us);
             overload_step();
-            publish_snapshot();
-            return applied;
           },
+          // The updater slot ends by publishing the cycle's snapshot -- the
+          // version the applications dispatched this cycle will read.
+          [this] { publish_snapshot(); },
           [this] { dispatch_events(); }),
-      overload_monitor_(config_.overload),
-      trace_ring_(kTraceCycles) {
+      overload_monitor_(config_.overload) {
   if (config_.obs.registry != nullptr) registry_ = config_.obs.registry;
   pending_.set_budget(config_.overload.ingest);
-  if (config_.obs.enabled) task_manager_.set_trace_sink(&trace_ring_);
   task_manager_.set_snapshot_source([this] { return snapshots_.current(); },
                                     [this] { return sim_.now(); });
   task_manager_.set_command_hooks(BatchingNorthbound::Hooks{
@@ -220,7 +213,7 @@ App* ShardCore::add_app(std::unique_ptr<App> app) {
 
 // ------------------------------------------------------------- RIB updater
 
-std::size_t ShardCore::drain_pending(std::int64_t budget_us) {
+void ShardCore::drain_pending(std::int64_t budget_us) {
   // In real-time mode the updater slot admits at most 4 updates per
   // microsecond of budget, without a clock read per message. That figure
   // is an admission count, not a time bound: a 16-UE stats reply costs
@@ -244,7 +237,6 @@ std::size_t ShardCore::drain_pending(std::int64_t budget_us) {
     updater_saturated_cycle_ = true;
     ++stats_.updater_saturations;
   }
-  return applied;
 }
 
 void ShardCore::overload_step() {
@@ -321,14 +313,10 @@ void ShardCore::renegotiate_reports() {
 }
 
 void ShardCore::publish_snapshot() {
-  const auto start = std::chrono::steady_clock::now();
   snapshots_.publish(rib_, dirty_agents_, rib_structure_changed_, overload_monitor_.state(),
                      recovering_);
   dirty_agents_.clear();
   rib_structure_changed_ = false;
-  snapshot_publish_time_.add(
-      std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - start)
-          .count());
 }
 
 void ShardCore::apply_update(const PendingUpdate& update) {
@@ -1333,14 +1321,15 @@ void ShardCore::collect(obs::Sink& out) const {
   out.value("throttle_multiplier", {}, static_cast<double>(throttle_multiplier_));
   out.value("recovering", {}, recovering_ ? 1.0 : 0.0);
   out.value("idle_fraction", {}, task_manager_.mean_idle_fraction());
-  out.value("snapshot_publish_us_mean", {}, snapshot_publish_time_.mean());
-  out.value("cycle_updater_us_mean", {}, trace_ring_.updater_us().mean());
-  out.value("cycle_updater_us_max", {}, trace_ring_.updater_us().max());
-  out.value("cycle_event_us_mean", {}, trace_ring_.event_us().mean());
-  out.value("cycle_apps_us_mean", {}, trace_ring_.apps_us().mean());
-  out.value("cycle_apps_us_max", {}, trace_ring_.apps_us().max());
-  out.value("cycle_flush_us_mean", {}, trace_ring_.flush_us().mean());
-  out.value("cycle_flush_us_max", {}, trace_ring_.flush_us().max());
+  const CycleStages& stages = task_manager_.stages();
+  out.value("snapshot_publish_us_mean", {}, stages.publish.mean());
+  out.value("cycle_updater_us_mean", {}, stages.updater.mean());
+  out.value("cycle_updater_us_max", {}, stages.updater.max());
+  out.value("cycle_event_us_mean", {}, stages.event.mean());
+  out.value("cycle_apps_us_mean", {}, stages.apps.mean());
+  out.value("cycle_apps_us_max", {}, stages.apps.max());
+  out.value("cycle_flush_us_mean", {}, stages.flush.mean());
+  out.value("cycle_flush_us_max", {}, stages.flush.max());
   out.histogram("resync_duration_us", {}, resync_duration_);
   if (config_.shard < 0) collect_process_wide(out);
   for (const auto& stat : task_manager_.app_stats()) {

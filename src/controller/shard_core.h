@@ -35,7 +35,6 @@
 #include "net/transport.h"
 #include "obs/metrics.h"
 #include "proto/checkpoint.h"
-#include "obs/trace.h"
 #include "proto/accounting.h"
 #include "proto/wire.h"
 #include "sim/simulator.h"
@@ -44,9 +43,10 @@ namespace flexran::ctrl {
 
 /// Unified observability layer (docs/observability.md). Off by default:
 /// with `enabled == false` the master neither stamps envelopes, records
-/// latency, traces cycles nor registers its collector -- behavior and wire
-/// traffic are identical to a build without the layer (the repo's
-/// `0/0 = off` convention).
+/// latency nor registers its collector -- behavior and wire traffic are
+/// identical to a build without the layer (the repo's `0/0 = off`
+/// convention). Cycle-stage timing is not part of the layer: the Task
+/// Manager times its stages either way.
 struct ObsConfig {
   bool enabled = false;
   /// External registry to register the core's collector in (nullptr = use
@@ -391,8 +391,9 @@ class ShardCore final : public NorthboundApi {
   /// thread only, like run_cycle().
   ShardStats stats() const;
   std::uint64_t snapshot_version() const { return snapshots_.current()->version(); }
-  /// Wall time of each snapshot publish (Fig. 8 companion series).
-  const util::RunningStats& snapshot_publish_us() const { return snapshot_publish_time_; }
+  /// Wall time of each cycle's snapshot publish (Fig. 8 companion series;
+  /// the Task Manager's publish stage).
+  const util::RunningStats& snapshot_publish_us() const { return task_manager_.stages().publish; }
   /// Master -> agent signaling (Fig. 7b).
   const proto::SignalingAccountant& tx_accounting(AgentId agent) const;
   /// Agent -> master signaling as received (Fig. 7a).
@@ -445,8 +446,6 @@ class ShardCore final : public NorthboundApi {
   /// Writes the process-wide series (decoder anomalies). Exactly one
   /// collector calls it: a standalone core's, or the Coordinator's.
   static void collect_process_wide(obs::Sink& out);
-  /// Per-cycle control-loop traces (empty unless `obs.enabled`).
-  const obs::TraceRing& cycle_traces() const { return trace_ring_; }
   /// End-to-end control latency (send -> agent -> echo -> RIB apply) for
   /// one agent; nullptr when observability is off or the agent is unknown.
   const obs::Histogram* control_latency(AgentId agent) const;
@@ -511,7 +510,7 @@ class ShardCore final : public NorthboundApi {
 
   /// RIB updater slot body: drains pending updates (bounded by budget in
   /// real-time mode via an update-count proxy).
-  std::size_t drain_pending(std::int64_t budget_us);
+  void drain_pending(std::int64_t budget_us);
   /// Overload watchdog step: runs after the drain, feeds the monitor one
   /// sample and reacts to state transitions (events, throttling).
   void overload_step();
@@ -585,7 +584,6 @@ class ShardCore final : public NorthboundApi {
   proto::StatsReply stats_reply_;
   /// An agent was added or removed since the last publish.
   bool rib_structure_changed_ = false;
-  util::RunningStats snapshot_publish_time_;
   TaskManager task_manager_;
   ConflictArbiter arbiter_;
 
@@ -662,7 +660,6 @@ class ShardCore final : public NorthboundApi {
   /// supplied a shared external one.
   obs::MetricsRegistry metrics_;
   obs::MetricsRegistry* registry_ = &metrics_;
-  obs::TraceRing trace_ring_;
   /// Last member: unregisters collect() before anything it reads is torn
   /// down.
   obs::MetricsRegistry::Registration collector_;

@@ -6,15 +6,20 @@
 namespace flexran::ctrl {
 
 namespace {
-double elapsed_us(std::chrono::steady_clock::time_point from) {
-  return std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - from)
-      .count();
+using Clock = std::chrono::steady_clock;
+
+double us_between(Clock::time_point from, Clock::time_point to) {
+  return std::chrono::duration<double, std::micro>(to - from).count();
 }
+double elapsed_us(Clock::time_point from) { return us_between(from, Clock::now()); }
 }  // namespace
 
-TaskManager::TaskManager(TaskManagerConfig config, UpdaterFn updater,
+TaskManager::TaskManager(TaskManagerConfig config, UpdaterFn updater, PublishFn publish,
                          EventDispatchFn event_dispatch)
-    : config_(config), updater_(std::move(updater)), event_dispatch_(std::move(event_dispatch)) {
+    : config_(config),
+      updater_(std::move(updater)),
+      publish_(std::move(publish)),
+      event_dispatch_(std::move(event_dispatch)) {
   for (int i = 0; i < config_.workers; ++i) {
     pool_.emplace_back([this] { worker_loop(); });
   }
@@ -29,8 +34,7 @@ void TaskManager::set_snapshot_source(SnapshotFn snapshot, NowFn now) {
 
 std::int64_t TaskManager::updater_budget_us() const {
   return config_.real_time
-             ? static_cast<std::int64_t>(config_.updater_share *
-                                         static_cast<double>(config_.cycle_us))
+             ? static_cast<std::int64_t>(kUpdaterShare * static_cast<double>(config_.cycle_us))
              : std::int64_t{0};
 }
 
@@ -88,23 +92,28 @@ std::vector<TaskManager::Entry*> TaskManager::runnable_entries() const {
 }
 
 void TaskManager::run_cycle(std::int64_t cycle, NorthboundApi& api) {
+  (void)api;
   ++cycles_;
 
-  // Slot 1: the RIB updater (sole writer; this thread). In pipelined mode
-  // the previous cycle's applications are still running against their
-  // snapshot while the updater mutates the live RIB -- that overlap is the
-  // point of snapshot versioning.
-  const auto updater_start = std::chrono::steady_clock::now();
-  const std::size_t applied = updater_ ? updater_(updater_budget_us()) : 0;
-  const double updater_us = elapsed_us(updater_start);
-  updater_time_.add(updater_us);
+  // Slot 1: the RIB updater (sole writer; this thread), ending with the
+  // snapshot publish. In pipelined mode the previous cycle's applications
+  // are still running against their snapshot while the updater mutates the
+  // live RIB -- that overlap is the point of snapshot versioning.
+  const auto updater_start = Clock::now();
+  if (updater_) updater_(updater_budget_us());
+  const auto publish_start = Clock::now();
+  if (publish_) publish_();
+  const auto updater_end = Clock::now();
+  const double updater_us = us_between(updater_start, updater_end);
+  stages_.updater.add(updater_us);
+  stages_.publish.add(us_between(publish_start, updater_end));
   if (config_.real_time && updater_us > static_cast<double>(updater_budget_us())) {
     ++updater_overruns_;
   }
 
   if (config_.workers <= 0) {
     slot_busy_ = true;
-    run_slot_inline(cycle, api, updater_us, applied);
+    run_slot_inline(cycle);
     slot_busy_ = false;
     apply_deferred();
     return;
@@ -113,93 +122,62 @@ void TaskManager::run_cycle(std::int64_t cycle, NorthboundApi& api) {
   // Pipelined: retire the previous application slot (join workers, flush
   // its command batches in schedule order), then dispatch this cycle's.
   join_and_flush();
-  const auto events_start = std::chrono::steady_clock::now();
+  const auto events_start = Clock::now();
   if (event_dispatch_) event_dispatch_();
-  const double event_us = elapsed_us(events_start);
-  if (trace_ != nullptr) {
-    // Apps/flush timings are filled in when this cycle's slot is retired
-    // (the next join_and_flush, or the degrade path in dispatch_slot).
-    pending_trace_ = obs::CycleTrace{cycle, updater_us, event_us, 0.0, 0.0, applied, 0};
-    pending_trace_valid_ = true;
-  }
-  dispatch_slot(cycle, event_us);
+  stages_.event.add(elapsed_us(events_start));
+  dispatch_slot(cycle);
 }
 
-void TaskManager::run_slot_inline(std::int64_t cycle, NorthboundApi& api, double updater_us,
-                                  std::size_t updates_applied) {
-  (void)api;
+void TaskManager::run_slot_inline(std::int64_t cycle) {
   // Slot 2: Event Notification Service, then the applications in priority
   // order (non-preemptive). Each app runs pinned to the cycle's snapshot
   // and its batch flushes immediately after it returns, preserving the
   // original per-app command ordering on the wire.
-  const bool tracing = trace_ != nullptr;
-  const auto apps_start = std::chrono::steady_clock::now();
-  double event_us = 0.0;
-  if (tracing) {
-    const auto events_start = std::chrono::steady_clock::now();
-    if (event_dispatch_) event_dispatch_();
-    event_us = elapsed_us(events_start);
-  } else if (event_dispatch_) {
-    event_dispatch_();
-  }
+  const auto events_start = Clock::now();
+  if (event_dispatch_) event_dispatch_();
+  const auto apps_start = Clock::now();
+  stages_.event.add(us_between(events_start, apps_start));
   const std::int64_t budget = app_slot_budget_us();
   double flush_us = 0.0;
-  std::uint64_t flushed = 0;
   for (Entry* entry : runnable_entries()) {
     const auto snapshot = snapshot_fn_ ? snapshot_fn_() : nullptr;
     if (snapshot != nullptr) {
       entry->proxy->pin(snapshot, now_fn_ ? now_fn_() : entry->proxy->now());
     }
-    const auto app_start = std::chrono::steady_clock::now();
+    const auto app_start = Clock::now();
     entry->app->on_cycle(cycle, *entry->proxy);
-    const double wall = elapsed_us(app_start);
+    const auto app_end = Clock::now();
+    const double wall = us_between(app_start, app_end);
     entry->wall_us.add(wall);
     if (budget > 0 && wall > static_cast<double>(budget)) ++entry->overruns;
     if (snapshot != nullptr) {
-      if (tracing) {
-        const auto flush_start = std::chrono::steady_clock::now();
-        const std::size_t n = entry->proxy->flush();
-        flush_us += elapsed_us(flush_start);
-        commands_flushed_ += n;
-        flushed += n;
-      } else {
-        commands_flushed_ += entry->proxy->flush();
-      }
+      commands_flushed_ += entry->proxy->flush();
+      flush_us += elapsed_us(app_end);
     }
   }
-  const double slot_us = elapsed_us(apps_start);
-  apps_time_.add(slot_us);
-  if (tracing) {
-    trace_->add({cycle, updater_us, event_us,
-                 std::max(0.0, slot_us - event_us - flush_us), flush_us, updates_applied,
-                 flushed});
-  }
+  stages_.apps.add(std::max(0.0, elapsed_us(apps_start) - flush_us));
+  stages_.flush.add(flush_us);
 }
 
-void TaskManager::dispatch_slot(std::int64_t cycle, double event_us) {
+void TaskManager::dispatch_slot(std::int64_t cycle) {
   const auto snapshot = snapshot_fn_ ? snapshot_fn_() : nullptr;
   auto entries = runnable_entries();
   if (snapshot == nullptr || entries.empty()) {
     // Nothing to run concurrently (or no snapshot source wired): degrade
     // to the inline path so reads stay safe.
     slot_busy_ = true;
-    const auto start = std::chrono::steady_clock::now();
+    const auto start = Clock::now();
     const std::int64_t budget = app_slot_budget_us();
     for (Entry* entry : entries) {
-      const auto app_start = std::chrono::steady_clock::now();
+      const auto app_start = Clock::now();
       entry->app->on_cycle(cycle, *entry->proxy);
       const double wall = elapsed_us(app_start);
       std::lock_guard<std::mutex> lock(mu_);
       entry->wall_us.add(wall);
       if (budget > 0 && wall > static_cast<double>(budget)) ++entry->overruns;
     }
-    const double slot_us = elapsed_us(start);
-    apps_time_.add(event_us + slot_us);
-    if (trace_ != nullptr && pending_trace_valid_) {
-      pending_trace_.apps_us = slot_us;
-      trace_->add(pending_trace_);
-      pending_trace_valid_ = false;
-    }
+    stages_.apps.add(elapsed_us(start));
+    stages_.flush.add(0.0);  // unpinned proxies pass commands straight through
     slot_busy_ = false;
     apply_deferred();
     return;
@@ -220,8 +198,7 @@ void TaskManager::dispatch_slot(std::int64_t cycle, double event_us) {
 
   inflight_ = true;
   inflight_entries_ = std::move(entries);
-  inflight_event_us_ = event_us;
-  inflight_start_ = std::chrono::steady_clock::now();
+  inflight_start_ = Clock::now();
   {
     std::lock_guard<std::mutex> lock(mu_);
     slot_.active = true;
@@ -241,21 +218,10 @@ void TaskManager::join_and_flush() {
     std::unique_lock<std::mutex> lock(mu_);
     done_cv_.wait(lock, [this] { return !slot_.active; });
   }
-  const double slot_wall =
-      std::chrono::duration<double, std::micro>(slot_.finished_at - inflight_start_).count();
-  std::size_t flushed = 0;
-  const auto flush_start = std::chrono::steady_clock::now();
-  for (Entry* entry : inflight_entries_) flushed += entry->proxy->flush();
-  commands_flushed_ += flushed;
-  const double flush_us = elapsed_us(flush_start);
-  apps_time_.add(inflight_event_us_ + slot_wall + flush_us);
-  if (trace_ != nullptr && pending_trace_valid_) {
-    pending_trace_.apps_us = slot_wall;
-    pending_trace_.flush_us = flush_us;
-    pending_trace_.commands_flushed = flushed;
-    trace_->add(pending_trace_);
-    pending_trace_valid_ = false;
-  }
+  stages_.apps.add(us_between(inflight_start_, slot_.finished_at));
+  const auto flush_start = Clock::now();
+  for (Entry* entry : inflight_entries_) commands_flushed_ += entry->proxy->flush();
+  stages_.flush.add(elapsed_us(flush_start));
   inflight_ = false;
   inflight_entries_.clear();
   apply_deferred();
@@ -275,7 +241,7 @@ void TaskManager::worker_loop() {
     const std::int64_t budget = slot_.budget_us;
     lock.unlock();
 
-    const auto start = std::chrono::steady_clock::now();
+    const auto start = Clock::now();
     entry->app->on_cycle(cycle, *entry->proxy);
     const double wall = elapsed_us(start);
 
@@ -288,7 +254,7 @@ void TaskManager::worker_loop() {
       ++slot_.tier;
       if (slot_.tier >= slot_.tiers.size()) {
         slot_.active = false;
-        slot_.finished_at = std::chrono::steady_clock::now();
+        slot_.finished_at = Clock::now();
         done_cv_.notify_all();
       } else {
         slot_.next = 0;
@@ -335,7 +301,8 @@ void TaskManager::apply_deferred() {
 
 double TaskManager::mean_idle_fraction() const {
   if (cycles_ == 0) return 1.0;
-  const double busy = updater_time_.mean() + apps_time_.mean();
+  const double busy =
+      stages_.updater.mean() + stages_.event.mean() + stages_.apps.mean() + stages_.flush.mean();
   return std::max(0.0, 1.0 - busy / static_cast<double>(config_.cycle_us));
 }
 

@@ -1,6 +1,6 @@
 // Task Manager (paper Sec. 4.3.3): a non-preemptive loop operating in
 // cycles of one TTI, each cycle split into two slots -- one for the RIB
-// Updater (single writer; default 20% of the TTI) and one for the
+// Updater (single writer; kUpdaterShare = 20% of the TTI) and one for the
 // applications and the Event Notification Service (80%).
 //
 // Where the paper guarantees mutually exclusive RIB reads/writes by
@@ -19,9 +19,11 @@
 //
 // In real-time mode the slot budgets are enforced (work that would overrun
 // the updater budget is carried to the next cycle); in non-RT mode a cycle
-// simply runs to completion. Per-slot execution times are measured with a
-// monotonic clock -- these timings are the Fig. 8 series. Per-app wall
-// times and overruns of the application-slot budget are tracked as well.
+// simply runs to completion. Every cycle, in both modes, the coordinator
+// times each stage with a monotonic clock into one CycleStages table --
+// these timings are the Fig. 8 series and the only source of cycle-stage
+// metrics. Per-app wall times and overruns of the application-slot budget
+// are tracked as well.
 #pragma once
 
 #include <chrono>
@@ -37,15 +39,15 @@
 #include "controller/app.h"
 #include "controller/command_batch.h"
 #include "controller/rib_snapshot.h"
-#include "obs/trace.h"
 #include "util/stats.h"
 
 namespace flexran::ctrl {
 
+/// Fraction of the TTI reserved for the RIB updater slot.
+inline constexpr double kUpdaterShare = 0.20;
+
 struct TaskManagerConfig {
   bool real_time = true;
-  /// Fraction of the TTI reserved for the RIB updater slot.
-  double updater_share = 0.20;
   /// Cycle length; 1 TTI (1000 us) in real-time mode.
   std::int64_t cycle_us = 1000;
   /// Application-slot worker threads. 0 = run apps inline on the
@@ -54,20 +56,34 @@ struct TaskManagerConfig {
   int workers = 0;
 };
 
+/// Wall time of each cycle stage in microseconds, one sample per cycle.
+/// Written by the coordinator thread only; in pipelined mode `apps` and
+/// `flush` are added when the cycle's slot is retired, so every count
+/// equals cycles_run() after quiesce().
+struct CycleStages {
+  util::RunningStats updater;  // updater slot: drain + overload step + publish
+  util::RunningStats publish;  // snapshot publish (the tail of the updater slot)
+  util::RunningStats event;    // Event Notification Service dispatch
+  util::RunningStats apps;     // application slot, excluding event and flush
+  util::RunningStats flush;    // command-batch flush onto the wire
+};
+
 class TaskManager {
  public:
   /// `updater` drains pending agent messages into the RIB. It receives its
-  /// slot budget in microseconds (<=0 = unbounded) and returns how many
-  /// updates it applied. In pipelined mode it must also publish the cycle's
-  /// RibSnapshot before returning.
-  using UpdaterFn = std::function<std::size_t(std::int64_t budget_us)>;
+  /// slot budget in microseconds (<=0 = unbounded).
+  using UpdaterFn = std::function<void(std::int64_t budget_us)>;
+  /// `publish` ends the updater slot by publishing the cycle's RibSnapshot
+  /// (required in pipelined mode: the slot dispatched next reads it).
+  using PublishFn = std::function<void()>;
   /// `event_dispatch` runs the Event Notification Service (start of the
   /// application slot, always on the coordinator thread).
   using EventDispatchFn = std::function<void()>;
   using SnapshotFn = std::function<std::shared_ptr<const RibSnapshot>()>;
   using NowFn = std::function<sim::TimeUs()>;
 
-  TaskManager(TaskManagerConfig config, UpdaterFn updater, EventDispatchFn event_dispatch);
+  TaskManager(TaskManagerConfig config, UpdaterFn updater, PublishFn publish,
+              EventDispatchFn event_dispatch);
   ~TaskManager();
 
   TaskManager(const TaskManager&) = delete;
@@ -80,11 +96,6 @@ class TaskManager {
   /// DL arbitration hooks threaded into every app proxy; set before the
   /// first add_app.
   void set_command_hooks(BatchingNorthbound::Hooks hooks) { hooks_ = std::move(hooks); }
-  /// Attaches control-loop tracing (docs/observability.md): one CycleTrace
-  /// per cycle covering updater slot, event dispatch, application slot and
-  /// command-batch flush. nullptr (the default) disables tracing and all
-  /// of its extra clock reads.
-  void set_trace_sink(obs::TraceRing* trace) { trace_ = trace; }
 
   /// Registers an application; apps run each cycle ordered by priority()
   /// (lowest value first). Ownership stays with the caller (master). The
@@ -116,10 +127,12 @@ class TaskManager {
   void shutdown();
 
   std::int64_t cycles_run() const { return cycles_; }
-  const util::RunningStats& updater_time_us() const { return updater_time_; }
-  const util::RunningStats& apps_time_us() const { return apps_time_; }
+  /// Per-stage wall times (docs/observability.md "Cycle-stage timing").
+  const CycleStages& stages() const { return stages_; }
+  const util::RunningStats& updater_time_us() const { return stages_.updater; }
   const TaskManagerConfig& config() const { return config_; }
-  /// Mean fraction of the cycle spent idle.
+  /// Mean fraction of the cycle spent idle (updater + event + apps + flush
+  /// are busy).
   double mean_idle_fraction() const;
 
   /// Commands sent through batch flushes (all apps, all cycles).
@@ -154,30 +167,23 @@ class TaskManager {
   /// Non-paused entries in schedule order (the slot's working set; a copy,
   /// so reentrant add/remove cannot invalidate the iteration).
   std::vector<Entry*> runnable_entries() const;
-  void run_slot_inline(std::int64_t cycle, NorthboundApi& api, double updater_us,
-                       std::size_t updates_applied);
-  void dispatch_slot(std::int64_t cycle, double event_us);
+  void run_slot_inline(std::int64_t cycle);
+  void dispatch_slot(std::int64_t cycle);
   void join_and_flush();
   void apply_deferred();
   void worker_loop();
 
   TaskManagerConfig config_;
   UpdaterFn updater_;
+  PublishFn publish_;
   EventDispatchFn event_dispatch_;
   SnapshotFn snapshot_fn_;
   NowFn now_fn_;
   BatchingNorthbound::Hooks hooks_;
 
-  obs::TraceRing* trace_ = nullptr;  // not owned; nullptr = tracing off
-  /// Pipelined mode: the trace of the dispatched-but-unretired cycle,
-  /// completed (apps/flush timings) when its slot is joined.
-  obs::CycleTrace pending_trace_;
-  bool pending_trace_valid_ = false;
-
   std::vector<std::unique_ptr<Entry>> apps_;  // sorted by priority (stable)
   std::int64_t cycles_ = 0;
-  util::RunningStats updater_time_;
-  util::RunningStats apps_time_;
+  CycleStages stages_;
   std::uint64_t commands_flushed_ = 0;
   std::uint64_t updater_overruns_ = 0;
 
@@ -211,7 +217,6 @@ class TaskManager {
   /// Coordinator-side view of the dispatched slot (flush order + timing).
   bool inflight_ = false;
   std::vector<Entry*> inflight_entries_;
-  double inflight_event_us_ = 0.0;
   std::chrono::steady_clock::time_point inflight_start_;
 };
 

@@ -76,22 +76,18 @@ obs::MetricsRegistry::Registration add_testbed_collector(Testbed& testbed) {
 
 std::string format_metrics_block(Testbed& testbed) {
   auto& coordinator = testbed.coordinator();
-  const auto& traces = testbed.master().cycle_traces();
+  const auto cycles = testbed.master().task_manager().stages().updater.count();
   std::string out = util::format("metrics: %zu series, %llu cycles traced\n",
                                  coordinator.metrics().size(),
-                                 static_cast<unsigned long long>(traces.recorded()));
+                                 static_cast<unsigned long long>(cycles));
   for (std::size_t i = 0; i < coordinator.shard_count(); ++i) {
-    const auto& shard_traces = coordinator.shard(i).cycle_traces();
-    const auto updater = shard_traces.updater_us();
-    const auto event = shard_traces.event_us();
-    const auto apps = shard_traces.apps_us();
-    const auto flush = shard_traces.flush_us();
+    const ctrl::CycleStages& stages = coordinator.shard(i).task_manager().stages();
     out += util::format(
         "  %scycle us (mean/max): updater %.1f/%.1f, events %.1f/%.1f, apps %.1f/%.1f, "
         "flush %.1f/%.1f\n",
         coordinator.shard_count() > 1 ? util::format("shard %zu ", i).c_str() : "",
-        updater.mean(), updater.max(), event.mean(), event.max(), apps.mean(), apps.max(),
-        flush.mean(), flush.max());
+        stages.updater.mean(), stages.updater.max(), stages.event.mean(), stages.event.max(),
+        stages.apps.mean(), stages.apps.max(), stages.flush.mean(), stages.flush.max());
   }
   for (auto& enb : testbed.enbs()) {
     const auto* latency = coordinator.control_latency(enb->agent_id);

@@ -330,9 +330,8 @@ std::vector<std::string> run_chatty_cycles(int workers, int cycles) {
   TaskManagerConfig config;
   config.real_time = false;
   config.workers = workers;
-  TaskManager tm(config, [&](std::int64_t) {
+  TaskManager tm(config, nullptr, [&] {
     store.publish(rib, {1}, rib.agent_count() != store.current()->agent_count());
-    return std::size_t{0};
   }, nullptr);
   tm.set_snapshot_source([&] { return store.current(); }, [] { return sim::TimeUs{0}; });
 
@@ -432,9 +431,8 @@ TEST(TaskManagerPool, LowerTierWaitsForHigherTier) {
   TaskManagerConfig config;
   config.real_time = false;
   config.workers = 4;
-  TaskManager tm(config, [&](std::int64_t) {
+  TaskManager tm(config, nullptr, [&] {
     store.publish(rib, {1}, store.current()->agent_count() == 0);
-    return std::size_t{0};
   }, nullptr);
   tm.set_snapshot_source([&] { return store.current(); }, [] { return sim::TimeUs{0}; });
 
@@ -500,7 +498,7 @@ class CountingApp : public App {
 TEST(TaskManagerPool, RemoveDuringCycleIsDeferredToCycleBoundary) {
   SnapshotStore store;
   RecordingNorthbound api(store);
-  TaskManager tm({.real_time = false}, nullptr, nullptr);
+  TaskManager tm({.real_time = false}, nullptr, nullptr, nullptr);
 
   SelfRemovingApp remover("remover", tm, "victim");
   CountingApp victim("victim", 300);  // scheduled after the remover
@@ -528,9 +526,8 @@ TEST(TaskManagerPool, RemoveWhileSlotInFlightWaitsForJoin) {
   TaskManagerConfig config;
   config.real_time = false;
   config.workers = 2;
-  TaskManager tm(config, [&](std::int64_t) {
+  TaskManager tm(config, nullptr, [&] {
     store.publish(rib, {1}, store.current()->agent_count() == 0);
-    return std::size_t{0};
   }, nullptr);
   tm.set_snapshot_source([&] { return store.current(); }, [] { return sim::TimeUs{0}; });
 
@@ -548,7 +545,7 @@ TEST(TaskManagerPool, RemoveWhileSlotInFlightWaitsForJoin) {
 TEST(TaskManagerPool, PauseWhileRunningTakesEffectNextCycle) {
   SnapshotStore store;
   RecordingNorthbound api(store);
-  TaskManager tm({.real_time = false}, nullptr, nullptr);
+  TaskManager tm({.real_time = false}, nullptr, nullptr, nullptr);
   CountingApp app("app", 10);
   tm.add_app(&app, api);
   tm.run_cycle(0, api);

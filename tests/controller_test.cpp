@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+
 #include "controller/rib.h"
 #include "controller/rib_view.h"
 #include "controller/shard_core.h"
@@ -135,7 +138,7 @@ TEST(TaskManager, AppsRunInPriorityOrder) {
   Rib rib;
   NullNorthbound api(rib);
   std::vector<std::string> log;
-  TaskManager tm({}, nullptr, nullptr);
+  TaskManager tm({}, nullptr, nullptr, nullptr);
   RecordingApp monitoring("monitoring", 200, log);
   RecordingApp scheduler("scheduler", 1, log);  // time critical -> first
   tm.add_app(&monitoring, api);
@@ -150,7 +153,7 @@ TEST(TaskManager, PauseResumeRemove) {
   Rib rib;
   NullNorthbound api(rib);
   std::vector<std::string> log;
-  TaskManager tm({}, nullptr, nullptr);
+  TaskManager tm({}, nullptr, nullptr, nullptr);
   RecordingApp app("app", 10, log);
   tm.add_app(&app, api);
 
@@ -170,12 +173,12 @@ TEST(TaskManager, RecordsSlotTimings) {
   Rib rib;
   NullNorthbound api(rib);
   int updates = 0;
-  TaskManager tm({}, [&](std::int64_t) { return static_cast<std::size_t>(++updates); },
-                 nullptr);
+  TaskManager tm({}, [&](std::int64_t) { ++updates; }, nullptr, nullptr);
   for (int i = 0; i < 10; ++i) tm.run_cycle(i, api);
   EXPECT_EQ(tm.cycles_run(), 10);
+  EXPECT_EQ(updates, 10);
   EXPECT_EQ(tm.updater_time_us().count(), 10u);
-  EXPECT_EQ(tm.apps_time_us().count(), 10u);
+  EXPECT_EQ(tm.stages().apps.count(), 10u);
   EXPECT_GT(tm.mean_idle_fraction(), 0.5);  // nothing heavy ran
 }
 
@@ -479,61 +482,67 @@ TEST(Observability, DisabledByDefaultHasNoInstrumentsOrTraces) {
   testbed.run_ttis(50);
   EXPECT_FALSE(testbed.master().obs_enabled());
   EXPECT_EQ(testbed.master().metrics().size(), 0u);
-  EXPECT_EQ(testbed.master().cycle_traces().recorded(), 0u);
   EXPECT_EQ(testbed.master().control_latency(enb.agent_id), nullptr);
 }
 
-TEST(Observability, CycleTracesRecordEveryStageInline) {
-  auto config = scenario::per_tti_master_config();
-  config.obs.enabled = true;
-  Testbed testbed(std::move(config));
-  testbed.add_enb(spec());
-  testbed.add_ue(0, cqi_ue(12));
-  testbed.run_ttis(100);
+/// The value of an unlabeled series in a Prometheus export.
+double exported_value(const std::string& text, const std::string& name) {
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind(name + " ", 0) == 0) return std::stod(line.substr(name.size() + 1));
+  }
+  ADD_FAILURE() << name << " not exported:\n" << text;
+  return -1.0;
+}
 
-  const auto& traces = testbed.master().cycle_traces();
-  EXPECT_EQ(traces.recorded(),
-            static_cast<std::uint64_t>(testbed.master().task_manager().cycles_run()));
-  EXPECT_EQ(traces.updater_us().count(), traces.recorded());
-  const auto kept = traces.snapshot();
-  ASSERT_FALSE(kept.empty());
-  // Cycle ids are consecutive, stage timings are sane (non-negative wall
-  // time), and the steady per-TTI stats traffic shows up as applied
-  // updates.
-  for (std::size_t i = 1; i < kept.size(); ++i) {
-    EXPECT_EQ(kept[i].cycle, kept[i - 1].cycle + 1);
+/// Every cycle times each stage once, obs on or off, and every reader — the
+/// accessors and the exported series — reads that one table.
+void expect_stage_table_times_every_cycle(int workers) {
+  for (const bool obs : {true, false}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers) + " obs=" + (obs ? "on" : "off"));
+    auto config = scenario::per_tti_master_config();
+    config.obs.enabled = obs;
+    config.task_manager.workers = workers;
+    Testbed testbed(std::move(config));
+    testbed.add_enb(spec());
+    testbed.add_ue(0, cqi_ue(12));
+    testbed.run_ttis(100);
+    testbed.master().quiesce();
+
+    const TaskManager& tm = testbed.master().task_manager();
+    const CycleStages& stages = tm.stages();
+    const auto cycles = static_cast<std::size_t>(tm.cycles_run());
+    EXPECT_GE(cycles, 100u);
+    for (const util::RunningStats* stage :
+         {&stages.updater, &stages.publish, &stages.event, &stages.apps, &stages.flush}) {
+      EXPECT_EQ(stage->count(), cycles);
+      EXPECT_GE(stage->min(), 0.0);
+    }
+    // The publish is the tail of the updater slot, not a second clock.
+    EXPECT_LE(stages.publish.total(), stages.updater.total());
+    EXPECT_EQ(&testbed.master().snapshot_publish_us(), &stages.publish);
+    EXPECT_EQ(&tm.updater_time_us(), &stages.updater);
+    EXPECT_GT(testbed.master().stats().updates_applied, 0u);
+    if (!obs) continue;
+
+    // The exported stage series read the same table (to export precision).
+    const std::string text = testbed.master().metrics().prometheus_text();
+    const auto expect_exported = [&text](const char* name, double value) {
+      EXPECT_NEAR(exported_value(text, name), value, 1e-5 * std::max(1.0, value)) << name;
+    };
+    expect_exported("cycle_updater_us_mean", stages.updater.mean());
+    expect_exported("cycle_apps_us_max", stages.apps.max());
+    expect_exported("snapshot_publish_us_mean", stages.publish.mean());
   }
-  std::uint64_t total_updates = 0;
-  for (const auto& trace : kept) {
-    EXPECT_GE(trace.updater_us, 0.0);
-    EXPECT_GE(trace.event_us, 0.0);
-    EXPECT_GE(trace.apps_us, 0.0);
-    EXPECT_GE(trace.flush_us, 0.0);
-    total_updates += trace.updates_applied;
-  }
-  EXPECT_GT(total_updates, 0u);
+}
+
+TEST(Observability, CycleTracesRecordEveryStageInline) {
+  expect_stage_table_times_every_cycle(0);
 }
 
 TEST(Observability, CycleTracesRecordWithPipelinedWorkers) {
-  auto config = scenario::per_tti_master_config();
-  config.obs.enabled = true;
-  config.task_manager.workers = 2;
-  Testbed testbed(std::move(config));
-  testbed.add_enb(spec());
-  testbed.add_ue(0, cqi_ue(12));
-  testbed.run_ttis(100);
-  testbed.master().quiesce();
-
-  const auto& traces = testbed.master().cycle_traces();
-  // In pipelined mode a cycle's trace completes when its app slot is
-  // joined, so the final cycle may still be pending -- everything else
-  // must be there.
-  EXPECT_GE(traces.recorded() + 1,
-            static_cast<std::uint64_t>(testbed.master().task_manager().cycles_run()));
-  EXPECT_GT(traces.recorded(), 90u);
-  std::uint64_t total_updates = 0;
-  for (const auto& trace : traces.snapshot()) total_updates += trace.updates_applied;
-  EXPECT_GT(total_updates, 0u);
+  expect_stage_table_times_every_cycle(2);
 }
 
 TEST(Observability, RegistryExportsMigratedCounters) {

@@ -238,7 +238,7 @@ TEST(Integration, TenAgentsFiftyUesEachStayStable) {
   std::fprintf(stderr, "idle_fraction=%.3f updater_us=%.1f apps_us=%.1f\n",
                testbed.master().task_manager().mean_idle_fraction(),
                testbed.master().task_manager().updater_time_us().mean(),
-               testbed.master().task_manager().apps_time_us().mean());
+               testbed.master().task_manager().stages().apps.mean());
 #if !defined(__SANITIZE_THREAD__) && !defined(__SANITIZE_ADDRESS__)
   // Wall-clock budget; meaningless under sanitizer instrumentation
   // slowdown (~10x on the updater slot), where bookkeeping eats the

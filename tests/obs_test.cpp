@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace flexran::obs {
 namespace {
@@ -189,33 +188,6 @@ TEST(RegistryTest, ProbesEvaluatedAtExportTime) {
   EXPECT_EQ(registry.json(), "{\"live\":1}");
   EXPECT_EQ(registry.prometheus_text(), "live 2\n");
   EXPECT_EQ(calls, 2);
-}
-
-// ----------------------------------------------------------- trace ring --
-
-TEST(TraceRingTest, KeepsMostRecentAndAggregatesAll) {
-  TraceRing ring(4);
-  for (int i = 0; i < 10; ++i) {
-    ring.add({/*cycle=*/i, /*updater_us=*/static_cast<double>(i), 0.0, 0.0, 0.0, 0, 0});
-  }
-  EXPECT_EQ(ring.recorded(), 10u);
-  EXPECT_EQ(ring.size(), 4u);
-  const auto kept = ring.snapshot();
-  ASSERT_EQ(kept.size(), 4u);
-  EXPECT_EQ(kept.front().cycle, 6);  // oldest retained
-  EXPECT_EQ(kept.back().cycle, 9);   // most recent
-  // Stats cover all 10 cycles, not just the retained window.
-  EXPECT_EQ(ring.updater_us().count(), 10u);
-  EXPECT_DOUBLE_EQ(ring.updater_us().mean(), 4.5);
-  EXPECT_DOUBLE_EQ(ring.updater_us().max(), 9.0);
-}
-
-TEST(TraceRingTest, EmptyRing) {
-  TraceRing ring(8);
-  EXPECT_EQ(ring.recorded(), 0u);
-  EXPECT_EQ(ring.size(), 0u);
-  EXPECT_TRUE(ring.snapshot().empty());
-  EXPECT_EQ(ring.updater_us().count(), 0u);
 }
 
 // ---------------------------------------------------------- concurrency --
