@@ -240,7 +240,7 @@ SweepResult run_sweep(int workers, int n_agents, int cycles, std::int64_t stall_
   for (auto& app : apps) tm.add_app(app.get(), api);
 
   const auto start = std::chrono::steady_clock::now();
-  for (int cycle = 0; cycle < cycles; ++cycle) tm.run_cycle(cycle, api);
+  for (int cycle = 0; cycle < cycles; ++cycle) tm.run_cycle(cycle);
   tm.quiesce();
   const double wall_us =
       std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - start).count();

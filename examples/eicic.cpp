@@ -12,7 +12,8 @@ using namespace flexran;
 
 int main() {
   std::printf("HetNet: 1 macro (3 saturated UEs) + 1 small cell (1 UE @ 2 Mb/s offered)\n");
-  std::printf("ABS pattern: 4 almost-blank subframes per 10-subframe frame\n\n");
+  std::printf("ABS pattern: %d almost-blank subframes per 10-subframe frame\n\n",
+              scenario::kAbsPerFrame);
   std::printf("%-18s %12s %12s %12s\n", "mode", "network", "macro", "small cell");
 
   for (const auto mode : {apps::EicicMode::uncoordinated, apps::EicicMode::eicic,

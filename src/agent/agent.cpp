@@ -15,9 +15,7 @@ Agent::Agent(sim::Simulator& sim, stack::EnodebDataPlane& data_plane, AgentConfi
       api_(data_plane),
       mac_(cache_),
       rrc_(cache_),
-      guard_(VsfGuardConfig{config_.vsf_quarantine_threshold, config_.vsf_budget_us,
-                            config_.vsf_wall_clock_cap_us},
-             cache_),
+      guard_(cache_),
       reports_(api_) {
   register_builtin_vsfs();
   guard_.set_failure_hook([this](const VsfFailureRecord& record) { on_vsf_failure(record); });
@@ -85,13 +83,13 @@ void Agent::disconnect() {
 void Agent::on_transport_disconnect(const util::Error& error) {
   FLEXRAN_LOG(warn, "agent") << "control channel lost: " << error.message;
   disconnect();
-  if (config_.auto_reconnect) schedule_reconnect(sim::from_ms(config_.reconnect_initial_backoff_ms));
+  schedule_reconnect(kReconnectInitialBackoff);
 }
 
 void Agent::schedule_reconnect(sim::TimeUs delay) {
   if (reconnect_pending_ || connected()) return;
   reconnect_pending_ = true;
-  sim_.after(delay, [this] { try_reconnect(sim::from_ms(config_.reconnect_initial_backoff_ms)); });
+  sim_.after(delay, [this] { try_reconnect(kReconnectInitialBackoff); });
 }
 
 void Agent::try_reconnect(sim::TimeUs next_backoff) {
@@ -104,7 +102,7 @@ void Agent::try_reconnect(sim::TimeUs next_backoff) {
     connect(*transport);
     return;
   }
-  const auto backoff = std::min(next_backoff, sim::from_ms(config_.reconnect_max_backoff_ms));
+  const auto backoff = std::min(next_backoff, kReconnectMaxBackoff);
   reconnect_pending_ = true;
   // Jitter decorrelates the retry herd: after a master outage every agent
   // observed the loss in the same TTI, and un-jittered doubling would keep
@@ -113,7 +111,6 @@ void Agent::try_reconnect(sim::TimeUs next_backoff) {
 }
 
 sim::TimeUs Agent::jittered_backoff(sim::TimeUs backoff) const {
-  if (config_.reconnect_jitter <= 0.0) return backoff;
   // Stable identity hash (FNV-1a over the name, seeded with the enb id,
   // finished with a splitmix-style avalanche): the same agent always gets
   // the same spread, two agents almost surely get different ones --
@@ -126,7 +123,7 @@ sim::TimeUs Agent::jittered_backoff(sim::TimeUs backoff) const {
   h *= 0xff51afd7ed558ccdull;
   h ^= h >> 33;
   const double fraction = static_cast<double>(h % 4096) / 4096.0;  // [0, 1)
-  const double scale = 1.0 + std::min(config_.reconnect_jitter, 1.0) * fraction;
+  const double scale = 1.0 + kReconnectJitter * fraction;
   return static_cast<sim::TimeUs>(static_cast<double>(backoff) * scale);
 }
 
@@ -199,9 +196,8 @@ void Agent::on_subframe_start(std::int64_t subframe) {
   // A hello lost to a partition that raced the connect leaves the master
   // unaware of the new session; re-offer it until the master answers. A
   // retry-after hold (master re-sync admission gate) pauses the loop.
-  if (transport_ != nullptr && !master_heard_this_session_ && config_.hello_retry_ttis > 0 &&
-      sim_.now() >= hello_hold_until_ &&
-      subframe - last_hello_subframe_ >= config_.hello_retry_ttis) {
+  if (transport_ != nullptr && !master_heard_this_session_ &&
+      sim_.now() >= hello_hold_until_ && subframe - last_hello_subframe_ >= kHelloRetryTtis) {
     ++hello_retries_;
     send_hello();
   }
@@ -226,7 +222,7 @@ void Agent::on_subframe_start(std::int64_t subframe) {
     combined.dl.assign(decision.dl.begin(), decision.dl.end());
   }
   {
-    const auto decision = guard_.run_ul(mac_, config_.ul_fallback_scheduler, api_, subframe);
+    const auto decision = guard_.run_ul(mac_, kUlFallbackScheduler, api_, subframe);
     combined.ul.assign(decision.ul.begin(), decision.ul.end());
   }
   // Merge any master-pushed decision targeting this subframe. When the
@@ -251,13 +247,13 @@ void Agent::on_subframe_start(std::int64_t subframe) {
   }
 
   // RRC: evaluate the handover policy (guarded like the MAC slots).
-  if (auto handover = guard_.run_handover(rrc_, config_.handover_fallback_policy, api_, subframe);
+  if (auto handover = guard_.run_handover(rrc_, kHandoverFallbackPolicy, api_, subframe);
       handover.has_value()) {
     execute_handover(handover->rnti, handover->target_cell);
   }
 
   // Master-agent sync.
-  if (config_.subframe_sync || subscribed_events_.contains(proto::EventType::subframe_tick)) {
+  if (subscribed_events_.contains(proto::EventType::subframe_tick)) {
     proto::EventNotification tick;
     tick.event = proto::EventType::subframe_tick;
     tick.subframe = subframe;

@@ -10,6 +10,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "agent/agent_api.h"
@@ -26,6 +27,31 @@
 
 namespace flexran::agent {
 
+// ---- session fault tolerance (docs/fault_tolerance.md) ---------------------
+/// First retry delay after a failed reconnect attempt; doubles per failure
+/// up to kReconnectMaxBackoff (exponential backoff).
+inline constexpr sim::TimeUs kReconnectInitialBackoff = sim::from_ms(20.0);
+inline constexpr sim::TimeUs kReconnectMaxBackoff = sim::from_ms(1000.0);
+/// While the master has not been heard from at all this session, the hello
+/// is re-sent every this many TTIs (covers a hello lost to a partition that
+/// raced the connect).
+inline constexpr std::int64_t kHelloRetryTtis = 100;
+/// Deterministic per-agent spread multiplied into every reconnect backoff
+/// (and retry-after hold): each delay is scaled by a factor in
+/// [1, 1 + kReconnectJitter) derived from a stable hash of the agent's
+/// identity. After a master restart the whole fleet retries; without jitter
+/// all agents that observed the outage at the same TTI would retry in
+/// lockstep forever (the backoff doubles identically).
+inline constexpr double kReconnectJitter = 0.5;
+
+// ---- delegated-control containment (docs/delegation_safety.md) -------------
+/// Built-in local defaults the guard falls back to within the same TTI for
+/// the UL scheduler and handover-policy slots. The DL fallback is
+/// AgentConfig::fallback_scheduler (shared with the remote-outage fallback,
+/// one unified degradation path).
+inline constexpr std::string_view kUlFallbackScheduler = "local_rr";
+inline constexpr std::string_view kHandoverFallbackPolicy = "a3";
+
 struct AgentConfig {
   lte::EnbId enb_id = 1;
   std::string name = "agent";
@@ -33,10 +59,6 @@ struct AgentConfig {
   std::string dl_scheduler = "local_rr";
   /// Initial UL scheduler behavior.
   std::string ul_scheduler = "local_rr";
-  /// Send a subframe_tick event to the master every TTI (master-agent sync,
-  /// the paper's per-TTI synchronized mode). Also controllable at runtime
-  /// via EventSubscription.
-  bool subframe_sync = false;
   /// Resilience under delegated control: if the DL scheduler behavior is
   /// "remote" and no message has been received from the master for this
   /// many TTIs, the agent autonomously falls back to `fallback_scheduler`
@@ -45,40 +67,6 @@ struct AgentConfig {
   /// is re-promoted to remote control.
   std::int64_t remote_fallback_ttis = 0;
   std::string fallback_scheduler = "local_rr";
-
-  // ---- session fault tolerance (docs/fault_tolerance.md) -------------------
-  /// Reconnect automatically (via the reconnect provider) when the
-  /// transport reports a disconnect.
-  bool auto_reconnect = true;
-  /// First retry delay after a failed reconnect attempt; doubles per
-  /// failure up to the max (exponential backoff).
-  double reconnect_initial_backoff_ms = 20.0;
-  double reconnect_max_backoff_ms = 1000.0;
-  /// If the master has not been heard from at all this session, re-send the
-  /// hello every this many TTIs (covers a hello lost to a partition that
-  /// raced the connect). 0 = never.
-  std::int64_t hello_retry_ttis = 100;
-  /// Deterministic per-agent spread multiplied into every reconnect backoff
-  /// (and retry-after hold): each delay is scaled by a factor in
-  /// [1, 1 + reconnect_jitter) derived from a stable hash of the agent's
-  /// identity. After a master restart the whole fleet retries; without
-  /// jitter all agents that observed the outage at the same TTI would
-  /// retry in lockstep forever (the backoff doubles identically). 0 =
-  /// lockstep (the seed behavior).
-  double reconnect_jitter = 0.5;
-
-  // ---- delegated-control containment (docs/delegation_safety.md) -----------
-  /// Consecutive guard failures of one implementation before quarantine.
-  std::uint32_t vsf_quarantine_threshold = 3;
-  /// Simulated per-invocation deadline budget in microseconds (one TTI).
-  std::int64_t vsf_budget_us = 1000;
-  /// Wall-clock backstop for real (undeclared) overruns, in microseconds.
-  std::int64_t vsf_wall_clock_cap_us = 250'000;
-  /// Built-in local defaults the guard falls back to within the same TTI.
-  /// The DL fallback is `fallback_scheduler` above (shared with the
-  /// remote-outage fallback, one unified degradation path).
-  std::string ul_fallback_scheduler = "local_rr";
-  std::string handover_fallback_policy = "a3";
 };
 
 class Agent final : public stack::EnodebDataPlane::Listener {

@@ -17,10 +17,10 @@ std::int64_t elapsed_us(std::chrono::steady_clock::time_point start) {
 template <typename Body>
 VsfGuard::InvokeOutcome VsfGuard::invoke_checked(const Vsf& vsf, Body&& body) {
   const std::int64_t declared = vsf.declared_cost_us();
-  if (declared > config_.budget_us) {
+  if (declared > kVsfBudgetUs) {
     return {proto::VsfFailureKind::overrun,
             "declared cost " + std::to_string(declared) + "us exceeds TTI budget " +
-                std::to_string(config_.budget_us) + "us"};
+                std::to_string(kVsfBudgetUs) + "us"};
   }
   const auto start = std::chrono::steady_clock::now();
   try {
@@ -30,10 +30,10 @@ VsfGuard::InvokeOutcome VsfGuard::invoke_checked(const Vsf& vsf, Body&& body) {
   } catch (...) {
     return {proto::VsfFailureKind::exception, "non-standard exception"};
   }
-  if (const std::int64_t wall = elapsed_us(start); wall > config_.wall_clock_cap_us) {
+  if (const std::int64_t wall = elapsed_us(start); wall > kVsfWallClockCapUs) {
     return {proto::VsfFailureKind::overrun,
             "wall clock " + std::to_string(wall) + "us exceeds cap " +
-                std::to_string(config_.wall_clock_cap_us) + "us"};
+                std::to_string(kVsfWallClockCapUs) + "us"};
   }
   return {};
 }
@@ -105,20 +105,20 @@ util::Status VsfGuard::validate_decision(const lte::SchedulingDecision& decision
   return {};
 }
 
-void VsfGuard::note_failure(ControlModule& module, std::string_view slot,
-                            const std::string& impl, const std::string& fallback_impl,
-                            const InvokeOutcome& outcome, std::int64_t subframe) {
+void VsfGuard::note_failure(ControlModule& module, std::string_view slot, std::string_view impl,
+                            std::string_view fallback_impl, const InvokeOutcome& outcome,
+                            std::int64_t subframe) {
   ++vsf_failures_;
   VsfFailureRecord record;
   record.module = module.name();
   record.slot = std::string(slot);
-  record.implementation = impl;
+  record.implementation = std::string(impl);
   record.kind = outcome.kind;
   record.subframe = subframe;
   record.detail = outcome.detail;
   record.consecutive_failures = cache_->record_failure(module.name(), slot, impl);
 
-  if (record.consecutive_failures >= config_.quarantine_threshold &&
+  if (record.consecutive_failures >= kVsfQuarantineThreshold &&
       !cache_->is_quarantined(module.name(), slot, impl)) {
     cache_->quarantine(module.name(), slot, impl);
     ++quarantines_;
@@ -128,14 +128,14 @@ void VsfGuard::note_failure(ControlModule& module, std::string_view slot,
     // itself unusable the slot keeps its pointer and every TTI keeps
     // falling back explicitly.
     if (impl != fallback_impl) {
-      (void)module.set_behavior(record.slot, fallback_impl);
+      (void)module.set_behavior(record.slot, std::string(fallback_impl));
     }
   }
   if (hook_) hook_(record);
 }
 
 lte::SchedulingDecision VsfGuard::run_mac_slot(MacControlModule& mac, std::string_view slot,
-                                               const std::string& fallback_impl, AgentApi& api,
+                                               std::string_view fallback_impl, AgentApi& api,
                                                std::int64_t subframe, Schedule schedule) {
   lte::SchedulingDecision decision;
   decision.cell_id = api.cell_id();
@@ -195,7 +195,7 @@ lte::SchedulingDecision VsfGuard::run_mac_slot(MacControlModule& mac, std::strin
   return decision;
 }
 
-lte::SchedulingDecision VsfGuard::run_dl(MacControlModule& mac, const std::string& fallback_impl,
+lte::SchedulingDecision VsfGuard::run_dl(MacControlModule& mac, std::string_view fallback_impl,
                                          AgentApi& api, std::int64_t subframe) {
   return run_mac_slot(mac, MacControlModule::kDlSchedulerSlot, fallback_impl, api, subframe,
                       [](Vsf& vsf, AgentApi& a, std::int64_t sf) {
@@ -203,7 +203,7 @@ lte::SchedulingDecision VsfGuard::run_dl(MacControlModule& mac, const std::strin
                       });
 }
 
-lte::SchedulingDecision VsfGuard::run_ul(MacControlModule& mac, const std::string& fallback_impl,
+lte::SchedulingDecision VsfGuard::run_ul(MacControlModule& mac, std::string_view fallback_impl,
                                          AgentApi& api, std::int64_t subframe) {
   return run_mac_slot(mac, MacControlModule::kUlSchedulerSlot, fallback_impl, api, subframe,
                       [](Vsf& vsf, AgentApi& a, std::int64_t sf) {
@@ -212,7 +212,7 @@ lte::SchedulingDecision VsfGuard::run_ul(MacControlModule& mac, const std::strin
 }
 
 std::optional<HandoverDecision> VsfGuard::run_handover(RrcControlModule& rrc,
-                                                       const std::string& fallback_impl,
+                                                       std::string_view fallback_impl,
                                                        AgentApi& api, std::int64_t subframe) {
   HandoverPolicyVsf* active = rrc.handover_policy();
   if (active == nullptr) return std::nullopt;

@@ -14,7 +14,7 @@
 //      scheduling opportunity.
 //
 // Failures are counted per cached implementation; after
-// `quarantine_threshold` consecutive failures the implementation is
+// `kVsfQuarantineThreshold` consecutive failures the implementation is
 // quarantined in the VsfCache (policy reconfiguration to it is rejected
 // until the master pushes a fresh VSF updation) and the slot is relinked
 // to the fallback implementation. The failure hook lets the Agent turn
@@ -33,17 +33,15 @@
 
 namespace flexran::agent {
 
-struct VsfGuardConfig {
-  /// Consecutive failures of one implementation before quarantine.
-  std::uint32_t quarantine_threshold = 3;
-  /// Simulated-time budget per invocation, charged from declared_cost_us().
-  /// Default: one 1 ms TTI.
-  std::int64_t budget_us = 1000;
-  /// Wall-clock backstop for real (undeclared) overruns. Deliberately
-  /// generous so legitimate schedulers never trip it under sanitizers or
-  /// debug builds; an infinite loop still gets caught.
-  std::int64_t wall_clock_cap_us = 250'000;
-};
+/// Consecutive failures of one implementation before quarantine.
+inline constexpr std::uint32_t kVsfQuarantineThreshold = 3;
+/// Simulated-time budget per invocation, charged from declared_cost_us():
+/// one 1 ms TTI.
+inline constexpr std::int64_t kVsfBudgetUs = 1000;
+/// Wall-clock backstop for real (undeclared) overruns. Deliberately generous
+/// so legitimate schedulers never trip it under sanitizers or debug builds;
+/// an infinite loop still gets caught.
+inline constexpr std::int64_t kVsfWallClockCapUs = 250'000;
 
 /// One guard verdict, delivered to the failure hook (and from there to the
 /// master as a triggered event).
@@ -62,22 +60,21 @@ class VsfGuard {
  public:
   using FailureHook = std::function<void(const VsfFailureRecord&)>;
 
-  VsfGuard(VsfGuardConfig config, VsfCache& cache) : config_(config), cache_(&cache) {}
+  explicit VsfGuard(VsfCache& cache) : cache_(&cache) {}
 
   void set_failure_hook(FailureHook hook) { hook_ = std::move(hook); }
-  const VsfGuardConfig& config() const { return config_; }
 
   /// Guarded invocation of the MAC DL / UL scheduling slots. Always returns
   /// a decision that is safe to hand to the MAC (possibly empty).
   /// `fallback_impl` names the built-in local default in the VsfCache.
-  lte::SchedulingDecision run_dl(MacControlModule& mac, const std::string& fallback_impl,
+  lte::SchedulingDecision run_dl(MacControlModule& mac, std::string_view fallback_impl,
                                  AgentApi& api, std::int64_t subframe);
-  lte::SchedulingDecision run_ul(MacControlModule& mac, const std::string& fallback_impl,
+  lte::SchedulingDecision run_ul(MacControlModule& mac, std::string_view fallback_impl,
                                  AgentApi& api, std::int64_t subframe);
 
   /// Guarded invocation of the RRC handover-policy slot.
   std::optional<HandoverDecision> run_handover(RrcControlModule& rrc,
-                                               const std::string& fallback_impl, AgentApi& api,
+                                               std::string_view fallback_impl, AgentApi& api,
                                                std::int64_t subframe);
 
   /// Checks a decision against the cell configuration: per-carrier PRB
@@ -118,15 +115,14 @@ class VsfGuard {
   InvokeOutcome invoke_checked(const Vsf& vsf, Body&& body);
   /// Failure bookkeeping: per-impl counters, quarantine + slot relink to
   /// the fallback, hook dispatch.
-  void note_failure(ControlModule& module, std::string_view slot, const std::string& impl,
-                    const std::string& fallback_impl, const InvokeOutcome& outcome,
+  void note_failure(ControlModule& module, std::string_view slot, std::string_view impl,
+                    std::string_view fallback_impl, const InvokeOutcome& outcome,
                     std::int64_t subframe);
 
   lte::SchedulingDecision run_mac_slot(MacControlModule& mac, std::string_view slot,
-                                       const std::string& fallback_impl, AgentApi& api,
+                                       std::string_view fallback_impl, AgentApi& api,
                                        std::int64_t subframe, Schedule schedule);
 
-  VsfGuardConfig config_;
   VsfCache* cache_;  // not owned
   FailureHook hook_;
 

@@ -41,7 +41,7 @@ void MecDashApp::on_cycle(std::int64_t cycle, ctrl::NorthboundApi& api) {
     const double active_ues = cell != nullptr ? cell->stats.active_ues : 0.0;
     const double share_divisor = config_.load_aware ? std::max(1.0, active_ues) : 1.0;
     const double mbps =
-        sustainable_bitrate_mbps(config_.table, ue.cqi_avg.value()) / share_divisor;
+        sustainable_bitrate_mbps(table_, ue.cqi_avg.value()) / share_divisor;
     auto it = last_pushed_.find(ue.rnti);
     if (it != last_pushed_.end() && it->second == mbps) continue;  // no change
     last_pushed_[ue.rnti] = mbps;

@@ -23,7 +23,7 @@ CqiBitrateTable paper_table2_bitrates();
 /// The same mapping measured on THIS repo's substrate by bench_table2_cqi.
 /// Our PHY calibration charges more per-PRB overhead, so sustainable
 /// bitrates sit lower than the paper's at equal CQI. This is the table the
-/// MEC application uses by default -- a deployment would measure its own.
+/// MEC application uses -- a deployment would measure its own.
 CqiBitrateTable calibrated_table2_bitrates();
 
 /// Interpolated lookup.
@@ -35,7 +35,6 @@ class MecDashApp final : public ctrl::App {
 
   struct Config {
     ctrl::AgentId agent = 0;
-    CqiBitrateTable table = calibrated_table2_bitrates();
     /// Push period in task-manager cycles (the app is not time critical).
     std::int64_t period_cycles = 100;
     /// Divide the sustainable bitrate by the number of UEs sharing the
@@ -57,6 +56,7 @@ class MecDashApp final : public ctrl::App {
 
  private:
   Config config_;
+  const CqiBitrateTable table_ = calibrated_table2_bitrates();
   PushBitrateFn push_;
   std::map<lte::Rnti, double> last_pushed_;
 };

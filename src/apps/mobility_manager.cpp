@@ -52,7 +52,7 @@ void MobilityManagerApp::on_cycle(std::int64_t cycle, ctrl::NorthboundApi& api) 
         const double load_delta =
             static_cast<double>(target_it->second.connected_ues) - serving_load;
         const double required = serving_rsrp + config_.hysteresis_db +
-                                std::max(0.0, load_delta) * config_.load_penalty_db_per_ue;
+                                std::max(0.0, load_delta) * kLoadPenaltyDbPerUe;
         if (measurement.rsrp_dbm > required && measurement.rsrp_dbm > best_score) {
           best_score = measurement.rsrp_dbm;
           best_cell = measurement.cell_id;

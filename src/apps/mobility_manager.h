@@ -13,6 +13,10 @@
 
 namespace flexran::apps {
 
+/// Load awareness: extra dB of margin required per connected UE the target
+/// cell has *more* than the serving cell.
+inline constexpr double kLoadPenaltyDbPerUe = 0.5;
+
 struct MobilityManagerConfig {
   /// A3-style margin: neighbor must beat serving RSRP by this much.
   double hysteresis_db = 3.0;
@@ -20,9 +24,6 @@ struct MobilityManagerConfig {
   int evaluations_to_trigger = 3;
   /// Evaluation period in task-manager cycles.
   std::int64_t period_cycles = 20;
-  /// Load awareness: extra dB of margin required per connected UE the
-  /// target cell has *more* than the serving cell. 0 = signal-only.
-  double load_penalty_db_per_ue = 0.5;
 };
 
 class MobilityManagerApp final : public ctrl::App {

@@ -38,7 +38,7 @@ void RemoteSchedulerApp::on_cycle(std::int64_t /*cycle*/, ctrl::NorthboundApi& a
     if (last < observed) last = observed;
 
     int issued = 0;
-    while (last < target && issued < config_.max_decisions_per_cycle) {
+    while (last < target && issued < kMaxDecisionsPerCycle) {
       ++last;
       auto decision = build_decision(*agent, last);
       if (!decision.dcis.empty() && api.send_dl_mac_config(agent_id, decision).ok()) {

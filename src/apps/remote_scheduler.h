@@ -14,15 +14,16 @@
 
 namespace flexran::apps {
 
+/// Cap on decisions issued per agent per cycle (bounds catch-up bursts after
+/// the master stalls).
+inline constexpr int kMaxDecisionsPerCycle = 4;
+
 struct RemoteSchedulerConfig {
   /// n: how many subframes ahead of the agent's last reported subframe a
   /// decision targets (Fig. 9 x-axis; >= 1).
   int schedule_ahead_sf = 2;
   /// Agents under this scheduler's control; empty = all connected agents.
   std::vector<ctrl::AgentId> agents;
-  /// Cap on decisions issued per agent per cycle (bounds catch-up bursts
-  /// after the master stalls).
-  int max_decisions_per_cycle = 4;
   /// Also schedule the uplink from reported UL buffer status. The agent's
   /// local UL VSF should then be disabled ("remote" is DL-only as a slot,
   /// so point ul_ue_scheduler at nothing by leaving it unset) or its grants

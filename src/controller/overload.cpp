@@ -15,10 +15,10 @@ const char* to_string(OverloadState state) {
 
 bool OverloadMonitor::observe(const OverloadSample& sample) {
   window_.push_back(sample);
-  if (window_.size() > std::max<std::size_t>(1, config_.window_cycles)) window_.pop_front();
+  if (window_.size() > kOverloadWindowCycles) window_.pop_front();
 
   const bool clean = sample.shed_delta == 0 && !sample.updater_saturated &&
-                     sample.depth_fraction < config_.elevated_watermark;
+                     sample.depth_fraction < kElevatedWatermark;
   clean_cycles_ = clean ? clean_cycles_ + 1 : 0;
 
   const OverloadState target = target_state();
@@ -30,7 +30,7 @@ bool OverloadMonitor::observe(const OverloadSample& sample) {
     ++transitions_;
     return true;
   }
-  if (state_ > OverloadState::normal && clean_cycles_ >= config_.recovery_cycles) {
+  if (state_ > OverloadState::normal && clean_cycles_ >= kOverloadRecoveryCycles) {
     state_ = static_cast<OverloadState>(static_cast<std::uint8_t>(state_) - 1);
     clean_cycles_ = 0;
     ++transitions_;
@@ -48,8 +48,8 @@ OverloadState OverloadMonitor::target_state() const {
     shed = shed || sample.shed_delta > 0;
     saturated = saturated || sample.updater_saturated;
   }
-  if (shed || max_depth >= config_.critical_watermark) return OverloadState::critical;
-  if (saturated || max_depth >= config_.elevated_watermark) return OverloadState::elevated;
+  if (shed || max_depth >= kCriticalWatermark) return OverloadState::critical;
+  if (saturated || max_depth >= kElevatedWatermark) return OverloadState::elevated;
   return OverloadState::normal;
 }
 

@@ -5,7 +5,7 @@
 // as an Event Notification Service event on every transition, and drives
 // the master's adaptive report throttling. Escalation is immediate (one bad
 // window is one window too many at 1 ms cycles); de-escalation is one level
-// per `recovery_cycles` consecutive clean cycles, so a flapping source
+// per `kOverloadRecoveryCycles` consecutive clean cycles, so a flapping source
 // cannot make the controller oscillate.
 #pragma once
 
@@ -28,25 +28,26 @@ enum class OverloadState : std::uint8_t {
 
 const char* to_string(OverloadState state);
 
+/// Sliding window length, in task-manager cycles.
+inline constexpr std::size_t kOverloadWindowCycles = 50;
+/// Queue depth fraction (messages or bytes, whichever is fuller) at which
+/// the state becomes at least elevated / critical.
+inline constexpr double kElevatedWatermark = 0.5;
+inline constexpr double kCriticalWatermark = 0.85;
+/// Consecutive clean cycles before de-escalating one level.
+inline constexpr std::size_t kOverloadRecoveryCycles = 100;
+/// Report-period multipliers applied on entering each state; while critical
+/// persists with continued shedding, the multiplier doubles each full
+/// window up to kMaxThrottleBackoff.
+inline constexpr std::uint32_t kElevatedBackoff = 2;
+inline constexpr std::uint32_t kCriticalBackoff = 4;
+inline constexpr std::uint32_t kMaxThrottleBackoff = 16;
+
 struct OverloadConfig {
   /// Budget for the master's pending-update (ingest) queue. Disabled
   /// (both limits 0, the default) turns the entire overload-protection
   /// layer off -- the seed behavior.
   net::QueueBudget ingest;
-  /// Sliding window length, in task-manager cycles.
-  std::size_t window_cycles = 50;
-  /// Queue depth fraction (messages or bytes, whichever is fuller) at
-  /// which the state becomes at least elevated / critical.
-  double elevated_watermark = 0.5;
-  double critical_watermark = 0.85;
-  /// Consecutive clean cycles before de-escalating one level.
-  std::size_t recovery_cycles = 100;
-  /// Report-period multipliers applied on entering each state; while
-  /// critical persists with continued shedding, the multiplier doubles
-  /// each full window up to max_backoff.
-  std::uint32_t elevated_backoff = 2;
-  std::uint32_t critical_backoff = 4;
-  std::uint32_t max_backoff = 16;
 };
 
 /// One cycle's observation, taken after the updater slot drained.
@@ -61,8 +62,6 @@ struct OverloadSample {
 
 class OverloadMonitor {
  public:
-  explicit OverloadMonitor(const OverloadConfig& config) : config_(config) {}
-
   /// Feeds one cycle's sample; returns true when the state changed.
   bool observe(const OverloadSample& sample);
 
@@ -73,7 +72,6 @@ class OverloadMonitor {
  private:
   OverloadState target_state() const;
 
-  OverloadConfig config_;
   std::deque<OverloadSample> window_;
   OverloadState state_ = OverloadState::normal;
   std::size_t clean_cycles_ = 0;

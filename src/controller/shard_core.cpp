@@ -33,8 +33,7 @@ ShardCore::ShardCore(sim::Simulator& sim, MasterConfig config)
           // The updater slot ends by publishing the cycle's snapshot -- the
           // version the applications dispatched this cycle will read.
           [this] { publish_snapshot(); },
-          [this] { dispatch_events(); }),
-      overload_monitor_(config_.overload) {
+          [this] { dispatch_events(); }) {
   if (config_.obs.registry != nullptr) registry_ = config_.obs.registry;
   pending_.set_budget(config_.overload.ingest);
   task_manager_.set_snapshot_source([this] { return snapshots_.current(); },
@@ -201,7 +200,7 @@ void ShardCore::run_cycle() {
       (void)send_to(id, echo);
     }
   }
-  task_manager_.run_cycle(cycle, *this);
+  task_manager_.run_cycle(cycle);
 }
 
 App* ShardCore::add_app(std::unique_ptr<App> app) {
@@ -262,10 +261,10 @@ void ShardCore::overload_step() {
     // While critical persists with continued shedding, keep backing off:
     // the multiplier doubles once per full window up to the cap.
     if (overload_monitor_.state() == OverloadState::critical && sample.shed_delta > 0) {
-      if (++critical_shedding_cycles_ >= config_.overload.window_cycles &&
-          throttle_multiplier_ < config_.overload.max_backoff) {
+      if (++critical_shedding_cycles_ >= kOverloadWindowCycles &&
+          throttle_multiplier_ < kMaxThrottleBackoff) {
         critical_shedding_cycles_ = 0;
-        update_throttle(std::min(throttle_multiplier_ * 2, config_.overload.max_backoff));
+        update_throttle(std::min(throttle_multiplier_ * 2, kMaxThrottleBackoff));
       }
     } else if (sample.shed_delta == 0) {
       critical_shedding_cycles_ = 0;
@@ -277,8 +276,8 @@ void ShardCore::overload_step() {
   critical_shedding_cycles_ = 0;
   switch (state) {
     case OverloadState::normal: update_throttle(1); break;
-    case OverloadState::elevated: update_throttle(config_.overload.elevated_backoff); break;
-    case OverloadState::critical: update_throttle(config_.overload.critical_backoff); break;
+    case OverloadState::elevated: update_throttle(kElevatedBackoff); break;
+    case OverloadState::critical: update_throttle(kCriticalBackoff); break;
   }
   FLEXRAN_LOG(warn, "master") << "overload state -> " << to_string(state)
                               << " (depth " << pending_.size() << " msgs, shed "
@@ -627,7 +626,7 @@ void ShardCore::sweep_requests() {
       ++it;
       continue;
     }
-    if (request.attempts < config_.request_max_retries) {
+    if (request.attempts < kRequestMaxRetries) {
       ++request.attempts;
       ++stats_.requests_retried;
       request.timeout *= 2;  // back off: the link may be congested, not dead
@@ -1246,16 +1245,6 @@ const proto::SignalingAccountant& ShardCore::rx_accounting(AgentId agent) const 
 
 // ------------------------------------------------------------ observability
 
-namespace {
-constexpr proto::MessageCategory kAllCategories[] = {
-    proto::MessageCategory::agent_management, proto::MessageCategory::sync,
-    proto::MessageCategory::stats, proto::MessageCategory::commands,
-    proto::MessageCategory::delegation};
-constexpr net::TrafficClass kAllClasses[] = {
-    net::TrafficClass::session, net::TrafficClass::command, net::TrafficClass::config,
-    net::TrafficClass::event,   net::TrafficClass::sync,    net::TrafficClass::stats};
-}  // namespace
-
 const obs::Histogram* ShardCore::control_latency(AgentId agent) const {
   auto it = links_.find(agent);
   return it == links_.end() ? nullptr : it->second.latency.get();
@@ -1266,7 +1255,7 @@ ShardStats ShardCore::stats() const {
   s.ingest_peak_messages = pending_.peak_messages();
   s.ingest_peak_bytes = pending_.peak_bytes();
   s.ingest_budget_overflows = pending_.budget_overflows();
-  for (const net::TrafficClass cls : kAllClasses) {
+  for (const net::TrafficClass cls : net::kAllTrafficClasses) {
     s.ingest[static_cast<std::size_t>(cls)] = pending_.counters(cls);
   }
   s.overload_transitions = overload_monitor_.transitions();
@@ -1306,7 +1295,7 @@ void ShardCore::collect(obs::Sink& out) const {
   for (const auto& f : kShardStatFields) {
     if (f.name != nullptr) out.value(f.name, {}, static_cast<double>(s.*f.field));
   }
-  for (const net::TrafficClass cls : kAllClasses) {
+  for (const net::TrafficClass cls : net::kAllTrafficClasses) {
     for (const auto& f : kIngestClassFields) {
       out.value(f.name, {{"class", net::to_string(cls)}},
                 static_cast<double>(s.ingest[static_cast<std::size_t>(cls)].*f.field));
@@ -1342,7 +1331,7 @@ void ShardCore::collect(obs::Sink& out) const {
   // agent's series leave with it.
   for (const auto& [id, link] : links_) {
     const std::string agent = std::to_string(id);
-    for (const proto::MessageCategory category : kAllCategories) {
+    for (const proto::MessageCategory category : proto::kAllCategories) {
       const char* cat = proto::to_string(category);
       out.value("signaling_tx_bytes", {{"agent", agent}, {"category", cat}},
                 static_cast<double>(link.tx.bytes(category)));

@@ -88,6 +88,10 @@ struct RecoveryConfig {
   std::shared_ptr<CheckpointSink> checkpoint_sink;
 };
 
+/// Retries before a tracked request (MasterConfig::request_timeout_us) is
+/// reported failed via a request_timeout event.
+inline constexpr int kRequestMaxRetries = 2;
+
 struct MasterConfig {
   TaskManagerConfig task_manager;
   /// Shard index under a Coordinator (-1 = standalone master). When set,
@@ -115,11 +119,8 @@ struct MasterConfig {
   /// arrives within this timeout (doubles per retry). 0 = fire-and-forget
   /// (the seed behavior).
   sim::TimeUs request_timeout_us = 0;
-  /// Retries before a tracked request is reported failed via a
-  /// request_timeout event.
-  int request_max_retries = 2;
   /// Overload protection (docs/overload_protection.md): bounded ingest
-  /// queue, watchdog thresholds and report-throttle backoff. The layer is
+  /// queue. The layer (watchdog and report-throttle backoff included) is
   /// entirely off (seed behavior) until `overload.ingest` has a budget.
   OverloadConfig overload;
   /// Metrics registry + control-loop tracing + Envelope timestamp echo

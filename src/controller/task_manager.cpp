@@ -34,12 +34,12 @@ void TaskManager::set_snapshot_source(SnapshotFn snapshot, NowFn now) {
 
 std::int64_t TaskManager::updater_budget_us() const {
   return config_.real_time
-             ? static_cast<std::int64_t>(kUpdaterShare * static_cast<double>(config_.cycle_us))
+             ? static_cast<std::int64_t>(kUpdaterShare * static_cast<double>(sim::kTtiUs))
              : std::int64_t{0};
 }
 
 std::int64_t TaskManager::app_slot_budget_us() const {
-  return config_.real_time ? config_.cycle_us - updater_budget_us() : std::int64_t{0};
+  return config_.real_time ? sim::kTtiUs - updater_budget_us() : std::int64_t{0};
 }
 
 void TaskManager::add_app(App* app, NorthboundApi& api) {
@@ -91,8 +91,7 @@ std::vector<TaskManager::Entry*> TaskManager::runnable_entries() const {
   return entries;
 }
 
-void TaskManager::run_cycle(std::int64_t cycle, NorthboundApi& api) {
-  (void)api;
+void TaskManager::run_cycle(std::int64_t cycle) {
   ++cycles_;
 
   // Slot 1: the RIB updater (sole writer; this thread), ending with the
@@ -303,7 +302,7 @@ double TaskManager::mean_idle_fraction() const {
   if (cycles_ == 0) return 1.0;
   const double busy =
       stages_.updater.mean() + stages_.event.mean() + stages_.apps.mean() + stages_.flush.mean();
-  return std::max(0.0, 1.0 - busy / static_cast<double>(config_.cycle_us));
+  return std::max(0.0, 1.0 - busy / static_cast<double>(sim::kTtiUs));
 }
 
 std::uint64_t TaskManager::app_overruns() const {

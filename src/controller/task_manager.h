@@ -39,6 +39,7 @@
 #include "controller/app.h"
 #include "controller/command_batch.h"
 #include "controller/rib_snapshot.h"
+#include "sim/simulator.h"
 #include "util/stats.h"
 
 namespace flexran::ctrl {
@@ -47,9 +48,9 @@ namespace flexran::ctrl {
 inline constexpr double kUpdaterShare = 0.20;
 
 struct TaskManagerConfig {
+  /// Real-time mode: cycles of one TTI (sim::kTtiUs) with enforced slot
+  /// budgets. Non-RT: the caller paces cycles and each runs to completion.
   bool real_time = true;
-  /// Cycle length; 1 TTI (1000 us) in real-time mode.
-  std::int64_t cycle_us = 1000;
   /// Application-slot worker threads. 0 = run apps inline on the
   /// coordinator thread (the original time-sliced behavior); >= 1 =
   /// pipelined mode (apps of cycle N overlap the updater of cycle N+1).
@@ -115,7 +116,7 @@ class TaskManager {
   /// >= 1: updater slot (overlapping the previous cycle's app slot), then
   /// join + flush the previous slot, then event dispatch, then dispatch
   /// this cycle's app slot to the pool.
-  void run_cycle(std::int64_t cycle, NorthboundApi& api);
+  void run_cycle(std::int64_t cycle);
 
   /// Joins the in-flight application slot, if any, and flushes its command
   /// batches. Call before reading master state that the slot may still be

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <iterator>
 #include <list>
 #include <map>
 #include <optional>
@@ -29,7 +30,11 @@ enum class TrafficClass : std::uint8_t {
   sync = 4,     // subframe ticks (superseded every TTI)
   stats = 5,    // periodic/one-off statistics replies
 };
-constexpr std::size_t kNumTrafficClasses = 6;
+/// Every class, in value order.
+constexpr TrafficClass kAllTrafficClasses[] = {
+    TrafficClass::session, TrafficClass::command, TrafficClass::config,
+    TrafficClass::event,   TrafficClass::sync,    TrafficClass::stats};
+constexpr std::size_t kNumTrafficClasses = std::size(kAllTrafficClasses);
 
 const char* to_string(TrafficClass cls);
 

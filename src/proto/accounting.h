@@ -5,14 +5,20 @@
 
 #include <array>
 #include <cstdint>
+#include <iterator>
 
 #include "proto/messages.h"
 
 namespace flexran::proto {
 
+/// Every MessageCategory, in value order.
+constexpr MessageCategory kAllCategories[] = {
+    MessageCategory::agent_management, MessageCategory::sync, MessageCategory::stats,
+    MessageCategory::commands, MessageCategory::delegation};
+
 class SignalingAccountant {
  public:
-  static constexpr std::size_t kNumCategories = 5;
+  static constexpr std::size_t kNumCategories = std::size(kAllCategories);
 
   void record(MessageCategory category, std::size_t bytes) {
     auto& bucket = buckets_[static_cast<std::size_t>(category)];

@@ -3,8 +3,8 @@
 namespace flexran::scenario {
 
 DashSession::DashSession(Testbed& testbed, std::size_t enb_index, lte::Rnti rnti,
-                         traffic::DashVideo video, traffic::DashClientConfig config,
-                         traffic::TcpConfig tcp_config) : rnti_(rnti) {
+                         traffic::DashVideo video, traffic::DashClientConfig config)
+    : rnti_(rnti) {
   stack::EnodebDataPlane* dp = testbed.enb(enb_index).data_plane.get();
   auto& epc = testbed.epc();
 
@@ -14,8 +14,7 @@ DashSession::DashSession(Testbed& testbed, std::size_t enb_index, lte::Rnti rnti
       [dp, rnti]() -> std::uint32_t {
         const auto* ue = dp->ue(rnti);
         return ue != nullptr ? ue->dl_queue.total_bytes() : 0;
-      },
-      tcp_config);
+      });
   client_ = std::make_unique<traffic::DashClient>(testbed.sim(), *flow_, std::move(video),
                                                   config);
 

@@ -15,8 +15,7 @@ namespace flexran::scenario {
 class DashSession {
  public:
   DashSession(Testbed& testbed, std::size_t enb_index, lte::Rnti rnti,
-              traffic::DashVideo video, traffic::DashClientConfig config = {},
-              traffic::TcpConfig tcp_config = {});
+              traffic::DashVideo video, traffic::DashClientConfig config = {});
 
   traffic::DashClient& client() { return *client_; }
   const traffic::DashClient& client() const { return *client_; }

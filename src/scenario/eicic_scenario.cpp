@@ -47,7 +47,7 @@ EicicScenarioResult run_eicic_scenario(const EicicScenarioConfig& config) {
     apps::EicicConfig eicic;
     eicic.macro = macro.agent_id;
     eicic.small_cells = {pico.agent_id};
-    eicic.pattern = lte::AbsPattern::per_frame(config.abs_per_frame);
+    eicic.pattern = lte::AbsPattern::per_frame(kAbsPerFrame);
     eicic.mode = config.mode;
     testbed.master().add_app(std::make_unique<apps::EicicCoordinatorApp>(eicic));
   }
@@ -65,7 +65,7 @@ EicicScenarioResult run_eicic_scenario(const EicicScenarioConfig& config) {
       testbed.sim(), [&testbed, pico_ue](std::uint32_t bytes) {
         (void)testbed.epc().downlink(pico_ue, bytes);
       },
-      config.small_cell_offered_mbps);
+      kSmallCellOfferedMbps);
   pico_traffic.start();
 
   testbed.run_seconds(config.warmup_s);

@@ -8,14 +8,16 @@
 
 namespace flexran::scenario {
 
+/// Offered load toward the small-cell UE; kept below the ABS capacity so
+/// idle ABSs exist for the optimized mode to reclaim.
+inline constexpr double kSmallCellOfferedMbps = 2.0;
+/// Almost-blank subframes per 10-subframe frame of the macro's ABS pattern.
+inline constexpr int kAbsPerFrame = 4;
+
 struct EicicScenarioConfig {
   apps::EicicMode mode = apps::EicicMode::optimized;
   double warmup_s = 1.0;
   double measure_s = 5.0;
-  /// Offered load toward the small-cell UE; keep it below the ABS capacity
-  /// so idle ABSs exist for the optimized mode to reclaim.
-  double small_cell_offered_mbps = 2.0;
-  int abs_per_frame = 4;
   std::uint64_t seed = 1;
 };
 

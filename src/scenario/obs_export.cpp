@@ -8,14 +8,6 @@ namespace flexran::scenario {
 
 namespace {
 
-constexpr proto::MessageCategory kAllCategories[] = {
-    proto::MessageCategory::agent_management, proto::MessageCategory::sync,
-    proto::MessageCategory::stats, proto::MessageCategory::commands,
-    proto::MessageCategory::delegation};
-constexpr net::TrafficClass kAllClasses[] = {
-    net::TrafficClass::session, net::TrafficClass::command, net::TrafficClass::config,
-    net::TrafficClass::event,   net::TrafficClass::sync,    net::TrafficClass::stats};
-
 void collect_testbed(Testbed& testbed, obs::Sink& out) {
   for (std::size_t i = 0; i < testbed.enbs().size(); ++i) {
     const Testbed::Enb& enb = *testbed.enbs()[i];
@@ -24,7 +16,7 @@ void collect_testbed(Testbed& testbed, obs::Sink& out) {
     // Agent-side signaling accountants -- the far end of the master's
     // signaling_{tx,rx} series; equality across the pair is the rx-parity
     // invariant the accounting tests assert.
-    for (const proto::MessageCategory category : kAllCategories) {
+    for (const proto::MessageCategory category : proto::kAllCategories) {
       const char* cat = proto::to_string(category);
       out.value("agent_signaling_tx_bytes", {{"agent", id}, {"category", cat}},
                 static_cast<double>(agent.tx_accounting().bytes(category)));
@@ -55,7 +47,7 @@ void collect_testbed(Testbed& testbed, obs::Sink& out) {
                 static_cast<double>(frames.shed));
       out.value("link_frames_corrupted", {{"link", link}, {"dir", dir}},
                 static_cast<double>(frames.corrupted));
-      for (const net::TrafficClass cls : kAllClasses) {
+      for (const net::TrafficClass cls : net::kAllTrafficClasses) {
         out.value("link_frames_shed_class",
                   {{"link", link}, {"dir", dir}, {"class", net::to_string(cls)}},
                   static_cast<double>(tx_end->frames_shed(cls)));
@@ -99,7 +91,7 @@ std::string format_metrics_block(Testbed& testbed) {
   }
   std::string tx_part;
   std::string rx_part;
-  for (const proto::MessageCategory category : kAllCategories) {
+  for (const proto::MessageCategory category : proto::kAllCategories) {
     std::uint64_t tx = 0;
     std::uint64_t rx = 0;
     for (auto& enb : testbed.enbs()) {

@@ -13,8 +13,7 @@ DashClient::DashClient(sim::Simulator& sim, TcpFlow& flow, DashVideo video,
     : sim_(sim),
       flow_(flow),
       video_(std::move(video)),
-      config_(config),
-      throughput_estimate_mbps_(config.ewma_alpha) {}
+      config_(config) {}
 
 void DashClient::start() {
   started_ = true;
@@ -37,7 +36,7 @@ std::size_t DashClient::choose_index() const {
   // Reference player: throughput rule ...
   std::size_t choice = 0;
   if (throughput_estimate_mbps_.seeded()) {
-    choice = highest_under(config_.safety_factor * throughput_estimate_mbps_.value());
+    choice = highest_under(kDashSafetyFactor * throughput_estimate_mbps_.value());
   }
   // ... plus buffer-confidence probing: with a comfortable buffer, step one
   // level above the current representation even beyond the estimate.
@@ -72,7 +71,7 @@ void DashClient::on_tti(std::int64_t /*tti*/) {
 
   // Playback state machine.
   if (!playing_) {
-    if (buffer_s_ >= (frozen_ ? config_.rebuffer_target_s : config_.startup_buffer_s)) {
+    if (buffer_s_ >= (frozen_ ? kDashRebufferTargetS : kDashStartupBufferS)) {
       playing_ = true;
       frozen_ = false;
     } else if (frozen_) {
@@ -89,7 +88,7 @@ void DashClient::on_tti(std::int64_t /*tti*/) {
 
   maybe_request();
 
-  if (sim_.now() - last_sample_ >= config_.sample_period) {
+  if (sim_.now() - last_sample_ >= kDashSamplePeriod) {
     const double t = sim::to_seconds(sim_.now());
     bitrate_series_.add(t, video_.bitrates_mbps[current_index_]);
     buffer_series_.add(t, buffer_s_);

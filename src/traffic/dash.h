@@ -33,11 +33,20 @@ DashVideo paper_video_4k();    // 2.9 / 4.9 / 7.3 / 9.6 / 14.6 / 19.6 Mb/s
 
 enum class AbrMode { reference, assisted };
 
+/// Reference mode: the highest bitrate under this fraction of the estimated
+/// throughput.
+inline constexpr double kDashSafetyFactor = 0.8;
+/// Buffered seconds before playback starts, and before it resumes after a
+/// freeze.
+inline constexpr double kDashStartupBufferS = 4.0;
+inline constexpr double kDashRebufferTargetS = 4.0;
+/// Smoothing of the per-segment throughput estimate.
+inline constexpr double kDashEwmaAlpha = 0.4;
+/// Sampling period of the bitrate/buffer time series.
+inline constexpr sim::TimeUs kDashSamplePeriod = sim::from_seconds(0.5);
+
 struct DashClientConfig {
   AbrMode mode = AbrMode::reference;
-  double safety_factor = 0.8;
-  double startup_buffer_s = 4.0;
-  double rebuffer_target_s = 4.0;
   double max_buffer_s = 60.0;
   /// reference: buffer level above which the player probes one level up
   /// (dash.js buffer-confidence behavior, the overshoot mechanism of
@@ -45,9 +54,6 @@ struct DashClientConfig {
   /// the paper's Fig. 11a case exhibits.
   bool buffer_probing = false;
   double step_up_buffer_s = 16.0;
-  double ewma_alpha = 0.4;
-  /// Sampling period of the bitrate/buffer time series.
-  sim::TimeUs sample_period = sim::from_seconds(0.5);
 };
 
 class DashClient {
@@ -89,7 +95,7 @@ class DashClient {
   bool frozen_ = false;
   double bitrate_cap_mbps_ = 0.0;
 
-  util::Ewma throughput_estimate_mbps_;
+  util::Ewma throughput_estimate_mbps_{kDashEwmaAlpha};
   sim::TimeUs segment_request_time_ = 0;
 
   int freeze_count_ = 0;

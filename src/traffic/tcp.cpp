@@ -9,9 +9,7 @@ TcpFlow::TcpFlow(sim::Simulator& sim, EnqueueFn enqueue, QueueBytesFn queue_byte
     : sim_(sim),
       enqueue_(std::move(enqueue)),
       queue_bytes_(std::move(queue_bytes)),
-      config_(config),
-      cwnd_(config.initial_cwnd_bytes),
-      ssthresh_(config.ssthresh_bytes) {}
+      config_(config) {}
 
 void TcpFlow::transfer(std::uint64_t bytes, CompletionFn on_complete) {
   transfers_.push_back({bytes, std::move(on_complete)});
@@ -31,7 +29,7 @@ void TcpFlow::on_delivered(std::uint32_t wire_bytes) {
     } else {
       cwnd_ += std::max<std::uint32_t>(
           1, static_cast<std::uint32_t>(
-                 static_cast<double>(config_.mss_bytes) * payload / static_cast<double>(cwnd_)));
+                 static_cast<double>(kMssBytes) * payload / static_cast<double>(cwnd_)));
     }
   }
 
@@ -69,19 +67,19 @@ void TcpFlow::maybe_send() {
     return total > inflight_payload ? total - inflight_payload : 0;
   };
 
-  while (inflight_bytes_ + config_.mss_bytes + config_.header_bytes <= cwnd_ && backlog() > 0) {
+  while (inflight_bytes_ + kMssBytes + kHeaderBytes <= cwnd_ && backlog() > 0) {
     // Congestion check: a full bearer queue means the next packet would be
     // tail-dropped. React once per cooldown window.
-    if (queue_bytes_() + config_.mss_bytes + config_.header_bytes >= config_.queue_limit_bytes) {
+    if (queue_bytes_() + kMssBytes + kHeaderBytes >= config_.queue_limit_bytes) {
       if (current_tti_ >= cooldown_until_tti_) {
-        ssthresh_ = std::max(config_.min_cwnd_bytes, cwnd_ / 2);
+        ssthresh_ = std::max(kMinCwndBytes, cwnd_ / 2);
         cwnd_ = ssthresh_;
-        cooldown_until_tti_ = current_tti_ + config_.loss_cooldown_ttis;
+        cooldown_until_tti_ = current_tti_ + kLossCooldownTtis;
         ++loss_events_;
       }
       return;
     }
-    const std::uint32_t wire = config_.mss_bytes + config_.header_bytes;
+    const std::uint32_t wire = kMssBytes + kHeaderBytes;
     enqueue_(wire);
     inflight_bytes_ += wire;
   }

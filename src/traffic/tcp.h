@@ -16,19 +16,20 @@
 
 namespace flexran::traffic {
 
+inline constexpr std::uint32_t kMssBytes = 1460;
+/// IP+TCP header overhead charged per MSS of payload.
+inline constexpr std::uint32_t kHeaderBytes = 40;
+inline constexpr std::uint32_t kInitialCwndBytes = 10 * kMssBytes;
+inline constexpr std::uint32_t kMinCwndBytes = 2 * kMssBytes;
+inline constexpr std::uint32_t kInitialSsthreshBytes = 65'535;
+/// TTIs of post-loss quiescence (one wireless RTT) before cwnd can grow
+/// again -- models fast-recovery's duplicate-ACK round.
+inline constexpr int kLossCooldownTtis = 60;
+
 struct TcpConfig {
-  std::uint32_t mss_bytes = 1460;
-  /// IP+TCP header overhead charged per MSS of payload.
-  std::uint32_t header_bytes = 40;
-  std::uint32_t initial_cwnd_bytes = 10 * 1460;
-  std::uint32_t min_cwnd_bytes = 2 * 1460;
-  std::uint32_t ssthresh_bytes = 65'535;
   /// Bearer (RLC) queue depth at which the eNodeB would tail-drop; reaching
   /// it is treated as a congestion signal.
   std::uint32_t queue_limit_bytes = 120'000;
-  /// TTIs of post-loss quiescence (one wireless RTT) before cwnd can grow
-  /// again -- models fast-recovery's duplicate-ACK round.
-  int loss_cooldown_ttis = 60;
 };
 
 class TcpFlow {
@@ -69,7 +70,7 @@ class TcpFlow {
 
   void maybe_send();
   double wire_factor() const {
-    return 1.0 + static_cast<double>(config_.header_bytes) / static_cast<double>(config_.mss_bytes);
+    return 1.0 + static_cast<double>(kHeaderBytes) / static_cast<double>(kMssBytes);
   }
 
   sim::Simulator& sim_;
@@ -80,8 +81,8 @@ class TcpFlow {
   std::deque<Transfer> transfers_;
   bool persistent_ = false;
 
-  std::uint32_t cwnd_;
-  std::uint32_t ssthresh_;
+  std::uint32_t cwnd_ = kInitialCwndBytes;
+  std::uint32_t ssthresh_ = kInitialSsthreshBytes;
   std::uint64_t inflight_bytes_ = 0;  // wire bytes enqueued, not yet delivered
   std::int64_t cooldown_until_tti_ = -1;
   std::int64_t current_tti_ = 0;

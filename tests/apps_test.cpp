@@ -157,10 +157,10 @@ TEST(MecDash, PushesBitrateOnCqiChange) {
 
   testbed.run_ttis(2000);
   ASSERT_FALSE(pushes.empty());
-  EXPECT_NEAR(pushes.back(), sustainable_bitrate_mbps(config.table, 10.0), 0.8);
+  EXPECT_NEAR(pushes.back(), sustainable_bitrate_mbps(calibrated_table2_bitrates(), 10.0), 0.8);
   testbed.run_ttis(4000);  // EWMA converges toward CQI 4
   ASSERT_GT(pushes.size(), 1u);
-  EXPECT_NEAR(pushes.back(), sustainable_bitrate_mbps(config.table, 4.0), 0.8);
+  EXPECT_NEAR(pushes.back(), sustainable_bitrate_mbps(calibrated_table2_bitrates(), 4.0), 0.8);
 }
 
 TEST(MecDash, LoadAwareGuidancePreventsMultiClientOverload) {

@@ -130,7 +130,9 @@ TEST(RibSnapshot, OneDirtyAgentAmongThousandSharesTheOthers) {
   EXPECT_EQ(v2->find_agent(500)->last_subframe, 7);
   EXPECT_EQ(v1->find_agent(500)->last_subframe, 0);
   for (AgentId id : all) {
-    if (id != 500) EXPECT_EQ(v2->find_agent(id), v1->find_agent(id)) << "agent " << id;
+    if (id != 500) {
+      EXPECT_EQ(v2->find_agent(id), v1->find_agent(id)) << "agent " << id;
+    }
   }
 
   // Iteration is strictly ascending and visits every agent exactly once.
@@ -343,7 +345,7 @@ std::vector<std::string> run_chatty_cycles(int workers, int cycles) {
   tm.add_app(&slow, api);
   tm.add_app(&fast, api);
   tm.add_app(&late, api);
-  for (int cycle = 0; cycle < cycles; ++cycle) tm.run_cycle(cycle, api);
+  for (int cycle = 0; cycle < cycles; ++cycle) tm.run_cycle(cycle);
   tm.quiesce();
   return api.log;
 }
@@ -449,7 +451,7 @@ TEST(TaskManagerPool, LowerTierWaitsForHigherTier) {
 
   for (int cycle = 0; cycle < 20; ++cycle) {
     finished_above.store(0);
-    tm.run_cycle(cycle, api);
+    tm.run_cycle(cycle);
     tm.quiesce();  // one slot at a time so the per-cycle reset is race-free
   }
   EXPECT_FALSE(violated.load());
@@ -510,11 +512,11 @@ TEST(TaskManagerPool, RemoveDuringCycleIsDeferredToCycleBoundary) {
   // later in this cycle's schedule, must still run exactly once (the
   // working set is frozen at slot start), and both removals must land at
   // the cycle boundary instead of invalidating the iteration.
-  tm.run_cycle(0, api);
+  tm.run_cycle(0);
   EXPECT_EQ(remover.runs(), 1);
   EXPECT_EQ(victim.runs(), 1);
   EXPECT_EQ(tm.app_count(), 0u);
-  tm.run_cycle(1, api);
+  tm.run_cycle(1);
   EXPECT_EQ(remover.runs(), 1);
   EXPECT_EQ(victim.runs(), 1);
 }
@@ -533,7 +535,7 @@ TEST(TaskManagerPool, RemoveWhileSlotInFlightWaitsForJoin) {
 
   ChattyApp slow("slow", 1, std::chrono::microseconds(2000));
   tm.add_app(&slow, api);
-  tm.run_cycle(0, api);  // dispatches the slot; workers are now running
+  tm.run_cycle(0);  // dispatches the slot; workers are now running
   tm.remove_app("slow");  // in flight -> deferred, not torn out from under the worker
   EXPECT_EQ(tm.app_count(), 1u);
   tm.quiesce();  // joins, flushes, applies the deferral
@@ -548,12 +550,12 @@ TEST(TaskManagerPool, PauseWhileRunningTakesEffectNextCycle) {
   TaskManager tm({.real_time = false}, nullptr, nullptr, nullptr);
   CountingApp app("app", 10);
   tm.add_app(&app, api);
-  tm.run_cycle(0, api);
+  tm.run_cycle(0);
   ASSERT_TRUE(tm.set_paused("app", true).ok());
-  tm.run_cycle(1, api);
+  tm.run_cycle(1);
   EXPECT_EQ(app.runs(), 1);
   ASSERT_TRUE(tm.set_paused("app", false).ok());
-  tm.run_cycle(2, api);
+  tm.run_cycle(2);
   EXPECT_EQ(app.runs(), 2);
 }
 

@@ -143,7 +143,7 @@ TEST(TaskManager, AppsRunInPriorityOrder) {
   RecordingApp scheduler("scheduler", 1, log);  // time critical -> first
   tm.add_app(&monitoring, api);
   tm.add_app(&scheduler, api);
-  tm.run_cycle(0, api);
+  tm.run_cycle(0);
   ASSERT_EQ(log.size(), 2u);
   EXPECT_EQ(log[0], "scheduler");
   EXPECT_EQ(log[1], "monitoring");
@@ -158,13 +158,13 @@ TEST(TaskManager, PauseResumeRemove) {
   tm.add_app(&app, api);
 
   ASSERT_TRUE(tm.set_paused("app", true).ok());
-  tm.run_cycle(0, api);
+  tm.run_cycle(0);
   EXPECT_TRUE(log.empty());
   ASSERT_TRUE(tm.set_paused("app", false).ok());
-  tm.run_cycle(1, api);
+  tm.run_cycle(1);
   EXPECT_EQ(log.size(), 1u);
   tm.remove_app("app");
-  tm.run_cycle(2, api);
+  tm.run_cycle(2);
   EXPECT_EQ(log.size(), 1u);
   EXPECT_FALSE(tm.set_paused("ghost", true).ok());
 }
@@ -174,7 +174,7 @@ TEST(TaskManager, RecordsSlotTimings) {
   NullNorthbound api(rib);
   int updates = 0;
   TaskManager tm({}, [&](std::int64_t) { ++updates; }, nullptr, nullptr);
-  for (int i = 0; i < 10; ++i) tm.run_cycle(i, api);
+  for (int i = 0; i < 10; ++i) tm.run_cycle(i);
   EXPECT_EQ(tm.cycles_run(), 10);
   EXPECT_EQ(updates, 10);
   EXPECT_EQ(tm.updater_time_us().count(), 10u);

@@ -712,7 +712,6 @@ TEST(NonRealTime, CoarseCycleMasterStillManagesAgents) {
   sim::Simulator simulator;
   ctrl::MasterConfig config = scenario::per_tti_master_config(10);
   config.task_manager.real_time = false;
-  config.task_manager.cycle_us = 10'000;
   ctrl::ShardCore master(simulator, config);
 
   lte::EnbConfig enb_config;

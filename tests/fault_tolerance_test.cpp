@@ -181,7 +181,7 @@ TEST(SessionLifecycle, CorruptedHelloIsRecoveredByHelloRetry) {
   testbed.run_ttis(5);
   EXPECT_EQ(testbed.master().rx_decode_errors(), decode_errors_before + 1);
 
-  testbed.run_ttis(enb.agent->config().hello_retry_ttis + 50);
+  testbed.run_ttis(agent::kHelloRetryTtis + 50);
   EXPECT_GE(enb.agent->hello_retries(), 1u);
   const auto* node = testbed.master().rib().find_agent(enb.agent_id);
   ASSERT_NE(node, nullptr);
@@ -322,7 +322,6 @@ TEST(RequestTracking, TimedOutRequestIsRetriedAndCompletes) {
 TEST(RequestTracking, ExhaustedRetriesSurfaceRequestTimeoutEvent) {
   ctrl::MasterConfig config = scenario::per_tti_master_config();
   config.request_timeout_us = sim::from_ms(10);
-  config.request_max_retries = 2;
   scenario::Testbed testbed(std::move(config));
   auto* recorder = static_cast<LifecycleRecorder*>(
       testbed.master().add_app(std::make_unique<LifecycleRecorder>()));
@@ -339,7 +338,8 @@ TEST(RequestTracking, ExhaustedRetriesSurfaceRequestTimeoutEvent) {
 
   testbed.run_ttis(100);
   EXPECT_EQ(testbed.master().stats().inflight_requests, 0u);
-  EXPECT_EQ(testbed.master().stats().requests_retried, 2u);
+  EXPECT_EQ(testbed.master().stats().requests_retried,
+            static_cast<std::uint64_t>(ctrl::kRequestMaxRetries));
   EXPECT_EQ(testbed.master().stats().requests_failed, 1u);
   ASSERT_EQ(recorder->timed_out_xids.size(), 1u);
   EXPECT_NE(recorder->timed_out_xids[0], 0u);
@@ -360,7 +360,6 @@ TEST(RequestTracking, RetriesKeepOriginalSignalingCategory) {
   config.echo_period_cycles = 0;       // no periodic management traffic
   config.default_stats_request.reset();
   config.request_timeout_us = sim::from_ms(10);
-  config.request_max_retries = 2;
   scenario::Testbed testbed(std::move(config));
   auto& enb = testbed.add_enb(basic_spec());
   testbed.run_ttis(20);
@@ -383,11 +382,12 @@ TEST(RequestTracking, RetriesKeepOriginalSignalingCategory) {
   ASSERT_GT(first_bytes, 0u);
 
   testbed.run_ttis(100);
-  EXPECT_EQ(testbed.master().stats().requests_retried, 2u);
+  constexpr std::uint64_t kSends = 1 + ctrl::kRequestMaxRetries;
+  EXPECT_EQ(testbed.master().stats().requests_retried, kSends - 1);
   // All retries accounted in the stats bucket (not re-derived into another
   // category), each with the identical wire + frame-header size.
-  EXPECT_EQ(tx.messages(proto::MessageCategory::stats), 3u);
-  EXPECT_EQ(tx.bytes(proto::MessageCategory::stats), 3 * first_bytes);
+  EXPECT_EQ(tx.messages(proto::MessageCategory::stats), kSends);
+  EXPECT_EQ(tx.bytes(proto::MessageCategory::stats), kSends * first_bytes);
   // Nothing leaked into the other buckets.
   EXPECT_EQ(tx.messages(proto::MessageCategory::commands), 0u);
   EXPECT_EQ(tx.messages(proto::MessageCategory::delegation), 0u);
@@ -731,7 +731,12 @@ TEST(MasterRecovery, ReconnectJitterDesynchronizesAgents) {
   const auto backoff = sim::from_ms(20);
   EXPECT_EQ(enb_a.agent->jittered_backoff(backoff), enb_a.agent->jittered_backoff(backoff));
   EXPECT_NE(enb_a.agent->jittered_backoff(backoff), enb_b.agent->jittered_backoff(backoff));
-  EXPECT_GE(enb_a.agent->jittered_backoff(backoff), backoff);
+  // Each delay is scaled by a factor in [1, 1 + kReconnectJitter).
+  for (const auto* enb : {&enb_a, &enb_b}) {
+    EXPECT_GE(enb->agent->jittered_backoff(backoff), backoff);
+    EXPECT_LT(static_cast<double>(enb->agent->jittered_backoff(backoff)),
+              static_cast<double>(backoff) * (1.0 + agent::kReconnectJitter));
+  }
 
   // End to end: both agents crash and reconnect against a dead channel at
   // the same instant; their retry timelines must diverge.

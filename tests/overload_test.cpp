@@ -21,7 +21,6 @@ namespace {
 using net::ClassedQueue;
 using net::QueueBudget;
 using net::TrafficClass;
-using ctrl::OverloadConfig;
 using ctrl::OverloadMonitor;
 using ctrl::OverloadSample;
 using ctrl::OverloadState;
@@ -131,15 +130,8 @@ TEST(ClassedQueue, TracksPeaks) {
 
 // ---------------------------------------------------------- OverloadMonitor --
 
-OverloadConfig small_monitor_config() {
-  OverloadConfig config;
-  config.window_cycles = 4;
-  config.recovery_cycles = 3;
-  return config;
-}
-
 TEST(OverloadMonitor, EscalatesImmediatelyOnShed) {
-  OverloadMonitor monitor(small_monitor_config());
+  OverloadMonitor monitor;
   EXPECT_FALSE(monitor.observe({0.1, 0, false}));
   EXPECT_EQ(monitor.state(), OverloadState::normal);
   EXPECT_TRUE(monitor.observe({0.1, /*shed_delta=*/5, false}));
@@ -148,34 +140,35 @@ TEST(OverloadMonitor, EscalatesImmediatelyOnShed) {
 }
 
 TEST(OverloadMonitor, DepthAndSaturationWatermarks) {
-  OverloadMonitor monitor(small_monitor_config());
-  EXPECT_TRUE(monitor.observe({0.6, 0, false}));  // >= elevated watermark
+  OverloadMonitor monitor;
+  EXPECT_FALSE(monitor.observe({ctrl::kElevatedWatermark - 0.01, 0, false}));
+  EXPECT_TRUE(monitor.observe({ctrl::kElevatedWatermark, 0, false}));
   EXPECT_EQ(monitor.state(), OverloadState::elevated);
-  EXPECT_TRUE(monitor.observe({0.9, 0, false}));  // >= critical watermark
+  EXPECT_TRUE(monitor.observe({ctrl::kCriticalWatermark, 0, false}));
   EXPECT_EQ(monitor.state(), OverloadState::critical);
 
-  OverloadMonitor saturated(small_monitor_config());
+  OverloadMonitor saturated;
   EXPECT_TRUE(saturated.observe({0.0, 0, /*updater_saturated=*/true}));
   EXPECT_EQ(saturated.state(), OverloadState::elevated);
 }
 
 TEST(OverloadMonitor, DeEscalatesOneLevelPerRecoveryRun) {
-  OverloadMonitor monitor(small_monitor_config());
+  OverloadMonitor monitor;
   ASSERT_TRUE(monitor.observe({0.0, 10, false}));
   ASSERT_EQ(monitor.state(), OverloadState::critical);
-  // Clean cycles age the bad sample out of the window (4 cycles), then
-  // each full recovery run (3 clean cycles) steps down one level.
-  int observed = 0;
-  while (monitor.state() == OverloadState::critical && observed < 32) {
-    monitor.observe({0.0, 0, false});
-    ++observed;
+  // The bad sample ages out of the window before the first recovery run
+  // ends, so each level takes exactly one run of clean cycles.
+  static_assert(ctrl::kOverloadWindowCycles < ctrl::kOverloadRecoveryCycles);
+  const OverloadSample clean{0.0, 0, false};
+  for (const OverloadState next : {OverloadState::elevated, OverloadState::normal}) {
+    for (std::size_t cycle = 1; cycle < ctrl::kOverloadRecoveryCycles; ++cycle) {
+      ASSERT_FALSE(monitor.observe(clean)) << "clean cycle " << cycle;
+    }
+    EXPECT_EQ(monitor.clean_cycles(), ctrl::kOverloadRecoveryCycles - 1);
+    ASSERT_TRUE(monitor.observe(clean));
+    EXPECT_EQ(monitor.state(), next);
+    EXPECT_EQ(monitor.clean_cycles(), 0u);
   }
-  EXPECT_EQ(monitor.state(), OverloadState::elevated);
-  while (monitor.state() == OverloadState::elevated && observed < 32) {
-    monitor.observe({0.0, 0, false});
-    ++observed;
-  }
-  EXPECT_EQ(monitor.state(), OverloadState::normal);
   EXPECT_EQ(monitor.transitions(), 3u);
   // A dirty cycle resets the clean run but does not re-escalate by itself
   // once the window is clean.
@@ -285,7 +278,8 @@ TEST(OverloadEndToEnd, RecoversAfterFloodClears) {
   ASSERT_GT(testbed.master().stats().overload_transitions, 0u);
 
   clear_flood(enb, 60);
-  // recovery_cycles=100 per level plus window aging: well within 2 s.
+  // kOverloadRecoveryCycles (100) per level plus window aging: well within
+  // 2 s.
   testbed.run_ttis(2000);
 
   auto& master = testbed.master();

@@ -146,7 +146,9 @@ TEST(ChaosFuzzer, GeneratedSchedulesKeepASurvivingShard) {
         ++fatal;
         EXPECT_GE(fault.shard, 0);
       }
-      if (fault.kind == scenario::FaultKind::crash) EXPECT_GT(fault.duration_s, 0.0);
+      if (fault.kind == scenario::FaultKind::crash) {
+        EXPECT_GT(fault.duration_s, 0.0);
+      }
     }
     EXPECT_LT(fatal, spec.shards) << "seed " << seed << " left no survivor";
   }
