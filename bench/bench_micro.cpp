@@ -187,6 +187,8 @@ void BM_ConflictArbiterClaim(benchmark::State& state) {
   // The per-decision cost of the conflict-resolution extension: must be
   // negligible next to encoding/sending the decision itself.
   ctrl::ConflictArbiter arbiter;
+  ctrl::Rib rib;
+  ctrl::AgentNode& agent = rib.agent(1);
   proto::DlMacConfig config;
   config.cell_id = 1;
   for (int i = 0; i < 8; ++i) {
@@ -199,7 +201,10 @@ void BM_ConflictArbiterClaim(benchmark::State& state) {
   for (auto _ : state) {
     config.target_subframe = ++subframe;
     benchmark::DoNotOptimize(arbiter.claim_dl(1, config));
-    if (subframe % 64 == 0) arbiter.prune_before(1, subframe);
+    if (subframe % 64 == 0) {
+      agent.last_subframe = subframe;
+      arbiter.prune(rib);
+    }
   }
   state.SetLabel("8-DCI decision validated + claimed");
 }

@@ -13,7 +13,8 @@
 // and decoded into a reused message, and one agent subframe (remote DL
 // scheduling of 16 UEs, per-TTI stats and subframe ticks) over a counting
 // transport that copies nothing, with a periodic and with a triggered
-// stats registration.
+// stats registration. Last, one idle ShardCore cycle at 16, 1024 and 8192
+// agents, whose time must not grow with the fleet.
 //
 // Allocations are counted by a global operator-new hook, so the numbers are
 // exact, deterministic, and independent of machine speed -- which is why
@@ -417,6 +418,41 @@ AgentStage measure_agent_subframe(proto::ReportMode mode) {
   return stage;
 }
 
+// ------------------------------------------------------------ idle cycle --
+
+constexpr std::uint64_t kIdleCycles = 4'000;
+constexpr int kIdleRepeats = 5;
+/// An idle cycle may cost at most this many times more at the largest
+/// fleet than at the smallest.
+constexpr double kIdleCycleMaxGrowth = 4.0;
+
+/// ns (best of kIdleRepeats runs) and allocations per ShardCore::run_cycle
+/// with `agents` linked agents and nothing to do: no traffic, no apps, no
+/// PRB claims, and neither the liveness sweep (off by default) nor the echo
+/// round, which visit every agent on purpose. What is left is the per-cycle
+/// bookkeeping that must not grow with the fleet.
+std::pair<double, double> measure_idle_cycle(std::size_t agents) {
+  sim::Simulator sim;
+  ctrl::MasterConfig config;
+  config.echo_period_cycles = 0;
+  ctrl::ShardCore core(sim, config);
+  std::vector<CountingTransport> links(agents);
+  for (auto& link : links) core.add_agent(link);
+  core.publish_now();
+  for (std::uint64_t i = 0; i < kWarmup; ++i) core.run_cycle();
+  double best_ns = 0.0;
+  const auto allocs0 = g_allocs.load();
+  for (int r = 0; r < kIdleRepeats; ++r) {
+    const auto t0 = Clock::now();
+    for (std::uint64_t i = 0; i < kIdleCycles; ++i) core.run_cycle();
+    const double ns = ns_per_op(kIdleCycles, t0, Clock::now());
+    if (r == 0 || ns < best_ns) best_ns = ns;
+  }
+  const double allocs = static_cast<double>(g_allocs.load() - allocs0) /
+                        static_cast<double>(kIdleRepeats * kIdleCycles);
+  return {best_ns, allocs};
+}
+
 // --------------------------------------------------------------- results --
 
 struct Results {
@@ -449,6 +485,10 @@ struct Results {
   double dl_decode_allocs = 0.0;
   AgentStage agent_periodic;
   AgentStage agent_triggered;
+  // Per fleet size (kFleetSizes): one ShardCore cycle with nothing to do.
+  double idle_cycle_ns[kFleets] = {};
+  double idle_cycle_allocs[kFleets] = {};
+  double idle_cycle_growth() const { return idle_cycle_ns[kFleets - 1] / idle_cycle_ns[0]; }
 };
 
 /// True when `decoded` carries every field of `sent`; otherwise names the
@@ -708,6 +748,12 @@ Results run_bench() {
   res.agent_periodic = measure_agent_subframe(proto::ReportMode::periodic);
   res.agent_triggered = measure_agent_subframe(proto::ReportMode::triggered);
 
+  // ---- one idle master cycle ----
+  for (std::size_t f = 0; f < kFleets; ++f) {
+    std::tie(res.idle_cycle_ns[f], res.idle_cycle_allocs[f]) =
+        measure_idle_cycle(kFleetSizes[f]);
+  }
+
   return res;
 }
 
@@ -749,8 +795,24 @@ int check_against(const Results& res, const std::string& path) {
        std::max(res.agent_periodic.command_rx_allocs, res.agent_triggered.command_rx_allocs)},
       {"agent_subframe_allocs_periodic", res.agent_periodic.subframe_allocs},
       {"agent_subframe_allocs_triggered", res.agent_triggered.subframe_allocs},
+      {"idle_cycle_allocs",
+       *std::max_element(res.idle_cycle_allocs, res.idle_cycle_allocs + kFleets)},
   };
   int failures = 0;
+  // An idle cycle must cost about the same at every fleet size: a cycle
+  // that grows with the fleet walks every agent with nothing to do.
+  if (res.idle_cycle_growth() > kIdleCycleMaxGrowth) {
+    std::fprintf(stderr,
+                 "bench_wire --check: idle cycle grows with the fleet: %.1f ns at %zu agents "
+                 "is %.1fx the %.1f ns at %zu (limit %.0fx)\n",
+                 res.idle_cycle_ns[kFleets - 1], kFleetSizes[kFleets - 1],
+                 res.idle_cycle_growth(), res.idle_cycle_ns[0], kFleetSizes[0],
+                 kIdleCycleMaxGrowth);
+    ++failures;
+  } else {
+    std::printf("bench_wire --check: %-34s %.4f <= %.4f ok\n", "idle_cycle_ns_8192_over_16",
+                res.idle_cycle_growth(), kIdleCycleMaxGrowth);
+  }
   // Publish and compose must cost the same allocations at every fleet size:
   // a count that grows with the fleet is an O(agents) path come back.
   for (std::size_t f = 1; f < kFleets; ++f) {
@@ -865,6 +927,11 @@ int main(int argc, char** argv) {
     std::printf("%-34s %10.1f %14.4f\n", (std::string("agent subframe, ") + name).c_str(),
                 stage->subframe_ns, stage->subframe_allocs);
   }
+  for (std::size_t f = 0; f < kFleets; ++f) {
+    std::printf("%-34s %10.1f %14.4f\n",
+                ("idle cycle, " + std::to_string(kFleetSizes[f]) + " agents").c_str(),
+                res.idle_cycle_ns[f], res.idle_cycle_allocs[f]);
+  }
 
   std::string fleet_json;
   for (std::size_t f = 0; f < kFleets; ++f) {
@@ -897,6 +964,16 @@ int main(int argc, char** argv) {
                   stage->subframe_allocs, stage->command_rx_allocs, stage->sends_per_subframe);
     agent_json += row;
   }
+  std::string idle_json;
+  for (std::size_t f = 0; f < kFleets; ++f) {
+    char row[128];
+    std::snprintf(row, sizeof(row), "%s{\"agents\":%zu,\"ns\":%.2f,\"allocs_per_cycle\":%.4f}",
+                  f == 0 ? "" : ",", kFleetSizes[f], res.idle_cycle_ns[f],
+                  res.idle_cycle_allocs[f]);
+    idle_json += row;
+  }
+  char idle_growth[64];
+  std::snprintf(idle_growth, sizeof(idle_growth), "%.3f", res.idle_cycle_growth());
   char command_json[256];
   std::snprintf(command_json, sizeof(command_json),
                 "\"dl_command\":{\"dcis\":%zu,\"wire_bytes\":%zu,\"encode_ns\":%.2f,"
@@ -922,9 +999,12 @@ int main(int argc, char** argv) {
       flexran::bench::json_header(
           "wire_fastpath",
           "ues=16 rsrp=2 cells=1 encode_iters=20000 loop_iters=20000 publish_iters=2000 "
-          "compose_shards=4 dcis=16 command_iters=20000 agent_ttis=2000") +
+          "compose_shards=4 dcis=16 command_iters=20000 agent_ttis=2000 "
+          "idle_cycles=5x4000") +
       buffer + command_json + "\"agent_subframe\":{" + agent_json +
-      "},\"publish_compose\":[" + fleet_json + "],\"ue_scaling\":[" + ue_json + "]}";
+      "},\"publish_compose\":[" + fleet_json + "],\"ue_scaling\":[" + ue_json +
+      "],\"idle_cycle\":[" + idle_json + "],\"idle_cycle_ns_8192_over_16\":" + idle_growth +
+      "}";
   std::ofstream out(json_path);
   out << json << "\n";
   std::printf("\n%s\nJSON written to %s\n", json.c_str(), json_path.c_str());

@@ -1,5 +1,7 @@
 #include "controller/arbiter.h"
 
+#include <limits>
+
 namespace flexran::ctrl {
 
 util::Status ConflictArbiter::claim_dl(AgentId agent, const proto::DlMacConfig& config) {
@@ -30,12 +32,26 @@ util::Status ConflictArbiter::claim_dl(AgentId agent, const proto::DlMacConfig& 
   return {};
 }
 
-void ConflictArbiter::prune_before(AgentId agent, std::int64_t subframe) {
+void ConflictArbiter::prune(const Rib& rib) {
+  constexpr std::int64_t kLast = std::numeric_limits<std::int64_t>::max();
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = claims_.lower_bound(std::pair{agent, std::int64_t{0}});
-  while (it != claims_.end() && it->first.first == agent && it->first.second < subframe) {
-    it = claims_.erase(it);
+  auto it = claims_.begin();
+  while (it != claims_.end()) {
+    // Claims sort by (agent, subframe): each agent's form one run, led by
+    // the subframes it has passed. Skipping to the next run by search
+    // keeps the claims still ahead of their agent unvisited.
+    const AgentId agent = it->first.first;
+    const auto next_agent = claims_.upper_bound({agent, kLast});
+    const AgentNode* node = rib.find_agent(agent);
+    claims_.erase(it, node != nullptr ? claims_.lower_bound({agent, node->last_subframe})
+                                      : next_agent);
+    it = next_agent;
   }
+}
+
+void ConflictArbiter::clear() {
+  std::lock_guard<std::mutex> lock(mu_);
+  claims_.clear();
 }
 
 std::uint64_t ConflictArbiter::conflicts_detected() const {

@@ -14,7 +14,7 @@
 // Thread safety: claims happen at command-enqueue time, which with a
 // parallel application slot means concurrently from worker threads (apps
 // of one priority tier) and from the coordinator (the master's direct send
-// path, the prune sweep). All state is guarded by an internal mutex.
+// path, the per-cycle prune). All state is guarded by an internal mutex.
 #pragma once
 
 #include <cstdint>
@@ -35,8 +35,13 @@ class ConflictArbiter {
   /// the message itself). Thread-safe; claim-or-reject is atomic.
   util::Status claim_dl(AgentId agent, const proto::DlMacConfig& config);
 
-  /// Drops bookkeeping for subframes the agent has already passed.
-  void prune_before(AgentId agent, std::int64_t subframe);
+  /// Drops every claim for a subframe its agent has already passed (per
+  /// `rib`'s `last_subframe`) and every claim of an agent `rib` no longer
+  /// holds (removed, or re-homed to another shard). Visits only the agents
+  /// that hold claims: with none, it costs one lock and no RIB lookup.
+  void prune(const Rib& rib);
+  /// Drops every claim (a master restart forgets them all).
+  void clear();
 
   std::uint64_t conflicts_detected() const;
   std::size_t open_claims() const;

@@ -117,6 +117,11 @@ const AgentNode* Rib::find_agent(AgentId id) const {
   return it == agents_.end() ? nullptr : &it->second;
 }
 
+AgentNode* Rib::find_agent(AgentId id) {
+  auto it = agents_.find(id);
+  return it == agents_.end() ? nullptr : &it->second;
+}
+
 const UeNode* Rib::find_ue(AgentId id, lte::Rnti rnti) const {
   const AgentNode* agent = find_agent(id);
   return agent == nullptr ? nullptr : agent->find_ue(rnti);

@@ -133,6 +133,7 @@ class Rib {
  public:
   AgentNode& agent(AgentId id) { return agents_[id]; }
   const AgentNode* find_agent(AgentId id) const;
+  AgentNode* find_agent(AgentId id);
   const UeNode* find_ue(AgentId id, lte::Rnti rnti) const;
   void remove_agent(AgentId id) { agents_.erase(id); }
 

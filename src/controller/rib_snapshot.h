@@ -174,12 +174,15 @@ class SnapshotStore {
 
   /// Publishes the state of `rib`. Agents in `dirty` are deep-copied (or
   /// dropped when no longer in `rib`); every other agent is shared with the
-  /// previous snapshot. `structure_changed` (agents added or removed), or
-  /// an agent count that still differs from `rib`'s after the dirty agents,
-  /// additionally reconciles the agent set against `rib`, which walks every
-  /// agent id. When nothing changed (empty dirty set, `structure_changed`
-  /// false, unchanged overload and recovering state) the previous snapshot
-  /// is re-published unchanged and the version does not move.
+  /// previous snapshot, so the cost follows the dirty set. An added agent
+  /// is a dirty id `rib` holds and a removed one a dirty id it no longer
+  /// holds. `structure_changed` (the RIB was rebuilt wholesale: master
+  /// restart, checkpoint load), or an agent count that still differs from
+  /// `rib`'s after the dirty agents, additionally reconciles the agent set
+  /// against `rib`, which walks every agent id. When nothing changed (empty
+  /// dirty set, `structure_changed` false, unchanged overload and
+  /// recovering state) the previous snapshot is re-published unchanged and
+  /// the version does not move.
   std::shared_ptr<const RibSnapshot> publish(const Rib& rib, const std::set<AgentId>& dirty,
                                              bool structure_changed,
                                              OverloadState overload = OverloadState::normal,

@@ -110,14 +110,15 @@ AgentId ShardCore::add_agent(net::Transport& transport, AgentId explicit_id) {
   transport.set_disconnect_callback(
       [this, id](util::Error error) { mark_agent_down(id, error.message); });
   rib_.agent(id).id = id;
+  // A dirty id the RIB holds is copied into the next snapshot, one it no
+  // longer holds is dropped from it: adding or removing an agent costs the
+  // publish that one agent, not a walk of the shard.
   dirty_agents_.insert(id);
-  rib_structure_changed_ = true;
   return id;
 }
 
 void ShardCore::remove_agent(AgentId id) {
-  dirty_agents_.erase(id);
-  rib_structure_changed_ = true;
+  dirty_agents_.insert(id);
   // Recovery bookkeeping: a removed agent neither holds the readiness
   // quorum nor waits for a re-sync token.
   resync_waiting_.erase(id);
@@ -147,38 +148,8 @@ void ShardCore::run_cycle() {
     throw std::runtime_error("injected shard cycle fault");
   }
   const std::int64_t cycle = task_manager_.cycles_run();
-  for (const auto& [id, agent] : rib_.agents()) {
-    arbiter_.prune_before(id, agent.last_subframe);
-  }
-  if (config_.agent_timeout_us > 0) {
-    for (auto& [id, link] : links_) {
-      (void)link;
-      AgentNode& agent = rib_.agent(id);
-      // An agent deferred by the re-sync admission gate is silent at the
-      // master's own request (the retry-after hint paused its hellos):
-      // exempt it from the silence sweep or the deferral would walk it
-      // stale -> down and purge it from the very queue it is waiting in.
-      if (resync_waiting_.contains(id)) continue;
-      if (agent.last_heard > 0 && !agent.is_stale() &&
-          sim_.now() - agent.last_heard > config_.agent_timeout_us) {
-        agent.state = SessionState::stale;
-        dirty_agents_.insert(id);
-        FLEXRAN_LOG(warn, "master") << "agent " << id << " stale (silent for "
-                                    << (sim_.now() - agent.last_heard) / 1000 << " ms)";
-      }
-    }
-  }
-  if (config_.agent_disconnect_timeout_us > 0) {
-    for (auto& [id, link] : links_) {
-      (void)link;
-      AgentNode& agent = rib_.agent(id);
-      if (resync_waiting_.contains(id)) continue;  // deferred: silence is ours
-      if (agent.state != SessionState::down && agent.last_heard > 0 &&
-          sim_.now() - agent.last_heard > config_.agent_disconnect_timeout_us) {
-        mark_agent_down(id, "silent past disconnect timeout");
-      }
-    }
-  }
+  arbiter_.prune(rib_);
+  sweep_liveness();
   sweep_requests();
   if (config_.recovery.enabled) {
     admit_resyncs();
@@ -201,6 +172,33 @@ void ShardCore::run_cycle() {
     }
   }
   task_manager_.run_cycle(cycle);
+}
+
+void ShardCore::sweep_liveness() {
+  const sim::TimeUs stale_after = config_.agent_timeout_us;
+  const sim::TimeUs down_after = config_.agent_disconnect_timeout_us;
+  if (stale_after <= 0 && down_after <= 0) return;
+  const sim::TimeUs now = sim_.now();
+  for (const auto& [id, link] : links_) {
+    (void)link;
+    AgentNode* agent = rib_.find_agent(id);
+    if (agent == nullptr || agent->last_heard == 0) continue;
+    // An agent deferred by the re-sync admission gate is silent at the
+    // master's own request (the retry-after hint paused its hellos):
+    // exempt it from the sweep or the deferral would walk it stale -> down
+    // and purge it from the very queue it is waiting in.
+    if (resync_waiting_.contains(id)) continue;
+    const sim::TimeUs silent = now - agent->last_heard;
+    if (stale_after > 0 && !agent->is_stale() && silent > stale_after) {
+      agent->state = SessionState::stale;
+      dirty_agents_.insert(id);
+      FLEXRAN_LOG(warn, "master") << "agent " << id << " stale (silent for " << silent / 1000
+                                  << " ms)";
+    }
+    if (down_after > 0 && agent->state != SessionState::down && silent > down_after) {
+      mark_agent_down(id, "silent past disconnect timeout");
+    }
+  }
 }
 
 App* ShardCore::add_app(std::unique_ptr<App> app) {
@@ -735,10 +733,7 @@ void ShardCore::restart() {
   warm_restored_.clear();
   recovery_expected_.clear();
   recovery_resynced_.clear();
-  for (const auto& [id, link] : links_) {
-    (void)link;
-    arbiter_.prune_before(id, std::numeric_limits<std::int64_t>::max());
-  }
+  arbiter_.clear();
   throttle_multiplier_ = 1;
   critical_shedding_cycles_ = 0;
   checkpoint_loaded_ = false;

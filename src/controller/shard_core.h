@@ -533,6 +533,9 @@ class ShardCore final : public NorthboundApi {
   /// Transitions the agent to down: purges its queued updates, fails its
   /// in-flight requests and emits AGENT_DISCONNECTED.
   void mark_agent_down(AgentId id, const std::string& reason);
+  /// One pass over the links: an agent silent past `agent_timeout_us` goes
+  /// stale, past `agent_disconnect_timeout_us` down. No-op when both are 0.
+  void sweep_liveness();
   /// Starts a new session at `epoch`: fences the old session's queued
   /// updates and in-flight requests.
   void begin_agent_session(AgentId id, std::uint32_t epoch);
@@ -577,13 +580,15 @@ class ShardCore final : public NorthboundApi {
   MasterConfig config_;
   Rib rib_;
   SnapshotStore snapshots_;
-  /// Agents whose node changed since the last publish (their nodes are
-  /// copied into the next snapshot; everything else is shared).
+  /// Agents whose node changed, was added or was removed since the last
+  /// publish (copied into, or dropped from, the next snapshot; everything
+  /// else is shared).
   std::set<AgentId> dirty_agents_;
   /// Stats replies decode into this one message, so after the first reply
   /// of a given shape the decode reuses its vectors instead of allocating.
   proto::StatsReply stats_reply_;
-  /// An agent was added or removed since the last publish.
+  /// The RIB was rebuilt wholesale (restart, checkpoint load) since the
+  /// last publish: the next one reconciles the whole agent set.
   bool rib_structure_changed_ = false;
   TaskManager task_manager_;
   ConflictArbiter arbiter_;

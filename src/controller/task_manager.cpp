@@ -93,6 +93,11 @@ std::vector<TaskManager::Entry*> TaskManager::runnable_entries() const {
 
 void TaskManager::run_cycle(std::int64_t cycle) {
   ++cycles_;
+  if (!config_.real_time && now_fn_) {
+    // The caller paces a non-real-time master: remember when it cycles.
+    last_cycle_at_ = now_fn_();
+    if (cycles_ == 1) first_cycle_at_ = last_cycle_at_;
+  }
 
   // Slot 1: the RIB updater (sole writer; this thread), ending with the
   // snapshot publish. In pipelined mode the previous cycle's applications
@@ -302,7 +307,12 @@ double TaskManager::mean_idle_fraction() const {
   if (cycles_ == 0) return 1.0;
   const double busy =
       stages_.updater.mean() + stages_.event.mean() + stages_.apps.mean() + stages_.flush.mean();
-  return std::max(0.0, 1.0 - busy / static_cast<double>(sim::kTtiUs));
+  double period_us = static_cast<double>(sim::kTtiUs);
+  if (!config_.real_time && cycles_ > 1 && last_cycle_at_ > first_cycle_at_) {
+    period_us = static_cast<double>(last_cycle_at_ - first_cycle_at_) /
+                static_cast<double>(cycles_ - 1);
+  }
+  return std::max(0.0, 1.0 - busy / period_us);
 }
 
 std::uint64_t TaskManager::app_overruns() const {

@@ -133,7 +133,8 @@ class TaskManager {
   const util::RunningStats& updater_time_us() const { return stages_.updater; }
   const TaskManagerConfig& config() const { return config_; }
   /// Mean fraction of the cycle spent idle (updater + event + apps + flush
-  /// are busy).
+  /// are busy). A real-time cycle is one TTI long; a non-real-time one
+  /// lasts the mean simulated time between the caller's run_cycle calls.
   double mean_idle_fraction() const;
 
   /// Commands sent through batch flushes (all apps, all cycles).
@@ -184,6 +185,9 @@ class TaskManager {
 
   std::vector<std::unique_ptr<Entry>> apps_;  // sorted by priority (stable)
   std::int64_t cycles_ = 0;
+  /// Non-real-time mode: simulated time of the first and latest cycle.
+  sim::TimeUs first_cycle_at_ = 0;
+  sim::TimeUs last_cycle_at_ = 0;
   CycleStages stages_;
   std::uint64_t commands_flushed_ = 0;
   std::uint64_t updater_overruns_ = 0;

@@ -100,8 +100,69 @@ TEST(ConflictArbiter, DetectsSelfOverlapAndPrunes) {
   config.dcis = {a};
   ASSERT_TRUE(arbiter.claim_dl(1, config).ok());
   EXPECT_EQ(arbiter.open_claims(), 1u);
-  arbiter.prune_before(1, 51);
+
+  // A claim lives until its agent's last reported subframe passes it.
+  ctrl::Rib rib;
+  rib.agent(1).last_subframe = 50;
+  arbiter.prune(rib);
+  EXPECT_EQ(arbiter.open_claims(), 1u);
+  rib.agent(1).last_subframe = 51;
+  arbiter.prune(rib);
   EXPECT_EQ(arbiter.open_claims(), 0u);
+}
+
+TEST(ConflictArbiter, PruneDropsPassedClaimsAndAgentsTheRibLost) {
+  ctrl::ConflictArbiter arbiter;
+  proto::DlMacConfig config;
+  lte::DlDci dci;
+  dci.rnti = 70;
+  dci.rbs.set_range(0, 10);
+  config.dcis = {dci};
+  for (const std::int64_t subframe : {10, 11, 12}) {
+    config.target_subframe = subframe;
+    ASSERT_TRUE(arbiter.claim_dl(1, config).ok());
+    ASSERT_TRUE(arbiter.claim_dl(2, config).ok());
+    ASSERT_TRUE(arbiter.claim_dl(3, config).ok());
+  }
+  ctrl::Rib rib;
+  rib.agent(1).last_subframe = 12;  // passed 10 and 11
+  rib.agent(3).last_subframe = 0;   // passed none; agent 2 is gone
+  arbiter.prune(rib);
+  EXPECT_EQ(arbiter.open_claims(), 4u);
+  // The surviving claims still reject an overlap; the dropped ones do not.
+  config.target_subframe = 12;
+  EXPECT_FALSE(arbiter.claim_dl(1, config).ok());
+  EXPECT_TRUE(arbiter.claim_dl(2, config).ok());
+  config.target_subframe = 10;
+  EXPECT_FALSE(arbiter.claim_dl(3, config).ok());
+
+  arbiter.clear();
+  EXPECT_EQ(arbiter.open_claims(), 0u);
+}
+
+TEST(ConflictArbiter, RemovedAgentClaimsArePrunedOnTheNextCycle) {
+  // Regression: the per-cycle prune used to visit only agents still in the
+  // RIB, so the claims of a removed (or re-homed) agent stayed forever.
+  Testbed testbed;
+  auto& enb = testbed.add_enb(spec());
+  testbed.run_ttis(20);
+  auto& shard = testbed.master();
+
+  proto::DlMacConfig config;
+  config.cell_id = 1;
+  config.target_subframe = testbed.current_tti() + 1000;  // far ahead: never passed here
+  lte::DlDci dci;
+  dci.rnti = 70;
+  dci.rbs.set_range(0, 10);
+  dci.mcs = 10;
+  config.dcis.push_back(dci);
+  ASSERT_TRUE(shard.send_dl_mac_config(enb.agent_id, config).ok());
+  shard.run_cycle();
+  EXPECT_EQ(shard.arbiter().open_claims(), 1u);
+
+  testbed.coordinator().remove_agent(enb.agent_id);
+  shard.run_cycle();
+  EXPECT_EQ(shard.arbiter().open_claims(), 0u);
 }
 
 TEST(ConflictArbiter, EndToEndSecondSchedulerAppIsBlocked) {
@@ -742,6 +803,31 @@ TEST(NonRealTime, CoarseCycleMasterStillManagesAgents) {
   ASSERT_NE(ue_node, nullptr);
   EXPECT_EQ(ue_node->stats.wb_cqi, 11);
   EXPECT_EQ(master.task_manager().cycles_run(), 100);
+}
+
+TEST(NonRealTime, IdleFractionFollowsTheCallersPacing) {
+  // A non-RT master cycled every 10th TTI is idle for the whole gap between
+  // cycles, not just for the rest of one TTI.
+  constexpr std::int64_t kPacing = 10;
+  sim::Simulator simulator;
+  ctrl::MasterConfig config = scenario::per_tti_master_config(10);
+  config.task_manager.real_time = false;
+  ctrl::ShardCore master(simulator, config);
+  sim::TtiTicker ticker(simulator);
+  ticker.subscribe([&](std::int64_t tti) {
+    if (tti % kPacing == 0) master.run_cycle();
+  });
+  ticker.start();
+  simulator.run_until(sim::from_seconds(1.0));
+
+  const auto& tm = master.task_manager();
+  ASSERT_EQ(tm.cycles_run(), 100);
+  const auto& stages = tm.stages();
+  const double busy_us =
+      stages.updater.mean() + stages.event.mean() + stages.apps.mean() + stages.flush.mean();
+  ASSERT_GT(busy_us, 0.0);
+  EXPECT_DOUBLE_EQ(tm.mean_idle_fraction(),
+                   std::max(0.0, 1.0 - busy_us / static_cast<double>(kPacing * sim::kTtiUs)));
 }
 
 }  // namespace

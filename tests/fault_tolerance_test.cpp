@@ -358,14 +358,15 @@ TEST(RequestTracking, RetriesKeepOriginalSignalingCategory) {
   ctrl::MasterConfig config = scenario::per_tti_master_config();
   config.auto_configure = false;       // keep the config bucket quiet
   config.echo_period_cycles = 0;       // no periodic management traffic
-  config.default_stats_request.reset();
   config.request_timeout_us = sim::from_ms(10);
   scenario::Testbed testbed(std::move(config));
   auto& enb = testbed.add_enb(basic_spec());
   testbed.run_ttis(20);
   const auto& tx = testbed.master().tx_accounting(enb.agent_id);
-  const std::uint64_t stats_msgs_before = tx.messages(proto::MessageCategory::stats);
-  ASSERT_EQ(stats_msgs_before, 0u);
+  // The default stats request sent at hello is the bucket's only message so
+  // far; everything below counts on top of it.
+  ASSERT_EQ(tx.messages(proto::MessageCategory::stats), 1u);
+  const std::uint64_t stats_bytes_before = tx.bytes(proto::MessageCategory::stats);
 
   // Partition, then issue a tracked stats request: the original send plus
   // every retry fires into the void.
@@ -377,8 +378,8 @@ TEST(RequestTracking, RetriesKeepOriginalSignalingCategory) {
   ASSERT_TRUE(testbed.master().request_stats(enb.agent_id, request).ok());
   testbed.run_ttis(2);
   testbed.master().quiesce();
-  const std::uint64_t first_bytes = tx.bytes(proto::MessageCategory::stats);
-  ASSERT_EQ(tx.messages(proto::MessageCategory::stats), 1u);
+  const std::uint64_t first_bytes = tx.bytes(proto::MessageCategory::stats) - stats_bytes_before;
+  ASSERT_EQ(tx.messages(proto::MessageCategory::stats), 2u);
   ASSERT_GT(first_bytes, 0u);
 
   testbed.run_ttis(100);
@@ -386,8 +387,8 @@ TEST(RequestTracking, RetriesKeepOriginalSignalingCategory) {
   EXPECT_EQ(testbed.master().stats().requests_retried, kSends - 1);
   // All retries accounted in the stats bucket (not re-derived into another
   // category), each with the identical wire + frame-header size.
-  EXPECT_EQ(tx.messages(proto::MessageCategory::stats), kSends);
-  EXPECT_EQ(tx.bytes(proto::MessageCategory::stats), kSends * first_bytes);
+  EXPECT_EQ(tx.messages(proto::MessageCategory::stats), 1 + kSends);
+  EXPECT_EQ(tx.bytes(proto::MessageCategory::stats), stats_bytes_before + kSends * first_bytes);
   // Nothing leaked into the other buckets.
   EXPECT_EQ(tx.messages(proto::MessageCategory::commands), 0u);
   EXPECT_EQ(tx.messages(proto::MessageCategory::delegation), 0u);

@@ -50,7 +50,8 @@ else
   # compose at three fleet sizes, via a counting operator-new hook.
   # Counts are exact and machine-independent, so any regression above
   # bench/wire_alloc_baseline.txt, or a snapshot count that grows with
-  # the fleet, fails the gate.
+  # the fleet, fails the gate. So does an idle ShardCore cycle that
+  # allocates or whose time grows more than 4x from 16 to 8192 agents.
   echo "== bench_wire allocation gate"
   "${build_dir}/bench/bench_wire" --check="${repo_root}/bench/wire_alloc_baseline.txt" \
     "${build_dir}/BENCH_wire.json"
