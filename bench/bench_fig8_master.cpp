@@ -207,9 +207,9 @@ SweepResult run_sweep(int workers, int n_agents, int cycles, std::int64_t stall_
   }
 
   ctrl::SnapshotStore store;
-  std::set<ctrl::AgentId> all_dirty;
+  std::vector<ctrl::AgentId> all_dirty;
   for (ctrl::AgentId id = 1; id <= static_cast<ctrl::AgentId>(n_agents); ++id) {
-    all_dirty.insert(id);
+    all_dirty.push_back(id);
   }
 
   ctrl::TaskManagerConfig config;

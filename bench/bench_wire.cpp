@@ -16,9 +16,10 @@
 // stats registration. Last, one idle ShardCore cycle at 16, 1024 and 8192
 // agents, whose time must not grow with the fleet.
 //
-// Allocations are counted by a global operator-new hook, so the numbers are
-// exact, deterministic, and independent of machine speed -- which is why
-// tools/check.sh gates on them (not on ns/op):
+// Allocations are counted by a global operator-new hook (alloc_count.cpp,
+// linked into this binary only), so the numbers are exact, deterministic,
+// and independent of machine speed -- which is why tools/check.sh gates on
+// them (not on ns/op):
 //
 //   bench_wire --check=bench/wire_alloc_baseline.txt   # exit 1 on regression
 //   bench_wire [BENCH_wire.json]                       # report + JSON
@@ -26,71 +27,24 @@
 // Both modes exit 1 when the decoded reply or DCI list differs, field by
 // field, from what was encoded: a fast but wrong decoder cannot pass.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <new>
-#include <set>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "agent/agent.h"
+#include "bench/alloc_count.h"
 #include "bench/bench_common.h"
 #include "controller/shard_core.h"
 #include "net/framing.h"
 #include "net/sim_transport.h"
 #include "proto/messages.h"
 #include "util/logging.h"
-
-// ------------------------------------------------- counting operator new --
-// Every allocation path funnels through these overrides; the counter is the
-// ground truth the --check gate compares against the checked-in baseline.
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
-}
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  return ::operator new(size, std::nothrow);
-}
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                               (size + static_cast<std::size_t>(align) - 1) &
-                                   ~(static_cast<std::size_t>(align) - 1));
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -169,16 +123,6 @@ ctrl::AgentId dirty_agent(std::uint64_t i, std::size_t agents) {
   return 1 + static_cast<ctrl::AgentId>(i * 7919 % agents);
 }
 
-/// Dirty sets for every publish of a run, built up front: a std::set insert
-/// would allocate inside the measured loop.
-std::vector<std::set<ctrl::AgentId>> dirty_sets(std::size_t agents) {
-  std::vector<std::set<ctrl::AgentId>> dirty;
-  for (std::uint64_t i = 0; i < kWarmup + kPublishIters; ++i) {
-    dirty.push_back({dirty_agent(i, agents)});
-  }
-  return dirty;
-}
-
 /// ns and allocations per message from a stats reply arriving at a
 /// standalone ShardCore to its snapshot being published.
 std::pair<double, double> measure_ingest(const std::vector<std::uint8_t>& wire) {
@@ -203,31 +147,32 @@ std::pair<double, double> measure_ingest(const std::vector<std::uint8_t>& wire) 
     core.run_cycle();
   };
   for (std::uint64_t i = 0; i < kWarmup; ++i) send_one();
-  const auto allocs0 = g_allocs.load();
+  const auto allocs0 = bench::allocations();
   auto t0 = Clock::now();
   for (std::uint64_t i = 0; i < kIngestIters; ++i) send_one();
   auto t1 = Clock::now();
   return {ns_per_op(kIngestIters, t0, t1),
-          static_cast<double>(g_allocs.load() - allocs0) / static_cast<double>(kIngestIters)};
+          static_cast<double>(bench::allocations() - allocs0) / static_cast<double>(kIngestIters)};
 }
 
 /// ns and allocations per publish of one dirty agent, in a one-shard RIB of
 /// `agents` agents that each applied `reply`.
 std::pair<double, double> measure_publish(std::size_t agents, const proto::StatsReply& reply) {
-  const auto dirty = dirty_sets(agents);
   ctrl::Rib rib;
   for (ctrl::AgentId id = 1; id <= agents; ++id) fill_agent(rib.agent(id), id, reply);
   ctrl::SnapshotStore store;
   store.publish(rib, {}, /*structure_changed=*/true);
-  for (std::uint64_t i = 0; i < kWarmup; ++i) store.publish(rib, dirty[i], false);
-  const auto allocs0 = g_allocs.load();
+  const auto publish = [&](std::uint64_t i) {
+    const ctrl::AgentId dirty = dirty_agent(i, agents);
+    store.publish(rib, {&dirty, 1}, false);
+  };
+  for (std::uint64_t i = 0; i < kWarmup; ++i) publish(i);
+  const auto allocs0 = bench::allocations();
   auto t0 = Clock::now();
-  for (std::uint64_t i = kWarmup; i < kWarmup + kPublishIters; ++i) {
-    store.publish(rib, dirty[i], false);
-  }
+  for (std::uint64_t i = kWarmup; i < kWarmup + kPublishIters; ++i) publish(i);
   auto t1 = Clock::now();
   return {ns_per_op(kPublishIters, t0, t1),
-          static_cast<double>(g_allocs.load() - allocs0) / static_cast<double>(kPublishIters)};
+          static_cast<double>(bench::allocations() - allocs0) / static_cast<double>(kPublishIters)};
 }
 
 // ------------------------------------------------------ command path --
@@ -307,11 +252,11 @@ class CountingListener final : public stack::EnodebDataPlane::Listener {
  public:
   explicit CountingListener(agent::Agent& agent) : agent_(&agent) {}
   void on_subframe_start(std::int64_t subframe) override {
-    const auto allocs0 = g_allocs.load();
+    const auto allocs0 = bench::allocations();
     const auto t0 = Clock::now();
     agent_->on_subframe_start(subframe);
     ns += std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0).count();
-    allocs += g_allocs.load() - allocs0;
+    allocs += bench::allocations() - allocs0;
   }
   void on_rach(lte::Rnti rnti, std::int64_t sf) override { agent_->on_rach(rnti, sf); }
   void on_ue_attached(lte::Rnti rnti, std::int64_t sf) override {
@@ -389,9 +334,9 @@ AgentStage measure_agent_subframe(proto::ReportMode mode) {
     header.xid = static_cast<std::uint32_t>(subframe);
     enc.clear();
     proto::encode_envelope(enc, header, command);
-    const auto allocs0 = g_allocs.load();
+    const auto allocs0 = bench::allocations();
     transport.deliver(enc.bytes());
-    if (measured) rx_allocs += g_allocs.load() - allocs0;
+    if (measured) rx_allocs += bench::allocations() - allocs0;
     dp.subframe_begin(subframe);
     dp.subframe_end(subframe);
   };
@@ -441,14 +386,14 @@ std::pair<double, double> measure_idle_cycle(std::size_t agents) {
   core.publish_now();
   for (std::uint64_t i = 0; i < kWarmup; ++i) core.run_cycle();
   double best_ns = 0.0;
-  const auto allocs0 = g_allocs.load();
+  const auto allocs0 = bench::allocations();
   for (int r = 0; r < kIdleRepeats; ++r) {
     const auto t0 = Clock::now();
     for (std::uint64_t i = 0; i < kIdleCycles; ++i) core.run_cycle();
     const double ns = ns_per_op(kIdleCycles, t0, Clock::now());
     if (r == 0 || ns < best_ns) best_ns = ns;
   }
-  const double allocs = static_cast<double>(g_allocs.load() - allocs0) /
+  const double allocs = static_cast<double>(bench::allocations() - allocs0) /
                         static_cast<double>(kIdleRepeats * kIdleCycles);
   return {best_ns, allocs};
 }
@@ -549,7 +494,7 @@ Results run_bench() {
       enc.clear();
       proto::encode_envelope(enc, header, reply);
     }
-    const auto allocs0 = g_allocs.load();
+    const auto allocs0 = bench::allocations();
     auto t0 = Clock::now();
     for (std::uint64_t i = 0; i < kEncodeIters; ++i) {
       enc.clear();
@@ -559,7 +504,7 @@ Results run_bench() {
     auto t1 = Clock::now();
     res.encode_arena_ns = ns_per_op(kEncodeIters, t0, t1);
     res.encode_arena_allocs =
-        static_cast<double>(g_allocs.load() - allocs0) / static_cast<double>(kEncodeIters);
+        static_cast<double>(bench::allocations() - allocs0) / static_cast<double>(kEncodeIters);
     res.wire_bytes = enc.size();
     (void)sink;
   }
@@ -575,7 +520,7 @@ Results run_bench() {
       (void)proto::Envelope::decode_into(wire, envelope);
       (void)proto::StatsReply::decode_body_into(envelope.body, decoded);
     }
-    const auto allocs0 = g_allocs.load();
+    const auto allocs0 = bench::allocations();
     auto t0 = Clock::now();
     for (std::uint64_t i = 0; i < kLoopIters; ++i) {
       (void)proto::Envelope::decode_into(wire, envelope);
@@ -585,7 +530,7 @@ Results run_bench() {
     auto t1 = Clock::now();
     res.decode_into_ns = ns_per_op(kLoopIters, t0, t1);
     res.decode_into_allocs =
-        static_cast<double>(g_allocs.load() - allocs0) / static_cast<double>(kLoopIters);
+        static_cast<double>(bench::allocations() - allocs0) / static_cast<double>(kLoopIters);
     res.decode_matches = same_reply(reply, decoded);
     (void)sink;
   }
@@ -603,14 +548,14 @@ Results run_bench() {
       (void)assembler.feed(framed.contents(), on_frame);
     };
     for (std::uint64_t i = 0; i < kWarmup; ++i) once();
-    const auto allocs0 = g_allocs.load();
+    const auto allocs0 = bench::allocations();
     auto t0 = Clock::now();
     for (std::uint64_t i = 0; i < kLoopIters / kBatch; ++i) once();
     auto t1 = Clock::now();
     const std::uint64_t messages = (kLoopIters / kBatch) * kBatch;
     res.frame_ns = ns_per_op(messages, t0, t1);
     res.frame_allocs =
-        static_cast<double>(g_allocs.load() - allocs0) / static_cast<double>(messages);
+        static_cast<double>(bench::allocations() - allocs0) / static_cast<double>(messages);
     if (frames == 0) std::printf("unreachable\n");
   }
 
@@ -639,13 +584,13 @@ Results run_bench() {
       (void)assembler.feed(framed.contents(), on_frame);
     };
     for (std::uint64_t i = 0; i < kWarmup; ++i) once();
-    const auto allocs0 = g_allocs.load();
+    const auto allocs0 = bench::allocations();
     auto t0 = Clock::now();
     for (std::uint64_t i = 0; i < kLoopIters; ++i) once();
     auto t1 = Clock::now();
     res.loop_ns = ns_per_op(kLoopIters, t0, t1);
     res.loop_allocs =
-        static_cast<double>(g_allocs.load() - allocs0) / static_cast<double>(kLoopIters);
+        static_cast<double>(bench::allocations() - allocs0) / static_cast<double>(kLoopIters);
     if (received == 0) std::printf("unreachable\n");
   }
 
@@ -656,7 +601,6 @@ Results run_bench() {
   for (std::size_t f = 0; f < kFleets; ++f) {
     const std::size_t agents = kFleetSizes[f];
     std::tie(res.publish_ns[f], res.publish_allocs[f]) = measure_publish(agents, reply);
-    const auto dirty = dirty_sets(agents);
 
     // The fleet spread over 4 shards by id, as the Coordinator's global ids
     // interleave; each op follows a stats-only publish on one shard.
@@ -674,14 +618,15 @@ Results run_bench() {
       std::uint64_t allocs = 0;
       std::int64_t ns = 0;
       for (std::uint64_t i = 0; i < kWarmup + kPublishIters; ++i) {
-        const std::size_t s = *dirty[i].begin() % kComposeShards;
-        parts[s] = stores[s].publish(ribs[s], dirty[i], false);
-        const auto allocs0 = g_allocs.load();
+        const ctrl::AgentId dirty = dirty_agent(i, agents);
+        const std::size_t s = dirty % kComposeShards;
+        parts[s] = stores[s].publish(ribs[s], {&dirty, 1}, false);
+        const auto allocs0 = bench::allocations();
         const auto t0 = Clock::now();
         auto next = ctrl::RibSnapshot::compose(parts, composite.get());
         const auto t1 = Clock::now();
         if (i >= kWarmup) {
-          allocs += g_allocs.load() - allocs0;
+          allocs += bench::allocations() - allocs0;
           ns += std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count();
         }
         composite = std::move(next);  // the old version is freed outside the timing
@@ -709,7 +654,7 @@ Results run_bench() {
       enc.clear();
       proto::encode_envelope(enc, header, command);
     }
-    auto allocs0 = g_allocs.load();
+    auto allocs0 = bench::allocations();
     auto t0 = Clock::now();
     for (std::uint64_t i = 0; i < kCommandIters; ++i) {
       enc.clear();
@@ -718,7 +663,7 @@ Results run_bench() {
     auto t1 = Clock::now();
     res.dl_encode_ns = ns_per_op(kCommandIters, t0, t1);
     res.dl_encode_allocs =
-        static_cast<double>(g_allocs.load() - allocs0) / static_cast<double>(kCommandIters);
+        static_cast<double>(bench::allocations() - allocs0) / static_cast<double>(kCommandIters);
     res.dl_wire_bytes = enc.size();
 
     const auto command_wire = proto::pack(command, kXid);
@@ -729,7 +674,7 @@ Results run_bench() {
       (void)proto::Envelope::decode_into(command_wire, envelope);
       (void)proto::DlMacConfig::decode_body_into(envelope.body, decoded);
     }
-    allocs0 = g_allocs.load();
+    allocs0 = bench::allocations();
     t0 = Clock::now();
     for (std::uint64_t i = 0; i < kCommandIters; ++i) {
       (void)proto::Envelope::decode_into(command_wire, envelope);
@@ -739,7 +684,7 @@ Results run_bench() {
     t1 = Clock::now();
     res.dl_decode_ns = ns_per_op(kCommandIters, t0, t1);
     res.dl_decode_allocs =
-        static_cast<double>(g_allocs.load() - allocs0) / static_cast<double>(kCommandIters);
+        static_cast<double>(bench::allocations() - allocs0) / static_cast<double>(kCommandIters);
     res.dl_decode_matches = same_dl_config(command, decoded);
     (void)sink;
   }

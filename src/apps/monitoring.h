@@ -16,6 +16,8 @@ class MonitoringApp final : public ctrl::App {
     double mean_cqi = 0.0;
     std::uint64_t total_queue_bytes = 0;
     std::uint64_t total_dl_bytes = 0;
+
+    bool operator==(const AgentSummary&) const = default;
   };
 
   /// Snapshot every `period_cycles` task-manager cycles.

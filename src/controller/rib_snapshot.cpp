@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <new>
 
 namespace flexran::ctrl {
 
@@ -37,6 +38,143 @@ const T* lookup(const RibSnapshot::ChunkTable<T>& table, std::size_t id) {
 
 }  // namespace
 
+/// The retired agent nodes of one SnapshotStore and the shared_ptr control
+/// blocks that owned them. When the last snapshot holding a node lets go,
+/// on whatever thread that is (the coordinator, or an app worker holding
+/// an old snapshot), the node's deleter hands it back here under the mutex
+/// instead of destroying it, and the next publish copy-assigns a dirty
+/// agent into it: its cell, UE and hot-column vectors keep their capacity,
+/// so a same-shape agent's copy allocates nothing. Both lists are capped
+/// (set_cap); a node or block returned past the cap is freed.
+class NodePool {
+ public:
+  NodePool() = default;
+  NodePool(const NodePool&) = delete;
+  NodePool& operator=(const NodePool&) = delete;
+  ~NodePool() {
+    for (AgentNode* node : nodes_) delete node;
+    for (void* block : blocks_) ::operator delete(block);
+  }
+
+  /// A spare node, or null when there is none.
+  AgentNode* take() {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (nodes_.empty()) return nullptr;
+    AgentNode* node = nodes_.back();
+    nodes_.pop_back();
+    return node;
+  }
+
+  void retire(AgentNode* node) noexcept {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (nodes_.size() < cap_) {
+        nodes_.push_back(node);  // never reallocates: set_cap reserved cap_
+        return;
+      }
+    }
+    delete node;
+  }
+
+  void* take_block(std::size_t bytes) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (bytes == block_bytes_ && !blocks_.empty()) {
+        void* block = blocks_.back();
+        blocks_.pop_back();
+        return block;
+      }
+    }
+    return ::operator new(bytes);
+  }
+
+  void retire_block(void* block, std::size_t bytes) noexcept {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (block_bytes_ == 0) block_bytes_ = bytes;
+      if (bytes == block_bytes_ && blocks_.size() < cap_) {
+        blocks_.push_back(block);
+        return;
+      }
+    }
+    ::operator delete(block);
+  }
+
+  /// Keeps at most `cap` spare nodes and blocks from now on.
+  void set_cap(std::size_t cap) {
+    std::lock_guard<std::mutex> lock(mu_);
+    cap_ = cap;
+    nodes_.reserve(cap);
+    blocks_.reserve(cap);
+    for (; nodes_.size() > cap; nodes_.pop_back()) delete nodes_.back();
+    for (; blocks_.size() > cap; blocks_.pop_back()) ::operator delete(blocks_.back());
+  }
+
+  std::size_t spare() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return nodes_.size();
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<AgentNode*> nodes_;
+  std::vector<void*> blocks_;
+  /// Size of a control block (one type, so one size; 0 until the first).
+  std::size_t block_bytes_ = 0;
+  std::size_t cap_ = 0;
+};
+
+namespace {
+
+/// Allocates a pooled node's shared_ptr control block from the pool, and
+/// keeps the pool alive for as long as the block exists.
+template <typename T>
+struct BlockAllocator {
+  using value_type = T;
+  static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+
+  explicit BlockAllocator(std::shared_ptr<NodePool> owner) : pool(std::move(owner)) {}
+  template <typename U>
+  BlockAllocator(const BlockAllocator<U>& other) : pool(other.pool) {}
+
+  T* allocate(std::size_t n) { return static_cast<T*>(pool->take_block(n * sizeof(T))); }
+  void deallocate(T* block, std::size_t n) noexcept { pool->retire_block(block, n * sizeof(T)); }
+  template <typename U>
+  bool operator==(const BlockAllocator<U>& other) const {
+    return pool == other.pool;
+  }
+
+  std::shared_ptr<NodePool> pool;
+};
+
+/// A pooled node's deleter. The pointer is not an owner: the allocator
+/// stored in the same control block keeps the pool alive until after the
+/// deleter ran.
+struct Retire {
+  NodePool* pool;
+  void operator()(AgentNode* node) const noexcept { pool->retire(node); }
+};
+
+/// A snapshot copy of `agent`, in a node `pool` retired when it has one.
+AgentPtr copy_agent(const std::shared_ptr<NodePool>& pool, const AgentNode& agent) {
+  AgentNode* node = pool->take();
+  if (node == nullptr) {
+    node = new AgentNode(agent);
+  } else {
+    try {
+      *node = agent;
+    } catch (...) {
+      delete node;
+      throw;
+    }
+  }
+  // Should the control block not fit, the constructor hands `node` to the
+  // deleter, which returns it to the pool.
+  return AgentPtr(node, Retire{pool.get()}, BlockAllocator<AgentNode>(pool));
+}
+
+}  // namespace
+
 /// Copy-on-write editor for a snapshot's slot table that is being built
 /// from `base` (the previous version's table). The first write to a chunk
 /// still shared with `base` clones it; later writes in the same publish go
@@ -44,7 +182,12 @@ const T* lookup(const RibSnapshot::ChunkTable<T>& table, std::size_t id) {
 struct SlotTableEditor {
   RibSnapshot& snapshot;
   const RibSnapshot::ChunkTable<AgentPtr>& base;
+  /// Source of the agent copies.
+  const std::shared_ptr<NodePool>& pool;
   bool membership_changed = false;
+  /// Nodes of `base` this edit replaced or dropped: they go back to `pool`
+  /// once the last snapshot sharing them is released.
+  std::size_t retired = 0;
 
   NodeChunk& writable(std::size_t chunk) {
     auto& table = snapshot.nodes_;
@@ -61,14 +204,16 @@ struct SlotTableEditor {
     return const_cast<NodeChunk&>(*entry);
   }
 
-  void set(std::size_t id, AgentPtr node) {
+  void set(std::size_t id, const AgentNode& agent) {
     NodeChunk& chunk = writable(id / kSlots);
     if ((chunk.occupied & bit_of(id)) == 0) {
       chunk.occupied |= bit_of(id);
       ++snapshot.count_;
       membership_changed = true;
+    } else {
+      ++retired;
     }
-    chunk.slots[id % kSlots] = std::move(node);
+    chunk.slots[id % kSlots] = copy_agent(pool, agent);
   }
 
   void erase(std::size_t id) {
@@ -77,6 +222,7 @@ struct SlotTableEditor {
     chunk.occupied &= ~bit_of(id);
     chunk.slots[id % kSlots].reset();
     --snapshot.count_;
+    ++retired;
     membership_changed = true;
     if (chunk.occupied == 0) snapshot.nodes_[id / kSlots] = nullptr;
   }
@@ -90,7 +236,7 @@ struct SlotTableEditor {
       if (cursor == id) {
         cursor = snapshot.next_agent(cursor + 1);
       } else {
-        set(id, std::make_shared<const AgentNode>(node));
+        set(id, node);
       }
     }
     for (; cursor != RibSnapshot::kNoAgent; cursor = snapshot.next_agent(cursor + 1)) {
@@ -150,10 +296,10 @@ std::shared_ptr<const RibSnapshot> RibSnapshot::capture(const Rib& rib, std::uin
   auto snapshot = std::make_shared<RibSnapshot>();
   snapshot->version_ = version;
   const ChunkTable<AgentPtr> empty;
-  SlotTableEditor edit{*snapshot, empty};
-  for (const auto& [id, agent] : rib.agents()) {
-    edit.set(id, std::make_shared<const AgentNode>(agent));
-  }
+  // A pool that keeps nothing: the nodes are freed with the snapshot.
+  const auto pool = std::make_shared<NodePool>();
+  SlotTableEditor edit{*snapshot, empty, pool};
+  for (const auto& [id, agent] : rib.agents()) edit.set(id, agent);
   edit.finish();
   return snapshot;
 }
@@ -212,10 +358,13 @@ std::shared_ptr<const RibSnapshot> RibSnapshot::compose(
   return composite;
 }
 
-SnapshotStore::SnapshotStore() : current_(std::make_shared<const RibSnapshot>()) {}
+SnapshotStore::SnapshotStore()
+    : current_(std::make_shared<const RibSnapshot>()), pool_(std::make_shared<NodePool>()) {}
+
+std::size_t SnapshotStore::spare_nodes() const { return pool_->spare(); }
 
 std::shared_ptr<const RibSnapshot> SnapshotStore::publish(const Rib& rib,
-                                                          const std::set<AgentId>& dirty,
+                                                          std::span<const AgentId> dirty,
                                                           bool structure_changed,
                                                           OverloadState overload,
                                                           bool recovering) {
@@ -232,17 +381,23 @@ std::shared_ptr<const RibSnapshot> SnapshotStore::publish(const Rib& rib,
   next->nodes_ = previous->nodes_;  // shares every chunk until written
   next->count_ = previous->count_;
   next->membership_ = previous->membership_;
-  SlotTableEditor edit{*next, previous->nodes_};
+  SlotTableEditor edit{*next, previous->nodes_, pool_};
   for (AgentId id : dirty) {
     const AgentNode* agent = rib.find_agent(id);
     if (agent != nullptr) {
-      edit.set(id, std::make_shared<const AgentNode>(*agent));
+      edit.set(id, *agent);
     } else {
       edit.erase(id);
     }
   }
   if (structure_changed || next->count_ != rib.agent_count()) edit.reconcile(rib);
   edit.finish();
+  // The nodes this publish retired come back once `previous` (and any
+  // older snapshot a reader still holds) is released; the next publish
+  // needs about as many. The last two publishes bound the pool, so one
+  // cycle with fewer dirty agents does not free nodes the next one needs.
+  pool_->set_cap(std::max(edit.retired, last_retired_));
+  last_retired_ = edit.retired;
   std::lock_guard<std::mutex> lock(mu_);
   current_ = std::move(next);
   return current_;

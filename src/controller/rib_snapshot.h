@@ -10,10 +10,13 @@
 // A snapshot is a dense slot table indexed by AgentId (ids are allocated
 // monotonically from 1), split into fixed-size copy-on-write chunks. A
 // publish shares every chunk that holds no changed agent with the previous
-// version, clones only the chunks that do, and deep-copies only the dirty
+// version, clones only the chunks that do, and copies only the dirty
 // agents: its cost is one pointer copy per chunk plus O(dirty agents x
 // kChunkSlots), with a number of allocations independent of the fleet size.
-// An agent that did not change keeps the same AgentNode pointer.
+// An agent that did not change keeps the same AgentNode pointer. A dirty
+// agent is copy-assigned into a node that an older snapshot retired (the
+// store keeps those, with their vectors' capacity, instead of freeing
+// them), so a same-shape agent's copy allocates nothing.
 #pragma once
 
 #include <array>
@@ -21,7 +24,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -29,6 +32,9 @@
 #include "controller/rib.h"
 
 namespace flexran::ctrl {
+
+/// Free list of retired snapshot agent nodes (rib_snapshot.cpp).
+class NodePool;
 
 class RibSnapshot {
  public:
@@ -172,8 +178,9 @@ class SnapshotStore {
  public:
   SnapshotStore();
 
-  /// Publishes the state of `rib`. Agents in `dirty` are deep-copied (or
-  /// dropped when no longer in `rib`); every other agent is shared with the
+  /// Publishes the state of `rib`. Agents in `dirty` (ascending, each id
+  /// once) are copied (or dropped when no longer in `rib`), each into a
+  /// retired node when one is spare; every other agent is shared with the
   /// previous snapshot, so the cost follows the dirty set. An added agent
   /// is a dirty id `rib` holds and a removed one a dirty id it no longer
   /// holds. `structure_changed` (the RIB was rebuilt wholesale: master
@@ -183,7 +190,7 @@ class SnapshotStore {
   /// dirty set, `structure_changed` false, unchanged overload and
   /// recovering state) the previous snapshot is re-published unchanged and
   /// the version does not move.
-  std::shared_ptr<const RibSnapshot> publish(const Rib& rib, const std::set<AgentId>& dirty,
+  std::shared_ptr<const RibSnapshot> publish(const Rib& rib, std::span<const AgentId> dirty,
                                              bool structure_changed,
                                              OverloadState overload = OverloadState::normal,
                                              bool recovering = false);
@@ -194,9 +201,19 @@ class SnapshotStore {
     return current_;
   }
 
+  /// Retired agent nodes kept for the next publish to copy into. Never
+  /// more than the largest number of agents one of the last two publishes
+  /// replaced or dropped.
+  std::size_t spare_nodes() const;
+
  private:
   mutable std::mutex mu_;
   std::shared_ptr<const RibSnapshot> current_;
+  /// Shared with every node this store handed out: a node released after
+  /// the store is gone is still freed through it.
+  std::shared_ptr<NodePool> pool_;
+  /// Agents the previous publish replaced or dropped.
+  std::size_t last_retired_ = 0;
 };
 
 }  // namespace flexran::ctrl

@@ -113,12 +113,12 @@ AgentId ShardCore::add_agent(net::Transport& transport, AgentId explicit_id) {
   // A dirty id the RIB holds is copied into the next snapshot, one it no
   // longer holds is dropped from it: adding or removing an agent costs the
   // publish that one agent, not a walk of the shard.
-  dirty_agents_.insert(id);
+  mark_dirty(id);
   return id;
 }
 
 void ShardCore::remove_agent(AgentId id) {
-  dirty_agents_.insert(id);
+  mark_dirty(id);
   // Recovery bookkeeping: a removed agent neither holds the readiness
   // quorum nor waits for a re-sync token.
   resync_waiting_.erase(id);
@@ -191,7 +191,7 @@ void ShardCore::sweep_liveness() {
     const sim::TimeUs silent = now - agent->last_heard;
     if (stale_after > 0 && !agent->is_stale() && silent > stale_after) {
       agent->state = SessionState::stale;
-      dirty_agents_.insert(id);
+      mark_dirty(id);
       FLEXRAN_LOG(warn, "master") << "agent " << id << " stale (silent for " << silent / 1000
                                   << " ms)";
     }
@@ -309,7 +309,15 @@ void ShardCore::renegotiate_reports() {
   }
 }
 
+void ShardCore::mark_dirty(AgentId id) {
+  // An agent's messages often arrive back to back: skip the repeat here.
+  if (dirty_agents_.empty() || dirty_agents_.back() != id) dirty_agents_.push_back(id);
+}
+
 void ShardCore::publish_snapshot() {
+  std::sort(dirty_agents_.begin(), dirty_agents_.end());
+  dirty_agents_.erase(std::unique(dirty_agents_.begin(), dirty_agents_.end()),
+                      dirty_agents_.end());
   snapshots_.publish(rib_, dirty_agents_, rib_structure_changed_, overload_monitor_.state(),
                      recovering_);
   dirty_agents_.clear();
@@ -338,7 +346,7 @@ void ShardCore::apply_update(const PendingUpdate& update) {
     ++stats_.fenced_updates;
     return;
   }
-  dirty_agents_.insert(update.agent);
+  mark_dirty(update.agent);
   if (update.epoch > agent.epoch && envelope.type != MessageType::hello) {
     // New-session traffic arrived before its hello (the hello was lost in
     // flight). Adopt the new session and re-sync rather than waiting for
@@ -535,7 +543,7 @@ void ShardCore::resync_agent(AgentId id) {
     // Nothing left to wait for: the session is immediately serviceable.
     if (agent.state == SessionState::resyncing) {
       agent.state = SessionState::up;
-      dirty_agents_.insert(id);
+      mark_dirty(id);
     }
     mark_resynced(id);
   }
@@ -563,7 +571,7 @@ void ShardCore::mark_agent_down(AgentId id, const std::string& reason) {
   AgentNode& agent = rib_.agent(id);
   if (agent.state == SessionState::down) return;
   agent.state = SessionState::down;
-  dirty_agents_.insert(id);
+  mark_dirty(id);
   // A downed agent neither waits for a re-sync token nor keeps its
   // re-sync clock running (it restarts from scratch when heard again).
   resync_waiting_.erase(id);
@@ -746,7 +754,7 @@ void ShardCore::restart() {
     node.id = id;
     node.state = SessionState::down;
     recovery_expected_.insert(id);
-    dirty_agents_.insert(id);
+    mark_dirty(id);
   }
   rib_structure_changed_ = true;
   if (config_.recovery.enabled) {
@@ -998,7 +1006,7 @@ void ShardCore::import_durable(const proto::CheckpointAgent& saved) {
   }
   warm_restored_.insert(id);
   recovery_expected_.insert(id);
-  dirty_agents_.insert(id);
+  mark_dirty(id);
 }
 
 void ShardCore::bump_incarnation(std::uint32_t floor) {
@@ -1015,7 +1023,7 @@ void ShardCore::adopt_agent(net::Transport& transport, AgentId id,
   // session is down from this core's point of view. Its first frame walks
   // the reconnect path into the paced re-sync admission.
   node.state = SessionState::down;
-  dirty_agents_.insert(id);
+  mark_dirty(id);
   if (durable != nullptr && durable->id == id) {
     import_durable(*durable);  // warm handoff: next re-sync is a delta
   } else if (config_.recovery.enabled) {

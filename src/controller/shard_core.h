@@ -519,8 +519,10 @@ class ShardCore final : public NorthboundApi {
   /// periodic stats request at the new period.
   void update_throttle(std::uint32_t multiplier);
   void renegotiate_reports();
+  /// Marks agent `id` for the next publish.
+  void mark_dirty(AgentId id);
   /// End of the updater slot: publishes this cycle's RibSnapshot (shares
-  /// the subtrees of agents not in dirty_).
+  /// the subtrees of agents not in dirty_agents_).
   void publish_snapshot();
   void apply_update(const PendingUpdate& update);
   void dispatch_events();
@@ -582,8 +584,10 @@ class ShardCore final : public NorthboundApi {
   SnapshotStore snapshots_;
   /// Agents whose node changed, was added or was removed since the last
   /// publish (copied into, or dropped from, the next snapshot; everything
-  /// else is shared).
-  std::set<AgentId> dirty_agents_;
+  /// else is shared), in arrival order with repeats; publish_snapshot()
+  /// sorts and deduplicates them. Reused, so marking allocates nothing once
+  /// the vector has grown to a cycle's updates.
+  std::vector<AgentId> dirty_agents_;
   /// Stats replies decode into this one message, so after the first reply
   /// of a given shape the decode reuses its vectors instead of allocating.
   proto::StatsReply stats_reply_;

@@ -7,6 +7,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
+#include <set>
 #include <thread>
 
 #include "apps/monitoring.h"
@@ -21,6 +23,8 @@ namespace flexran::ctrl {
 namespace {
 
 using scenario::Testbed;
+/// A dirty set for SnapshotStore::publish (ascending, each id once).
+using Ids = std::vector<AgentId>;
 
 // ------------------------------------------------------------ RibSnapshot --
 
@@ -48,7 +52,7 @@ Rib make_rib() {
 TEST(RibSnapshot, BitStableWhileUpdaterMutates) {
   Rib rib = make_rib();
   SnapshotStore store;
-  auto v1 = store.publish(rib, {1, 2, 3}, /*structure_changed=*/true);
+  auto v1 = store.publish(rib, Ids{1, 2, 3}, /*structure_changed=*/true);
   ASSERT_EQ(v1->version(), 1u);
   ASSERT_EQ(v1->agent_count(), 3u);
 
@@ -68,7 +72,7 @@ TEST(RibSnapshot, BitStableWhileUpdaterMutates) {
   EXPECT_EQ(v1->ue_count(), 6u);
 
   // The next publish sees the mutations; the old version still does not.
-  auto v2 = store.publish(rib, {1, 2}, /*structure_changed=*/true);
+  auto v2 = store.publish(rib, Ids{1, 2}, /*structure_changed=*/true);
   EXPECT_EQ(v2->version(), 2u);
   EXPECT_EQ(v2->find_ue(1, 70)->stats.wb_cqi, 2);
   EXPECT_EQ(v2->find_agent(3), nullptr);
@@ -79,7 +83,7 @@ TEST(RibSnapshot, BitStableWhileUpdaterMutates) {
 TEST(RibSnapshot, SharesUnchangedSubtreesAndSkipsNoopPublishes) {
   Rib rib = make_rib();
   SnapshotStore store;
-  auto v1 = store.publish(rib, {1, 2, 3}, true);
+  auto v1 = store.publish(rib, Ids{1, 2, 3}, true);
 
   // Nothing dirty: the same snapshot is re-published, version unchanged.
   auto same = store.publish(rib, {}, false);
@@ -89,7 +93,7 @@ TEST(RibSnapshot, SharesUnchangedSubtreesAndSkipsNoopPublishes) {
   // Only agent 1 dirty: agents 2 and 3 are carried by the same nodes
   // (structural sharing), agent 1 is deep-copied.
   rib.agent(1).last_subframe = 100;
-  auto v2 = store.publish(rib, {1}, false);
+  auto v2 = store.publish(rib, Ids{1}, false);
   EXPECT_EQ(v2->version(), 2u);
   EXPECT_NE(v2->find_agent(1), v1->find_agent(1));
   EXPECT_EQ(v2->find_agent(2), v1->find_agent(2));
@@ -124,7 +128,7 @@ TEST(RibSnapshot, OneDirtyAgentAmongThousandSharesTheOthers) {
   ASSERT_EQ(v1->agent_count(), 1000u);
 
   rib.agent(500).last_subframe = 7;
-  auto v2 = store.publish(rib, {500}, false);
+  auto v2 = store.publish(rib, Ids{500}, false);
   EXPECT_EQ(v2->membership_version(), v1->membership_version()) << "stats-only publish";
   EXPECT_NE(v2->find_agent(500), v1->find_agent(500));
   EXPECT_EQ(v2->find_agent(500)->last_subframe, 7);
@@ -152,7 +156,7 @@ TEST(RibSnapshot, AddRemoveAndReaddAcrossChunkBoundaries) {
 
   // Add: a sparse id grows the table without disturbing the others.
   add_agents(rib, {kSparse});
-  auto v2 = store.publish(rib, {kSparse}, true);
+  auto v2 = store.publish(rib, Ids{kSparse}, true);
   EXPECT_NE(v2->membership_version(), v1->membership_version());
   EXPECT_EQ(v2->agent_count(), edges.size() + 1);
   EXPECT_NE(v2->find_agent(kSparse), nullptr);
@@ -166,7 +170,7 @@ TEST(RibSnapshot, AddRemoveAndReaddAcrossChunkBoundaries) {
   auto v3 = store.publish(rib, {}, true);
   rib.remove_agent(2 * kChunk);
   rib.remove_agent(kSparse);
-  auto v4 = store.publish(rib, {2 * kChunk, kSparse}, false);
+  auto v4 = store.publish(rib, Ids{2 * kChunk, kSparse}, false);
   EXPECT_EQ(ids_of(*v3), (std::vector<AgentId>{1, 2 * kChunk - 1, 2 * kChunk, kSparse}));
   EXPECT_EQ(ids_of(*v4), (std::vector<AgentId>{1, 2 * kChunk - 1}));
   EXPECT_EQ(v4->agent_count(), 2u);
@@ -176,7 +180,7 @@ TEST(RibSnapshot, AddRemoveAndReaddAcrossChunkBoundaries) {
 
   // Re-add: fresh nodes in the emptied slots.
   add_agents(rib, {kChunk, kSparse});
-  auto v5 = store.publish(rib, {kChunk, kSparse}, true);
+  auto v5 = store.publish(rib, Ids{kChunk, kSparse}, true);
   EXPECT_EQ(ids_of(*v5), (std::vector<AgentId>{1, kChunk, 2 * kChunk - 1, kSparse}));
   EXPECT_NE(v5->find_agent(kChunk), nullptr);
   EXPECT_NE(v5->find_agent(kChunk), v1->find_agent(kChunk));
@@ -200,10 +204,105 @@ TEST(RibSnapshot, FindAgentRejectsZeroAbsentAndOutOfRangeIds) {
   EXPECT_NE(snapshot->find_agent(40), nullptr);
 }
 
+/// Gives every UE of `agent` the stats `salt` names, in the UE rows and
+/// the hot columns.
+void stamp(AgentNode& agent, std::uint32_t salt) {
+  agent.last_subframe = salt;
+  for (std::size_t row = 0; row < agent.ues.size(); ++row) {
+    auto& stats = agent.ues[row].stats;
+    stats.wb_cqi = static_cast<std::uint8_t>(salt % 16);
+    stats.dl_bytes_delivered = 1000 * salt + row;
+    agent.hot.write(row, stats);
+  }
+}
+
+/// True when `agent` still reads exactly what stamp(`salt`) wrote.
+bool reads_stamp(const AgentNode& agent, std::uint32_t salt) {
+  bool same = agent.last_subframe == salt;
+  for (std::size_t row = 0; row < agent.ues.size(); ++row) {
+    same = same && agent.ues[row].stats.wb_cqi == salt % 16 &&
+           agent.ues[row].stats.dl_bytes_delivered == 1000 * salt + row &&
+           agent.hot.wb_cqi[row] == salt % 16 &&
+           agent.hot.dl_bytes_delivered[row] == 1000 * salt + row;
+  }
+  return same;
+}
+
+TEST(RibSnapshot, RecycledCopyNeverTouchesAHeldSnapshot) {
+  Rib rib = make_rib();
+  SnapshotStore store;
+  store.publish(rib, {}, true);
+  stamp(rib.agent(1), 1);
+  const auto held = store.publish(rib, Ids{1}, false);
+  const AgentNode* held_node = held->find_agent(1);
+
+  // Five more versions of agent 1, each released before the next publish:
+  // from the second on, the copy lands in a node an older version retired.
+  std::set<const AgentNode*> nodes;
+  for (std::uint32_t salt = 2; salt <= 6; ++salt) {
+    stamp(rib.agent(1), salt);
+    const auto next = store.publish(rib, Ids{1}, false);
+    ASSERT_TRUE(reads_stamp(*next->find_agent(1), salt));
+    EXPECT_NE(next->find_agent(1), held_node);
+    nodes.insert(next->find_agent(1));
+  }
+  EXPECT_LT(nodes.size(), 5u) << "retired nodes are reused";
+  EXPECT_EQ(held->find_agent(1), held_node);
+  EXPECT_TRUE(reads_stamp(*held_node, 1));
+  EXPECT_EQ(held->find_agent(1)->ues.size(), 2u);
+}
+
+TEST(RibSnapshot, PoolStaysBounded) {
+  Rib rib;
+  for (AgentId id = 1; id <= 64; ++id) {
+    AgentNode& agent = rib.agent(id);
+    agent.id = id;
+    for (lte::Rnti rnti = 70; rnti < 74; ++rnti) agent.upsert_ue(rnti);
+  }
+  Ids all;
+  for (AgentId id = 1; id <= 64; ++id) all.push_back(id);
+  auto store = std::make_unique<SnapshotStore>();
+  store->publish(rib, {}, true);
+  EXPECT_EQ(store->spare_nodes(), 0u) << "the first publish retired nothing";
+
+  // Steady state: D dirty agents per publish, no snapshot held but the
+  // store's own -- the store keeps at most D spare nodes.
+  constexpr std::size_t kDirty = 10;
+  const Ids dirty(all.begin(), all.begin() + kDirty);
+  for (std::uint32_t salt = 1; salt <= 20; ++salt) {
+    for (AgentId id : dirty) stamp(rib.agent(id), salt);
+    store->publish(rib, dirty, false);
+    EXPECT_LE(store->spare_nodes(), kDirty);
+  }
+  EXPECT_EQ(store->spare_nodes(), kDirty);
+
+  // A burst that replaces every agent grows the pool to the burst; two
+  // smaller publishes shrink it back.
+  store->publish(rib, all, false);
+  store->publish(rib, all, false);
+  EXPECT_EQ(store->spare_nodes(), all.size());
+  const Ids few(all.begin(), all.begin() + 3);
+  store->publish(rib, few, false);
+  store->publish(rib, few, false);
+  EXPECT_LE(store->spare_nodes(), few.size());
+
+  // Nodes outlive their store: the held snapshot reads correctly, and its
+  // nodes, the pool and its spares are freed when it goes.
+  for (AgentId id : all) stamp(rib.agent(id), 99);
+  auto held = store->publish(rib, all, false);
+  store.reset();
+  ASSERT_EQ(held->agent_count(), all.size());
+  for (const auto& [id, node] : held->agents()) {
+    EXPECT_EQ(node->id, id);
+    EXPECT_TRUE(reads_stamp(*node, 99)) << "agent " << id;
+  }
+  held.reset();
+}
+
 TEST(RibSnapshot, CurrentIsConsistentUnderConcurrentPublish) {
   Rib rib = make_rib();
   SnapshotStore store;
-  store.publish(rib, {1, 2, 3}, true);
+  store.publish(rib, Ids{1, 2, 3}, true);
 
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> last_seen{0};
@@ -218,7 +317,7 @@ TEST(RibSnapshot, CurrentIsConsistentUnderConcurrentPublish) {
   });
   for (int i = 0; i < 2000; ++i) {
     rib.agent(1).last_subframe = i;
-    store.publish(rib, {1}, false);
+    store.publish(rib, Ids{1}, false);
   }
   stop.store(true);
   reader.join();
@@ -304,6 +403,41 @@ class RecordingNorthbound : public NorthboundApi {
   SnapshotStore* store_;
 };
 
+TEST(Monitoring, AddedAndRemovedAgentsMatchAFreshApp) {
+  Rib rib = make_rib();
+  rib.agent(6).id = 6;
+  for (AgentId id = 1; id <= 3; ++id) stamp(rib.agent(id), 10 + id);
+  SnapshotStore store;
+  RecordingNorthbound api(store);
+  apps::MonitoringApp app(/*period_cycles=*/1);
+  store.publish(rib, {}, true);
+  app.on_cycle(0, api);
+  ASSERT_EQ(app.summaries().size(), 4u);
+
+  // Drop the first and a middle agent, add one between and one past the
+  // end, and change an agent that stays.
+  rib.remove_agent(1);
+  rib.remove_agent(3);
+  rib.agent(4).id = 4;
+  stamp(rib.agent(4), 40);
+  rib.agent(9).id = 9;
+  stamp(rib.agent(2), 20);
+  store.publish(rib, Ids{1, 2, 3, 4, 9}, false);
+  app.on_cycle(1, api);
+  apps::MonitoringApp fresh(/*period_cycles=*/1);
+  fresh.on_cycle(0, api);
+  EXPECT_EQ(app.summaries(), fresh.summaries());
+  ASSERT_EQ(app.summaries().size(), 4u);
+  EXPECT_EQ(app.summaries().at(2).total_dl_bytes, 2 * 20000u + 1);
+
+  // Every agent gone.
+  for (AgentId id : {2u, 4u, 6u, 9u}) rib.remove_agent(id);
+  store.publish(rib, Ids{2, 4, 6, 9}, false);
+  app.on_cycle(2, api);
+  EXPECT_TRUE(app.summaries().empty());
+  EXPECT_EQ(app.snapshots_taken(), 3);
+}
+
 /// Issues tagged commands each cycle, optionally after a delay (to scramble
 /// worker completion order).
 class ChattyApp : public App {
@@ -333,7 +467,7 @@ std::vector<std::string> run_chatty_cycles(int workers, int cycles) {
   config.real_time = false;
   config.workers = workers;
   TaskManager tm(config, nullptr, [&] {
-    store.publish(rib, {1}, rib.agent_count() != store.current()->agent_count());
+    store.publish(rib, Ids{1}, rib.agent_count() != store.current()->agent_count());
   }, nullptr);
   tm.set_snapshot_source([&] { return store.current(); }, [] { return sim::TimeUs{0}; });
 
@@ -376,7 +510,7 @@ TEST(CommandBatch, FlushOrderIsDeterministicAcrossRunsAndWorkerCounts) {
 TEST(CommandBatch, EnqueueValidatesAgainstPinnedSnapshot) {
   Rib rib = make_rib();
   SnapshotStore store;
-  store.publish(rib, {1, 2, 3}, true);
+  store.publish(rib, Ids{1, 2, 3}, true);
   RecordingNorthbound api(store);
   BatchingNorthbound proxy(api);
 
@@ -434,7 +568,7 @@ TEST(TaskManagerPool, LowerTierWaitsForHigherTier) {
   config.real_time = false;
   config.workers = 4;
   TaskManager tm(config, nullptr, [&] {
-    store.publish(rib, {1}, store.current()->agent_count() == 0);
+    store.publish(rib, Ids{1}, store.current()->agent_count() == 0);
   }, nullptr);
   tm.set_snapshot_source([&] { return store.current(); }, [] { return sim::TimeUs{0}; });
 
@@ -529,7 +663,7 @@ TEST(TaskManagerPool, RemoveWhileSlotInFlightWaitsForJoin) {
   config.real_time = false;
   config.workers = 2;
   TaskManager tm(config, nullptr, [&] {
-    store.publish(rib, {1}, store.current()->agent_count() == 0);
+    store.publish(rib, Ids{1}, store.current()->agent_count() == 0);
   }, nullptr);
   tm.set_snapshot_source([&] { return store.current(); }, [] { return sim::TimeUs{0}; });
 
@@ -542,6 +676,61 @@ TEST(TaskManagerPool, RemoveWhileSlotInFlightWaitsForJoin) {
   EXPECT_EQ(tm.app_count(), 0u);
   // Its final batch still made the wire.
   EXPECT_EQ(api.log.size(), 2u);
+}
+
+/// Keeps the previous cycle's snapshot until the next cycle, checks that
+/// it still reads what it read then, and drops it there: on a worker, so
+/// the last reference to the nodes it alone holds goes on that thread.
+class PreviousSnapshotApp : public App {
+ public:
+  std::string_view name() const override { return "previous-snapshot"; }
+  void on_cycle(std::int64_t, NorthboundApi& api) override {
+    if (previous_ != nullptr) {
+      for (const auto& [id, node] : previous_->agents()) {
+        (void)id;
+        if (!reads_stamp(*node, previous_salt_)) ++mismatches;
+      }
+      ++checked;
+    }
+    previous_ = api.rib_snapshot();
+    previous_salt_ = static_cast<std::uint32_t>(previous_->find_agent(1)->last_subframe);
+  }
+
+  int checked = 0;
+  int mismatches = 0;
+
+ private:
+  std::shared_ptr<const RibSnapshot> previous_;
+  std::uint32_t previous_salt_ = 0;
+};
+
+TEST(TaskManagerPool, WorkerReleasesOfHeldSnapshotsRecycleSafely) {
+  Rib rib = make_rib();
+  SnapshotStore store;
+  RecordingNorthbound api(store);
+  TaskManagerConfig config;
+  config.real_time = false;
+  config.workers = 2;
+  std::uint32_t salt = 0;
+  TaskManager tm(
+      config,
+      // Every agent changes every cycle, so every node is retired each
+      // publish and the next copies go into recycled nodes.
+      [&](std::int64_t) {
+        ++salt;
+        for (AgentId id = 1; id <= 3; ++id) stamp(rib.agent(id), salt);
+      },
+      [&] { store.publish(rib, Ids{1, 2, 3}, store.current()->agent_count() == 0); }, nullptr);
+  tm.set_snapshot_source([&] { return store.current(); }, [] { return sim::TimeUs{0}; });
+
+  PreviousSnapshotApp app;
+  tm.add_app(&app, api);
+  constexpr int kCycles = 200;
+  for (int cycle = 0; cycle < kCycles; ++cycle) tm.run_cycle(cycle);
+  tm.quiesce();
+  EXPECT_EQ(app.checked, kCycles - 1);
+  EXPECT_EQ(app.mismatches, 0);
+  EXPECT_LE(store.spare_nodes(), 3u);
 }
 
 TEST(TaskManagerPool, PauseWhileRunningTakesEffectNextCycle) {

@@ -521,7 +521,8 @@ TEST(CompositeSnapshot, StatsOnlyPublishSharesShardEntriesAndOwnerTable) {
 
   ribs[0].agent(10).last_subframe = 5;
   ribs[1].agent(11).last_subframe = 5;
-  for (int s = 0; s < 2; ++s) parts[s] = stores[s].publish(ribs[s], {10, 11}, false);
+  const std::vector<ctrl::AgentId> dirty{10, 11};
+  for (int s = 0; s < 2; ++s) parts[s] = stores[s].publish(ribs[s], dirty, false);
   const auto second = ctrl::RibSnapshot::compose(parts, first.get());
 
   EXPECT_EQ(second->version(), parts[0]->version() + parts[1]->version());
