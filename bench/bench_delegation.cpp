@@ -130,10 +130,9 @@ void bench_faulty_vsfs() {
       "decision -- the containment invariant is that it stays 0.");
   std::printf("\n%-16s %9s %11s %10s %8s %14s %12s\n", "faulty impl", "failures",
               "quarantines", "fallbacks", "unsched", "fallback us", "DL (Mb/s)");
-  std::string json =
-      "{" +
-      bench::json_header("delegation_containment", "run=2s stats_period=1 quarantine_after=3") +
-      ",\"runs\":[";
+  std::string json = "{";
+  json += bench::json_header("delegation_containment", "run=2s stats_period=1 quarantine_after=3");
+  json += ",\"runs\":[";
   bool first = true;
   for (const char* impl : {"faulty_crash", "faulty_overrun", "faulty_invalid"}) {
     const auto r = run_with_faulty_vsf(impl, 2.0);

@@ -242,8 +242,9 @@ int main(int argc, char** argv) {
       100.0 * (vanilla_ue.ul_mbps - flexran_ue.ul_mbps) / vanilla_ue.ul_mbps;
   std::printf("\nDL delta: %.2f%% (the agent is transparent to the UE)\n", dl_delta);
 
-  std::string json = "{" + bench::json_header("fig6_overhead", "seconds=10 cqi=15 enbs=1") +
-                     ",\"fig6a\":{";
+  std::string json = "{";
+  json += bench::json_header("fig6_overhead", "seconds=10 cqi=15 enbs=1");
+  json += ",\"fig6a\":{";
   for (std::size_t i = 0; i < std::size(configs); ++i) {
     const RunResult& r = configs[i].result;
     char row[256];

@@ -162,11 +162,10 @@ int main() {
   }
 
   // Machine-readable result: one JSON object on the final line.
-  std::string json =
-      "{" +
-      bench::json_header("overload_degradation",
-                         "ingest=32msg/16KiB stats_period=2 flood=2s echo_period=20cyc") +
-      ",\"runs\":[";
+  std::string json = "{";
+  json += bench::json_header("overload_degradation",
+                             "ingest=32msg/16KiB stats_period=2 flood=2s echo_period=20cyc");
+  json += ",\"runs\":[";
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const OverloadRun& run = runs[i];
     char buffer[512];

@@ -306,11 +306,10 @@ int main(int argc, char** argv) {
   }
 
   // Machine-readable result: one JSON object on the final line.
-  std::string json =
-      "{" +
-      flexran::bench::json_header("control_channel_recovery",
-                                  "control_delay=2ms stats_period=2 fallback=30ttis") +
-      ",\"runs\":[";
+  std::string json = "{";
+  json += flexran::bench::json_header("control_channel_recovery",
+                                      "control_delay=2ms stats_period=2 fallback=30ttis");
+  json += ",\"runs\":[";
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const RecoveryRun& run = runs[i];
     char buffer[512];

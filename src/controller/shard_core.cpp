@@ -214,9 +214,9 @@ void ShardCore::drain_pending(std::int64_t budget_us) {
   // In real-time mode the updater slot admits at most 4 updates per
   // microsecond of budget, without a clock read per message. That figure
   // is an admission count, not a time bound: a 16-UE stats reply costs
-  // 3-7 us from arrival to published snapshot (bench_wire ingest->apply,
-  // varying with host load), so a full slot can overrun its budget many
-  // times over.
+  // 2.5-4 us from arrival to published snapshot (bench_wire ingest->apply
+  // on a shared 4-vCPU x86 VM, varying with host load), so a full slot can
+  // overrun its budget many times over.
   std::size_t limit = pending_.size();
   if (budget_us > 0) {
     limit = std::min(limit, static_cast<std::size_t>(budget_us) * 4);

@@ -121,29 +121,29 @@ Status Envelope::decode_into(std::span<const std::uint8_t> data, Envelope& out) 
   out.body.clear();
   bool saw_type = false;
   WireDecoder dec(data);
-  while (dec.next()) {
-    switch (dec.field()) {
-      case 1: dec.read(out.version); break;
-      case 2:
-        dec.read(out.type);
+  dec.fields(fields_through(11), [&]<bool kPeeked>(std::uint64_t tag) {
+    switch (tag) {
+      case tag_byte(1, WireType::varint): return dec.read<kPeeked>(tag, out.version);
+      case tag_byte(2, WireType::varint):
         saw_type = true;
-        break;
-      case 3: dec.read(out.xid); break;
-      case 4: {
+        return dec.read<kPeeked>(tag, out.type);
+      case tag_byte(3, WireType::varint): return dec.read<kPeeked>(tag, out.xid);
+      case tag_byte(4, WireType::length_delimited): {
+        dec.take<kPeeked>(tag);
         const auto body = dec.bytes();
         out.body.assign(body.begin(), body.end());
-        break;
+        return true;
       }
-      case 5: dec.read(out.epoch); break;
-      case 6: dec.read(out.queue_status); break;
-      case 7: dec.read(out.throttle_hint); break;
-      case 8: dec.read(out.ts_us); break;
-      case 9: dec.read(out.ts_echo_us); break;
-      case 10: dec.read(out.master_epoch); break;
-      case 11: dec.read(out.retry_after_ms); break;
-      default: dec.skip();
+      case tag_byte(5, WireType::varint): return dec.read<kPeeked>(tag, out.epoch);
+      case tag_byte(6, WireType::varint): return dec.read<kPeeked>(tag, out.queue_status);
+      case tag_byte(7, WireType::varint): return dec.read<kPeeked>(tag, out.throttle_hint);
+      case tag_byte(8, WireType::varint): return dec.read<kPeeked>(tag, out.ts_us);
+      case tag_byte(9, WireType::varint): return dec.read<kPeeked>(tag, out.ts_echo_us);
+      case tag_byte(10, WireType::varint): return dec.read<kPeeked>(tag, out.master_epoch);
+      case tag_byte(11, WireType::varint): return dec.read<kPeeked>(tag, out.retry_after_ms);
+      default: return false;
     }
-  }
+  });
   if (!dec.ok()) return dec.status();
   if (!saw_type) return Error::decode_failure("envelope missing type");
   return {};
@@ -443,24 +443,28 @@ void encode_ue_report(WireEncoder& enc, int field, const UeStatsReport& report) 
 }
 
 void decode_rsrp(WireDecoder& dec, RsrpMeasurement& out) {
-  while (dec.next()) {
-    switch (dec.field()) {
-      case 1: dec.read(out.cell_id); break;
-      case 2: out.rsrp_dbm = static_cast<double>(dec.svarint()) / 100.0; break;
-      default: dec.skip();
+  dec.fields(fields_through(2), [&]<bool kPeeked>(std::uint64_t tag) {
+    switch (tag) {
+      case tag_byte(1, WireType::varint): return dec.read<kPeeked>(tag, out.cell_id);
+      case tag_byte(2, WireType::varint):
+        dec.take<kPeeked>(tag);
+        out.rsrp_dbm = static_cast<double>(dec.svarint()) / 100.0;
+        return true;
+      default: return false;
     }
-  }
+  });
 }
 
 void decode_ue_report(WireDecoder& dec, UeStatsReport& out) {
   out.reset();
   std::size_t bsr_index = 0;
-  while (dec.next()) {
-    switch (dec.field()) {
-      case 1: dec.read(out.rnti); break;
-      case 2: {
+  dec.fields(fields_through(11), [&]<bool kPeeked>(std::uint64_t tag) {
+    switch (tag) {
+      case tag_byte(1, WireType::varint): return dec.read<kPeeked>(tag, out.rnti);
+      case tag_byte(2, WireType::varint): {
+        dec.take<kPeeked>(tag);
         const auto bsr = static_cast<std::uint32_t>(dec.varint());
-        if (!dec.ok()) break;
+        if (!dec.ok()) return true;
         if (bsr_index < out.bsr_bytes.size()) {
           out.bsr_bytes[bsr_index++] = bsr;
         } else {
@@ -469,20 +473,26 @@ void decode_ue_report(WireDecoder& dec, UeStatsReport& out) {
           // not a decode failure (forward compatibility keeps the session up).
           decode_anomalies().bsr_overflow.fetch_add(1, std::memory_order_relaxed);
         }
-        break;
+        return true;
       }
-      case 3: out.phr_db = static_cast<std::int32_t>(dec.svarint()); break;
-      case 4: dec.read(out.wb_cqi); break;
-      case 5: dec.read(out.rlc_queue_bytes); break;
-      case 6: dec.read(out.pending_harq); break;
-      case 7: dec.read(out.dl_bytes_delivered); break;
-      case 8: dec.read(out.ul_bytes_received); break;
-      case 9: dec.read(out.wb_cqi_protected); break;
-      case 10: dec.message(out.rsrp.emplace_back(), decode_rsrp); break;
-      case 11: dec.read(out.ul_buffer_bytes); break;
-      default: dec.skip();
+      case tag_byte(3, WireType::varint):
+        dec.take<kPeeked>(tag);
+        out.phr_db = static_cast<std::int32_t>(dec.svarint());
+        return true;
+      case tag_byte(4, WireType::varint): return dec.read<kPeeked>(tag, out.wb_cqi);
+      case tag_byte(5, WireType::varint): return dec.read<kPeeked>(tag, out.rlc_queue_bytes);
+      case tag_byte(6, WireType::varint): return dec.read<kPeeked>(tag, out.pending_harq);
+      case tag_byte(7, WireType::varint): return dec.read<kPeeked>(tag, out.dl_bytes_delivered);
+      case tag_byte(8, WireType::varint): return dec.read<kPeeked>(tag, out.ul_bytes_received);
+      case tag_byte(9, WireType::varint): return dec.read<kPeeked>(tag, out.wb_cqi_protected);
+      case tag_byte(10, WireType::length_delimited):
+        dec.take<kPeeked>(tag);
+        dec.message(out.rsrp.emplace_back(), decode_rsrp);
+        return true;
+      case tag_byte(11, WireType::varint): return dec.read<kPeeked>(tag, out.ul_buffer_bytes);
+      default: return false;
     }
-  }
+  });
 }
 
 void encode_cell_report(WireEncoder& enc, int field, const CellStatsReport& report) {
@@ -497,16 +507,17 @@ void encode_cell_report(WireEncoder& enc, int field, const CellStatsReport& repo
 
 void decode_cell_report(WireDecoder& dec, CellStatsReport& out) {
   out = CellStatsReport{};
-  while (dec.next()) {
-    switch (dec.field()) {
-      case 1: dec.read(out.cell_id); break;
-      case 2: dec.read(out.noise_interference_dbm); break;
-      case 3: dec.read(out.dl_prbs_in_use); break;
-      case 4: dec.read(out.ul_prbs_in_use); break;
-      case 5: dec.read(out.active_ues); break;
-      default: dec.skip();
+  dec.fields(fields_through(5), [&]<bool kPeeked>(std::uint64_t tag) {
+    switch (tag) {
+      case tag_byte(1, WireType::varint): return dec.read<kPeeked>(tag, out.cell_id);
+      case tag_byte(2, WireType::fixed64):
+        return dec.read<kPeeked>(tag, out.noise_interference_dbm);
+      case tag_byte(3, WireType::varint): return dec.read<kPeeked>(tag, out.dl_prbs_in_use);
+      case tag_byte(4, WireType::varint): return dec.read<kPeeked>(tag, out.ul_prbs_in_use);
+      case tag_byte(5, WireType::varint): return dec.read<kPeeked>(tag, out.active_ues);
+      default: return false;
     }
-  }
+  });
 }
 
 }  // namespace
@@ -534,21 +545,26 @@ Status StatsReply::decode_body_into(std::span<const std::uint8_t> data, StatsRep
   std::size_t n_ue = 0;
   std::size_t n_cell = 0;
   WireDecoder dec(data);
-  while (dec.next()) {
-    switch (dec.field()) {
-      case 1: dec.read(out.request_id); break;
-      case 2: out.subframe = dec.svarint(); break;
-      case 3:
+  dec.fields(fields_through(4), [&]<bool kPeeked>(std::uint64_t tag) {
+    switch (tag) {
+      case tag_byte(1, WireType::varint): return dec.read<kPeeked>(tag, out.request_id);
+      case tag_byte(2, WireType::varint):
+        dec.take<kPeeked>(tag);
+        out.subframe = dec.svarint();
+        return true;
+      case tag_byte(3, WireType::length_delimited):
+        dec.take<kPeeked>(tag);
         if (n_ue == out.ue_reports.size()) out.ue_reports.emplace_back();
         dec.message(out.ue_reports[n_ue++], decode_ue_report);
-        break;
-      case 4:
+        return true;
+      case tag_byte(4, WireType::length_delimited):
+        dec.take<kPeeked>(tag);
         if (n_cell == out.cell_reports.size()) out.cell_reports.emplace_back();
         dec.message(out.cell_reports[n_cell++], decode_cell_report);
-        break;
-      default: dec.skip();
+        return true;
+      default: return false;
     }
-  }
+  });
   if (!dec.ok()) return dec.status();
   out.ue_reports.resize(n_ue);
   out.cell_reports.resize(n_cell);
@@ -581,18 +597,18 @@ void encode_dl_dci(WireEncoder& enc, int field, const lte::DlDci& dci) {
 void decode_dl_dci(WireDecoder& dec, lte::DlDci& out) {
   std::uint64_t w0 = 0;
   std::uint64_t w1 = 0;
-  while (dec.next()) {
-    switch (dec.field()) {
-      case 1: dec.read(out.rnti); break;
-      case 2: w0 = dec.varint(); break;
-      case 3: w1 = dec.varint(); break;
-      case 4: dec.read(out.mcs); break;
-      case 5: dec.read(out.harq_pid); break;
-      case 6: dec.read(out.new_data); break;
-      case 7: dec.read(out.carrier); break;
-      default: dec.skip();
+  dec.fields(fields_through(7), [&]<bool kPeeked>(std::uint64_t tag) {
+    switch (tag) {
+      case tag_byte(1, WireType::varint): return dec.read<kPeeked>(tag, out.rnti);
+      case tag_byte(2, WireType::varint): return dec.read<kPeeked>(tag, w0);
+      case tag_byte(3, WireType::varint): return dec.read<kPeeked>(tag, w1);
+      case tag_byte(4, WireType::varint): return dec.read<kPeeked>(tag, out.mcs);
+      case tag_byte(5, WireType::varint): return dec.read<kPeeked>(tag, out.harq_pid);
+      case tag_byte(6, WireType::varint): return dec.read<kPeeked>(tag, out.new_data);
+      case tag_byte(7, WireType::varint): return dec.read<kPeeked>(tag, out.carrier);
+      default: return false;
     }
-  }
+  });
   out.rbs = lte::RbAllocation::from_words(w0, w1);
 }
 
@@ -640,18 +656,22 @@ Status DlMacConfig::decode_body_into(std::span<const std::uint8_t> data, DlMacCo
   out.target_subframe = 0;
   std::size_t n = 0;
   WireDecoder dec(data);
-  while (dec.next()) {
-    switch (dec.field()) {
-      case 1: dec.read(out.cell_id); break;
-      case 2: out.target_subframe = dec.svarint(); break;
-      case 3:
+  dec.fields(fields_through(3), [&]<bool kPeeked>(std::uint64_t tag) {
+    switch (tag) {
+      case tag_byte(1, WireType::varint): return dec.read<kPeeked>(tag, out.cell_id);
+      case tag_byte(2, WireType::varint):
+        dec.take<kPeeked>(tag);
+        out.target_subframe = dec.svarint();
+        return true;
+      case tag_byte(3, WireType::length_delimited):
+        dec.take<kPeeked>(tag);
         if (n == out.dcis.size()) out.dcis.emplace_back();
         out.dcis[n] = lte::DlDci{};
         dec.message(out.dcis[n++], decode_dl_dci);
-        break;
-      default: dec.skip();
+        return true;
+      default: return false;
     }
-  }
+  });
   if (!dec.ok()) return dec.status();
   out.dcis.resize(n);
   return {};

@@ -99,14 +99,30 @@ enum class DecodeError : std::uint8_t {
 
 const char* to_string(DecodeError error);
 
+/// A one-byte tag: field 1..15 with wire type `type`. The per-TTI decoders
+/// switch on these (WireDecoder::fields).
+constexpr std::uint32_t tag_byte(int field, WireType type) {
+  return static_cast<std::uint32_t>(field) << 3 | static_cast<std::uint32_t>(type);
+}
+/// The mask of fields 1..last, for WireDecoder::fields and unexpected().
+constexpr std::uint32_t fields_through(int last) { return (2u << last) - 2u; }
+
 /// Sticky-error reader. Reads return plain values; the first failure is
-/// latched together with the number of the field being read, and from then
-/// on next() returns false (values read after it are unspecified). A
-/// message decoder is therefore a plain `while (dec.next()) switch
-/// (dec.field())` loop that checks the outcome once, at the end. Nested
-/// messages narrow this same decoder (message()), so an error at any depth
-/// ends the whole decode. A util::Error, with its string, is only built by
-/// status() and finish(), at the API boundary.
+/// latched together with the number of the field being read, the cursor
+/// moves to the end of the message, and from then on next() returns false
+/// (values read after it are unspecified). A message decoder checks the
+/// outcome once, at the end. Nested messages narrow this same decoder
+/// (message()), so an error at any depth ends the whole decode. A
+/// util::Error, with its string, is only built by status() and finish(), at
+/// the API boundary.
+///
+/// A decoder is one of two loops over the same reads. Cold messages use
+/// the checked loop: `while (dec.next()) switch (dec.field())`, with
+/// `default: dec.skip()`. The per-TTI ones use fields(): their switch arms
+/// first run on the raw byte at the cursor (peek()), and an arm that matches
+/// consumes that one-byte tag with take_tag(). Whatever no arm matches takes
+/// the checked path: next(), the same arms on tag(), then unexpected(). Both
+/// loops accept and reject the same bytes, with the same error and field.
 class WireDecoder {
  public:
   explicit WireDecoder(std::span<const std::uint8_t> data)
@@ -131,11 +147,40 @@ class WireDecoder {
   int field() const { return field_; }
   WireType type() const { return type_; }
 
+  // ---- tag-byte dispatch --------------------------------------------------
+  /// The start of every fields() arm: consumes the tag when the arm runs on
+  /// the peeked byte; on the checked path next() already has.
+  template <bool kPeeked>
+  [[gnu::always_inline]] void take(std::uint64_t tag) {
+    if constexpr (kPeeked) take_tag(static_cast<std::uint8_t>(tag));
+  }
+  /// The arm of a field that is one read(): take(), then read(target).
+  template <bool kPeeked, typename T>
+  [[gnu::always_inline]] bool read(std::uint64_t tag, T& target) {
+    take<kPeeked>(tag);
+    read(target);
+    return true;
+  }
+  /// Reads every field of the current message. `arms` is a lambda
+  /// `[&]<bool kPeeked>(std::uint64_t tag) -> bool` whose switch has one
+  /// arm per known tag_byte(); each arm starts with `take<kPeeked>(tag)`,
+  /// reads the value and returns true (`read<kPeeked>(tag, target)` does
+  /// all three), and the default returns false.
+  /// `known` (fields_through()) holds every field number an arm names.
+  template <typename Arms>
+  [[gnu::always_inline]] void fields(std::uint32_t known, Arms&& arms) {
+    for (;;) {
+      if (arms.template operator()<true>(peek())) continue;
+      if (!next()) return;
+      if (!arms.template operator()<false>(tag())) unexpected(known);
+    }
+  }
+
   // ---- the current field's value; each checks its wire type first --------
   [[gnu::always_inline]] std::uint64_t varint() {
     return expect(WireType::varint) ? varint_raw() : 0;
   }
-  std::int64_t svarint() { return zigzag_decode(varint()); }
+  [[gnu::always_inline]] std::int64_t svarint() { return zigzag_decode(varint()); }
   /// Payload of a length-delimited field, a view into the decoded data.
   [[gnu::always_inline]] std::span<const std::uint8_t> bytes() {
     const std::uint64_t length = expect(WireType::length_delimited) ? varint_raw() : 0;
@@ -148,15 +193,15 @@ class WireDecoder {
   /// Varint into an integer, enum or bool field (narrowed like static_cast).
   template <typename T>
     requires std::is_integral_v<T> || std::is_enum_v<T>
-  void read(T& target) {
+  [[gnu::always_inline]] void read(T& target) {
     target = static_cast<T>(varint());
   }
   void read(std::string& target);
   /// A fixed64 field as a double.
   void read(double& target);
   /// Decodes the current length-delimited field as a nested message:
-  /// `decode(*this, out)` runs its own next()/switch loop, bounded by the
-  /// payload.
+  /// `decode(*this, out)` runs its own loop, bounded by the payload. An
+  /// error inside leaves the cursor at the end of the outer message too.
   template <typename T, typename Decode>
   void message(T& out, Decode&& decode) {
     const std::uint8_t* outer_end = end_;
@@ -164,18 +209,52 @@ class WireDecoder {
     pos_ = payload.data();
     end_ = payload.data() + payload.size();
     decode(*this, out);
-    pos_ = end_;
+    pos_ = ok() ? end_ : outer_end;
     end_ = outer_end;
   }
   /// Skips the current field's value (unknown fields: forward compatibility).
   void skip();
 
-  /// A varint at the cursor, with no tag. The one-byte case (every tag of
-  /// fields 1..15, and small values) is inline. The hot primitives are
-  /// forced inline: in a large message decoder the compiler would otherwise
-  /// call them out of line (about 5% of a 16-UE reply's decode time).
+  /// A varint at the cursor, with no tag. With 10 bytes left (the longest
+  /// varint) values of up to 5 bytes, 35 bits, are read inline; so is a
+  /// one-byte value nearer the end. Each further byte is added with its
+  /// continuation bit and the previous byte's is cancelled by the "- 1"
+  /// (protobuf's unroll). Longer values, the message tail and every
+  /// malformed case take the checked loop out of line. The hot primitives
+  /// are forced inline: in a large message decoder the compiler would
+  /// otherwise call them out of line.
   [[gnu::always_inline]] std::uint64_t varint_raw() {
-    if (pos_ < end_ && *pos_ < 0x80) return *pos_++;
+    const std::uint8_t* p = pos_;
+    if (end_ - p >= 10) {
+      std::uint64_t value = p[0];
+      if (value < 0x80) {
+        pos_ = p + 1;
+        return value;
+      }
+      value += (static_cast<std::uint64_t>(p[1]) - 1) << 7;
+      if (p[1] < 0x80) {
+        pos_ = p + 2;
+        return value;
+      }
+      value += (static_cast<std::uint64_t>(p[2]) - 1) << 14;
+      if (p[2] < 0x80) {
+        pos_ = p + 3;
+        return value;
+      }
+      value += (static_cast<std::uint64_t>(p[3]) - 1) << 21;
+      if (p[3] < 0x80) {
+        pos_ = p + 4;
+        return value;
+      }
+      value += (static_cast<std::uint64_t>(p[4]) - 1) << 28;
+      if (p[4] < 0x80) {
+        pos_ = p + 5;
+        return value;
+      }
+    } else if (p < end_ && *p < 0x80) {
+      pos_ = p + 1;
+      return *p;
+    }
     return varint_slow();
   }
   bool done() const { return pos_ >= end_; }
@@ -193,6 +272,28 @@ class WireDecoder {
   }
 
  private:
+  /// The byte at the cursor. 0, which is no valid tag, at the end of the
+  /// current message and so also once an error is latched.
+  [[gnu::always_inline]] std::uint8_t peek() const { return pos_ < end_ ? *pos_ : 0; }
+  /// Consumes the one-byte tag `byte` that peek() returned and an arm matched.
+  [[gnu::always_inline]] void take_tag(std::uint8_t byte) {
+    ++pos_;
+    field_ = byte >> 3;
+    type_ = static_cast<WireType>(byte & 0x7);
+  }
+  /// The tag next() read, as tag_byte() spells it for fields 1..15.
+  std::uint64_t tag() const {
+    return static_cast<std::uint64_t>(field_) << 3 | static_cast<std::uint64_t>(type_);
+  }
+  /// A tag that no arm matched: a field in `known` with another wire type
+  /// latches wrong_wire_type, any other field is skipped.
+  void unexpected(std::uint32_t known) {
+    if (field_ < 32 && ((known >> field_) & 1u) != 0) {
+      fail(DecodeError::wrong_wire_type);
+    } else {
+      skip();
+    }
+  }
   /// Latches `error` at the current field unless an earlier one holds. Out
   /// of line: it is the cold path of every read.
   void fail(DecodeError error);

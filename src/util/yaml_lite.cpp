@@ -90,7 +90,8 @@ std::string YamlNode::dump(int indent) const {
           }
           out += "]\n";
         } else {
-          out += "\n" + value.dump(indent + 1);
+          out += '\n';
+          out += value.dump(indent + 1);
         }
       }
       break;
