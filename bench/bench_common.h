@@ -9,20 +9,19 @@
 
 #include "scenario/testbed.h"
 
-// Build identity baked in by bench/CMakeLists.txt so checked-in result
-// files are traceable to a commit.
-#ifndef FLEXRAN_GIT_SHA
-#define FLEXRAN_GIT_SHA "unknown"
-#endif
-
 namespace flexran::bench {
+
+/// Short git SHA of the tree the bench was built from, "+dirty" when it had
+/// uncommitted changes; stamped at build time by bench/git_sha.cmake so
+/// checked-in result files are traceable to a commit.
+extern const char* const kGitSha;
 
 /// Common prefix for the machine-readable JSON line a bench emits:
 /// benchmark name, the git SHA of the build, and a free-form config
 /// summary. Callers splice it as the first fields of their JSON object:
 ///   std::string json = "{" + json_header("x", "enbs=2") + ",\"runs\":[...]}";
 inline std::string json_header(const std::string& bench, const std::string& config) {
-  return "\"bench\":\"" + bench + "\",\"git_sha\":\"" FLEXRAN_GIT_SHA "\",\"config\":\"" +
+  return "\"bench\":\"" + bench + "\",\"git_sha\":\"" + kGitSha + "\",\"config\":\"" +
          config + "\"";
 }
 

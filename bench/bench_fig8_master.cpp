@@ -37,6 +37,52 @@ double app_slot_us(const ctrl::CycleStages& stages) {
   return stages.event.mean() + stages.apps.mean() + stages.flush.mean();
 }
 
+/// Every per-cycle time below is the best of this many equal rounds of its
+/// run, so a slow stretch of a shared host inside a run does not count.
+/// Runs still differ with the host's load between them (EXPERIMENTS.md).
+constexpr int kRounds = 5;
+
+/// Mean of the samples `now` gained since `start` (0 when none).
+double mean_since(const util::RunningStats& start, const util::RunningStats& now) {
+  const auto n = now.count() - start.count();
+  return n > 0 ? (now.total() - start.total()) / static_cast<double>(n) : 0.0;
+}
+
+/// The lowest per-cycle slot times of any round folded in.
+struct BestSlots {
+  double core_us = 0.0;     // RIB updater slot
+  double apps_us = 0.0;     // app_slot_us
+  double publish_us = 0.0;  // snapshot publish, the tail of the updater slot
+
+  /// Folds in the round the stage table ran from `start` to `now`.
+  void add_round(const ctrl::CycleStages& start, const ctrl::CycleStages& now) {
+    const double core = mean_since(start.updater, now.updater);
+    const double apps = mean_since(start.event, now.event) + mean_since(start.apps, now.apps) +
+                        mean_since(start.flush, now.flush);
+    const double publish = mean_since(start.publish, now.publish);
+    core_us = rounds_ == 0 ? core : std::min(core_us, core);
+    apps_us = rounds_ == 0 ? apps : std::min(apps_us, apps);
+    publish_us = rounds_ == 0 ? publish : std::min(publish_us, publish);
+    ++rounds_;
+  }
+
+ private:
+  int rounds_ = 0;
+};
+
+/// Runs `run_round` kRounds times against `tm` and keeps the best slots. A
+/// pipelined `tm` must be quiesced at the end of each round.
+template <typename RunRound>
+BestSlots best_of_rounds(const ctrl::TaskManager& tm, RunRound&& run_round) {
+  BestSlots best;
+  for (int r = 0; r < kRounds; ++r) {
+    const ctrl::CycleStages start = tm.stages();
+    run_round(r);
+    best.add_round(start, tm.stages());
+  }
+  return best;
+}
+
 struct MasterLoad {
   double apps_us = 0.0;
   double core_us = 0.0;
@@ -63,13 +109,12 @@ MasterLoad run(int n_agents, double seconds) {
       sources.back()->start();
     }
   }
-  // When no agent exists the ticker still needs a driver for the master.
-  testbed.run_seconds(seconds);
+  const auto& tm = testbed.master().task_manager();
+  const auto best = best_of_rounds(tm, [&](int) { testbed.run_seconds(seconds / kRounds); });
 
   MasterLoad load;
-  const auto& tm = testbed.master().task_manager();
-  load.apps_us = app_slot_us(tm.stages());
-  load.core_us = tm.stages().updater.mean();
+  load.apps_us = best.apps_us;
+  load.core_us = best.core_us;
   load.idle_fraction = tm.mean_idle_fraction();
   load.rib_kb = static_cast<double>(testbed.master().rib_bytes()) / 1024.0;
   load.updates = testbed.master().stats().updates_applied;
@@ -85,11 +130,13 @@ MasterLoad run_empty(double seconds) {
   sim::TtiTicker ticker(simulator);
   ticker.subscribe([&](std::int64_t) { master.run_cycle(); });
   ticker.start();
-  simulator.run_until(sim::from_seconds(seconds));
+  const auto best = best_of_rounds(master.task_manager(), [&](int r) {
+    simulator.run_until(sim::from_seconds(seconds * (r + 1) / kRounds));
+  });
 
   MasterLoad load;
-  load.apps_us = app_slot_us(master.task_manager().stages());
-  load.core_us = master.task_manager().stages().updater.mean();
+  load.apps_us = best.apps_us;
+  load.core_us = best.core_us;
   load.idle_fraction = master.task_manager().mean_idle_fraction();
   load.rib_kb = static_cast<double>(master.rib_bytes()) / 1024.0;
   return load;
@@ -239,20 +286,27 @@ SweepResult run_sweep(int workers, int n_agents, int cycles, std::int64_t stall_
   apps.push_back(std::make_unique<SweepMonitorApp>());
   for (auto& app : apps) tm.add_app(app.get(), api);
 
-  const auto start = std::chrono::steady_clock::now();
-  for (int cycle = 0; cycle < cycles; ++cycle) tm.run_cycle(cycle);
-  tm.quiesce();
-  const double wall_us =
-      std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - start).count();
+  const int round_cycles = cycles / kRounds;
+  double best_cycle_us = 0.0;
+  const auto best = best_of_rounds(tm, [&](int r) {
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < round_cycles; ++i) tm.run_cycle(r * round_cycles + i);
+    tm.quiesce();
+    const double cycle_us = std::chrono::duration<double, std::micro>(
+                                std::chrono::steady_clock::now() - start)
+                                .count() /
+                            round_cycles;
+    if (r == 0 || cycle_us < best_cycle_us) best_cycle_us = cycle_us;
+  });
 
   SweepResult result;
   result.workers = workers;
   result.agents = n_agents;
-  result.cycles_per_sec = cycles / (wall_us / 1e6);
-  result.mean_cycle_us = wall_us / cycles;
-  result.mean_updater_us = tm.stages().updater.mean();
-  result.mean_app_slot_us = app_slot_us(tm.stages());
-  result.mean_publish_us = tm.stages().publish.mean();
+  result.cycles_per_sec = 1e6 / best_cycle_us;
+  result.mean_cycle_us = best_cycle_us;
+  result.mean_updater_us = best.core_us;
+  result.mean_app_slot_us = best.apps_us;
+  result.mean_publish_us = best.publish_us;
   result.commands = tm.commands_flushed();
   return result;
 }
@@ -481,7 +535,8 @@ int main(int argc, char** argv) {
   json << "{\n  "
        << bench::json_header(
               "fig8_worker_sweep",
-              "cycles=" + std::to_string(kCycles) + " stall_us=" + std::to_string(kStallUs) +
+              "cycles=" + std::to_string(kCycles) + " rounds=" + std::to_string(kRounds) +
+                  " stall_us=" + std::to_string(kStallUs) +
                   " agents=2,4,8 workers=0,1,2,4,8 shard_agents=" +
                   std::to_string(kShardAgents) + " shard_cycles=" +
                   std::to_string(kShardCycles) + " shard_apps=" + std::to_string(kShardApps) +

@@ -65,11 +65,11 @@ constexpr std::size_t kRsrpPerUe = 2;
 constexpr std::uint32_t kXid = 77;
 constexpr std::uint64_t kEncodeIters = 20'000;
 constexpr std::uint64_t kLoopIters = 20'000;
-/// The decode stages (stats reply, replay-shaped reply, DL command) report
-/// the best of this many rounds of kLoopIters / kDecodeRounds decodes: a
-/// single timed loop of a 1-2 us decode moves by up to 2x between runs on
-/// a shared host.
-constexpr int kDecodeRounds = 5;
+/// Every timed stage reports the best of this many equal rounds of its
+/// iterations, so a slow stretch of a shared host during a stage does not
+/// count. Runs still differ with the host's load between them
+/// (docs/wire_fastpath.md).
+constexpr int kRounds = 5;
 constexpr std::uint64_t kWarmup = 200;
 constexpr std::uint64_t kIngestIters = 2'000;
 constexpr std::size_t kFleetSizes[] = {16, 1024, 8192};
@@ -160,6 +160,25 @@ ctrl::AgentId dirty_agent(std::uint64_t i, std::size_t agents) {
   return 1 + static_cast<ctrl::AgentId>(i * 7919 % agents);
 }
 
+/// ns per call of `op`, the best of kRounds rounds of `iters` / kRounds
+/// calls after kWarmup warm-up calls, and allocations per call over all
+/// rounds.
+template <typename Op>
+std::pair<double, double> measure_rounds(std::uint64_t iters, Op&& op) {
+  const std::uint64_t round_iters = iters / kRounds;
+  for (std::uint64_t i = 0; i < kWarmup; ++i) op();
+  double best_ns = 0.0;
+  const auto allocs0 = bench::allocations();
+  for (int r = 0; r < kRounds; ++r) {
+    const auto t0 = Clock::now();
+    for (std::uint64_t i = 0; i < round_iters; ++i) op();
+    const double ns = ns_per_op(round_iters, t0, Clock::now());
+    if (r == 0 || ns < best_ns) best_ns = ns;
+  }
+  return {best_ns, static_cast<double>(bench::allocations() - allocs0) /
+                       static_cast<double>(kRounds * round_iters)};
+}
+
 /// ns and allocations per message from a stats reply arriving at a
 /// standalone ShardCore to its snapshot being published.
 std::pair<double, double> measure_ingest(const std::vector<std::uint8_t>& wire) {
@@ -178,18 +197,11 @@ std::pair<double, double> measure_ingest(const std::vector<std::uint8_t>& wire) 
   sim.run();
   core.run_cycle();
 
-  const auto send_one = [&] {
+  return measure_rounds(kIngestIters, [&] {
     (void)pair.b->send(net::TrafficClass::stats, wire);
     sim.run();
     core.run_cycle();
-  };
-  for (std::uint64_t i = 0; i < kWarmup; ++i) send_one();
-  const auto allocs0 = bench::allocations();
-  auto t0 = Clock::now();
-  for (std::uint64_t i = 0; i < kIngestIters; ++i) send_one();
-  auto t1 = Clock::now();
-  return {ns_per_op(kIngestIters, t0, t1),
-          static_cast<double>(bench::allocations() - allocs0) / static_cast<double>(kIngestIters)};
+  });
 }
 
 /// ns and allocations per publish of one dirty agent, in a one-shard RIB of
@@ -385,11 +397,17 @@ AgentStage measure_agent_subframe(proto::ReportMode mode) {
   const auto sent0 = transport.messages_sent();
   const auto applied0 = agent.remote_decisions_applied();
   const auto rejected0 = dp.grants_rejected();
-  for (std::int64_t i = 0; i < kAgentTtis; ++i, ++subframe) tti(subframe, true);
-
+  // Best of kRounds rounds, like measure_rounds.
+  constexpr std::int64_t kRoundTtis = kAgentTtis / kRounds;
   AgentStage stage;
+  for (int r = 0; r < kRounds; ++r) {
+    const auto ns0 = listener.ns;
+    for (std::int64_t i = 0; i < kRoundTtis; ++i, ++subframe) tti(subframe, true);
+    const double ns = static_cast<double>(listener.ns - ns0) / static_cast<double>(kRoundTtis);
+    if (r == 0 || ns < stage.subframe_ns) stage.subframe_ns = ns;
+  }
+
   const auto ttis = static_cast<double>(kAgentTtis);
-  stage.subframe_ns = static_cast<double>(listener.ns) / ttis;
   stage.subframe_allocs = static_cast<double>(listener.allocs) / ttis;
   stage.command_rx_allocs = static_cast<double>(rx_allocs) / ttis;
   stage.sends_per_subframe = static_cast<double>(transport.messages_sent() - sent0) / ttis;
@@ -521,24 +539,6 @@ bool same_reply(const proto::StatsReply& sent, const proto::StatsReply& decoded)
   return true;
 }
 
-/// ns per call of `decode`, the best of kDecodeRounds rounds of kLoopIters /
-/// kDecodeRounds calls, and allocations per call over all of them.
-template <typename Decode>
-std::pair<double, double> measure_decode_rounds(Decode&& decode) {
-  constexpr std::uint64_t kRoundIters = kLoopIters / kDecodeRounds;
-  for (std::uint64_t i = 0; i < kWarmup; ++i) decode();
-  double best_ns = 0.0;
-  const auto allocs0 = bench::allocations();
-  for (int r = 0; r < kDecodeRounds; ++r) {
-    const auto t0 = Clock::now();
-    for (std::uint64_t i = 0; i < kRoundIters; ++i) decode();
-    const double ns = ns_per_op(kRoundIters, t0, Clock::now());
-    if (r == 0 || ns < best_ns) best_ns = ns;
-  }
-  return {best_ns, static_cast<double>(bench::allocations() - allocs0) /
-                       static_cast<double>(kDecodeRounds * kRoundIters)};
-}
-
 /// ns and allocations per decode of `wire` (an envelope around `reply`)
 /// into a reused envelope and reply. True when the decoded reply matches
 /// `reply` field by field.
@@ -546,7 +546,7 @@ bool measure_decode(const proto::StatsReply& reply, const std::vector<std::uint8
                     double& ns, double& allocs) {
   proto::Envelope envelope;
   proto::StatsReply decoded;
-  std::tie(ns, allocs) = measure_decode_rounds([&] {
+  std::tie(ns, allocs) = measure_rounds(kLoopIters, [&] {
     (void)proto::Envelope::decode_into(wire, envelope);
     (void)proto::StatsReply::decode_body_into(envelope.body, decoded);
   });
@@ -563,21 +563,11 @@ Results run_bench() {
     proto::Envelope header;
     header.xid = kXid;
     volatile std::size_t sink = 0;
-    for (std::uint64_t i = 0; i < kWarmup; ++i) {
-      enc.clear();
-      proto::encode_envelope(enc, header, reply);
-    }
-    const auto allocs0 = bench::allocations();
-    auto t0 = Clock::now();
-    for (std::uint64_t i = 0; i < kEncodeIters; ++i) {
+    std::tie(res.encode_arena_ns, res.encode_arena_allocs) = measure_rounds(kEncodeIters, [&] {
       enc.clear();
       proto::encode_envelope(enc, header, reply);
       sink = enc.size();
-    }
-    auto t1 = Clock::now();
-    res.encode_arena_ns = ns_per_op(kEncodeIters, t0, t1);
-    res.encode_arena_allocs =
-        static_cast<double>(bench::allocations() - allocs0) / static_cast<double>(kEncodeIters);
+    });
     res.wire_bytes = enc.size();
     (void)sink;
   }
@@ -606,15 +596,9 @@ Results run_bench() {
       for (std::uint64_t b = 0; b < kBatch; ++b) net::frame_into(framed, wire);
       (void)assembler.feed(framed.contents(), on_frame);
     };
-    for (std::uint64_t i = 0; i < kWarmup; ++i) once();
-    const auto allocs0 = bench::allocations();
-    auto t0 = Clock::now();
-    for (std::uint64_t i = 0; i < kLoopIters / kBatch; ++i) once();
-    auto t1 = Clock::now();
-    const std::uint64_t messages = (kLoopIters / kBatch) * kBatch;
-    res.frame_ns = ns_per_op(messages, t0, t1);
-    res.frame_allocs =
-        static_cast<double>(bench::allocations() - allocs0) / static_cast<double>(messages);
+    const auto [ns, allocs] = measure_rounds(kLoopIters / kBatch, once);
+    res.frame_ns = ns / kBatch;
+    res.frame_allocs = allocs / kBatch;
     if (frames == 0) std::printf("unreachable\n");
   }
 
@@ -642,14 +626,7 @@ Results run_bench() {
       net::frame_into(framed, enc.bytes());
       (void)assembler.feed(framed.contents(), on_frame);
     };
-    for (std::uint64_t i = 0; i < kWarmup; ++i) once();
-    const auto allocs0 = bench::allocations();
-    auto t0 = Clock::now();
-    for (std::uint64_t i = 0; i < kLoopIters; ++i) once();
-    auto t1 = Clock::now();
-    res.loop_ns = ns_per_op(kLoopIters, t0, t1);
-    res.loop_allocs =
-        static_cast<double>(bench::allocations() - allocs0) / static_cast<double>(kLoopIters);
+    std::tie(res.loop_ns, res.loop_allocs) = measure_rounds(kLoopIters, once);
     if (received == 0) std::printf("unreachable\n");
   }
 
@@ -709,26 +686,16 @@ Results run_bench() {
     proto::WireEncoder enc;
     proto::Envelope header;
     header.xid = kXid;
-    for (std::uint64_t i = 0; i < kWarmup; ++i) {
+    std::tie(res.dl_encode_ns, res.dl_encode_allocs) = measure_rounds(kCommandIters, [&] {
       enc.clear();
       proto::encode_envelope(enc, header, command);
-    }
-    auto allocs0 = bench::allocations();
-    auto t0 = Clock::now();
-    for (std::uint64_t i = 0; i < kCommandIters; ++i) {
-      enc.clear();
-      proto::encode_envelope(enc, header, command);
-    }
-    auto t1 = Clock::now();
-    res.dl_encode_ns = ns_per_op(kCommandIters, t0, t1);
-    res.dl_encode_allocs =
-        static_cast<double>(bench::allocations() - allocs0) / static_cast<double>(kCommandIters);
+    });
     res.dl_wire_bytes = enc.size();
 
     const auto command_wire = proto::pack(command, kXid);
     proto::Envelope envelope;
     proto::DlMacConfig decoded;
-    std::tie(res.dl_decode_ns, res.dl_decode_allocs) = measure_decode_rounds([&] {
+    std::tie(res.dl_decode_ns, res.dl_decode_allocs) = measure_rounds(kLoopIters, [&] {
       (void)proto::Envelope::decode_into(command_wire, envelope);
       (void)proto::DlMacConfig::decode_body_into(envelope.body, decoded);
     });
@@ -998,7 +965,7 @@ int main(int argc, char** argv) {
           "wire_fastpath",
           "ues=16 rsrp=2 cells=1 encode_iters=20000 loop_iters=20000 publish_iters=2000 "
           "compose_shards=4 dcis=16 command_iters=20000 agent_ttis=2000 replay_ues=16 "
-          "decode_rounds=5 idle_cycles=5x4000") +
+          "rounds=5 idle_cycles=5x4000") +
       buffer + command_json + "\"agent_subframe\":{" + agent_json +
       "},\"publish_compose\":[" + fleet_json + "],\"ue_scaling\":[" + ue_json +
       "],\"idle_cycle\":[" + idle_json + "],\"idle_cycle_ns_8192_over_16\":" + idle_growth +

@@ -29,8 +29,7 @@ class AgentApi {
   std::int64_t current_subframe() const { return data_plane_->current_subframe(); }
 
   // ---- Statistics (Table 1: "Statistics") ----------------------------------
-  proto::UeStatsReport ue_stats(lte::Rnti rnti) const { return data_plane_->ue_stats(rnti); }
-  /// ue_stats() into a reused report (its RSRP list keeps its capacity).
+  /// One UE's report into a reused report (its RSRP list keeps its capacity).
   void ue_stats(lte::Rnti rnti, proto::UeStatsReport& out) const {
     data_plane_->ue_stats(rnti, out);
   }

@@ -35,11 +35,6 @@ util::Result<std::unique_ptr<Vsf>> VsfFactory::create(std::string_view module,
   return it->second();
 }
 
-bool VsfFactory::has(std::string_view module, std::string_view vsf,
-                     std::string_view implementation) const {
-  return factories_.contains(vsf_key(module, vsf, implementation));
-}
-
 VsfCache::Entry* VsfCache::find(std::string_view module, std::string_view vsf,
                                  std::string_view implementation) {
   auto it = cache_.find(KeyView{module, vsf, implementation});
@@ -62,12 +57,6 @@ util::Status VsfCache::store(const std::string& module, const std::string& vsf,
   if (!instance.ok()) return instance.error();
   cache_[Key{module, vsf, implementation}] = Entry{std::move(instance.value()), 0, false};
   return {};
-}
-
-void VsfCache::store_instance(const std::string& module, const std::string& vsf,
-                              const std::string& implementation,
-                              std::unique_ptr<Vsf> instance) {
-  cache_[Key{module, vsf, implementation}] = Entry{std::move(instance), 0, false};
 }
 
 Vsf* VsfCache::get(std::string_view module, std::string_view vsf,
@@ -96,20 +85,6 @@ bool VsfCache::is_quarantined(std::string_view module, std::string_view vsf,
                               std::string_view implementation) const {
   const Entry* entry = find(module, vsf, implementation);
   return entry != nullptr && entry->quarantined;
-}
-
-std::uint32_t VsfCache::consecutive_failures(std::string_view module, std::string_view vsf,
-                                             std::string_view implementation) const {
-  const Entry* entry = find(module, vsf, implementation);
-  return entry == nullptr ? 0 : entry->consecutive_failures;
-}
-
-std::size_t VsfCache::quarantined_count() const {
-  std::size_t n = 0;
-  for (const auto& [key, entry] : cache_) {
-    if (entry.quarantined) ++n;
-  }
-  return n;
 }
 
 }  // namespace flexran::agent

@@ -98,7 +98,6 @@ class VsfFactory {
                                Factory factory);
   util::Result<std::unique_ptr<Vsf>> create(std::string_view module, std::string_view vsf,
                                             std::string_view implementation) const;
-  bool has(std::string_view module, std::string_view vsf, std::string_view implementation) const;
 
  private:
   VsfFactory() = default;
@@ -125,10 +124,6 @@ class VsfCache {
   /// after a refresh.
   util::Status store(const std::string& module, const std::string& vsf,
                      const std::string& implementation);
-  /// Stores an agent-constructed instance directly (used for the built-in
-  /// remote stub, which needs access to the agent's decision queue).
-  void store_instance(const std::string& module, const std::string& vsf,
-                      const std::string& implementation, std::unique_ptr<Vsf> instance);
   /// Cached instance lookup; nullptr if not pushed.
   Vsf* get(std::string_view module, std::string_view vsf,
            std::string_view implementation) const;
@@ -146,10 +141,6 @@ class VsfCache {
                   std::string_view implementation);
   bool is_quarantined(std::string_view module, std::string_view vsf,
                       std::string_view implementation) const;
-  std::uint32_t consecutive_failures(std::string_view module, std::string_view vsf,
-                                     std::string_view implementation) const;
-  /// Number of currently quarantined implementations.
-  std::size_t quarantined_count() const;
 
  private:
   struct Entry {

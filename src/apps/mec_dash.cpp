@@ -5,13 +5,6 @@
 
 namespace flexran::apps {
 
-CqiBitrateTable paper_table2_bitrates() {
-  // Paper Table 2: CQI -> max sustainable video bitrate (Mb/s), measured on
-  // the authors' testbed. bench_table2_cqi regenerates this repo's own
-  // calibration of the same mapping.
-  return {{2, 1.4}, {3, 2.0}, {4, 2.9}, {10, 7.3}, {15, 11.0}};
-}
-
 CqiBitrateTable calibrated_table2_bitrates() {
   // Measured by bench_table2_cqi against this repo's PHY calibration
   // (kDataRePerPrb = 100): highest bitrate playing with zero freezes.
@@ -47,11 +40,6 @@ void MecDashApp::on_cycle(std::int64_t cycle, ctrl::NorthboundApi& api) {
     last_pushed_[ue.rnti] = mbps;
     if (push_) push_(ue.rnti, mbps);
   }
-}
-
-double MecDashApp::last_pushed_mbps(lte::Rnti rnti) const {
-  auto it = last_pushed_.find(rnti);
-  return it == last_pushed_.end() ? 0.0 : it->second;
 }
 
 }  // namespace flexran::apps

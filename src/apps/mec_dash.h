@@ -16,14 +16,10 @@ namespace flexran::apps {
 /// lookups interpolate linearly and clamp at the ends.
 using CqiBitrateTable = std::map<int, double>;
 
-/// The mapping measured in the paper's Table 2 (the authors' testbed
-/// calibration; see also calibrated_table2_bitrates).
-CqiBitrateTable paper_table2_bitrates();
-
-/// The same mapping measured on THIS repo's substrate by bench_table2_cqi.
-/// Our PHY calibration charges more per-PRB overhead, so sustainable
-/// bitrates sit lower than the paper's at equal CQI. This is the table the
-/// MEC application uses -- a deployment would measure its own.
+/// The paper's Table 2 mapping, measured on THIS repo's substrate by
+/// bench_table2_cqi. Our PHY calibration charges more per-PRB overhead, so
+/// sustainable bitrates sit lower than the paper's at equal CQI. This is the
+/// table the MEC application uses -- a deployment would measure its own.
 CqiBitrateTable calibrated_table2_bitrates();
 
 /// Interpolated lookup.
@@ -51,8 +47,6 @@ class MecDashApp final : public ctrl::App {
   int priority() const override { return 150; }
 
   void on_cycle(std::int64_t cycle, ctrl::NorthboundApi& api) override;
-
-  double last_pushed_mbps(lte::Rnti rnti) const;
 
  private:
   Config config_;

@@ -5,16 +5,6 @@
 
 namespace flexran::ctrl {
 
-const char* to_string(SessionState state) {
-  switch (state) {
-    case SessionState::up: return "up";
-    case SessionState::stale: return "stale";
-    case SessionState::down: return "down";
-    case SessionState::resyncing: return "resyncing";
-  }
-  return "?";
-}
-
 namespace {
 
 template <typename T>
@@ -84,10 +74,6 @@ const UeNode* AgentNode::find_ue(lte::Rnti rnti) const {
   return holds(hot.rnti, row, rnti) ? &ues[row] : nullptr;
 }
 
-UeNode* AgentNode::find_ue(lte::Rnti rnti) {
-  return const_cast<UeNode*>(std::as_const(*this).find_ue(rnti));
-}
-
 std::size_t AgentNode::upsert_ue(lte::Rnti rnti) {
   const std::size_t row = lower_row(hot.rnti, rnti);
   if (!holds(hot.rnti, row, rnti)) {
@@ -120,20 +106,6 @@ const AgentNode* Rib::find_agent(AgentId id) const {
 AgentNode* Rib::find_agent(AgentId id) {
   auto it = agents_.find(id);
   return it == agents_.end() ? nullptr : &it->second;
-}
-
-const UeNode* Rib::find_ue(AgentId id, lte::Rnti rnti) const {
-  const AgentNode* agent = find_agent(id);
-  return agent == nullptr ? nullptr : agent->find_ue(rnti);
-}
-
-std::size_t Rib::ue_count() const {
-  std::size_t count = 0;
-  for (const auto& [id, agent] : agents_) {
-    (void)id;
-    count += agent.ues.size();
-  }
-  return count;
 }
 
 std::size_t Rib::approx_bytes() const {

@@ -37,8 +37,6 @@ using AgentId = std::uint32_t;
 /// (heard again; configuration being re-fetched) -> up.
 enum class SessionState : std::uint8_t { up, stale, down, resyncing };
 
-const char* to_string(SessionState state);
-
 struct UeNode {
   lte::Rnti rnti = lte::kInvalidRnti;
   /// Serving cell, as the UE's configuration or attach event names it. A
@@ -97,7 +95,6 @@ struct AgentNode {
   CellNode& cell(lte::CellId id);
   /// Null when absent.
   const UeNode* find_ue(lte::Rnti rnti) const;
-  UeNode* find_ue(lte::Rnti rnti);
   /// Row index of `rnti` in `ues` and `hot`, inserting an empty row on
   /// first sight (which moves the rows after it).
   std::size_t upsert_ue(lte::Rnti rnti);
@@ -136,12 +133,10 @@ class Rib {
   AgentNode& agent(AgentId id) { return agents_[id]; }
   const AgentNode* find_agent(AgentId id) const;
   AgentNode* find_agent(AgentId id);
-  const UeNode* find_ue(AgentId id, lte::Rnti rnti) const;
   void remove_agent(AgentId id) { agents_.erase(id); }
 
   const std::map<AgentId, AgentNode>& agents() const { return agents_; }
   std::size_t agent_count() const { return agents_.size(); }
-  std::size_t ue_count() const;
 
   /// Approximate resident size of the RIB (Fig. 8 memory series).
   std::size_t approx_bytes() const;

@@ -77,8 +77,6 @@ std::int64_t tbs_bits(int mcs, int n_prb) {
   return static_cast<std::int64_t>(bits);
 }
 
-std::int64_t tbs_bits_for_cqi(int cqi, int n_prb) { return tbs_bits(cqi_to_mcs(cqi), n_prb); }
-
 std::int64_t category_max_tbs_bits(int ue_category) {
   // 36.306 Table 4.1-1, max DL-SCH bits per TTI.
   switch (ue_category) {
@@ -122,20 +120,6 @@ double bler_for_mcs_at_cqi(int mcs, int cqi) {
   if (delta == 2) return 0.65;
   if (delta == 3) return 0.85;
   return 0.97;
-}
-
-int rbg_size(int dl_prbs) {
-  // 36.213 Table 7.1.6.1-1.
-  if (dl_prbs <= 10) return 1;
-  if (dl_prbs <= 26) return 2;
-  if (dl_prbs <= 63) return 3;
-  return 4;
-}
-
-int rbg_count(int dl_prbs) {
-  if (dl_prbs <= 0) return 0;
-  const int p = rbg_size(dl_prbs);
-  return (dl_prbs + p - 1) / p;
 }
 
 }  // namespace flexran::lte

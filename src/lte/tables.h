@@ -45,9 +45,6 @@ constexpr int kDataRePerPrb = 100;
 /// Transport block size in bits for `n_prb` PRBs at MCS `mcs`.
 std::int64_t tbs_bits(int mcs, int n_prb);
 
-/// Convenience: TBS from CQI directly (via cqi_to_mcs).
-std::int64_t tbs_bits_for_cqi(int cqi, int n_prb);
-
 /// Per-UE-category cap on transport block bits per TTI (36.306, cat 1-8
 /// subset). Category 4 = 150752 bits.
 std::int64_t category_max_tbs_bits(int ue_category);
@@ -64,15 +61,5 @@ double cqi_to_sinr_db(int cqi);
 /// to a UE whose channel supports `cqi`: ~10% at the matched operating
 /// point, falling when conservative and rising steeply when aggressive.
 double bler_for_mcs_at_cqi(int mcs, int cqi);
-
-/// Resource block group size P for a carrier of `dl_prbs` PRBs
-/// (allocation type 0 granularity, 36.213 Table 7.1.6.1-1). The last RBG
-/// is partial when dl_prbs is not divisible by P -- a type-0 allocation
-/// rounded up to whole RBGs must still be clipped to dl_prbs, which the
-/// decision validator (agent::validate_decision) enforces.
-int rbg_size(int dl_prbs);
-
-/// Number of RBGs covering `dl_prbs` PRBs (ceiling division by rbg_size).
-int rbg_count(int dl_prbs);
 
 }  // namespace flexran::lte

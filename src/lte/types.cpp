@@ -12,10 +12,4 @@ int prb_count_for_bandwidth_mhz(double mhz) {
   return 100;
 }
 
-const char* to_string(Direction dir) {
-  return dir == Direction::downlink ? "downlink" : "uplink";
-}
-
-const char* to_string(Duplex duplex) { return duplex == Duplex::fdd ? "FDD" : "TDD"; }
-
 }  // namespace flexran::lte

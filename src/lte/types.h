@@ -85,7 +85,4 @@ struct UeConfig {
   bool carrier_aggregation = false;
 };
 
-const char* to_string(Direction dir);
-const char* to_string(Duplex duplex);
-
 }  // namespace flexran::lte

@@ -42,9 +42,4 @@ util::Status FrameAssembler::feed(std::span<const std::uint8_t> data, const Fram
   return {};
 }
 
-void FrameAssembler::reset() {
-  buffer_.clear();
-  poisoned_ = false;
-}
-
 }  // namespace flexran::net

@@ -41,15 +41,13 @@ class FrameAssembler {
   /// order. Returns an error and poisons the assembler on a corrupt length:
   /// after a frame claims more than kMaxFrameBytes the stream offset can no
   /// longer be trusted, so every later feed() fails deterministically (the
-  /// offending header stays buffered, un-consumed) until reset(). Owners that
-  /// reuse assemblers across fault injections (SimTransport) key off this
-  /// instead of resynchronizing mid-stream.
+  /// offending header stays buffered, un-consumed) for the rest of the
+  /// assembler's life. Owners that reuse assemblers across fault injections
+  /// (SimTransport) key off this instead of resynchronizing mid-stream.
   util::Status feed(std::span<const std::uint8_t> data, const FrameFn& on_frame);
 
   std::size_t buffered() const { return buffer_.readable(); }
   bool poisoned() const { return poisoned_; }
-  /// Drops all buffered bytes and clears the poisoned state.
-  void reset();
 
  private:
   util::ByteBuffer buffer_;

@@ -86,15 +86,6 @@ double Histogram::sum() const {
   return std::bit_cast<double>(sum_bits_.load(std::memory_order_relaxed));
 }
 
-double Histogram::mean() const {
-  const auto n = count();
-  return n == 0 ? 0.0 : sum() / static_cast<double>(n);
-}
-
-std::uint64_t Histogram::bucket_count(std::size_t i) const {
-  return i <= bounds_.size() ? buckets_[i].load(std::memory_order_relaxed) : 0;
-}
-
 double Histogram::quantile(double q) const {
   const std::uint64_t n = count();
   if (n == 0) return 0.0;
@@ -127,12 +118,6 @@ std::vector<double> exponential_bounds(double start, double factor, std::size_t 
     bound *= factor;
   }
   return bounds;
-}
-
-std::string labeled(std::string_view name, std::initializer_list<Label> labels) {
-  std::string out;
-  append_identity(out, name, {}, labels, {}, {}, false);
-  return out;
 }
 
 void Sink::line(std::string_view name, std::string_view suffix,
@@ -183,9 +168,6 @@ void Sink::histogram(std::string_view name, std::initializer_list<Label> labels,
   line(name, {}, labels, "quantile=\"0.95\"", h.p95());
   line(name, {}, labels, "quantile=\"0.99\"", h.p99());
 }
-
-MetricsRegistry::Registration::Registration(Registration&& other) noexcept
-    : registry_(std::exchange(other.registry_, nullptr)), id_(other.id_) {}
 
 MetricsRegistry::Registration& MetricsRegistry::Registration::operator=(
     Registration&& other) noexcept {

@@ -43,7 +43,6 @@ class Histogram {
 
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   double sum() const;
-  double mean() const;
   /// q in [0, 1]; linear interpolation inside the selected bucket. Returns
   /// 0 on an empty histogram; overflow-bucket quantiles clamp to the last
   /// bound (the histogram cannot resolve beyond it).
@@ -53,8 +52,6 @@ class Histogram {
   double p99() const { return quantile(0.99); }
 
   const std::vector<double>& bounds() const { return bounds_; }
-  /// i in [0, bounds().size()]; index bounds().size() is the overflow bucket.
-  std::uint64_t bucket_count(std::size_t i) const;
 
  private:
   std::vector<double> bounds_;
@@ -69,10 +66,6 @@ std::vector<double> exponential_bounds(double start, double factor, std::size_t 
 
 /// One label of a series identity; both strings are borrowed for the call.
 using Label = std::pair<std::string_view, std::string_view>;
-
-/// Renders `name{k=v,...}` (no quotes; empty label list = bare name): the
-/// identity a series is keyed by in the JSON export.
-std::string labeled(std::string_view name, std::initializer_list<Label> labels);
 
 /// What a collector writes its series into at export time. Each value() or
 /// histogram() call is one series. The registry appends the collector's
@@ -118,7 +111,6 @@ class MetricsRegistry {
   class Registration {
    public:
     Registration() = default;
-    Registration(Registration&& other) noexcept;
     Registration& operator=(Registration&& other) noexcept;
     ~Registration();
 

@@ -47,25 +47,6 @@ const char* to_string(MessageCategory category) {
   return "?";
 }
 
-const char* to_string(EventType event) {
-  switch (event) {
-    case EventType::subframe_tick: return "subframe_tick";
-    case EventType::ue_attach: return "ue_attach";
-    case EventType::ue_detach: return "ue_detach";
-    case EventType::rach_attempt: return "rach_attempt";
-    case EventType::scheduling_request: return "scheduling_request";
-    case EventType::agent_disconnected: return "agent_disconnected";
-    case EventType::agent_reconnected: return "agent_reconnected";
-    case EventType::request_timeout: return "request_timeout";
-    case EventType::vsf_failure: return "vsf_failure";
-    case EventType::vsf_quarantined: return "vsf_quarantined";
-    case EventType::policy_applied: return "policy_applied";
-    case EventType::policy_rejected: return "policy_rejected";
-    case EventType::overload_state_changed: return "overload_state_changed";
-  }
-  return "?";
-}
-
 const char* to_string(VsfFailureKind kind) {
   switch (kind) {
     case VsfFailureKind::none: return "none";
@@ -644,13 +625,6 @@ void DlMacConfig::encode_body(WireEncoder& enc) const {
   for (const auto& dci : dcis) encode_dl_dci(enc, 3, dci);
 }
 
-Result<DlMacConfig> DlMacConfig::decode_body(std::span<const std::uint8_t> data) {
-  DlMacConfig out;
-  auto status = decode_body_into(data, out);
-  if (!status.ok()) return status.error();
-  return out;
-}
-
 Status DlMacConfig::decode_body_into(std::span<const std::uint8_t> data, DlMacConfig& out) {
   out.cell_id = 0;
   out.target_subframe = 0;
@@ -681,13 +655,6 @@ void UlMacConfig::encode_body(WireEncoder& enc) const {
   enc.field_varint(1, cell_id);
   enc.field_svarint(2, target_subframe);
   for (const auto& dci : dcis) encode_ul_dci(enc, 3, dci);
-}
-
-Result<UlMacConfig> UlMacConfig::decode_body(std::span<const std::uint8_t> data) {
-  UlMacConfig out;
-  auto status = decode_body_into(data, out);
-  if (!status.ok()) return status.error();
-  return out;
 }
 
 Status UlMacConfig::decode_body_into(std::span<const std::uint8_t> data, UlMacConfig& out) {
@@ -998,22 +965,6 @@ RxClass classify(MessageType type, std::span<const std::uint8_t> body) {
     out.traffic_class = net::TrafficClass::sync;
   }
   return out;
-}
-
-DlMacConfig to_dl_mac_config(const lte::SchedulingDecision& decision) {
-  DlMacConfig msg;
-  msg.cell_id = decision.cell_id;
-  msg.target_subframe = decision.subframe;
-  msg.dcis = decision.dl;
-  return msg;
-}
-
-UlMacConfig to_ul_mac_config(const lte::SchedulingDecision& decision) {
-  UlMacConfig msg;
-  msg.cell_id = decision.cell_id;
-  msg.target_subframe = decision.subframe;
-  msg.dcis = decision.ul;
-  return msg;
 }
 
 }  // namespace flexran::proto

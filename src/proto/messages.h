@@ -344,10 +344,8 @@ struct DlMacConfig {
   std::vector<lte::DlDci> dcis;
 
   void encode_body(WireEncoder& enc) const;
-  static util::Result<DlMacConfig> decode_body(std::span<const std::uint8_t> data);
-  /// Allocation-free variant of decode_body(), the StatsReply idiom: decodes
-  /// over `out`'s DCI slots, so a warm `out` with as many DCIs touches no
-  /// allocator.
+  /// The StatsReply idiom: decodes over `out`'s DCI slots, so a warm `out`
+  /// with as many DCIs touches no allocator.
   static util::Status decode_body_into(std::span<const std::uint8_t> data, DlMacConfig& out);
 };
 
@@ -358,10 +356,8 @@ struct UlMacConfig {
   std::vector<lte::UlDci> dcis;
 
   void encode_body(WireEncoder& enc) const;
-  static util::Result<UlMacConfig> decode_body(std::span<const std::uint8_t> data);
-  /// Allocation-free variant of decode_body(), the StatsReply idiom: decodes
-  /// over `out`'s DCI slots, so a warm `out` with as many DCIs touches no
-  /// allocator.
+  /// The StatsReply idiom: decodes over `out`'s DCI slots, so a warm `out`
+  /// with as many DCIs touches no allocator.
   static util::Status decode_body_into(std::span<const std::uint8_t> data, UlMacConfig& out);
 };
 
@@ -511,8 +507,6 @@ struct EventNotification {
   static util::Result<EventNotification> decode_body(std::span<const std::uint8_t> data);
 };
 
-const char* to_string(EventType event);
-
 /// Master -> agent: (un)subscribe from event notifications (paper: "the
 /// master can choose whether or not to be notified for a specific event
 /// occurring at the eNodeB by registering for it at the agent").
@@ -650,9 +644,5 @@ util::Result<M> unpack(const Envelope& envelope) {
   }
   return M::decode_body(envelope.body);
 }
-
-/// Conversions between wire DCIs and the lte:: scheduling types.
-DlMacConfig to_dl_mac_config(const lte::SchedulingDecision& decision);
-UlMacConfig to_ul_mac_config(const lte::SchedulingDecision& decision);
 
 }  // namespace flexran::proto

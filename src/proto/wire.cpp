@@ -54,11 +54,6 @@ void WireEncoder::field_double(int field, double value) {
   buffer_.write_u64(bits);
 }
 
-void WireEncoder::field_fixed32(int field, std::uint32_t value) {
-  tag(field, WireType::fixed32);
-  buffer_.write_u32(value);
-}
-
 void WireEncoder::field_bytes(int field, std::span<const std::uint8_t> bytes) {
   tag(field, WireType::length_delimited);
   varint(bytes.size());

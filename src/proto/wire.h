@@ -54,7 +54,6 @@ class WireEncoder {
   void field_svarint(int field, std::int64_t value) { field_varint(field, zigzag_encode(value)); }
   void field_bool(int field, bool value) { field_varint(field, value ? 1 : 0); }
   void field_double(int field, double value);
-  void field_fixed32(int field, std::uint32_t value);
   void field_bytes(int field, std::span<const std::uint8_t> bytes);
   void field_string(int field, std::string_view text);
 

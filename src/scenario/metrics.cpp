@@ -39,24 +39,4 @@ std::uint64_t Metrics::total_bytes_enb(lte::EnbId enb, lte::Direction direction)
   return total;
 }
 
-std::uint64_t Metrics::total_bytes_all(lte::Direction direction) const {
-  std::uint64_t total = 0;
-  for (const auto& [key, bytes] : totals_) {
-    if (std::get<2>(key) == direction) total += bytes;
-  }
-  return total;
-}
-
-const util::TimeSeries* Metrics::series(lte::EnbId enb, lte::Rnti rnti,
-                                        lte::Direction direction) const {
-  auto it = series_.find(Key{enb, rnti, direction});
-  return it == series_.end() ? nullptr : &it->second;
-}
-
-void Metrics::reset() {
-  totals_.clear();
-  window_bytes_.clear();
-  series_.clear();
-}
-
 }  // namespace flexran::scenario

@@ -26,7 +26,6 @@ class Metrics {
 
   std::uint64_t total_bytes(lte::EnbId enb, lte::Rnti rnti, lte::Direction direction) const;
   std::uint64_t total_bytes_enb(lte::EnbId enb, lte::Direction direction) const;
-  std::uint64_t total_bytes_all(lte::Direction direction) const;
 
   /// Mean throughput over [from, to] in Mb/s from the cumulative counters
   /// sampled against wall (simulated) time; requires bytes recorded in that
@@ -35,11 +34,8 @@ class Metrics {
     return seconds > 0 ? static_cast<double>(bytes) * 8.0 / seconds / 1e6 : 0.0;
   }
 
-  /// Windowed Mb/s series for one key (empty if sampling never ran).
-  const util::TimeSeries* series(lte::EnbId enb, lte::Rnti rnti, lte::Direction direction) const;
+  /// Windowed Mb/s series per key (empty if sampling never ran).
   const std::map<Key, util::TimeSeries>& all_series() const { return series_; }
-
-  void reset();
 
  private:
   std::map<Key, std::uint64_t> totals_;

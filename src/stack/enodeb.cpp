@@ -13,15 +13,6 @@ namespace {
 constexpr double kPfWindowTtis = 100.0;
 }  // namespace
 
-const char* to_string(RrcState state) {
-  switch (state) {
-    case RrcState::idle: return "idle";
-    case RrcState::connecting: return "connecting";
-    case RrcState::connected: return "connected";
-  }
-  return "?";
-}
-
 EnodebDataPlane::EnodebDataPlane(sim::Simulator& sim, lte::EnbConfig config,
                                  phy::RadioEnvironment* env, std::uint64_t seed)
     : sim_(sim), config_(std::move(config)), env_(env), error_model_(seed) {}
@@ -45,17 +36,6 @@ lte::Rnti EnodebDataPlane::add_ue(UeProfile profile) {
   ue.rach_at_subframe = std::max<std::int64_t>(current_subframe_ + 1, 0) + profile.attach_after_ttis;
   ues_.emplace(rnti, std::move(ue));
   return rnti;
-}
-
-util::Status EnodebDataPlane::remove_ue(lte::Rnti rnti) {
-  auto it = ues_.find(rnti);
-  if (it == ues_.end()) return util::Error::not_found("remove_ue: unknown rnti");
-  const bool was_connected = it->second.connected();
-  ues_.erase(it);
-  pending_retx_.erase(rnti);
-  std::erase_if(in_flight_, [rnti](const InFlight& f) { return f.rnti == rnti; });
-  if (was_connected && listener_ != nullptr) listener_->on_ue_detached(rnti, current_subframe_);
-  return {};
 }
 
 util::Result<UeProfile> EnodebDataPlane::trigger_handover(lte::Rnti rnti) {
@@ -457,12 +437,6 @@ void EnodebDataPlane::scheduler_view(std::vector<SchedUeInfo>& out) const {
       out.push_back(info);
     }
   }
-}
-
-proto::UeStatsReport EnodebDataPlane::ue_stats(lte::Rnti rnti) const {
-  proto::UeStatsReport report;
-  ue_stats(rnti, report);
-  return report;
 }
 
 void EnodebDataPlane::ue_stats(lte::Rnti rnti, proto::UeStatsReport& report) const {

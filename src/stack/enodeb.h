@@ -79,7 +79,6 @@ class EnodebDataPlane {
   /// Adds a UE; it will RACH after profile.attach_after_ttis. Returns the
   /// assigned RNTI.
   lte::Rnti add_ue(UeProfile profile);
-  util::Status remove_ue(lte::Rnti rnti);
 
   // ---- Action API (called via the FlexRAN Agent API) ----------------------
   /// Applies a decision for the *current* subframe. Grants targeting other
@@ -127,8 +126,7 @@ class EnodebDataPlane {
   std::vector<SchedUeInfo> scheduler_view() const;
   /// The same snapshot written over `out`, reusing its capacity.
   void scheduler_view(std::vector<SchedUeInfo>& out) const;
-  proto::UeStatsReport ue_stats(lte::Rnti rnti) const;
-  /// ue_stats() written over `out`, reusing its RSRP list's capacity.
+  /// One UE's report written over `out`, reusing its RSRP list's capacity.
   void ue_stats(lte::Rnti rnti, proto::UeStatsReport& out) const;
   proto::CellStatsReport cell_stats() const;
 

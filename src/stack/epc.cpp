@@ -24,9 +24,4 @@ util::Status EpcStub::downlink(UeId ue, std::uint32_t bytes) {
   return {};
 }
 
-const EpcStub::Bearer* EpcStub::bearer(UeId ue) const {
-  auto it = bearers_.find(ue);
-  return it == bearers_.end() ? nullptr : &it->second;
-}
-
 }  // namespace flexran::stack

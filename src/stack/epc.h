@@ -16,12 +16,6 @@ using UeId = std::uint32_t;
 
 class EpcStub {
  public:
-  struct Bearer {
-    EnodebDataPlane* enb = nullptr;  // not owned
-    lte::Rnti rnti = lte::kInvalidRnti;
-    lte::Lcid lcid = lte::kDefaultDrb;
-  };
-
   void register_bearer(UeId ue, EnodebDataPlane* enb, lte::Rnti rnti,
                        lte::Lcid lcid = lte::kDefaultDrb);
   void remove_bearer(UeId ue);
@@ -31,10 +25,14 @@ class EpcStub {
   /// Injects downlink application bytes toward the UE.
   util::Status downlink(UeId ue, std::uint32_t bytes);
 
-  const Bearer* bearer(UeId ue) const;
   std::uint64_t downlink_bytes() const { return downlink_bytes_; }
 
  private:
+  struct Bearer {
+    EnodebDataPlane* enb = nullptr;  // not owned
+    lte::Rnti rnti = lte::kInvalidRnti;
+    lte::Lcid lcid = lte::kDefaultDrb;
+  };
   std::map<UeId, Bearer> bearers_;
   std::uint64_t downlink_bytes_ = 0;
 };

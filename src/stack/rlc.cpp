@@ -85,11 +85,6 @@ std::uint32_t RlcQueue::dequeue_lcid(lte::Lcid lcid, std::int64_t tb_bits) {
   return drain(it->second, app_budget(tb_bits), nullptr);
 }
 
-std::uint32_t RlcQueue::bytes_for_lcid(lte::Lcid lcid) const {
-  auto it = channels_.find(lcid);
-  return it == channels_.end() ? 0 : it->second.bytes;
-}
-
 std::uint32_t RlcQueue::bytes_for_lc_group(int lcg) const {
   std::uint32_t bytes = 0;
   for (const auto& [lcid, channel] : channels_) {

@@ -44,7 +44,6 @@ class RlcQueue {
   /// Drains from a single logical channel only.
   std::uint32_t dequeue_lcid(lte::Lcid lcid, std::int64_t tb_bits);
 
-  std::uint32_t bytes_for_lcid(lte::Lcid lcid) const;
   std::uint32_t bytes_for_lc_group(int lcg) const;
   std::uint32_t total_bytes() const { return total_bytes_; }
   bool empty() const { return total_bytes_ == 0; }

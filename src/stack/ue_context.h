@@ -24,8 +24,6 @@ enum class RrcState : std::uint8_t {
   connected = 2,
 };
 
-const char* to_string(RrcState state);
-
 /// Bytes of RRC signaling that must be delivered on SRB1 for the attach
 /// handshake to complete (connection setup + reconfiguration).
 constexpr std::uint32_t kRrcSetupBytes = 400;

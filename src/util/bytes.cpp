@@ -4,11 +4,6 @@
 
 namespace flexran::util {
 
-void ByteBuffer::write_u16(std::uint16_t value) {
-  write_u8(static_cast<std::uint8_t>(value & 0xff));
-  write_u8(static_cast<std::uint8_t>(value >> 8));
-}
-
 void ByteBuffer::write_u32(std::uint32_t value) {
   for (int shift = 0; shift < 32; shift += 8) {
     write_u8(static_cast<std::uint8_t>((value >> shift) & 0xff));
@@ -29,19 +24,6 @@ void ByteBuffer::write_string(std::string_view text) {
   data_.insert(data_.end(), text.begin(), text.end());
 }
 
-Result<std::uint8_t> ByteBuffer::read_u8() {
-  if (readable() < 1) return Error::decode_failure("read_u8 past end");
-  return data_[read_pos_++];
-}
-
-Result<std::uint16_t> ByteBuffer::read_u16() {
-  if (readable() < 2) return Error::decode_failure("read_u16 past end");
-  std::uint16_t value = static_cast<std::uint16_t>(data_[read_pos_]) |
-                        static_cast<std::uint16_t>(data_[read_pos_ + 1]) << 8;
-  read_pos_ += 2;
-  return value;
-}
-
 Result<std::uint32_t> ByteBuffer::read_u32() {
   if (readable() < 4) return Error::decode_failure("read_u32 past end");
   std::uint32_t value = 0;
@@ -50,32 +32,6 @@ Result<std::uint32_t> ByteBuffer::read_u32() {
   }
   read_pos_ += 4;
   return value;
-}
-
-Result<std::uint64_t> ByteBuffer::read_u64() {
-  if (readable() < 8) return Error::decode_failure("read_u64 past end");
-  std::uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) {
-    value |= static_cast<std::uint64_t>(data_[read_pos_ + i]) << (8 * i);
-  }
-  read_pos_ += 8;
-  return value;
-}
-
-Result<std::vector<std::uint8_t>> ByteBuffer::read_bytes(std::size_t count) {
-  if (readable() < count) return Error::decode_failure("read_bytes past end");
-  std::vector<std::uint8_t> out(data_.begin() + static_cast<std::ptrdiff_t>(read_pos_),
-                                data_.begin() + static_cast<std::ptrdiff_t>(read_pos_ + count));
-  read_pos_ += count;
-  return out;
-}
-
-Result<std::string> ByteBuffer::read_string(std::size_t count) {
-  if (readable() < count) return Error::decode_failure("read_string past end");
-  std::string out(data_.begin() + static_cast<std::ptrdiff_t>(read_pos_),
-                  data_.begin() + static_cast<std::ptrdiff_t>(read_pos_ + count));
-  read_pos_ += count;
-  return out;
 }
 
 void ByteBuffer::compact() {

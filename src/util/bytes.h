@@ -27,19 +27,13 @@ class ByteBuffer {
 
   // -- write side -----------------------------------------------------------
   void write_u8(std::uint8_t value) { data_.push_back(value); }
-  void write_u16(std::uint16_t value);
   void write_u32(std::uint32_t value);
   void write_u64(std::uint64_t value);
   void write_bytes(std::span<const std::uint8_t> bytes);
   void write_string(std::string_view text);
 
   // -- read side ------------------------------------------------------------
-  Result<std::uint8_t> read_u8();
-  Result<std::uint16_t> read_u16();
   Result<std::uint32_t> read_u32();
-  Result<std::uint64_t> read_u64();
-  Result<std::vector<std::uint8_t>> read_bytes(std::size_t count);
-  Result<std::string> read_string(std::size_t count);
 
   std::size_t readable() const { return data_.size() - read_pos_; }
   std::size_t read_position() const { return read_pos_; }

@@ -5,16 +5,6 @@
 
 namespace flexran::util {
 
-namespace {
-std::mutex g_sink_mutex;
-
-void default_sink(LogLevel level, std::string_view component, std::string_view message) {
-  std::scoped_lock lock(g_sink_mutex);
-  std::fprintf(stderr, "[%s] %.*s: %.*s\n", to_string(level), static_cast<int>(component.size()),
-               component.data(), static_cast<int>(message.size()), message.data());
-}
-}  // namespace
-
 const char* to_string(LogLevel level) {
   switch (level) {
     case LogLevel::trace: return "TRACE";
@@ -32,20 +22,11 @@ Logger& Logger::instance() {
   return logger;
 }
 
-Logger::Logger() : sink_(default_sink) {}
-
-void Logger::set_sink(LogSink sink) {
-  std::scoped_lock lock(g_sink_mutex);
-  sink_ = sink ? std::move(sink) : LogSink(default_sink);
-}
-
 void Logger::write(LogLevel level, std::string_view component, std::string_view message) {
-  LogSink sink;
-  {
-    std::scoped_lock lock(g_sink_mutex);
-    sink = sink_;
-  }
-  sink(level, component, message);
+  static std::mutex mutex;
+  std::scoped_lock lock(mutex);
+  std::fprintf(stderr, "[%s] %.*s: %.*s\n", to_string(level), static_cast<int>(component.size()),
+               component.data(), static_cast<int>(message.size()), message.data());
 }
 
 }  // namespace flexran::util

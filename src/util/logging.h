@@ -1,9 +1,8 @@
-// Minimal structured logger. One global sink; components log through
-// FLEXRAN_LOG(level) << ... streams. The default sink writes to stderr and is
-// silenced below `warn` so simulation-heavy tests and benches stay quiet.
+// Minimal structured logger. Components log through FLEXRAN_LOG(level) << ...
+// streams. Lines go to stderr, silenced below `warn` so simulation-heavy tests
+// and benches stay quiet.
 #pragma once
 
-#include <functional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -14,8 +13,6 @@ enum class LogLevel { trace = 0, debug = 1, info = 2, warn = 3, error = 4, off =
 
 const char* to_string(LogLevel level);
 
-using LogSink = std::function<void(LogLevel, std::string_view component, std::string_view message)>;
-
 class Logger {
  public:
   static Logger& instance();
@@ -24,15 +21,11 @@ class Logger {
   LogLevel level() const { return level_; }
   bool enabled(LogLevel level) const { return level >= level_ && level_ != LogLevel::off; }
 
-  /// Replace the sink (pass nullptr to restore the stderr default).
-  void set_sink(LogSink sink);
-
   void write(LogLevel level, std::string_view component, std::string_view message);
 
  private:
-  Logger();
+  Logger() = default;
   LogLevel level_ = LogLevel::warn;
-  LogSink sink_;
 };
 
 /// RAII one-line log statement: LogLine(level, "agent") << "msg " << x;

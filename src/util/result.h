@@ -40,8 +40,6 @@ struct Error {
   static Error internal(std::string msg) { return {Code::internal, std::move(msg)}; }
 };
 
-const char* to_string(Error::Code code);
-
 /// Result<T>: either a value or an Error. Result<void> specializes below.
 template <typename T>
 class [[nodiscard]] Result {

@@ -4,13 +4,6 @@
 
 namespace flexran::util {
 
-double Rng::exponential(double mean) {
-  // Guard against log(0); uniform() is in [0, 1).
-  double u = uniform();
-  if (u <= 0.0) u = 0x1.0p-53;
-  return -mean * std::log(1.0 - u);
-}
-
 double Rng::normal(double mean, double stddev) {
   double u1 = uniform();
   if (u1 <= 0.0) u1 = 0x1.0p-53;

@@ -55,9 +55,6 @@ class Rng {
   /// Bernoulli draw.
   bool chance(double probability) { return uniform() < probability; }
 
-  /// Exponential with the given mean (> 0).
-  double exponential(double mean);
-
   /// Standard normal via Box-Muller (no cached spare; fine for sim rates).
   double normal(double mean = 0.0, double stddev = 1.0);
 

@@ -1,8 +1,6 @@
 #include "util/stats.h"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
 
 namespace flexran::util {
 
@@ -15,8 +13,6 @@ void RunningStats::add(double sample) {
   min_ = std::min(min_, sample);
   max_ = std::max(max_, sample);
 }
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 double SampleSet::mean() const {
   if (samples_.empty()) return 0.0;
@@ -49,18 +45,6 @@ double TimeSeries::mean_in(double from, double to) const {
     }
   }
   return n > 0 ? sum / static_cast<double>(n) : 0.0;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(buckets)), buckets_(buckets, 0) {
-  assert(hi > lo && buckets > 0);
-}
-
-void Histogram::add(double sample) {
-  auto index = static_cast<std::ptrdiff_t>((sample - lo_) / width_);
-  index = std::clamp<std::ptrdiff_t>(index, 0, static_cast<std::ptrdiff_t>(buckets_.size()) - 1);
-  ++buckets_[static_cast<std::size_t>(index)];
-  ++count_;
 }
 
 }  // namespace flexran::util

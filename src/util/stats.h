@@ -1,5 +1,5 @@
 // Statistics helpers shared by the metrics collector, the RIB, and the
-// benchmark harnesses: running moments, EWMA, histograms/CDFs, time series.
+// benchmark harnesses: running moments, EWMA, CDFs, time series.
 #pragma once
 
 #include <cstddef>
@@ -19,7 +19,6 @@ class RunningStats {
   std::size_t count() const { return count_; }
   double mean() const { return count_ > 0 ? mean_ : 0.0; }
   double variance() const { return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0; }
-  double stddev() const;
   double min() const { return count_ > 0 ? min_ : 0.0; }
   double max() const { return count_ > 0 ? max_ : 0.0; }
   double total() const { return total_; }
@@ -86,24 +85,6 @@ class TimeSeries {
 
  private:
   std::vector<Point> points_;
-};
-
-/// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-/// edge buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-  void add(double sample);
-  std::size_t count() const { return count_; }
-  const std::vector<std::uint64_t>& buckets() const { return buckets_; }
-  double bucket_lo(std::size_t index) const { return lo_ + width_ * static_cast<double>(index); }
-  double bucket_width() const { return width_; }
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::uint64_t> buckets_;
-  std::size_t count_ = 0;
 };
 
 }  // namespace flexran::util

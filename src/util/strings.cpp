@@ -32,16 +32,6 @@ std::vector<std::string> split(std::string_view text, char delimiter) {
 
 std::vector<std::string> split_lines(std::string_view text) { return split(text, '\n'); }
 
-bool starts_with(std::string_view text, std::string_view prefix) {
-  return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
-}
-
-std::string to_lower(std::string_view text) {
-  std::string out(text);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
-}
-
 bool parse_int(std::string_view text, long long& out) {
   const std::string buf(trim(text));
   if (buf.empty()) return false;

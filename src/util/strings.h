@@ -10,8 +10,6 @@ namespace flexran::util {
 std::string_view trim(std::string_view text);
 std::vector<std::string> split(std::string_view text, char delimiter);
 std::vector<std::string> split_lines(std::string_view text);
-bool starts_with(std::string_view text, std::string_view prefix);
-std::string to_lower(std::string_view text);
 
 /// Parses a decimal integer/real; returns false on malformed input.
 bool parse_int(std::string_view text, long long& out);

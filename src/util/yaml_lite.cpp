@@ -1,6 +1,5 @@
 #include "util/yaml_lite.h"
 
-#include <cassert>
 
 #include "util/strings.h"
 
@@ -41,22 +40,11 @@ Result<double> YamlNode::as_double() const {
   return value;
 }
 
-bool YamlNode::has(std::string_view key) const { return find(key) != nullptr; }
-
 const YamlNode* YamlNode::find(std::string_view key) const {
   for (const auto& [k, v] : entries_) {
     if (k == key) return &v;
   }
   return nullptr;
-}
-
-YamlNode& YamlNode::at(const std::string& key) {
-  for (auto& [k, v] : entries_) {
-    if (k == key) return v;
-  }
-  assert(false && "yaml key not found");
-  static YamlNode missing;
-  return missing;
 }
 
 YamlNode& YamlNode::insert(std::string key, YamlNode value) {
@@ -67,45 +55,6 @@ YamlNode& YamlNode::insert(std::string key, YamlNode value) {
 YamlNode& YamlNode::append(YamlNode value) {
   items_.push_back(std::move(value));
   return items_.back();
-}
-
-std::string YamlNode::dump(int indent) const {
-  const std::string pad(static_cast<std::size_t>(indent) * 2, ' ');
-  std::string out;
-  switch (kind_) {
-    case Kind::scalar:
-      out = scalar_;
-      break;
-    case Kind::map:
-      for (const auto& [key, value] : entries_) {
-        out += pad + key + ":";
-        if (value.is_scalar()) {
-          out += " " + value.scalar_ + "\n";
-        } else if (value.is_sequence() && !value.items_.empty() && value.items_.front().is_scalar()) {
-          // Inline form for scalar sequences.
-          out += " [";
-          for (std::size_t i = 0; i < value.items_.size(); ++i) {
-            if (i > 0) out += ", ";
-            out += value.items_[i].scalar_;
-          }
-          out += "]\n";
-        } else {
-          out += '\n';
-          out += value.dump(indent + 1);
-        }
-      }
-      break;
-    case Kind::sequence:
-      for (const auto& item : items_) {
-        if (item.is_scalar()) {
-          out += pad + "- " + item.scalar_ + "\n";
-        } else {
-          out += pad + "-\n" + item.dump(indent + 1);
-        }
-      }
-      break;
-  }
-  return out;
 }
 
 namespace {

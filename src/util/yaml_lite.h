@@ -34,18 +34,13 @@ class YamlNode {
   Result<double> as_double() const;
 
   // Map access. Keys preserve insertion order.
-  bool has(std::string_view key) const;
   const YamlNode* find(std::string_view key) const;
-  YamlNode& at(const std::string& key);
   const std::vector<std::pair<std::string, YamlNode>>& entries() const { return entries_; }
   YamlNode& insert(std::string key, YamlNode value);
 
   // Sequence access.
   const std::vector<YamlNode>& items() const { return items_; }
   YamlNode& append(YamlNode value);
-
-  /// Serializes back to YAML text (used to build protocol messages).
-  std::string dump(int indent = 0) const;
 
  private:
   Kind kind_;

@@ -15,18 +15,6 @@ constexpr std::size_t kMaxStoredViolations = 64;
 constexpr std::size_t kDigestCycles = 32;
 }  // namespace
 
-const char* to_string(Mode mode) {
-  switch (mode) {
-    case Mode::off:
-      return "off";
-    case Mode::log:
-      return "log";
-    case Mode::trap:
-      return "trap";
-  }
-  return "?";
-}
-
 util::Result<Mode> parse_mode(const std::string& name) {
   if (name == "off") return Mode::off;
   if (name == "log") return Mode::log;
@@ -52,8 +40,6 @@ void InvariantMonitor::add_quarantine_probe(std::string label,
                                             std::function<std::uint64_t()> probe) {
   quarantine_probes_.push_back({std::move(label), std::move(probe), 0});
 }
-
-void InvariantMonitor::check_now() { check_cycle(coordinator_->cycles_run()); }
 
 void InvariantMonitor::check_cycle(std::int64_t cycle) {
   if (mode_ == Mode::off) return;

@@ -38,7 +38,6 @@ namespace flexran::verify {
 
 enum class Mode { off, log, trap };
 
-const char* to_string(Mode mode);
 /// Parses "off" | "log" | "trap".
 util::Result<Mode> parse_mode(const std::string& name);
 
@@ -66,9 +65,6 @@ class InvariantMonitor {
   /// monitor depends only on the controller layer; agent state crosses
   /// this seam as plain counters.
   void add_quarantine_probe(std::string label, std::function<std::uint64_t()> probe);
-
-  /// Runs every check once, immediately (tests; end-of-run sweeps).
-  void check_now();
 
   std::uint64_t checks_run() const { return checks_run_; }
   std::uint64_t violations_total() const { return violations_total_; }

@@ -28,11 +28,11 @@ scenario::EnbSpec default_spec(lte::EnbId id = 1) {
 TEST(VsfFactory, BuiltinsRegistered) {
   register_builtin_vsfs();
   auto& factory = VsfFactory::instance();
-  EXPECT_TRUE(factory.has("mac", "dl_ue_scheduler", "local_rr"));
-  EXPECT_TRUE(factory.has("mac", "dl_ue_scheduler", "local_pf"));
-  EXPECT_TRUE(factory.has("mac", "ul_ue_scheduler", "local_rr"));
-  EXPECT_TRUE(factory.has("rrc", "handover_policy", "a3"));
-  EXPECT_FALSE(factory.has("mac", "dl_ue_scheduler", "nonexistent"));
+  EXPECT_TRUE(factory.create("mac", "dl_ue_scheduler", "local_rr").ok());
+  EXPECT_TRUE(factory.create("mac", "dl_ue_scheduler", "local_pf").ok());
+  EXPECT_TRUE(factory.create("mac", "ul_ue_scheduler", "local_rr").ok());
+  EXPECT_TRUE(factory.create("rrc", "handover_policy", "a3").ok());
+  EXPECT_FALSE(factory.create("mac", "dl_ue_scheduler", "nonexistent").ok());
 }
 
 TEST(VsfCache, StoreIsIdempotentAndLookupWorks) {
@@ -522,7 +522,7 @@ TEST(AgentEndToEnd, RemovedUeVanishesFromReportsAndInFlight) {
   // Put data in flight for the UE, then remove it mid-transfer.
   enb.data_plane->enqueue_dl(drop, lte::kDefaultDrb, 50'000);
   testbed.run_ttis(2);
-  ASSERT_TRUE(enb.data_plane->remove_ue(drop).ok());
+  ASSERT_TRUE(enb.data_plane->trigger_handover(drop).ok());
   testbed.run_ttis(30);  // pending HARQ feedback must not crash or deliver
 
   EXPECT_EQ(enb.data_plane->ue(drop), nullptr);

@@ -126,7 +126,8 @@ TEST(RemoteScheduler, SufficientScheduleAheadSurvivesLatency) {
 // --------------------------------------------------------------- MEC DASH --
 
 TEST(MecDash, TableInterpolation) {
-  const auto table = paper_table2_bitrates();
+  // The paper's Table 2 (the authors' testbed measurements).
+  const CqiBitrateTable table = {{2, 1.4}, {3, 2.0}, {4, 2.9}, {10, 7.3}, {15, 11.0}};
   EXPECT_DOUBLE_EQ(sustainable_bitrate_mbps(table, 2.0), 1.4);
   EXPECT_DOUBLE_EQ(sustainable_bitrate_mbps(table, 10.0), 7.3);
   EXPECT_DOUBLE_EQ(sustainable_bitrate_mbps(table, 1.0), 1.4);   // clamp low

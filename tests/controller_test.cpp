@@ -41,18 +41,15 @@ TEST(Rib, ForestStructureAndLookups) {
   agent.cell(100);
   agent.ues[agent.upsert_ue(70)].cell = 100;
 
-  EXPECT_NE(rib.find_agent(1), nullptr);
+  ASSERT_NE(rib.find_agent(1), nullptr);
   EXPECT_EQ(rib.find_agent(2), nullptr);
-  ASSERT_NE(rib.find_ue(1, 70), nullptr);
-  EXPECT_EQ(rib.find_ue(1, 71), nullptr);
-  EXPECT_EQ(rib.find_ue(2, 70), nullptr);
-  EXPECT_EQ(rib.ue_count(), 1u);
+  ASSERT_NE(rib.find_agent(1)->find_ue(70), nullptr);
+  EXPECT_EQ(rib.find_agent(1)->find_ue(71), nullptr);
+  EXPECT_EQ(rib.find_agent(1)->ues.size(), 1u);
   EXPECT_EQ(rib.agent_count(), 1u);
 
-  UeNode* mutable_ue = rib.agent(1).find_ue(70);
-  ASSERT_NE(mutable_ue, nullptr);
-  mutable_ue->stats.wb_cqi = 9;
-  EXPECT_EQ(rib.find_ue(1, 70)->stats.wb_cqi, 9);
+  rib.agent(1).ues[rib.agent(1).upsert_ue(70)].stats.wb_cqi = 9;
+  EXPECT_EQ(rib.find_agent(1)->find_ue(70)->stats.wb_cqi, 9);
 }
 
 TEST(Rib, UeAndCellRowsStaySorted) {
@@ -86,6 +83,11 @@ TEST(Rib, ApproxBytesGrowsWithContent) {
 
 // ----------------------------------------------------------- Task manager --
 
+/// A RecordingApp's log line for one event it received.
+std::string event_entry(std::string_view app, proto::EventType event) {
+  return std::string(app) + ":" + std::to_string(static_cast<int>(event));
+}
+
 class RecordingApp : public App {
  public:
   RecordingApp(std::string name, int priority, std::vector<std::string>& log)
@@ -94,7 +96,7 @@ class RecordingApp : public App {
   int priority() const override { return priority_; }
   void on_cycle(std::int64_t, NorthboundApi&) override { log_->push_back(name_); }
   void on_event(const Event& event, NorthboundApi&) override {
-    log_->push_back(name_ + ":" + proto::to_string(event.notification.event));
+    log_->push_back(event_entry(name_, event.notification.event));
   }
 
  private:
@@ -190,7 +192,7 @@ TEST(MasterEndToEnd, PeriodicStatsPopulateUeNodes) {
   const auto rnti = testbed.add_ue(0, cqi_ue(12));
   testbed.run_ttis(60);
 
-  const auto* ue = testbed.master().rib().find_ue(enb.agent_id, rnti);
+  const auto* ue = testbed.master().rib().find_agent(enb.agent_id)->find_ue(rnti);
   ASSERT_NE(ue, nullptr);
   EXPECT_EQ(ue->stats.wb_cqi, 12);
   EXPECT_GT(ue->last_update, 0);
@@ -230,8 +232,8 @@ TEST(MasterEndToEnd, EventsDispatchToApps) {
   int rach_events = 0;
   int attach_events = 0;
   for (const auto& entry : log) {
-    if (entry == "watcher:rach_attempt") ++rach_events;
-    if (entry == "watcher:ue_attach") ++attach_events;
+    if (entry == event_entry("watcher", proto::EventType::rach_attempt)) ++rach_events;
+    if (entry == event_entry("watcher", proto::EventType::ue_attach)) ++attach_events;
   }
   EXPECT_EQ(rach_events, 1);
   EXPECT_EQ(attach_events, 1);
@@ -295,7 +297,7 @@ TEST(MasterEndToEnd, HotColumnsMirrorUeStats) {
   ASSERT_EQ(agent->hot.size(), 1u);
   EXPECT_EQ(agent->hot.rnti[0], rnti);
   EXPECT_EQ(agent->hot.wb_cqi[0], 12);
-  const auto* ue = testbed.master().rib().find_ue(enb.agent_id, rnti);
+  const auto* ue = testbed.master().rib().find_agent(enb.agent_id)->find_ue(rnti);
   ASSERT_NE(ue, nullptr);
   EXPECT_EQ(agent->hot.rlc_queue_bytes[0], ue->stats.rlc_queue_bytes);
 
@@ -305,7 +307,7 @@ TEST(MasterEndToEnd, HotColumnsMirrorUeStats) {
   command.target_cell = 2;
   ASSERT_TRUE(testbed.master().send_handover(enb.agent_id, command).ok());
   testbed.run_ttis(10);
-  EXPECT_EQ(testbed.master().rib().find_ue(enb.agent_id, rnti), nullptr);
+  EXPECT_EQ(testbed.master().rib().find_agent(enb.agent_id)->find_ue(rnti), nullptr);
   EXPECT_EQ(agent->hot.size(), 0u);
 }
 
@@ -315,7 +317,7 @@ TEST(MasterEndToEnd, RibTracksDetachOnHandoverEvent) {
   testbed.add_enb(spec(2));
   const auto rnti = testbed.add_ue(0, cqi_ue(12));
   testbed.run_ttis(60);
-  ASSERT_NE(testbed.master().rib().find_ue(enb.agent_id, rnti), nullptr);
+  ASSERT_NE(testbed.master().rib().find_agent(enb.agent_id)->find_ue(rnti), nullptr);
 
   proto::HandoverCommand command;
   command.rnti = rnti;
@@ -324,7 +326,7 @@ TEST(MasterEndToEnd, RibTracksDetachOnHandoverEvent) {
   ASSERT_TRUE(testbed.master().send_handover(enb.agent_id, command).ok());
   testbed.run_ttis(10);
   EXPECT_EQ(testbed.enb(0).data_plane->ue_count(), 0u);
-  EXPECT_EQ(testbed.master().rib().find_ue(enb.agent_id, rnti), nullptr);
+  EXPECT_EQ(testbed.master().rib().find_agent(enb.agent_id)->find_ue(rnti), nullptr);
 }
 
 /// One agent wired to a bare ShardCore over a sim link: the test plays the
@@ -391,7 +393,7 @@ TEST(MasterEndToEnd, UeReportedBeforeItsConfigIsStoredOnce) {
   ues.ues.push_back(proto::UeConfigMsg{.rnti = 70, .primary_cell = 5});
   link.send(ues);
 
-  EXPECT_EQ(link.core.rib().ue_count(), 1u);
+  EXPECT_EQ(link.node().ues.size(), 1u);
   EXPECT_EQ(link.node().cells.size(), 1u);
   const auto summaries = summarize_ues(*link.core.rib_snapshot());
   ASSERT_EQ(summaries.size(), 1u);

@@ -160,7 +160,7 @@ TEST(Integration, ThreeAgentsSixteenUesRunStably) {
   testbed.run_ttis(500);
 
   EXPECT_EQ(testbed.master().rib().agent_count(), 3u);
-  EXPECT_EQ(testbed.master().rib().ue_count(), 48u);
+  EXPECT_EQ(ctrl::RibSnapshot::capture(testbed.master().rib())->ue_count(), 48u);
   for (std::size_t e = 0; e < 3; ++e) {
     for (const auto rnti : testbed.enb(e).data_plane->ue_rntis()) {
       EXPECT_TRUE(testbed.enb(e).data_plane->ue(rnti)->connected());
@@ -225,7 +225,7 @@ TEST(Integration, TenAgentsFiftyUesEachStayStable) {
   }
   testbed.run_seconds(1.0);
 
-  EXPECT_EQ(testbed.master().rib().ue_count(), kAgents * kUesPerAgent);
+  EXPECT_EQ(ctrl::RibSnapshot::capture(testbed.master().rib())->ue_count(), kAgents * kUesPerAgent);
   std::size_t connected = 0;
   for (std::size_t e = 0; e < kAgents; ++e) {
     for (const auto rnti : testbed.enb(e).data_plane->ue_rntis()) {

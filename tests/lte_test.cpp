@@ -72,15 +72,15 @@ TEST(Tables, McsEfficiencyMonotonic) {
 TEST(Tables, TbsScalesWithPrbs) {
   EXPECT_EQ(tbs_bits(cqi_to_mcs(15), 0), 0);
   EXPECT_EQ(tbs_bits(-1, 50), 0);
-  const auto half = tbs_bits_for_cqi(15, 25);
-  const auto full = tbs_bits_for_cqi(15, 50);
+  const auto half = tbs_bits(cqi_to_mcs(15), 25);
+  const auto full = tbs_bits(cqi_to_mcs(15), 50);
   EXPECT_NEAR(static_cast<double>(full), 2.0 * static_cast<double>(half), 2.0);
 }
 
 TEST(Tables, FullBandwidthCqi15MatchesCalibration) {
   // 50 PRB at CQI 15 should give ~27.7 Mb/s at PHY (25 Mb/s app-level after
   // protocol overhead, matching Fig. 6b).
-  const auto bits_per_tti = tbs_bits_for_cqi(15, 50);
+  const auto bits_per_tti = tbs_bits(cqi_to_mcs(15), 50);
   const double mbps = static_cast<double>(bits_per_tti) / 1000.0;
   EXPECT_NEAR(mbps, 27.8, 0.5);
 }
@@ -241,7 +241,7 @@ TEST(DlDci, TbsUsesAllocationSize) {
   dci.rnti = 0x4601;
   dci.mcs = cqi_to_mcs(10);
   dci.rbs.set_range(0, 50);
-  EXPECT_EQ(dci.tbs(), tbs_bits_for_cqi(10, 50));
+  EXPECT_EQ(dci.tbs(), tbs_bits(cqi_to_mcs(10), 50));
 }
 
 // ------------------------------------------------------------------- ABS --

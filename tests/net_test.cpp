@@ -149,7 +149,7 @@ TEST(Framing, ManySmallFramesPerFeedAreBatched) {
 TEST(Framing, OversizedFramePoisonsAssemblerUntilReset) {
   // S2: after an oversized length the assembler must fail deterministically
   // -- same error on every subsequent feed, no partial consumption -- until
-  // an explicit reset() gives it a fresh stream.
+  // its owner replaces it with a fresh one.
   FrameAssembler assembler;
   int delivered = 0;
   auto sink = [&](std::span<const std::uint8_t>) { ++delivered; };
@@ -170,8 +170,8 @@ TEST(Framing, OversizedFramePoisonsAssemblerUntilReset) {
   EXPECT_FALSE(assembler.feed(good, sink).ok());
   EXPECT_EQ(delivered, 1);
 
-  // reset() clears the poison and the buffered garbage.
-  assembler.reset();
+  // A fresh assembler starts a clean stream.
+  assembler = FrameAssembler{};
   EXPECT_FALSE(assembler.poisoned());
   EXPECT_EQ(assembler.buffered(), 0u);
   ASSERT_TRUE(assembler.feed(good, sink).ok());

@@ -16,16 +16,22 @@ namespace {
 TEST(HistogramTest, BucketEdgesAreInclusiveUpper) {
   // Bucket i counts samples in (bounds[i-1], bounds[i]]; the boundary
   // sample lands in the bucket it bounds, one past it in the next.
+  // A one-sample histogram's 0-quantile is the lower edge of the bucket
+  // the sample landed in (the last bound for the overflow bucket).
+  const std::pair<double, double> sample_to_lower_edge[] = {
+      {10.0, 0.0},   // bucket 0 (<= 10)
+      {10.1, 10.0},  // bucket 1
+      {20.0, 10.0},  // bucket 1 (<= 20)
+      {40.0, 20.0},  // bucket 2
+      {41.0, 40.0},  // overflow bucket
+  };
   Histogram h({10.0, 20.0, 40.0});
-  h.observe(10.0);  // bucket 0 (<= 10)
-  h.observe(10.1);  // bucket 1
-  h.observe(20.0);  // bucket 1 (<= 20)
-  h.observe(40.0);  // bucket 2
-  h.observe(41.0);  // overflow bucket
-  EXPECT_EQ(h.bucket_count(0), 1u);
-  EXPECT_EQ(h.bucket_count(1), 2u);
-  EXPECT_EQ(h.bucket_count(2), 1u);
-  EXPECT_EQ(h.bucket_count(3), 1u);  // overflow
+  for (const auto& [sample, lower_edge] : sample_to_lower_edge) {
+    Histogram one({10.0, 20.0, 40.0});
+    one.observe(sample);
+    EXPECT_EQ(one.quantile(0.0), lower_edge) << "sample=" << sample;
+    h.observe(sample);
+  }
   EXPECT_EQ(h.count(), 5u);
   EXPECT_DOUBLE_EQ(h.sum(), 10.0 + 10.1 + 20.0 + 40.0 + 41.0);
 }
@@ -35,7 +41,7 @@ TEST(HistogramTest, QuantileOnEmptyIsZero) {
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.quantile(0.5), 0.0);
   EXPECT_EQ(h.p99(), 0.0);
-  EXPECT_EQ(h.mean(), 0.0);
+  EXPECT_EQ(h.sum(), 0.0);
 }
 
 TEST(HistogramTest, QuantileSingleSample) {
@@ -57,7 +63,7 @@ TEST(HistogramTest, QuantileUniformSpread) {
   EXPECT_NEAR(h.p50(), 50.0, 10.0);
   EXPECT_NEAR(h.p95(), 95.0, 10.0);
   EXPECT_NEAR(h.p99(), 99.0, 10.0);
-  EXPECT_DOUBLE_EQ(h.mean(), 50.5);
+  EXPECT_DOUBLE_EQ(h.sum(), 5050.0);
 }
 
 TEST(HistogramTest, OverflowQuantileClampsToLastBound) {
@@ -78,9 +84,14 @@ TEST(HistogramTest, ExponentialBounds) {
 }
 
 TEST(LabeledTest, RendersLabelBlock) {
-  EXPECT_EQ(labeled("x", {}), "x");
-  EXPECT_EQ(labeled("x", {{"a", "1"}}), "x{a=1}");
-  EXPECT_EQ(labeled("x", {{"a", "1"}, {"b", "two"}}), "x{a=1,b=two}");
+  // A series' JSON key is its identity: `name{k=v,...}`, bare when unlabeled.
+  MetricsRegistry registry;
+  auto collector = registry.add_collector([](Sink& out) {
+    out.value("x", {}, 1.0);
+    out.value("x", {{"a", "1"}}, 2.0);
+    out.value("x", {{"a", "1"}, {"b", "two"}}, 3.0);
+  });
+  EXPECT_EQ(registry.json(), "{\"x\":1,\"x{a=1}\":2,\"x{a=1,b=two}\":3}");
 }
 
 // ------------------------------------------------------------- registry --

@@ -30,12 +30,20 @@ struct Surface {
   std::function<bool(std::span<const std::uint8_t>)> decode;
 };
 
+/// Decodes through M::decode_body, or through decode_body_into for the
+/// messages (DL/UL MAC config) that have only the reusing decoder.
 template <typename M>
 Surface body_surface(std::string name, const M& sample) {
   WireEncoder enc;
   sample.encode_body(enc);
-  return {std::move(name), enc.take(),
-          [](std::span<const std::uint8_t> data) { return M::decode_body(data).ok(); }};
+  return {std::move(name), enc.take(), [](std::span<const std::uint8_t> data) {
+            if constexpr (requires { M::decode_body(data); }) {
+              return M::decode_body(data).ok();
+            } else {
+              M out;
+              return M::decode_body_into(data, out).ok();
+            }
+          }};
 }
 
 std::vector<Surface> all_surfaces() {

@@ -26,7 +26,7 @@ TEST(Metrics, TotalsByUeEnbAndDirection) {
   EXPECT_EQ(metrics.total_bytes(1, 70, lte::Direction::downlink), 1500u);
   EXPECT_EQ(metrics.total_bytes(1, 70, lte::Direction::uplink), 50u);
   EXPECT_EQ(metrics.total_bytes_enb(1, lte::Direction::downlink), 1700u);
-  EXPECT_EQ(metrics.total_bytes_all(lte::Direction::downlink), 2600u);
+  EXPECT_EQ(metrics.total_bytes_enb(2, lte::Direction::downlink), 900u);
   EXPECT_EQ(metrics.total_bytes(9, 9, lte::Direction::downlink), 0u);
 }
 
@@ -36,8 +36,9 @@ TEST(Metrics, WindowSeriesIncludeZeroRateGaps) {
   metrics.sample_window(sim::from_seconds(1.0));
   // Nothing delivered in the second window.
   metrics.sample_window(sim::from_seconds(2.0));
-  const auto* series = metrics.series(1, 70, lte::Direction::downlink);
-  ASSERT_NE(series, nullptr);
+  const auto it = metrics.all_series().find({1, 70, lte::Direction::downlink});
+  ASSERT_NE(it, metrics.all_series().end());
+  const auto* series = &it->second;
   ASSERT_EQ(series->points().size(), 2u);
   EXPECT_NEAR(series->points()[0].value, 1.0, 0.01);
   EXPECT_DOUBLE_EQ(series->points()[1].value, 0.0);

@@ -42,8 +42,8 @@ TEST(Rlc, SrbDrainsBeforeDrb) {
   queue.enqueue(lte::kSrb1, 100);
   // Budget for ~150 bytes: SRB (lcid 1) must drain first.
   (void)queue.dequeue(150 * 9);
-  EXPECT_EQ(queue.bytes_for_lcid(lte::kSrb1), 0u);
-  EXPECT_GT(queue.bytes_for_lcid(lte::kDefaultDrb), 0u);
+  EXPECT_EQ(queue.bytes_for_lc_group(default_lc_group(lte::kSrb1)), 0u);
+  EXPECT_GT(queue.bytes_for_lc_group(default_lc_group(lte::kDefaultDrb)), 0u);
 }
 
 TEST(Rlc, LcGroupAccounting) {
@@ -60,7 +60,8 @@ TEST(Rlc, DequeueLcidTouchesOnlyThatChannel) {
   queue.enqueue(lte::kSrb1, 100);
   queue.enqueue(lte::kDefaultDrb, 100);
   EXPECT_EQ(queue.dequeue_lcid(lte::kSrb1, 1'000'000), 100u);
-  EXPECT_EQ(queue.bytes_for_lcid(lte::kDefaultDrb), 100u);
+  EXPECT_EQ(queue.bytes_for_lc_group(default_lc_group(lte::kDefaultDrb)), 100u);
+  EXPECT_EQ(queue.total_bytes(), 100u);
 }
 
 // -------------------------------------------------------------- test rig ---
@@ -186,9 +187,9 @@ TEST(Enodeb, RntiAssignmentIsUniqueAndStable) {
   EXPECT_NE(a, b);
   EXPECT_NE(a, lte::kInvalidRnti);
   EXPECT_EQ(enb.ue_count(), 2u);
-  ASSERT_TRUE(enb.remove_ue(a).ok());
+  ASSERT_TRUE(enb.trigger_handover(a).ok());
   EXPECT_EQ(enb.ue_count(), 1u);
-  EXPECT_FALSE(enb.remove_ue(a).ok());
+  EXPECT_FALSE(enb.trigger_handover(a).ok());
 }
 
 // ------------------------------------------------------------- data flow ---
@@ -406,7 +407,8 @@ TEST(Enodeb, StatsReportsReflectState) {
 
   enb.enqueue_dl(rnti, lte::kDefaultDrb, 7777);
   run_ttis(simulator, enb, 1);
-  const auto stats = enb.ue_stats(rnti);
+  proto::UeStatsReport stats;
+  enb.ue_stats(rnti, stats);
   EXPECT_EQ(stats.rnti, rnti);
   EXPECT_EQ(stats.rlc_queue_bytes, 7777u);
   EXPECT_EQ(stats.bsr_bytes[2], 7777u);  // DRB -> LCG 2

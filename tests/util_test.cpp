@@ -35,7 +35,7 @@ TEST(Result, VoidSpecialization) {
   EXPECT_TRUE(ok.ok());
   Status bad = Error::timeout("deadline");
   EXPECT_FALSE(bad.ok());
-  EXPECT_STREQ(to_string(bad.error().code), "timeout");
+  EXPECT_EQ(bad.error().code, Error::Code::timeout);
 }
 
 // --------------------------------------------------------------- Logging --
@@ -43,27 +43,16 @@ TEST(Result, VoidSpecialization) {
 TEST(Logging, SinkReceivesEnabledLevelsOnly) {
   auto& logger = Logger::instance();
   const auto previous_level = logger.level();
-  std::vector<std::string> lines;
-  logger.set_sink([&](LogLevel level, std::string_view component, std::string_view message) {
-    lines.push_back(std::string(to_string(level)) + "/" + std::string(component) + "/" +
-                    std::string(message));
-  });
   logger.set_level(LogLevel::warn);
 
+  testing::internal::CaptureStderr();
   FLEXRAN_LOG(debug, "test") << "filtered " << 1;
   FLEXRAN_LOG(warn, "test") << "kept " << 2;
   FLEXRAN_LOG(error, "test") << "kept " << 3;
-
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(lines[0], "WARN/test/kept 2");
-  EXPECT_EQ(lines[1], "ERROR/test/kept 3");
-
   logger.set_level(LogLevel::off);
   FLEXRAN_LOG(error, "test") << "suppressed";
-  EXPECT_EQ(lines.size(), 2u);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "[WARN] test: kept 2\n[ERROR] test: kept 3\n");
 
-  // Restore defaults for other tests.
-  logger.set_sink(nullptr);
   logger.set_level(previous_level);
 }
 
@@ -71,27 +60,25 @@ TEST(Logging, SinkReceivesEnabledLevelsOnly) {
 
 TEST(ByteBuffer, FixedWidthRoundTrip) {
   ByteBuffer buf;
-  buf.write_u8(0xab);
-  buf.write_u16(0x1234);
   buf.write_u32(0xdeadbeef);
   buf.write_u64(0x0102030405060708ull);
   buf.write_string("flexran");
 
-  EXPECT_EQ(buf.size(), 1u + 2 + 4 + 8 + 7);
-  EXPECT_EQ(buf.read_u8().value(), 0xab);
-  EXPECT_EQ(buf.read_u16().value(), 0x1234);
+  EXPECT_EQ(buf.size(), 4u + 8 + 7);
   EXPECT_EQ(buf.read_u32().value(), 0xdeadbeefu);
-  EXPECT_EQ(buf.read_u64().value(), 0x0102030405060708ull);
-  EXPECT_EQ(buf.read_string(7).value(), "flexran");
-  EXPECT_EQ(buf.readable(), 0u);
+  EXPECT_EQ(buf.read_u32().value(), 0x05060708u);
+  EXPECT_EQ(buf.read_u32().value(), 0x01020304u);
+  const auto tail = buf.remaining();
+  EXPECT_EQ(std::string(tail.begin(), tail.end()), "flexran");
 }
 
 TEST(ByteBuffer, ReadPastEndFails) {
   ByteBuffer buf;
-  buf.write_u16(7);
+  buf.write_u8(7);
+  buf.write_u8(0);
   EXPECT_TRUE(buf.read_u32().ok() == false);
   // A failed fixed read must not consume bytes.
-  EXPECT_EQ(buf.read_u16().value(), 7);
+  EXPECT_EQ(buf.readable(), 2u);
 }
 
 TEST(ByteBuffer, LittleEndianLayout) {
@@ -130,7 +117,7 @@ TEST(ByteBuffer, CompactIsAmortized) {
   const std::vector<std::uint8_t> block(kCompactThresholdBytes, 0xab);
   buf.write_bytes(block);
   buf.write_u32(3);
-  ASSERT_TRUE(buf.read_bytes(kCompactThresholdBytes).ok());
+  buf.skip(kCompactThresholdBytes);
   buf.compact();
   EXPECT_EQ(buf.size(), 4u);
   EXPECT_EQ(buf.read_u32().value(), 3u);
@@ -200,20 +187,12 @@ TEST(Rng, UniformIntInclusiveBounds) {
   EXPECT_TRUE(saw_hi);
 }
 
-TEST(Rng, ExponentialMean) {
-  Rng rng(9);
-  double sum = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) sum += rng.exponential(4.0);
-  EXPECT_NEAR(sum / n, 4.0, 0.2);
-}
-
 TEST(Rng, NormalMoments) {
   Rng rng(13);
   RunningStats stats;
   for (int i = 0; i < 20000; ++i) stats.add(rng.normal(10.0, 2.0));
   EXPECT_NEAR(stats.mean(), 10.0, 0.1);
-  EXPECT_NEAR(stats.stddev(), 2.0, 0.1);
+  EXPECT_NEAR(std::sqrt(stats.variance()), 2.0, 0.1);
 }
 
 // ----------------------------------------------------------------- Stats --
@@ -223,7 +202,7 @@ TEST(RunningStats, MomentsAndExtremes) {
   for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);
   EXPECT_EQ(s.count(), 8u);
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), 2.138, 0.01);
+  EXPECT_NEAR(std::sqrt(s.variance()), 2.138, 0.01);
   EXPECT_DOUBLE_EQ(s.min(), 2.0);
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
   EXPECT_DOUBLE_EQ(s.total(), 40.0);
@@ -254,17 +233,6 @@ TEST(TimeSeries, WindowedMean) {
   ts.add(3.0, 10.0);
   EXPECT_DOUBLE_EQ(ts.mean_in(0.0, 3.0), 2.0);
   EXPECT_DOUBLE_EQ(ts.last_value(), 10.0);
-}
-
-TEST(Histogram, ClampsToEdges) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-5.0);
-  h.add(0.5);
-  h.add(9.9);
-  h.add(100.0);
-  EXPECT_EQ(h.buckets().front(), 2u);
-  EXPECT_EQ(h.buckets().back(), 2u);
-  EXPECT_EQ(h.count(), 4u);
 }
 
 // --------------------------------------------------------------- Strings --
@@ -358,25 +326,6 @@ TEST(YamlLite, ScalarSequencesAndComments) {
   ASSERT_TRUE(doc.ok()) << doc.error().message;
   EXPECT_EQ(doc.value().find("values")->items().size(), 2u);
   EXPECT_EQ(doc.value().find("name")->as_string(), "test");
-}
-
-TEST(YamlLite, DumpReparsesToSameStructure) {
-  YamlNode root = YamlNode::map();
-  YamlNode& mac = root.insert("mac", YamlNode::map());
-  YamlNode& sched = mac.insert("dl_ue_scheduler", YamlNode::map());
-  sched.insert("behavior", YamlNode::scalar("local_rr"));
-  YamlNode& params = sched.insert("parameters", YamlNode::map());
-  YamlNode shares = YamlNode::sequence();
-  shares.append(YamlNode::scalar("0.4"));
-  shares.append(YamlNode::scalar("0.6"));
-  params.insert("rb_share", std::move(shares));
-
-  auto reparsed = parse_yaml(root.dump());
-  ASSERT_TRUE(reparsed.ok()) << reparsed.error().message;
-  const YamlNode* sched2 = reparsed.value().find("mac")->find("dl_ue_scheduler");
-  ASSERT_NE(sched2, nullptr);
-  EXPECT_EQ(sched2->find("behavior")->as_string(), "local_rr");
-  EXPECT_EQ(sched2->find("parameters")->find("rb_share")->items().size(), 2u);
 }
 
 TEST(YamlLite, MalformedInputFails) {

@@ -41,34 +41,6 @@ constexpr const char* kGoodPolicy =
     "  dl_ue_scheduler:\n"
     "    behavior: local_rr\n";
 
-// ------------------------------------------------------------ RBG tables --
-
-TEST(RbgTables, SizeFollows36213Table) {
-  EXPECT_EQ(lte::rbg_size(6), 1);
-  EXPECT_EQ(lte::rbg_size(10), 1);
-  EXPECT_EQ(lte::rbg_size(15), 2);
-  EXPECT_EQ(lte::rbg_size(25), 2);
-  EXPECT_EQ(lte::rbg_size(26), 2);
-  EXPECT_EQ(lte::rbg_size(27), 3);
-  EXPECT_EQ(lte::rbg_size(50), 3);
-  EXPECT_EQ(lte::rbg_size(63), 3);
-  EXPECT_EQ(lte::rbg_size(64), 4);
-  EXPECT_EQ(lte::rbg_size(75), 4);
-  EXPECT_EQ(lte::rbg_size(100), 4);
-}
-
-TEST(RbgTables, CountRoundsUpAtNonDivisiblePrbCounts) {
-  // Exact: 6/1, 50/3 is NOT exact (ceil(50/3) = 17), 100/4 = 25.
-  EXPECT_EQ(lte::rbg_count(6), 6);
-  EXPECT_EQ(lte::rbg_count(100), 25);
-  // Non-divisible tiers get a short last RBG.
-  EXPECT_EQ(lte::rbg_count(15), 8);   // 7 RBGs of 2 + one of 1
-  EXPECT_EQ(lte::rbg_count(25), 13);  // 12 RBGs of 2 + one of 1
-  EXPECT_EQ(lte::rbg_count(50), 17);  // 16 RBGs of 3 + one of 2
-  EXPECT_EQ(lte::rbg_count(75), 19);  // 18 RBGs of 4 + one of 3
-  EXPECT_EQ(lte::rbg_count(0), 0);
-}
-
 // ------------------------------------------------------------ validation --
 
 TEST(VsfGuardValidation, FullBandwidthValidAtEveryTier) {
@@ -115,7 +87,7 @@ TEST(VsfGuardValidation, UnclippedLastRbgRejectedClippedAccepted) {
   auto& enb = testbed.add_enb(basic_spec(1, 3.0));
   const auto rnti = testbed.add_ue(0, fixed_ue(12));
   testbed.run_ttis(50);
-  ASSERT_EQ(lte::rbg_size(enb.agent->api().dl_prbs()), 2);
+  ASSERT_EQ(enb.agent->api().dl_prbs(), 15);
 
   auto& guard = enb.agent->vsf_guard();
   lte::SchedulingDecision decision;

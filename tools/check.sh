@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Sanitizer gate, three legs (README "Verification"):
 #   1. plain build + ctest          (cmake -B build && ctest)
-#   2. address,undefined sanitizers (this script, default)
+#   2. address,undefined sanitizers (this script, default), plus the
+#      dead-code gate tools/deadcode.sh
 #   3. thread sanitizer             (this script, `thread` argument)
 #
 # The address leg builds the tree under ASan+UBSan, runs the full ctest
@@ -55,6 +56,12 @@ else
   echo "== bench_wire allocation gate"
   "${build_dir}/bench/bench_wire" --check="${repo_root}/bench/wire_alloc_baseline.txt" \
     "${build_dir}/BENCH_wire.json"
+
+  # Dead-code gate (tools/deadcode.sh, its own unsanitized build in
+  # build-deadcode/): a src/ function that no production binary reaches
+  # fails unless tools/deadcode_allow.txt lists it with a reason, and so
+  # does a listed one that is reachable again or gone.
+  "${repo_root}/tools/deadcode.sh"
 fi
 
 # Chaos soak: every chaos_*.yaml (recovery, overload, VSF containment,
