@@ -74,7 +74,8 @@ const UeNode* AgentNode::find_ue(lte::Rnti rnti) const {
   return holds(hot.rnti, row, rnti) ? &ues[row] : nullptr;
 }
 
-std::size_t AgentNode::upsert_ue(lte::Rnti rnti) {
+std::size_t AgentNode::upsert_ue(lte::Rnti rnti, std::size_t hint) {
+  if (holds(hot.rnti, hint, rnti)) return hint;
   const std::size_t row = lower_row(hot.rnti, rnti);
   if (!holds(hot.rnti, row, rnti)) {
     ues.insert(at(ues, row), UeNode{})->rnti = rnti;

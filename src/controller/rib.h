@@ -96,8 +96,10 @@ struct AgentNode {
   /// Null when absent.
   const UeNode* find_ue(lte::Rnti rnti) const;
   /// Row index of `rnti` in `ues` and `hot`, inserting an empty row on
-  /// first sight (which moves the rows after it).
-  std::size_t upsert_ue(lte::Rnti rnti);
+  /// first sight (which moves the rows after it). Row `hint` is checked
+  /// before searching: a caller walking RNTIs in ascending order passes
+  /// the row after the previous one and skips the search.
+  std::size_t upsert_ue(lte::Rnti rnti, std::size_t hint = 0);
   /// Removes the row of `rnti` (no-op when absent).
   void erase_ue(lte::Rnti rnti);
   /// Approximate heap and inline size of this node (Fig. 8 memory series).

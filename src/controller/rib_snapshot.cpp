@@ -393,11 +393,12 @@ std::shared_ptr<const RibSnapshot> SnapshotStore::publish(const Rib& rib,
   if (structure_changed || next->count_ != rib.agent_count()) edit.reconcile(rib);
   edit.finish();
   // The nodes this publish retired come back once `previous` (and any
-  // older snapshot a reader still holds) is released; the next publish
-  // needs about as many. The last two publishes bound the pool, so one
-  // cycle with fewer dirty agents does not free nodes the next one needs.
-  pool_->set_cap(std::max(edit.retired, last_retired_));
-  last_retired_ = edit.retired;
+  // older snapshot a reader still holds) is released; a later publish needs
+  // about as many. A publish is a round of the recent-peak rule, so a dirty
+  // count that varies from cycle to cycle keeps the pool at its recent
+  // peak instead of the last two publishes' count.
+  retired_peak_.note(edit.retired);
+  pool_->set_cap(retired_peak_.end_round());
   std::lock_guard<std::mutex> lock(mu_);
   current_ = std::move(next);
   return current_;

@@ -30,6 +30,7 @@
 
 #include "controller/overload.h"
 #include "controller/rib.h"
+#include "util/recent_peak.h"
 
 namespace flexran::ctrl {
 
@@ -201,9 +202,9 @@ class SnapshotStore {
     return current_;
   }
 
-  /// Retired agent nodes kept for the next publish to copy into. Never
-  /// more than the largest number of agents one of the last two publishes
-  /// replaced or dropped.
+  /// Retired agent nodes kept for later publishes to copy into. Never more
+  /// than the most agents one publish replaced or dropped over the recent
+  /// publishes (util::RecentPeak, one round per publish).
   std::size_t spare_nodes() const;
 
  private:
@@ -212,8 +213,8 @@ class SnapshotStore {
   /// Shared with every node this store handed out: a node released after
   /// the store is gone is still freed through it.
   std::shared_ptr<NodePool> pool_;
-  /// Agents the previous publish replaced or dropped.
-  std::size_t last_retired_ = 0;
+  /// Agents each publish replaced or dropped: the pool's need.
+  util::RecentPeak retired_peak_;
 };
 
 }  // namespace flexran::ctrl

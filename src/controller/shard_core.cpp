@@ -79,33 +79,36 @@ AgentId ShardCore::add_agent(net::Transport& transport, AgentId explicit_id) {
     // apply_update. Buckets 250us .. ~512ms (doubling).
     link.latency = std::make_unique<obs::Histogram>(obs::exponential_bounds(250.0, 2.0, 12));
   }
-  // The frame span is only valid for the callback: Envelope::decode copies
-  // the body into the owned envelope the ingest queue keeps.
+  // The frame span is only valid for the callback: the envelope decodes
+  // into the receive slot, whose body buffer is recycled, and swap_in
+  // exchanges it with a recycled queue entry.
   transport.set_receive_callback([this, id](std::span<const std::uint8_t> data) {
-    auto envelope = proto::Envelope::decode(data);
-    if (!envelope.ok()) {
+    proto::Envelope& envelope = rx_slot_.envelope;
+    const auto status = proto::Envelope::decode_into(data, envelope);
+    if (!status.ok()) {
       ++stats_.rx_decode_errors;
       FLEXRAN_LOG(error, "master") << "bad envelope from agent " << id << ": "
-                                   << envelope.error().message;
+                                   << status.error().message;
       return;
     }
     // One shallow pass over the body routes the message; the full decode
     // waits for apply, so a reply superseded in the queue is never decoded.
-    const proto::RxClass rx = proto::classify(envelope->type, envelope->body);
+    const proto::RxClass rx = proto::classify(envelope.type, envelope.body);
     auto link_it = links_.find(id);
     if (link_it != links_.end()) {
       link_it->second.rx.record(rx.category, data.size() + net::kFrameHeaderBytes);
     }
     std::uint64_t key = 0;
-    if (envelope->type == proto::MessageType::stats_reply) {
+    if (envelope.type == proto::MessageType::stats_reply) {
       // A superseded periodic reply coalesces per (agent, request_id);
       // ticks coalesce per agent (each one supersedes the previous).
       key = ingest_key(id, 1, rx.request_id);
     } else if (rx.traffic_class == net::TrafficClass::sync) {
       key = ingest_key(id, 2, 0);
     }
-    pending_.push(rx.traffic_class, data.size() + net::kFrameHeaderBytes, key,
-                  PendingUpdate{id, envelope->epoch, std::move(*envelope)});
+    rx_slot_.agent = id;
+    rx_slot_.epoch = envelope.epoch;
+    pending_.swap_in(rx.traffic_class, data.size() + net::kFrameHeaderBytes, key, rx_slot_);
   });
   transport.set_disconnect_callback(
       [this, id](util::Error error) { mark_agent_down(id, error.message); });
@@ -214,17 +217,16 @@ void ShardCore::drain_pending(std::int64_t budget_us) {
   // In real-time mode the updater slot admits at most 4 updates per
   // microsecond of budget, without a clock read per message. That figure
   // is an admission count, not a time bound: a 16-UE stats reply costs
-  // 2.5-4 us from arrival to published snapshot (bench_wire ingest->apply
-  // on a shared 4-vCPU x86 VM, varying with host load), so a full slot can
-  // overrun its budget many times over.
+  // 2.3-3.6 us from arrival to published snapshot (bench_wire ingest->apply,
+  // 4 runs on a shared 4-vCPU x86 VM, varying with host load), so a full
+  // slot can overrun its budget many times over.
   std::size_t limit = pending_.size();
   if (budget_us > 0) {
     limit = std::min(limit, static_cast<std::size_t>(budget_us) * 4);
   }
   std::size_t applied = 0;
-  while (applied < limit && !pending_.empty()) {
-    auto update = pending_.pop();
-    apply_update(*update);
+  while (applied < limit && pending_.swap_out(apply_slot_)) {
+    apply_update(apply_slot_);
     ++applied;
   }
   stats_.updates_applied += applied;
@@ -440,9 +442,13 @@ void ShardCore::apply_update(const PendingUpdate& update) {
         agent.last_subframe = reply.subframe;
         agent.last_subframe_at = sim_.now();
       }
+      // Reports arrive in RNTI order, the order of the rows, so each one
+      // is first looked for in the row after the previous report's.
+      std::size_t next_row = 0;
       for (const auto& report : reply.ue_reports) {
         const std::size_t rows = agent.ues.size();
-        const std::size_t row = agent.upsert_ue(report.rnti);
+        const std::size_t row = agent.upsert_ue(report.rnti, next_row);
+        next_row = row + 1;
         UeNode& ue = agent.ues[row];
         // First sighting: serve it from the agent's first known cell until
         // its configuration or attach event names the cell.

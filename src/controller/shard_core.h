@@ -591,6 +591,12 @@ class ShardCore final : public NorthboundApi {
   /// Stats replies decode into this one message, so after the first reply
   /// of a given shape the decode reuses its vectors instead of allocating.
   proto::StatsReply stats_reply_;
+  /// The envelope a received frame decodes into before pending_.swap_in
+  /// moves it into the queue, and the update pending_.swap_out hands to
+  /// apply_update. Their body buffers circulate with the queue's recycled
+  /// entries, so a message of a size seen before allocates nothing.
+  PendingUpdate rx_slot_;
+  PendingUpdate apply_slot_;
   /// The RIB was rebuilt wholesale (restart, checkpoint load) since the
   /// last publish: the next one reconciles the whole agent set.
   bool rib_structure_changed_ = false;

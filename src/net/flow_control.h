@@ -13,8 +13,9 @@
 #include <iterator>
 #include <list>
 #include <map>
-#include <optional>
 #include <utility>
+
+#include "util/recent_peak.h"
 
 namespace flexran::net {
 
@@ -73,6 +74,14 @@ struct ClassCounters {
 ///     a budget overflow (expected to stay 0 in any sane configuration).
 /// Without a budget the queue behaves exactly like a plain deque -- no
 /// shedding, no coalescing.
+///
+/// Entries are recycled: a popped, shed or removed entry keeps its value
+/// and waits on a spare list, and swap_in() and swap_out() exchange values
+/// with the caller's slot. A T that owns buffers (a decoded envelope's
+/// body) therefore circulates between the caller's slots and the queue
+/// without allocating once the queue has held its peak. A round ends each
+/// time swap_out() empties the queue; the spare entries are trimmed by
+/// util::RecentPeak.
 template <typename T>
 class ClassedQueue {
  public:
@@ -101,11 +110,14 @@ class ClassedQueue {
   /// Unsheddable pushes admitted past the budget.
   std::uint64_t budget_overflows() const { return budget_overflows_; }
 
-  /// Enqueues `value` (`coalesce_key` 0 = never coalesce). Returns false
-  /// when the pushed entry itself was shed to stay within budget.
-  bool push(TrafficClass cls, std::size_t message_bytes, std::uint64_t coalesce_key, T value) {
+  /// Enqueues `value` (`coalesce_key` 0 = never coalesce) by swapping it
+  /// into a recycled entry: `value` comes back holding that entry's old
+  /// value (a superseded one when it coalesced), ready for reuse. Returns
+  /// false when the pushed entry itself was shed to stay within budget.
+  bool swap_in(TrafficClass cls, std::size_t message_bytes, std::uint64_t coalesce_key, T& value) {
     auto& counters = counters_[static_cast<std::size_t>(cls)];
     ++counters.enqueued;
+    using std::swap;
     if (budget_.enabled() && coalesce_key != 0) {
       auto indexed = index_.find(coalesce_key);
       if (indexed != index_.end()) {
@@ -113,14 +125,24 @@ class ClassedQueue {
         Entry& entry = *indexed->second;
         bytes_ += message_bytes - entry.bytes;
         entry.bytes = message_bytes;
-        entry.value = std::move(value);
+        swap(entry.value, value);
         ++counters.coalesced;
         note_peaks();
         return true;
       }
     }
-    entries_.push_back(Entry{cls, message_bytes, coalesce_key, std::move(value)});
+    if (spare_.empty()) {
+      entries_.emplace_back();
+    } else {
+      entries_.splice(entries_.end(), spare_, spare_.begin());
+    }
+    Entry& entry = entries_.back();
+    entry.cls = cls;
+    entry.bytes = message_bytes;
+    entry.key = coalesce_key;
+    swap(entry.value, value);
     bytes_ += message_bytes;
+    recent_peak_.note(entries_.size());
     if (budget_.enabled() && coalesce_key != 0) {
       index_.emplace(coalesce_key, std::prev(entries_.end()));
     }
@@ -138,14 +160,21 @@ class ClassedQueue {
     return pushed_survived;
   }
 
-  /// FIFO pop across all classes.
-  std::optional<T> pop() {
-    if (entries_.empty()) return std::nullopt;
-    Entry entry = std::move(entries_.front());
+  /// FIFO pop across all classes: swaps the oldest entry's value into
+  /// `slot` (whose old value the entry keeps for reuse). False when empty.
+  bool swap_out(T& slot) {
+    if (entries_.empty()) return false;
+    Entry& entry = entries_.front();
     if (entry.key != 0) index_.erase(entry.key);
     bytes_ -= entry.bytes;
-    entries_.pop_front();
-    return std::move(entry.value);
+    using std::swap;
+    swap(slot, entry.value);
+    recycle(entries_.begin());
+    if (entries_.empty()) {
+      const std::size_t cap = recent_peak_.end_round();
+      if (spare_.size() > cap) spare_.resize(cap);
+    }
+    return true;
   }
 
   /// Removes every entry whose value matches `pred`; returns the count.
@@ -156,7 +185,7 @@ class ClassedQueue {
       if (pred(it->value)) {
         if (it->key != 0) index_.erase(it->key);
         bytes_ -= it->bytes;
-        it = entries_.erase(it);
+        recycle(it++);
         ++removed;
       } else {
         ++it;
@@ -167,10 +196,10 @@ class ClassedQueue {
 
  private:
   struct Entry {
-    TrafficClass cls;
+    TrafficClass cls = TrafficClass::session;
     std::size_t bytes = 0;
     std::uint64_t key = 0;
-    T value;
+    T value{};
   };
   using Iterator = typename std::list<Entry>::iterator;
 
@@ -195,8 +224,11 @@ class ClassedQueue {
     counters.shed_bytes += victim->bytes;
     if (victim->key != 0) index_.erase(victim->key);
     bytes_ -= victim->bytes;
-    entries_.erase(victim);
+    recycle(victim);
   }
+
+  /// Moves an entry, value and all, to the front of the spare list.
+  void recycle(Iterator it) { spare_.splice(spare_.begin(), entries_, it); }
 
   void note_peaks() {
     peak_messages_ = std::max(peak_messages_, entries_.size());
@@ -205,6 +237,9 @@ class ClassedQueue {
 
   QueueBudget budget_;
   std::list<Entry> entries_;
+  /// Recycled entries, most recently used first.
+  std::list<Entry> spare_;
+  util::RecentPeak recent_peak_;
   std::map<std::uint64_t, Iterator> index_;
   std::size_t bytes_ = 0;
   std::size_t peak_messages_ = 0;

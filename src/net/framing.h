@@ -18,23 +18,22 @@ constexpr std::size_t kFrameHeaderBytes = 4;
 /// Upper bound on a single frame; protects against corrupt length prefixes.
 constexpr std::size_t kMaxFrameBytes = 16 * 1024 * 1024;
 
-/// Wraps a payload in a frame (allocates a fresh vector; hot paths use
-/// frame_into with a reused buffer instead).
-std::vector<std::uint8_t> frame_message(std::span<const std::uint8_t> payload);
-
 /// Appends a framed copy of `payload` to `out`. The caller owns `out` and
 /// clears it between sends (or batches several frames before flushing); with
 /// a warm buffer this allocates nothing.
 void frame_into(util::ByteBuffer& out, std::span<const std::uint8_t> payload);
 
-/// Incremental frame reassembly.
+/// Incremental frame reassembly. A feed that starts on a frame boundary
+/// (nothing buffered) hands its whole frames out without copying them and
+/// buffers only a trailing partial frame; a feed that continues a buffered
+/// partial frame appends to the buffer and hands frames out of it.
 class FrameAssembler {
  public:
-  /// Frame payloads are handed out as spans into the assembler's internal
-  /// buffer. The span is valid only for the duration of the callback, and the
-  /// callback must not feed this assembler re-entrantly; receivers that need
-  /// to keep bytes past the callback copy them (decoding into an owned
-  /// message counts).
+  /// Frame payloads are handed out as spans into the fed bytes or into the
+  /// assembler's internal buffer. The span is valid only for the duration
+  /// of the callback, and the callback must not feed this assembler
+  /// re-entrantly; receivers that need to keep bytes past the callback copy
+  /// them (decoding into an owned message counts).
   using FrameFn = std::function<void(std::span<const std::uint8_t>)>;
 
   /// Feed raw stream bytes; complete frames are handed to `on_frame` in

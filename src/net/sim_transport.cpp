@@ -10,7 +10,11 @@ namespace flexran::net {
 util::Status SimTransport::send(std::span<const std::uint8_t> message) {
   if (!tx_) return util::Error::transport_failure("sim transport not connected");
   ++messages_sent_;
-  tx_->send(frame_message(message));
+  // Header and body go straight into a pooled buffer, which the link
+  // carries to the peer without another copy.
+  util::ByteBuffer frame(tx_->frame_buffer());
+  frame_into(frame, message);
+  tx_->send(frame.take());
   return {};
 }
 
@@ -54,20 +58,22 @@ void SimTransport::reorder_flush() {
     std::swap(held[i - 1], held[j]);
   }
   frames_reordered_ += held.size();
-  for (auto& frame : held) deliver_now(std::move(frame));
+  for (auto& frame : held) deliver_now(frame);
 }
 
-void SimTransport::deliver(std::vector<std::uint8_t> framed) {
+void SimTransport::deliver(std::vector<std::uint8_t>& framed) {
   if (reorder_remaining_ > 0) {
+    // A held frame leaves the link's pool: its bytes must outlive the
+    // delivery, and the link recycles what is left in `framed`.
     --reorder_remaining_;
     reorder_buffer_.push_back(std::move(framed));
     if (reorder_remaining_ == 0) reorder_flush();
     return;
   }
-  deliver_now(std::move(framed));
+  deliver_now(framed);
 }
 
-void SimTransport::deliver_now(std::vector<std::uint8_t> framed) {
+void SimTransport::deliver_now(std::vector<std::uint8_t>& framed) {
   if (corrupt_remaining_ > 0 && framed.size() > kFrameHeaderBytes) {
     --corrupt_remaining_;
     ++frames_corrupted_;
@@ -104,8 +110,8 @@ SimTransportPair make_sim_transport_pair(sim::Simulator& sim, const sim::LinkCon
   pair.b->tx_ = std::make_unique<sim::SimLink>(sim, b_to_a);
   SimTransport* a = pair.a.get();
   SimTransport* b = pair.b.get();
-  pair.a->tx_->set_deliver([b](std::vector<std::uint8_t> data) { b->deliver(std::move(data)); });
-  pair.b->tx_->set_deliver([a](std::vector<std::uint8_t> data) { a->deliver(std::move(data)); });
+  pair.a->tx_->set_deliver([b](std::vector<std::uint8_t>& frame) { b->deliver(frame); });
+  pair.b->tx_->set_deliver([a](std::vector<std::uint8_t>& frame) { a->deliver(frame); });
   return pair;
 }
 

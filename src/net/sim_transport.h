@@ -2,6 +2,13 @@
 // inside the discrete-event simulator. Latency / jitter / rate / loss come
 // from the link configuration -- this is the netem-shaped control channel
 // used in the paper's Sec. 5.3 latency experiments.
+//
+// A sent message is framed straight into a buffer from the simulator's
+// frame pool; the link carries that buffer, and the receiving endpoint's
+// FrameAssembler hands the payload to the receive callback as a span into
+// it. That is the one copy between sender and receiver. The injected
+// faults act on the pooled buffer in place; reorder_next moves held frames
+// out of the pool.
 #pragma once
 
 #include <memory>
@@ -90,8 +97,10 @@ class SimTransport final : public Transport {
   friend SimTransportPair make_sim_transport_pair(sim::Simulator& sim,
                                                   const sim::LinkConfig& a_to_b,
                                                   const sim::LinkConfig& b_to_a);
-  void deliver(std::vector<std::uint8_t> framed);
-  void deliver_now(std::vector<std::uint8_t> framed);
+  /// The link's delivery: `framed` is its pooled buffer (see
+  /// sim::SimLink::DeliverFn).
+  void deliver(std::vector<std::uint8_t>& framed);
+  void deliver_now(std::vector<std::uint8_t>& framed);
 
   std::unique_ptr<sim::SimLink> tx_;
   FrameAssembler assembler_;

@@ -21,8 +21,8 @@ namespace flexran::net {
 class Transport {
  public:
   /// Receives one decoded-frame payload. The span points into the
-  /// transport's receive buffer and is valid only for the duration of the
-  /// callback: decode into owned state (or copy) before returning
+  /// transport's receive buffer (for SimTransport, the link's pooled frame
+  /// buffer) and is valid only for the duration of the callback: decode into owned state (or copy) before returning
   /// (docs/wire_fastpath.md). All frames available per wake are delivered in
   /// one drain pass, back to back, before the transport reads again.
   using ReceiveFn = std::function<void(std::span<const std::uint8_t>)>;

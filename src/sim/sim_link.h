@@ -2,6 +2,11 @@
 // master<->agent control channel. Models one-way propagation delay, jitter,
 // a serialization rate, and random loss, while preserving FIFO delivery
 // order (as TCP would after reordering repair).
+//
+// The link owns its frames in flight: a FIFO of buffers from the
+// simulator's FramePool. Arrival times on one link never decrease, so each
+// send schedules one delivery event that captures only the link and hands
+// the FIFO's head to the receiver; the buffer then goes back to the pool.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +33,11 @@ struct LinkConfig {
 
 class SimLink {
  public:
-  using DeliverFn = std::function<void(std::vector<std::uint8_t>)>;
+  /// Receives each frame at its arrival time, in send order. The frame is
+  /// the link's pooled buffer: the receiver may read it, change it in place
+  /// or move its bytes out to keep them; what is left goes back to the
+  /// simulator's frame pool when the call returns.
+  using DeliverFn = std::function<void(std::vector<std::uint8_t>& frame)>;
 
   SimLink(Simulator& sim, LinkConfig config) : sim_(sim), config_(config), rng_(config.seed) {}
 
@@ -44,7 +53,11 @@ class SimLink {
   bool down() const { return down_; }
   std::uint64_t packets_dropped() const { return packets_dropped_; }
 
-  void send(std::vector<std::uint8_t> payload);
+  /// An empty buffer from the simulator's frame pool to fill and send().
+  std::vector<std::uint8_t> frame_buffer() { return sim_.frame_pool().take(sim_.current_tti()); }
+  /// Queues `frame` for delivery. A frame dropped by a partition goes
+  /// straight back to the pool.
+  void send(std::vector<std::uint8_t> frame);
 
   /// Bytes still queued behind the serializer right now -- the link-level
   /// occupancy a sender's byte budget is checked against. Always 0 on a
@@ -62,11 +75,18 @@ class SimLink {
 
  private:
   TimeUs serialization_delay(std::size_t bytes) const;
+  /// The delivery event: pops the oldest frame in flight.
+  void deliver_head();
 
   Simulator& sim_;
   LinkConfig config_;
   util::Rng rng_;
   DeliverFn deliver_;
+  /// Frames in flight, oldest at `head_`: a ring whose size is a power of
+  /// two (or 0), grown by doubling.
+  std::vector<std::vector<std::uint8_t>> in_flight_;
+  std::size_t head_ = 0;
+  std::size_t in_flight_count_ = 0;
   /// Time the previous packet finished serializing (rate limiting).
   TimeUs tx_free_at_ = 0;
   /// Delivery-order floor so jitter cannot reorder packets.

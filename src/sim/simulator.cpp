@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace flexran::sim {
 
@@ -13,6 +14,28 @@ struct EventLater {
   }
 };
 }  // namespace
+
+std::vector<std::uint8_t> FramePool::take(std::int64_t tti) {
+  if (tti != round_tti_) {
+    round_tti_ = tti;
+    const std::size_t cap = peak_.end_round();
+    const std::size_t keep = cap > out_ ? cap - out_ : 0;
+    if (spare_.size() > keep) spare_.resize(keep);
+  }
+  ++out_;
+  peak_.note(out_);
+  if (spare_.empty()) return {};
+  std::vector<std::uint8_t> buffer = std::move(spare_.back());
+  spare_.pop_back();
+  return buffer;
+}
+
+void FramePool::give(std::vector<std::uint8_t> buffer) {
+  if (out_ > 0) --out_;
+  if (buffer.capacity() == 0 || spare_.size() + out_ >= peak_.cap()) return;
+  buffer.clear();
+  spare_.push_back(std::move(buffer));
+}
 
 void Simulator::at(TimeUs when, Callback fn) {
   assert(fn);

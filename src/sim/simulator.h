@@ -9,6 +9,8 @@
 #include <functional>
 #include <vector>
 
+#include "util/recent_peak.h"
+
 namespace flexran::sim {
 
 /// Simulated time in microseconds since simulation start.
@@ -22,6 +24,31 @@ constexpr TimeUs kTtiUs = kUsPerMs;
 constexpr double to_seconds(TimeUs t) { return static_cast<double>(t) / 1e6; }
 constexpr TimeUs from_seconds(double s) { return static_cast<TimeUs>(s * 1e6); }
 constexpr TimeUs from_ms(double ms) { return static_cast<TimeUs>(ms * 1e3); }
+
+/// Byte buffers for the frames in flight on one simulator's links
+/// (SimLink), recycled so a steady stream of frames allocates nothing. One
+/// pool serves every link of the simulator, so the buffers kept follow the
+/// frames in flight at once, not the number of links. A round is a TTI in
+/// which a buffer was taken; the spares are trimmed by util::RecentPeak.
+class FramePool {
+ public:
+  /// An empty buffer, with the capacity of a recycled one when a spare is
+  /// left. `tti` is the current TTI.
+  std::vector<std::uint8_t> take(std::int64_t tti);
+  /// Returns a buffer taken from this pool once its frame is delivered or
+  /// dropped. A buffer whose bytes were moved out comes back empty and is
+  /// counted, not kept.
+  void give(std::vector<std::uint8_t> buffer);
+
+  std::size_t spare() const { return spare_.size(); }
+
+ private:
+  std::vector<std::vector<std::uint8_t>> spare_;
+  /// Buffers taken and not yet given back.
+  std::size_t out_ = 0;
+  std::int64_t round_tti_ = -1;
+  util::RecentPeak peak_;
+};
 
 class Simulator {
  public:
@@ -48,6 +75,8 @@ class Simulator {
   std::size_t pending_events() const { return heap_.size(); }
   std::uint64_t executed_events() const { return executed_; }
 
+  FramePool& frame_pool() { return frame_pool_; }
+
  private:
   struct Event {
     TimeUs time;
@@ -64,6 +93,7 @@ class Simulator {
   std::uint64_t executed_ = 0;
   bool stopped_ = false;
   std::vector<Event> heap_;  // min-heap via std::push_heap/pop_heap
+  FramePool frame_pool_;
 };
 
 /// Invokes subscribers at every TTI boundary, in subscription order.

@@ -24,16 +24,6 @@ void ByteBuffer::write_string(std::string_view text) {
   data_.insert(data_.end(), text.begin(), text.end());
 }
 
-Result<std::uint32_t> ByteBuffer::read_u32() {
-  if (readable() < 4) return Error::decode_failure("read_u32 past end");
-  std::uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) {
-    value |= static_cast<std::uint32_t>(data_[read_pos_ + i]) << (8 * i);
-  }
-  read_pos_ += 4;
-  return value;
-}
-
 void ByteBuffer::compact() {
   if (read_pos_ == 0) return;
   if (read_pos_ == data_.size()) {

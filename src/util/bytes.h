@@ -33,8 +33,6 @@ class ByteBuffer {
   void write_string(std::string_view text);
 
   // -- read side ------------------------------------------------------------
-  Result<std::uint32_t> read_u32();
-
   std::size_t readable() const { return data_.size() - read_pos_; }
   std::size_t read_position() const { return read_pos_; }
   void rewind() { read_pos_ = 0; }

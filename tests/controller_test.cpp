@@ -436,6 +436,17 @@ TEST(MasterEndToEnd, HotColumnsStayRowAlignedThroughDetachAndReattach) {
   expect_aligned(3);
   EXPECT_EQ(link.node().hot.wb_cqi[1], 12);
   EXPECT_EQ(link.node().find_ue(72)->stats.rlc_queue_bytes, 300u);
+
+  // Out of RNTI order, with a new RNTI that lands before every row: each
+  // report still reaches its own row.
+  stats.ue_reports = {ue_report(72, 3, 30), ue_report(69, 4, 40), ue_report(71, 5, 50),
+                      ue_report(70, 6, 60)};
+  link.send(stats);
+  expect_aligned(4);
+  for (const auto& report : stats.ue_reports) {
+    ASSERT_NE(link.node().find_ue(report.rnti), nullptr);
+    EXPECT_EQ(link.node().find_ue(report.rnti)->stats.wb_cqi, report.wb_cqi);
+  }
 }
 
 TEST(MasterEndToEnd, UndecodableBodyIsCountedAndDropped) {

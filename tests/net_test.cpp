@@ -19,9 +19,16 @@ namespace {
 
 // ----------------------------------------------------------------- framing --
 
+/// `payload` framed into a fresh vector.
+std::vector<std::uint8_t> frame_of(std::span<const std::uint8_t> payload) {
+  util::ByteBuffer out;
+  frame_into(out, payload);
+  return out.take();
+}
+
 TEST(Framing, FrameAddsHeader) {
   std::vector<std::uint8_t> payload = {1, 2, 3};
-  const auto framed = frame_message(payload);
+  const auto framed = frame_of(payload);
   ASSERT_EQ(framed.size(), kFrameHeaderBytes + 3);
   EXPECT_EQ(framed[0], 3);  // little-endian length
   EXPECT_EQ(framed[4], 1);
@@ -31,7 +38,7 @@ TEST(Framing, AssemblerHandlesExactFrames) {
   FrameAssembler assembler;
   std::vector<std::vector<std::uint8_t>> frames;
   auto sink = [&](std::span<const std::uint8_t> f) { frames.emplace_back(f.begin(), f.end()); };
-  ASSERT_TRUE(assembler.feed(frame_message(std::vector<std::uint8_t>{7, 8}), sink).ok());
+  ASSERT_TRUE(assembler.feed(frame_of(std::vector<std::uint8_t>{7, 8}), sink).ok());
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0], (std::vector<std::uint8_t>{7, 8}));
 }
@@ -40,7 +47,7 @@ TEST(Framing, AssemblerHandlesByteAtATimeDelivery) {
   FrameAssembler assembler;
   std::vector<std::vector<std::uint8_t>> frames;
   auto sink = [&](std::span<const std::uint8_t> f) { frames.emplace_back(f.begin(), f.end()); };
-  const auto framed = frame_message(std::vector<std::uint8_t>{9, 10, 11});
+  const auto framed = frame_of(std::vector<std::uint8_t>{9, 10, 11});
   for (auto byte : framed) {
     ASSERT_TRUE(assembler.feed(std::span(&byte, 1), sink).ok());
   }
@@ -53,8 +60,8 @@ TEST(Framing, AssemblerHandlesCoalescedFrames) {
   FrameAssembler assembler;
   std::vector<std::vector<std::uint8_t>> frames;
   auto sink = [&](std::span<const std::uint8_t> f) { frames.emplace_back(f.begin(), f.end()); };
-  auto combined = frame_message(std::vector<std::uint8_t>{1});
-  const auto second = frame_message(std::vector<std::uint8_t>{2, 3});
+  auto combined = frame_of(std::vector<std::uint8_t>{1});
+  const auto second = frame_of(std::vector<std::uint8_t>{2, 3});
   combined.insert(combined.end(), second.begin(), second.end());
   ASSERT_TRUE(assembler.feed(combined, sink).ok());
   ASSERT_EQ(frames.size(), 2u);
@@ -68,7 +75,7 @@ TEST(Framing, EmptyPayloadFrame) {
     EXPECT_TRUE(f.empty());
     ++count;
   };
-  ASSERT_TRUE(assembler.feed(frame_message({}), sink).ok());
+  ASSERT_TRUE(assembler.feed(frame_of({}), sink).ok());
   EXPECT_EQ(count, 1);
 }
 
@@ -81,7 +88,7 @@ TEST(Framing, MaxFrameBoundary) {
   };
   // Exactly kMaxFrameBytes is accepted...
   ASSERT_TRUE(
-      assembler.feed(frame_message(std::vector<std::uint8_t>(kMaxFrameBytes)), sink).ok());
+      assembler.feed(frame_of(std::vector<std::uint8_t>(kMaxFrameBytes)), sink).ok());
   EXPECT_EQ(frames, 1);
   // ...one byte more is rejected.
   FrameAssembler assembler2;
@@ -107,7 +114,7 @@ TEST(Framing, DripFeedLargeFrameIsNotQuadratic) {
   for (std::size_t i = 0; i < payload.size(); ++i) {
     payload[i] = static_cast<std::uint8_t>(i * 131);
   }
-  const auto framed = frame_message(payload);
+  const auto framed = frame_of(payload);
 
   FrameAssembler assembler;
   std::vector<std::uint8_t> received;
@@ -165,7 +172,7 @@ TEST(Framing, OversizedFramePoisonsAssemblerUntilReset) {
 
   // Even well-formed traffic is rejected now: the stream position is not
   // trustworthy after a corrupt header.
-  const auto good = frame_message(std::vector<std::uint8_t>{4, 5});
+  const auto good = frame_of(std::vector<std::uint8_t>{4, 5});
   EXPECT_FALSE(assembler.feed(good, sink).ok());
   EXPECT_FALSE(assembler.feed(good, sink).ok());
   EXPECT_EQ(delivered, 1);
@@ -176,6 +183,57 @@ TEST(Framing, OversizedFramePoisonsAssemblerUntilReset) {
   EXPECT_EQ(assembler.buffered(), 0u);
   ASSERT_TRUE(assembler.feed(good, sink).ok());
   EXPECT_EQ(delivered, 2);
+}
+
+TEST(Framing, EverySplitPointMatchesTheWholeFeed) {
+  // Frames of 0, 3, 1 and 6 bytes, then an oversized header and two more
+  // bytes. Fed in three pieces at every pair of split points, a piece
+  // starts either on a frame boundary (frames handed out of the fed bytes)
+  // or inside a buffered partial frame: both give the same frames, and the
+  // feed that completes the oversized header poisons the assembler with
+  // everything from that header to the end of its piece buffered.
+  const std::vector<std::vector<std::uint8_t>> payloads = {
+      {}, {1, 2, 3}, {4}, {5, 6, 7, 8, 9, 10}};
+  util::ByteBuffer stream;
+  for (const auto& payload : payloads) frame_into(stream, payload);
+  const std::size_t oversized_at = stream.size();
+  stream.write_u32(static_cast<std::uint32_t>(kMaxFrameBytes + 1));
+  stream.write_u8(0xee);
+  stream.write_u8(0xff);
+  const auto bytes = stream.contents();
+  const std::size_t poisoned_by = oversized_at + kFrameHeaderBytes;
+
+  for (std::size_t i = 0; i <= bytes.size(); ++i) {
+    for (std::size_t j = i; j <= bytes.size(); ++j) {
+      SCOPED_TRACE("split at " + std::to_string(i) + " and " + std::to_string(j));
+      FrameAssembler assembler;
+      std::vector<std::vector<std::uint8_t>> frames;
+      auto sink = [&](std::span<const std::uint8_t> f) { frames.emplace_back(f.begin(), f.end()); };
+      const std::size_t ends[] = {i, j, bytes.size()};
+      std::size_t begin = 0;
+      for (const std::size_t end : ends) {
+        const bool ok = assembler.feed(bytes.subspan(begin, end - begin), sink).ok();
+        EXPECT_EQ(ok, end < poisoned_by && begin < poisoned_by) << "piece ending at " << end;
+        if (end < poisoned_by) {
+          // Whole frames out, the partial tail buffered.
+          std::size_t consumed = 0;
+          for (const auto& payload : payloads) {
+            if (consumed + kFrameHeaderBytes + payload.size() > end) break;
+            consumed += kFrameHeaderBytes + payload.size();
+          }
+          EXPECT_EQ(assembler.buffered(), end - consumed) << "piece ending at " << end;
+          EXPECT_FALSE(assembler.poisoned());
+        }
+        begin = end;
+      }
+      EXPECT_EQ(frames, payloads);
+      EXPECT_TRUE(assembler.poisoned());
+      // The poisoning piece is the first one ending at or past the header.
+      const std::size_t poisoning_end =
+          i >= poisoned_by ? i : (j >= poisoned_by ? j : bytes.size());
+      EXPECT_EQ(assembler.buffered(), poisoning_end - oversized_at);
+    }
+  }
 }
 
 // ----------------------------------------------------------- sim transport --
@@ -342,6 +400,66 @@ TEST(SimTransport, ReorderFlushReleasesAPartialHold) {
   ASSERT_TRUE(pair.a->send(std::vector<std::uint8_t>{3}).ok());
   simulator.run();
   EXPECT_EQ(order.back(), 3);
+}
+
+TEST(SimTransport, FaultsOnRecycledBuffersDeliverTheBytesSent) {
+  // Frames held by a reorder fault leave the simulator's frame pool while
+  // traffic the other way recycles its buffers; duplicated and corrupted
+  // frames act on pooled buffers in place. Payloads differ in length and
+  // content, so a buffer handed out twice, or stale bytes left in a
+  // recycled one, would show in what arrives.
+  sim::Simulator simulator;
+  auto pair = make_sim_transport_pair(simulator, {.delay = sim::from_ms(1)});
+  const auto payload = [](int i) {
+    std::vector<std::uint8_t> bytes(1 + static_cast<std::size_t>(i * 7 % 23));
+    for (std::size_t k = 0; k < bytes.size(); ++k) {
+      bytes[k] = static_cast<std::uint8_t>((i * 31 + static_cast<int>(k)) & 0x7f);
+    }
+    return bytes;
+  };
+  std::vector<std::vector<std::uint8_t>> at_a;
+  std::vector<std::vector<std::uint8_t>> at_b;
+  pair.a->set_receive_callback(
+      [&](std::span<const std::uint8_t> msg) { at_a.emplace_back(msg.begin(), msg.end()); });
+  pair.b->set_receive_callback(
+      [&](std::span<const std::uint8_t> msg) { at_b.emplace_back(msg.begin(), msg.end()); });
+
+  pair.b->reorder_next(4, /*seed=*/3);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(pair.a->send(payload(i)).ok());
+  simulator.run();
+  EXPECT_TRUE(at_b.empty());
+  // Three held frames, then traffic b -> a over many TTIs reuses the pool.
+  for (int i = 0; i < 40; ++i) {
+    simulator.at(simulator.now() + i * sim::kTtiUs,
+                 [&pair, &payload, i] { ASSERT_TRUE(pair.b->send(payload(100 + i)).ok()); });
+  }
+  simulator.run();
+  ASSERT_EQ(at_a.size(), 40u);
+  for (int i = 0; i < 40; ++i) EXPECT_EQ(at_a[static_cast<std::size_t>(i)], payload(100 + i));
+  EXPECT_GT(simulator.frame_pool().spare(), 0u);
+  pair.b->reorder_flush();
+  ASSERT_EQ(at_b.size(), 3u);
+  std::vector<std::vector<std::uint8_t>> held = at_b;
+  std::sort(held.begin(), held.end());
+  std::vector<std::vector<std::uint8_t>> sent = {payload(0), payload(1), payload(2)};
+  std::sort(sent.begin(), sent.end());
+  EXPECT_EQ(held, sent);
+
+  at_b.clear();
+  pair.b->duplicate_next(1);
+  ASSERT_TRUE(pair.a->send(payload(3)).ok());
+  ASSERT_TRUE(pair.a->send(payload(4)).ok());
+  simulator.run();
+  pair.b->corrupt_next(1);
+  ASSERT_TRUE(pair.a->send(payload(5)).ok());
+  ASSERT_TRUE(pair.a->send(payload(6)).ok());
+  simulator.run();
+  auto corrupted = payload(5);
+  for (auto& byte : corrupted) byte |= 0x80;
+  EXPECT_EQ(at_b, (std::vector<std::vector<std::uint8_t>>{payload(3), payload(3), payload(4),
+                                                          corrupted, payload(6)}));
+  EXPECT_EQ(pair.b->frames_duplicated(), 1u);
+  EXPECT_EQ(pair.b->frames_corrupted(), 1u);
 }
 
 // ----------------------------------------------------------- tcp transport --

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "agent/reports.h"
@@ -27,105 +29,167 @@ using ctrl::OverloadState;
 
 // ------------------------------------------------------------ ClassedQueue --
 
+/// Enqueues a copy of `value`.
+bool push(ClassedQueue<int>& queue, TrafficClass cls, std::size_t bytes, std::uint64_t key,
+          int value) {
+  return queue.swap_in(cls, bytes, key, value);
+}
+
+/// The oldest entry's value, swapped out into a fresh slot.
+std::optional<int> pop(ClassedQueue<int>& queue) {
+  int slot = 0;
+  if (!queue.swap_out(slot)) return std::nullopt;
+  return slot;
+}
+
 TEST(ClassedQueue, WithoutBudgetBehavesLikePlainFifo) {
   ClassedQueue<int> queue;
   // Same coalesce key twice: without a budget nothing coalesces.
-  EXPECT_TRUE(queue.push(TrafficClass::stats, 100, /*coalesce_key=*/7, 1));
-  EXPECT_TRUE(queue.push(TrafficClass::command, 50, 0, 2));
-  EXPECT_TRUE(queue.push(TrafficClass::stats, 100, /*coalesce_key=*/7, 3));
+  EXPECT_TRUE(push(queue, TrafficClass::stats, 100, /*coalesce_key=*/7, 1));
+  EXPECT_TRUE(push(queue, TrafficClass::command, 50, 0, 2));
+  EXPECT_TRUE(push(queue, TrafficClass::stats, 100, /*coalesce_key=*/7, 3));
   EXPECT_EQ(queue.size(), 3u);
   EXPECT_EQ(queue.bytes(), 250u);
   EXPECT_EQ(queue.total_shed(), 0u);
   EXPECT_EQ(queue.total_coalesced(), 0u);
-  EXPECT_EQ(queue.pop(), 1);
-  EXPECT_EQ(queue.pop(), 2);
-  EXPECT_EQ(queue.pop(), 3);
-  EXPECT_FALSE(queue.pop().has_value());
+  EXPECT_EQ(pop(queue), 1);
+  EXPECT_EQ(pop(queue), 2);
+  EXPECT_EQ(pop(queue), 3);
+  EXPECT_FALSE(pop(queue).has_value());
 }
 
 TEST(ClassedQueue, ShedsLowestClassFirstNeverCommands) {
   ClassedQueue<int> queue;
   queue.set_budget({/*max_messages=*/3, /*max_bytes=*/0});
-  EXPECT_TRUE(queue.push(TrafficClass::command, 10, 0, 1));
-  EXPECT_TRUE(queue.push(TrafficClass::event, 10, 0, 2));
-  EXPECT_TRUE(queue.push(TrafficClass::sync, 10, 0, 3));
+  EXPECT_TRUE(push(queue, TrafficClass::command, 10, 0, 1));
+  EXPECT_TRUE(push(queue, TrafficClass::event, 10, 0, 2));
+  EXPECT_TRUE(push(queue, TrafficClass::sync, 10, 0, 3));
   // Over budget: stats is the lowest class present -> it goes first, even
   // though it is the entry just pushed.
-  EXPECT_FALSE(queue.push(TrafficClass::stats, 10, 0, 4));
+  EXPECT_FALSE(push(queue, TrafficClass::stats, 10, 0, 4));
   EXPECT_EQ(queue.counters(TrafficClass::stats).shed, 1u);
   // Next overflow (a command) sheds sync before event.
-  EXPECT_TRUE(queue.push(TrafficClass::command, 10, 0, 5));
+  EXPECT_TRUE(push(queue, TrafficClass::command, 10, 0, 5));
   EXPECT_EQ(queue.counters(TrafficClass::sync).shed, 1u);
-  EXPECT_TRUE(queue.push(TrafficClass::command, 10, 0, 6));
+  EXPECT_TRUE(push(queue, TrafficClass::command, 10, 0, 6));
   EXPECT_EQ(queue.counters(TrafficClass::event).shed, 1u);
   // Only unsheddable traffic left: admitted past the budget, counted.
-  EXPECT_TRUE(queue.push(TrafficClass::session, 10, 0, 7));
+  EXPECT_TRUE(push(queue, TrafficClass::session, 10, 0, 7));
   EXPECT_EQ(queue.budget_overflows(), 1u);
   EXPECT_EQ(queue.size(), 4u);
   EXPECT_EQ(queue.counters(TrafficClass::command).shed, 0u);
   EXPECT_EQ(queue.counters(TrafficClass::session).shed, 0u);
   // Drain order stays FIFO among the survivors.
-  EXPECT_EQ(queue.pop(), 1);
-  EXPECT_EQ(queue.pop(), 5);
-  EXPECT_EQ(queue.pop(), 6);
-  EXPECT_EQ(queue.pop(), 7);
+  EXPECT_EQ(pop(queue), 1);
+  EXPECT_EQ(pop(queue), 5);
+  EXPECT_EQ(pop(queue), 6);
+  EXPECT_EQ(pop(queue), 7);
 }
 
 TEST(ClassedQueue, CoalescesSupersededEntriesInPlace) {
   ClassedQueue<int> queue;
   queue.set_budget({/*max_messages=*/10, /*max_bytes=*/0});
-  EXPECT_TRUE(queue.push(TrafficClass::stats, 100, /*coalesce_key=*/42, 1));
-  EXPECT_TRUE(queue.push(TrafficClass::command, 20, 0, 2));
+  EXPECT_TRUE(push(queue, TrafficClass::stats, 100, /*coalesce_key=*/42, 1));
+  EXPECT_TRUE(push(queue, TrafficClass::command, 20, 0, 2));
   // Supersedes key 42: newest payload and byte count, original position.
-  EXPECT_TRUE(queue.push(TrafficClass::stats, 140, /*coalesce_key=*/42, 3));
+  EXPECT_TRUE(push(queue, TrafficClass::stats, 140, /*coalesce_key=*/42, 3));
   EXPECT_EQ(queue.size(), 2u);
   EXPECT_EQ(queue.bytes(), 160u);
   EXPECT_EQ(queue.counters(TrafficClass::stats).coalesced, 1u);
-  EXPECT_EQ(queue.pop(), 3);  // still ahead of the command
-  EXPECT_EQ(queue.pop(), 2);
+  EXPECT_EQ(pop(queue), 3);  // still ahead of the command
+  EXPECT_EQ(pop(queue), 2);
   // The key is released on pop: a new push with it queues fresh.
-  EXPECT_TRUE(queue.push(TrafficClass::stats, 10, /*coalesce_key=*/42, 4));
+  EXPECT_TRUE(push(queue, TrafficClass::stats, 10, /*coalesce_key=*/42, 4));
   EXPECT_EQ(queue.size(), 1u);
 }
 
 TEST(ClassedQueue, ByteBudgetShedsToo) {
   ClassedQueue<int> queue;
   queue.set_budget({/*max_messages=*/0, /*max_bytes=*/250});
-  EXPECT_TRUE(queue.push(TrafficClass::stats, 100, 0, 1));
-  EXPECT_TRUE(queue.push(TrafficClass::command, 100, 0, 2));
+  EXPECT_TRUE(push(queue, TrafficClass::stats, 100, 0, 1));
+  EXPECT_TRUE(push(queue, TrafficClass::command, 100, 0, 2));
   // 300 bytes > 250: the oldest stats entry is shed, push survives.
-  EXPECT_TRUE(queue.push(TrafficClass::stats, 100, 0, 3));
+  EXPECT_TRUE(push(queue, TrafficClass::stats, 100, 0, 3));
   EXPECT_EQ(queue.bytes(), 200u);
   EXPECT_EQ(queue.counters(TrafficClass::stats).shed, 1u);
   EXPECT_EQ(queue.counters(TrafficClass::stats).shed_bytes, 100u);
-  EXPECT_EQ(queue.pop(), 2);
-  EXPECT_EQ(queue.pop(), 3);
+  EXPECT_EQ(pop(queue), 2);
+  EXPECT_EQ(pop(queue), 3);
 }
 
 TEST(ClassedQueue, RemoveIfDropsMatchingAndReleasesKeys) {
   ClassedQueue<int> queue;
   queue.set_budget({/*max_messages=*/10, /*max_bytes=*/0});
-  queue.push(TrafficClass::stats, 10, /*coalesce_key=*/1, 10);
-  queue.push(TrafficClass::stats, 10, /*coalesce_key=*/2, 20);
-  queue.push(TrafficClass::command, 10, 0, 30);
+  push(queue, TrafficClass::stats, 10, /*coalesce_key=*/1, 10);
+  push(queue, TrafficClass::stats, 10, /*coalesce_key=*/2, 20);
+  push(queue, TrafficClass::command, 10, 0, 30);
   EXPECT_EQ(queue.remove_if([](int v) { return v < 30; }), 2u);
   EXPECT_EQ(queue.size(), 1u);
   EXPECT_EQ(queue.bytes(), 10u);
   // Keys released by remove_if: pushing key 1 again must not coalesce into
   // a dangling iterator.
-  EXPECT_TRUE(queue.push(TrafficClass::stats, 10, /*coalesce_key=*/1, 40));
-  EXPECT_EQ(queue.pop(), 30);
-  EXPECT_EQ(queue.pop(), 40);
+  EXPECT_TRUE(push(queue, TrafficClass::stats, 10, /*coalesce_key=*/1, 40));
+  EXPECT_EQ(pop(queue), 30);
+  EXPECT_EQ(pop(queue), 40);
 }
 
 TEST(ClassedQueue, TracksPeaks) {
   ClassedQueue<int> queue;
   queue.set_budget({/*max_messages=*/4, /*max_bytes=*/0});
-  for (int i = 0; i < 8; ++i) queue.push(TrafficClass::stats, 25, 0, i);
+  for (int i = 0; i < 8; ++i) push(queue, TrafficClass::stats, 25, 0, i);
   EXPECT_EQ(queue.size(), 4u);
   EXPECT_EQ(queue.peak_messages(), 4u);
   EXPECT_EQ(queue.peak_bytes(), 100u);
   EXPECT_EQ(queue.total_shed(), 4u);
+}
+
+TEST(ClassedQueue, RecycledEntriesKeepOrderAndCounters) {
+  // Values that own buffers, and three rounds over the same recycled
+  // entries: coalescing hands the superseded value back to the caller's
+  // slot, and shed and removed entries go back to the spare list without
+  // leaking into what the next round pops.
+  ClassedQueue<std::vector<int>> queue;
+  queue.set_budget({/*max_messages=*/3, /*max_bytes=*/0});
+  std::vector<int> slot;
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const int base = round * 10;
+    slot = {base + 1};
+    EXPECT_TRUE(queue.swap_in(TrafficClass::stats, 10, /*coalesce_key=*/5, slot));
+    slot = {base + 2};
+    EXPECT_TRUE(queue.swap_in(TrafficClass::command, 10, 0, slot));
+    slot = {base + 3, base + 3};
+    EXPECT_TRUE(queue.swap_in(TrafficClass::stats, 20, /*coalesce_key=*/5, slot));
+    EXPECT_EQ(slot, std::vector<int>{base + 1}) << "the superseded value comes back";
+    slot = {base + 4};
+    EXPECT_TRUE(queue.swap_in(TrafficClass::event, 10, 0, slot));
+    // Four entries past a budget of three: the coalesced stats entry goes.
+    slot = {base + 5};
+    EXPECT_TRUE(queue.swap_in(TrafficClass::command, 10, 0, slot));
+    EXPECT_EQ(queue.size(), 3u);
+    EXPECT_EQ(queue.bytes(), 30u);
+    EXPECT_EQ(queue.remove_if([&](const std::vector<int>& v) { return v.front() == base + 4; }),
+              1u);
+    ASSERT_TRUE(queue.swap_out(slot));
+    EXPECT_EQ(slot, std::vector<int>{base + 2});
+    ASSERT_TRUE(queue.swap_out(slot));
+    EXPECT_EQ(slot, std::vector<int>{base + 5});
+    EXPECT_FALSE(queue.swap_out(slot));
+    EXPECT_EQ(queue.bytes(), 0u);
+  }
+  EXPECT_EQ(queue.counters(TrafficClass::stats).enqueued, 6u);
+  EXPECT_EQ(queue.counters(TrafficClass::stats).coalesced, 3u);
+  EXPECT_EQ(queue.counters(TrafficClass::stats).shed, 3u);
+  EXPECT_EQ(queue.counters(TrafficClass::stats).shed_bytes, 60u);
+  EXPECT_EQ(queue.counters(TrafficClass::command).enqueued, 6u);
+  EXPECT_EQ(queue.counters(TrafficClass::command).shed, 0u);
+  EXPECT_EQ(queue.counters(TrafficClass::event).enqueued, 3u);
+  EXPECT_EQ(queue.counters(TrafficClass::event).shed, 0u);
+  EXPECT_EQ(queue.peak_messages(), 3u);
+  // The coalesce key was released with the shed entry: it queues fresh.
+  slot = {99};
+  EXPECT_TRUE(queue.swap_in(TrafficClass::stats, 10, /*coalesce_key=*/5, slot));
+  EXPECT_EQ(queue.size(), 1u);
 }
 
 // ---------------------------------------------------------- OverloadMonitor --

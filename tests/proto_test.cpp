@@ -509,6 +509,46 @@ TEST(Envelope, TimestampEchoRoundTrip) {
   EXPECT_EQ(decoded->ts_echo_us, 42u);
 }
 
+TEST(Envelope, DecodeIntoADirtyEnvelopeMatchesDecode) {
+  // The ingest slot still holds the previous message: every field of it
+  // must be reset, and the body replaced, not appended to.
+  Envelope previous;
+  previous.type = MessageType::stats_reply;
+  previous.xid = 77;
+  previous.epoch = 5;
+  previous.queue_status = 2;
+  previous.throttle_hint = 4;
+  previous.ts_us = 9;
+  previous.ts_echo_us = 123456;
+  previous.master_epoch = 3;
+  previous.retry_after_ms = 250;
+  previous.body.assign(64, 0x2a);
+  Envelope slot;
+  ASSERT_TRUE(Envelope::decode_into(previous.encode(), slot).ok());
+  ASSERT_EQ(slot.body.size(), 64u);
+
+  Hello hello;
+  hello.enb_id = 2;
+  hello.name = "b";
+  for (const auto& wire : {pack(EchoRequest{.subframe = 3, .timestamp_us = 5}),
+                           pack(hello, /*xid=*/8), pack(EchoReply{})}) {
+    ASSERT_TRUE(Envelope::decode_into(wire, slot).ok());
+    const auto fresh = Envelope::decode(wire).value();
+    EXPECT_EQ(slot.version, fresh.version);
+    EXPECT_EQ(slot.type, fresh.type);
+    EXPECT_EQ(slot.xid, fresh.xid);
+    EXPECT_EQ(slot.epoch, fresh.epoch);
+    EXPECT_EQ(slot.queue_status, fresh.queue_status);
+    EXPECT_EQ(slot.throttle_hint, fresh.throttle_hint);
+    EXPECT_EQ(slot.ts_us, fresh.ts_us);
+    EXPECT_EQ(slot.ts_echo_us, fresh.ts_echo_us);
+    EXPECT_EQ(slot.master_epoch, fresh.master_epoch);
+    EXPECT_EQ(slot.retry_after_ms, fresh.retry_after_ms);
+    EXPECT_EQ(slot.body, fresh.body);
+    EXPECT_EQ(slot.encode(), fresh.encode());
+  }
+}
+
 TEST(Envelope, TimestampFieldsOmittedWhenZero) {
   // Observability off must be wire-identical to the seed encoding: the
   // zero-valued timestamp fields stay off the wire entirely.

@@ -124,6 +124,41 @@ TEST(TtiTicker, StopCeasesTicks) {
   EXPECT_EQ(ticks, 3);
 }
 
+// ------------------------------------------------------------ Frame pool --
+
+TEST(FramePool, KeepsAtMostItsRecentPeakNeed) {
+  FramePool pool;
+  // A burst of 50 frames out at once in TTI 0...
+  std::vector<std::vector<std::uint8_t>> out;
+  for (int i = 0; i < 50; ++i) {
+    out.push_back(pool.take(0));
+    out.back().resize(100);
+  }
+  for (auto& buffer : out) pool.give(std::move(buffer));
+  EXPECT_EQ(pool.spare(), 50u);
+  // ...then one frame per TTI. Recycled buffers keep their capacity, and the
+  // burst's buffers stay while it is recent...
+  std::int64_t tti = 1;
+  for (; tti <= static_cast<std::int64_t>(util::RecentPeak::kWindowRounds); ++tti) {
+    auto buffer = pool.take(tti);
+    EXPECT_TRUE(buffer.empty());
+    EXPECT_GE(buffer.capacity(), 100u);
+    buffer.resize(100);
+    pool.give(std::move(buffer));
+  }
+  EXPECT_EQ(pool.spare(), 50u);
+  // ...until a whole window has needed one at a time.
+  for (; tti <= 2 * static_cast<std::int64_t>(util::RecentPeak::kWindowRounds); ++tti) {
+    pool.give(pool.take(tti));
+  }
+  EXPECT_EQ(pool.spare(), 1u);
+  // A buffer whose bytes were moved out comes back empty and is not kept.
+  auto buffer = pool.take(tti);
+  std::vector<std::uint8_t> kept = std::move(buffer);
+  pool.give(std::move(buffer));
+  EXPECT_EQ(pool.spare(), 0u);
+}
+
 // ----------------------------------------------------------------- Links --
 
 TEST(SimLink, DeliversAfterConfiguredDelay) {
