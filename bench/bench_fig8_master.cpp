@@ -147,9 +147,9 @@ MasterLoad run_empty(double seconds) {
 /// No-op command sink for the standalone task-manager sweep.
 class SinkNorthbound : public ctrl::NorthboundApi {
  public:
-  explicit SinkNorthbound(ctrl::SnapshotStore& store) : store_(&store) {}
+  explicit SinkNorthbound(const ctrl::Rib& rib) : rib_(&rib) {}
   std::shared_ptr<const ctrl::RibSnapshot> rib_snapshot() const override {
-    return store_->current();
+    return rib_->current();
   }
   sim::TimeUs now() const override { return 0; }
   std::int64_t agent_subframe(ctrl::AgentId) const override { return 0; }
@@ -179,7 +179,7 @@ class SinkNorthbound : public ctrl::NorthboundApi {
   util::Status send_policy(ctrl::AgentId, const std::string&) override { return {}; }
 
  private:
-  ctrl::SnapshotStore* store_;
+  const ctrl::Rib* rib_;
 };
 
 /// Per-agent control app for the sweep: reads its agent's subtree from the
@@ -242,8 +242,7 @@ struct SweepResult {
 SweepResult run_sweep(int workers, int n_agents, int cycles, std::int64_t stall_us) {
   ctrl::Rib rib;
   for (ctrl::AgentId id = 1; id <= static_cast<ctrl::AgentId>(n_agents); ++id) {
-    auto& agent = rib.agent(id);
-    agent.id = id;
+    auto& agent = rib.add_agent(id);
     agent.enb_id = id;
     agent.cell(id).config.bandwidth_mhz = 10.0;
     for (lte::Rnti rnti = 70; rnti < 86; ++rnti) {  // 16 UEs per agent
@@ -253,32 +252,24 @@ SweepResult run_sweep(int workers, int n_agents, int cycles, std::int64_t stall_
     }
   }
 
-  ctrl::SnapshotStore store;
-  std::vector<ctrl::AgentId> all_dirty;
-  for (ctrl::AgentId id = 1; id <= static_cast<ctrl::AgentId>(n_agents); ++id) {
-    all_dirty.push_back(id);
-  }
-
   ctrl::TaskManagerConfig config;
   config.real_time = false;
   config.workers = workers;
   ctrl::TaskManager tm(
       config,
-      // Updater slot: per-TTI stats churn on every agent (worst-case dirty
-      // set), then the snapshot publish -- exactly what the master does.
+      // Updater slot: per-TTI stats churn on every agent (the worst case:
+      // every node cloned), then the snapshot publish -- exactly what the
+      // master does.
       [&](std::int64_t) {
         for (ctrl::AgentId id = 1; id <= static_cast<ctrl::AgentId>(n_agents); ++id) {
           auto& agent = rib.agent(id);
           for (auto& ue : agent.ues) ue.stats.dl_bytes_delivered += 1500;
         }
       },
-      [&] {
-        store.publish(rib, all_dirty, /*structure_changed=*/store.current()->version() == 0);
-      },
-      nullptr);
-  tm.set_snapshot_source([&] { return store.current(); }, [] { return sim::TimeUs{0}; });
+      [&] { rib.publish(); }, nullptr);
+  tm.set_snapshot_source([&] { return rib.current(); }, [] { return sim::TimeUs{0}; });
 
-  SinkNorthbound api(store);
+  SinkNorthbound api(rib);
   std::vector<std::unique_ptr<ctrl::App>> apps;
   for (ctrl::AgentId id = 1; id <= static_cast<ctrl::AgentId>(n_agents); ++id) {
     apps.push_back(std::make_unique<StallApp>(id, stall_us));

@@ -96,7 +96,7 @@ BENCHMARK(BM_VsfSwap);
 
 void BM_RibUpdateSingleWriter(benchmark::State& state) {
   ctrl::Rib rib;
-  auto& agent = rib.agent(1);
+  auto& agent = rib.add_agent(1);
   agent.cell(1);
   const auto reply = make_stats_reply(16);
   for (auto _ : state) {
@@ -117,7 +117,7 @@ void BM_RibUpdateMutexPerUe(benchmark::State& state) {
   // Ablation: the design the paper rejects -- any component may write, so
   // every UE update takes a lock even when uncontended.
   ctrl::Rib rib;
-  auto& agent = rib.agent(1);
+  auto& agent = rib.add_agent(1);
   agent.cell(1);
   std::mutex mutex;
   const auto reply = make_stats_reply(16);
@@ -188,7 +188,7 @@ void BM_ConflictArbiterClaim(benchmark::State& state) {
   // negligible next to encoding/sending the decision itself.
   ctrl::ConflictArbiter arbiter;
   ctrl::Rib rib;
-  ctrl::AgentNode& agent = rib.agent(1);
+  ctrl::AgentNode& agent = rib.add_agent(1);
   proto::DlMacConfig config;
   config.cell_id = 1;
   for (int i = 0; i < 8; ++i) {
@@ -213,7 +213,7 @@ BENCHMARK(BM_ConflictArbiterClaim);
 void BM_RibSummarize(benchmark::State& state) {
   ctrl::Rib rib;
   for (ctrl::AgentId agent_id = 1; agent_id <= 3; ++agent_id) {
-    auto& agent = rib.agent(agent_id);
+    auto& agent = rib.add_agent(agent_id);
     agent.cell(agent_id).config.cell_id = agent_id;
     for (int i = 0; i < 16; ++i) {
       auto& ue = agent.ues[agent.upsert_ue(static_cast<lte::Rnti>(70 + i))];

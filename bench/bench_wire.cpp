@@ -6,8 +6,9 @@
 // regular reply below and of one shaped like the perfbench replay agents'),
 // frame + reassemble, the full encode->frame->reassemble->decode loop,
 // ingest->apply through a standalone ShardCore over sim transports, and
-// RIB snapshot publish (one dirty agent) and 4-shard compose at 16, 1024 and
-// 8192 agents, whose allocation counts must not grow with the fleet. Publish
+// RIB snapshot publish (one agent written through the RIB's write barrier,
+// then the freeze) and 4-shard compose at 16, 1024 and 8192 agents, whose
+// allocation counts must not grow with the fleet. Publish
 // and ingest->apply are also run for 16- and 64-UE agents without RSRP
 // lists, whose allocation counts must not grow with the UEs an agent serves.
 // On the command path: a 16-DCI DlMacConfig encoded into a reused encoder
@@ -154,9 +155,9 @@ void fill_agent(ctrl::AgentNode& agent, ctrl::AgentId id, const proto::StatsRepl
   }
 }
 
-/// The agent made dirty by publish `i`: spread over the fleet so successive
-/// publishes clone different chunks.
-ctrl::AgentId dirty_agent(std::uint64_t i, std::size_t agents) {
+/// The agent written before publish `i`: spread over the fleet so
+/// successive writes clone different chunks.
+ctrl::AgentId written_agent(std::uint64_t i, std::size_t agents) {
   return 1 + static_cast<ctrl::AgentId>(i * 7919 % agents);
 }
 
@@ -204,16 +205,15 @@ std::pair<double, double> measure_ingest(const std::vector<std::uint8_t>& wire) 
   });
 }
 
-/// ns and allocations per publish of one dirty agent, in a one-shard RIB of
-/// `agents` agents that each applied `reply`.
+/// ns and allocations per write of one agent through the write barrier and
+/// publish, in a one-shard RIB of `agents` agents that each applied `reply`.
 std::pair<double, double> measure_publish(std::size_t agents, const proto::StatsReply& reply) {
   ctrl::Rib rib;
-  for (ctrl::AgentId id = 1; id <= agents; ++id) fill_agent(rib.agent(id), id, reply);
-  ctrl::SnapshotStore store;
-  store.publish(rib, {}, /*structure_changed=*/true);
+  for (ctrl::AgentId id = 1; id <= agents; ++id) fill_agent(rib.add_agent(id), id, reply);
+  rib.publish();
   const auto publish = [&](std::uint64_t i) {
-    const ctrl::AgentId dirty = dirty_agent(i, agents);
-    store.publish(rib, {&dirty, 1}, false);
+    rib.agent(written_agent(i, agents)).last_subframe = static_cast<std::int64_t>(i);
+    rib.publish();
   };
   for (std::uint64_t i = 0; i < kWarmup; ++i) publish(i);
   const auto allocs0 = bench::allocations();
@@ -633,7 +633,7 @@ Results run_bench() {
   // ---- ingest -> apply through a standalone ShardCore ----
   std::tie(res.ingest_ns, res.ingest_allocs) = measure_ingest(wire);
 
-  // ---- snapshot publish (1 dirty agent) and 4-shard compose ----
+  // ---- snapshot publish (1 written agent) and 4-shard compose ----
   for (std::size_t f = 0; f < kFleets; ++f) {
     const std::size_t agents = kFleetSizes[f];
     std::tie(res.publish_ns[f], res.publish_allocs[f]) = measure_publish(agents, reply);
@@ -642,21 +642,19 @@ Results run_bench() {
     // interleave; each op follows a stats-only publish on one shard.
     {
       ctrl::Rib ribs[kComposeShards];
-      ctrl::SnapshotStore stores[kComposeShards];
       std::vector<std::shared_ptr<const ctrl::RibSnapshot>> parts(kComposeShards);
       for (ctrl::AgentId id = 1; id <= agents; ++id) {
-        fill_agent(ribs[id % kComposeShards].agent(id), id, reply);
+        fill_agent(ribs[id % kComposeShards].add_agent(id), id, reply);
       }
-      for (std::size_t s = 0; s < kComposeShards; ++s) {
-        parts[s] = stores[s].publish(ribs[s], {}, /*structure_changed=*/true);
-      }
+      for (std::size_t s = 0; s < kComposeShards; ++s) parts[s] = ribs[s].publish();
       auto composite = ctrl::RibSnapshot::compose(parts);
       std::uint64_t allocs = 0;
       std::int64_t ns = 0;
       for (std::uint64_t i = 0; i < kWarmup + kPublishIters; ++i) {
-        const ctrl::AgentId dirty = dirty_agent(i, agents);
-        const std::size_t s = dirty % kComposeShards;
-        parts[s] = stores[s].publish(ribs[s], {&dirty, 1}, false);
+        const ctrl::AgentId written = written_agent(i, agents);
+        const std::size_t s = written % kComposeShards;
+        ribs[s].agent(written).last_subframe = static_cast<std::int64_t>(i);
+        parts[s] = ribs[s].publish();
         const auto allocs0 = bench::allocations();
         const auto t0 = Clock::now();
         auto next = ctrl::RibSnapshot::compose(parts, composite.get());
@@ -785,7 +783,7 @@ int check_against(const Results& res, const std::string& path) {
       ++failures;
     }
   }
-  // Nor may they grow with the UEs of the dirty agent: a count that does is
+  // Nor may they grow with the UEs of the written agent: a count that does is
   // a per-UE container in the agent node (or the apply path) come back.
   if (res.ue_publish_allocs[1] != res.ue_publish_allocs[0] ||
       res.ue_ingest_allocs[1] != res.ue_ingest_allocs[0]) {
@@ -868,7 +866,7 @@ int main(int argc, char** argv) {
               res.ingest_allocs);
   for (std::size_t f = 0; f < kFleets; ++f) {
     const std::string agents = std::to_string(kFleetSizes[f]) + " agents";
-    std::printf("%-34s %10.1f %14.4f\n", ("publish, 1 dirty, " + agents).c_str(),
+    std::printf("%-34s %10.1f %14.4f\n", ("publish, 1 written, " + agents).c_str(),
                 res.publish_ns[f], res.publish_allocs[f]);
     std::printf("%-34s %10.1f %14.4f\n", ("compose 4 shards, " + agents).c_str(),
                 res.compose_ns[f], res.compose_allocs[f]);
@@ -877,7 +875,7 @@ int main(int argc, char** argv) {
     const std::string ues = std::to_string(kUeCounts[u]) + " UEs, no RSRP";
     std::printf("%-34s %10s %14.4f\n", ("ingest -> apply, " + ues).c_str(), "-",
                 res.ue_ingest_allocs[u]);
-    std::printf("%-34s %10s %14.4f\n", ("publish, 1 dirty, " + ues).c_str(), "-",
+    std::printf("%-34s %10s %14.4f\n", ("publish, 1 written, " + ues).c_str(), "-",
                 res.ue_publish_allocs[u]);
   }
   std::printf("%-34s %10.1f %14.4f\n", "DL command encode (16 DCIs)", res.dl_encode_ns,

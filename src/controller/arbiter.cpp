@@ -2,6 +2,8 @@
 
 #include <limits>
 
+#include "controller/rib_snapshot.h"
+
 namespace flexran::ctrl {
 
 util::Status ConflictArbiter::claim_dl(AgentId agent, const proto::DlMacConfig& config) {

@@ -28,6 +28,8 @@
 
 namespace flexran::ctrl {
 
+class Rib;
+
 class ConflictArbiter {
  public:
   /// Validates `config` against existing claims and, when clean, records

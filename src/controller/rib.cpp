@@ -99,23 +99,4 @@ std::size_t AgentNode::approx_bytes() const {
   return bytes;
 }
 
-const AgentNode* Rib::find_agent(AgentId id) const {
-  auto it = agents_.find(id);
-  return it == agents_.end() ? nullptr : &it->second;
-}
-
-AgentNode* Rib::find_agent(AgentId id) {
-  auto it = agents_.find(id);
-  return it == agents_.end() ? nullptr : &it->second;
-}
-
-std::size_t Rib::approx_bytes() const {
-  std::size_t bytes = sizeof(*this);
-  for (const auto& [id, agent] : agents_) {
-    (void)id;
-    bytes += agent.approx_bytes();
-  }
-  return bytes;
-}
-
 }  // namespace flexran::ctrl

@@ -2,22 +2,25 @@
 // of the underlying network entities, structured as a forest -- roots are
 // agents, second level the cells of each agent, leaves the UEs. Kept
 // entirely in memory. Only the RIB Updater writes it (single-writer
-// discipline); applications read through const access. As in the paper's
+// discipline); applications read frozen versions of it. As in the paper's
 // implementation, no high-level abstraction is layered on top: raw reports
 // are exposed to the northbound API.
 //
+// This header holds the node types. The table of agents itself -- one
+// copy-on-write slot table that the updater writes through a write barrier
+// and each publish freezes -- is Rib, with its frozen versions RibSnapshot
+// (rib_snapshot.h).
+//
 // Each agent is stored flat: its cells in one id-sorted vector, its UEs in
 // one RNTI-sorted row vector (each row names its serving cell), and the
-// per-UE hot statistics as columns row-aligned with the UE rows. Copying an
-// agent, as every snapshot publish does for a changed one, is a fixed
-// handful of allocations however many UEs it serves, and none when the
-// publish copy-assigns it into a retired node of the same shape
-// (rib_snapshot.h).
+// per-UE hot statistics as columns row-aligned with the UE rows. Cloning an
+// agent, as the first write to it after a publish does, is a fixed handful
+// of allocations however many UEs it serves, and none when the clone is
+// copy-assigned into a retired node of the same shape.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -128,23 +131,6 @@ struct AgentNode {
   std::uint32_t epoch = 0;
   /// How many times this agent re-established its session.
   std::uint32_t reconnects = 0;
-};
-
-class Rib {
- public:
-  AgentNode& agent(AgentId id) { return agents_[id]; }
-  const AgentNode* find_agent(AgentId id) const;
-  AgentNode* find_agent(AgentId id);
-  void remove_agent(AgentId id) { agents_.erase(id); }
-
-  const std::map<AgentId, AgentNode>& agents() const { return agents_; }
-  std::size_t agent_count() const { return agents_.size(); }
-
-  /// Approximate resident size of the RIB (Fig. 8 memory series).
-  std::size_t approx_bytes() const;
-
- private:
-  std::map<AgentId, AgentNode> agents_;
 };
 
 }  // namespace flexran::ctrl

@@ -4,6 +4,8 @@
 #include <atomic>
 #include <bit>
 #include <new>
+#include <stdexcept>
+#include <string>
 
 namespace flexran::ctrl {
 
@@ -38,13 +40,13 @@ const T* lookup(const RibSnapshot::ChunkTable<T>& table, std::size_t id) {
 
 }  // namespace
 
-/// The retired agent nodes of one SnapshotStore and the shared_ptr control
-/// blocks that owned them. When the last snapshot holding a node lets go,
-/// on whatever thread that is (the coordinator, or an app worker holding
-/// an old snapshot), the node's deleter hands it back here under the mutex
-/// instead of destroying it, and the next publish copy-assigns a dirty
-/// agent into it: its cell, UE and hot-column vectors keep their capacity,
-/// so a same-shape agent's copy allocates nothing. Both lists are capped
+/// The retired agent nodes of one Rib and the shared_ptr control blocks
+/// that owned them. When the last table holding a node lets go, on
+/// whatever thread that is (the coordinator, or an app worker holding an
+/// old snapshot), the node's deleter hands it back here under the mutex
+/// instead of destroying it, and the write barrier copy-assigns the next
+/// clone into it: its cell, UE and hot-column vectors keep their capacity,
+/// so a same-shape agent's clone allocates nothing. Both lists are capped
 /// (set_cap); a node or block returned past the cap is freed.
 class NodePool {
  public:
@@ -155,7 +157,7 @@ struct Retire {
   void operator()(AgentNode* node) const noexcept { pool->retire(node); }
 };
 
-/// A snapshot copy of `agent`, in a node `pool` retired when it has one.
+/// A copy of `agent`, in a node `pool` retired when it has one.
 AgentPtr copy_agent(const std::shared_ptr<NodePool>& pool, const AgentNode& agent) {
   AgentNode* node = pool->take();
   if (node == nullptr) {
@@ -174,80 +176,6 @@ AgentPtr copy_agent(const std::shared_ptr<NodePool>& pool, const AgentNode& agen
 }
 
 }  // namespace
-
-/// Copy-on-write editor for a snapshot's slot table that is being built
-/// from `base` (the previous version's table). The first write to a chunk
-/// still shared with `base` clones it; later writes in the same publish go
-/// to the clone.
-struct SlotTableEditor {
-  RibSnapshot& snapshot;
-  const RibSnapshot::ChunkTable<AgentPtr>& base;
-  /// Source of the agent copies.
-  const std::shared_ptr<NodePool>& pool;
-  bool membership_changed = false;
-  /// Nodes of `base` this edit replaced or dropped: they go back to `pool`
-  /// once the last snapshot sharing them is released.
-  std::size_t retired = 0;
-
-  NodeChunk& writable(std::size_t chunk) {
-    auto& table = snapshot.nodes_;
-    if (chunk >= table.size()) table.resize(chunk + 1);
-    auto& entry = table[chunk];
-    const NodeChunk* shared = chunk < base.size() ? base[chunk].get() : nullptr;
-    if (entry == nullptr || entry.get() == shared) {
-      auto copy = entry == nullptr ? std::make_shared<NodeChunk>()
-                                   : std::make_shared<NodeChunk>(*entry);
-      entry = copy;
-      return *copy;
-    }
-    // Cloned earlier in this publish and not yet visible to any reader.
-    return const_cast<NodeChunk&>(*entry);
-  }
-
-  void set(std::size_t id, const AgentNode& agent) {
-    NodeChunk& chunk = writable(id / kSlots);
-    if ((chunk.occupied & bit_of(id)) == 0) {
-      chunk.occupied |= bit_of(id);
-      ++snapshot.count_;
-      membership_changed = true;
-    } else {
-      ++retired;
-    }
-    chunk.slots[id % kSlots] = copy_agent(pool, agent);
-  }
-
-  void erase(std::size_t id) {
-    if (lookup(snapshot.nodes_, id) == nullptr) return;
-    NodeChunk& chunk = writable(id / kSlots);
-    chunk.occupied &= ~bit_of(id);
-    chunk.slots[id % kSlots].reset();
-    --snapshot.count_;
-    ++retired;
-    membership_changed = true;
-    if (chunk.occupied == 0) snapshot.nodes_[id / kSlots] = nullptr;
-  }
-
-  /// Makes the agent set equal to `rib`'s: copies agents the table lacks
-  /// and drops ids the RIB no longer holds. Walks both in ascending id.
-  void reconcile(const Rib& rib) {
-    std::size_t cursor = snapshot.next_agent(0);
-    for (const auto& [id, node] : rib.agents()) {
-      for (; cursor < id; cursor = snapshot.next_agent(cursor + 1)) erase(cursor);
-      if (cursor == id) {
-        cursor = snapshot.next_agent(cursor + 1);
-      } else {
-        set(id, node);
-      }
-    }
-    for (; cursor != RibSnapshot::kNoAgent; cursor = snapshot.next_agent(cursor + 1)) {
-      erase(cursor);
-    }
-  }
-
-  void finish() {
-    if (membership_changed) snapshot.membership_ = fresh_membership();
-  }
-};
 
 const AgentPtr* RibSnapshot::slot(AgentId id) const {
   if (owners_ == nullptr) return lookup(nodes_, id);
@@ -292,15 +220,9 @@ std::size_t RibSnapshot::ue_count() const {
   return count;
 }
 
-std::shared_ptr<const RibSnapshot> RibSnapshot::capture(const Rib& rib, std::uint64_t version) {
-  auto snapshot = std::make_shared<RibSnapshot>();
-  snapshot->version_ = version;
-  const ChunkTable<AgentPtr> empty;
-  // A pool that keeps nothing: the nodes are freed with the snapshot.
-  const auto pool = std::make_shared<NodePool>();
-  SlotTableEditor edit{*snapshot, empty, pool};
-  for (const auto& [id, agent] : rib.agents()) edit.set(id, agent);
-  edit.finish();
+std::shared_ptr<const RibSnapshot> RibSnapshot::capture(const Rib& rib) {
+  auto snapshot = rib.freeze();
+  snapshot->version_ = 1;
   return snapshot;
 }
 
@@ -358,50 +280,113 @@ std::shared_ptr<const RibSnapshot> RibSnapshot::compose(
   return composite;
 }
 
-SnapshotStore::SnapshotStore()
-    : current_(std::make_shared<const RibSnapshot>()), pool_(std::make_shared<NodePool>()) {}
+Rib::Rib() : pool_(std::make_shared<NodePool>()), current_(std::make_shared<const RibSnapshot>()) {}
 
-std::size_t SnapshotStore::spare_nodes() const { return pool_->spare(); }
+Rib::NodeChunk& Rib::writable_chunk(std::size_t chunk) {
+  auto& table = table_.nodes_;
+  if (chunk >= table.size()) table.resize(chunk + 1);
+  auto& entry = table[chunk];
+  if (entry != nullptr && entry->generation == generation_) {
+    // Made in this generation: no frozen version shares it.
+    return const_cast<NodeChunk&>(*entry);
+  }
+  auto copy =
+      entry == nullptr ? std::make_shared<NodeChunk>() : std::make_shared<NodeChunk>(*entry);
+  copy->generation = generation_;
+  copy->owned = 0;
+  entry = copy;
+  return *copy;
+}
 
-std::shared_ptr<const RibSnapshot> SnapshotStore::publish(const Rib& rib,
-                                                          std::span<const AgentId> dirty,
-                                                          bool structure_changed,
-                                                          OverloadState overload,
-                                                          bool recovering) {
+AgentNode& Rib::add_agent(AgentId id) {
+  if (find_agent(id) != nullptr) return agent(id);
+  written_ = true;
+  NodeChunk& chunk = writable_chunk(id / kSlots);
+  chunk.occupied |= bit_of(id);
+  chunk.owned |= bit_of(id);
+  AgentNode empty;
+  empty.id = id;
+  chunk.slots[id % kSlots] = copy_agent(pool_, empty);
+  ++table_.count_;
+  table_.membership_ = fresh_membership();
+  return const_cast<AgentNode&>(*chunk.slots[id % kSlots]);
+}
+
+AgentNode& Rib::agent(AgentId id) {
+  if (find_agent(id) == nullptr) {
+    throw std::out_of_range("RIB holds no agent " + std::to_string(id));
+  }
+  written_ = true;
+  NodeChunk& chunk = writable_chunk(id / kSlots);
+  AgentPtr& node = chunk.slots[id % kSlots];
+  if ((chunk.owned & bit_of(id)) == 0) {
+    // The frozen node goes back to the pool once no snapshot holds it.
+    node = copy_agent(pool_, *node);
+    chunk.owned |= bit_of(id);
+    ++retired_;
+  }
+  return const_cast<AgentNode&>(*node);
+}
+
+void Rib::remove_agent(AgentId id) {
+  if (find_agent(id) == nullptr) return;
+  written_ = true;
+  NodeChunk& chunk = writable_chunk(id / kSlots);
+  chunk.occupied &= ~bit_of(id);
+  chunk.owned &= ~bit_of(id);
+  chunk.slots[id % kSlots].reset();
+  if (chunk.occupied == 0) table_.nodes_[id / kSlots] = nullptr;
+  --table_.count_;
+  ++retired_;
+  table_.membership_ = fresh_membership();
+}
+
+void Rib::clear() {
+  written_ = true;
+  retired_ += table_.count_;
+  table_.nodes_.clear();
+  table_.count_ = 0;
+  table_.membership_ = fresh_membership();
+}
+
+std::size_t Rib::approx_bytes() const {
+  std::size_t bytes = sizeof(*this);
+  for (const auto& [id, agent] : agents()) {
+    (void)id;
+    bytes += agent->approx_bytes();
+  }
+  return bytes;
+}
+
+std::shared_ptr<RibSnapshot> Rib::freeze() const {
+  ++generation_;
+  return std::make_shared<RibSnapshot>(table_);
+}
+
+std::shared_ptr<const RibSnapshot> Rib::publish(OverloadState overload, bool recovering) {
   auto previous = current();
-  if (dirty.empty() && !structure_changed && previous->overload_state() == overload &&
+  if (!written_ && previous->overload_state() == overload &&
       previous->recovering() == recovering) {
     return previous;
   }
-
-  auto next = std::make_shared<RibSnapshot>();
+  auto next = freeze();
   next->version_ = previous->version() + 1;
   next->overload_state_ = overload;
   next->recovering_ = recovering;
-  next->nodes_ = previous->nodes_;  // shares every chunk until written
-  next->count_ = previous->count_;
-  next->membership_ = previous->membership_;
-  SlotTableEditor edit{*next, previous->nodes_, pool_};
-  for (AgentId id : dirty) {
-    const AgentNode* agent = rib.find_agent(id);
-    if (agent != nullptr) {
-      edit.set(id, *agent);
-    } else {
-      edit.erase(id);
-    }
-  }
-  if (structure_changed || next->count_ != rib.agent_count()) edit.reconcile(rib);
-  edit.finish();
-  // The nodes this publish retired come back once `previous` (and any
-  // older snapshot a reader still holds) is released; a later publish needs
-  // about as many. A publish is a round of the recent-peak rule, so a dirty
-  // count that varies from cycle to cycle keeps the pool at its recent
-  // peak instead of the last two publishes' count.
-  retired_peak_.note(edit.retired);
+  written_ = false;
+  // The nodes this generation replaced come back once `previous` (and any
+  // older snapshot a reader still holds) is released; the next generation
+  // clones about as many. A publish is a round of the recent-peak rule, so
+  // a write count that varies from cycle to cycle keeps the pool at its
+  // recent peak instead of the last generation's count.
+  retired_peak_.note(retired_);
+  retired_ = 0;
   pool_->set_cap(retired_peak_.end_round());
   std::lock_guard<std::mutex> lock(mu_);
   current_ = std::move(next);
   return current_;
 }
+
+std::size_t Rib::spare_nodes() const { return pool_->spare(); }
 
 }  // namespace flexran::ctrl

@@ -1,22 +1,22 @@
-// Versioned immutable RIB snapshots. The RIB Updater keeps sole ownership
-// of the mutable Rib (the paper's single-writer discipline, Sec. 4.3.3);
-// at the end of each updater slot it publishes an immutable RibSnapshot
-// that applications read lock-free. Where the paper guarantees mutual
-// exclusion by time-slicing one thread, this layer guarantees it by data
-// versioning: the updater slot of cycle N+1 may overlap the application
-// slot of cycle N because the apps of cycle N hold snapshot N, not the
-// live tree. See docs/controller_concurrency.md.
+// The RIB's one representation (paper Sec. 4.3.3): a dense slot table
+// indexed by AgentId (ids are allocated monotonically from 1), split into
+// fixed-size copy-on-write chunks. The RIB Updater keeps sole ownership of
+// the live table, Rib (the paper's single-writer discipline), and writes it
+// through one write barrier; at the end of each updater slot it freezes
+// the table into an immutable RibSnapshot that applications read
+// lock-free. Where the paper guarantees mutual exclusion by time-slicing
+// one thread, this layer guarantees it by data versioning: the updater
+// slot of cycle N+1 may overlap the application slot of cycle N because
+// the apps of cycle N hold snapshot N, and the updater clones what it
+// writes. See docs/controller_concurrency.md.
 //
-// A snapshot is a dense slot table indexed by AgentId (ids are allocated
-// monotonically from 1), split into fixed-size copy-on-write chunks. A
-// publish shares every chunk that holds no changed agent with the previous
-// version, clones only the chunks that do, and copies only the dirty
-// agents: its cost is one pointer copy per chunk plus O(dirty agents x
-// kChunkSlots), with a number of allocations independent of the fleet size.
-// An agent that did not change keeps the same AgentNode pointer. A dirty
-// agent is copy-assigned into a node that an older snapshot retired (the
-// store keeps those, with their vectors' capacity, instead of freeing
-// them), so a same-shape agent's copy allocates nothing.
+// A snapshot shares every chunk and every agent node the updater did not
+// write since the previous freeze; an agent that did not change keeps the
+// same AgentNode pointer. A written agent was cloned into a node that an
+// older snapshot retired (the RIB keeps those, with their vectors'
+// capacity, instead of freeing them), so a same-shape agent's clone
+// allocates nothing. Freezing copies one pointer per chunk, however many
+// agents changed.
 #pragma once
 
 #include <array>
@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -34,8 +33,9 @@
 
 namespace flexran::ctrl {
 
-/// Free list of retired snapshot agent nodes (rib_snapshot.cpp).
+/// Free list of retired agent nodes (rib_snapshot.cpp).
 class NodePool;
+class Rib;
 
 class RibSnapshot {
  public:
@@ -44,8 +44,8 @@ class RibSnapshot {
   /// Slots per chunk of the id-indexed tables. A publish copies one
   /// pointer per chunk and each chunk clone bumps one refcount per
   /// occupied slot. On a 4-shard fleet of 4096 agents (each shard's table
-  /// spans every id, a quarter occupied) with ~16 dirty agents per shard
-  /// and cycle, that is 4096/K + 16*K/4 refcount touches per publish,
+  /// spans every id, a quarter occupied) with ~16 written agents per shard
+  /// and cycle, that is 4096/K + 16*K/4 refcount touches per cycle,
   /// least at K = 32; 16 and 64 measured within noise of it.
   static constexpr std::size_t kChunkSlots = 32;
 
@@ -55,6 +55,11 @@ class RibSnapshot {
   struct Chunk {
     std::uint64_t occupied = 0;
     std::array<T, kChunkSlots> slots{};
+    /// The Rib generation that made this chunk, and the slots whose node
+    /// it made (agent tables only): both writable while that generation
+    /// is the Rib's current one.
+    std::uint64_t generation = 0;
+    std::uint64_t owned = 0;
   };
   template <typename T>
   using ChunkTable = std::vector<std::shared_ptr<const Chunk<T>>>;
@@ -121,10 +126,10 @@ class RibSnapshot {
   std::size_t agent_count() const { return count_; }
   std::size_t ue_count() const;
 
-  /// One-shot deep capture of a Rib (tests, tools, ad-hoc analytics). The
-  /// master publishes through SnapshotStore instead, which shares agent
-  /// subtrees that did not change between versions.
-  static std::shared_ptr<const RibSnapshot> capture(const Rib& rib, std::uint64_t version = 1);
+  /// A frozen version of `rib` outside its publish sequence (tests, tools,
+  /// ad-hoc analytics): what Rib::publish() would freeze, at version 1.
+  /// Like a write, it runs on the thread that writes `rib`.
+  static std::shared_ptr<const RibSnapshot> capture(const Rib& rib);
 
   /// Composite of per-shard snapshots (docs/sharded_control.md): it holds
   /// the shard snapshots plus a chunked id->shard owner table, and resolves
@@ -144,8 +149,7 @@ class RibSnapshot {
       const RibSnapshot* previous = nullptr);
 
  private:
-  friend class SnapshotStore;
-  friend struct SlotTableEditor;
+  friend class Rib;
 
   /// The slot holding agent `id` (through the owner table for a
   /// composite), or null when absent.
@@ -168,32 +172,47 @@ class RibSnapshot {
   std::shared_ptr<const ChunkTable<std::uint16_t>> owners_;
 };
 
-/// Single-writer publish point: the RIB Updater (coordinator thread) calls
-/// publish(); any thread may call current(). The pointer swap happens
-/// under a tiny mutex -- uncontended in practice, since the hot path
-/// (applications inside a cycle) reads the snapshot *pinned* into its
-/// BatchingNorthbound proxy at dispatch, with no synchronization at all;
-/// current() is called by the coordinator when pinning, and by tests. A
-/// reader holding an old snapshot keeps it alive for as long as it needs.
-class SnapshotStore {
+/// The live RIB: the table a RibSnapshot freezes. The RIB Updater
+/// (coordinator thread) writes it through one write barrier, agent(): the
+/// first write to an agent after a freeze clones its chunk and its node
+/// (into a node an older version retired, when one is spare); later writes
+/// go straight to the clones. Each chunk stamps the generation that made
+/// it and the slots whose node it made; a chunk or node of the current
+/// generation was never frozen, so no reader can see it. A reference
+/// agent() returns may be written through until the next publish() or
+/// capture().
+///
+/// Any thread may call current(). The pointer swap happens under a tiny
+/// mutex -- uncontended in practice, since the hot path (applications
+/// inside a cycle) reads the snapshot *pinned* into its BatchingNorthbound
+/// proxy at dispatch, with no synchronization at all. A reader holding an
+/// old snapshot keeps it alive for as long as it needs.
+class Rib {
  public:
-  SnapshotStore();
+  Rib();
+  Rib(const Rib&) = delete;
+  Rib& operator=(const Rib&) = delete;
 
-  /// Publishes the state of `rib`. Agents in `dirty` (ascending, each id
-  /// once) are copied (or dropped when no longer in `rib`), each into a
-  /// retired node when one is spare; every other agent is shared with the
-  /// previous snapshot, so the cost follows the dirty set. An added agent
-  /// is a dirty id `rib` holds and a removed one a dirty id it no longer
-  /// holds. `structure_changed` (the RIB was rebuilt wholesale: master
-  /// restart, checkpoint load), or an agent count that still differs from
-  /// `rib`'s after the dirty agents, additionally reconciles the agent set
-  /// against `rib`, which walks every agent id. When nothing changed (empty
-  /// dirty set, `structure_changed` false, unchanged overload and
-  /// recovering state) the previous snapshot is re-published unchanged and
-  /// the version does not move.
-  std::shared_ptr<const RibSnapshot> publish(const Rib& rib, std::span<const AgentId> dirty,
-                                             bool structure_changed,
-                                             OverloadState overload = OverloadState::normal,
+  /// The agent `id`, writable; inserted (empty, with its id) when absent.
+  AgentNode& add_agent(AgentId id);
+  /// The write barrier: agent `id`, writable. Throws std::out_of_range for
+  /// an id the RIB does not hold -- only add_agent() inserts.
+  AgentNode& agent(AgentId id);
+  const AgentNode* find_agent(AgentId id) const { return table_.find_agent(id); }
+  void remove_agent(AgentId id);
+  /// Drops every agent (master restart). The published versions, their
+  /// version counter and the node pool stay.
+  void clear();
+
+  RibSnapshot::AgentRange agents() const { return table_.agents(); }
+  std::size_t agent_count() const { return table_.agent_count(); }
+  /// Approximate resident size of the RIB (Fig. 8 memory series).
+  std::size_t approx_bytes() const;
+
+  /// Freezes the table as the next version. When nothing was written since
+  /// the last publish and the overload and recovering state are unchanged,
+  /// the current version is returned as is and the version does not move.
+  std::shared_ptr<const RibSnapshot> publish(OverloadState overload = OverloadState::normal,
                                              bool recovering = false);
 
   /// Latest published snapshot (never null; starts at an empty version 0).
@@ -202,19 +221,36 @@ class SnapshotStore {
     return current_;
   }
 
-  /// Retired agent nodes kept for later publishes to copy into. Never more
-  /// than the most agents one publish replaced or dropped over the recent
-  /// publishes (util::RecentPeak, one round per publish).
+  /// Retired agent nodes kept for later clones to copy into. Never more
+  /// than the most agents one generation replaced or dropped over the
+  /// recent publishes (util::RecentPeak, one round per publish).
   std::size_t spare_nodes() const;
 
  private:
+  friend class RibSnapshot;
+  using NodeChunk = RibSnapshot::Chunk<RibSnapshot::AgentPtr>;
+
+  /// Chunk `chunk` of the table, cloned (or made) first unless this
+  /// generation made it.
+  NodeChunk& writable_chunk(std::size_t chunk);
+  /// A frozen copy of the table; later writes clone what they touch.
+  std::shared_ptr<RibSnapshot> freeze() const;
+
+  /// The working version: only its chunk table, count and membership stamp
+  /// are used.
+  RibSnapshot table_;
+  /// Bumped by every freeze (capture() freezes a const Rib too).
+  mutable std::uint64_t generation_ = 1;
+  /// Something was written since the last publish.
+  bool written_ = false;
+  /// Shared with every node this RIB made: a node released after the RIB
+  /// is gone is still freed through it.
+  std::shared_ptr<NodePool> pool_;
+  /// Nodes this generation replaced or dropped: the pool's need.
+  std::size_t retired_ = 0;
+  util::RecentPeak retired_peak_;
   mutable std::mutex mu_;
   std::shared_ptr<const RibSnapshot> current_;
-  /// Shared with every node this store handed out: a node released after
-  /// the store is gone is still freed through it.
-  std::shared_ptr<NodePool> pool_;
-  /// Agents each publish replaced or dropped: the pool's need.
-  util::RecentPeak retired_peak_;
 };
 
 }  // namespace flexran::ctrl

@@ -32,11 +32,11 @@ ShardCore::ShardCore(sim::Simulator& sim, MasterConfig config)
           },
           // The updater slot ends by publishing the cycle's snapshot -- the
           // version the applications dispatched this cycle will read.
-          [this] { publish_snapshot(); },
+          [this] { publish_now(); },
           [this] { dispatch_events(); }) {
   if (config_.obs.registry != nullptr) registry_ = config_.obs.registry;
   pending_.set_budget(config_.overload.ingest);
-  task_manager_.set_snapshot_source([this] { return snapshots_.current(); },
+  task_manager_.set_snapshot_source([this] { return rib_.current(); },
                                     [this] { return sim_.now(); });
   task_manager_.set_command_hooks(BatchingNorthbound::Hooks{
       // Enqueue-time arbitration (worker threads; the arbiter is
@@ -112,16 +112,11 @@ AgentId ShardCore::add_agent(net::Transport& transport, AgentId explicit_id) {
   });
   transport.set_disconnect_callback(
       [this, id](util::Error error) { mark_agent_down(id, error.message); });
-  rib_.agent(id).id = id;
-  // A dirty id the RIB holds is copied into the next snapshot, one it no
-  // longer holds is dropped from it: adding or removing an agent costs the
-  // publish that one agent, not a walk of the shard.
-  mark_dirty(id);
+  rib_.add_agent(id);
   return id;
 }
 
 void ShardCore::remove_agent(AgentId id) {
-  mark_dirty(id);
   // Recovery bookkeeping: a removed agent neither holds the readiness
   // quorum nor waits for a re-sync token.
   resync_waiting_.erase(id);
@@ -184,7 +179,7 @@ void ShardCore::sweep_liveness() {
   const sim::TimeUs now = sim_.now();
   for (const auto& [id, link] : links_) {
     (void)link;
-    AgentNode* agent = rib_.find_agent(id);
+    const AgentNode* agent = rib_.find_agent(id);
     if (agent == nullptr || agent->last_heard == 0) continue;
     // An agent deferred by the re-sync admission gate is silent at the
     // master's own request (the retry-after hint paused its hellos):
@@ -193,8 +188,9 @@ void ShardCore::sweep_liveness() {
     if (resync_waiting_.contains(id)) continue;
     const sim::TimeUs silent = now - agent->last_heard;
     if (stale_after > 0 && !agent->is_stale() && silent > stale_after) {
-      agent->state = SessionState::stale;
-      mark_dirty(id);
+      AgentNode& writable = rib_.agent(id);
+      writable.state = SessionState::stale;
+      agent = &writable;  // the barrier may have cloned the node read above
       FLEXRAN_LOG(warn, "master") << "agent " << id << " stale (silent for " << silent / 1000
                                   << " ms)";
     }
@@ -311,21 +307,6 @@ void ShardCore::renegotiate_reports() {
   }
 }
 
-void ShardCore::mark_dirty(AgentId id) {
-  // An agent's messages often arrive back to back: skip the repeat here.
-  if (dirty_agents_.empty() || dirty_agents_.back() != id) dirty_agents_.push_back(id);
-}
-
-void ShardCore::publish_snapshot() {
-  std::sort(dirty_agents_.begin(), dirty_agents_.end());
-  dirty_agents_.erase(std::unique(dirty_agents_.begin(), dirty_agents_.end()),
-                      dirty_agents_.end());
-  snapshots_.publish(rib_, dirty_agents_, rib_structure_changed_, overload_monitor_.state(),
-                     recovering_);
-  dirty_agents_.clear();
-  rib_structure_changed_ = false;
-}
-
 void ShardCore::apply_update(const PendingUpdate& update) {
   using proto::MessageType;
   const proto::Envelope& envelope = update.envelope;
@@ -340,15 +321,18 @@ void ShardCore::apply_update(const PendingUpdate& update) {
           static_cast<double>(sim_.now() - static_cast<sim::TimeUs>(envelope.ts_echo_us)));
     }
   }
-  AgentNode& agent = rib_.agent(update.agent);
+  // A message from an agent the RIB no longer holds (removed while its
+  // report was in flight) is dropped: only add_agent inserts.
+  const AgentNode* known = rib_.find_agent(update.agent);
+  if (known == nullptr) return;
   // Session fencing: a message carrying an epoch older than the agent's
   // current session is a straggler from before a restart and must not
   // mutate the RIB. Epoch 0 is the wildcard (pre-epoch senders).
-  if (update.epoch != 0 && update.epoch < agent.epoch) {
+  if (update.epoch != 0 && update.epoch < known->epoch) {
     ++stats_.fenced_updates;
     return;
   }
-  mark_dirty(update.agent);
+  AgentNode& agent = rib_.agent(update.agent);
   if (update.epoch > agent.epoch && envelope.type != MessageType::hello) {
     // New-session traffic arrived before its hello (the hello was lost in
     // flight). Adopt the new session and re-sync rather than waiting for
@@ -526,14 +510,14 @@ void ShardCore::on_agent_hello(AgentId id, const proto::Hello& hello) {
 // -------------------------------------------------------- session lifecycle
 
 void ShardCore::resync_agent(AgentId id) {
-  AgentNode& agent = rib_.agent(id);
-  if (agent.state == SessionState::resyncing && !resync_started_at_.contains(id)) {
-    resync_started_at_[id] = sim_.now();
-  }
+  const AgentNode* agent = rib_.find_agent(id);
+  if (agent == nullptr) return;
+  const bool resyncing = agent->state == SessionState::resyncing;
+  if (resyncing && !resync_started_at_.contains(id)) resync_started_at_[id] = sim_.now();
   // Warm restore: the agent's configuration came from the checkpoint, so
   // the three config fetch round-trips are skipped -- the delta re-sync is
   // just re-arming reports and subscriptions.
-  const bool delta = warm_restored_.contains(id) && !agent.cells.empty();
+  const bool delta = warm_restored_.contains(id) && !agent->cells.empty();
   if (config_.auto_configure && !delta) {
     (void)send_to(id, proto::EnbConfigRequest{}, /*track=*/true);
     (void)send_to(id, proto::UeConfigRequest{}, /*track=*/true);
@@ -547,10 +531,7 @@ void ShardCore::resync_agent(AgentId id) {
   }
   if (delta || !config_.auto_configure) {
     // Nothing left to wait for: the session is immediately serviceable.
-    if (agent.state == SessionState::resyncing) {
-      agent.state = SessionState::up;
-      mark_dirty(id);
-    }
+    if (resyncing) rib_.agent(id).state = SessionState::up;
     mark_resynced(id);
   }
 }
@@ -574,10 +555,9 @@ void ShardCore::begin_agent_session(AgentId id, std::uint32_t epoch) {
 }
 
 void ShardCore::mark_agent_down(AgentId id, const std::string& reason) {
-  AgentNode& agent = rib_.agent(id);
-  if (agent.state == SessionState::down) return;
-  agent.state = SessionState::down;
-  mark_dirty(id);
+  const AgentNode* known = rib_.find_agent(id);
+  if (known == nullptr || known->state == SessionState::down) return;
+  rib_.agent(id).state = SessionState::down;
   // A downed agent neither waits for a re-sync token nor keeps its
   // re-sync clock running (it restarts from scratch when heard again).
   resync_waiting_.erase(id);
@@ -753,16 +733,12 @@ void ShardCore::restart() {
   checkpoint_loaded_ = false;
   // Forget the RIB, keeping a down-state husk per live connection so the
   // readiness barrier knows the fleet it is waiting for.
-  rib_ = Rib{};
+  rib_.clear();
   for (const auto& [id, link] : links_) {
     (void)link;
-    AgentNode& node = rib_.agent(id);
-    node.id = id;
-    node.state = SessionState::down;
+    rib_.add_agent(id).state = SessionState::down;
     recovery_expected_.insert(id);
-    mark_dirty(id);
   }
-  rib_structure_changed_ = true;
   if (config_.recovery.enabled) {
     ++incarnation_;
     resync_tokens_ = config_.recovery.resync_burst;
@@ -905,7 +881,6 @@ void ShardCore::load_checkpoint() {
     incarnation_ = std::max(incarnation_, checkpoint->incarnation + 1);
   }
   for (const auto& saved : checkpoint->agents) import_durable(saved);
-  rib_structure_changed_ = true;
   FLEXRAN_LOG(info, "master") << "loaded checkpoint: " << checkpoint->agents.size()
                               << " agents, incarnation " << checkpoint->incarnation;
 }
@@ -965,7 +940,7 @@ proto::MasterCheckpoint ShardCore::build_checkpoint() const {
   for (const auto& [id, agent] : rib_.agents()) {
     // Only durable state: identity, configuration, epoch. Agents that never
     // completed a hello have nothing worth restoring.
-    if (agent.epoch == 0 && agent.name.empty()) continue;
+    if (agent->epoch == 0 && agent->name.empty()) continue;
     checkpoint.agents.push_back(export_agent(id));
   }
   return checkpoint;
@@ -994,8 +969,7 @@ proto::CheckpointAgent ShardCore::export_agent(AgentId id) const {
 
 void ShardCore::import_durable(const proto::CheckpointAgent& saved) {
   const AgentId id = saved.id;
-  AgentNode& node = rib_.agent(id);
-  node.id = id;
+  AgentNode& node = rib_.add_agent(id);
   node.enb_id = saved.config.enb_id;
   node.name = saved.name;
   node.capabilities = saved.capabilities;
@@ -1012,7 +986,6 @@ void ShardCore::import_durable(const proto::CheckpointAgent& saved) {
   }
   warm_restored_.insert(id);
   recovery_expected_.insert(id);
-  mark_dirty(id);
 }
 
 void ShardCore::bump_incarnation(std::uint32_t floor) {
@@ -1023,13 +996,11 @@ void ShardCore::bump_incarnation(std::uint32_t floor) {
 void ShardCore::adopt_agent(net::Transport& transport, AgentId id,
                             const proto::CheckpointAgent* durable) {
   add_agent(transport, id);  // rebinds the connection's callbacks to this core
-  AgentNode& node = rib_.agent(id);
   // The agent keeps talking on the surviving connection; until its next
   // message (or re-hello against this core's incarnation) lands here, the
   // session is down from this core's point of view. Its first frame walks
   // the reconnect path into the paced re-sync admission.
-  node.state = SessionState::down;
-  mark_dirty(id);
+  rib_.agent(id).state = SessionState::down;
   if (durable != nullptr && durable->id == id) {
     import_durable(*durable);  // warm handoff: next re-sync is a delta
   } else if (config_.recovery.enabled) {
@@ -1076,7 +1047,8 @@ util::Status ShardCore::send_to(AgentId agent, const M& message, bool track) {
   proto::Envelope envelope;
   envelope.type = M::kType;
   envelope.xid = next_xid_++;
-  envelope.epoch = rib_.agent(agent).epoch;
+  const AgentNode* node = rib_.find_agent(agent);
+  envelope.epoch = node != nullptr ? node->epoch : 0;
   if (config_.overload.ingest.enabled()) {
     // Piggyback the overload state + throttle hint on every outgoing
     // message while non-normal; both encode to nothing when healthy.
@@ -1100,7 +1072,6 @@ util::Status ShardCore::send_to(AgentId agent, const M& message, bool track) {
     // App readiness gating: no command reaches an agent that has not yet
     // re-synced with this incarnation. Apps acting before the barrier drops
     // would be scheduling against a half-rebuilt world view.
-    const auto* node = rib_.find_agent(agent);
     if (node == nullptr || node->state != SessionState::up) {
       ++stats_.commands_held;
       return util::Error::conflict("recovering: agent not re-synced");
@@ -1110,7 +1081,6 @@ util::Status ShardCore::send_to(AgentId agent, const M& message, bool track) {
     // Invariant tripwire, deliberately separate from the gate above: dead
     // code today, but if the gate is ever weakened this records the
     // command that escaped and the InvariantMonitor flags the increase.
-    const auto* node = rib_.find_agent(agent);
     if (node == nullptr || node->state != SessionState::up) ++stats_.commands_sent_unresynced;
   }
   // Reused per-shard scratch encoder (sends happen on the coordinator

@@ -344,7 +344,7 @@ class ShardCore final : public NorthboundApi {
   /// drain -- so the composite union never shows a moved agent in two
   /// places (or a removed one at all) while the shard idles between
   /// cycles. Coordinator-thread only, like run_cycle().
-  void publish_now() { publish_snapshot(); }
+  void publish_now() { rib_.publish(overload_monitor_.state(), recovering_); }
   /// Joins the in-flight application slot (if any) and flushes its command
   /// batches. With a pipelined task manager (workers > 0) a cycle's
   /// commands reach the wire one cycle later; call this before asserting
@@ -364,7 +364,7 @@ class ShardCore final : public NorthboundApi {
   util::Status resume_app(std::string_view name) { return task_manager_.set_paused(name, false); }
 
   // ---- NorthboundApi ---------------------------------------------------------
-  std::shared_ptr<const RibSnapshot> rib_snapshot() const override { return snapshots_.current(); }
+  std::shared_ptr<const RibSnapshot> rib_snapshot() const override { return rib_.current(); }
   sim::TimeUs now() const override { return sim_.now(); }
   std::int64_t agent_subframe(AgentId agent) const override;
   util::Status send_dl_mac_config(AgentId agent, const proto::DlMacConfig& config) override;
@@ -391,7 +391,7 @@ class ShardCore final : public NorthboundApi {
   /// Every counter of this shard (kShardStatFields lists them). Coordinator
   /// thread only, like run_cycle().
   ShardStats stats() const;
-  std::uint64_t snapshot_version() const { return snapshots_.current()->version(); }
+  std::uint64_t snapshot_version() const { return rib_.current()->version(); }
   /// Wall time of each cycle's snapshot publish (Fig. 8 companion series;
   /// the Task Manager's publish stage).
   const util::RunningStats& snapshot_publish_us() const { return task_manager_.stages().publish; }
@@ -519,11 +519,6 @@ class ShardCore final : public NorthboundApi {
   /// periodic stats request at the new period.
   void update_throttle(std::uint32_t multiplier);
   void renegotiate_reports();
-  /// Marks agent `id` for the next publish.
-  void mark_dirty(AgentId id);
-  /// End of the updater slot: publishes this cycle's RibSnapshot (shares
-  /// the subtrees of agents not in dirty_agents_).
-  void publish_snapshot();
   void apply_update(const PendingUpdate& update);
   void dispatch_events();
   void on_agent_hello(AgentId id, const proto::Hello& hello);
@@ -581,13 +576,6 @@ class ShardCore final : public NorthboundApi {
   sim::Simulator& sim_;
   MasterConfig config_;
   Rib rib_;
-  SnapshotStore snapshots_;
-  /// Agents whose node changed, was added or was removed since the last
-  /// publish (copied into, or dropped from, the next snapshot; everything
-  /// else is shared), in arrival order with repeats; publish_snapshot()
-  /// sorts and deduplicates them. Reused, so marking allocates nothing once
-  /// the vector has grown to a cycle's updates.
-  std::vector<AgentId> dirty_agents_;
   /// Stats replies decode into this one message, so after the first reply
   /// of a given shape the decode reuses its vectors instead of allocating.
   proto::StatsReply stats_reply_;
@@ -597,9 +585,6 @@ class ShardCore final : public NorthboundApi {
   /// entries, so a message of a size seen before allocates nothing.
   PendingUpdate rx_slot_;
   PendingUpdate apply_slot_;
-  /// The RIB was rebuilt wholesale (restart, checkpoint load) since the
-  /// last publish: the next one reconciles the whole agent set.
-  bool rib_structure_changed_ = false;
   TaskManager task_manager_;
   ConflictArbiter arbiter_;
 

@@ -1,7 +1,7 @@
 // The trim rule shared by the free lists that recycle buffers on the
 // control path: the simulator's frame pool (sim::FramePool), the ingest
-// queue's spare entries (net::ClassedQueue) and the snapshot store's
-// retired agent nodes (ctrl::SnapshotStore).
+// queue's spare entries (net::ClassedQueue) and the RIB's retired agent
+// nodes (ctrl::Rib).
 #pragma once
 
 #include <algorithm>

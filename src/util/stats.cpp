@@ -7,9 +7,7 @@ namespace flexran::util {
 void RunningStats::add(double sample) {
   ++count_;
   total_ += sample;
-  const double delta = sample - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (sample - mean_);
+  mean_ += (sample - mean_) / static_cast<double>(count_);
   min_ = std::min(min_, sample);
   max_ = std::max(max_, sample);
 }

@@ -10,7 +10,7 @@
 
 namespace flexran::util {
 
-/// Welford running mean/variance with min/max.
+/// Running count, mean, total, min and max.
 class RunningStats {
  public:
   void add(double sample);
@@ -18,7 +18,6 @@ class RunningStats {
 
   std::size_t count() const { return count_; }
   double mean() const { return count_ > 0 ? mean_ : 0.0; }
-  double variance() const { return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0; }
   double min() const { return count_ > 0 ? min_ : 0.0; }
   double max() const { return count_ > 0 ? max_ : 0.0; }
   double total() const { return total_; }
@@ -26,7 +25,6 @@ class RunningStats {
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
   double total_ = 0.0;

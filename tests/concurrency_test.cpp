@@ -23,16 +23,14 @@ namespace flexran::ctrl {
 namespace {
 
 using scenario::Testbed;
-/// A dirty set for SnapshotStore::publish (ascending, each id once).
 using Ids = std::vector<AgentId>;
 
 // ------------------------------------------------------------ RibSnapshot --
 
-Rib make_rib() {
-  Rib rib;
+/// Three agents, each with one cell and two UEs.
+void fill_rib(Rib& rib) {
   for (AgentId id = 1; id <= 3; ++id) {
-    AgentNode& agent = rib.agent(id);
-    agent.id = id;
+    AgentNode& agent = rib.add_agent(id);
     agent.enb_id = id;
     auto& cell = agent.cell(id);
     cell.config.bandwidth_mhz = 10.0;  // 50 PRBs
@@ -46,17 +44,16 @@ Rib make_rib() {
       ue.cqi_avg.add(9.0);
     }
   }
-  return rib;
 }
 
 TEST(RibSnapshot, BitStableWhileUpdaterMutates) {
-  Rib rib = make_rib();
-  SnapshotStore store;
-  auto v1 = store.publish(rib, Ids{1, 2, 3}, /*structure_changed=*/true);
+  Rib rib;
+  fill_rib(rib);
+  auto v1 = rib.publish();
   ASSERT_EQ(v1->version(), 1u);
   ASSERT_EQ(v1->agent_count(), 3u);
 
-  // The updater keeps mutating the live tree...
+  // The updater keeps writing the live table...
   auto& ue = rib.agent(1).ues[rib.agent(1).upsert_ue(70)];
   ue.stats.wb_cqi = 2;
   ue.stats.dl_bytes_delivered = 999999;
@@ -73,7 +70,7 @@ TEST(RibSnapshot, BitStableWhileUpdaterMutates) {
   EXPECT_EQ(v1->ue_count(), 6u);
 
   // The next publish sees the mutations; the old version still does not.
-  auto v2 = store.publish(rib, Ids{1, 2}, /*structure_changed=*/true);
+  auto v2 = rib.publish();
   EXPECT_EQ(v2->version(), 2u);
   EXPECT_EQ(v2->find_ue(1, 70)->stats.wb_cqi, 2);
   EXPECT_EQ(v2->find_agent(3), nullptr);
@@ -82,19 +79,21 @@ TEST(RibSnapshot, BitStableWhileUpdaterMutates) {
 }
 
 TEST(RibSnapshot, SharesUnchangedSubtreesAndSkipsNoopPublishes) {
-  Rib rib = make_rib();
-  SnapshotStore store;
-  auto v1 = store.publish(rib, Ids{1, 2, 3}, true);
+  Rib rib;
+  fill_rib(rib);
+  auto v1 = rib.publish();
 
-  // Nothing dirty: the same snapshot is re-published, version unchanged.
-  auto same = store.publish(rib, {}, false);
+  // Nothing written (reads are not writes): the same snapshot is
+  // re-published, version unchanged.
+  EXPECT_EQ(rib.find_agent(1), v1->find_agent(1));
+  auto same = rib.publish();
   EXPECT_EQ(same.get(), v1.get());
-  EXPECT_EQ(store.current()->version(), 1u);
+  EXPECT_EQ(rib.current()->version(), 1u);
 
-  // Only agent 1 dirty: agents 2 and 3 are carried by the same nodes
-  // (structural sharing), agent 1 is deep-copied.
+  // Only agent 1 written: agents 2 and 3 are carried by the same nodes
+  // (structural sharing), agent 1 was cloned by the write barrier.
   rib.agent(1).last_subframe = 100;
-  auto v2 = store.publish(rib, Ids{1}, false);
+  auto v2 = rib.publish();
   EXPECT_EQ(v2->version(), 2u);
   EXPECT_NE(v2->find_agent(1), v1->find_agent(1));
   EXPECT_EQ(v2->find_agent(2), v1->find_agent(2));
@@ -107,7 +106,7 @@ TEST(RibSnapshot, SharesUnchangedSubtreesAndSkipsNoopPublishes) {
 /// Adds an empty agent node for every id (the slot table only cares about
 /// ids and node identity).
 void add_agents(Rib& rib, const std::vector<AgentId>& ids) {
-  for (AgentId id : ids) rib.agent(id).id = id;
+  for (AgentId id : ids) rib.add_agent(id);
 }
 
 std::vector<AgentId> ids_of(const RibSnapshot& snapshot) {
@@ -124,12 +123,11 @@ TEST(RibSnapshot, OneDirtyAgentAmongThousandSharesTheOthers) {
   std::vector<AgentId> all;
   for (AgentId id = 1; id <= 1000; ++id) all.push_back(id);
   add_agents(rib, all);
-  SnapshotStore store;
-  auto v1 = store.publish(rib, {}, /*structure_changed=*/true);
+  auto v1 = rib.publish();
   ASSERT_EQ(v1->agent_count(), 1000u);
 
   rib.agent(500).last_subframe = 7;
-  auto v2 = store.publish(rib, Ids{500}, false);
+  auto v2 = rib.publish();
   EXPECT_EQ(v2->membership_version(), v1->membership_version()) << "stats-only publish";
   EXPECT_NE(v2->find_agent(500), v1->find_agent(500));
   EXPECT_EQ(v2->find_agent(500)->last_subframe, 7);
@@ -151,27 +149,26 @@ TEST(RibSnapshot, AddRemoveAndReaddAcrossChunkBoundaries) {
   constexpr AgentId kSparse = 100 * kChunk + 5;  // far past the table end
   Rib rib;
   add_agents(rib, edges);
-  SnapshotStore store;
-  auto v1 = store.publish(rib, {}, true);
+  auto v1 = rib.publish();
   EXPECT_EQ(ids_of(*v1), edges);
 
   // Add: a sparse id grows the table without disturbing the others.
   add_agents(rib, {kSparse});
-  auto v2 = store.publish(rib, Ids{kSparse}, true);
+  auto v2 = rib.publish();
   EXPECT_NE(v2->membership_version(), v1->membership_version());
   EXPECT_EQ(v2->agent_count(), edges.size() + 1);
   EXPECT_NE(v2->find_agent(kSparse), nullptr);
   for (AgentId id : edges) EXPECT_EQ(v2->find_agent(id), v1->find_agent(id));
   EXPECT_EQ(v1->find_agent(kSparse), nullptr) << "old version keeps its agent set";
 
-  // Remove on both sides of each boundary, once through a structure change
-  // and once through the dirty set alone.
+  // Remove on both sides of each boundary, in two publishes; the second
+  // empties the sparse id's chunk.
   rib.remove_agent(kChunk - 1);
   rib.remove_agent(kChunk);
-  auto v3 = store.publish(rib, {}, true);
+  auto v3 = rib.publish();
   rib.remove_agent(2 * kChunk);
   rib.remove_agent(kSparse);
-  auto v4 = store.publish(rib, Ids{2 * kChunk, kSparse}, false);
+  auto v4 = rib.publish();
   EXPECT_EQ(ids_of(*v3), (std::vector<AgentId>{1, 2 * kChunk - 1, 2 * kChunk, kSparse}));
   EXPECT_EQ(ids_of(*v4), (std::vector<AgentId>{1, 2 * kChunk - 1}));
   EXPECT_EQ(v4->agent_count(), 2u);
@@ -181,7 +178,7 @@ TEST(RibSnapshot, AddRemoveAndReaddAcrossChunkBoundaries) {
 
   // Re-add: fresh nodes in the emptied slots.
   add_agents(rib, {kChunk, kSparse});
-  auto v5 = store.publish(rib, Ids{kChunk, kSparse}, true);
+  auto v5 = rib.publish();
   EXPECT_EQ(ids_of(*v5), (std::vector<AgentId>{1, kChunk, 2 * kChunk - 1, kSparse}));
   EXPECT_NE(v5->find_agent(kChunk), nullptr);
   EXPECT_NE(v5->find_agent(kChunk), v1->find_agent(kChunk));
@@ -194,9 +191,8 @@ TEST(RibSnapshot, AddRemoveAndReaddAcrossChunkBoundaries) {
 TEST(RibSnapshot, FindAgentRejectsZeroAbsentAndOutOfRangeIds) {
   Rib rib;
   add_agents(rib, {1, 2, 40});
-  SnapshotStore store;
-  EXPECT_EQ(store.current()->find_agent(1), nullptr) << "empty version 0";
-  auto snapshot = store.publish(rib, {}, true);
+  EXPECT_EQ(rib.current()->find_agent(1), nullptr) << "empty version 0";
+  auto snapshot = rib.publish();
   EXPECT_EQ(snapshot->find_agent(0), nullptr);
   EXPECT_EQ(snapshot->find_agent(3), nullptr);        // absent, inside the table
   EXPECT_EQ(snapshot->find_agent(100000), nullptr);   // beyond the table
@@ -230,19 +226,19 @@ bool reads_stamp(const AgentNode& agent, std::uint32_t salt) {
 }
 
 TEST(RibSnapshot, RecycledCopyNeverTouchesAHeldSnapshot) {
-  Rib rib = make_rib();
-  SnapshotStore store;
-  store.publish(rib, {}, true);
+  Rib rib;
+  fill_rib(rib);
+  rib.publish();
   stamp(rib.agent(1), 1);
-  const auto held = store.publish(rib, Ids{1}, false);
+  const auto held = rib.publish();
   const AgentNode* held_node = held->find_agent(1);
 
   // Five more versions of agent 1, each released before the next publish:
-  // from the second on, the copy lands in a node an older version retired.
+  // from the second on, the clone lands in a node an older version retired.
   std::set<const AgentNode*> nodes;
   for (std::uint32_t salt = 2; salt <= 6; ++salt) {
     stamp(rib.agent(1), salt);
-    const auto next = store.publish(rib, Ids{1}, false);
+    const auto next = rib.publish();
     ASSERT_TRUE(reads_stamp(*next->find_agent(1), salt));
     EXPECT_NE(next->find_agent(1), held_node);
     nodes.insert(next->find_agent(1));
@@ -254,50 +250,51 @@ TEST(RibSnapshot, RecycledCopyNeverTouchesAHeldSnapshot) {
 }
 
 TEST(RibSnapshot, PoolStaysBounded) {
-  Rib rib;
+  auto rib = std::make_unique<Rib>();
   for (AgentId id = 1; id <= 64; ++id) {
-    AgentNode& agent = rib.agent(id);
-    agent.id = id;
+    AgentNode& agent = rib->add_agent(id);
     for (lte::Rnti rnti = 70; rnti < 74; ++rnti) agent.upsert_ue(rnti);
   }
   Ids all;
   for (AgentId id = 1; id <= 64; ++id) all.push_back(id);
-  auto store = std::make_unique<SnapshotStore>();
-  store->publish(rib, {}, true);
-  EXPECT_EQ(store->spare_nodes(), 0u) << "the first publish retired nothing";
+  // Writes every agent of `ids` through the barrier, then publishes.
+  const auto publish_writing = [&](const Ids& ids) {
+    for (AgentId id : ids) rib->agent(id);
+    rib->publish();
+  };
+  rib->publish();
+  EXPECT_EQ(rib->spare_nodes(), 0u) << "the first publish retired nothing";
 
-  // Steady state: D dirty agents per publish, no snapshot held but the
-  // store's own -- the store keeps at most D spare nodes.
+  // Steady state: D written agents per publish, no snapshot held but the
+  // RIB's own current one -- the RIB keeps at most D spare nodes.
   constexpr std::size_t kDirty = 10;
   const Ids dirty(all.begin(), all.begin() + kDirty);
   for (std::uint32_t salt = 1; salt <= 20; ++salt) {
-    for (AgentId id : dirty) stamp(rib.agent(id), salt);
-    store->publish(rib, dirty, false);
-    EXPECT_LE(store->spare_nodes(), kDirty);
+    for (AgentId id : dirty) stamp(rib->agent(id), salt);
+    rib->publish();
+    EXPECT_LE(rib->spare_nodes(), kDirty);
   }
-  EXPECT_EQ(store->spare_nodes(), kDirty);
+  EXPECT_EQ(rib->spare_nodes(), kDirty);
 
   // A burst that replaces every agent grows the pool to the burst. Smaller
-  // publishes keep it there while the burst is recent, so a dirty count
-  // that swings back up copies into retired nodes; two windows of them
+  // publishes keep it there while the burst is recent, so a write count
+  // that swings back up clones into retired nodes; two windows of them
   // shrink it back.
-  store->publish(rib, all, false);
-  store->publish(rib, all, false);
-  EXPECT_EQ(store->spare_nodes(), all.size());
+  publish_writing(all);
+  publish_writing(all);
+  EXPECT_EQ(rib->spare_nodes(), all.size());
   const Ids few(all.begin(), all.begin() + 3);
-  store->publish(rib, few, false);
-  store->publish(rib, few, false);
-  EXPECT_EQ(store->spare_nodes(), all.size());
-  for (std::uint32_t i = 0; i < 2 * util::RecentPeak::kWindowRounds; ++i) {
-    store->publish(rib, few, false);
-  }
-  EXPECT_LE(store->spare_nodes(), few.size());
+  publish_writing(few);
+  publish_writing(few);
+  EXPECT_EQ(rib->spare_nodes(), all.size());
+  for (std::uint32_t i = 0; i < 2 * util::RecentPeak::kWindowRounds; ++i) publish_writing(few);
+  EXPECT_LE(rib->spare_nodes(), few.size());
 
-  // Nodes outlive their store: the held snapshot reads correctly, and its
+  // Nodes outlive their RIB: the held snapshot reads correctly, and its
   // nodes, the pool and its spares are freed when it goes.
-  for (AgentId id : all) stamp(rib.agent(id), 99);
-  auto held = store->publish(rib, all, false);
-  store.reset();
+  for (AgentId id : all) stamp(rib->agent(id), 99);
+  auto held = rib->publish();
+  rib.reset();
   ASSERT_EQ(held->agent_count(), all.size());
   for (const auto& [id, node] : held->agents()) {
     EXPECT_EQ(node->id, id);
@@ -307,15 +304,15 @@ TEST(RibSnapshot, PoolStaysBounded) {
 }
 
 TEST(RibSnapshot, CurrentIsConsistentUnderConcurrentPublish) {
-  Rib rib = make_rib();
-  SnapshotStore store;
-  store.publish(rib, Ids{1, 2, 3}, true);
+  Rib rib;
+  fill_rib(rib);
+  rib.publish();
 
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> last_seen{0};
   std::thread reader([&] {
     while (!stop.load()) {
-      auto snapshot = store.current();
+      auto snapshot = rib.current();
       // Monotonic versions and internally consistent trees.
       ASSERT_GE(snapshot->version(), last_seen.load());
       last_seen.store(snapshot->version());
@@ -324,24 +321,25 @@ TEST(RibSnapshot, CurrentIsConsistentUnderConcurrentPublish) {
   });
   for (int i = 0; i < 2000; ++i) {
     rib.agent(1).last_subframe = i;
-    store.publish(rib, Ids{1}, false);
+    rib.publish();
   }
   stop.store(true);
   reader.join();
-  EXPECT_EQ(store.current()->version(), 2001u);
+  EXPECT_EQ(rib.current()->version(), 2001u);
 }
 
 // ------------------------------------------------- snapshot-backed views ---
 
 TEST(RibViewSnapshot, SummariesOverSnapshotMatchLiveRib) {
-  Rib rib = make_rib();
+  Rib rib;
+  fill_rib(rib);
   const auto view = RibSnapshot::capture(rib);
 
   // The flattened view lists the live RIB's UEs in (agent, rnti) order.
   const auto summaries = summarize_ues(*view);
   std::size_t row = 0;
   for (const auto& [id, agent] : rib.agents()) {
-    for (const auto& ue : agent.ues) {
+    for (const auto& ue : agent->ues) {
       ASSERT_LT(row, summaries.size());
       EXPECT_EQ(summaries[row].agent, id);
       EXPECT_EQ(summaries[row].rnti, ue.rnti);
@@ -357,11 +355,11 @@ TEST(RibViewSnapshot, SummariesOverSnapshotMatchLiveRib) {
 /// Records every command that reaches the wire, in order.
 class RecordingNorthbound : public NorthboundApi {
  public:
-  explicit RecordingNorthbound(SnapshotStore& store) : store_(&store) {}
+  explicit RecordingNorthbound(const Rib& rib) : rib_(&rib) {}
 
   std::vector<std::string> log;
 
-  std::shared_ptr<const RibSnapshot> rib_snapshot() const override { return store_->current(); }
+  std::shared_ptr<const RibSnapshot> rib_snapshot() const override { return rib_->current(); }
   sim::TimeUs now() const override { return 0; }
   std::int64_t agent_subframe(AgentId) const override { return 0; }
   util::Status send_dl_mac_config(AgentId, const proto::DlMacConfig&) override { return {}; }
@@ -387,17 +385,17 @@ class RecordingNorthbound : public NorthboundApi {
   }
 
  private:
-  SnapshotStore* store_;
+  const Rib* rib_;
 };
 
 TEST(Monitoring, AddedAndRemovedAgentsMatchAFreshApp) {
-  Rib rib = make_rib();
-  rib.agent(6).id = 6;
+  Rib rib;
+  fill_rib(rib);
+  rib.add_agent(6);
   for (AgentId id = 1; id <= 3; ++id) stamp(rib.agent(id), 10 + id);
-  SnapshotStore store;
-  RecordingNorthbound api(store);
+  RecordingNorthbound api(rib);
   apps::MonitoringApp app(/*period_cycles=*/1);
-  store.publish(rib, {}, true);
+  rib.publish();
   app.on_cycle(0, api);
   ASSERT_EQ(app.summaries().size(), 4u);
 
@@ -405,11 +403,10 @@ TEST(Monitoring, AddedAndRemovedAgentsMatchAFreshApp) {
   // end, and change an agent that stays.
   rib.remove_agent(1);
   rib.remove_agent(3);
-  rib.agent(4).id = 4;
-  stamp(rib.agent(4), 40);
-  rib.agent(9).id = 9;
+  stamp(rib.add_agent(4), 40);
+  rib.add_agent(9);
   stamp(rib.agent(2), 20);
-  store.publish(rib, Ids{1, 2, 3, 4, 9}, false);
+  rib.publish();
   app.on_cycle(1, api);
   apps::MonitoringApp fresh(/*period_cycles=*/1);
   fresh.on_cycle(0, api);
@@ -419,7 +416,7 @@ TEST(Monitoring, AddedAndRemovedAgentsMatchAFreshApp) {
 
   // Every agent gone.
   for (AgentId id : {2u, 4u, 6u, 9u}) rib.remove_agent(id);
-  store.publish(rib, Ids{2, 4, 6, 9}, false);
+  rib.publish();
   app.on_cycle(2, api);
   EXPECT_TRUE(app.summaries().empty());
   EXPECT_EQ(app.snapshots_taken(), 3);
@@ -446,17 +443,15 @@ class ChattyApp : public App {
 };
 
 std::vector<std::string> run_chatty_cycles(int workers, int cycles) {
-  Rib rib = make_rib();
-  SnapshotStore store;
-  RecordingNorthbound api(store);
+  Rib rib;
+  fill_rib(rib);
+  RecordingNorthbound api(rib);
 
   TaskManagerConfig config;
   config.real_time = false;
   config.workers = workers;
-  TaskManager tm(config, nullptr, [&] {
-    store.publish(rib, Ids{1}, rib.agent_count() != store.current()->agent_count());
-  }, nullptr);
-  tm.set_snapshot_source([&] { return store.current(); }, [] { return sim::TimeUs{0}; });
+  TaskManager tm(config, nullptr, [&] { rib.publish(); }, nullptr);
+  tm.set_snapshot_source([&] { return rib.current(); }, [] { return sim::TimeUs{0}; });
 
   // "slow" registers first within the time-critical tier but finishes last;
   // the flush order must not care.
@@ -495,13 +490,13 @@ TEST(CommandBatch, FlushOrderIsDeterministicAcrossRunsAndWorkerCounts) {
 }
 
 TEST(CommandBatch, EnqueueValidatesAgainstPinnedSnapshot) {
-  Rib rib = make_rib();
-  SnapshotStore store;
-  store.publish(rib, Ids{1, 2, 3}, true);
-  RecordingNorthbound api(store);
+  Rib rib;
+  fill_rib(rib);
+  rib.publish();
+  RecordingNorthbound api(rib);
   BatchingNorthbound proxy(api);
 
-  proxy.pin(store.current(), 0);
+  proxy.pin(rib.current(), 0);
   EXPECT_TRUE(proxy.send_policy(1, "known").ok());
   auto unknown = proxy.send_policy(99, "unknown");
   EXPECT_FALSE(unknown.ok());
@@ -548,16 +543,14 @@ class TierProbeApp : public App {
 };
 
 TEST(TaskManagerPool, LowerTierWaitsForHigherTier) {
-  Rib rib = make_rib();
-  SnapshotStore store;
-  RecordingNorthbound api(store);
+  Rib rib;
+  fill_rib(rib);
+  RecordingNorthbound api(rib);
   TaskManagerConfig config;
   config.real_time = false;
   config.workers = 4;
-  TaskManager tm(config, nullptr, [&] {
-    store.publish(rib, Ids{1}, store.current()->agent_count() == 0);
-  }, nullptr);
-  tm.set_snapshot_source([&] { return store.current(); }, [] { return sim::TimeUs{0}; });
+  TaskManager tm(config, nullptr, [&] { rib.publish(); }, nullptr);
+  tm.set_snapshot_source([&] { return rib.current(); }, [] { return sim::TimeUs{0}; });
 
   std::atomic<int> finished_above{0};
   std::atomic<bool> violated{false};
@@ -619,8 +612,8 @@ class CountingApp : public App {
 };
 
 TEST(TaskManagerPool, RemoveDuringCycleIsDeferredToCycleBoundary) {
-  SnapshotStore store;
-  RecordingNorthbound api(store);
+  Rib rib;
+  RecordingNorthbound api(rib);
   TaskManager tm({.real_time = false}, nullptr, nullptr, nullptr);
 
   SelfRemovingApp remover("remover", tm, "victim");
@@ -643,16 +636,14 @@ TEST(TaskManagerPool, RemoveDuringCycleIsDeferredToCycleBoundary) {
 }
 
 TEST(TaskManagerPool, RemoveWhileSlotInFlightWaitsForJoin) {
-  Rib rib = make_rib();
-  SnapshotStore store;
-  RecordingNorthbound api(store);
+  Rib rib;
+  fill_rib(rib);
+  RecordingNorthbound api(rib);
   TaskManagerConfig config;
   config.real_time = false;
   config.workers = 2;
-  TaskManager tm(config, nullptr, [&] {
-    store.publish(rib, Ids{1}, store.current()->agent_count() == 0);
-  }, nullptr);
-  tm.set_snapshot_source([&] { return store.current(); }, [] { return sim::TimeUs{0}; });
+  TaskManager tm(config, nullptr, [&] { rib.publish(); }, nullptr);
+  tm.set_snapshot_source([&] { return rib.current(); }, [] { return sim::TimeUs{0}; });
 
   ChattyApp slow("slow", 1, std::chrono::microseconds(2000));
   tm.add_app(&slow, api);
@@ -692,23 +683,24 @@ class PreviousSnapshotApp : public App {
 };
 
 TEST(TaskManagerPool, WorkerReleasesOfHeldSnapshotsRecycleSafely) {
-  Rib rib = make_rib();
-  SnapshotStore store;
-  RecordingNorthbound api(store);
+  Rib rib;
+  fill_rib(rib);
+  RecordingNorthbound api(rib);
   TaskManagerConfig config;
   config.real_time = false;
   config.workers = 2;
   std::uint32_t salt = 0;
   TaskManager tm(
       config,
-      // Every agent changes every cycle, so every node is retired each
-      // publish and the next copies go into recycled nodes.
+      // Every agent changes every cycle, so the updater of cycle N+1 clones
+      // every node while the apps of cycle N read snapshot N, and the
+      // clones go into recycled nodes.
       [&](std::int64_t) {
         ++salt;
         for (AgentId id = 1; id <= 3; ++id) stamp(rib.agent(id), salt);
       },
-      [&] { store.publish(rib, Ids{1, 2, 3}, store.current()->agent_count() == 0); }, nullptr);
-  tm.set_snapshot_source([&] { return store.current(); }, [] { return sim::TimeUs{0}; });
+      [&] { rib.publish(); }, nullptr);
+  tm.set_snapshot_source([&] { return rib.current(); }, [] { return sim::TimeUs{0}; });
 
   PreviousSnapshotApp app;
   tm.add_app(&app, api);
@@ -717,12 +709,12 @@ TEST(TaskManagerPool, WorkerReleasesOfHeldSnapshotsRecycleSafely) {
   tm.quiesce();
   EXPECT_EQ(app.checked, kCycles - 1);
   EXPECT_EQ(app.mismatches, 0);
-  EXPECT_LE(store.spare_nodes(), 3u);
+  EXPECT_LE(rib.spare_nodes(), 3u);
 }
 
 TEST(TaskManagerPool, PauseWhileRunningTakesEffectNextCycle) {
-  SnapshotStore store;
-  RecordingNorthbound api(store);
+  Rib rib;
+  RecordingNorthbound api(rib);
   TaskManager tm({.real_time = false}, nullptr, nullptr, nullptr);
   CountingApp app("app", 10);
   tm.add_app(&app, api);

@@ -36,7 +36,7 @@ scenario::EnbSpec spec(lte::EnbId id = 1) {
 
 TEST(Rib, ForestStructureAndLookups) {
   Rib rib;
-  AgentNode& agent = rib.agent(1);
+  AgentNode& agent = rib.add_agent(1);
   agent.enb_id = 10;
   agent.cell(100);
   agent.ues[agent.upsert_ue(70)].cell = 100;
@@ -50,6 +50,9 @@ TEST(Rib, ForestStructureAndLookups) {
 
   rib.agent(1).ues[rib.agent(1).upsert_ue(70)].stats.wb_cqi = 9;
   EXPECT_EQ(rib.find_agent(1)->find_ue(70)->stats.wb_cqi, 9);
+  // Only add_agent inserts: the write barrier refuses an id it lacks.
+  EXPECT_THROW(rib.agent(2), std::out_of_range);
+  EXPECT_EQ(rib.agent_count(), 1u);
 }
 
 TEST(Rib, UeAndCellRowsStaySorted) {
@@ -76,7 +79,7 @@ TEST(Rib, UeAndCellRowsStaySorted) {
 TEST(Rib, ApproxBytesGrowsWithContent) {
   Rib rib;
   const auto empty = rib.approx_bytes();
-  AgentNode& agent = rib.agent(1);
+  AgentNode& agent = rib.add_agent(1);
   for (lte::Rnti rnti = 1; rnti <= 16; ++rnti) agent.upsert_ue(rnti);
   EXPECT_GT(rib.approx_bytes(), empty + 16 * sizeof(UeNode));
 }
@@ -447,6 +450,46 @@ TEST(MasterEndToEnd, HotColumnsStayRowAlignedThroughDetachAndReattach) {
     ASSERT_NE(link.node().find_ue(report.rnti), nullptr);
     EXPECT_EQ(link.node().find_ue(report.rnti)->stats.wb_cqi, report.wb_cqi);
   }
+}
+
+TEST(MasterEndToEnd, ReadsNeitherCloneNodesNorMoveTheVersion) {
+  sim::Simulator sim;
+  MasterConfig config = RawAgentLink::config();
+  config.agent_timeout_us = 1'000'000;  // every cycle sweeps, and finds the agent fresh
+  ShardCore core(sim, config);
+  auto pair = net::make_sim_transport_pair(sim);
+  const AgentId id = core.add_agent(*pair.a);
+  const auto deliver = [&](const auto& message, std::uint32_t epoch) {
+    proto::Envelope header;
+    header.epoch = epoch;
+    proto::WireEncoder enc;
+    proto::encode_envelope(enc, header, message);
+    (void)pair.b->send(net::TrafficClass::session, enc.take());
+    sim.run();
+    core.run_cycle();
+  };
+  proto::Hello hello;
+  hello.enb_id = 1;
+  hello.epoch = 5;
+  deliver(hello, 5);
+  const auto version = core.snapshot_version();
+  const AgentNode* node = core.rib().find_agent(id);
+  ASSERT_NE(node, nullptr);
+  ASSERT_EQ(core.rib_snapshot()->find_agent(id), node) << "the publish froze the live node";
+
+  // A reply from an older session is fenced, a send reads the session
+  // epoch, and the liveness sweep reads the agent every cycle.
+  proto::StatsReply stale;
+  stale.ue_reports.push_back(ue_report(70, 9, 100));
+  deliver(stale, 4);
+  ASSERT_TRUE(core.request_stats(id, proto::StatsRequest{}).ok());
+  core.run_cycle();
+
+  EXPECT_EQ(core.stats().fenced_updates, 1u);
+  EXPECT_EQ(core.snapshot_version(), version);
+  EXPECT_EQ(core.rib().find_agent(id), node);
+  EXPECT_EQ(core.rib_snapshot()->find_agent(id), node);
+  EXPECT_EQ(node->find_ue(70), nullptr);
 }
 
 TEST(MasterEndToEnd, UndecodableBodyIsCountedAndDropped) {

@@ -103,7 +103,7 @@ TEST(ConflictArbiter, DetectsSelfOverlapAndPrunes) {
 
   // A claim lives until its agent's last reported subframe passes it.
   ctrl::Rib rib;
-  rib.agent(1).last_subframe = 50;
+  rib.add_agent(1).last_subframe = 50;
   arbiter.prune(rib);
   EXPECT_EQ(arbiter.open_claims(), 1u);
   rib.agent(1).last_subframe = 51;
@@ -125,8 +125,8 @@ TEST(ConflictArbiter, PruneDropsPassedClaimsAndAgentsTheRibLost) {
     ASSERT_TRUE(arbiter.claim_dl(3, config).ok());
   }
   ctrl::Rib rib;
-  rib.agent(1).last_subframe = 12;  // passed 10 and 11
-  rib.agent(3).last_subframe = 0;   // passed none; agent 2 is gone
+  rib.add_agent(1).last_subframe = 12;  // passed 10 and 11
+  rib.add_agent(3).last_subframe = 0;   // passed none; agent 2 is gone
   arbiter.prune(rib);
   EXPECT_EQ(arbiter.open_claims(), 4u);
   // The surviving claims still reject an overlap; the dropped ones do not.
@@ -193,7 +193,7 @@ TEST(ConflictArbiter, EndToEndSecondSchedulerAppIsBlocked) {
 
 TEST(RibView, SummariesPickBestNeighbor) {
   ctrl::Rib rib;
-  auto& agent1 = rib.agent(1);
+  auto& agent1 = rib.add_agent(1);
   agent1.cell(1).config.cell_id = 1;
   auto& ue = agent1.ues[agent1.upsert_ue(70)];
   ue.cell = 1;
@@ -202,7 +202,7 @@ TEST(RibView, SummariesPickBestNeighbor) {
   ue.stats.rsrp = {{1, -80.0}, {2, -75.0}, {3, -90.0}};
   ue.cqi_avg.add(11);
 
-  rib.agent(2).cell(2);  // an agent without UEs adds no row
+  rib.add_agent(2).cell(2);  // an agent without UEs adds no row
 
   const auto view = ctrl::RibSnapshot::capture(rib);
   const auto summaries = ctrl::summarize_ues(*view);

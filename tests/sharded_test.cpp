@@ -512,17 +512,15 @@ std::vector<ctrl::AgentId> composite_ids(const Coordinator& coordinator,
 }
 
 TEST(CompositeSnapshot, StatsOnlyPublishSharesShardEntriesAndOwnerTable) {
-  ctrl::SnapshotStore stores[2];
   ctrl::Rib ribs[2];
-  for (ctrl::AgentId id = 1; id <= 200; ++id) ribs[id % 2].agent(id).id = id;
+  for (ctrl::AgentId id = 1; id <= 200; ++id) ribs[id % 2].add_agent(id);
   std::vector<std::shared_ptr<const ctrl::RibSnapshot>> parts;
-  for (int s = 0; s < 2; ++s) parts.push_back(stores[s].publish(ribs[s], {}, true));
+  for (int s = 0; s < 2; ++s) parts.push_back(ribs[s].publish());
   const auto first = ctrl::RibSnapshot::compose(parts);
 
   ribs[0].agent(10).last_subframe = 5;
   ribs[1].agent(11).last_subframe = 5;
-  const std::vector<ctrl::AgentId> dirty{10, 11};
-  for (int s = 0; s < 2; ++s) parts[s] = stores[s].publish(ribs[s], dirty, false);
+  for (int s = 0; s < 2; ++s) parts[s] = ribs[s].publish();
   const auto second = ctrl::RibSnapshot::compose(parts, first.get());
 
   EXPECT_EQ(second->version(), parts[0]->version() + parts[1]->version());
@@ -542,13 +540,12 @@ TEST(CompositeSnapshot, StatsOnlyPublishSharesShardEntriesAndOwnerTable) {
 }
 
 TEST(CompositeSnapshot, DuplicateIdKeepsTheFirstShardsNode) {
-  ctrl::SnapshotStore stores[2];
   ctrl::Rib ribs[2];
-  ribs[0].agent(5).id = 5;
-  ribs[1].agent(5).id = 5;
-  ribs[1].agent(6).id = 6;
+  ribs[0].add_agent(5);
+  ribs[1].add_agent(5);
+  ribs[1].add_agent(6);
   std::vector<std::shared_ptr<const ctrl::RibSnapshot>> parts;
-  for (int s = 0; s < 2; ++s) parts.push_back(stores[s].publish(ribs[s], {}, true));
+  for (int s = 0; s < 2; ++s) parts.push_back(ribs[s].publish());
   const auto composite = ctrl::RibSnapshot::compose(parts);
   EXPECT_EQ(composite->agent_count(), 2u);
   EXPECT_EQ(composite->find_agent(5), parts[0]->find_agent(5));
@@ -894,6 +891,30 @@ TEST(ShardFailover, BackToBackKillsLeaveOneSurvivor) {
   EXPECT_EQ(survivor.rib().find_agent(enb2.agent_id)->state, SessionState::up);
   EXPECT_EQ(survivor.stats().master_restarts, 0u);
   EXPECT_EQ(coordinator.failover_stats().failover_pending, 0u);
+  EXPECT_EQ(monitor.violations_total(), 0u) << violations_text(monitor);
+}
+
+// A removed agent keeps reporting every TTI over its still-open link. The
+// reports that reach the shard must not bring the agent back: not into
+// the shard's RIB, its snapshot or the composite, and so not as a RIB
+// entry the assignment map does not know.
+TEST(CompositeSnapshot, RemovedAgentStaysGoneWhileItsReportsArrive) {
+  Testbed testbed(scenario::per_tti_master_config(), 2);
+  auto& enb0 = testbed.add_enb(spec(1, 0));
+  auto& enb1 = testbed.add_enb(spec(2, 1));
+  verify::InvariantMonitor monitor(testbed.coordinator(), verify::Mode::log);
+  monitor.install();
+  testbed.run_ttis(50);
+
+  auto& coordinator = testbed.coordinator();
+  ASSERT_EQ(coordinator.shard_of(enb0.agent_id), 0u);
+  coordinator.remove_agent(enb0.agent_id);
+  testbed.run_ttis(200);
+  const auto& shard = coordinator.shard(0);
+  EXPECT_EQ(shard.rib().find_agent(enb0.agent_id), nullptr);
+  EXPECT_EQ(shard.rib_snapshot()->find_agent(enb0.agent_id), nullptr);
+  EXPECT_EQ(coordinator.rib_snapshot()->find_agent(enb0.agent_id), nullptr);
+  EXPECT_NE(coordinator.rib_snapshot()->find_agent(enb1.agent_id), nullptr);
   EXPECT_EQ(monitor.violations_total(), 0u) << violations_text(monitor);
 }
 
