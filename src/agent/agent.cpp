@@ -366,7 +366,6 @@ void Agent::handle_message(std::span<const std::uint8_t> data) {
     // Re-sync deferral hint: pause the hello retry loop for the hinted
     // backoff (jittered, so the deferred cohort does not retry in lockstep
     // either). The master drives the deferred re-sync itself.
-    ++resync_deferrals_;
     hello_hold_until_ = sim_.now() + jittered_backoff(sim::from_ms(
                                          static_cast<double>(envelope.retry_after_ms)));
   }

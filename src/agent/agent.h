@@ -103,12 +103,9 @@ class Agent final : public stack::EnodebDataPlane::Listener {
 
   AgentApi& api() { return api_; }
   MacControlModule& mac() { return mac_; }
-  RrcControlModule& rrc() { return rrc_; }
   VsfCache& vsf_cache() { return cache_; }
   VsfGuard& vsf_guard() { return guard_; }
-  const VsfGuard& vsf_guard() const { return guard_; }
   ReportsManager& reports() { return reports_; }
-  const AgentConfig& config() const { return config_; }
 
   /// Applies a policy reconfiguration YAML document locally (the same code
   /// path a PolicyReconfiguration protocol message takes).
@@ -154,8 +151,6 @@ class Agent final : public stack::EnodebDataPlane::Listener {
   std::uint64_t fenced_incarnation_messages() const { return fenced_incarnation_messages_; }
   /// Master restarts detected through an incarnation bump.
   std::uint64_t master_restarts_seen() const { return master_restarts_seen_; }
-  /// Retry-after hints honored (re-sync deferred by the master's gate).
-  std::uint64_t resync_deferrals() const { return resync_deferrals_; }
   /// Simulated times of reconnect attempts (capped; for jitter tests).
   const std::vector<sim::TimeUs>& reconnect_attempt_times() const {
     return reconnect_attempt_times_;
@@ -243,7 +238,6 @@ class Agent final : public stack::EnodebDataPlane::Listener {
   std::uint32_t master_incarnation_ = 0;
   std::uint64_t fenced_incarnation_messages_ = 0;
   std::uint64_t master_restarts_seen_ = 0;
-  std::uint64_t resync_deferrals_ = 0;
   /// While set, the hello retry loop stays quiet (a restarted master's
   /// admission gate asked us to hold).
   sim::TimeUs hello_hold_until_ = 0;

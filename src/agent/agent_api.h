@@ -68,7 +68,6 @@ class AgentApi {
   int scell_prbs() const { return data_plane_->scell_prbs(); }
   bool muted_in(std::int64_t subframe) const { return data_plane_->muted_in(subframe); }
   bool is_abs(std::int64_t subframe) const { return data_plane_->is_abs(subframe); }
-  const lte::AbsPattern& abs_pattern() const { return data_plane_->abs_pattern(); }
 
   /// Usable DL PRBs after any LSA carrier restriction -- schedulers size
   /// their allocations from this, so a restriction takes effect everywhere.

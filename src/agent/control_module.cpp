@@ -97,7 +97,6 @@ util::Status MacControlModule::validate(const std::string& slot, Vsf& vsf) const
 
 void MacControlModule::on_behavior_changed(const std::string& slot, Vsf* vsf) {
   if (slot == kDlSchedulerSlot) dl_scheduler_ = dynamic_cast<DlSchedulerVsf*>(vsf);
-  if (slot == kUlSchedulerSlot) ul_scheduler_ = dynamic_cast<UlSchedulerVsf*>(vsf);
 }
 
 // ------------------------------------------------------------------- RRC --

@@ -90,7 +90,6 @@ class MacControlModule final : public ControlModule {
   explicit MacControlModule(VsfCache& cache);
 
   DlSchedulerVsf* dl_scheduler() const { return dl_scheduler_; }
-  UlSchedulerVsf* ul_scheduler() const { return ul_scheduler_; }
 
  protected:
   util::Status validate(const std::string& slot, Vsf& vsf) const override;
@@ -98,7 +97,6 @@ class MacControlModule final : public ControlModule {
 
  private:
   DlSchedulerVsf* dl_scheduler_ = nullptr;
-  UlSchedulerVsf* ul_scheduler_ = nullptr;
 };
 
 /// RRC control module: handover trigger policy slot.

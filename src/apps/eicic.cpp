@@ -216,7 +216,6 @@ void EicicCoordinatorApp::on_cycle(std::int64_t /*cycle*/, ctrl::NorthboundApi& 
       if (decision.dcis.empty()) continue;
       if (api.send_dl_mac_config(small, decision).ok()) {
         any_small_scheduled = true;
-        ++abs_to_small_;
         // Remember what this decision will drain so the next estimate does
         // not double-count the reported queue.
         std::uint64_t granted_bytes = 0;
@@ -230,9 +229,7 @@ void EicicCoordinatorApp::on_cycle(std::int64_t /*cycle*/, ctrl::NorthboundApi& 
     if (!any_small_scheduled) {
       auto decision = build_rr_decision(*macro, last, /*use_protected_cqi=*/false,
                                         UINT64_MAX);
-      if (!decision.dcis.empty() && api.send_dl_mac_config(config_.macro, decision).ok()) {
-        ++abs_to_macro_;
-      }
+      if (!decision.dcis.empty()) (void)api.send_dl_mac_config(config_.macro, decision);
     }
   }
 }

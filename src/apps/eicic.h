@@ -71,8 +71,6 @@ class EicicCoordinatorApp final : public ctrl::App {
   void on_start(ctrl::NorthboundApi& api) override;
   void on_cycle(std::int64_t cycle, ctrl::NorthboundApi& api) override;
 
-  std::uint64_t abs_given_to_macro() const { return abs_to_macro_; }
-  std::uint64_t abs_given_to_small() const { return abs_to_small_; }
 
  private:
   /// Backlog estimate for a small cell: RIB-reported queue bytes minus the
@@ -88,8 +86,6 @@ class EicicCoordinatorApp final : public ctrl::App {
   std::map<ctrl::AgentId, std::size_t> rotation_;
   /// Per small cell: (target subframe, bytes granted) decisions in flight.
   std::map<ctrl::AgentId, std::deque<std::pair<std::int64_t, std::uint64_t>>> recent_grants_;
-  std::uint64_t abs_to_macro_ = 0;
-  std::uint64_t abs_to_small_ = 0;
 };
 
 }  // namespace flexran::apps

@@ -47,8 +47,6 @@ class RemoteSchedulerApp final : public ctrl::App {
   void on_event(const ctrl::Event& event, ctrl::NorthboundApi& api) override;
 
   std::uint64_t decisions_sent() const { return decisions_sent_; }
-  void set_schedule_ahead(int subframes) { config_.schedule_ahead_sf = subframes; }
-  int schedule_ahead() const { return config_.schedule_ahead_sf; }
   /// Agents currently demoted to local scheduling after a VSF quarantine.
   bool is_demoted(ctrl::AgentId agent) const { return demoted_.contains(agent); }
   std::uint64_t demotions() const { return demotions_; }

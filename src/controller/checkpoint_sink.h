@@ -57,7 +57,6 @@ class FileCheckpointSink : public CheckpointSink {
   util::Status save(std::span<const std::uint8_t> bytes) override;
   util::Result<std::vector<std::uint8_t>> load() override;
 
-  const std::string& path() const { return path_; }
 
   /// Per-shard checkpoint file under a shared directory:
   /// `<dir>/shard-<index>.ckpt`. N shards checkpointing into one directory
@@ -91,8 +90,6 @@ class MemoryCheckpointSink : public CheckpointSink {
 
   bool has_checkpoint() const { return stored_.has_value(); }
   std::uint64_t saves() const { return saves_; }
-  /// Drop the stored checkpoint (turn a warm restart cold, for tests).
-  void clear() { stored_.reset(); }
 
  private:
   std::optional<std::vector<std::uint8_t>> stored_;

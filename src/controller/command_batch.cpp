@@ -15,11 +15,7 @@ std::size_t BatchingNorthbound::flush() {
   pinned_.reset();
   std::size_t sent = 0;
   for (auto& command : queue_) {
-    if (command.send().ok()) {
-      ++sent;
-    } else {
-      ++flush_failures_;
-    }
+    if (command.send().ok()) ++sent;
   }
   queue_.clear();
   return sent;
@@ -56,7 +52,6 @@ util::Status BatchingNorthbound::enqueue(AgentId agent, proto::MessageType type,
     return util::Error::not_found("unknown agent");
   }
   queue_.push_back(QueuedCommand{agent, type, std::move(send)});
-  ++commands_batched_;
   return util::Status();
 }
 
@@ -75,14 +70,12 @@ util::Status BatchingNorthbound::send_dl_mac_config(AgentId agent,
                                    [this, agent, config] {
                                      return hooks_.send_dl_raw(agent, config);
                                    }});
-    ++commands_batched_;
     return util::Status();
   }
   queue_.push_back(QueuedCommand{agent, proto::MessageType::dl_mac_config,
                                  [this, agent, config] {
                                    return direct_.send_dl_mac_config(agent, config);
                                  }});
-  ++commands_batched_;
   return util::Status();
 }
 

@@ -57,10 +57,6 @@ class BatchingNorthbound final : public NorthboundApi {
   void discard();
 
   std::size_t queued() const { return queue_.size(); }
-  std::uint64_t commands_batched() const { return commands_batched_; }
-  /// Flushed commands whose downstream send failed (e.g. the agent's link
-  /// went away between enqueue and flush).
-  std::uint64_t flush_failures() const { return flush_failures_; }
 
   // ---- NorthboundApi ---------------------------------------------------------
   std::shared_ptr<const RibSnapshot> rib_snapshot() const override;
@@ -92,8 +88,6 @@ class BatchingNorthbound final : public NorthboundApi {
   std::shared_ptr<const RibSnapshot> pinned_;
   sim::TimeUs pinned_now_ = 0;
   std::vector<QueuedCommand> queue_;
-  std::uint64_t commands_batched_ = 0;
-  std::uint64_t flush_failures_ = 0;
 };
 
 }  // namespace flexran::ctrl

@@ -72,7 +72,6 @@ struct UeHotColumns {
   std::vector<std::uint64_t> dl_bytes_delivered;
 
   std::size_t size() const { return rnti.size(); }
-  bool empty() const { return rnti.empty(); }
   /// Inserts a zeroed row for `r` at `row`.
   void insert(std::size_t row, lte::Rnti r);
   void erase(std::size_t row);

@@ -133,7 +133,13 @@ void ShardCore::remove_agent(AgentId id) {
   std::erase_if(inflight_, [id](const auto& entry) { return entry.second.agent == id; });
   std::erase_if(original_reports_,
                 [id](const auto& entry) { return entry.first.first == id; });
-  links_.erase(id);
+  // Unbind the transport, so a removed agent that stays connected is no
+  // longer received. A rehome binds it again in the adopting shard.
+  if (const auto link = links_.find(id); link != links_.end()) {
+    link->second.transport->set_receive_callback(nullptr);
+    link->second.transport->set_disconnect_callback(nullptr);
+    links_.erase(link);
+  }
   rib_.remove_agent(id);
 }
 

@@ -354,7 +354,6 @@ class ShardCore final : public NorthboundApi {
   // ---- application management ----------------------------------------------
   /// Registers an application; the master keeps ownership.
   App* add_app(std::unique_ptr<App> app);
-  void remove_app(std::string_view name) { task_manager_.remove_app(name); }
   /// Observer the Coordinator installs to mirror this shard's events into
   /// the global (composite-view) application slot. Called on the
   /// coordinator thread during event dispatch, after the shard's own apps
@@ -435,15 +434,11 @@ class ShardCore final : public NorthboundApi {
   const net::QueueBudget& ingest_budget() const { return config_.overload.ingest; }
 
   // ---- observability (docs/observability.md) ---------------------------------
-  bool obs_enabled() const { return config_.obs.enabled; }
-  /// Shard index under a Coordinator (-1 = standalone master).
-  int shard() const { return config_.shard; }
   /// The unified metrics registry: the core's own, or the shared external
   /// one from ObsConfig::registry. The core's collector is registered only
   /// while `obs.enabled`; external components (scenario layer, benches)
   /// may add theirs at any time.
   obs::MetricsRegistry& metrics() { return *registry_; }
-  const obs::MetricsRegistry& metrics() const { return *registry_; }
   /// Writes the process-wide series (decoder anomalies). Exactly one
   /// collector calls it: a standalone core's, or the Coordinator's.
   static void collect_process_wide(obs::Sink& out);

@@ -131,7 +131,6 @@ class TaskManager {
   /// Per-stage wall times (docs/observability.md "Cycle-stage timing").
   const CycleStages& stages() const { return stages_; }
   const util::RunningStats& updater_time_us() const { return stages_.updater; }
-  const TaskManagerConfig& config() const { return config_; }
   /// Mean fraction of the cycle spent idle (updater + event + apps + flush
   /// are busy). A real-time cycle is one TTI long; a non-real-time one
   /// lasts the mean simulated time between the caller's run_cycle calls.

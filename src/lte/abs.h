@@ -28,18 +28,9 @@ class AbsPattern {
     return p;
   }
 
-  static AbsPattern none() { return AbsPattern{}; }
-
-  void set(int index, bool value = true) {
-    bits_.set(static_cast<std::size_t>(index % kPatternLength), value);
-  }
-
   bool is_abs(std::int64_t subframe) const {
     return bits_.test(static_cast<std::size_t>(subframe % kPatternLength));
   }
-
-  int abs_count() const { return static_cast<int>(bits_.count()); }
-  bool any() const { return bits_.any(); }
 
   /// Wire form: 40 bits in a u64.
   std::uint64_t to_bits() const {

@@ -33,7 +33,6 @@ bool HarqEntity::nack(std::uint8_t pid) {
   HarqProcess& p = processes_[pid % kNumHarqProcesses];
   if (!p.active) return false;
   if (++p.retx_count > kMaxHarqRetransmissions) {
-    ++dropped_;
     p = HarqProcess{};
     return false;
   }

@@ -44,11 +44,9 @@ class HarqEntity {
   }
   /// Processes that still need a retransmission scheduled.
   int pending_retransmissions() const;
-  std::int64_t dropped_blocks() const { return dropped_; }
 
  private:
   std::array<HarqProcess, kNumHarqProcesses> processes_{};
-  std::int64_t dropped_ = 0;
 };
 
 }  // namespace flexran::lte

@@ -37,7 +37,6 @@ class SimTransport final : public Transport {
   /// serializer; unsheddable traffic always goes out.
   util::Status send(TrafficClass cls, std::span<const std::uint8_t> message) override;
   void set_send_budget(QueueBudget budget) override { send_budget_ = budget; }
-  const QueueBudget& send_budget() const { return send_budget_; }
 
   void set_receive_callback(ReceiveFn fn) override { receive_ = std::move(fn); }
   void set_disconnect_callback(DisconnectFn fn) override { disconnect_ = std::move(fn); }

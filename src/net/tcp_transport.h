@@ -46,7 +46,6 @@ class TcpTransport final : public Transport {
   void start();
   /// Shuts the socket down and joins the reader thread.
   void close();
-  bool closed() const { return closed_.load(); }
 
   std::uint64_t messages_sent() const override { return messages_sent_.load(); }
   std::uint64_t bytes_sent() const override { return bytes_sent_.load(); }

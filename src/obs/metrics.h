@@ -51,7 +51,6 @@ class Histogram {
   double p95() const { return quantile(0.95); }
   double p99() const { return quantile(0.99); }
 
-  const std::vector<double>& bounds() const { return bounds_; }
 
  private:
   std::vector<double> bounds_;

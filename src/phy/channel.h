@@ -29,10 +29,9 @@ class FixedCqiChannel final : public ChannelModel {
   explicit FixedCqiChannel(int cqi) : cqi_(cqi) {}
   double sinr_db(sim::TimeUs) override { return lte::cqi_to_sinr_db(cqi_); }
   int cqi(sim::TimeUs) override { return cqi_; }
-  void set_cqi(int cqi) { cqi_ = cqi; }
 
  private:
-  int cqi_;
+  const int cqi_;
 };
 
 /// Piecewise-constant CQI schedule: [(t0, cqi0), (t1, cqi1), ...]. Used to
@@ -67,7 +66,6 @@ class TraceCqiChannel final : public ChannelModel {
 
   double sinr_db(sim::TimeUs now) override { return lte::cqi_to_sinr_db(cqi(now)); }
   int cqi(sim::TimeUs now) override;
-  std::size_t length() const { return samples_.size(); }
 
  private:
   std::vector<int> samples_;

@@ -36,7 +36,6 @@ class MobilityTrack {
   /// Radio profile at `now` with `serving` as the serving cell.
   UeRadioProfile profile_at(sim::TimeUs now, lte::CellId serving) const;
 
-  const std::vector<CellSite>& sites() const { return sites_; }
 
  private:
   std::vector<CellSite> sites_;

@@ -47,8 +47,6 @@ class RadioEnvironment {
  public:
   void set_transmitting(lte::CellId cell, bool active);
   bool transmitting(lte::CellId cell) const { return active_.contains(cell); }
-  const std::set<lte::CellId>& active_cells() const { return active_; }
-  void clear() { active_.clear(); }
 
   double sinr_db(const UeRadioProfile& profile) const;
 

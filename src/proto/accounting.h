@@ -42,7 +42,6 @@ class SignalingAccountant {
     for (const auto& bucket : buckets_) total += bucket.messages;
     return total;
   }
-  void reset() { buckets_ = {}; }
 
  private:
   struct Bucket {

@@ -167,9 +167,6 @@ struct EchoReply {
 struct EnbConfigRequest {
   static constexpr MessageType kType = MessageType::enb_config_request;
   void encode_body(WireEncoder&) const {}
-  static util::Result<EnbConfigRequest> decode_body(std::span<const std::uint8_t>) {
-    return EnbConfigRequest{};
-  }
 };
 
 struct CellConfigMsg {
@@ -197,9 +194,6 @@ struct EnbConfigReply {
 struct UeConfigRequest {
   static constexpr MessageType kType = MessageType::ue_config_request;
   void encode_body(WireEncoder&) const {}
-  static util::Result<UeConfigRequest> decode_body(std::span<const std::uint8_t>) {
-    return UeConfigRequest{};
-  }
 };
 
 struct UeConfigMsg {
@@ -224,9 +218,6 @@ struct UeConfigReply {
 struct LcConfigRequest {
   static constexpr MessageType kType = MessageType::lc_config_request;
   void encode_body(WireEncoder&) const {}
-  static util::Result<LcConfigRequest> decode_body(std::span<const std::uint8_t>) {
-    return LcConfigRequest{};
-  }
 };
 
 struct LcConfigMsg {

@@ -72,7 +72,6 @@ class WireEncoder {
   /// Drops content, keeps capacity: the clear()-and-reuse lifecycle that makes
   /// per-link scratch encoders allocation-free in steady state.
   void clear() { buffer_.clear(); }
-  void reserve(std::size_t capacity) { buffer_.reserve(capacity); }
 
   std::span<const std::uint8_t> bytes() const { return buffer_.contents(); }
   std::size_t size() const { return buffer_.size(); }

@@ -18,9 +18,6 @@ class DashSession {
               traffic::DashVideo video, traffic::DashClientConfig config = {});
 
   traffic::DashClient& client() { return *client_; }
-  const traffic::DashClient& client() const { return *client_; }
-  traffic::TcpFlow& flow() { return *flow_; }
-  lte::Rnti rnti() const { return rnti_; }
 
   void start() { client_->start(); }
 

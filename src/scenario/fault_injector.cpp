@@ -49,13 +49,10 @@ void FaultInjector::for_each_target(int enb, Fn&& fn) {
 }
 
 void FaultInjector::note(const FaultEvent& event, const std::string& extra) {
-  LogEntry entry;
-  entry.at = testbed_->sim().now();
-  entry.description = util::format("%s enb=%d%s", to_string(event.kind), event.enb,
-                                   extra.empty() ? "" : (" " + extra).c_str());
-  FLEXRAN_LOG(info, "chaos") << "t=" << sim::to_seconds(entry.at) << "s inject "
-                             << entry.description;
-  log_.push_back(std::move(entry));
+  FLEXRAN_LOG(info, "chaos") << "t=" << sim::to_seconds(testbed_->sim().now()) << "s inject "
+                             << util::format("%s enb=%d%s", to_string(event.kind), event.enb,
+                                             extra.empty() ? "" : (" " + extra).c_str());
+  ++faults_injected_;
 }
 
 void FaultInjector::apply(const FaultEvent& event) {
@@ -112,7 +109,7 @@ void FaultInjector::apply(const FaultEvent& event) {
       // Each endpoint gets its own shuffle seed derived from the injection
       // order, so two reorder events on one link do not replay the same
       // permutation.
-      const auto seed = 0x5eedULL + static_cast<std::uint64_t>(log_.size());
+      const auto seed = 0x5eedULL + faults_injected_;
       for_each_target(event.enb, [&](Testbed::Enb& enb) {
         enb.master_side->reorder_next(event.count, seed);
         enb.agent_side->reorder_next(event.count, seed + 1);

@@ -115,13 +115,7 @@ class FaultInjector {
     for (const auto& event : events) schedule(event);
   }
 
-  struct LogEntry {
-    sim::TimeUs at = 0;
-    std::string description;
-  };
-  /// Everything injected so far, in firing order.
-  const std::vector<LogEntry>& log() const { return log_; }
-  std::uint64_t faults_injected() const { return log_.size(); }
+  std::uint64_t faults_injected() const { return faults_injected_; }
 
  private:
   void apply(const FaultEvent& event);
@@ -131,7 +125,7 @@ class FaultInjector {
   void note(const FaultEvent& event, const std::string& extra = "");
 
   Testbed* testbed_;
-  std::vector<LogEntry> log_;
+  std::uint64_t faults_injected_ = 0;
 };
 
 }  // namespace flexran::scenario

@@ -3,6 +3,9 @@
 namespace flexran::scenario {
 
 namespace {
+/// Throughput window length for the metrics time series.
+constexpr sim::TimeUs kMetricsWindow = sim::from_seconds(1.0);
+
 ctrl::CoordinatorConfig coordinator_config(ctrl::MasterConfig master_config,
                                            std::size_t shards) {
   ctrl::CoordinatorConfig config;
@@ -42,7 +45,7 @@ void Testbed::start_ticker() {
   ticker_.subscribe(
       [this](std::int64_t tti) {
         for (auto& hook : tti_hooks_) hook(tti);
-        if (sim_.now() - last_metrics_sample_ >= metrics_window_) {
+        if (sim_.now() - last_metrics_sample_ >= kMetricsWindow) {
           metrics_.sample_window(sim_.now());
           last_metrics_sample_ = sim_.now();
         }

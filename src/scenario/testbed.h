@@ -104,8 +104,6 @@ class Testbed {
   /// multi-shard code goes through coordinator().
   ctrl::ShardCore& master() { return coordinator_.shard(0); }
   ctrl::Coordinator& coordinator() { return coordinator_; }
-  const ctrl::Coordinator& coordinator() const { return coordinator_; }
-  phy::RadioEnvironment& radio_env() { return env_; }
   stack::EpcStub& epc() { return epc_; }
   Metrics& metrics() { return metrics_; }
   std::vector<std::unique_ptr<Enb>>& enbs() { return enbs_; }
@@ -119,8 +117,6 @@ class Testbed {
   void add_delivery_listener(std::size_t enb_index, stack::EnodebDataPlane::DeliveryFn fn) {
     delivery_listeners_.at(enb_index).push_back(std::move(fn));
   }
-  /// Throughput window length for metrics time series.
-  void set_metrics_window(sim::TimeUs window) { metrics_window_ = window; }
 
   /// Convenience UE creation: adds the UE to eNodeB `enb_index`, registers
   /// its EPC bearer under UE id == returned RNTI, and wires delivery into
@@ -146,7 +142,6 @@ class Testbed {
 
   void run_ttis(int ttis);
   void run_seconds(double seconds) { run_ttis(static_cast<int>(seconds * 1000.0)); }
-  std::int64_t current_tti() const { return sim_.current_tti(); }
 
  private:
   void start_ticker();
@@ -163,7 +158,6 @@ class Testbed {
   std::vector<std::unique_ptr<Enb>> enbs_;
   std::vector<std::vector<stack::EnodebDataPlane::DeliveryFn>> delivery_listeners_;
   std::vector<std::function<void(std::int64_t)>> tti_hooks_;
-  sim::TimeUs metrics_window_ = sim::from_seconds(1.0);
   sim::TimeUs last_metrics_sample_ = 0;
   bool ticker_started_ = false;
   lte::Rnti next_rnti_ = 70;

@@ -68,8 +68,6 @@ class Simulator {
   /// Run events with time <= `until`; afterwards now() == until (unless
   /// stopped earlier).
   void run_until(TimeUs until);
-  /// Run for `duration` more microseconds.
-  void run_for(TimeUs duration) { run_until(now_ + duration); }
   void stop() { stopped_ = true; }
 
   std::size_t pending_events() const { return heap_.size(); }
@@ -111,7 +109,6 @@ class TtiTicker {
   /// Begin ticking at the next TTI boundary.
   void start();
   void stop() { running_ = false; }
-  bool running() const { return running_; }
 
  private:
   void tick();

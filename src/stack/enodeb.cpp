@@ -226,7 +226,6 @@ util::Status EnodebDataPlane::apply_scheduling_decision(const lte::SchedulingDec
   }
   auto dl_status = apply_dl(decision);
   auto ul_status = apply_ul(decision);
-  ++decisions_applied_;
   if (!dl_status.ok()) return dl_status;
   return ul_status;
 }

@@ -115,7 +115,6 @@ class EnodebDataPlane {
   bool muted_in(std::int64_t subframe) const {
     return abs_mute_ && abs_pattern_.is_abs(subframe);
   }
-  const lte::AbsPattern& abs_pattern() const { return abs_pattern_; }
 
   std::vector<lte::Rnti> ue_rntis() const;
   const UeContext* ue(lte::Rnti rnti) const;
@@ -135,7 +134,6 @@ class EnodebDataPlane {
   void enqueue_ul(lte::Rnti rnti, std::uint32_t bytes);
 
   // ---- Introspection / counters -------------------------------------------
-  std::uint64_t decisions_applied() const { return decisions_applied_; }
   std::uint64_t grants_rejected() const { return grants_rejected_; }
   std::uint64_t dl_prbs_used_last_tti() const { return dl_prbs_last_tti_; }
 
@@ -179,7 +177,6 @@ class EnodebDataPlane {
 
   lte::Rnti next_rnti_ = 70;  // OAI-style first C-RNTI
   std::int64_t current_subframe_ = -1;
-  std::uint64_t decisions_applied_ = 0;
   std::uint64_t grants_rejected_ = 0;
   std::uint64_t dl_prbs_last_tti_ = 0;
   std::uint64_t ul_prbs_last_tti_ = 0;

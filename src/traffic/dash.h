@@ -68,7 +68,6 @@ class DashClient {
   /// (out-of-band channel). <= 0 means "no guidance yet" -> lowest ladder.
   void set_bitrate_cap_mbps(double cap) { bitrate_cap_mbps_ = cap; }
 
-  double current_bitrate_mbps() const { return video_.bitrates_mbps[current_index_]; }
   double buffer_seconds() const { return buffer_s_; }
   int freeze_count() const { return freeze_count_; }
   double total_freeze_seconds() const { return total_freeze_s_; }

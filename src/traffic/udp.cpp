@@ -26,7 +26,6 @@ void UdpCbrSource::start() {
 void UdpCbrSource::emit() {
   if (!running_) return;
   sink_(packet_bytes_);
-  bytes_sent_ += packet_bytes_;
   const auto generation = generation_;
   sim_.after(interval_, [this, generation] {
     if (generation == generation_) emit();

@@ -24,12 +24,9 @@ class UdpCbrSource {
 
   void start();
   void stop() { running_ = false; }
-  bool running() const { return running_; }
 
   void set_rate_mbps(double rate_mbps);
-  double rate_mbps() const { return rate_mbps_; }
 
-  std::uint64_t bytes_sent() const { return bytes_sent_; }
 
  private:
   void emit();
@@ -40,7 +37,6 @@ class UdpCbrSource {
   double rate_mbps_ = 0.0;
   sim::TimeUs interval_ = 0;
   bool running_ = false;
-  std::uint64_t bytes_sent_ = 0;
   std::uint64_t generation_ = 0;  // invalidates stale timer chains
 };
 

@@ -34,8 +34,6 @@ class ByteBuffer {
 
   // -- read side ------------------------------------------------------------
   std::size_t readable() const { return data_.size() - read_pos_; }
-  std::size_t read_position() const { return read_pos_; }
-  void rewind() { read_pos_ = 0; }
   /// Move the read cursor to an absolute position (clamped to size()). O(1),
   /// unlike rewind-and-replay; stream reassembly uses this to restore a mark.
   void seek(std::size_t pos) { read_pos_ = pos < data_.size() ? pos : data_.size(); }
@@ -50,13 +48,10 @@ class ByteBuffer {
   void compact_now();
 
   std::size_t size() const { return data_.size(); }
-  bool empty() const { return data_.empty(); }
   void clear() {
     data_.clear();
     read_pos_ = 0;
   }
-  void reserve(std::size_t capacity) { data_.reserve(capacity); }
-  std::size_t capacity() const { return data_.capacity(); }
 
   // -- in-place patching (wire encoder length backpatching) ------------------
   std::uint8_t* mutable_data() { return data_.data(); }
@@ -68,7 +63,6 @@ class ByteBuffer {
   std::span<const std::uint8_t> remaining() const {
     return std::span<const std::uint8_t>(data_).subspan(read_pos_);
   }
-  const std::vector<std::uint8_t>& vec() const { return data_; }
   std::vector<std::uint8_t> take() {
     read_pos_ = 0;
     return std::move(data_);

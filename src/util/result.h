@@ -16,12 +16,9 @@ struct Error {
     invalid_argument,
     not_found,
     decode_failure,
-    encode_failure,
     transport_failure,
-    capacity_exceeded,
     unsupported,
     conflict,
-    timeout,
     internal,
   };
 
@@ -31,13 +28,9 @@ struct Error {
   static Error invalid_argument(std::string msg) { return {Code::invalid_argument, std::move(msg)}; }
   static Error not_found(std::string msg) { return {Code::not_found, std::move(msg)}; }
   static Error decode_failure(std::string msg) { return {Code::decode_failure, std::move(msg)}; }
-  static Error encode_failure(std::string msg) { return {Code::encode_failure, std::move(msg)}; }
   static Error transport_failure(std::string msg) { return {Code::transport_failure, std::move(msg)}; }
-  static Error capacity_exceeded(std::string msg) { return {Code::capacity_exceeded, std::move(msg)}; }
   static Error unsupported(std::string msg) { return {Code::unsupported, std::move(msg)}; }
   static Error conflict(std::string msg) { return {Code::conflict, std::move(msg)}; }
-  static Error timeout(std::string msg) { return {Code::timeout, std::move(msg)}; }
-  static Error internal(std::string msg) { return {Code::internal, std::move(msg)}; }
 };
 
 /// Result<T>: either a value or an Error. Result<void> specializes below.

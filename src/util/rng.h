@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 
 namespace flexran::util {
 
@@ -24,9 +23,6 @@ class Rng {
     }
   }
 
-  static constexpr result_type min() { return 0; }
-  static constexpr result_type max() { return std::numeric_limits<result_type>::max(); }
-
   result_type operator()() {
     const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
     const std::uint64_t t = state_[1] << 17;
@@ -42,8 +38,6 @@ class Rng {
   /// Uniform double in [0, 1).
   double uniform() { return static_cast<double>((*this)() >> 11) * 0x1.0p-53; }
 
-  /// Uniform double in [lo, hi).
-  double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
   /// Uniform integer in [lo, hi] inclusive.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {

@@ -14,7 +14,6 @@ namespace flexran::util {
 class RunningStats {
  public:
   void add(double sample);
-  void reset() { *this = RunningStats{}; }
 
   std::size_t count() const { return count_; }
   double mean() const { return count_ > 0 ? mean_ : 0.0; }
@@ -40,7 +39,6 @@ class Ewma {
   }
   double value() const { return value_; }
   bool seeded() const { return seeded_; }
-  void reset() { seeded_ = false; value_ = 0.0; }
 
  private:
   double alpha_;
@@ -52,15 +50,11 @@ class Ewma {
 class SampleSet {
  public:
   void add(double sample) { samples_.push_back(sample); }
-  std::size_t count() const { return samples_.size(); }
-  bool empty() const { return samples_.empty(); }
   double mean() const;
   /// q in [0, 1]; nearest-rank on the sorted samples.
   double quantile(double q) const;
   /// Sorted copy of the samples (the x-axis of an empirical CDF).
   std::vector<double> sorted() const;
-  const std::vector<double>& raw() const { return samples_; }
-  void clear() { samples_.clear(); }
 
  private:
   std::vector<double> samples_;
@@ -76,10 +70,8 @@ class TimeSeries {
 
   void add(double time, double value) { points_.push_back({time, value}); }
   const std::vector<Point>& points() const { return points_; }
-  bool empty() const { return points_.empty(); }
   /// Mean of values with time in [from, to).
   double mean_in(double from, double to) const;
-  double last_value() const { return points_.empty() ? 0.0 : points_.back().value; }
 
  private:
   std::vector<Point> points_;

@@ -23,7 +23,6 @@ class YamlNode {
   static YamlNode map();
   static YamlNode sequence();
 
-  Kind kind() const { return kind_; }
   bool is_scalar() const { return kind_ == Kind::scalar; }
   bool is_map() const { return kind_ == Kind::map; }
   bool is_sequence() const { return kind_ == Kind::sequence; }

@@ -57,8 +57,6 @@ class InvariantMonitor {
   /// monitor must outlive the coordinator's last run_cycle().
   void install();
 
-  void set_mode(Mode mode) { mode_ = mode; }
-  Mode mode() const { return mode_; }
 
   /// Registers an agent-side input for I6: a probe returning that agent's
   /// cumulative count of quarantined (non-fallback) VSF invocations. The
@@ -68,8 +66,6 @@ class InvariantMonitor {
 
   std::uint64_t checks_run() const { return checks_run_; }
   std::uint64_t violations_total() const { return violations_total_; }
-  /// Recorded violations (capped; violations_total() keeps counting).
-  const std::vector<Violation>& violations() const { return violations_; }
   /// "invariant@cycle: detail" lines for the first `limit` violations.
   std::vector<std::string> violation_summaries(std::size_t limit = 16) const;
 

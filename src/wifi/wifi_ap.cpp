@@ -57,7 +57,6 @@ std::uint32_t WifiApDataPlane::apply_airtime(const AirtimeAllocation& allocation
     it->second.queue_bytes -= take;
     it->second.delivered += take;
     delivered_total += take;
-    if (take > 0 && on_delivery_) on_delivery_(id, take);
   }
   return delivered_total;
 }

@@ -42,13 +42,11 @@ struct StationView {
 
 class WifiApDataPlane {
  public:
-  using DeliveryFn = std::function<void(StationId, std::uint32_t bytes)>;
 
   explicit WifiApDataPlane(sim::Simulator& sim) : sim_(sim) {}
 
   StationId add_station(StationProfile profile);
   void enqueue_dl(StationId station, std::uint32_t bytes);
-  void set_delivery_callback(DeliveryFn fn) { on_delivery_ = std::move(fn); }
 
   /// Scheduler inputs (the "statistics" half of the agent API).
   std::vector<StationView> station_view() const;
@@ -64,7 +62,6 @@ class WifiApDataPlane {
   void slot(std::int64_t index);
 
   std::uint64_t delivered_bytes(StationId station) const;
-  std::size_t station_count() const { return stations_.size(); }
 
   /// CSMA efficiency for n contenders (1.0 down toward ~0.6).
   static double contention_efficiency(int backlogged_stations);
@@ -78,7 +75,6 @@ class WifiApDataPlane {
 
   sim::Simulator& sim_;
   std::map<StationId, Station> stations_;
-  DeliveryFn on_delivery_;
   SchedulerHook scheduler_;
   StationId next_station_ = 1;
 };

@@ -456,7 +456,7 @@ TEST(AgentEndToEnd, StaleDlMacConfigCountsMissedDeadline) {
 
   proto::DlMacConfig config;
   config.cell_id = 1;
-  config.target_subframe = testbed.current_tti() - 10;  // hopelessly late
+  config.target_subframe = testbed.sim().current_tti() - 10;  // hopelessly late
   lte::DlDci dci;
   dci.rnti = rnti;
   dci.rbs.set_range(0, 10);
@@ -479,7 +479,11 @@ TEST(AgentEndToEnd, AbsConfigCommandReachesDataPlane) {
   abs.mute_during_abs = true;
   ASSERT_TRUE(testbed.master().send_abs_config(enb.agent_id, abs).ok());
   testbed.run_ttis(2);
-  EXPECT_EQ(enb.data_plane->abs_pattern().abs_count(), 16);
+  int abs_subframes = 0;
+  for (int sf = 0; sf < lte::AbsPattern::kPatternLength; ++sf) {
+    abs_subframes += enb.data_plane->is_abs(sf) ? 1 : 0;
+  }
+  EXPECT_EQ(abs_subframes, 16);
   EXPECT_TRUE(enb.data_plane->muted_in(0));
   EXPECT_FALSE(enb.data_plane->muted_in(5));
 }

@@ -150,7 +150,7 @@ TEST(ConflictArbiter, RemovedAgentClaimsArePrunedOnTheNextCycle) {
 
   proto::DlMacConfig config;
   config.cell_id = 1;
-  config.target_subframe = testbed.current_tti() + 1000;  // far ahead: never passed here
+  config.target_subframe = testbed.sim().current_tti() + 1000;  // far ahead: never passed here
   lte::DlDci dci;
   dci.rnti = 70;
   dci.rbs.set_range(0, 10);

@@ -354,7 +354,7 @@ TEST(OverloadEndToEnd, RecoversAfterFloodClears) {
   // RIB freshness is back: the last synced subframe tracks the TTI.
   const auto* node = master.rib().find_agent(enb.agent_id);
   ASSERT_NE(node, nullptr);
-  EXPECT_GE(node->last_subframe, testbed.current_tti() - 20);
+  EXPECT_GE(node->last_subframe, testbed.sim().current_tti() - 20);
 }
 
 TEST(OverloadEndToEnd, ReportFloodFaultInjectsAndCancels) {

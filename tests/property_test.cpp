@@ -38,14 +38,14 @@ proto::StatsReply random_stats_reply(util::Rng& rng) {
     const auto n_rsrp = rng.uniform_int(0, 4);
     for (int r = 0; r < n_rsrp; ++r) {
       ue.rsrp.push_back({static_cast<lte::CellId>(rng.uniform_int(1, 100)),
-                         rng.uniform(-140.0, -40.0)});
+                         -140.0 + 100.0 * rng.uniform()});
     }
     reply.ue_reports.push_back(ue);
   }
   if (rng.chance(0.7)) {
     proto::CellStatsReport cell;
     cell.cell_id = static_cast<lte::CellId>(rng.uniform_int(1, 100));
-    cell.noise_interference_dbm = rng.uniform(-120.0, -80.0);
+    cell.noise_interference_dbm = -120.0 + 40.0 * rng.uniform();
     cell.dl_prbs_in_use = static_cast<std::uint32_t>(rng.uniform_int(0, 100));
     cell.ul_prbs_in_use = static_cast<std::uint32_t>(rng.uniform_int(0, 100));
     cell.active_ues = static_cast<std::uint32_t>(rng.uniform_int(0, 64));

@@ -895,9 +895,10 @@ TEST(ShardFailover, BackToBackKillsLeaveOneSurvivor) {
 }
 
 // A removed agent keeps reporting every TTI over its still-open link. The
-// reports that reach the shard must not bring the agent back: not into
-// the shard's RIB, its snapshot or the composite, and so not as a RIB
-// entry the assignment map does not know.
+// reports must not bring the agent back: not into the shard's RIB, its
+// snapshot or the composite, and so not as a RIB entry the assignment map
+// does not know. Nor are they received at all: the shard applies at most
+// the frames already in flight at the removal, and queues none.
 TEST(CompositeSnapshot, RemovedAgentStaysGoneWhileItsReportsArrive) {
   Testbed testbed(scenario::per_tti_master_config(), 2);
   auto& enb0 = testbed.add_enb(spec(1, 0));
@@ -908,9 +909,14 @@ TEST(CompositeSnapshot, RemovedAgentStaysGoneWhileItsReportsArrive) {
 
   auto& coordinator = testbed.coordinator();
   ASSERT_EQ(coordinator.shard_of(enb0.agent_id), 0u);
+  const auto& shard = coordinator.shard(0);
+  const std::uint64_t applied_before = shard.stats().updates_applied;
+  const std::uint64_t in_flight =
+      enb0.agent_side->messages_sent() - enb0.master_side->messages_received();
   coordinator.remove_agent(enb0.agent_id);
   testbed.run_ttis(200);
-  const auto& shard = coordinator.shard(0);
+  EXPECT_LE(shard.stats().updates_applied - applied_before, in_flight);
+  EXPECT_EQ(shard.pending_updates(), 0u);
   EXPECT_EQ(shard.rib().find_agent(enb0.agent_id), nullptr);
   EXPECT_EQ(shard.rib_snapshot()->find_agent(enb0.agent_id), nullptr);
   EXPECT_EQ(coordinator.rib_snapshot()->find_agent(enb0.agent_id), nullptr);
