@@ -1,8 +1,5 @@
 #include "agent/reports.h"
 
-#include <bit>
-#include <cmath>
-
 namespace flexran::agent {
 
 namespace {
@@ -17,29 +14,16 @@ void mix(std::uint64_t& hash, std::uint64_t value) {
 }
 
 /// Copies the statistics `flags` select from the data plane into `out`;
-/// unselected fields keep their defaults (the wire then omits them).
+/// each row of the UeStatsReport table names the flag that selects it, and
+/// an unselected row keeps its default (the wire then omits it).
 void fill_ue_report(const AgentApi& api, lte::Rnti rnti, std::uint32_t flags,
                     proto::UeStatsReport& out) {
-  static const proto::UeStatsReport kDefaults;
   api.ue_stats(rnti, out);
-  if ((flags & proto::stats_flags::kBsr) == 0) {
-    out.bsr_bytes = kDefaults.bsr_bytes;
-    out.ul_buffer_bytes = kDefaults.ul_buffer_bytes;
-  }
-  if ((flags & proto::stats_flags::kCqi) == 0) {
-    out.wb_cqi = kDefaults.wb_cqi;
-    out.wb_cqi_protected = kDefaults.wb_cqi_protected;
-  }
-  if ((flags & proto::stats_flags::kPhr) == 0) out.phr_db = kDefaults.phr_db;
-  if ((flags & proto::stats_flags::kRlcQueue) == 0) {
-    out.rlc_queue_bytes = kDefaults.rlc_queue_bytes;
-  }
-  if ((flags & proto::stats_flags::kHarq) == 0) out.pending_harq = kDefaults.pending_harq;
-  if ((flags & proto::stats_flags::kMacCounters) == 0) {
-    out.dl_bytes_delivered = kDefaults.dl_bytes_delivered;
-    out.ul_bytes_received = kDefaults.ul_bytes_received;
-  }
-  if ((flags & proto::stats_flags::kRsrp) == 0) out.rsrp.clear();
+  proto::UeStatsReport::Fields::each([&]<typename Row>() __attribute__((always_inline)) {
+    if constexpr (Row::flag != 0) {
+      if ((flags & Row::flag) == 0) Row::reset(out);
+    }
+  });
 }
 
 }  // namespace
@@ -138,34 +122,10 @@ std::int64_t ReportsManager::effective_period(const proto::StatsRequest& request
 
 std::uint64_t ReportsManager::fingerprint(const proto::StatsReply& reply) {
   std::uint64_t hash = 0xcbf29ce484222325ull;
-  mix(hash, reply.request_id);
-  mix(hash, reply.ue_reports.size());
-  for (const auto& ue : reply.ue_reports) {
-    mix(hash, ue.rnti);
-    for (const auto bsr : ue.bsr_bytes) mix(hash, bsr);
-    mix(hash, static_cast<std::uint64_t>(ue.phr_db));
-    mix(hash, ue.wb_cqi);
-    mix(hash, ue.wb_cqi_protected);
-    mix(hash, ue.rlc_queue_bytes);
-    mix(hash, ue.pending_harq);
-    mix(hash, ue.dl_bytes_delivered);
-    mix(hash, ue.ul_bytes_received);
-    mix(hash, ue.ul_buffer_bytes);
-    mix(hash, ue.rsrp.size());
-    for (const auto& measurement : ue.rsrp) {
-      mix(hash, measurement.cell_id);
-      // The wire carries centi-dB; finer changes are invisible to the master.
-      mix(hash, static_cast<std::uint64_t>(std::llround(measurement.rsrp_dbm * 100.0)));
-    }
-  }
-  mix(hash, reply.cell_reports.size());
-  for (const auto& cell : reply.cell_reports) {
-    mix(hash, cell.cell_id);
-    mix(hash, std::bit_cast<std::uint64_t>(cell.noise_interference_dbm));
-    mix(hash, cell.dl_prbs_in_use);
-    mix(hash, cell.ul_prbs_in_use);
-    mix(hash, cell.active_ues);
-  }
+  const auto add = [&](std::uint64_t value) { mix(hash, value); };
+  proto::StatsReply::Fields::each([&]<typename Row>() __attribute__((always_inline)) {
+    if constexpr (!Row::template names<&proto::StatsReply::subframe>) Row::visit(reply, add);
+  });
   return hash;
 }
 

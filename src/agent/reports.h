@@ -45,6 +45,12 @@ class ReportsManager {
   void set_throttle(std::uint32_t multiplier) { throttle_ = std::max(1u, multiplier); }
   std::uint32_t throttle() const { return throttle_; }
 
+  /// What a triggered registration compares to decide whether to fire: a
+  /// hash of every value the wire carries for the reply except the
+  /// subframe (which always changes), at wire precision. It walks the
+  /// StatsReply field tables, so a new row is covered without touching it.
+  static std::uint64_t fingerprint(const proto::StatsReply& reply);
+
  private:
   struct Registration {
     proto::StatsRequest request;
@@ -58,9 +64,6 @@ class ReportsManager {
 
   void build_reply(Registration& registration, std::int64_t subframe);
   std::int64_t effective_period(const proto::StatsRequest& request) const;
-  /// Hash of every reply field the wire carries except the subframe (which
-  /// always changes), at wire precision.
-  static std::uint64_t fingerprint(const proto::StatsReply& reply);
 
   AgentApi* api_;
   Registrations registrations_;

@@ -7,10 +7,10 @@
 // a checkpoint needs only a delta re-sync (stats + subscriptions) per
 // agent instead of the full three-way configuration fetch.
 //
-// The encoding reuses the wire-format primitives from proto/wire.h, so a
-// checkpoint is decodable with the same hardening guarantees as any
-// control-channel frame: truncation and corruption surface as clean
-// util::Result errors, never as crashes.
+// The encoding reuses the field tables of proto/fields.h, so a checkpoint
+// is decodable with the same hardening guarantees as any control-channel
+// frame: truncation and corruption surface as clean util::Result errors,
+// never as crashes.
 #pragma once
 
 #include <cstdint>
@@ -18,8 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "proto/fields.h"
 #include "proto/messages.h"
-#include "proto/wire.h"
 #include "util/result.h"
 
 namespace flexran::proto {
@@ -40,6 +40,25 @@ struct CheckpointAgent {
   std::vector<StatsRequest> reports;
   /// Last-known-good policy history, newest first (capped master-side).
   std::vector<std::string> policy_history;
+
+  using Fields = Table<Field<1, &CheckpointAgent::id, Kind::varint>,
+                       Field<2, &CheckpointAgent::name, Kind::string>,
+                       Field<3, &CheckpointAgent::capabilities, Kind::string>,
+                       Field<4, &CheckpointAgent::epoch, Kind::varint, Presence::unless_default>,
+                       Field<5, &CheckpointAgent::config, Kind::message>,
+                       Field<6, &CheckpointAgent::reports, Kind::message>,
+                       Field<7, &CheckpointAgent::policy_history, Kind::string>>;
+};
+
+/// Hand-coded: the shard rides as `shard + 1`, so the standalone default
+/// (-1) stays off the wire and a checkpoint without it decodes to -1.
+struct ShardBias {
+  static std::uint64_t to_wire(int shard) {
+    return shard >= 0 ? static_cast<std::uint64_t>(shard) + 1 : 0;
+  }
+  static void from_wire(int& shard, std::uint64_t stamped) {
+    shard = static_cast<int>(stamped - 1);
+  }
 };
 
 struct MasterCheckpoint {
@@ -65,6 +84,15 @@ struct MasterCheckpoint {
   /// agent was never captured" from "cold because the checkpoint is stale".
   std::vector<std::uint32_t> agent_ids;
   std::vector<CheckpointAgent> agents;
+
+  using Fields =
+      Table<Field<1, &MasterCheckpoint::version, Kind::varint>,
+            Field<2, &MasterCheckpoint::incarnation, Kind::varint, Presence::unless_default>,
+            Field<3, &MasterCheckpoint::saved_at_us, Kind::varint, Presence::unless_default>,
+            Field<4, &MasterCheckpoint::agents, Kind::message>,
+            Converted<5, &MasterCheckpoint::shard, Kind::varint, ShardBias,
+                      Presence::unless_default>,
+            Field<6, &MasterCheckpoint::agent_ids, Kind::varint>>;
 
   std::vector<std::uint8_t> encode() const;
   static util::Result<MasterCheckpoint> decode(std::span<const std::uint8_t> data);

@@ -1,12 +1,11 @@
 #include "proto/messages.h"
 
-#include <cmath>
-
 namespace flexran::proto {
 
 using util::Error;
 using util::Result;
 using util::Status;
+using Bytes = std::span<const std::uint8_t>;
 
 const char* to_string(MessageType type) {
   switch (type) {
@@ -61,22 +60,8 @@ const char* to_string(VsfFailureKind kind) {
 
 std::vector<std::uint8_t> Envelope::encode() const {
   WireEncoder enc;
-  enc.field_varint(1, version);
-  enc.field_varint(2, static_cast<std::uint64_t>(type));
-  if (xid != 0) enc.field_varint(3, xid);
-  enc.field_bytes(4, body);
-  encode_tail(enc);
+  Fields::encode(enc, *this);
   return enc.take();
-}
-
-void Envelope::encode_tail(WireEncoder& enc) const {
-  if (epoch != 0) enc.field_varint(5, epoch);
-  if (queue_status != 0) enc.field_varint(6, queue_status);
-  if (throttle_hint != 0) enc.field_varint(7, throttle_hint);
-  if (ts_us != 0) enc.field_varint(8, ts_us);
-  if (ts_echo_us != 0) enc.field_varint(9, ts_echo_us);
-  if (master_epoch != 0) enc.field_varint(10, master_epoch);
-  if (retry_after_ms != 0) enc.field_varint(11, retry_after_ms);
 }
 
 Result<Envelope> Envelope::decode(std::span<const std::uint8_t> data) {
@@ -87,114 +72,16 @@ Result<Envelope> Envelope::decode(std::span<const std::uint8_t> data) {
 }
 
 Status Envelope::decode_into(std::span<const std::uint8_t> data, Envelope& out) {
-  // Reset to defaults field by field (rather than `out = Envelope{}`) so the
-  // body vector keeps its capacity across reuse.
-  out.version = kProtocolVersion;
-  out.type = MessageType::hello;
-  out.xid = 0;
-  out.epoch = 0;
-  out.queue_status = 0;
-  out.throttle_hint = 0;
-  out.ts_us = 0;
-  out.ts_echo_us = 0;
-  out.master_epoch = 0;
-  out.retry_after_ms = 0;
-  out.body.clear();
-  bool saw_type = false;
   WireDecoder dec(data);
-  dec.fields(fields_through(11), [&]<bool kPeeked>(std::uint64_t tag) {
-    switch (tag) {
-      case tag_byte(1, WireType::varint): return dec.read<kPeeked>(tag, out.version);
-      case tag_byte(2, WireType::varint):
-        saw_type = true;
-        return dec.read<kPeeked>(tag, out.type);
-      case tag_byte(3, WireType::varint): return dec.read<kPeeked>(tag, out.xid);
-      case tag_byte(4, WireType::length_delimited): {
-        dec.take<kPeeked>(tag);
-        const auto body = dec.bytes();
-        out.body.assign(body.begin(), body.end());
-        return true;
-      }
-      case tag_byte(5, WireType::varint): return dec.read<kPeeked>(tag, out.epoch);
-      case tag_byte(6, WireType::varint): return dec.read<kPeeked>(tag, out.queue_status);
-      case tag_byte(7, WireType::varint): return dec.read<kPeeked>(tag, out.throttle_hint);
-      case tag_byte(8, WireType::varint): return dec.read<kPeeked>(tag, out.ts_us);
-      case tag_byte(9, WireType::varint): return dec.read<kPeeked>(tag, out.ts_echo_us);
-      case tag_byte(10, WireType::varint): return dec.read<kPeeked>(tag, out.master_epoch);
-      case tag_byte(11, WireType::varint): return dec.read<kPeeked>(tag, out.retry_after_ms);
-      default: return false;
-    }
-  });
+  const std::uint32_t seen = Fields::decode(dec, out);
   if (!dec.ok()) return dec.status();
-  if (!saw_type) return Error::decode_failure("envelope missing type");
+  if ((seen & Fields::bit<&Envelope::type>) == 0) {
+    return Error::decode_failure("envelope missing type");
+  }
   return {};
 }
 
-// -------------------------------------------------------------------- Hello
-
-void Hello::encode_body(WireEncoder& enc) const {
-  enc.field_varint(1, enb_id);
-  enc.field_string(2, name);
-  enc.field_varint(3, n_cells);
-  for (const auto& cap : capabilities) enc.field_string(4, cap);
-  if (epoch != 0) enc.field_varint(5, epoch);
-}
-
-Result<Hello> Hello::decode_body(std::span<const std::uint8_t> data) {
-  Hello out;
-  WireDecoder dec(data);
-  while (dec.next()) {
-    switch (dec.field()) {
-      case 1: dec.read(out.enb_id); break;
-      case 2: dec.read(out.name); break;
-      case 3: dec.read(out.n_cells); break;
-      case 4: dec.read(out.capabilities.emplace_back()); break;
-      case 5: dec.read(out.epoch); break;
-      default: dec.skip();
-    }
-  }
-  return dec.finish(std::move(out));
-}
-
-// --------------------------------------------------------------------- Echo
-
-void EchoRequest::encode_body(WireEncoder& enc) const {
-  enc.field_svarint(1, subframe);
-  enc.field_svarint(2, timestamp_us);
-}
-
-Result<EchoRequest> EchoRequest::decode_body(std::span<const std::uint8_t> data) {
-  EchoRequest out;
-  WireDecoder dec(data);
-  while (dec.next()) {
-    switch (dec.field()) {
-      case 1: out.subframe = dec.svarint(); break;
-      case 2: out.timestamp_us = dec.svarint(); break;
-      default: dec.skip();
-    }
-  }
-  return dec.finish(std::move(out));
-}
-
-void EchoReply::encode_body(WireEncoder& enc) const {
-  enc.field_svarint(1, subframe);
-  enc.field_svarint(2, echoed_timestamp_us);
-}
-
-Result<EchoReply> EchoReply::decode_body(std::span<const std::uint8_t> data) {
-  EchoReply out;
-  WireDecoder dec(data);
-  while (dec.next()) {
-    switch (dec.field()) {
-      case 1: out.subframe = dec.svarint(); break;
-      case 2: out.echoed_timestamp_us = dec.svarint(); break;
-      default: dec.skip();
-    }
-  }
-  return dec.finish(std::move(out));
-}
-
-// ------------------------------------------------------------- cell configs
+// ------------------------------------------------------------------ configs
 
 CellConfigMsg CellConfigMsg::from(const lte::CellConfig& config) {
   CellConfigMsg msg;
@@ -220,59 +107,6 @@ lte::CellConfig CellConfigMsg::to_cell_config() const {
   return config;
 }
 
-namespace {
-
-// Nested encoders write straight into the parent encoder via begin_message/
-// end_message: no per-sub-message WireEncoder, no copy, same bytes.
-void encode_cell_config(WireEncoder& enc, int field, const CellConfigMsg& cell) {
-  const auto mark = enc.begin_message(field);
-  enc.field_varint(1, cell.cell_id);
-  enc.field_double(2, cell.bandwidth_mhz);
-  enc.field_varint(3, cell.duplex);
-  enc.field_varint(4, cell.tx_mode);
-  enc.field_varint(5, cell.antenna_ports);
-  enc.field_varint(6, cell.band);
-  enc.field_varint(7, cell.pci);
-  enc.end_message(mark);
-}
-
-void decode_cell_config(WireDecoder& dec, CellConfigMsg& out) {
-  while (dec.next()) {
-    switch (dec.field()) {
-      case 1: dec.read(out.cell_id); break;
-      case 2: dec.read(out.bandwidth_mhz); break;
-      case 3: dec.read(out.duplex); break;
-      case 4: dec.read(out.tx_mode); break;
-      case 5: dec.read(out.antenna_ports); break;
-      case 6: dec.read(out.band); break;
-      case 7: dec.read(out.pci); break;
-      default: dec.skip();
-    }
-  }
-}
-
-}  // namespace
-
-void EnbConfigReply::encode_body(WireEncoder& enc) const {
-  enc.field_varint(1, enb_id);
-  for (const auto& cell : cells) encode_cell_config(enc, 2, cell);
-}
-
-Result<EnbConfigReply> EnbConfigReply::decode_body(std::span<const std::uint8_t> data) {
-  EnbConfigReply out;
-  WireDecoder dec(data);
-  while (dec.next()) {
-    switch (dec.field()) {
-      case 1: dec.read(out.enb_id); break;
-      case 2: dec.message(out.cells.emplace_back(), decode_cell_config); break;
-      default: dec.skip();
-    }
-  }
-  return dec.finish(std::move(out));
-}
-
-// --------------------------------------------------------------- UE configs
-
 UeConfigMsg UeConfigMsg::from(const lte::UeConfig& config) {
   UeConfigMsg msg;
   msg.rnti = config.rnti;
@@ -293,592 +127,83 @@ lte::UeConfig UeConfigMsg::to_ue_config() const {
   return config;
 }
 
-namespace {
+// ------------------------------------------------------------------- bodies
+// Every body codec is its message's field table, expanded (proto/fields.h).
 
-void encode_ue_config(WireEncoder& enc, int field, const UeConfigMsg& ue) {
-  const auto mark = enc.begin_message(field);
-  enc.field_varint(1, ue.rnti);
-  enc.field_varint(2, ue.primary_cell);
-  enc.field_varint(3, ue.tx_mode);
-  enc.field_varint(4, ue.ue_category);
-  enc.field_bool(5, ue.carrier_aggregation);
-  enc.end_message(mark);
+void Hello::encode_body(WireEncoder& enc) const { Fields::encode(enc, *this); }
+void EchoRequest::encode_body(WireEncoder& enc) const { Fields::encode(enc, *this); }
+void EchoReply::encode_body(WireEncoder& enc) const { Fields::encode(enc, *this); }
+void EnbConfigReply::encode_body(WireEncoder& enc) const { Fields::encode(enc, *this); }
+void UeConfigReply::encode_body(WireEncoder& enc) const { Fields::encode(enc, *this); }
+void LcConfigReply::encode_body(WireEncoder& enc) const { Fields::encode(enc, *this); }
+void StatsRequest::encode_body(WireEncoder& enc) const { Fields::encode(enc, *this); }
+void StatsReply::encode_body(WireEncoder& enc) const { Fields::encode(enc, *this); }
+void DlMacConfig::encode_body(WireEncoder& enc) const { Fields::encode(enc, *this); }
+void UlMacConfig::encode_body(WireEncoder& enc) const { Fields::encode(enc, *this); }
+void HandoverCommand::encode_body(WireEncoder& enc) const { Fields::encode(enc, *this); }
+void AbsConfig::encode_body(WireEncoder& enc) const { Fields::encode(enc, *this); }
+void CarrierRestriction::encode_body(WireEncoder& enc) const { Fields::encode(enc, *this); }
+void DrxConfig::encode_body(WireEncoder& enc) const { Fields::encode(enc, *this); }
+void ScellCommand::encode_body(WireEncoder& enc) const { Fields::encode(enc, *this); }
+void EventNotification::encode_body(WireEncoder& enc) const { Fields::encode(enc, *this); }
+void EventSubscription::encode_body(WireEncoder& enc) const { Fields::encode(enc, *this); }
+void ControlDelegation::encode_body(WireEncoder& enc) const { Fields::encode(enc, *this); }
+void PolicyReconfiguration::encode_body(WireEncoder& enc) const { Fields::encode(enc, *this); }
+
+Result<Hello> Hello::decode_body(Bytes data) { return decode_message<Hello>(data); }
+Result<EchoRequest> EchoRequest::decode_body(Bytes data) {
+  return decode_message<EchoRequest>(data);
+}
+Result<EchoReply> EchoReply::decode_body(Bytes data) { return decode_message<EchoReply>(data); }
+Result<EnbConfigReply> EnbConfigReply::decode_body(Bytes data) {
+  return decode_message<EnbConfigReply>(data);
+}
+Result<UeConfigReply> UeConfigReply::decode_body(Bytes data) {
+  return decode_message<UeConfigReply>(data);
+}
+Result<LcConfigReply> LcConfigReply::decode_body(Bytes data) {
+  return decode_message<LcConfigReply>(data);
+}
+Result<StatsRequest> StatsRequest::decode_body(Bytes data) {
+  return decode_message<StatsRequest>(data);
+}
+Result<StatsReply> StatsReply::decode_body(Bytes data) { return decode_message<StatsReply>(data); }
+Result<HandoverCommand> HandoverCommand::decode_body(Bytes data) {
+  return decode_message<HandoverCommand>(data);
+}
+Result<AbsConfig> AbsConfig::decode_body(Bytes data) { return decode_message<AbsConfig>(data); }
+Result<CarrierRestriction> CarrierRestriction::decode_body(Bytes data) {
+  return decode_message<CarrierRestriction>(data);
+}
+Result<DrxConfig> DrxConfig::decode_body(Bytes data) { return decode_message<DrxConfig>(data); }
+Result<ScellCommand> ScellCommand::decode_body(Bytes data) {
+  return decode_message<ScellCommand>(data);
+}
+Result<EventNotification> EventNotification::decode_body(Bytes data) {
+  return decode_message<EventNotification>(data);
+}
+Result<EventSubscription> EventSubscription::decode_body(Bytes data) {
+  return decode_message<EventSubscription>(data);
+}
+Result<ControlDelegation> ControlDelegation::decode_body(Bytes data) {
+  return decode_message<ControlDelegation>(data);
+}
+Result<PolicyReconfiguration> PolicyReconfiguration::decode_body(Bytes data) {
+  return decode_message<PolicyReconfiguration>(data);
 }
 
-void decode_ue_config(WireDecoder& dec, UeConfigMsg& out) {
-  while (dec.next()) {
-    switch (dec.field()) {
-      case 1: dec.read(out.rnti); break;
-      case 2: dec.read(out.primary_cell); break;
-      case 3: dec.read(out.tx_mode); break;
-      case 4: dec.read(out.ue_category); break;
-      case 5: dec.read(out.carrier_aggregation); break;
-      default: dec.skip();
-    }
-  }
+Status StatsReply::decode_body_into(Bytes data, StatsReply& out) { return decode_into(data, out); }
+Status DlMacConfig::decode_body_into(Bytes data, DlMacConfig& out) {
+  return decode_into(data, out);
+}
+Status UlMacConfig::decode_body_into(Bytes data, UlMacConfig& out) {
+  return decode_into(data, out);
 }
 
-void decode_lc_config(WireDecoder& dec, LcConfigMsg& out) {
-  while (dec.next()) {
-    switch (dec.field()) {
-      case 1: dec.read(out.rnti); break;
-      case 2: dec.read(out.lcid); break;
-      case 3: dec.read(out.lc_group); break;
-      default: dec.skip();
-    }
-  }
-}
+void UeStatsReport::reset() { Fields::reset(*this); }
 
-}  // namespace
-
-void UeConfigReply::encode_body(WireEncoder& enc) const {
-  for (const auto& ue : ues) encode_ue_config(enc, 1, ue);
-}
-
-Result<UeConfigReply> UeConfigReply::decode_body(std::span<const std::uint8_t> data) {
-  UeConfigReply out;
-  WireDecoder dec(data);
-  while (dec.next()) {
-    if (dec.field() == 1) {
-      dec.message(out.ues.emplace_back(), decode_ue_config);
-    } else {
-      dec.skip();
-    }
-  }
-  return dec.finish(std::move(out));
-}
-
-// --------------------------------------------------------------- LC configs
-
-void LcConfigReply::encode_body(WireEncoder& enc) const {
-  for (const auto& lc : channels) {
-    const auto mark = enc.begin_message(1);
-    enc.field_varint(1, lc.rnti);
-    enc.field_varint(2, lc.lcid);
-    enc.field_varint(3, lc.lc_group);
-    enc.end_message(mark);
-  }
-}
-
-Result<LcConfigReply> LcConfigReply::decode_body(std::span<const std::uint8_t> data) {
-  LcConfigReply out;
-  WireDecoder dec(data);
-  while (dec.next()) {
-    if (dec.field() == 1) {
-      dec.message(out.channels.emplace_back(), decode_lc_config);
-    } else {
-      dec.skip();
-    }
-  }
-  return dec.finish(std::move(out));
-}
-
-// -------------------------------------------------------------------- stats
-
-void StatsRequest::encode_body(WireEncoder& enc) const {
-  enc.field_varint(1, request_id);
-  enc.field_varint(2, static_cast<std::uint64_t>(mode));
-  enc.field_varint(3, periodicity_ttis);
-  enc.field_varint(4, flags);
-  for (auto rnti : ues) enc.field_varint(5, rnti);
-}
-
-Result<StatsRequest> StatsRequest::decode_body(std::span<const std::uint8_t> data) {
-  StatsRequest out;
-  WireDecoder dec(data);
-  while (dec.next()) {
-    switch (dec.field()) {
-      case 1: dec.read(out.request_id); break;
-      case 2: dec.read(out.mode); break;
-      case 3: dec.read(out.periodicity_ttis); break;
-      case 4: dec.read(out.flags); break;
-      case 5: dec.read(out.ues.emplace_back()); break;
-      default: dec.skip();
-    }
-  }
-  return dec.finish(std::move(out));
-}
-
-namespace {
-
-void encode_ue_report(WireEncoder& enc, int field, const UeStatsReport& report) {
-  const auto mark = enc.begin_message(field);
-  enc.field_varint(1, report.rnti);
-  for (auto bsr : report.bsr_bytes) enc.field_varint(2, bsr);
-  enc.field_svarint(3, report.phr_db);
-  enc.field_varint(4, report.wb_cqi);
-  enc.field_varint(5, report.rlc_queue_bytes);
-  if (report.pending_harq != 0) enc.field_varint(6, report.pending_harq);
-  if (report.dl_bytes_delivered != 0) enc.field_varint(7, report.dl_bytes_delivered);
-  if (report.ul_bytes_received != 0) enc.field_varint(8, report.ul_bytes_received);
-  if (report.wb_cqi_protected != 0) enc.field_varint(9, report.wb_cqi_protected);
-  if (report.ul_buffer_bytes != 0) enc.field_varint(11, report.ul_buffer_bytes);
-  for (const auto& measurement : report.rsrp) {
-    const auto sub = enc.begin_message(10);
-    enc.field_varint(1, measurement.cell_id);
-    // llround (not truncation) so decode -> re-encode is a fixpoint.
-    enc.field_svarint(2, std::llround(measurement.rsrp_dbm * 100.0));
-    enc.end_message(sub);
-  }
-  enc.end_message(mark);
-}
-
-void decode_rsrp(WireDecoder& dec, RsrpMeasurement& out) {
-  dec.fields(fields_through(2), [&]<bool kPeeked>(std::uint64_t tag) {
-    switch (tag) {
-      case tag_byte(1, WireType::varint): return dec.read<kPeeked>(tag, out.cell_id);
-      case tag_byte(2, WireType::varint):
-        dec.take<kPeeked>(tag);
-        out.rsrp_dbm = static_cast<double>(dec.svarint()) / 100.0;
-        return true;
-      default: return false;
-    }
-  });
-}
-
-void decode_ue_report(WireDecoder& dec, UeStatsReport& out) {
-  out.reset();
-  std::size_t bsr_index = 0;
-  dec.fields(fields_through(11), [&]<bool kPeeked>(std::uint64_t tag) {
-    switch (tag) {
-      case tag_byte(1, WireType::varint): return dec.read<kPeeked>(tag, out.rnti);
-      case tag_byte(2, WireType::varint): {
-        dec.take<kPeeked>(tag);
-        const auto bsr = static_cast<std::uint32_t>(dec.varint());
-        if (!dec.ok()) return true;
-        if (bsr_index < out.bsr_bytes.size()) {
-          out.bsr_bytes[bsr_index++] = bsr;
-        } else {
-          // Keep the message but make the information loss visible: a peer
-          // with more LC groups than we model is an anomaly worth counting,
-          // not a decode failure (forward compatibility keeps the session up).
-          decode_anomalies().bsr_overflow.fetch_add(1, std::memory_order_relaxed);
-        }
-        return true;
-      }
-      case tag_byte(3, WireType::varint):
-        dec.take<kPeeked>(tag);
-        out.phr_db = static_cast<std::int32_t>(dec.svarint());
-        return true;
-      case tag_byte(4, WireType::varint): return dec.read<kPeeked>(tag, out.wb_cqi);
-      case tag_byte(5, WireType::varint): return dec.read<kPeeked>(tag, out.rlc_queue_bytes);
-      case tag_byte(6, WireType::varint): return dec.read<kPeeked>(tag, out.pending_harq);
-      case tag_byte(7, WireType::varint): return dec.read<kPeeked>(tag, out.dl_bytes_delivered);
-      case tag_byte(8, WireType::varint): return dec.read<kPeeked>(tag, out.ul_bytes_received);
-      case tag_byte(9, WireType::varint): return dec.read<kPeeked>(tag, out.wb_cqi_protected);
-      case tag_byte(10, WireType::length_delimited):
-        dec.take<kPeeked>(tag);
-        dec.message(out.rsrp.emplace_back(), decode_rsrp);
-        return true;
-      case tag_byte(11, WireType::varint): return dec.read<kPeeked>(tag, out.ul_buffer_bytes);
-      default: return false;
-    }
-  });
-}
-
-void encode_cell_report(WireEncoder& enc, int field, const CellStatsReport& report) {
-  const auto mark = enc.begin_message(field);
-  enc.field_varint(1, report.cell_id);
-  enc.field_double(2, report.noise_interference_dbm);
-  enc.field_varint(3, report.dl_prbs_in_use);
-  enc.field_varint(4, report.ul_prbs_in_use);
-  enc.field_varint(5, report.active_ues);
-  enc.end_message(mark);
-}
-
-void decode_cell_report(WireDecoder& dec, CellStatsReport& out) {
-  out = CellStatsReport{};
-  dec.fields(fields_through(5), [&]<bool kPeeked>(std::uint64_t tag) {
-    switch (tag) {
-      case tag_byte(1, WireType::varint): return dec.read<kPeeked>(tag, out.cell_id);
-      case tag_byte(2, WireType::fixed64):
-        return dec.read<kPeeked>(tag, out.noise_interference_dbm);
-      case tag_byte(3, WireType::varint): return dec.read<kPeeked>(tag, out.dl_prbs_in_use);
-      case tag_byte(4, WireType::varint): return dec.read<kPeeked>(tag, out.ul_prbs_in_use);
-      case tag_byte(5, WireType::varint): return dec.read<kPeeked>(tag, out.active_ues);
-      default: return false;
-    }
-  });
-}
-
-}  // namespace
-
-void StatsReply::encode_body(WireEncoder& enc) const {
-  enc.field_varint(1, request_id);
-  enc.field_svarint(2, subframe);
-  for (const auto& report : ue_reports) encode_ue_report(enc, 3, report);
-  for (const auto& report : cell_reports) encode_cell_report(enc, 4, report);
-}
-
-Result<StatsReply> StatsReply::decode_body(std::span<const std::uint8_t> data) {
-  StatsReply out;
-  auto status = decode_body_into(data, out);
-  if (!status.ok()) return status.error();
-  return out;
-}
-
-Status StatsReply::decode_body_into(std::span<const std::uint8_t> data, StatsReply& out) {
-  out.request_id = 0;
-  out.subframe = 0;
-  // Decode over the existing report slots so their heap blocks (the vectors
-  // themselves and each report's rsrp) are reused; trim to the decoded count
-  // at the end. A same-shape reply touches no allocator at all.
-  std::size_t n_ue = 0;
-  std::size_t n_cell = 0;
-  WireDecoder dec(data);
-  dec.fields(fields_through(4), [&]<bool kPeeked>(std::uint64_t tag) {
-    switch (tag) {
-      case tag_byte(1, WireType::varint): return dec.read<kPeeked>(tag, out.request_id);
-      case tag_byte(2, WireType::varint):
-        dec.take<kPeeked>(tag);
-        out.subframe = dec.svarint();
-        return true;
-      case tag_byte(3, WireType::length_delimited):
-        dec.take<kPeeked>(tag);
-        if (n_ue == out.ue_reports.size()) out.ue_reports.emplace_back();
-        dec.message(out.ue_reports[n_ue++], decode_ue_report);
-        return true;
-      case tag_byte(4, WireType::length_delimited):
-        dec.take<kPeeked>(tag);
-        if (n_cell == out.cell_reports.size()) out.cell_reports.emplace_back();
-        dec.message(out.cell_reports[n_cell++], decode_cell_report);
-        return true;
-      default: return false;
-    }
-  });
-  if (!dec.ok()) return dec.status();
-  out.ue_reports.resize(n_ue);
-  out.cell_reports.resize(n_cell);
-  return {};
-}
-
-void UeStatsReport::reset() {
-  auto kept = std::move(rsrp);
-  *this = UeStatsReport{};
-  rsrp = std::move(kept);
-  rsrp.clear();
-}
-
-// ----------------------------------------------------------------- commands
-
-namespace {
-
-void encode_dl_dci(WireEncoder& enc, int field, const lte::DlDci& dci) {
-  const auto mark = enc.begin_message(field);
-  enc.field_varint(1, dci.rnti);
-  enc.field_varint(2, dci.rbs.word(0));
-  if (dci.rbs.word(1) != 0) enc.field_varint(3, dci.rbs.word(1));
-  enc.field_varint(4, static_cast<std::uint64_t>(dci.mcs));
-  enc.field_varint(5, dci.harq_pid);
-  enc.field_bool(6, dci.new_data);
-  if (dci.carrier != 0) enc.field_varint(7, dci.carrier);
-  enc.end_message(mark);
-}
-
-void decode_dl_dci(WireDecoder& dec, lte::DlDci& out) {
-  std::uint64_t w0 = 0;
-  std::uint64_t w1 = 0;
-  dec.fields(fields_through(7), [&]<bool kPeeked>(std::uint64_t tag) {
-    switch (tag) {
-      case tag_byte(1, WireType::varint): return dec.read<kPeeked>(tag, out.rnti);
-      case tag_byte(2, WireType::varint): return dec.read<kPeeked>(tag, w0);
-      case tag_byte(3, WireType::varint): return dec.read<kPeeked>(tag, w1);
-      case tag_byte(4, WireType::varint): return dec.read<kPeeked>(tag, out.mcs);
-      case tag_byte(5, WireType::varint): return dec.read<kPeeked>(tag, out.harq_pid);
-      case tag_byte(6, WireType::varint): return dec.read<kPeeked>(tag, out.new_data);
-      case tag_byte(7, WireType::varint): return dec.read<kPeeked>(tag, out.carrier);
-      default: return false;
-    }
-  });
-  out.rbs = lte::RbAllocation::from_words(w0, w1);
-}
-
-void encode_ul_dci(WireEncoder& enc, int field, const lte::UlDci& dci) {
-  const auto mark = enc.begin_message(field);
-  enc.field_varint(1, dci.rnti);
-  enc.field_varint(2, dci.rbs.word(0));
-  if (dci.rbs.word(1) != 0) enc.field_varint(3, dci.rbs.word(1));
-  enc.field_varint(4, static_cast<std::uint64_t>(dci.mcs));
-  enc.end_message(mark);
-}
-
-void decode_ul_dci(WireDecoder& dec, lte::UlDci& out) {
-  std::uint64_t w0 = 0;
-  std::uint64_t w1 = 0;
-  while (dec.next()) {
-    switch (dec.field()) {
-      case 1: dec.read(out.rnti); break;
-      case 2: w0 = dec.varint(); break;
-      case 3: w1 = dec.varint(); break;
-      case 4: dec.read(out.mcs); break;
-      default: dec.skip();
-    }
-  }
-  out.rbs = lte::RbAllocation::from_words(w0, w1);
-}
-
-}  // namespace
-
-void DlMacConfig::encode_body(WireEncoder& enc) const {
-  enc.field_varint(1, cell_id);
-  enc.field_svarint(2, target_subframe);
-  for (const auto& dci : dcis) encode_dl_dci(enc, 3, dci);
-}
-
-Status DlMacConfig::decode_body_into(std::span<const std::uint8_t> data, DlMacConfig& out) {
-  out.cell_id = 0;
-  out.target_subframe = 0;
-  std::size_t n = 0;
-  WireDecoder dec(data);
-  dec.fields(fields_through(3), [&]<bool kPeeked>(std::uint64_t tag) {
-    switch (tag) {
-      case tag_byte(1, WireType::varint): return dec.read<kPeeked>(tag, out.cell_id);
-      case tag_byte(2, WireType::varint):
-        dec.take<kPeeked>(tag);
-        out.target_subframe = dec.svarint();
-        return true;
-      case tag_byte(3, WireType::length_delimited):
-        dec.take<kPeeked>(tag);
-        if (n == out.dcis.size()) out.dcis.emplace_back();
-        out.dcis[n] = lte::DlDci{};
-        dec.message(out.dcis[n++], decode_dl_dci);
-        return true;
-      default: return false;
-    }
-  });
-  if (!dec.ok()) return dec.status();
-  out.dcis.resize(n);
-  return {};
-}
-
-void UlMacConfig::encode_body(WireEncoder& enc) const {
-  enc.field_varint(1, cell_id);
-  enc.field_svarint(2, target_subframe);
-  for (const auto& dci : dcis) encode_ul_dci(enc, 3, dci);
-}
-
-Status UlMacConfig::decode_body_into(std::span<const std::uint8_t> data, UlMacConfig& out) {
-  out.cell_id = 0;
-  out.target_subframe = 0;
-  std::size_t n = 0;
-  WireDecoder dec(data);
-  while (dec.next()) {
-    switch (dec.field()) {
-      case 1: dec.read(out.cell_id); break;
-      case 2: out.target_subframe = dec.svarint(); break;
-      case 3:
-        if (n == out.dcis.size()) out.dcis.emplace_back();
-        out.dcis[n] = lte::UlDci{};
-        dec.message(out.dcis[n++], decode_ul_dci);
-        break;
-      default: dec.skip();
-    }
-  }
-  if (!dec.ok()) return dec.status();
-  out.dcis.resize(n);
-  return {};
-}
-
-void HandoverCommand::encode_body(WireEncoder& enc) const {
-  enc.field_varint(1, rnti);
-  enc.field_varint(2, source_cell);
-  enc.field_varint(3, target_cell);
-}
-
-Result<HandoverCommand> HandoverCommand::decode_body(std::span<const std::uint8_t> data) {
-  HandoverCommand out;
-  WireDecoder dec(data);
-  while (dec.next()) {
-    switch (dec.field()) {
-      case 1: dec.read(out.rnti); break;
-      case 2: dec.read(out.source_cell); break;
-      case 3: dec.read(out.target_cell); break;
-      default: dec.skip();
-    }
-  }
-  return dec.finish(std::move(out));
-}
-
-void AbsConfig::encode_body(WireEncoder& enc) const {
-  enc.field_varint(1, cell_id);
-  enc.field_varint(2, pattern.to_bits());
-  enc.field_bool(3, mute_during_abs);
-}
-
-Result<AbsConfig> AbsConfig::decode_body(std::span<const std::uint8_t> data) {
-  AbsConfig out;
-  WireDecoder dec(data);
-  while (dec.next()) {
-    switch (dec.field()) {
-      case 1: dec.read(out.cell_id); break;
-      case 2: out.pattern = lte::AbsPattern::from_bits(dec.varint()); break;
-      case 3: dec.read(out.mute_during_abs); break;
-      default: dec.skip();
-    }
-  }
-  return dec.finish(std::move(out));
-}
-
-void CarrierRestriction::encode_body(WireEncoder& enc) const {
-  enc.field_varint(1, cell_id);
-  enc.field_varint(2, max_dl_prbs);
-}
-
-Result<CarrierRestriction> CarrierRestriction::decode_body(std::span<const std::uint8_t> data) {
-  CarrierRestriction out;
-  WireDecoder dec(data);
-  while (dec.next()) {
-    switch (dec.field()) {
-      case 1: dec.read(out.cell_id); break;
-      case 2: dec.read(out.max_dl_prbs); break;
-      default: dec.skip();
-    }
-  }
-  return dec.finish(std::move(out));
-}
-
-void DrxConfig::encode_body(WireEncoder& enc) const {
-  enc.field_varint(1, rnti);
-  enc.field_varint(2, cycle_ttis);
-  enc.field_varint(3, on_duration_ttis);
-}
-
-Result<DrxConfig> DrxConfig::decode_body(std::span<const std::uint8_t> data) {
-  DrxConfig out;
-  WireDecoder dec(data);
-  while (dec.next()) {
-    switch (dec.field()) {
-      case 1: dec.read(out.rnti); break;
-      case 2: dec.read(out.cycle_ttis); break;
-      case 3: dec.read(out.on_duration_ttis); break;
-      default: dec.skip();
-    }
-  }
-  return dec.finish(std::move(out));
-}
-
-void ScellCommand::encode_body(WireEncoder& enc) const {
-  enc.field_varint(1, rnti);
-  enc.field_bool(2, activate);
-}
-
-Result<ScellCommand> ScellCommand::decode_body(std::span<const std::uint8_t> data) {
-  ScellCommand out;
-  WireDecoder dec(data);
-  while (dec.next()) {
-    switch (dec.field()) {
-      case 1: dec.read(out.rnti); break;
-      case 2: dec.read(out.activate); break;
-      default: dec.skip();
-    }
-  }
-  return dec.finish(std::move(out));
-}
-
-// ------------------------------------------------------------------- events
-
-void EventNotification::encode_body(WireEncoder& enc) const {
-  enc.field_varint(1, static_cast<std::uint64_t>(event));
-  enc.field_svarint(2, subframe);
-  if (rnti != lte::kInvalidRnti) enc.field_varint(3, rnti);
-  if (cell_id != 0) enc.field_varint(4, cell_id);
-  if (xid != 0) enc.field_varint(5, xid);
-  if (!module.empty()) enc.field_string(6, module);
-  if (!vsf.empty()) enc.field_string(7, vsf);
-  if (!implementation.empty()) enc.field_string(8, implementation);
-  if (failure_kind != VsfFailureKind::none) {
-    enc.field_varint(9, static_cast<std::uint64_t>(failure_kind));
-  }
-  if (failure_count != 0) enc.field_varint(10, failure_count);
-  if (!detail.empty()) enc.field_string(11, detail);
-  if (overload_state != 0) enc.field_varint(12, overload_state);
-}
-
-Result<EventNotification> EventNotification::decode_body(std::span<const std::uint8_t> data) {
-  EventNotification out;
-  WireDecoder dec(data);
-  while (dec.next()) {
-    switch (dec.field()) {
-      case 1: dec.read(out.event); break;
-      case 2: out.subframe = dec.svarint(); break;
-      case 3: dec.read(out.rnti); break;
-      case 4: dec.read(out.cell_id); break;
-      case 5: dec.read(out.xid); break;
-      case 6: dec.read(out.module); break;
-      case 7: dec.read(out.vsf); break;
-      case 8: dec.read(out.implementation); break;
-      case 9: dec.read(out.failure_kind); break;
-      case 10: dec.read(out.failure_count); break;
-      case 11: dec.read(out.detail); break;
-      case 12: dec.read(out.overload_state); break;
-      default: dec.skip();
-    }
-  }
-  return dec.finish(std::move(out));
-}
-
-void EventSubscription::encode_body(WireEncoder& enc) const {
-  for (const auto event : events) enc.field_varint(1, static_cast<std::uint64_t>(event));
-  enc.field_bool(2, enable);
-}
-
-Result<EventSubscription> EventSubscription::decode_body(std::span<const std::uint8_t> data) {
-  EventSubscription out;
-  WireDecoder dec(data);
-  while (dec.next()) {
-    switch (dec.field()) {
-      case 1: dec.read(out.events.emplace_back()); break;
-      case 2: dec.read(out.enable); break;
-      default: dec.skip();
-    }
-  }
-  return dec.finish(std::move(out));
-}
-
-// --------------------------------------------------------------- delegation
-
-void ControlDelegation::encode_body(WireEncoder& enc) const {
-  enc.field_string(1, module);
-  enc.field_string(2, vsf);
-  enc.field_string(3, implementation);
-  enc.field_varint(4, version);
-  if (!blob.empty()) enc.field_bytes(5, blob);
-}
-
-Result<ControlDelegation> ControlDelegation::decode_body(std::span<const std::uint8_t> data) {
-  ControlDelegation out;
-  WireDecoder dec(data);
-  while (dec.next()) {
-    switch (dec.field()) {
-      case 1: dec.read(out.module); break;
-      case 2: dec.read(out.vsf); break;
-      case 3: dec.read(out.implementation); break;
-      case 4: dec.read(out.version); break;
-      case 5: {
-        const auto blob = dec.bytes();
-        out.blob.assign(blob.begin(), blob.end());
-        break;
-      }
-      default: dec.skip();
-    }
-  }
-  return dec.finish(std::move(out));
-}
-
-void PolicyReconfiguration::encode_body(WireEncoder& enc) const { enc.field_string(1, yaml); }
-
-Result<PolicyReconfiguration> PolicyReconfiguration::decode_body(
-    std::span<const std::uint8_t> data) {
-  PolicyReconfiguration out;
-  WireDecoder dec(data);
-  while (dec.next()) {
-    if (dec.field() == 1) {
-      dec.read(out.yaml);
-    } else {
-      dec.skip();
-    }
-  }
-  return dec.finish(std::move(out));
+void BsrOverflow::dropped() {
+  decode_anomalies().bsr_overflow.fetch_add(1, std::memory_order_relaxed);
 }
 
 // ------------------------------------------------------------------ helpers

@@ -7,10 +7,17 @@
 //                    UE attach, RACH, scheduling request)
 //   delegation     - ControlDelegation (VSF updation) / PolicyReconfiguration
 // Every message travels inside an Envelope carrying version/type/xid.
+//
+// Each message and nested record declares its wire fields once, in its
+// `Fields` table (proto/fields.h): rows in wire order, each naming its
+// field number, member and kind. encode_body/decode_body/decode_body_into
+// are expanded from that table; rows marked "hand-coded" are the few whose
+// wire form differs from the memory form.
 #pragma once
 
 #include <array>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -19,6 +26,7 @@
 #include "lte/allocation.h"
 #include "lte/types.h"
 #include "net/flow_control.h"
+#include "proto/fields.h"
 #include "proto/wire.h"
 #include "util/result.h"
 
@@ -114,11 +122,19 @@ struct Envelope {
   std::uint32_t retry_after_ms = 0;
   std::vector<std::uint8_t> body;
 
+  using Fields = Table<Field<1, &Envelope::version, Kind::varint>,
+                       Field<2, &Envelope::type, Kind::varint>,
+                       Field<3, &Envelope::xid, Kind::varint, Presence::unless_default>,
+                       Field<4, &Envelope::body, Kind::bytes>,
+                       Field<5, &Envelope::epoch, Kind::varint, Presence::unless_default>,
+                       Field<6, &Envelope::queue_status, Kind::varint, Presence::unless_default>,
+                       Field<7, &Envelope::throttle_hint, Kind::varint, Presence::unless_default>,
+                       Field<8, &Envelope::ts_us, Kind::varint, Presence::unless_default>,
+                       Field<9, &Envelope::ts_echo_us, Kind::varint, Presence::unless_default>,
+                       Field<10, &Envelope::master_epoch, Kind::varint, Presence::unless_default>,
+                       Field<11, &Envelope::retry_after_ms, Kind::varint, Presence::unless_default>>;
+
   std::vector<std::uint8_t> encode() const;
-  /// Appends the trailing envelope fields (5..11, all zero-omitted) to `enc`.
-  /// Split out so encode_envelope() can write the body inline between the
-  /// leading fields and this tail; byte layout matches encode().
-  void encode_tail(WireEncoder& enc) const;
   static util::Result<Envelope> decode(std::span<const std::uint8_t> data);
   /// Allocation-free variant of decode(): resets `out` and decodes into it,
   /// reusing `out.body`'s capacity. Receive paths keep one Envelope per link
@@ -138,6 +154,10 @@ struct Hello {
   /// announce a reconnect and make the master run a full re-sync).
   std::uint32_t epoch = 0;
 
+  using Fields = Table<Field<1, &Hello::enb_id, Kind::varint>, Field<2, &Hello::name, Kind::string>,
+                       Field<3, &Hello::n_cells, Kind::varint>,
+                       Field<4, &Hello::capabilities, Kind::string>,
+                       Field<5, &Hello::epoch, Kind::varint, Presence::unless_default>>;
   void encode_body(WireEncoder& enc) const;
   static util::Result<Hello> decode_body(std::span<const std::uint8_t> data);
 };
@@ -149,6 +169,8 @@ struct EchoRequest {
   std::int64_t subframe = 0;
   std::int64_t timestamp_us = 0;
 
+  using Fields = Table<Field<1, &EchoRequest::subframe, Kind::svarint>,
+                       Field<2, &EchoRequest::timestamp_us, Kind::svarint>>;
   void encode_body(WireEncoder& enc) const;
   static util::Result<EchoRequest> decode_body(std::span<const std::uint8_t> data);
 };
@@ -158,6 +180,8 @@ struct EchoReply {
   std::int64_t subframe = 0;
   std::int64_t echoed_timestamp_us = 0;
 
+  using Fields = Table<Field<1, &EchoReply::subframe, Kind::svarint>,
+                       Field<2, &EchoReply::echoed_timestamp_us, Kind::svarint>>;
   void encode_body(WireEncoder& enc) const;
   static util::Result<EchoReply> decode_body(std::span<const std::uint8_t> data);
 };
@@ -178,6 +202,13 @@ struct CellConfigMsg {
   std::uint16_t band = 5;
   std::uint16_t pci = 0;
 
+  using Fields = Table<Field<1, &CellConfigMsg::cell_id, Kind::varint>,
+                       Field<2, &CellConfigMsg::bandwidth_mhz, Kind::fixed64>,
+                       Field<3, &CellConfigMsg::duplex, Kind::varint>,
+                       Field<4, &CellConfigMsg::tx_mode, Kind::varint>,
+                       Field<5, &CellConfigMsg::antenna_ports, Kind::varint>,
+                       Field<6, &CellConfigMsg::band, Kind::varint>,
+                       Field<7, &CellConfigMsg::pci, Kind::varint>>;
   static CellConfigMsg from(const lte::CellConfig& config);
   lte::CellConfig to_cell_config() const;
 };
@@ -187,6 +218,8 @@ struct EnbConfigReply {
   lte::EnbId enb_id = 0;
   std::vector<CellConfigMsg> cells;
 
+  using Fields = Table<Field<1, &EnbConfigReply::enb_id, Kind::varint>,
+                       Field<2, &EnbConfigReply::cells, Kind::message>>;
   void encode_body(WireEncoder& enc) const;
   static util::Result<EnbConfigReply> decode_body(std::span<const std::uint8_t> data);
 };
@@ -203,6 +236,11 @@ struct UeConfigMsg {
   std::uint8_t ue_category = 4;
   bool carrier_aggregation = false;
 
+  using Fields = Table<Field<1, &UeConfigMsg::rnti, Kind::varint>,
+                       Field<2, &UeConfigMsg::primary_cell, Kind::varint>,
+                       Field<3, &UeConfigMsg::tx_mode, Kind::varint>,
+                       Field<4, &UeConfigMsg::ue_category, Kind::varint>,
+                       Field<5, &UeConfigMsg::carrier_aggregation, Kind::varint>>;
   static UeConfigMsg from(const lte::UeConfig& config);
   lte::UeConfig to_ue_config() const;
 };
@@ -211,6 +249,7 @@ struct UeConfigReply {
   static constexpr MessageType kType = MessageType::ue_config_reply;
   std::vector<UeConfigMsg> ues;
 
+  using Fields = Table<Field<1, &UeConfigReply::ues, Kind::message>>;
   void encode_body(WireEncoder& enc) const;
   static util::Result<UeConfigReply> decode_body(std::span<const std::uint8_t> data);
 };
@@ -224,12 +263,17 @@ struct LcConfigMsg {
   lte::Rnti rnti = lte::kInvalidRnti;
   lte::Lcid lcid = lte::kDefaultDrb;
   std::uint8_t lc_group = 1;
+
+  using Fields = Table<Field<1, &LcConfigMsg::rnti, Kind::varint>,
+                       Field<2, &LcConfigMsg::lcid, Kind::varint>,
+                       Field<3, &LcConfigMsg::lc_group, Kind::varint>>;
 };
 
 struct LcConfigReply {
   static constexpr MessageType kType = MessageType::lc_config_reply;
   std::vector<LcConfigMsg> channels;
 
+  using Fields = Table<Field<1, &LcConfigReply::channels, Kind::message>>;
   void encode_body(WireEncoder& enc) const;
   static util::Result<LcConfigReply> decode_body(std::span<const std::uint8_t> data);
 };
@@ -263,15 +307,39 @@ struct StatsRequest {
   /// Empty = all UEs.
   std::vector<lte::Rnti> ues;
 
+  using Fields = Table<Field<1, &StatsRequest::request_id, Kind::varint>,
+                       Field<2, &StatsRequest::mode, Kind::varint>,
+                       Field<3, &StatsRequest::periodicity_ttis, Kind::varint>,
+                       Field<4, &StatsRequest::flags, Kind::varint>,
+                       Field<5, &StatsRequest::ues, Kind::varint>>;
   void encode_body(WireEncoder& enc) const;
   static util::Result<StatsRequest> decode_body(std::span<const std::uint8_t> data);
+};
+
+/// Hand-coded: RSRP travels in centi-dB. llround (not truncation) so
+/// decode -> re-encode is a fixpoint.
+struct CentiDb {
+  static std::int64_t to_wire(double dbm) { return std::llround(dbm * 100.0); }
+  static void from_wire(double& dbm, std::int64_t centi) {
+    dbm = static_cast<double>(centi) / 100.0;
+  }
 };
 
 /// One RRC measurement entry: received power from a cell (serving included).
 struct RsrpMeasurement {
   lte::CellId cell_id = 0;
-  /// RSRP in dBm; wire form is centi-dB signed varint.
+  /// RSRP in dBm.
   double rsrp_dbm = -140.0;
+
+  using Fields = Table<Field<1, &RsrpMeasurement::cell_id, Kind::varint>,
+                       Converted<2, &RsrpMeasurement::rsrp_dbm, Kind::svarint, CentiDb>>;
+};
+
+/// Hand-coded: bsr_bytes is a fixed array of kNumLcGroups entries; a peer
+/// that sends more loses the extras, counted in
+/// decode_anomalies().bsr_overflow rather than failing the decode.
+struct BsrOverflow {
+  static void dropped();
 };
 
 struct UeStatsReport {
@@ -294,6 +362,28 @@ struct UeStatsReport {
   /// UEs with a radio profile; empty under abstract channel models.
   std::vector<RsrpMeasurement> rsrp;
 
+  /// Rows in wire order (field 10 last); each names the stats_flags bit
+  /// that selects it into a report.
+  using Fields = Table<
+      Field<1, &UeStatsReport::rnti, Kind::varint>,
+      Converted<2, &UeStatsReport::bsr_bytes, Kind::varint, BsrOverflow, Presence::always,
+                stats_flags::kBsr>,
+      Field<3, &UeStatsReport::phr_db, Kind::svarint, Presence::always, stats_flags::kPhr>,
+      Field<4, &UeStatsReport::wb_cqi, Kind::varint, Presence::always, stats_flags::kCqi>,
+      Field<5, &UeStatsReport::rlc_queue_bytes, Kind::varint, Presence::always,
+            stats_flags::kRlcQueue>,
+      Field<6, &UeStatsReport::pending_harq, Kind::varint, Presence::unless_default,
+            stats_flags::kHarq>,
+      Field<7, &UeStatsReport::dl_bytes_delivered, Kind::varint, Presence::unless_default,
+            stats_flags::kMacCounters>,
+      Field<8, &UeStatsReport::ul_bytes_received, Kind::varint, Presence::unless_default,
+            stats_flags::kMacCounters>,
+      Field<9, &UeStatsReport::wb_cqi_protected, Kind::varint, Presence::unless_default,
+            stats_flags::kCqi>,
+      Field<11, &UeStatsReport::ul_buffer_bytes, Kind::varint, Presence::unless_default,
+            stats_flags::kBsr>,
+      Field<10, &UeStatsReport::rsrp, Kind::message, Presence::always, stats_flags::kRsrp>>;
+
   std::uint32_t total_bsr() const {
     std::uint32_t total = 0;
     for (auto b : bsr_bytes) total += b;
@@ -309,6 +399,12 @@ struct CellStatsReport {
   std::uint32_t dl_prbs_in_use = 0;
   std::uint32_t ul_prbs_in_use = 0;
   std::uint32_t active_ues = 0;
+
+  using Fields = Table<Field<1, &CellStatsReport::cell_id, Kind::varint>,
+                       Field<2, &CellStatsReport::noise_interference_dbm, Kind::fixed64>,
+                       Field<3, &CellStatsReport::dl_prbs_in_use, Kind::varint>,
+                       Field<4, &CellStatsReport::ul_prbs_in_use, Kind::varint>,
+                       Field<5, &CellStatsReport::active_ues, Kind::varint>>;
 };
 
 struct StatsReply {
@@ -318,6 +414,10 @@ struct StatsReply {
   std::vector<UeStatsReport> ue_reports;
   std::vector<CellStatsReport> cell_reports;
 
+  using Fields = Table<Field<1, &StatsReply::request_id, Kind::varint>,
+                       Field<2, &StatsReply::subframe, Kind::svarint>,
+                       Field<3, &StatsReply::ue_reports, Kind::message>,
+                       Field<4, &StatsReply::cell_reports, Kind::message>>;
   void encode_body(WireEncoder& enc) const;
   static util::Result<StatsReply> decode_body(std::span<const std::uint8_t> data);
   /// Allocation-free variant of decode_body(): resets `out` and decodes into
@@ -328,12 +428,46 @@ struct StatsReply {
 
 // ----------------------------------------------------------------- commands
 
+/// Hand-coded: a DCI's PRB bitmap travels as its two 64-bit words.
+template <int Word>
+struct RbWord {
+  static std::uint64_t to_wire(const lte::RbAllocation& rbs) { return rbs.word(Word); }
+  static void from_wire(lte::RbAllocation& rbs, std::uint64_t value) {
+    rbs = lte::RbAllocation::from_words(Word == 0 ? value : rbs.word(0),
+                                        Word == 1 ? value : rbs.word(1));
+  }
+};
+
+template <>
+struct TableOf<lte::DlDci> {
+  using type = Table<Field<1, &lte::DlDci::rnti, Kind::varint>,
+                     Converted<2, &lte::DlDci::rbs, Kind::varint, RbWord<0>>,
+                     Converted<3, &lte::DlDci::rbs, Kind::varint, RbWord<1>,
+                               Presence::unless_default>,
+                     Field<4, &lte::DlDci::mcs, Kind::varint>,
+                     Field<5, &lte::DlDci::harq_pid, Kind::varint>,
+                     Field<6, &lte::DlDci::new_data, Kind::varint>,
+                     Field<7, &lte::DlDci::carrier, Kind::varint, Presence::unless_default>>;
+};
+
+template <>
+struct TableOf<lte::UlDci> {
+  using type = Table<Field<1, &lte::UlDci::rnti, Kind::varint>,
+                     Converted<2, &lte::UlDci::rbs, Kind::varint, RbWord<0>>,
+                     Converted<3, &lte::UlDci::rbs, Kind::varint, RbWord<1>,
+                               Presence::unless_default>,
+                     Field<4, &lte::UlDci::mcs, Kind::varint>>;
+};
+
 struct DlMacConfig {
   static constexpr MessageType kType = MessageType::dl_mac_config;
   lte::CellId cell_id = 0;
   std::int64_t target_subframe = 0;
   std::vector<lte::DlDci> dcis;
 
+  using Fields = Table<Field<1, &DlMacConfig::cell_id, Kind::varint>,
+                       Field<2, &DlMacConfig::target_subframe, Kind::svarint>,
+                       Field<3, &DlMacConfig::dcis, Kind::message>>;
   void encode_body(WireEncoder& enc) const;
   /// The StatsReply idiom: decodes over `out`'s DCI slots, so a warm `out`
   /// with as many DCIs touches no allocator.
@@ -346,6 +480,9 @@ struct UlMacConfig {
   std::int64_t target_subframe = 0;
   std::vector<lte::UlDci> dcis;
 
+  using Fields = Table<Field<1, &UlMacConfig::cell_id, Kind::varint>,
+                       Field<2, &UlMacConfig::target_subframe, Kind::svarint>,
+                       Field<3, &UlMacConfig::dcis, Kind::message>>;
   void encode_body(WireEncoder& enc) const;
   /// The StatsReply idiom: decodes over `out`'s DCI slots, so a warm `out`
   /// with as many DCIs touches no allocator.
@@ -358,8 +495,19 @@ struct HandoverCommand {
   lte::CellId source_cell = 0;
   lte::CellId target_cell = 0;
 
+  using Fields = Table<Field<1, &HandoverCommand::rnti, Kind::varint>,
+                       Field<2, &HandoverCommand::source_cell, Kind::varint>,
+                       Field<3, &HandoverCommand::target_cell, Kind::varint>>;
   void encode_body(WireEncoder& enc) const;
   static util::Result<HandoverCommand> decode_body(std::span<const std::uint8_t> data);
+};
+
+/// Hand-coded: an ABS pattern travels as its 40 bits in a u64.
+struct AbsBits {
+  static std::uint64_t to_wire(const lte::AbsPattern& pattern) { return pattern.to_bits(); }
+  static void from_wire(lte::AbsPattern& pattern, std::uint64_t bits) {
+    pattern = lte::AbsPattern::from_bits(bits);
+  }
 };
 
 struct AbsConfig {
@@ -369,6 +517,10 @@ struct AbsConfig {
   /// True = this cell mutes during ABS (macro role); false = the pattern
   /// only marks protected subframes (small-cell role).
   bool mute_during_abs = true;
+
+  using Fields = Table<Field<1, &AbsConfig::cell_id, Kind::varint>,
+                       Converted<2, &AbsConfig::pattern, Kind::varint, AbsBits>,
+                       Field<3, &AbsConfig::mute_during_abs, Kind::varint>>;
 
   void encode_body(WireEncoder& enc) const;
   static util::Result<AbsConfig> decode_body(std::span<const std::uint8_t> data);
@@ -385,6 +537,8 @@ struct CarrierRestriction {
   lte::CellId cell_id = 0;
   std::uint16_t max_dl_prbs = 0;
 
+  using Fields = Table<Field<1, &CarrierRestriction::cell_id, Kind::varint>,
+                       Field<2, &CarrierRestriction::max_dl_prbs, Kind::varint>>;
   void encode_body(WireEncoder& enc) const;
   static util::Result<CarrierRestriction> decode_body(std::span<const std::uint8_t> data);
 };
@@ -399,6 +553,9 @@ struct DrxConfig {
   std::uint16_t cycle_ttis = 0;
   std::uint16_t on_duration_ttis = 0;
 
+  using Fields = Table<Field<1, &DrxConfig::rnti, Kind::varint>,
+                       Field<2, &DrxConfig::cycle_ttis, Kind::varint>,
+                       Field<3, &DrxConfig::on_duration_ttis, Kind::varint>>;
   void encode_body(WireEncoder& enc) const;
   static util::Result<DrxConfig> decode_body(std::span<const std::uint8_t> data);
 };
@@ -411,6 +568,8 @@ struct ScellCommand {
   lte::Rnti rnti = lte::kInvalidRnti;
   bool activate = true;
 
+  using Fields = Table<Field<1, &ScellCommand::rnti, Kind::varint>,
+                       Field<2, &ScellCommand::activate, Kind::varint>>;
   void encode_body(WireEncoder& enc) const;
   static util::Result<ScellCommand> decode_body(std::span<const std::uint8_t> data);
 };
@@ -494,6 +653,19 @@ struct EventNotification {
   /// (0 = normal, 1 = elevated, 2 = critical).
   std::uint8_t overload_state = 0;
 
+  using Fields = Table<
+      Field<1, &EventNotification::event, Kind::varint>,
+      Field<2, &EventNotification::subframe, Kind::svarint>,
+      Field<3, &EventNotification::rnti, Kind::varint, Presence::unless_default>,
+      Field<4, &EventNotification::cell_id, Kind::varint, Presence::unless_default>,
+      Field<5, &EventNotification::xid, Kind::varint, Presence::unless_default>,
+      Field<6, &EventNotification::module, Kind::string, Presence::unless_default>,
+      Field<7, &EventNotification::vsf, Kind::string, Presence::unless_default>,
+      Field<8, &EventNotification::implementation, Kind::string, Presence::unless_default>,
+      Field<9, &EventNotification::failure_kind, Kind::varint, Presence::unless_default>,
+      Field<10, &EventNotification::failure_count, Kind::varint, Presence::unless_default>,
+      Field<11, &EventNotification::detail, Kind::string, Presence::unless_default>,
+      Field<12, &EventNotification::overload_state, Kind::varint, Presence::unless_default>>;
   void encode_body(WireEncoder& enc) const;
   static util::Result<EventNotification> decode_body(std::span<const std::uint8_t> data);
 };
@@ -506,6 +678,8 @@ struct EventSubscription {
   std::vector<EventType> events;
   bool enable = true;
 
+  using Fields = Table<Field<1, &EventSubscription::events, Kind::varint>,
+                       Field<2, &EventSubscription::enable, Kind::varint>>;
   void encode_body(WireEncoder& enc) const;
   static util::Result<EventSubscription> decode_body(std::span<const std::uint8_t> data);
 };
@@ -524,6 +698,11 @@ struct ControlDelegation {
   std::uint32_t version = 1;
   std::vector<std::uint8_t> blob;
 
+  using Fields = Table<Field<1, &ControlDelegation::module, Kind::string>,
+                       Field<2, &ControlDelegation::vsf, Kind::string>,
+                       Field<3, &ControlDelegation::implementation, Kind::string>,
+                       Field<4, &ControlDelegation::version, Kind::varint>,
+                       Field<5, &ControlDelegation::blob, Kind::bytes, Presence::unless_default>>;
   void encode_body(WireEncoder& enc) const;
   static util::Result<ControlDelegation> decode_body(std::span<const std::uint8_t> data);
 };
@@ -534,6 +713,7 @@ struct PolicyReconfiguration {
   static constexpr MessageType kType = MessageType::policy_reconfiguration;
   std::string yaml;
 
+  using Fields = Table<Field<1, &PolicyReconfiguration::yaml, Kind::string>>;
   void encode_body(WireEncoder& enc) const;
   static util::Result<PolicyReconfiguration> decode_body(std::span<const std::uint8_t> data);
 };
@@ -603,16 +783,23 @@ inline net::TrafficClass traffic_class(const EventNotification& event) {
 /// has clear()ed): the body is written inline through begin_message/
 /// end_message, so there is no per-send body vector and no copy. `header`
 /// supplies every envelope field except `type` (taken from M::kType) and
-/// `body` (ignored). Bytes are identical to pack()/Envelope::encode().
+/// `body` (ignored). Bytes are identical to pack()/Envelope::encode(): both
+/// write the envelope's rows through its table.
 template <typename M>
 void encode_envelope(WireEncoder& enc, const Envelope& header, const M& message) {
-  enc.field_varint(1, header.version);
-  enc.field_varint(2, static_cast<std::uint64_t>(M::kType));
-  if (header.xid != 0) enc.field_varint(3, header.xid);
-  const std::size_t mark = enc.begin_message(4);
-  message.encode_body(enc);
-  enc.end_message(mark);
-  header.encode_tail(enc);
+  Envelope::Fields::each([&]<typename Row>() __attribute__((always_inline)) {
+    // Hand-coded: the body is `message`, written in place, and the type
+    // field is its kType.
+    if constexpr (Row::template names<&Envelope::body>) {
+      const std::size_t mark = enc.begin_message(Row::number);
+      message.encode_body(enc);
+      enc.end_message(mark);
+    } else if constexpr (Row::template names<&Envelope::type>) {
+      enc.field_varint(Row::number, static_cast<std::uint64_t>(M::kType));
+    } else {
+      Row::encode(enc, header);
+    }
+  });
 }
 
 /// Packs a message struct into an encoded envelope.

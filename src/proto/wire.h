@@ -52,7 +52,6 @@ class WireEncoder {
     varint(value);
   }
   void field_svarint(int field, std::int64_t value) { field_varint(field, zigzag_encode(value)); }
-  void field_bool(int field, bool value) { field_varint(field, value ? 1 : 0); }
   void field_double(int field, double value);
   void field_bytes(int field, std::span<const std::uint8_t> bytes);
   void field_string(int field, std::string_view text);
@@ -97,13 +96,11 @@ enum class DecodeError : std::uint8_t {
 
 const char* to_string(DecodeError error);
 
-/// A one-byte tag: field 1..15 with wire type `type`. The per-TTI decoders
-/// switch on these (WireDecoder::fields).
+/// A one-byte tag: field 1..15 with wire type `type`. The field-table
+/// decoders (proto/fields.h) dispatch on these (WireDecoder::fields).
 constexpr std::uint32_t tag_byte(int field, WireType type) {
   return static_cast<std::uint32_t>(field) << 3 | static_cast<std::uint32_t>(type);
 }
-/// The mask of fields 1..last, for WireDecoder::fields and unexpected().
-constexpr std::uint32_t fields_through(int last) { return (2u << last) - 2u; }
 
 /// Sticky-error reader. Reads return plain values; the first failure is
 /// latched together with the number of the field being read, the cursor
@@ -114,13 +111,13 @@ constexpr std::uint32_t fields_through(int last) { return (2u << last) - 2u; }
 /// util::Error, with its string, is only built by status() and finish(), at
 /// the API boundary.
 ///
-/// A decoder is one of two loops over the same reads. Cold messages use
-/// the checked loop: `while (dec.next()) switch (dec.field())`, with
-/// `default: dec.skip()`. The per-TTI ones use fields(): their switch arms
-/// first run on the raw byte at the cursor (peek()), and an arm that matches
-/// consumes that one-byte tag with take_tag(). Whatever no arm matches takes
-/// the checked path: next(), the same arms on tag(), then unexpected(). Both
-/// loops accept and reject the same bytes, with the same error and field.
+/// Every message decoder is fields(), expanded from the message's field
+/// table (proto/fields.h): one arm per row, first run on the raw byte at
+/// the cursor (peek()); an arm that matches consumes that one-byte tag with
+/// take_tag(). Whatever no arm matches takes the checked path: next(), the
+/// same arms on tag(), then unexpected(). It accepts and rejects the same
+/// bytes, with the same error and field, as the plain checked loop
+/// `while (dec.next()) switch (dec.field())` with `default: dec.skip()`.
 class WireDecoder {
  public:
   explicit WireDecoder(std::span<const std::uint8_t> data)
@@ -152,21 +149,14 @@ class WireDecoder {
   [[gnu::always_inline]] void take(std::uint64_t tag) {
     if constexpr (kPeeked) take_tag(static_cast<std::uint8_t>(tag));
   }
-  /// The arm of a field that is one read(): take(), then read(target).
-  template <bool kPeeked, typename T>
-  [[gnu::always_inline]] bool read(std::uint64_t tag, T& target) {
-    take<kPeeked>(tag);
-    read(target);
-    return true;
-  }
   /// Reads every field of the current message. `arms` is a lambda
-  /// `[&]<bool kPeeked>(std::uint64_t tag) -> bool` whose switch has one
-  /// arm per known tag_byte(); each arm starts with `take<kPeeked>(tag)`,
-  /// reads the value and returns true (`read<kPeeked>(tag, target)` does
-  /// all three), and the default returns false.
-  /// `known` (fields_through()) holds every field number an arm names.
+  /// `[&]<bool kPeeked>(std::uint64_t tag) -> bool` with one arm per known
+  /// tag_byte(); each arm starts with `take<kPeeked>(tag)`, reads the value
+  /// and returns true, and a tag no arm names returns false. `known` holds,
+  /// as bit n, every field number n an arm names. Like the field-table
+  /// templates that call it, it is always inlined, never emitted on its own.
   template <typename Arms>
-  [[gnu::always_inline]] void fields(std::uint32_t known, Arms&& arms) {
+  [[gnu::always_inline, gnu::gnu_inline]] inline void fields(std::uint32_t known, Arms&& arms) {
     for (;;) {
       if (arms.template operator()<true>(peek())) continue;
       if (!next()) return;
@@ -201,7 +191,7 @@ class WireDecoder {
   /// `decode(*this, out)` runs its own loop, bounded by the payload. An
   /// error inside leaves the cursor at the end of the outer message too.
   template <typename T, typename Decode>
-  void message(T& out, Decode&& decode) {
+  [[gnu::always_inline, gnu::gnu_inline]] inline void message(T& out, Decode&& decode) {
     const std::uint8_t* outer_end = end_;
     const std::span<const std::uint8_t> payload = bytes();
     pos_ = payload.data();
@@ -262,12 +252,6 @@ class WireDecoder {
   /// The field being read when the error was latched (0: its tag was cut).
   int error_field() const { return error_field_; }
   util::Status status() const;
-  /// `out` on success, the latched error otherwise.
-  template <typename M>
-  util::Result<M> finish(M&& out) const {
-    if (!ok()) return status().error();
-    return std::move(out);
-  }
 
  private:
   /// The byte at the cursor. 0, which is no valid tag, at the end of the

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 #include "agent/agent.h"
 #include "agent/schedulers.h"
+#include "field_rows.h"
 #include "scenario/testbed.h"
 
 namespace flexran::agent {
@@ -233,6 +237,56 @@ TEST_F(ReportsFixture, TriggeredDetectsChangesPerFlagClass) {
   EXPECT_EQ(reports_.collect(10).size(), 0u);
 }
 
+// The triggered-report fingerprint covers every row of the report
+// tables: moving any one UE report, RSRP or cell report row off its value
+// changes it, and so does the request id; the subframe alone does not.
+// (The data plane cannot set every row -- the PHR, the HARQ backlog and
+// the noise figure are fixed there -- so the rows are set on a reply.)
+TEST(ReportFingerprint, EveryRowButTheSubframeCounts) {
+  using proto::testing::change_row;
+  proto::StatsReply base;
+  base.request_id = 5;
+  base.subframe = 100;
+  base.ue_reports.emplace_back().rsrp.emplace_back();
+  base.cell_reports.emplace_back();
+  const std::uint64_t print = ReportsManager::fingerprint(base);
+
+  proto::StatsReply later = base;
+  later.subframe = 101;
+  EXPECT_EQ(ReportsManager::fingerprint(later), print);
+  int rows = 0;
+  proto::StatsReply::Fields::each([&]<typename Row>() {
+    if constexpr (!Row::template names<&proto::StatsReply::subframe>) {
+      proto::StatsReply changed = base;
+      change_row<Row>(changed);
+      EXPECT_NE(ReportsManager::fingerprint(changed), print) << "StatsReply field " << Row::number;
+      ++rows;
+    }
+  });
+  proto::UeStatsReport::Fields::each([&]<typename Row>() {
+    proto::StatsReply changed = base;
+    change_row<Row>(changed.ue_reports[0]);
+    EXPECT_NE(ReportsManager::fingerprint(changed), print)
+        << "UeStatsReport field " << Row::number;
+    ++rows;
+  });
+  proto::RsrpMeasurement::Fields::each([&]<typename Row>() {
+    proto::StatsReply changed = base;
+    change_row<Row>(changed.ue_reports[0].rsrp[0]);
+    EXPECT_NE(ReportsManager::fingerprint(changed), print)
+        << "RsrpMeasurement field " << Row::number;
+    ++rows;
+  });
+  proto::CellStatsReport::Fields::each([&]<typename Row>() {
+    proto::StatsReply changed = base;
+    change_row<Row>(changed.cell_reports[0]);
+    EXPECT_NE(ReportsManager::fingerprint(changed), print)
+        << "CellStatsReport field " << Row::number;
+    ++rows;
+  });
+  EXPECT_EQ(rows, 3 + 11 + 2 + 5);
+}
+
 TEST_F(ReportsFixture, TriggeredRebaselinesAfterClear) {
   proto::StatsRequest request;
   request.request_id = 24;
@@ -354,6 +408,58 @@ TEST_F(ReportsFixture, FlagsFilterReportContents) {
   EXPECT_EQ(due[0]->ue_reports[0].wb_cqi, 10);
   EXPECT_EQ(due[0]->ue_reports[0].rlc_queue_bytes, 0u);  // filtered out
   EXPECT_TRUE(due[0]->cell_reports.empty());
+}
+
+// Each UeStatsReport row names the stats_flags bit that selects it:
+// clearing one flag resets exactly that flag's rows to their defaults and
+// leaves every other row as the full report has it.
+TEST_F(ReportsFixture, ClearedFlagResetsExactlyItsRows) {
+  stack::UeProfile measured;
+  measured.radio_profile = phy::UeRadioProfile::from_distances(
+      1, phy::kMacroTxPowerDbm, 0.1, {{2, {phy::kPicoTxPowerDbm, 0.5}}});
+  const lte::Rnti measured_rnti = enb_.add_ue(std::move(measured));
+  enb_.enqueue_dl(rnti_, lte::kDefaultDrb, 500);
+  enb_.enqueue_ul(measured_rnti, 700);
+  enb_.subframe_begin(1);  // samples CQI
+  std::uint32_t next_id = 40;
+  const auto report = [&](std::uint32_t flags) {
+    proto::StatsRequest request;
+    request.request_id = next_id++;
+    request.flags = flags;
+    reports_.register_request(request, 1);
+    const auto due = reports_.collect(1);
+    EXPECT_EQ(due.size(), 1u);
+    return due.empty() ? proto::StatsReply{} : *due[0];
+  };
+  const proto::StatsReply full = report(proto::stats_flags::kAllUeFlags);
+  ASSERT_EQ(full.ue_reports.size(), 2u);
+  EXPECT_NE(full.ue_reports[0].rlc_queue_bytes, 0u);
+  EXPECT_NE(full.ue_reports[1].ul_buffer_bytes, 0u);
+  EXPECT_NE(full.ue_reports[0].wb_cqi, 0);
+  EXPECT_NE(full.ue_reports[0].wb_cqi_protected, 0);
+  EXPECT_FALSE(full.ue_reports[1].rsrp.empty());
+
+  // The fields each flag selects, as docs/PROTOCOL.md lists them.
+  using namespace proto::stats_flags;
+  const std::map<std::uint32_t, std::set<int>> selects = {
+      {kBsr, {2, 11}},        {kCqi, {4, 9}}, {kPhr, {3}},  {kRlcQueue, {5}},
+      {kMacCounters, {7, 8}}, {kHarq, {6}},   {kRsrp, {10}}};
+  using proto::testing::row_values;
+  const proto::UeStatsReport defaults;
+  for (const auto& [flag, fields] : selects) {
+    const proto::StatsReply masked = report(kAllUeFlags & ~flag);
+    ASSERT_EQ(masked.ue_reports.size(), full.ue_reports.size());
+    for (std::size_t i = 0; i < masked.ue_reports.size(); ++i) {
+      proto::UeStatsReport::Fields::each([&]<typename Row>() {
+        const bool selected = fields.count(Row::number) > 0;
+        EXPECT_EQ(Row::flag == flag, selected) << "flag " << flag << ", field " << Row::number;
+        const auto want =
+            selected ? row_values<Row>(defaults) : row_values<Row>(full.ue_reports[i]);
+        EXPECT_EQ(row_values<Row>(masked.ue_reports[i]), want)
+            << "flag " << flag << ", UE " << i << ", field " << Row::number;
+      });
+    }
+  }
 }
 
 // --------------------------------------------------- end-to-end via testbed --
