@@ -8,9 +8,9 @@
 //
 // The expansion functions are FLEXRAN_EXPAND: always inlined and, being
 // gnu_inline, never emitted on their own, so a message's decoder is one
-// function with the table's arms folded into it, as when the switch was
-// written by hand. A nested record's decoder is the one exception: it is a
-// function of its own, called from both dispatch paths.
+// function with the table's arms folded into it. A nested record's decoder
+// is the one exception: it is a function of its own, called from both
+// dispatch paths.
 #pragma once
 
 #include <array>
@@ -136,10 +136,12 @@ struct Field {
   static_assert(P == Presence::always || !(repeated || fixed_array || K == Kind::message),
                 "only a singular scalar, string or bytes row can be left off the wire");
 
-  /// The integer the wire carries for a varint or svarint element.
+  /// The integer the wire carries for a varint, svarint or fixed64 element.
   FLEXRAN_EXPAND static auto wire(const element& v) {
     if constexpr (converted) {
       return Conv::to_wire(v);
+    } else if constexpr (K == Kind::fixed64) {
+      return std::bit_cast<std::uint64_t>(v);
     } else if constexpr (K == Kind::svarint) {
       return static_cast<std::int64_t>(v);
     } else {
@@ -239,18 +241,13 @@ struct Field {
     }
   }
 
-  /// Calls f(std::uint64_t) with each value the row puts on the wire, at
+  /// Calls f(std::uint64_t) with each number the row puts on the wire, at
   /// wire precision: a repeated row's count first, a nested record row by
-  /// row, a string or bytes row its length and then each byte.
+  /// row. (No table it walks has a string or bytes row.)
   template <typename F>
   FLEXRAN_EXPAND static void visit(const record& msg, F& f) {
     const auto visit_one = [&](const element& v) __attribute__((always_inline)) {
-      if constexpr (K == Kind::fixed64) {
-        f(std::bit_cast<std::uint64_t>(v));
-      } else if constexpr (K == Kind::string || K == Kind::bytes) {
-        f(v.size());
-        for (const auto c : v) f(static_cast<std::uint64_t>(static_cast<std::uint8_t>(c)));
-      } else if constexpr (K == Kind::message) {
+      if constexpr (K == Kind::message) {
         table_t<element>::visit(v, f);
       } else {
         f(static_cast<std::uint64_t>(wire(v)));
