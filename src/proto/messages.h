@@ -154,7 +154,8 @@ struct Hello {
   /// announce a reconnect and make the master run a full re-sync).
   std::uint32_t epoch = 0;
 
-  using Fields = Table<Field<1, &Hello::enb_id, Kind::varint>, Field<2, &Hello::name, Kind::string>,
+  using Fields = Table<Field<1, &Hello::enb_id, Kind::varint>,
+                       Field<2, &Hello::name, Kind::string>,
                        Field<3, &Hello::n_cells, Kind::varint>,
                        Field<4, &Hello::capabilities, Kind::string>,
                        Field<5, &Hello::epoch, Kind::varint, Presence::unless_default>>;
