@@ -196,7 +196,13 @@ struct Field {
       const auto payload = dec.bytes();
       v.assign(payload.begin(), payload.end());
     } else if constexpr (K == Kind::message) {
-      dec.message(v, [](WireDecoder& inner, element& e) { table_t<element>::decode(inner, e); });
+      // One decoder per nested record, narrowing included, called from
+      // both dispatch paths.
+      [](WireDecoder& d, element& e) __attribute__((noinline)) {
+        d.message(e, [](WireDecoder& inner, element& record) __attribute__((always_inline)) {
+          table_t<element>::decode(inner, record);
+        });
+      }(dec, v);
     } else {
       dec.read(v);
     }
