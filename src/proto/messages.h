@@ -122,17 +122,18 @@ struct Envelope {
   std::uint32_t retry_after_ms = 0;
   std::vector<std::uint8_t> body;
 
-  using Fields = Table<Field<1, &Envelope::version, Kind::varint>,
-                       Field<2, &Envelope::type, Kind::varint>,
-                       Field<3, &Envelope::xid, Kind::varint, Presence::unless_default>,
-                       Field<4, &Envelope::body, Kind::bytes>,
-                       Field<5, &Envelope::epoch, Kind::varint, Presence::unless_default>,
-                       Field<6, &Envelope::queue_status, Kind::varint, Presence::unless_default>,
-                       Field<7, &Envelope::throttle_hint, Kind::varint, Presence::unless_default>,
-                       Field<8, &Envelope::ts_us, Kind::varint, Presence::unless_default>,
-                       Field<9, &Envelope::ts_echo_us, Kind::varint, Presence::unless_default>,
-                       Field<10, &Envelope::master_epoch, Kind::varint, Presence::unless_default>,
-                       Field<11, &Envelope::retry_after_ms, Kind::varint, Presence::unless_default>>;
+  using Fields =
+      Table<Field<1, &Envelope::version, Kind::varint>,
+            Field<2, &Envelope::type, Kind::varint>,
+            Field<3, &Envelope::xid, Kind::varint, Presence::unless_default>,
+            Field<4, &Envelope::body, Kind::bytes>,
+            Field<5, &Envelope::epoch, Kind::varint, Presence::unless_default>,
+            Field<6, &Envelope::queue_status, Kind::varint, Presence::unless_default>,
+            Field<7, &Envelope::throttle_hint, Kind::varint, Presence::unless_default>,
+            Field<8, &Envelope::ts_us, Kind::varint, Presence::unless_default>,
+            Field<9, &Envelope::ts_echo_us, Kind::varint, Presence::unless_default>,
+            Field<10, &Envelope::master_epoch, Kind::varint, Presence::unless_default>,
+            Field<11, &Envelope::retry_after_ms, Kind::varint, Presence::unless_default>>;
 
   std::vector<std::uint8_t> encode() const;
   static util::Result<Envelope> decode(std::span<const std::uint8_t> data);
