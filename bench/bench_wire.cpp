@@ -3,9 +3,12 @@
 // Measures ns/op and heap allocations per message for the control-channel
 // hot path: nested-message encode (reused encoder, length-prefix
 // backpatching), envelope + body decode into reused structs (of the
-// regular reply below and of one shaped like the perfbench replay agents'),
-// frame + reassemble, the full encode->frame->reassemble->decode loop,
-// ingest->apply through a standalone ShardCore over sim transports, and
+// regular reply below and of one shaped like the perfbench replay agents',
+// the latter also with the rows of every message in reverse order, which
+// the checked loop decodes), frame + reassemble, the full
+// encode->frame->reassemble->decode loop, ingest->apply through a
+// standalone ShardCore over sim transports (also with an ingest budget,
+// which indexes each periodic reply for coalescing), and
 // RIB snapshot publish (one agent written through the RIB's write barrier,
 // then the freeze) and 4-shard compose at 16, 1024 and 8192 agents, whose
 // allocation counts must not grow with the fleet. Publish
@@ -139,6 +142,57 @@ proto::StatsReply make_replay_reply() {
   return reply;
 }
 
+/// `body`, a StatsReply body (`depth` 0), a record nested in one (1, 2)
+/// or an envelope (-1), with the rows of every message in it in reverse
+/// order; the entries of a repeated row keep theirs, so it decodes to the
+/// same message. The decoders' in-order pass then reads only the first row
+/// of each message and the checked loop all the others.
+std::vector<std::uint8_t> reverse_rows(std::span<const std::uint8_t> body, int depth) {
+  // ue_reports and cell_reports, and a UE report's RSRP list.
+  const auto nested = [depth](int field) {
+    return depth == 0 ? field == 3 || field == 4 : depth == 1 && field == 10;
+  };
+  struct Entry {
+    int field;
+    std::span<const std::uint8_t> bytes;    // tag and value
+    std::span<const std::uint8_t> payload;  // of a nested message
+  };
+  std::vector<std::vector<Entry>> rows;
+  proto::WireDecoder dec(body);
+  for (const std::uint8_t* begin = dec.cursor(); dec.next(); begin = dec.cursor()) {
+    Entry entry{dec.field(), {}, {}};
+    if (nested(entry.field)) {
+      entry.payload = dec.bytes();
+    } else {
+      dec.skip();
+    }
+    entry.bytes = {begin, dec.cursor()};
+    if (rows.empty() || rows.back().front().field != entry.field) rows.emplace_back();
+    rows.back().push_back(entry);
+  }
+  std::vector<std::uint8_t> out;
+  for (auto row = rows.rbegin(); row != rows.rend(); ++row) {
+    for (const Entry& entry : *row) {
+      if (nested(entry.field)) {
+        proto::WireEncoder enc;
+        enc.field_bytes(entry.field, reverse_rows(entry.payload, depth + 1));
+        out.insert(out.end(), enc.bytes().begin(), enc.bytes().end());
+      } else {
+        out.insert(out.end(), entry.bytes.begin(), entry.bytes.end());
+      }
+    }
+  }
+  return out;
+}
+
+/// An envelope around `reply` with the rows of the envelope and of every
+/// message in the reply in reverse order.
+std::vector<std::uint8_t> pack_reversed(const proto::StatsReply& reply) {
+  auto envelope = proto::Envelope::decode(proto::pack(reply, kXid)).value();
+  envelope.body = reverse_rows(envelope.body, 0);
+  return reverse_rows(envelope.encode(), -1);
+}
+
 // RIB agent as the updater leaves it after applying `reply`: one cell and
 // one UE row (with its hot-column row) per report.
 void fill_agent(ctrl::AgentNode& agent, ctrl::AgentId id, const proto::StatsReply& reply) {
@@ -181,12 +235,16 @@ std::pair<double, double> measure_rounds(std::uint64_t iters, Op&& op) {
 }
 
 /// ns and allocations per message from a stats reply arriving at a
-/// standalone ShardCore to its snapshot being published.
-std::pair<double, double> measure_ingest(const std::vector<std::uint8_t>& wire) {
+/// standalone ShardCore to its snapshot being published. With `budget`
+/// set, overload protection is on: the reply is indexed by its coalesce
+/// key while it waits in the ingest queue.
+std::pair<double, double> measure_ingest(const std::vector<std::uint8_t>& wire,
+                                         net::QueueBudget budget = {}) {
   sim::Simulator sim;
   ctrl::MasterConfig config;
   config.auto_configure = false;
   config.echo_period_cycles = 0;
+  config.overload.ingest = budget;
   ctrl::ShardCore core(sim, config);
   auto pair = net::make_sim_transport_pair(sim);
   core.add_agent(*pair.a);
@@ -466,12 +524,17 @@ struct Results {
   std::size_t replay_wire_bytes = 0;
   double decode_replay_ns = 0.0;
   double decode_replay_allocs = 0.0;
+  bool reversed_decode_matches = false;
+  double decode_reversed_ns = 0.0;
+  double decode_reversed_allocs = 0.0;
   double frame_ns = 0.0;
   double frame_allocs = 0.0;
   double loop_ns = 0.0;
   double loop_allocs = 0.0;
   double ingest_ns = 0.0;
   double ingest_allocs = 0.0;
+  double ingest_budget_ns = 0.0;
+  double ingest_budget_allocs = 0.0;
   // Per UE count (kUeCounts), no RSRP.
   double ue_ingest_allocs[kUeShapes] = {};
   double ue_publish_allocs[kUeShapes] = {};
@@ -582,6 +645,9 @@ Results run_bench() {
     res.replay_wire_bytes = replay_wire.size();
     res.replay_decode_matches =
         measure_decode(replay, replay_wire, res.decode_replay_ns, res.decode_replay_allocs);
+    // The same reply with every message's rows reversed: the checked loop.
+    res.reversed_decode_matches = measure_decode(
+        replay, pack_reversed(replay), res.decode_reversed_ns, res.decode_reversed_allocs);
   }
 
   // ---- frame + reassemble (4 frames batched per feed, like a socket wake) --
@@ -632,6 +698,10 @@ Results run_bench() {
 
   // ---- ingest -> apply through a standalone ShardCore ----
   std::tie(res.ingest_ns, res.ingest_allocs) = measure_ingest(wire);
+  // The same with an ingest budget (overload protection on) that sheds
+  // nothing: the reply coalesces by key.
+  std::tie(res.ingest_budget_ns, res.ingest_budget_allocs) =
+      measure_ingest(wire, net::QueueBudget{64, 1 << 20});
 
   // ---- snapshot publish (1 written agent) and 4-shard compose ----
   for (std::size_t f = 0; f < kFleets; ++f) {
@@ -741,9 +811,11 @@ int check_against(const Results& res, const std::string& path) {
       {"encode_arena_allocs_per_msg", res.encode_arena_allocs},
       {"decode_into_allocs_per_msg", res.decode_into_allocs},
       {"decode_replay_allocs_per_msg", res.decode_replay_allocs},
+      {"decode_replay_reversed_allocs_per_msg", res.decode_reversed_allocs},
       {"frame_reassemble_allocs_per_msg", res.frame_allocs},
       {"wire_loop_allocs_per_msg", res.loop_allocs},
       {"ingest_apply_allocs_per_msg", res.ingest_allocs},
+      {"ingest_apply_budget_allocs_per_msg", res.ingest_budget_allocs},
       {"publish_allocs_per_op", *std::max_element(res.publish_allocs, res.publish_allocs + kFleets)},
       {"compose_allocs_per_op", *std::max_element(res.compose_allocs, res.compose_allocs + kFleets)},
       {"dl_command_encode_allocs_per_msg", res.dl_encode_allocs},
@@ -831,7 +903,10 @@ int main(int argc, char** argv) {
   }
 
   const Results res = run_bench();
-  if (!res.decode_matches || !res.replay_decode_matches || !res.dl_decode_matches) return 1;
+  if (!res.decode_matches || !res.replay_decode_matches || !res.reversed_decode_matches ||
+      !res.dl_decode_matches) {
+    return 1;
+  }
   for (const AgentStage* stage : {&res.agent_periodic, &res.agent_triggered}) {
     // An agent that dropped the master's decisions would allocate nothing
     // for the wrong reason.
@@ -849,7 +924,9 @@ int main(int argc, char** argv) {
       "Encode: reused encoder with length-prefix backpatching. Decode: into a\n"
       "reused envelope and reply, checked field by field against the input;\n"
       "replay-shaped: 16 UEs with the perfbench replay agents' value ranges,\n"
-      "no RSRP.");
+      "no RSRP; rows reversed: the same with every message's rows in reverse\n"
+      "order, so that the checked loop reads all but each message's first row.\n"
+      "Ingest budget: overload protection on, nothing shed.");
   std::printf("\nwire size: %zu bytes\n\n", res.wire_bytes);
   std::printf("%-34s %10s %14s\n", "stage", "ns/op", "allocs/op");
   std::printf("%-34s %10.1f %14.4f\n", "encode nested (arena)", res.encode_arena_ns,
@@ -859,11 +936,15 @@ int main(int argc, char** argv) {
   std::printf("%-34s %10.1f %14.4f\n",
               ("decode, replay-shaped (" + std::to_string(res.replay_wire_bytes) + " B)").c_str(),
               res.decode_replay_ns, res.decode_replay_allocs);
+  std::printf("%-34s %10.1f %14.4f\n", "decode, replay-shaped, rows reversed",
+              res.decode_reversed_ns, res.decode_reversed_allocs);
   std::printf("%-34s %10.1f %14.4f\n", "frame + reassemble", res.frame_ns, res.frame_allocs);
   std::printf("%-34s %10.1f %14.4f\n", "wire loop (enc+frame+asm+dec)", res.loop_ns,
               res.loop_allocs);
   std::printf("%-34s %10.1f %14.4f\n", "ingest -> apply (ShardCore)", res.ingest_ns,
               res.ingest_allocs);
+  std::printf("%-34s %10.1f %14.4f\n", "ingest -> apply, ingest budget", res.ingest_budget_ns,
+              res.ingest_budget_allocs);
   for (std::size_t f = 0; f < kFleets; ++f) {
     const std::string agents = std::to_string(kFleetSizes[f]) + " agents";
     std::printf("%-34s %10.1f %14.4f\n", ("publish, 1 written, " + agents).c_str(),
@@ -949,14 +1030,17 @@ int main(int argc, char** argv) {
       ",\"wire_bytes\":%zu,"
       "\"encode\":{\"arena_ns\":%.2f,\"arena_allocs_per_msg\":%.4f},"
       "\"decode\":{\"into_ns\":%.2f,\"into_allocs_per_msg\":%.4f,\"replay_wire_bytes\":%zu,"
-      "\"replay_ns\":%.2f,\"replay_allocs_per_msg\":%.4f},"
+      "\"replay_ns\":%.2f,\"replay_allocs_per_msg\":%.4f,"
+      "\"replay_reversed_ns\":%.2f,\"replay_reversed_allocs_per_msg\":%.4f},"
       "\"frame\":{\"ns\":%.2f,\"allocs_per_msg\":%.4f},"
       "\"wire_loop\":{\"ns\":%.2f,\"allocs_per_msg\":%.4f},"
-      "\"ingest_apply\":{\"ns\":%.2f,\"allocs_per_msg\":%.4f},",
+      "\"ingest_apply\":{\"ns\":%.2f,\"allocs_per_msg\":%.4f,"
+      "\"budget_ns\":%.2f,\"budget_allocs_per_msg\":%.4f},",
       res.wire_bytes, res.encode_arena_ns, res.encode_arena_allocs, res.decode_into_ns,
       res.decode_into_allocs, res.replay_wire_bytes, res.decode_replay_ns,
-      res.decode_replay_allocs, res.frame_ns, res.frame_allocs, res.loop_ns, res.loop_allocs,
-      res.ingest_ns, res.ingest_allocs);
+      res.decode_replay_allocs, res.decode_reversed_ns, res.decode_reversed_allocs, res.frame_ns,
+      res.frame_allocs, res.loop_ns, res.loop_allocs, res.ingest_ns, res.ingest_allocs,
+      res.ingest_budget_ns, res.ingest_budget_allocs);
   const std::string json =
       "{" +
       flexran::bench::json_header(

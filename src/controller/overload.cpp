@@ -14,8 +14,9 @@ const char* to_string(OverloadState state) {
 }
 
 bool OverloadMonitor::observe(const OverloadSample& sample) {
-  window_.push_back(sample);
-  if (window_.size() > kOverloadWindowCycles) window_.pop_front();
+  window_[window_next_] = sample;
+  window_next_ = (window_next_ + 1) % kOverloadWindowCycles;
+  window_size_ = std::min(window_size_ + 1, kOverloadWindowCycles);
 
   const bool clean = sample.shed_delta == 0 && !sample.updater_saturated &&
                      sample.depth_fraction < kElevatedWatermark;
@@ -43,7 +44,8 @@ OverloadState OverloadMonitor::target_state() const {
   double max_depth = 0.0;
   bool shed = false;
   bool saturated = false;
-  for (const auto& sample : window_) {
+  for (std::size_t i = 0; i < window_size_; ++i) {
+    const OverloadSample& sample = window_[i];
     max_depth = std::max(max_depth, sample.depth_fraction);
     shed = shed || sample.shed_delta > 0;
     saturated = saturated || sample.updater_saturated;

@@ -9,8 +9,8 @@
 // cannot make the controller oscillate.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 
 #include "net/flow_control.h"
 
@@ -72,7 +72,11 @@ class OverloadMonitor {
  private:
   OverloadState target_state() const;
 
-  std::deque<OverloadSample> window_;
+  /// The last kOverloadWindowCycles samples, in a ring: observing one
+  /// allocates nothing.
+  std::array<OverloadSample, kOverloadWindowCycles> window_{};
+  std::size_t window_size_ = 0;
+  std::size_t window_next_ = 0;
   OverloadState state_ = OverloadState::normal;
   std::size_t clean_cycles_ = 0;
   std::uint64_t transitions_ = 0;

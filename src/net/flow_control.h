@@ -14,6 +14,7 @@
 #include <list>
 #include <map>
 #include <utility>
+#include <vector>
 
 #include "util/recent_peak.h"
 
@@ -79,9 +80,10 @@ struct ClassCounters {
 /// and waits on a spare list, and swap_in() and swap_out() exchange values
 /// with the caller's slot. A T that owns buffers (a decoded envelope's
 /// body) therefore circulates between the caller's slots and the queue
-/// without allocating once the queue has held its peak. A round ends each
-/// time swap_out() empties the queue; the spare entries are trimmed by
-/// util::RecentPeak.
+/// without allocating once the queue has held its peak. The coalesce
+/// index recycles its map nodes the same way. A round ends each time
+/// swap_out() empties the queue; the spare entries and nodes are trimmed
+/// by util::RecentPeak.
 template <typename T>
 class ClassedQueue {
  public:
@@ -143,9 +145,7 @@ class ClassedQueue {
     swap(entry.value, value);
     bytes_ += message_bytes;
     recent_peak_.note(entries_.size());
-    if (budget_.enabled() && coalesce_key != 0) {
-      index_.emplace(coalesce_key, std::prev(entries_.end()));
-    }
+    if (budget_.enabled() && coalesce_key != 0) index_key(coalesce_key, std::prev(entries_.end()));
     bool pushed_survived = true;
     while (over_budget()) {
       auto victim = pick_victim();
@@ -165,7 +165,7 @@ class ClassedQueue {
   bool swap_out(T& slot) {
     if (entries_.empty()) return false;
     Entry& entry = entries_.front();
-    if (entry.key != 0) index_.erase(entry.key);
+    unindex_key(entry.key);
     bytes_ -= entry.bytes;
     using std::swap;
     swap(slot, entry.value);
@@ -173,6 +173,7 @@ class ClassedQueue {
     if (entries_.empty()) {
       const std::size_t cap = recent_peak_.end_round();
       if (spare_.size() > cap) spare_.resize(cap);
+      if (spare_keys_.size() > cap) spare_keys_.resize(cap);
     }
     return true;
   }
@@ -183,7 +184,7 @@ class ClassedQueue {
     std::size_t removed = 0;
     for (auto it = entries_.begin(); it != entries_.end();) {
       if (pred(it->value)) {
-        if (it->key != 0) index_.erase(it->key);
+        unindex_key(it->key);
         bytes_ -= it->bytes;
         recycle(it++);
         ++removed;
@@ -222,9 +223,28 @@ class ClassedQueue {
     auto& counters = counters_[static_cast<std::size_t>(victim->cls)];
     ++counters.shed;
     counters.shed_bytes += victim->bytes;
-    if (victim->key != 0) index_.erase(victim->key);
+    unindex_key(victim->key);
     bytes_ -= victim->bytes;
     recycle(victim);
+  }
+
+  /// Indexes `key` in a recycled map node, if one is spare.
+  void index_key(std::uint64_t key, Iterator it) {
+    if (spare_keys_.empty()) {
+      index_.emplace(key, it);
+      return;
+    }
+    auto node = std::move(spare_keys_.back());
+    spare_keys_.pop_back();
+    node.key() = key;
+    node.mapped() = it;
+    index_.insert(std::move(node));
+  }
+
+  /// Drops `key` (0: none) from the index and keeps its node for reuse.
+  void unindex_key(std::uint64_t key) {
+    if (key == 0) return;
+    if (auto node = index_.extract(key)) spare_keys_.push_back(std::move(node));
   }
 
   /// Moves an entry, value and all, to the front of the spare list.
@@ -240,7 +260,11 @@ class ClassedQueue {
   /// Recycled entries, most recently used first.
   std::list<Entry> spare_;
   util::RecentPeak recent_peak_;
-  std::map<std::uint64_t, Iterator> index_;
+  using Index = std::map<std::uint64_t, Iterator>;
+  /// The queued entry of each coalesce key, when a budget is set.
+  Index index_;
+  /// Map nodes off the index, trimmed with the spare entries.
+  std::vector<typename Index::node_type> spare_keys_;
   std::size_t bytes_ = 0;
   std::size_t peak_messages_ = 0;
   std::size_t peak_bytes_ = 0;

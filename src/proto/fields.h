@@ -1,16 +1,16 @@
 // Field tables: every wire message and nested record declares each of its
 // fields once, as a row {number, &M::member, kind} of a compile-time table
 // (`M::Fields`, or TableOf<M> for a record defined outside proto). The
-// table expands into the codec -- encode, decode through tag-byte dispatch
-// (WireDecoder::fields), reset -- and into a walk over the values the wire
-// carries, which the agent's triggered-report fingerprint hashes. Adding a
-// field is adding one row (docs/wire_fastpath.md).
+// table expands into the codec -- encode, decode (an in-order pass, then
+// the checked loop WireDecoder::fields), reset -- and into a walk over the
+// values the wire carries, which the agent's triggered-report fingerprint
+// hashes. Adding a field is adding one row (docs/wire_fastpath.md).
 //
 // The expansion functions are FLEXRAN_EXPAND: always inlined and, being
 // gnu_inline, never emitted on their own, so a message's decoder is one
 // function with the table's arms folded into it. A nested record's decoder
 // is the one exception: it is a function of its own, called from both
-// dispatch paths.
+// the in-order pass and the checked loop.
 #pragma once
 
 #include <array>
@@ -113,6 +113,7 @@ struct Field {
   using record = typename fields_detail::MemberOf<decltype(Member)>::record;
   using value = typename fields_detail::MemberOf<decltype(Member)>::value;
   static constexpr int number = N;
+  static constexpr Kind kind = K;
   static constexpr auto member = Member;
   static constexpr std::uint32_t flag = Flag;
   using conv = Conv;
@@ -135,6 +136,8 @@ struct Field {
   static_assert(kind_fits<K, element, Conv>(), "the row's kind does not fit its member's type");
   static_assert(P == Presence::always || !(repeated || fixed_array || K == Kind::message),
                 "only a singular scalar, string or bytes row can be left off the wire");
+  static_assert(!fixed_array || wire_type == WireType::varint,
+                "a fixed-array row carries varints");
 
   /// The integer the wire carries for a varint, svarint or fixed64 element.
   FLEXRAN_EXPAND static auto wire(const element& v) {
@@ -185,48 +188,85 @@ struct Field {
     }
   }
 
-  FLEXRAN_EXPAND static void read_one(WireDecoder& dec, element& v) {
+  /// Stores one varint or svarint element, `raw` as the wire carries it.
+  FLEXRAN_EXPAND static void put_one(element& v, std::uint64_t raw) {
     if constexpr (converted && K == Kind::svarint) {
-      Conv::from_wire(v, dec.svarint());
+      Conv::from_wire(v, zigzag_decode(raw));
     } else if constexpr (converted) {
-      Conv::from_wire(v, dec.varint());
+      Conv::from_wire(v, raw);
     } else if constexpr (K == Kind::svarint) {
-      v = static_cast<element>(dec.svarint());
-    } else if constexpr (K == Kind::bytes) {
+      v = static_cast<element>(zigzag_decode(raw));
+    } else {
+      v = static_cast<element>(raw);
+    }
+  }
+
+  /// Reads one string, bytes or fixed64 element.
+  FLEXRAN_EXPAND static void read_one(WireDecoder& dec, element& v) {
+    if constexpr (K == Kind::bytes) {
       const auto payload = dec.bytes();
       v.assign(payload.begin(), payload.end());
-    } else if constexpr (K == Kind::message) {
-      // One decoder per nested record, narrowing included, called from
-      // both dispatch paths.
-      [](WireDecoder& d, element& e) __attribute__((noinline)) {
-        d.message(e, [](WireDecoder& inner, element& record) __attribute__((always_inline)) {
-          table_t<element>::decode(inner, record);
-        });
-      }(dec, v);
     } else {
       dec.read(v);
     }
   }
 
-  /// Reads one occurrence. `count` is how many this row has stored so far
-  /// in the message: a repeated row decodes over the slots a warm record
-  /// already holds.
-  FLEXRAN_EXPAND static void read(WireDecoder& dec, record& msg, std::uint32_t& count) {
+  /// Stores one varint or svarint occurrence. `count` is how many this
+  /// row has stored so far in the message: a repeated row decodes over the
+  /// slots a warm record already holds.
+  FLEXRAN_EXPAND static void put(record& msg, std::uint32_t& count, std::uint64_t raw) {
     value& v = msg.*Member;
     if constexpr (repeated) {
       if (count == v.size()) v.emplace_back();
-      read_one(dec, v[count++]);
+      put_one(v[count++], raw);
     } else if constexpr (fixed_array) {
-      element e{};
-      read_one(dec, e);
-      if (!dec.ok()) return;
       if (count < v.size()) {
-        v[count++] = e;
+        put_one(v[count++], raw);
       } else {
         Conv::dropped();
       }
     } else {
-      read_one(dec, v);
+      put_one(v, raw);
+    }
+  }
+
+  /// Decodes one message occurrence from `payload`, the bytes after its
+  /// length, `count` as for put(). Each record type has one decoder,
+  /// narrowing included, called from both the in-order pass and the
+  /// checked loop.
+  FLEXRAN_EXPAND static void nested(WireDecoder& dec, std::span<const std::uint8_t> payload,
+                                    record& msg, std::uint32_t& count) {
+    value& v = msg.*Member;
+    element* e = nullptr;
+    if constexpr (repeated) {
+      if (count == v.size()) v.emplace_back();
+      e = &v[count++];
+    } else {
+      e = &v;
+    }
+    [](WireDecoder& d, std::span<const std::uint8_t> body, element& record)
+        __attribute__((noinline)) {
+          d.message(body, record,
+                    [](WireDecoder& inner, element& r) __attribute__((always_inline)) {
+                      table_t<element>::decode(inner, r);
+                    });
+        }(dec, payload, *e);
+  }
+
+  /// Reads one occurrence through the decoder, `count` as for put().
+  FLEXRAN_EXPAND static void read(WireDecoder& dec, record& msg, std::uint32_t& count) {
+    if constexpr (wire_type == WireType::varint) {
+      const std::uint64_t raw = dec.varint_cold();
+      if (fixed_array && !dec.ok()) return;  // a cut entry is not a dropped one
+      put(msg, count, raw);
+    } else if constexpr (K == Kind::message) {
+      nested(dec, dec.bytes(), msg, count);
+    } else if constexpr (repeated) {
+      value& v = msg.*Member;
+      if (count == v.size()) v.emplace_back();
+      read_one(dec, v[count++]);
+    } else {
+      read_one(dec, msg.*Member);
     }
   }
 
@@ -306,16 +346,70 @@ struct Table {
 
   /// Decodes the current message into `out`, which may be warm: singular
   /// rows are reset first, repeated rows decode over the slots `out`
-  /// already holds and are trimmed to what arrived. Every row is one arm of
-  /// the tag-byte dispatch. Returns the bits of the rows seen.
+  /// already holds and are trimmed to what arrived. Returns the bits of
+  /// the rows seen.
+  ///
+  /// First comes one straight-line pass over the rows in table order,
+  /// which is the order encode writes them in. Each row is tested once
+  /// against the byte at a local copy of the cursor: a singular row is
+  /// read at most once, a repeated or fixed-array row for as long as its
+  /// tag repeats. A varint of up to 5 bytes is read on that cursor
+  /// (short_varint), a longer or cut one through the decoder. A message
+  /// row's length is read on the cursor too and its payload handed to the
+  /// record's decoder. String, bytes and fixed64 rows go through the
+  /// decoder's reads. A tag mismatch, an error, or a message length that
+  /// is long, cut or past the end ends the pass. The checked loop
+  /// (WireDecoder::fields) then takes whatever is left: rows out of order
+  /// or repeated, unknown fields, other wire types and malformed bytes,
+  /// with the same arms.
   template <typename M>
   FLEXRAN_EXPAND static std::uint32_t decode(WireDecoder& dec, M& out) {
     ((Rows::repeated ? void() : Rows::reset(out)), ...);
     std::uint32_t counts[16] = {};  // by field number
     std::uint32_t seen = 0;
-    dec.fields(known, [&]<bool kPeeked>(std::uint64_t tag) __attribute__((always_inline)) {
-      return ((tag == Rows::tag && (dec.take<kPeeked>(tag), seen |= 1u << Rows::number,
-                                    Rows::read(dec, out, counts[Rows::number]), true)) ||
+    const std::uint8_t* p = dec.cursor();
+    const std::uint8_t* const end = dec.end();
+    const auto in_order = [&]<typename Row>() __attribute__((always_inline)) {
+      while (p != end && *p == Row::tag) {
+        if constexpr (Row::wire_type == WireType::varint) {
+          const std::uint8_t* value = p + 1;
+          std::uint64_t raw = 0;
+          if (WireDecoder::short_varint(value, end, raw)) {
+            p = value;
+          } else {
+            dec.take_tag(p);
+            raw = dec.varint_cold();
+            p = dec.cursor();
+            if (!dec.ok()) return false;
+          }
+          Row::put(out, counts[Row::number], raw);
+        } else if constexpr (Row::kind == Kind::message) {
+          // A long or cut length, or a payload past the end, is left to
+          // the checked loop.
+          const std::uint8_t* payload = p + 1;
+          std::uint64_t length = 0;
+          if (!WireDecoder::short_varint(payload, end, length) ||
+              length > static_cast<std::uint64_t>(end - payload)) {
+            return false;
+          }
+          dec.take_tag(p);
+          Row::nested(dec, {payload, static_cast<std::size_t>(length)}, out, counts[Row::number]);
+          p = dec.cursor();
+        } else {
+          dec.take_tag(p);
+          Row::read(dec, out, counts[Row::number]);
+          p = dec.cursor();
+        }
+        seen |= 1u << Row::number;
+        if constexpr (!Row::repeated && !Row::fixed_array) break;
+      }
+      return true;
+    };
+    (in_order.template operator()<Rows>() && ...);
+    dec.seek(p);
+    dec.fields(known, [&](std::uint64_t tag) __attribute__((always_inline)) {
+      return ((tag == Rows::tag &&
+               (seen |= 1u << Rows::number, Rows::read(dec, out, counts[Rows::number]), true)) ||
               ...);
     });
     if (dec.ok()) (Rows::trim(out, counts[Rows::number]), ...);

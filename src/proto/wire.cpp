@@ -116,6 +116,8 @@ std::uint64_t WireDecoder::varint_slow() {
   return 0;
 }
 
+std::uint64_t WireDecoder::varint_cold() { return varint(); }
+
 void WireDecoder::read(std::string& target) {
   const auto payload = bytes();
   target.assign(payload.begin(), payload.end());

@@ -111,11 +111,11 @@ constexpr std::uint32_t tag_byte(int field, WireType type) {
 /// util::Error, with its string, is only built by status() and finish(), at
 /// the API boundary.
 ///
-/// Every message decoder is fields(), expanded from the message's field
-/// table (proto/fields.h): one arm per row, first run on the raw byte at
-/// the cursor (peek()); an arm that matches consumes that one-byte tag with
-/// take_tag(). Whatever no arm matches takes the checked path: next(), the
-/// same arms on tag(), then unexpected(). It accepts and rejects the same
+/// Every message decoder is expanded from the message's field table
+/// (proto/fields.h). It first reads the rows in wire order on a local copy
+/// of the cursor (cursor(), take_tag(), short_varint(), seek()), then hands
+/// what is left to fields(): the checked loop next(), one arm per row on
+/// tag(), then unexpected(). Together they accept and reject the same
 /// bytes, with the same error and field, as the plain checked loop
 /// `while (dec.next()) switch (dec.field())` with `default: dec.skip()`.
 class WireDecoder {
@@ -142,25 +142,54 @@ class WireDecoder {
   int field() const { return field_; }
   WireType type() const { return type_; }
 
-  // ---- tag-byte dispatch --------------------------------------------------
-  /// The start of every fields() arm: consumes the tag when the arm runs on
-  /// the peeked byte; on the checked path next() already has.
-  template <bool kPeeked>
-  [[gnu::always_inline]] void take(std::uint64_t tag) {
-    if constexpr (kPeeked) take_tag(static_cast<std::uint8_t>(tag));
+  // ---- the in-order pass (proto/fields.h) ------------------------------
+  /// The cursor and the end of the current message. The pass reads on a
+  /// local copy of the cursor and hands it back with seek().
+  const std::uint8_t* cursor() const { return pos_; }
+  const std::uint8_t* end() const { return end_; }
+  /// Moves the cursor to `p`, where the next unread tag starts.
+  void seek(const std::uint8_t* p) { pos_ = p; }
+  /// Consumes the one-byte tag at `p`, a tag of fields 1..15 that the pass
+  /// matched, so that a read through this decoder checks its wire type and
+  /// an error names its field.
+  [[gnu::always_inline]] void take_tag(const std::uint8_t* p) {
+    pos_ = p + 1;
+    field_ = *p >> 3;
+    type_ = static_cast<WireType>(*p & 0x7);
   }
-  /// Reads every field of the current message. `arms` is a lambda
-  /// `[&]<bool kPeeked>(std::uint64_t tag) -> bool` with one arm per known
-  /// tag_byte(); each arm starts with `take<kPeeked>(tag)`, reads the value
-  /// and returns true, and a tag no arm names returns false. `known` holds,
-  /// as bit n, every field number n an arm names. Like the field-table
-  /// templates that call it, it is always inlined, never emitted on its own.
+  /// The pass's varint read: a value of up to 5 bytes (35 bits) that ends
+  /// before `end` is stored in `value` and `p` moves past it. Anything
+  /// else -- a longer value, one cut by `end` -- returns false and leaves
+  /// `p` where it was. Each further byte is added with
+  /// its continuation bit and the previous byte's is cancelled by the
+  /// "- 1" (protobuf's unroll); the bound is tested byte by byte.
+  [[gnu::always_inline]] static bool short_varint(const std::uint8_t*& p,
+                                                  const std::uint8_t* end,
+                                                  std::uint64_t& value) {
+    const std::ptrdiff_t left = end - p;
+    std::uint64_t v = 0;
+#pragma GCC unroll 5
+    for (int i = 0; i < 5; ++i) {
+      if (i == left) return false;
+      v += (static_cast<std::uint64_t>(p[i]) - (i == 0 ? 0 : 1)) << (7 * i);
+      if (p[i] < 0x80) {
+        p += i + 1;
+        value = v;
+        return true;
+      }
+    }
+    return false;
+  }
+  /// Reads what is left of the current message on the checked path.
+  /// `arms` is a lambda `(std::uint64_t tag) -> bool` with one arm per
+  /// known tag_byte(); an arm reads the value and returns true, and a tag
+  /// no arm names returns false. `known` holds, as bit n, every field
+  /// number n an arm names. Like the field-table templates that call it,
+  /// it is always inlined, never emitted on its own.
   template <typename Arms>
   [[gnu::always_inline, gnu::gnu_inline]] inline void fields(std::uint32_t known, Arms&& arms) {
-    for (;;) {
-      if (arms.template operator()<true>(peek())) continue;
-      if (!next()) return;
-      if (!arms.template operator()<false>(tag())) unexpected(known);
+    while (next()) {
+      if (!arms(tag())) unexpected(known);
     }
   }
 
@@ -168,7 +197,10 @@ class WireDecoder {
   [[gnu::always_inline]] std::uint64_t varint() {
     return expect(WireType::varint) ? varint_raw() : 0;
   }
-  [[gnu::always_inline]] std::int64_t svarint() { return zigzag_decode(varint()); }
+  /// varint() out of line: the checked loop's arms, and the in-order
+  /// pass's varints of more than 5 bytes (a DCI's PRB words, a counter past
+  /// 2^35). The pass reads every other varint the encoder writes.
+  std::uint64_t varint_cold();
   /// Payload of a length-delimited field, a view into the decoded data.
   [[gnu::always_inline]] std::span<const std::uint8_t> bytes() {
     const std::uint64_t length = expect(WireType::length_delimited) ? varint_raw() : 0;
@@ -187,13 +219,14 @@ class WireDecoder {
   void read(std::string& target);
   /// A fixed64 field as a double.
   void read(double& target);
-  /// Decodes the current length-delimited field as a nested message:
-  /// `decode(*this, out)` runs its own loop, bounded by the payload. An
-  /// error inside leaves the cursor at the end of the outer message too.
+  /// Decodes `payload`, the current length-delimited field's value inside
+  /// the current message, as a nested message: `decode(*this, out)` runs
+  /// its own loop, bounded by the payload. An error inside leaves the
+  /// cursor at the end of the outer message too.
   template <typename T, typename Decode>
-  [[gnu::always_inline, gnu::gnu_inline]] inline void message(T& out, Decode&& decode) {
+  [[gnu::always_inline, gnu::gnu_inline]] inline void message(std::span<const std::uint8_t> payload,
+                                                              T& out, Decode&& decode) {
     const std::uint8_t* outer_end = end_;
-    const std::span<const std::uint8_t> payload = bytes();
     pos_ = payload.data();
     end_ = payload.data() + payload.size();
     decode(*this, out);
@@ -254,15 +287,6 @@ class WireDecoder {
   util::Status status() const;
 
  private:
-  /// The byte at the cursor. 0, which is no valid tag, at the end of the
-  /// current message and so also once an error is latched.
-  [[gnu::always_inline]] std::uint8_t peek() const { return pos_ < end_ ? *pos_ : 0; }
-  /// Consumes the one-byte tag `byte` that peek() returned and an arm matched.
-  [[gnu::always_inline]] void take_tag(std::uint8_t byte) {
-    ++pos_;
-    field_ = byte >> 3;
-    type_ = static_cast<WireType>(byte & 0x7);
-  }
   /// The tag next() read, as tag_byte() spells it for fields 1..15.
   std::uint64_t tag() const {
     return static_cast<std::uint64_t>(field_) << 3 | static_cast<std::uint64_t>(type_);

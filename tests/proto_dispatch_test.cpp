@@ -1,15 +1,18 @@
-// Tag-byte dispatch (docs/wire_fastpath.md): the per-TTI decoders switch on
-// the raw byte at the cursor and fall back to the checked next() path for
-// anything their arms do not match. These tests hold them to the checked
-// idiom byte for byte: a test-local reference decoder, written as a plain
+// Field-table decoding (docs/wire_fastpath.md): every decoder first reads
+// its rows in table order on a local cursor, then hands whatever is left
+// to the checked next() loop. These tests hold it to the checked idiom
+// byte for byte: a test-local reference decoder, written as a plain
 // `while (dec.next()) switch (dec.field())` loop, must accept and reject
 // the same bodies with the same error and field number, and decode the
-// same values, over hand-made edge cases and over every truncation and
-// byte mutation of realistic bodies.
+// same values, over hand-made edge cases, over bodies that make the
+// in-order pass hand over mid-message, and over every truncation and byte
+// mutation of realistic bodies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <tuple>
@@ -35,7 +38,7 @@ void ref_rsrp(WireDecoder& dec, RsrpMeasurement& out) {
   while (dec.next()) {
     switch (dec.field()) {
       case 1: dec.read(out.cell_id); break;
-      case 2: out.rsrp_dbm = static_cast<double>(dec.svarint()) / 100.0; break;
+      case 2: out.rsrp_dbm = static_cast<double>(zigzag_decode(dec.varint())) / 100.0; break;
       default: dec.skip();
     }
   }
@@ -56,14 +59,14 @@ void ref_ue_report(WireDecoder& dec, UeStatsReport& out) {
         }
         break;
       }
-      case 3: out.phr_db = static_cast<std::int32_t>(dec.svarint()); break;
+      case 3: out.phr_db = static_cast<std::int32_t>(zigzag_decode(dec.varint())); break;
       case 4: dec.read(out.wb_cqi); break;
       case 5: dec.read(out.rlc_queue_bytes); break;
       case 6: dec.read(out.pending_harq); break;
       case 7: dec.read(out.dl_bytes_delivered); break;
       case 8: dec.read(out.ul_bytes_received); break;
       case 9: dec.read(out.wb_cqi_protected); break;
-      case 10: dec.message(out.rsrp.emplace_back(), ref_rsrp); break;
+      case 10: dec.message(dec.bytes(), out.rsrp.emplace_back(), ref_rsrp); break;
       case 11: dec.read(out.ul_buffer_bytes); break;
       default: dec.skip();
     }
@@ -89,9 +92,9 @@ util::Status ref_stats_reply(std::span<const std::uint8_t> data, StatsReply& out
   while (dec.next()) {
     switch (dec.field()) {
       case 1: dec.read(out.request_id); break;
-      case 2: out.subframe = dec.svarint(); break;
-      case 3: dec.message(out.ue_reports.emplace_back(), ref_ue_report); break;
-      case 4: dec.message(out.cell_reports.emplace_back(), ref_cell_report); break;
+      case 2: out.subframe = zigzag_decode(dec.varint()); break;
+      case 3: dec.message(dec.bytes(), out.ue_reports.emplace_back(), ref_ue_report); break;
+      case 4: dec.message(dec.bytes(), out.cell_reports.emplace_back(), ref_cell_report); break;
       default: dec.skip();
     }
   }
@@ -122,8 +125,8 @@ util::Status ref_dl_mac_config(std::span<const std::uint8_t> data, DlMacConfig& 
   while (dec.next()) {
     switch (dec.field()) {
       case 1: dec.read(out.cell_id); break;
-      case 2: out.target_subframe = dec.svarint(); break;
-      case 3: dec.message(out.dcis.emplace_back(), ref_dl_dci); break;
+      case 2: out.target_subframe = zigzag_decode(dec.varint()); break;
+      case 3: dec.message(dec.bytes(), out.dcis.emplace_back(), ref_dl_dci); break;
       default: dec.skip();
     }
   }
@@ -532,6 +535,23 @@ Bytes body_of(const M& message) {
   return enc.take();
 }
 
+/// An envelope with every header field set, around the start of a reply.
+Envelope make_envelope() {
+  Envelope envelope;
+  envelope.type = MessageType::stats_reply;
+  envelope.xid = 77;
+  envelope.epoch = 3;
+  envelope.queue_status = 1;
+  envelope.throttle_hint = 4;
+  envelope.ts_us = 123'456'789;
+  envelope.ts_echo_us = 123'000;
+  envelope.master_epoch = 2;
+  envelope.retry_after_ms = 40;
+  const Bytes reply = body_of(make_reply(false));
+  envelope.body = Bytes(reply.begin(), reply.begin() + 24);
+  return envelope;
+}
+
 /// Every truncation, every byte value at every offset, and seeded
 /// multi-byte overwrites of `valid`, decoded both ways. Returns the number
 /// of bodies that disagreed and reports the first.
@@ -578,17 +598,7 @@ TEST(ProtoRobustness, FastArmsMatchReferenceDecoder) {
   const Bytes with_rsrp = body_of(make_reply(true));
   const Bytes without_rsrp = body_of(make_reply(false));
   const Bytes dl = body_of(make_dl_config());
-  Envelope envelope;
-  envelope.type = MessageType::stats_reply;
-  envelope.xid = 77;
-  envelope.epoch = 3;
-  envelope.queue_status = 1;
-  envelope.throttle_hint = 4;
-  envelope.ts_us = 123'456'789;
-  envelope.ts_echo_us = 123'000;
-  envelope.master_epoch = 2;
-  envelope.retry_after_ms = 40;
-  envelope.body = Bytes(without_rsrp.begin(), without_rsrp.begin() + 24);
+  const Envelope envelope = make_envelope();
   const Bytes env = envelope.encode();
 
   // The reference bodies decode, and to what was encoded.
@@ -607,6 +617,392 @@ TEST(ProtoRobustness, FastArmsMatchReferenceDecoder) {
       << "StatsReply without RSRP";
   EXPECT_EQ(sweep(kDlMacConfig, dl, 0x8cb92ba72f3d8dd7ull), 0) << "DlMacConfig";
   EXPECT_EQ(sweep(kEnvelope, env, 0xa0761d6478bd642full), 0) << "Envelope";
+}
+
+// ------------------------------------------ bodies the pass hands over --
+// The in-order pass reads rows while they arrive in table order, the order
+// encode writes them in, and hands the rest of the message to the checked
+// loop. The bodies below are the reference bodies edited so that it hands
+// over in the middle of every message: rows out of order, repeated after
+// the pass went past them, split, unknown fields between them, over-long
+// varints, and messages cut short.
+
+/// One field as it sits on the wire.
+struct WireField {
+  Bytes tag;
+  int number = 0;
+  WireType type = WireType::varint;
+  /// The value; for a length-delimited field its payload, without length.
+  Bytes value;
+  /// A length-delimited field's length in at least this many varint bytes
+  /// (0: as few as it takes).
+  std::size_t length_width = 0;
+};
+
+/// `value` as a varint of `width` bytes, or as many as it takes if more.
+void put_wide_varint(Bytes& out, std::uint64_t value, std::size_t width) {
+  std::size_t size = 1;
+  while (size < 10 && (value >> (7 * size)) != 0) ++size;
+  width = std::max(width, size);
+  for (std::size_t i = 0; i < width; ++i) {
+    const auto bits = static_cast<std::uint8_t>(i * 7 < 64 ? (value >> (i * 7)) & 0x7f : 0);
+    out.push_back(i + 1 < width ? static_cast<std::uint8_t>(bits | 0x80) : bits);
+  }
+}
+
+/// Which length-delimited fields of a message hold a nested message.
+struct Shape {
+  std::vector<std::pair<int, const Shape*>> nested;
+  const Shape* find(int number) const {
+    for (const auto& [n, shape] : nested) {
+      if (n == number) return shape;
+    }
+    return nullptr;
+  }
+};
+const Shape kFlat{};
+const Shape kUeShape{{{10, &kFlat}}};
+const Shape kReplyShape{{{3, &kUeShape}, {4, &kFlat}}};
+const Shape kDlShape{{{3, &kFlat}}};
+
+/// The fields of a well-formed body, in wire order.
+std::vector<WireField> split(std::span<const std::uint8_t> body) {
+  std::size_t pos = 0;
+  const auto varint = [&] {
+    std::uint64_t value = 0;
+    for (int shift = 0;; shift += 7) {
+      const std::uint8_t byte = body[pos++];
+      value |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+      if (byte < 0x80) return value;
+    }
+  };
+  std::vector<WireField> fields;
+  while (pos < body.size()) {
+    WireField field;
+    const std::size_t tag_start = pos;
+    const std::uint64_t tag = varint();
+    field.tag.assign(body.begin() + tag_start, body.begin() + pos);
+    field.number = static_cast<int>(tag >> 3);
+    field.type = static_cast<WireType>(tag & 0x7);
+    std::size_t start = pos;
+    switch (field.type) {
+      case WireType::varint: varint(); break;
+      case WireType::fixed64: pos += 8; break;
+      case WireType::fixed32: pos += 4; break;
+      case WireType::length_delimited: {
+        const std::uint64_t length = varint();
+        start = pos;
+        pos += length;
+        break;
+      }
+    }
+    field.value.assign(body.begin() + start, body.begin() + pos);
+    fields.push_back(std::move(field));
+  }
+  return fields;
+}
+
+Bytes join(const std::vector<WireField>& fields) {
+  Bytes out;
+  for (const WireField& field : fields) {
+    out.insert(out.end(), field.tag.begin(), field.tag.end());
+    if (field.type == WireType::length_delimited) {
+      put_wide_varint(out, field.value.size(), field.length_width);
+    }
+    out.insert(out.end(), field.value.begin(), field.value.end());
+  }
+  return out;
+}
+
+using Rows = std::vector<std::vector<WireField>>;
+
+/// The fields grouped into rows: runs of one field number.
+Rows rows_of(const std::vector<WireField>& fields) {
+  Rows rows;
+  for (const WireField& field : fields) {
+    if (rows.empty() || rows.back().front().number != field.number) rows.emplace_back();
+    rows.back().push_back(field);
+  }
+  return rows;
+}
+
+std::vector<WireField> flatten(const Rows& rows) {
+  std::vector<WireField> fields;
+  for (const auto& row : rows) fields.insert(fields.end(), row.begin(), row.end());
+  return fields;
+}
+
+/// `body`, a message of `shape`, with `edit` applied to the rows of every
+/// message in it, nested ones first.
+Bytes rewrite(std::span<const std::uint8_t> body, const Shape& shape,
+              const std::function<void(Rows&)>& edit) {
+  std::vector<WireField> fields = split(body);
+  for (WireField& field : fields) {
+    if (field.type != WireType::length_delimited) continue;
+    if (const Shape* inner = shape.find(field.number)) {
+      field.value = rewrite(field.value, *inner, edit);
+    }
+  }
+  Rows rows = rows_of(fields);
+  edit(rows);
+  return join(flatten(rows));
+}
+
+/// `field` with another value of the same type and length class.
+WireField another_value(WireField field) {
+  if (field.type == WireType::varint) {
+    std::uint64_t value = 0;
+    for (std::size_t i = 0; i < field.value.size(); ++i) {
+      value |= static_cast<std::uint64_t>(field.value[i] & 0x7f) << (7 * i);
+    }
+    field.value.clear();
+    put_varint(field.value, value ^ 1);
+  } else {
+    field.value.front() ^= 1;
+  }
+  return field;
+}
+
+WireField unknown_field(int number, WireType type) {
+  Bytes bytes;
+  put_field(bytes, number, type);
+  return split(bytes).front();
+}
+
+/// A varint field's value, or a length-delimited field's length,
+/// re-encoded, unchanged, in `width` bytes (or as many as it takes, if
+/// more).
+WireField widened(WireField field, std::size_t width) {
+  if (field.type == WireType::length_delimited) {
+    field.length_width = width;
+    return field;
+  }
+  std::uint64_t value = 0;
+  for (std::size_t i = 0; i < field.value.size(); ++i) {
+    value |= static_cast<std::uint64_t>(field.value[i] & 0x7f) << (7 * i);
+  }
+  field.value.clear();
+  put_wide_varint(field.value, value, width);
+  return field;
+}
+
+/// One reference body and its decoders.
+struct Body {
+  std::string name;
+  Bytes bytes;
+  const Shape* shape;
+  /// Decodes both ways (compare()): empty when they agree.
+  std::string (*check)(std::span<const std::uint8_t>, std::string*);
+  /// Whether two bodies decode (production decoder) to equal messages.
+  bool (*alike)(std::span<const std::uint8_t>, std::span<const std::uint8_t>);
+};
+
+template <typename M>
+bool decode_alike(const Codec<M>& codec, std::span<const std::uint8_t> a,
+                  std::span<const std::uint8_t> b) {
+  M x;
+  M y;
+  return codec.decode(a, x).ok() && codec.decode(b, y).ok() && same(x, y);
+}
+
+std::vector<Body> reference_bodies() {
+  const auto reply_alike = [](std::span<const std::uint8_t> a, std::span<const std::uint8_t> b) {
+    return decode_alike(kStatsReply, a, b);
+  };
+  const auto dl_alike = [](std::span<const std::uint8_t> a, std::span<const std::uint8_t> b) {
+    return decode_alike(kDlMacConfig, a, b);
+  };
+  const auto envelope_alike = [](std::span<const std::uint8_t> a,
+                                 std::span<const std::uint8_t> b) {
+    return decode_alike(kEnvelope, a, b);
+  };
+  return {
+      {"StatsReply with RSRP", body_of(make_reply(true)), &kReplyShape, check_reply, reply_alike},
+      {"StatsReply without RSRP", body_of(make_reply(false)), &kReplyShape, check_reply,
+       reply_alike},
+      {"DlMacConfig", body_of(make_dl_config()), &kDlShape, check_dl, dl_alike},
+      {"Envelope", make_envelope().encode(), &kFlat, check_envelope, envelope_alike},
+  };
+}
+
+/// Both decoders agree on `edited`, which decodes without error; with
+/// `like_original`, to what the unedited body decodes to.
+void expect_handover(const Body& body, const Bytes& edited, bool like_original,
+                     const std::string& what) {
+  std::string got;
+  EXPECT_EQ(body.check(edited, &got), "") << body.name << ", " << what;
+  EXPECT_EQ(got, "ok") << body.name << ", " << what << " [" << hex(edited) << "]";
+  if (like_original) {
+    EXPECT_TRUE(body.alike(edited, body.bytes))
+        << body.name << ", " << what << " decodes to another message [" << hex(edited) << "]";
+  }
+}
+
+TEST(InOrderPass, ReversedRowsAndFields) {
+  for (const Body& body : reference_bodies()) {
+    // Whole rows reversed, entries of a row in order: the same message.
+    expect_handover(body,
+                    rewrite(body.bytes, *body.shape, [](Rows& rows) {
+                      std::reverse(rows.begin(), rows.end());
+                    }),
+                    true, "rows reversed");
+    // Every field reversed, entries of a repeated row too.
+    expect_handover(body,
+                    rewrite(body.bytes, *body.shape, [](Rows& rows) {
+                      auto fields = flatten(rows);
+                      std::reverse(fields.begin(), fields.end());
+                      rows = rows_of(fields);
+                    }),
+                    false, "fields reversed");
+  }
+}
+
+TEST(InOrderPass, AdjacentRowsSwapped) {
+  for (const Body& body : reference_bodies()) {
+    for (std::size_t i = 0; i + 1 < 12; ++i) {
+      expect_handover(body,
+                      rewrite(body.bytes, *body.shape, [i](Rows& rows) {
+                        if (i + 1 < rows.size()) std::swap(rows[i], rows[i + 1]);
+                      }),
+                      true, "rows " + std::to_string(i) + " and " + std::to_string(i + 1) +
+                                " swapped in every message");
+    }
+  }
+}
+
+TEST(InOrderPass, SingularRowRepeatedAfterThePassLastWins) {
+  for (const Body& body : reference_bodies()) {
+    for (std::size_t i = 0; i < 12; ++i) {
+      expect_handover(body,
+                      rewrite(body.bytes, *body.shape, [i](Rows& rows) {
+                        if (i >= rows.size() || rows[i].size() != 1) return;
+                        const WireField& field = rows[i].front();
+                        if (field.type == WireType::varint || field.type == WireType::fixed64) {
+                          rows.push_back({another_value(field)});
+                        }
+                      }),
+                      false, "row " + std::to_string(i) + " repeated at the end");
+    }
+  }
+  // The value read last wins, the pass's first read notwithstanding.
+  Bytes body = body_of(make_reply(false));
+  put_tag(body, 1, WireType::varint);
+  put_varint(body, 99);
+  StatsReply reply;
+  ASSERT_TRUE(StatsReply::decode_body_into(body, reply).ok());
+  EXPECT_EQ(reply.request_id, 99u);
+  EXPECT_EQ(reply.ue_reports.size(), 16u);
+}
+
+TEST(InOrderPass, RepeatedRowsSplitAroundOthers) {
+  for (const bool rsrp : {true, false}) {
+    const Bytes original = body_of(make_reply(rsrp));
+    std::vector<WireField> fields = split(original);
+    // ue_reports: 8 before cell_reports, 8 after.
+    const auto cell = std::find_if(fields.begin(), fields.end(),
+                                   [](const WireField& f) { return f.number == 4; });
+    ASSERT_NE(cell, fields.end());
+    const WireField cell_report = *cell;
+    fields.erase(cell);
+    const auto ninth_ue = std::find_if(fields.begin(), fields.end(),
+                                       [](const WireField& f) { return f.number == 3; }) +
+                          8;
+    fields.insert(ninth_ue, cell_report);
+    const Bytes split_ues = join(fields);
+    StatsReply reused;
+    EXPECT_EQ(compare(kStatsReply, split_ues, reused), "");
+    EXPECT_TRUE(same(reused, make_reply(rsrp))) << "ue_reports split around cell_reports";
+
+    // The BSR entries of every UE split around the PHR row.
+    const Bytes split_bsr = rewrite(original, kReplyShape, [](Rows& rows) {
+      if (rows.size() < 3 || rows[1].size() != lte::kNumLcGroups) return;  // not a UE record
+      auto fields = flatten(rows);
+      std::swap(fields[3], fields[5]);  // rnti, bsr, bsr, phr, bsr, bsr...
+      std::swap(fields[4], fields[5]);
+      rows = rows_of(fields);
+    });
+    ASSERT_NE(split_bsr, original);
+    EXPECT_EQ(compare(kStatsReply, split_bsr, reused), "");
+    EXPECT_TRUE(same(reused, make_reply(rsrp))) << "BSR entries split around the PHR row";
+  }
+  // The DCIs of a DlMacConfig split around its cell_id.
+  std::vector<WireField> fields = split(body_of(make_dl_config()));
+  ASSERT_EQ(fields.front().number, 1);
+  std::rotate(fields.begin(), fields.begin() + 1, fields.begin() + 10);
+  DlMacConfig config;
+  EXPECT_EQ(compare(kDlMacConfig, join(fields), config), "");
+  EXPECT_TRUE(same(config, make_dl_config())) << "dcis split around cell_id";
+}
+
+TEST(InOrderPass, UnknownFieldBetweenInOrderRows) {
+  const WireField unknown[] = {
+      unknown_field(13, WireType::varint), unknown_field(14, WireType::length_delimited),
+      unknown_field(15, WireType::fixed32), unknown_field(12, WireType::fixed64),
+      unknown_field(2047, WireType::varint)};
+  for (const Body& body : reference_bodies()) {
+    for (const WireField& extra : unknown) {
+      for (std::size_t i = 0; i < 13; ++i) {
+        expect_handover(body,
+                        rewrite(body.bytes, *body.shape, [&](Rows& rows) {
+                          if (i <= rows.size()) rows.insert(rows.begin() + i, {extra});
+                        }),
+                        true, "unknown field " + std::to_string(extra.number) +
+                                  " before row " + std::to_string(i));
+      }
+    }
+  }
+}
+
+TEST(InOrderPass, LongVarintOnInOrderRow) {
+  for (const Body& body : reference_bodies()) {
+    for (std::size_t width = 6; width <= 10; ++width) {
+      for (std::size_t i = 0; i < 12; ++i) {
+        expect_handover(body,
+                        rewrite(body.bytes, *body.shape, [&](Rows& rows) {
+                          if (i >= rows.size()) return;
+                          WireField& field = rows[i].front();
+                          if (field.type == WireType::varint ||
+                              field.type == WireType::length_delimited) {
+                            field = widened(field, width);
+                          }
+                        }),
+                        true, "row " + std::to_string(i) + " (its value or length) in " +
+                                  std::to_string(width) + " varint bytes");
+      }
+    }
+  }
+}
+
+/// Every prefix of `body`, and `body` with the first entry of each nested
+/// row cut to each of its own variants.
+std::vector<Bytes> cuts(std::span<const std::uint8_t> body, const Shape& shape) {
+  std::vector<Bytes> out;
+  for (std::size_t len = 0; len < body.size(); ++len) {
+    out.emplace_back(body.begin(), body.begin() + static_cast<std::ptrdiff_t>(len));
+  }
+  const std::vector<WireField> fields = split(body);
+  for (const auto& [number, inner] : shape.nested) {
+    const auto at = std::find_if(fields.begin(), fields.end(),
+                                 [number](const WireField& f) { return f.number == number; });
+    if (at == fields.end()) continue;
+    for (Bytes& cut : cuts(at->value, *inner)) {
+      std::vector<WireField> edited = fields;
+      edited[static_cast<std::size_t>(at - fields.begin())].value = std::move(cut);
+      out.push_back(join(edited));
+    }
+  }
+  return out;
+}
+
+TEST(InOrderPass, BodyCutInsideThePass) {
+  for (const Body& body : reference_bodies()) {
+    int mismatches = 0;
+    for (const Bytes& cut : cuts(body.bytes, *body.shape)) {
+      const std::string diff = body.check(cut, nullptr);
+      if (!diff.empty() && mismatches++ == 0) ADD_FAILURE() << body.name << ": " << diff;
+    }
+    EXPECT_EQ(mismatches, 0) << body.name;
+  }
 }
 
 }  // namespace
